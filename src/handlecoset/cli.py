@@ -21,29 +21,35 @@ from pathlib import Path
 from typing import Optional
 
 from .coset_enumeration import EnumerationLimits, enumerate_cosets
-from .double_cosets import DoubleCosetId, UnorderedPair, dc_all, dc_id
+from .double_cosets import DoubleCosetId, UnorderedPair, dc_id
 from .errors import (HandleCosetError, MissingPPlus, MissingSection,
                      ResourceExhausted, SkgSyntaxError)
 from .finite_quotient import SeparationVerdict, quotient_separate
 from .handle_classifier import (CaseLabel, ClassifierContext, HandleInvariant,
                                 enumerate_classes, handle_invariant,
-                                image_member, nonsurjectivity_witness)
+                                image_member)
 from .knot_input import format_word, parse_input, parse_word, validate
 from .word_algebra import Word
 
 ENV_MAX_COSETS = "HANDLE_COSET_MAX_COSETS"
+# the search lists all d! permutations of each degree d up to this bound
+MAX_SEPARATE_DEGREE = 8
 
 
 def _limits(max_cosets: Optional[int] = None) -> EnumerationLimits:
+    source = "--max-cosets"
     if max_cosets is None:
         env = os.environ.get(ENV_MAX_COSETS)
         if env is not None:
+            source = ENV_MAX_COSETS
             try:
                 max_cosets = int(env)
             except ValueError:
                 raise SkgSyntaxError(1, 1, f"{ENV_MAX_COSETS} must be an integer")
     if max_cosets is None:
         return EnumerationLimits()
+    if max_cosets < 1:
+        raise SkgSyntaxError(1, 1, f"{source} must be positive")
     return EnumerationLimits(max_live_cosets=max_cosets,
                              max_total_defined=10 * max_cosets)
 
@@ -98,8 +104,11 @@ def _value_text(value, names) -> str:
 def _emit(args, record: dict) -> None:
     if getattr(args, "records", None):
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with open(args.records, "w", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        try:
+            with open(args.records, "w", encoding="utf-8") as fh:
+                fh.write(line + "\n")
+        except OSError as exc:
+            raise SkgSyntaxError(1, 1, f"cannot write {args.records}: {exc.strerror}")
 
 
 def _context(args, input) -> ClassifierContext:
@@ -328,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="try to separate two cords in finite quotients")
     p.add_argument("file")
     case_options(p, 2)
-    p.add_argument("--max-degree", type=int, default=6, metavar="D")
+    p.add_argument("--max-degree", type=int, default=6, metavar="D",
+                   choices=range(1, MAX_SEPARATE_DEGREE + 1),
+                   help=f"largest permutation degree searched, 1..{MAX_SEPARATE_DEGREE}")
 
     add("selftest", _cmd_selftest, help="run the built-in oracle suite")
     return parser

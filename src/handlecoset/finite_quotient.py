@@ -5,7 +5,8 @@ groups of small degree and compare the handle invariants inside the
 finite image.  Double-coset equality is preserved by any homomorphism,
 so a difference in some image certifies inequivalence; agreement proves
 nothing.  Inside a finite image everything is brute force over
-permutations, deliberately independent of the enumeration engine.
+permutations, deliberately independent of the enumeration engine; only
+the encoding of words as action columns is shared with it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
+from .coset_enumeration import _columns
 from .errors import CaseMismatch
 from .handle_classifier import CaseLabel
 from .knot_input import SurfaceKnotInput
@@ -57,37 +59,57 @@ def perm_identity(degree: int) -> Perm:
     return tuple(range(degree))
 
 
+def _trace(action: list[Perm], columns: tuple[int, ...], x: int) -> int:
+    """Image of point x under a word compiled by _columns: action[2i] is the
+    image of generator i and action[2i + 1] its inverse."""
+    for c in columns:
+        x = action[c][x]
+    return x
+
+
+def _holds(action: list[Perm], relators: list[tuple[int, ...]], points: range) -> bool:
+    """True iff every compiled relator fixes every point; stops at the first
+    point that moves."""
+    for columns in relators:
+        for x in points:
+            if _trace(action, columns, x) != x:
+                return False
+    return True
+
+
 def eval_word(images: tuple[Perm, ...], degree: int, word: Word) -> Perm:
-    acc = perm_identity(degree)
-    for i, s in word:
-        g = images[i] if s > 0 else perm_inverse(images[i])
-        acc = perm_compose(acc, g)
-    return acc
+    action: list[Perm] = []
+    for p in images:
+        action += (p, perm_inverse(p))
+    columns = _columns(word)
+    return tuple(_trace(action, columns, x) for x in range(degree))
 
 
 @lru_cache(maxsize=None)
 def _search(pres: GroupPresentation, degree: int, limit: int) -> tuple[PermutationAssignment, ...]:
     ngens = len(pres.generators)
     perms = tuple(itertools.permutations(range(degree)))  # lexicographic
-    identity = perm_identity(degree)
+    candidates = tuple((p, perm_inverse(p)) for p in perms)
+    points = range(degree)
     # a relator becomes checkable once its highest generator is assigned
-    ready: list[list[Word]] = [[] for _ in range(ngens)]
+    ready: list[list[tuple[int, ...]]] = [[] for _ in range(ngens)]
     for rel in pres.relators:
-        ready[rel.max_generator_index()].append(rel)
+        ready[rel.max_generator_index()].append(_columns(rel))
 
     found: list[PermutationAssignment] = []
-    chosen: list[Perm] = [identity] * ngens
+    action: list[Perm] = [perm_identity(degree)] * (2 * ngens)
 
     def extend(k: int) -> None:
         if len(found) >= limit:
             return
         if k == ngens:
-            found.append(PermutationAssignment(degree, tuple(chosen)))
+            found.append(PermutationAssignment(degree, tuple(action[0::2])))
             return
-        for p in perms:
-            chosen[k] = p
-            if all(eval_word(tuple(chosen), degree, rel) == identity
-                   for rel in ready[k]):
+        checks = ready[k]
+        for p, p_inv in candidates:
+            action[2 * k] = p
+            action[2 * k + 1] = p_inv
+            if _holds(action, checks, points):
                 extend(k + 1)
             if len(found) >= limit:
                 return

@@ -148,8 +148,8 @@ class ClassifierContext:
 
 def _require_case(ctx: ClassifierContext, case: CaseLabel) -> None:
     if case.requires_orientable != ctx.input.surface_orientable:
-        want = "orientable" if case.requires_orientable else "non-orientable"
-        raise CaseMismatch(f"case {case.number} needs a {want} surface input")
+        want = "an orientable" if case.requires_orientable else "a non-orientable"
+        raise CaseMismatch(f"case {case.number} needs {want} surface input")
 
 
 def _case3_table(ctx: ClassifierContext) -> tuple[CosetTable, Sequence[Word]]:

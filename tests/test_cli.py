@@ -96,6 +96,17 @@ def test_separate(skg, capsys):
     assert "unknown" in capsys.readouterr().out
 
 
+def test_separate_max_degree_bounds(skg, capsys):
+    path = skg("t2.skg", T2)
+    pair = ["separate", path, "--case", "1", "--cord", "t", "--cord", "1"]
+    for bad in ("0", "-3", "9", "10"):
+        assert run(pair + ["--max-degree", bad]) == 2
+        assert "--max-degree" in capsys.readouterr().err
+    for good in ("1", "8"):
+        assert run(pair + ["--max-degree", good]) == 0
+    capsys.readouterr()
+
+
 def test_exit_code_domain_error(skg, capsys):
     path = skg("s3.skg", S3)
     assert run(["invariant", path, "--case", "3", "--cord", "b"]) == 1
@@ -123,6 +134,12 @@ def test_exit_code_resource_exhausted(skg, capsys):
     assert "exhausted" in capsys.readouterr().err
 
 
+def test_max_cosets_must_be_positive(skg, capsys):
+    path = skg("free2.skg", FREE2)
+    assert run(["enumerate", path, "--max-cosets", "0"]) == 2
+    assert "--max-cosets" in capsys.readouterr().err
+
+
 def test_missing_file(capsys):
     assert run(["validate", "/no/such/file.skg"]) == 2
     capsys.readouterr()
@@ -133,6 +150,22 @@ def test_env_var_limits(skg, capsys, monkeypatch):
     monkeypatch.setenv("HANDLE_COSET_MAX_COSETS", "40")
     assert run(["enumerate", path]) == 3
     capsys.readouterr()
+
+
+def test_env_var_limits_must_be_positive(skg, capsys, monkeypatch):
+    path = skg("free2.skg", FREE2)
+    monkeypatch.setenv("HANDLE_COSET_MAX_COSETS", "-5")
+    assert run(["enumerate", path]) == 2
+    assert "HANDLE_COSET_MAX_COSETS" in capsys.readouterr().err
+
+
+def test_records_in_missing_directory(skg, tmp_path, capsys):
+    path = skg("t2.skg", T2)
+    rec = tmp_path / "missing" / "x.json"
+    assert run(["separate", path, "--case", "1", "--cord", "t", "--cord", "1",
+                "--max-degree", "2", "--records", str(rec)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert not rec.exists()
 
 
 def test_records_written_and_deterministic(skg, tmp_path, capsys):

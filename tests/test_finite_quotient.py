@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from brute import peval
 from handlecoset.errors import CaseMismatch
 from handlecoset.finite_quotient import (SeparationVerdict, eval_word,
                                          find_homomorphisms, perm_identity,
@@ -16,6 +18,11 @@ C3 = parse_input("group: a\nrel: a^3\nP: 1\norientable: true").presentation
 S3_INPUT = parse_input("group: a b\nrel: a^2\nrel: b^3\nrel: a b a b\n"
                        "P: a\norientable: true", label="s3")
 T2_INPUT = parse_input("group: t\nP: t^2\norientable: true", label="t2")
+# Schubert presentations <a, b | a w = w b> of the 2-bridge knots b(3,1), b(5,2)
+TREFOIL = parse_input("group: a b\nrel: a b a b^-1 a^-1 b^-1\n"
+                      "P: a\norientable: true").presentation
+FIGURE_EIGHT = parse_input("group: a b\nrel: a b a b^-1 a^-1 b^-1 a b a^-1 b^-1\n"
+                           "P: a\norientable: true").presentation
 D8_CASE3 = parse_input("group: r s\nrel: r^4\nrel: s^2\nrel: r s r s\n"
                        "P: r^2 , s\nP+: r^2\nn: s\norientable: false",
                        label="d8")
@@ -57,6 +64,36 @@ def test_homs_deterministic_and_limited():
     assert first == second
     capped = find_homomorphisms(S3_INPUT.presentation, 3, limit=4)
     assert capped == first[:4]
+
+
+def reference_homs(pres, degree, limit):
+    """The first `limit` generator-image tuples, in lexicographic order of
+    itertools.product over lexicographic permutations, that satisfy every
+    relator."""
+    perms = list(itertools.permutations(range(degree)))
+    identity = perms[0]
+    found = []
+    for images in itertools.product(perms, repeat=len(pres.generators)):
+        if len(found) >= limit:
+            break
+        if all(peval(rel, images) == identity for rel in pres.relators):
+            found.append(images)
+    return found
+
+
+@pytest.mark.parametrize("pres", [TREFOIL, FIGURE_EIGHT, S3_INPUT.presentation],
+                         ids=["trefoil", "figure-eight", "s3"])
+def test_homs_match_reference_search(pres):
+    capped = 0
+    for degree, limit in [(d, 64) for d in range(1, 6)] + [(d, 10**6) for d in range(1, 5)]:
+        homs = find_homomorphisms(pres, degree, limit)
+        assert [h.images for h in homs] == reference_homs(pres, degree, limit)
+        assert all(h.degree == degree for h in homs)
+        for h in homs:
+            for rel in pres.relators:
+                assert peval(rel, h.images) == tuple(range(degree))
+        capped += len(homs) == limit
+    assert capped  # the limit binds at least once, so its handling is tested
 
 
 def test_separate_t2_parity():

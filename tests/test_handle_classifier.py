@@ -91,10 +91,10 @@ def test_handle_invariant_case3_oriented_dihedral():
 
 def test_case_mismatch():
     parsed, ctx = ctx_of(S3)
-    with pytest.raises(CaseMismatch):
+    with pytest.raises(CaseMismatch, match="needs a non-orientable surface"):
         handle_invariant(ctx, CaseLabel.CASE3, True, Word())
     parsed3, ctx3 = ctx_of(D8_CASE3)
-    with pytest.raises(CaseMismatch):
+    with pytest.raises(CaseMismatch, match="needs an orientable surface"):
         handle_invariant(ctx3, CaseLabel.CASE1, True, Word())
 
 
