@@ -14,7 +14,8 @@ from .double_cosets import (DoubleCosetId, UnorderedPair, dc_all, dc_id,
 from .errors import (CaseMismatch, CosetRangeError, DuplicateGenerator,
                      HandleCosetError, MissingPPlus, MissingSection,
                      PreconditionUnverified, ResourceExhausted,
-                     SkgSyntaxError, TableMismatch, UnknownGenerator)
+                     SkgSyntaxError, TableMismatch, UnknownGenerator,
+                     UsageError)
 from .finite_quotient import (PermutationAssignment, SeparationVerdict,
                               find_homomorphisms, quotient_separate)
 from .handle_classifier import (CaseLabel, ClassifierContext, HandleInvariant,
@@ -38,7 +39,8 @@ __all__ = [
     "HandleInvariant", "MissingPPlus", "MissingSection",
     "PermutationAssignment", "PreconditionUnverified", "ResourceExhausted",
     "SeparationVerdict", "SkgSyntaxError", "SurfaceKnotInput", "TableMismatch",
-    "UnknownGenerator", "UnorderedPair", "ValidationCheck", "ValidationReport",
+    "UnknownGenerator", "UnorderedPair", "UsageError", "ValidationCheck",
+    "ValidationReport",
     "Word", "concat", "dc_all", "dc_id", "dc_invert", "dc_twist",
     "enumerate_classes", "enumerate_cosets", "equivalent",
     "find_homomorphisms", "format_word", "free_reduce", "handle_invariant",

@@ -23,7 +23,7 @@ from typing import Optional
 from .coset_enumeration import EnumerationLimits, enumerate_cosets
 from .double_cosets import DoubleCosetId, UnorderedPair, dc_id
 from .errors import (HandleCosetError, MissingPPlus, MissingSection,
-                     ResourceExhausted, SkgSyntaxError)
+                     ResourceExhausted, SkgSyntaxError, UsageError)
 from .finite_quotient import SeparationVerdict, quotient_separate
 from .handle_classifier import (CaseLabel, ClassifierContext, HandleInvariant,
                                 enumerate_classes, handle_invariant,
@@ -45,11 +45,11 @@ def _limits(max_cosets: Optional[int] = None) -> EnumerationLimits:
             try:
                 max_cosets = int(env)
             except ValueError:
-                raise SkgSyntaxError(1, 1, f"{ENV_MAX_COSETS} must be an integer")
+                raise UsageError(f"{ENV_MAX_COSETS} must be an integer")
     if max_cosets is None:
         return EnumerationLimits()
     if max_cosets < 1:
-        raise SkgSyntaxError(1, 1, f"{source} must be positive")
+        raise UsageError(f"{source} must be positive")
     return EnumerationLimits(max_live_cosets=max_cosets,
                              max_total_defined=10 * max_cosets)
 
@@ -58,7 +58,7 @@ def _load(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise SkgSyntaxError(1, 1, f"cannot read {path}: {exc.strerror}")
+        raise UsageError(f"cannot read {path}: {exc.strerror}")
     return parse_input(text, label=Path(path).stem)
 
 
@@ -69,7 +69,7 @@ def _case(args) -> CaseLabel:
 def _cords(args, presentation, expected: int) -> list[Word]:
     words = [parse_word(text, presentation) for text in args.cord]
     if len(words) != expected:
-        raise SkgSyntaxError(1, 1, f"expected {expected} --cord option(s), got {len(words)}")
+        raise UsageError(f"expected {expected} --cord option(s), got {len(words)}")
     return words
 
 
@@ -90,7 +90,7 @@ def _value_json(value, names):
 
 
 def _invariant_json(inv: HandleInvariant, names) -> dict:
-    return {"kind": inv.kind, "case": inv.case.number,
+    return {"kind": inv.kind, "case": inv.case.value,
             "core_oriented": inv.core_oriented,
             "value": _value_json(inv.value, names)}
 
@@ -108,7 +108,7 @@ def _emit(args, record: dict) -> None:
             with open(args.records, "w", encoding="utf-8") as fh:
                 fh.write(line + "\n")
         except OSError as exc:
-            raise SkgSyntaxError(1, 1, f"cannot write {args.records}: {exc.strerror}")
+            raise UsageError(f"cannot write {args.records}: {exc.strerror}")
 
 
 def _context(args, input) -> ClassifierContext:
@@ -169,7 +169,7 @@ def _cmd_invariant(args) -> int:
     elapsed = time.perf_counter() - start
     names = input.presentation.generator_names
     core = "oriented core" if args.core_oriented else "unoriented core"
-    print(f"case {case.number}, {core}")
+    print(f"case {case.value}, {core}")
     print(f"invariant: {_value_text(inv.value, names)}")
     print(f"time: {elapsed:.3f}s ({_defined(ctx)} cosets defined)")
     _emit(args, {"command": "invariant", "input": input.label,
@@ -189,7 +189,7 @@ def _cmd_equiv(args) -> int:
     verdict = "equivalent" if inv1 == inv2 else "inequivalent"
     print(verdict)
     _emit(args, {"command": "equiv", "input": input.label,
-                 "case": case.number, "core_oriented": args.core_oriented,
+                 "case": case.value, "core_oriented": args.core_oriented,
                  "words": list(args.cord), "verdict": verdict,
                  "cosets_defined": _defined(ctx)})
     return 0
@@ -202,12 +202,12 @@ def _cmd_classes(args) -> int:
     classes = enumerate_classes(ctx, case, args.core_oriented)
     names = input.presentation.generator_names
     core = "oriented core" if args.core_oriented else "unoriented core"
-    print(f"case {case.number}, {core}: {len(classes)} classes")
+    print(f"case {case.value}, {core}: {len(classes)} classes")
     for k, (inv, rep) in enumerate(classes, start=1):
         print(f"  class {k}: representative {format_word(rep, names)}  "
               f"value {_value_text(inv.value, names)}")
     _emit(args, {"command": "classes", "input": input.label,
-                 "case": case.number, "core_oriented": args.core_oriented,
+                 "case": case.value, "core_oriented": args.core_oriented,
                  "count": len(classes),
                  "classes": [{"representative": format_word(rep, names),
                               "value": _invariant_json(inv, names)}
@@ -230,23 +230,23 @@ def _cmd_image_check(args) -> int:
                 ("case12", True): 1, ("case12", False): 2}
     key = ("case3" if case is CaseLabel.CASE3 else "case12", args.core_oriented)
     if len(words) != expected[key]:
-        raise SkgSyntaxError(1, 1, f"--candidate needs {expected[key]} words "
-                             f"for case {case.number}"
-                             f"{' with oriented core' if args.core_oriented else ''}")
+        raise UsageError(f"--candidate needs {expected[key]} words "
+                         f"for case {case.value}"
+                         f"{' with oriented core' if args.core_oriented else ''}")
     ids = [dc_id(table, acting, w) for w in words]
     if len(ids) == 1:
         value = ids[0]
     elif len(ids) == 2:
-        value = UnorderedPair.of(ids[0], ids[1])
+        value = UnorderedPair(ids[0], ids[1])
     else:
-        value = UnorderedPair.of(UnorderedPair.of(ids[0], ids[1]),
-                                 UnorderedPair.of(ids[2], ids[3]))
+        value = UnorderedPair(UnorderedPair(ids[0], ids[1]),
+                              UnorderedPair(ids[2], ids[3]))
     candidate = HandleInvariant(case, args.core_oriented, value)
     verdict = "in-image" if image_member(ctx, case, args.core_oriented, candidate) \
         else "not-in-image"
     print(verdict)
     _emit(args, {"command": "image-check", "input": input.label,
-                 "case": case.number, "core_oriented": args.core_oriented,
+                 "case": case.value, "core_oriented": args.core_oriented,
                  "words": parts, "verdict": verdict,
                  "cosets_defined": _defined(ctx)})
     return 0
@@ -261,7 +261,7 @@ def _cmd_separate(args) -> int:
     text = "distinct" if verdict is SeparationVerdict.DISTINCT else "unknown"
     print(text)
     _emit(args, {"command": "separate", "input": input.label,
-                 "case": case.number, "core_oriented": args.core_oriented,
+                 "case": case.value, "core_oriented": args.core_oriented,
                  "words": list(args.cord), "max_degree": args.max_degree,
                  "verdict": text})
     return 0
@@ -357,7 +357,7 @@ def run(argv=None) -> int:
     except ResourceExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SkgSyntaxError, MissingSection) as exc:
+    except (SkgSyntaxError, MissingSection, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HandleCosetError as exc:
@@ -366,7 +366,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (say `| head`): point stdout at devnull so
+        # the flush at interpreter exit cannot raise again, and stop
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,21 @@ table is renumbered into breadth-first standard form (columns ordered
 g1, g1^-1, g2, g2^-1, ...), which makes the result independent of the
 internal deduction order; witness words fall out of the BFS tree.
 
+During the run the table is one flat list of stride ncols = 2 * ngens.
+A coset is named by its base offset (coset number times ncols), and a
+defined slot holds the target's base offset, so one scan step is the
+single subscript table[f + col]; None marks an undefined slot.  Gaps are
+filled inside the scan loop, and the live/defined budget is read only
+when a scan first needs a definition.  Dead cosets are the keys of a
+union-find dict, so live cosets = defined cosets - merged cosets.
+
+Standardization writes the finished table straight into one 1-based
+list per column.  The post-checks work a column at a time: every column
+is a permutation, composing a column with its inverse column gives the
+identity list, every relator's composed columns give the identity list,
+every subgroup generator fixes coset 1, and every witness-tree edge is a
+table edge.
+
 Cosets are numbered 1..index and coset 1 is the subgroup itself.
 """
 
@@ -52,28 +67,35 @@ class CosetTable:
     traces each coset to itself and every subgroup generator fixes
     coset 1.  witness(c) is a word carrying coset 1 to c along the BFS
     discovery tree (witness(1) is the empty word).
+
+    Storage is one list per column: _action[col][c] is the image of
+    coset c, with a 0 placeholder at position 0.  _parents[c] is the BFS
+    tree edge (parent, col) that discovered coset c, None for c = 1 (and
+    at the placeholder).
     """
 
     def __init__(self, subgroup_generators: Sequence[Word], n_generators: int,
-                 rows: list[list[int]], parents: list[Optional[tuple[int, int]]],
+                 action: list[list[int]], parents: list[Optional[tuple[int, int]]],
                  total_defined: int):
         self.subgroup_generators = tuple(subgroup_generators)
         self.n_generators = n_generators
-        self._rows = rows
+        self._action = action
         self._parents = parents
         self.total_defined = total_defined
 
     @property
     def index(self) -> int:
-        return len(self._rows)
+        return len(self._action[0]) - 1
 
     @property
     def ncols(self) -> int:
         return 2 * self.n_generators
 
     def letter_action(self, coset: int, letter: tuple[int, int]) -> int:
+        if not 1 <= coset <= self.index:
+            raise CosetRangeError(coset, self.index)
         i, s = letter
-        return self._rows[coset - 1][2 * i + (0 if s > 0 else 1)]
+        return self._action[2 * i + (0 if s > 0 else 1)][coset]
 
     def trace(self, start: int, word: Word) -> int:
         """Apply the word left to right starting from the given coset."""
@@ -81,12 +103,12 @@ class CosetTable:
             raise CosetRangeError(start, self.index)
         ncols = self.ncols
         c = start
-        rows = self._rows
+        action = self._action
         for i, s in word:
             col = 2 * i + (0 if s > 0 else 1)
             if col >= ncols:
                 raise ValueError("word uses a generator outside this table's alphabet")
-            c = rows[c - 1][col]
+            c = action[col][c]
         return c
 
     def membership(self, word: Word) -> bool:
@@ -99,8 +121,8 @@ class CosetTable:
             raise CosetRangeError(coset, self.index)
         letters = []
         c = coset
-        while self._parents[c - 1] is not None:
-            parent, col = self._parents[c - 1]
+        while self._parents[c] is not None:
+            parent, col = self._parents[c]
             letters.append(_column_letter(col))
             c = parent
         return Word(tuple(reversed(letters)))
@@ -110,7 +132,7 @@ class CosetTable:
 
 
 class _Enumeration:
-    """One HLT run; internal cosets are 0-based until standardization."""
+    """One HLT run over a flat table; a coset is named by its base offset."""
 
     def __init__(self, pres: GroupPresentation, subgroup: Sequence[Word],
                  limits: EnumerationLimits):
@@ -118,18 +140,17 @@ class _Enumeration:
         self.relators = [_columns(r) for r in pres.relators]
         self.subgroup = [_columns(w) for w in subgroup]
         self.limits = limits
-        self.table: list[list[Optional[int]]] = [[None] * self.ncols]
-        self.p = [0]
-        self.live = 1
-        self.defined = 1
+        self.blank: list[Optional[int]] = [None] * self.ncols
+        self.table = list(self.blank)
+        self.merged: dict[int, int] = {}  # dead coset -> coset it merged into
 
     def rep(self, k: int) -> int:
-        p = self.p
+        merged = self.merged
         root = k
-        while p[root] != root:
-            root = p[root]
-        while p[k] != root:
-            p[k], k = root, p[k]
+        while root in merged:
+            root = merged[root]
+        while k != root:
+            merged[k], k = root, merged[k]
         return root
 
     def merge(self, a: int, b: int, queue: deque) -> None:
@@ -138,8 +159,7 @@ class _Enumeration:
             return
         if a > b:
             a, b = b, a
-        self.p[b] = a
-        self.live -= 1
+        self.merged[b] = a
         queue.append(b)
 
     def coincidence(self, a: int, b: int) -> None:
@@ -149,126 +169,155 @@ class _Enumeration:
         while queue:
             gamma = queue.popleft()
             for col in range(self.ncols):
-                delta = table[gamma][col]
+                delta = table[gamma + col]
                 if delta is None:
                     continue
                 # dismantle the dead row, re-install the edge at representatives
-                table[delta][col ^ 1] = None
+                table[delta + (col ^ 1)] = None
                 mu = self.rep(gamma)
                 nu = self.rep(delta)
-                if table[mu][col] is not None:
-                    self.merge(nu, table[mu][col], queue)
-                elif table[nu][col ^ 1] is not None:
-                    self.merge(mu, table[nu][col ^ 1], queue)
+                if table[mu + col] is not None:
+                    self.merge(nu, table[mu + col], queue)
+                elif table[nu + (col ^ 1)] is not None:
+                    self.merge(mu, table[nu + (col ^ 1)], queue)
                 else:
-                    table[mu][col] = nu
-                    table[nu][col ^ 1] = mu
+                    table[mu + col] = nu
+                    table[nu + (col ^ 1)] = mu
+
+    def cap(self) -> int:
+        """Offset at which the next definition would break the budget:
+        live cosets are the defined ones less the merged ones."""
+        limits = self.limits
+        return self.ncols * min(limits.max_live_cosets + len(self.merged),
+                                limits.max_total_defined)
+
+    def exhausted(self) -> ResourceExhausted:
+        defined = len(self.table) // self.ncols
+        return ResourceExhausted(self.limits, defined - len(self.merged), defined)
 
     def define(self, alpha: int, col: int) -> None:
-        if self.live >= self.limits.max_live_cosets or \
-                self.defined >= self.limits.max_total_defined:
-            raise ResourceExhausted(self.limits, self.live, self.defined)
-        beta = len(self.table)
-        self.table.append([None] * self.ncols)
-        self.p.append(beta)
-        self.live += 1
-        self.defined += 1
-        self.table[alpha][col] = beta
-        self.table[beta][col ^ 1] = alpha
-
-    def scan_and_fill(self, alpha: int, word: tuple[int, ...]) -> None:
-        if not word:
-            return
         table = self.table
-        f, i = alpha, 0
-        b, j = alpha, len(word) - 1
-        while True:
-            while i <= j and table[f][word[i]] is not None:
-                f = table[f][word[i]]
+        beta = len(table)
+        if beta >= self.cap():
+            raise self.exhausted()
+        table += self.blank
+        table[alpha + col] = beta
+        table[beta + (col ^ 1)] = alpha
+
+    def scan_and_fill(self, alpha: int, words: list[tuple[int, ...]]) -> None:
+        """Scan coset alpha under each word in turn, filling every gap by
+        definitions and closing it by a deduction or a coincidence; stop
+        early if alpha itself dies in a coincidence."""
+        table = self.table
+        cap = -1  # read on the first definition only
+        for word in words:
+            f, i = alpha, 0
+            b, j = alpha, len(word) - 1
+            while True:
+                while i <= j:
+                    nxt = table[f + word[i]]
+                    if nxt is None:
+                        break
+                    f = nxt
+                    i += 1
+                while j >= i:
+                    nxt = table[b + (word[j] ^ 1)]
+                    if nxt is None:
+                        break
+                    b = nxt
+                    j -= 1
+                if j < i:
+                    if f != b:
+                        self.coincidence(f, b)
+                        if alpha in self.merged:
+                            return
+                        cap = -1  # merges widen the live budget
+                    break
+                col = word[i]
+                if j == i:
+                    table[f + col] = b
+                    table[b + (col ^ 1)] = f
+                    break
+                # a gap of two or more letters: define f^col and step onto it
+                beta = len(table)
+                if cap < 0:
+                    cap = self.cap()
+                if beta >= cap:
+                    raise self.exhausted()
+                table += self.blank
+                table[f + col] = beta
+                table[beta + (col ^ 1)] = f
+                f = beta
                 i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            while j >= i and table[b][word[j] ^ 1] is not None:
-                b = table[b][word[j] ^ 1]
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
-            if j == i:
-                table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
-                return
-            self.define(f, word[i])
 
     def run(self) -> tuple[list[list[int]], list[Optional[tuple[int, int]]], int]:
-        for w in self.subgroup:
-            self.scan_and_fill(0, w)
+        self.scan_and_fill(0, self.subgroup)
+        table, ncols, merged = self.table, self.ncols, self.merged
         alpha = 0
-        while alpha < len(self.table):
-            if self.p[alpha] == alpha:
-                for rel in self.relators:
-                    self.scan_and_fill(alpha, rel)
-                    if self.p[alpha] < alpha:
-                        break
-                if self.p[alpha] == alpha:
-                    row = self.table[alpha]
-                    for col in range(self.ncols):
-                        if row[col] is None:
+        while alpha < len(table):
+            if alpha not in merged:
+                self.scan_and_fill(alpha, self.relators)
+                if alpha not in merged:
+                    for col in range(ncols):
+                        if table[alpha + col] is None:
                             self.define(alpha, col)
-            alpha += 1
+            alpha += ncols
         return self._standardize()
 
     def _standardize(self):
-        """Renumber live cosets in BFS order by (coset, column) from coset 0."""
-        table, ncols = self.table, self.ncols
-        order = [0]  # coset 0 survives every merge (min index wins)
-        number = {0: 0}
-        parents: list[Optional[tuple[int, int]]] = [None]
-        pos = 0
-        while pos < len(order):
-            c = order[pos]
-            pos += 1
+        """Renumber live cosets 1.. in BFS order by (coset, column) from
+        coset 0, writing each column straight into a 1-based list."""
+        table, ncols, merged = self.table, self.ncols, self.merged
+        number = [0] * (len(table) // ncols)  # 0 = not reached yet
+        number[0] = 1  # coset 0 survives every merge (min offset wins)
+        order = [0]
+        parents: list[Optional[tuple[int, int]]] = [None, None]
+        action: list[list[int]] = [[0] for _ in range(ncols)]
+        for c in order:  # grows while it is walked
+            here = number[c // ncols]
             for col in range(ncols):
-                d = table[c][col]
+                d = table[c + col]
                 if d is None:
                     raise AssertionError("incomplete row after enumeration")
-                d = self.rep(d)
-                if d not in number:
-                    number[d] = len(order)
-                    parents.append((number[c] + 1, col))
+                if d in merged:
+                    d = self.rep(d)
+                k = d // ncols
+                if not number[k]:
                     order.append(d)
-        if len(order) != self.live:
+                    number[k] = len(order)
+                    parents.append((here, col))
+                action[col].append(number[k])
+        defined = len(table) // ncols
+        if len(order) != defined - len(merged):
             raise AssertionError("coset table is not connected")
-        rows = [[number[self.rep(table[c][col])] + 1 for col in range(ncols)]
-                for c in order]
-        return rows, parents, self.defined
+        return action, parents, defined
 
 
 def _verify(table: CosetTable, pres: GroupPresentation,
             subgroup: Sequence[Word]) -> None:
-    """Cheap linear post-checks of the table invariants."""
-    n = table.index
-    for col in range(table.ncols):
-        seen = [False] * n
-        for c in range(1, n + 1):
-            d = table._rows[c - 1][col]
-            if not 1 <= d <= n or seen[d - 1]:
-                raise AssertionError("column is not a permutation")
-            seen[d - 1] = True
-            if table._rows[d - 1][col ^ 1] != c:
-                raise AssertionError("action is not inverse-consistent")
+    """Linear post-checks of the table invariants, a column at a time."""
+    action = table._action
+    identity = list(range(table.index + 1))
+    for col, column in enumerate(action):
+        if sorted(column) != identity:
+            raise AssertionError("column is not a permutation")
+        if list(map(action[col ^ 1].__getitem__, column)) != identity:
+            raise AssertionError("action is not inverse-consistent")
     for rel in pres.relators:
-        for c in range(1, n + 1):
-            if table.trace(c, rel) != c:
-                raise AssertionError("relator does not close")
+        image = identity
+        for col in _columns(rel):
+            image = list(map(action[col].__getitem__, image))
+        if image != identity:
+            raise AssertionError("relator does not close")
     for w in subgroup:
         if not table.membership(w):
             raise AssertionError("subgroup generator moved coset 1")
-    for c in range(2, n + 1):
-        parent, col = table._parents[c - 1]
-        if table._rows[parent - 1][col] != c:
+    parents = table._parents
+    if parents[1] is not None:
+        raise AssertionError("witness tree is inconsistent")
+    for c in range(2, table.index + 1):
+        parent, col = parents[c]
+        if action[col][parent] != c:
             raise AssertionError("witness tree is inconsistent")
 
 
@@ -285,7 +334,7 @@ def enumerate_cosets(pres: GroupPresentation, subgroup: Sequence[Word],
     for w in subgroup:
         if w.max_generator_index() >= ngens:
             raise ValueError("subgroup word uses a generator outside the presentation")
-    rows, parents, defined = _Enumeration(pres, subgroup, limits).run()
-    table = CosetTable(subgroup, ngens, rows, parents, defined)
+    action, parents, defined = _Enumeration(pres, subgroup, limits).run()
+    table = CosetTable(subgroup, ngens, action, parents, defined)
     _verify(table, pres, subgroup)
     return table

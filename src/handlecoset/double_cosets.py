@@ -74,10 +74,6 @@ class UnorderedPair:
             object.__setattr__(self, "first", first)
             object.__setattr__(self, "second", second)
 
-    @classmethod
-    def of(cls, x: PairElement, y: PairElement) -> "UnorderedPair":
-        return cls(x, y)
-
     @property
     def elements(self) -> tuple[PairElement, PairElement]:
         return (self.first, self.second)

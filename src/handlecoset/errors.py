@@ -15,6 +15,10 @@ class SkgSyntaxError(HandleCosetError):
         self.reason = message
 
 
+class UsageError(HandleCosetError):
+    """A command-line option or argument is unusable; no input position."""
+
+
 class DuplicateGenerator(SkgSyntaxError):
     """A generator name appears twice on the group line."""
 

@@ -191,7 +191,7 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
     """
     case3 = not case.requires_orientable
     if case3 != (not input.surface_orientable):
-        raise CaseMismatch(f"case {case.number} does not match the input's orientability")
+        raise CaseMismatch(f"case {case.value} does not match the input's orientability")
     if case3:
         subgroup_words = input.p_plus_generators
         n_word = input.n_word

@@ -45,10 +45,6 @@ class CaseLabel(Enum):
     def requires_orientable(self) -> bool:
         return self is not CaseLabel.CASE3
 
-    @property
-    def number(self) -> int:
-        return self.value
-
 
 InvariantValue = Union[DoubleCosetId, UnorderedPair]
 
@@ -149,7 +145,7 @@ class ClassifierContext:
 def _require_case(ctx: ClassifierContext, case: CaseLabel) -> None:
     if case.requires_orientable != ctx.input.surface_orientable:
         want = "an orientable" if case.requires_orientable else "a non-orientable"
-        raise CaseMismatch(f"case {case.number} needs {want} surface input")
+        raise CaseMismatch(f"case {case.value} needs {want} surface input")
 
 
 def _case3_table(ctx: ClassifierContext) -> tuple[CosetTable, Sequence[Word]]:
@@ -183,17 +179,17 @@ def _invariant_from_dc(ctx: ClassifierContext, case: CaseLabel,
     if case is CaseLabel.CASE3:
         table, acting = _case3_table(ctx)
         if core_oriented:
-            value: InvariantValue = UnorderedPair.of(d, _twist(ctx, d))
+            value: InvariantValue = UnorderedPair(d, _twist(ctx, d))
         else:
             di = dc_invert(table, acting, d)
-            value = UnorderedPair.of(
-                UnorderedPair.of(d, _twist(ctx, d)),
-                UnorderedPair.of(di, _twist(ctx, di)))
+            value = UnorderedPair(
+                UnorderedPair(d, _twist(ctx, d)),
+                UnorderedPair(di, _twist(ctx, di)))
     else:
         if core_oriented:
             value = d
         else:
-            value = UnorderedPair.of(
+            value = UnorderedPair(
                 d, dc_invert(ctx.p_table, ctx.input.p_generators, d))
     return HandleInvariant(case, core_oriented, value)
 
@@ -248,8 +244,8 @@ def image_member(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
     for x, y in ((a, b), (b, a)):
         for d in x.elements:
             di = dc_invert(table, acting, d)
-            if (x == UnorderedPair.of(d, _twist(ctx, d))
-                    and y == UnorderedPair.of(di, _twist(ctx, di))):
+            if (x == UnorderedPair(d, _twist(ctx, d))
+                    and y == UnorderedPair(di, _twist(ctx, di))):
                 return True
     return False
 
@@ -293,19 +289,19 @@ def nonsurjectivity_witness(ctx: ClassifierContext, case: CaseLabel,
         acting = ctx.input.p_generators
         d_one = dc_id(ctx.p_table, acting, Word())
         d_out = dc_id(ctx.p_table, acting, ctx.p_table.witness(2))
-        return HandleInvariant(case, False, UnorderedPair.of(d_out, d_one))
+        return HandleInvariant(case, False, UnorderedPair(d_out, d_one))
 
     table, acting = _case3_table(ctx)
     d_one = dc_id(table, acting, Word())
     n = ctx.input.n_word
     if not table.membership(n):
         # n witnesses P+ != P: {class(n), class(1)} is never hit
-        pair = UnorderedPair.of(dc_id(table, acting, n), d_one)
+        pair = UnorderedPair(dc_id(table, acting, n), d_one)
     elif table.index > 1:
         # the twist by n degenerates; any word outside P+ works
-        pair = UnorderedPair.of(dc_id(table, acting, table.witness(2)), d_one)
+        pair = UnorderedPair(dc_id(table, acting, table.witness(2)), d_one)
     else:
         return None  # P+ = G: the single value is hit
     if core_oriented:
         return HandleInvariant(case, True, pair)
-    return HandleInvariant(case, False, UnorderedPair.of(pair, pair))
+    return HandleInvariant(case, False, UnorderedPair(pair, pair))

@@ -20,6 +20,8 @@ The .skg format is line oriented (UTF-8):
 
 A word is whitespace-separated tokens, each a generator name optionally
 suffixed ^<integer> (negative allowed); the empty word is written 1.
+Exponents expand letter by letter, so a word whose expansion exceeds
+MAX_WORD_LETTERS is a syntax error at the token that crosses it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .word_algebra import (GeneratorSymbol, GroupPresentation, Word, concat,
                            free_reduce, invert, power)
 
 _TOKEN = re.compile(r"\S+")
+# a word may expand (before free reduction) to at most this many letters
+MAX_WORD_LETTERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,9 @@ def _parse_word_tokens(segment: str, line_no: int, col_offset: int,
             except ValueError:
                 raise SkgSyntaxError(line_no, col,
                                      f"bad exponent in token {token!r}") from None
+        if len(letters) + abs(k) > MAX_WORD_LETTERS:
+            raise SkgSyntaxError(line_no, col, f"word expands to more than "
+                                 f"{MAX_WORD_LETTERS} letters")
         idx = name_to_index[base]
         sign = 1 if k >= 0 else -1
         letters.extend([(idx, sign)] * abs(k))

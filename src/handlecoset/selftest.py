@@ -477,7 +477,7 @@ def check_classifier_count_oracle() -> str:
             brute_count = len({value(g, core) for g in elements})
             classes = enumerate_classes(ctx, label, core)
             assert len(classes) == brute_count, \
-                f"{case.label} case{label.number} core={core}: " \
+                f"{case.label} case{label.value} core={core}: " \
                 f"{len(classes)} classes vs brute {brute_count}"
             checked += 1
     return f"{checked} class counts equal the element-level brute force"

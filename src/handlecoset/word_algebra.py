@@ -66,9 +66,6 @@ class Word:
         return max((i for i, _ in self.letters), default=-1)
 
 
-IDENTITY = Word()
-
-
 def free_reduce(letters: Iterable[Letter]) -> Word:
     """Cancel adjacent inverse pairs until none remain.
 

@@ -77,3 +77,15 @@ def classifier_values(elements, h_set, case3, core_oriented, n_img=None):
             value = pair(g) if core_oriented else frozenset({pair(g), pair(pinv(g))})
         values.add(value)
     return values
+
+
+def coxeter_skg(n, p):
+    """.skg text of the Coxeter presentation of S_n on s1..s(n-1): every
+    s_i^2, then (s_i s_j)^m for i < j (m = 3 if adjacent, else 2), with
+    P generated by the listed s_i."""
+    lines = ["group: " + " ".join(f"s{i}" for i in range(1, n))]
+    lines += [f"rel: s{i}^2" for i in range(1, n)]
+    lines += ["rel: " + " ".join([f"s{i} s{j}"] * (3 if j == i + 1 else 2))
+              for i in range(1, n) for j in range(i + 1, n)]
+    return "\n".join(lines + ["P: " + " , ".join(f"s{i}" for i in p),
+                              "orientable: true"]) + "\n"

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import handlecoset
+from brute import coxeter_skg
 from handlecoset.cli import run
 
 UNKNOTTED = "group: t\nP: t\norientable: true\n"
@@ -122,6 +128,9 @@ def test_exit_code_syntax_error(skg, capsys):
 def test_exit_code_usage_error(skg, capsys):
     path = skg("s3.skg", S3)
     assert run(["equiv", path, "--case", "1", "--cord", "b"]) == 2  # one cord
+    assert capsys.readouterr().err == "error: expected 2 --cord option(s), got 1\n"
+    assert run(["invariant", path, "--case", "1", "--cord", "b", "--cord", "1"]) == 2
+    assert capsys.readouterr().err == "error: expected 1 --cord option(s), got 2\n"
     assert run(["nonsense"]) == 2
     assert run(["invariant", path, "--case", "7", "--cord", "b"]) == 2
     capsys.readouterr()
@@ -137,12 +146,12 @@ def test_exit_code_resource_exhausted(skg, capsys):
 def test_max_cosets_must_be_positive(skg, capsys):
     path = skg("free2.skg", FREE2)
     assert run(["enumerate", path, "--max-cosets", "0"]) == 2
-    assert "--max-cosets" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --max-cosets must be positive\n"
 
 
 def test_missing_file(capsys):
     assert run(["validate", "/no/such/file.skg"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: cannot read /no/such/file.skg:")
 
 
 def test_env_var_limits(skg, capsys, monkeypatch):
@@ -156,7 +165,10 @@ def test_env_var_limits_must_be_positive(skg, capsys, monkeypatch):
     path = skg("free2.skg", FREE2)
     monkeypatch.setenv("HANDLE_COSET_MAX_COSETS", "-5")
     assert run(["enumerate", path]) == 2
-    assert "HANDLE_COSET_MAX_COSETS" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: HANDLE_COSET_MAX_COSETS must be positive\n"
+    monkeypatch.setenv("HANDLE_COSET_MAX_COSETS", "many")
+    assert run(["enumerate", path]) == 2
+    assert capsys.readouterr().err == "error: HANDLE_COSET_MAX_COSETS must be an integer\n"
 
 
 def test_records_in_missing_directory(skg, tmp_path, capsys):
@@ -164,8 +176,41 @@ def test_records_in_missing_directory(skg, tmp_path, capsys):
     rec = tmp_path / "missing" / "x.json"
     assert run(["separate", path, "--case", "1", "--cord", "t", "--cord", "1",
                 "--max-degree", "2", "--records", str(rec)]) == 2
-    assert "cannot write" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: cannot write {rec}:")
     assert not rec.exists()
+
+
+def test_candidate_word_count_is_a_usage_error(skg, capsys):
+    path = skg("d8.skg", D8_CASE3)
+    assert run(["image-check", path, "--case", "3", "--core-oriented",
+                "--candidate", "s"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --candidate needs 2 words for case 3 with oriented core\n"
+
+
+def test_huge_exponent_is_a_syntax_error(skg, capsys):
+    path = skg("s3.skg", S3)
+    assert run(["invariant", path, "--case", "1", "--cord", "b a^10000000"]) == 2
+    assert capsys.readouterr().err == \
+        "error: line 1, column 3: word expands to more than 100000 letters\n"
+
+
+def test_closed_pipe_exits_quietly(skg):
+    # like `handlecoset classes s7.skg --case 1 --core-oriented | head -c 100`:
+    # the ~120 kB listing overfills the pipe, so the writer must meet EPIPE
+    path = skg("s7.skg", coxeter_skg(7, [1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(handlecoset.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "handlecoset.cli", "classes", path,
+                             "--case", "1", "--core-oriented"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            bufsize=0, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head.startswith(b"case 1, oriented core: ")
+    assert err == b""
 
 
 def test_records_written_and_deterministic(skg, tmp_path, capsys):

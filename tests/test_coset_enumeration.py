@@ -1,10 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
-from brute import mulclose, subgroup_of
+from brute import coxeter_skg, mulclose, subgroup_of
+from handlecoset.cli import run
 from handlecoset.coset_enumeration import (CosetTable, EnumerationLimits,
-                                           enumerate_cosets)
+                                           _verify, enumerate_cosets)
 from handlecoset.errors import CosetRangeError, ResourceExhausted
 from handlecoset.knot_input import parse_input, parse_word
 from handlecoset.word_algebra import GroupPresentation, Word
@@ -51,6 +53,9 @@ def test_trace_examples():
         s3_table.trace(0, Word())
     with pytest.raises(CosetRangeError):
         s3_table.trace(5, Word())
+    for coset in (0, 4):  # 0 is the columns' placeholder slot
+        with pytest.raises(CosetRangeError):
+            s3_table.letter_action(coset, (0, 1))
 
 
 def test_membership_examples():
@@ -244,3 +249,134 @@ def test_rejects_foreign_words():
         table.trace(1, Word(((5, 1),)))
     with pytest.raises(ValueError):
         enumerate_cosets(C4, [Word(((3, 1),))])
+
+
+# ---------------------------------------------------------------------------
+# the finished table's checks, and counts pinned from the list-of-rows
+# enumerator this one replaced (same definition order, same tables)
+# ---------------------------------------------------------------------------
+
+def _copy(table):
+    return CosetTable(table.subgroup_generators, table.n_generators,
+                      [list(column) for column in table._action],
+                      list(table._parents), table.total_defined)
+
+
+def test_verify_accepts_an_intact_copy():
+    parsed = parse_input(coxeter_skg(5, [1]))
+    table = enumerate_cosets(parsed.presentation, parsed.p_generators)
+    _verify(_copy(table), parsed.presentation, parsed.p_generators)
+
+
+def test_verify_rejects_a_corrupted_column():
+    table = _copy(enumerate_cosets(S3, []))
+    table._action[2][1] = table._action[2][2]
+    with pytest.raises(AssertionError, match="not a permutation"):
+        _verify(table, S3, [])
+
+
+def test_verify_rejects_a_broken_inverse():
+    table = _copy(enumerate_cosets(S3, []))
+    inverse = table._action[3]  # b^-1, still a permutation after the swap
+    inverse[1], inverse[2] = inverse[2], inverse[1]
+    with pytest.raises(AssertionError, match="not inverse-consistent"):
+        _verify(table, S3, [])
+
+
+def test_verify_rejects_a_relator_that_does_not_close():
+    table = enumerate_cosets(S3, [])
+    wider = GroupPresentation(S3.generators, S3.relators + (word("a b", S3),))
+    with pytest.raises(AssertionError, match="relator does not close"):
+        _verify(table, wider, [])
+
+
+def test_verify_rejects_a_subgroup_generator_moving_coset_1():
+    table = enumerate_cosets(S3, [word("a", S3)])
+    with pytest.raises(AssertionError, match="moved coset 1"):
+        _verify(table, S3, [word("b", S3)])
+
+
+def test_verify_rejects_a_bad_witness_parent():
+    table = _copy(enumerate_cosets(S3, []))
+    n = table.index
+    table._parents[n] = (n, 0)  # a fixes no coset of the regular action
+    with pytest.raises(AssertionError, match="witness tree"):
+        _verify(table, S3, [])
+    table = _copy(enumerate_cosets(S3, []))
+    table._parents[1] = (1, 0)
+    with pytest.raises(AssertionError, match="witness tree"):
+        _verify(table, S3, [])
+
+
+def _table_digest(table):
+    h = hashlib.sha256()
+    for c in range(1, table.index + 1):
+        row = [table.letter_action(c, (i, s))
+               for i in range(table.n_generators) for s in (1, -1)]
+        h.update(f"{row} {table.witness(c).letters}\n".encode())
+    return h.hexdigest()[:16]
+
+
+COX500 = ("group: a b\nrel: a^6\nrel: b^6\nrel: a b a b\nrel: a^2 b^2 a^2 b^2\n"
+          "rel: a^3 b^3 a^3 b^3 a^3 b^3 a^3 b^3 a^3 b^3\nP: a\norientable: true")
+
+
+@pytest.mark.parametrize("text, index, defined, digest", [
+    (COX500, 500, 2010, "2d80463efa8f7398"),  # coincidences on the way
+    (coxeter_skg(7, [1]), 2520, 5803, "9e5e97778f740c56"),
+    (coxeter_skg(8, [1]), 20160, 51445, None),
+])
+def test_pinned_tables(text, index, defined, digest):
+    parsed = parse_input(text)
+    table = enumerate_cosets(parsed.presentation, parsed.p_generators)
+    assert (table.index, table.total_defined) == (index, defined)
+    if digest is not None:
+        assert _table_digest(table) == digest
+
+
+TREFOIL = "group: a b\nrel: a b^-1 a^-1 b^-1 a b\nP: a\norientable: true\n"
+KNOT_13_5 = ("group: a b\nrel: a b a b^-1 a^-1 b^-1 a b a^-1 b^-1 a^-1 b a b^-1 "
+             "a^-1 b^-1 a b a b^-1 a^-1 b a b a^-1 b^-1\nP: a\norientable: true\n")
+
+
+@pytest.mark.parametrize("text, limits, live, defined", [
+    (KNOT_13_5, EnumerationLimits(200_000, 2_000_000), 200_000, 200_000),
+    (TREFOIL, EnumerationLimits(3000, 4000), 3000, 3075),  # after merges
+    # a merge frees room for the next definition within the same scan
+    (COX500, EnumerationLimits(55, 550), 55, 56),
+])
+def test_pinned_exhaustion(text, limits, live, defined):
+    parsed = parse_input(text)
+    with pytest.raises(ResourceExhausted) as info:
+        enumerate_cosets(parsed.presentation, parsed.p_generators, limits)
+    assert (info.value.live_cosets, info.value.total_defined) == (live, defined)
+
+
+D4_CASE3 = ("group: r s\nrel: r^4\nrel: s^2\nrel: r s r s\n"
+            "P: r^2 , s\nP+: r^2\nn: s\norientable: false\n")
+S7_CASE3 = coxeter_skg(7, [1, 3]).replace("orientable: true",
+                                       "P+: s1\nn: s3\norientable: false")
+
+
+@pytest.mark.parametrize("name, text, subgroup, record", [
+    ("d8", next(c.skg for c in GROUP_CORPUS if c.name == "d8"), "P",
+     '{"command":"enumerate","cosets_defined":2,"index":2,"input":"d8","subgroup":"P"}'),
+    ("q8", next(c.skg for c in GROUP_CORPUS if c.name == "q8"), "P",
+     '{"command":"enumerate","cosets_defined":2,"index":2,"input":"q8","subgroup":"P"}'),
+    ("d4-case3", D4_CASE3, "P+",
+     '{"command":"enumerate","cosets_defined":4,"index":4,"input":"d4-case3","subgroup":"P+"}'),
+    ("s7-p1", coxeter_skg(7, [1]), "P",
+     '{"command":"enumerate","cosets_defined":5803,"index":2520,"input":"s7-p1","subgroup":"P"}'),
+    ("s7-p2-5", coxeter_skg(7, [2, 5]), "P",
+     '{"command":"enumerate","cosets_defined":2898,"index":1260,"input":"s7-p2-5","subgroup":"P"}'),
+    ("s7-case3", S7_CASE3, "P",
+     '{"command":"enumerate","cosets_defined":2874,"index":1260,"input":"s7-case3","subgroup":"P"}'),
+])
+def test_pinned_enumerate_records(tmp_path, capsys, name, text, subgroup, record):
+    path = tmp_path / f"{name}.skg"
+    path.write_text(text, encoding="utf-8")
+    rec = tmp_path / "record.json"
+    assert run(["enumerate", str(path), "--subgroup", subgroup,
+                "--records", str(rec)]) == 0
+    capsys.readouterr()
+    assert rec.read_bytes() == (record + "\n").encode()

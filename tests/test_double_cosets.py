@@ -123,10 +123,10 @@ def test_unordered_pair_is_unordered():
     acting = parsed.p_generators
     x = dc_id(table, acting, Word())
     y = dc_id(table, acting, parse_word("b", parsed.presentation))
-    assert UnorderedPair.of(x, y) == UnorderedPair.of(y, x)
-    assert UnorderedPair.of(x, y).first == x  # sorted by canonical
-    nested1 = UnorderedPair.of(UnorderedPair.of(y, x), UnorderedPair.of(x, x))
-    nested2 = UnorderedPair.of(UnorderedPair.of(x, x), UnorderedPair.of(x, y))
+    assert UnorderedPair(x, y) == UnorderedPair(y, x)
+    assert UnorderedPair(x, y).first == x  # sorted by canonical
+    nested1 = UnorderedPair(UnorderedPair(y, x), UnorderedPair(x, x))
+    nested2 = UnorderedPair(UnorderedPair(x, x), UnorderedPair(x, y))
     assert nested1 == nested2
 
 

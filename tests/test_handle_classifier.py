@@ -85,7 +85,7 @@ def test_handle_invariant_case3_oriented_dihedral():
     r = parse_word("r", parsed.presentation)
     inv = handle_invariant(ctx, CaseLabel.CASE3, True, r)
     d_r = local_oriented_cord_invariant(ctx, r)
-    assert inv.value == UnorderedPair.of(d_r, d_r)
+    assert inv.value == UnorderedPair(d_r, d_r)
     assert inv.kind == "case3-oriented-core"
 
 
@@ -134,7 +134,7 @@ def test_image_member_rejects_t2_candidate():
     acting = parsed.p_generators
     d_t = dc_id(ctx.p_table, acting, parse_word("t", parsed.presentation))
     d_1 = dc_id(ctx.p_table, acting, Word())
-    candidate = HandleInvariant(CaseLabel.CASE1, False, UnorderedPair.of(d_t, d_1))
+    candidate = HandleInvariant(CaseLabel.CASE1, False, UnorderedPair(d_t, d_1))
     assert not image_member(ctx, CaseLabel.CASE1, False, candidate)
 
 
@@ -143,7 +143,7 @@ def test_image_member_rejects_dihedral_case3_candidate():
     acting = parsed.p_plus_generators
     d_s = dc_id(ctx.p_plus_table, acting, parse_word("s", parsed.presentation))
     d_1 = dc_id(ctx.p_plus_table, acting, Word())
-    candidate = HandleInvariant(CaseLabel.CASE3, True, UnorderedPair.of(d_s, d_1))
+    candidate = HandleInvariant(CaseLabel.CASE3, True, UnorderedPair(d_s, d_1))
     assert not image_member(ctx, CaseLabel.CASE3, True, candidate)
 
 

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import pytest
 
 from brute import peval, pmul, pinv, subgroup_of
 from handlecoset.coset_enumeration import EnumerationLimits
 from handlecoset.errors import (DuplicateGenerator, MissingSection,
                                 SkgSyntaxError, UnknownGenerator)
-from handlecoset.knot_input import (SurfaceKnotInput, format_word,
-                                    parse_input, parse_word, serialize,
-                                    validate)
+from handlecoset.knot_input import (MAX_WORD_LETTERS, SurfaceKnotInput,
+                                    format_word, parse_input, parse_word,
+                                    serialize, validate)
 from handlecoset.word_algebra import Word
 
 D8_CASE3 = ("group: r s\nrel: r^4\nrel: s^2\nrel: r s r s\n"
@@ -81,6 +83,25 @@ def test_syntax_error_carries_position():
         parse_input("group: a\nP: a zz\norientable: true")
     assert info.value.line == 2
     assert info.value.column == 6
+
+
+def test_word_length_cap():
+    pres = parse_input("group: a b\nP: a\norientable: true").presentation
+    assert len(parse_word(f"a^{MAX_WORD_LETTERS}", pres)) == MAX_WORD_LETTERS
+    tracemalloc.start()
+    try:
+        with pytest.raises(SkgSyntaxError) as info:
+            parse_word("b a^10000000", pres)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (info.value.line, info.value.column) == (1, 3)
+    assert peak < 1_000_000  # rejected before its 10^7 letters are built
+    # the cap counts letters before free reduction, across tokens
+    half = MAX_WORD_LETTERS // 2 + 1
+    with pytest.raises(SkgSyntaxError) as info:
+        parse_input(f"group: a\nrel: a^{half} a^-{half}\nP: 1\norientable: true")
+    assert (info.value.line, info.value.column) == (2, 6 + len(str(half)) + 3)
 
 
 def test_comments_and_blank_lines():
