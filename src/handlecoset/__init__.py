@@ -19,7 +19,7 @@ from .errors import (CaseMismatch, CosetRangeError, DuplicateGenerator,
 from .finite_quotient import (PermutationAssignment, SeparationVerdict,
                               find_homomorphisms, quotient_separate)
 from .handle_classifier import (CaseLabel, ClassifierContext, HandleInvariant,
-                                enumerate_classes, equivalent,
+                                case_table, enumerate_classes, equivalent,
                                 handle_invariant, image_member,
                                 local_oriented_cord_invariant,
                                 nonsurjectivity_witness,
@@ -41,7 +41,7 @@ __all__ = [
     "SeparationVerdict", "SkgSyntaxError", "SurfaceKnotInput", "TableMismatch",
     "UnknownGenerator", "UnorderedPair", "UsageError", "ValidationCheck",
     "ValidationReport",
-    "Word", "concat", "dc_all", "dc_id", "dc_invert", "dc_twist",
+    "Word", "case_table", "concat", "dc_all", "dc_id", "dc_invert", "dc_twist",
     "enumerate_classes", "enumerate_cosets", "equivalent",
     "find_homomorphisms", "format_word", "free_reduce", "handle_invariant",
     "image_member", "invert", "local_oriented_cord_invariant",

@@ -26,8 +26,8 @@ from .errors import (HandleCosetError, MissingPPlus, MissingSection,
                      ResourceExhausted, SkgSyntaxError, UsageError)
 from .finite_quotient import SeparationVerdict, quotient_separate
 from .handle_classifier import (CaseLabel, ClassifierContext, HandleInvariant,
-                                enumerate_classes, handle_invariant,
-                                image_member)
+                                case_table, enumerate_classes,
+                                handle_invariant, image_member)
 from .knot_input import format_word, parse_input, parse_word, validate
 from .word_algebra import Word
 
@@ -77,31 +77,46 @@ def _cords(args, presentation, expected: int) -> list[Word]:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _dc_json(d: DoubleCosetId, names) -> dict:
-    return {"canonical": d.canonical, "orbit_size": d.orbit_size,
-            "representative": format_word(d.representative(), names)}
+def _formatter(names):
+    """Text of a double coset's representative, formatted once per
+    double coset for the life of one command; a caller already holding
+    the representative word passes it along."""
+    texts: dict[int, str] = {}
+
+    def text(d: DoubleCosetId, word: Optional[Word] = None) -> str:
+        out = texts.get(d.canonical)
+        if out is None:
+            if word is None:
+                word = d.representative()
+            out = texts[d.canonical] = format_word(word, names)
+        return out
+
+    return text
 
 
-def _value_json(value, names):
+def _value_json(value, text) -> dict:
     if isinstance(value, DoubleCosetId):
-        return _dc_json(value, names)
-    return {"pair": [_value_json(value.first, names),
-                     _value_json(value.second, names)]}
+        return {"canonical": value.canonical, "orbit_size": value.orbit_size,
+                "representative": text(value)}
+    return {"pair": [_value_json(value.first, text),
+                     _value_json(value.second, text)]}
 
 
-def _invariant_json(inv: HandleInvariant, names) -> dict:
+def _invariant_json(inv: HandleInvariant, text) -> dict:
     return {"kind": inv.kind, "case": inv.case.value,
             "core_oriented": inv.core_oriented,
-            "value": _value_json(inv.value, names)}
+            "value": _value_json(inv.value, text)}
 
 
-def _value_text(value, names) -> str:
+def _value_text(value, text) -> str:
     if isinstance(value, DoubleCosetId):
-        return f"[{format_word(value.representative(), names)}]"
-    return "{" + ", ".join(_value_text(v, names) for v in value.elements) + "}"
+        return f"[{text(value)}]"
+    return "{" + ", ".join(_value_text(v, text) for v in value.elements) + "}"
 
 
 def _emit(args, record: dict) -> None:
+    """Write the record; commands call this before any human output, so
+    the record survives a reader that closes stdout early."""
     if getattr(args, "records", None):
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         try:
@@ -129,13 +144,13 @@ def _defined(ctx: ClassifierContext) -> int:
 def _cmd_validate(args) -> int:
     input = _load(args.file)
     report = validate(input, _limits())
+    _emit(args, {"command": "validate", "input": input.label,
+                 "checks": [{"name": c.name, "status": c.status,
+                             "detail": c.detail} for c in report.checks]})
     for check in report.checks:
         print(f"[{check.status}] {check.name}: {check.detail}")
     failures = len(report.failures)
     print(f"{len(report.checks)} checks, {failures} failed")
-    _emit(args, {"command": "validate", "input": input.label,
-                 "checks": [{"name": c.name, "status": c.status,
-                             "detail": c.detail} for c in report.checks]})
     return 0 if failures == 0 else 1
 
 
@@ -150,12 +165,12 @@ def _cmd_enumerate(args) -> int:
     start = time.perf_counter()
     table = enumerate_cosets(input.presentation, subgroup, _limits(args.max_cosets))
     elapsed = time.perf_counter() - start
-    print(f"subgroup {args.subgroup}: index {table.index}")
-    print(f"cosets defined: {table.total_defined}")
-    print(f"time: {elapsed:.3f}s")
     _emit(args, {"command": "enumerate", "input": input.label,
                  "subgroup": args.subgroup, "index": table.index,
                  "cosets_defined": table.total_defined})
+    print(f"subgroup {args.subgroup}: index {table.index}")
+    print(f"cosets defined: {table.total_defined}")
+    print(f"time: {elapsed:.3f}s")
     return 0
 
 
@@ -167,15 +182,15 @@ def _cmd_invariant(args) -> int:
     ctx = _context(args, input)
     inv = handle_invariant(ctx, case, args.core_oriented, g)
     elapsed = time.perf_counter() - start
-    names = input.presentation.generator_names
-    core = "oriented core" if args.core_oriented else "unoriented core"
-    print(f"case {case.value}, {core}")
-    print(f"invariant: {_value_text(inv.value, names)}")
-    print(f"time: {elapsed:.3f}s ({_defined(ctx)} cosets defined)")
+    text = _formatter(input.presentation.generator_names)
     _emit(args, {"command": "invariant", "input": input.label,
                  "words": list(args.cord),
-                 "result": _invariant_json(inv, names),
+                 "result": _invariant_json(inv, text),
                  "cosets_defined": _defined(ctx)})
+    core = "oriented core" if args.core_oriented else "unoriented core"
+    print(f"case {case.value}, {core}")
+    print(f"invariant: {_value_text(inv.value, text)}")
+    print(f"time: {elapsed:.3f}s ({_defined(ctx)} cosets defined)")
     return 0
 
 
@@ -187,11 +202,11 @@ def _cmd_equiv(args) -> int:
     inv1 = handle_invariant(ctx, case, args.core_oriented, g1)
     inv2 = handle_invariant(ctx, case, args.core_oriented, g2)
     verdict = "equivalent" if inv1 == inv2 else "inequivalent"
-    print(verdict)
     _emit(args, {"command": "equiv", "input": input.label,
                  "case": case.value, "core_oriented": args.core_oriented,
                  "words": list(args.cord), "verdict": verdict,
                  "cosets_defined": _defined(ctx)})
+    print(verdict)
     return 0
 
 
@@ -200,19 +215,21 @@ def _cmd_classes(args) -> int:
     case = _case(args)
     ctx = _context(args, input)
     classes = enumerate_classes(ctx, case, args.core_oriented)
-    names = input.presentation.generator_names
-    core = "oriented core" if args.core_oriented else "unoriented core"
-    print(f"case {case.value}, {core}: {len(classes)} classes")
-    for k, (inv, rep) in enumerate(classes, start=1):
-        print(f"  class {k}: representative {format_word(rep, names)}  "
-              f"value {_value_text(inv.value, names)}")
+    text = _formatter(input.presentation.generator_names)
+    # a class's representative is the witness of its value's first double coset
+    reps = [text(inv.double_cosets()[0], rep) for inv, rep in classes]
     _emit(args, {"command": "classes", "input": input.label,
                  "case": case.value, "core_oriented": args.core_oriented,
                  "count": len(classes),
-                 "classes": [{"representative": format_word(rep, names),
-                              "value": _invariant_json(inv, names)}
-                             for inv, rep in classes],
+                 "classes": [{"representative": rep,
+                              "value": _invariant_json(inv, text)}
+                             for (inv, _), rep in zip(classes, reps)],
                  "cosets_defined": _defined(ctx)})
+    core = "oriented core" if args.core_oriented else "unoriented core"
+    print(f"case {case.value}, {core}: {len(classes)} classes")
+    for k, ((inv, _), rep) in enumerate(zip(classes, reps), start=1):
+        print(f"  class {k}: representative {rep}  "
+              f"value {_value_text(inv.value, text)}")
     return 0
 
 
@@ -222,10 +239,6 @@ def _cmd_image_check(args) -> int:
     ctx = _context(args, input)
     parts = [p.strip() for p in args.candidate.split(";")]
     words = [parse_word(p, input.presentation) for p in parts]
-    if case is CaseLabel.CASE3:
-        table, acting = ctx.p_plus_table, input.p_plus_generators
-    else:
-        table, acting = ctx.p_table, input.p_generators
     expected = {("case3", False): 4, ("case3", True): 2,
                 ("case12", True): 1, ("case12", False): 2}
     key = ("case3" if case is CaseLabel.CASE3 else "case12", args.core_oriented)
@@ -233,6 +246,7 @@ def _cmd_image_check(args) -> int:
         raise UsageError(f"--candidate needs {expected[key]} words "
                          f"for case {case.value}"
                          f"{' with oriented core' if args.core_oriented else ''}")
+    table, acting = case_table(ctx, case)
     ids = [dc_id(table, acting, w) for w in words]
     if len(ids) == 1:
         value = ids[0]
@@ -244,11 +258,11 @@ def _cmd_image_check(args) -> int:
     candidate = HandleInvariant(case, args.core_oriented, value)
     verdict = "in-image" if image_member(ctx, case, args.core_oriented, candidate) \
         else "not-in-image"
-    print(verdict)
     _emit(args, {"command": "image-check", "input": input.label,
                  "case": case.value, "core_oriented": args.core_oriented,
                  "words": parts, "verdict": verdict,
                  "cosets_defined": _defined(ctx)})
+    print(verdict)
     return 0
 
 
@@ -259,11 +273,11 @@ def _cmd_separate(args) -> int:
     verdict = quotient_separate(input, case, args.core_oriented, g1, g2,
                                 max_degree=args.max_degree)
     text = "distinct" if verdict is SeparationVerdict.DISTINCT else "unknown"
-    print(text)
     _emit(args, {"command": "separate", "input": input.label,
                  "case": case.value, "core_oriented": args.core_oriented,
                  "words": list(args.cord), "max_degree": args.max_degree,
                  "verdict": text})
+    print(text)
     return 0
 
 

@@ -71,7 +71,9 @@ class CosetTable:
     Storage is one list per column: _action[col][c] is the image of
     coset c, with a 0 placeholder at position 0.  _parents[c] is the BFS
     tree edge (parent, col) that discovered coset c, None for c = 1 (and
-    at the placeholder).
+    at the placeholder).  _partitions holds the double-coset partitions
+    built over this table, keyed by their acting words (see
+    double_cosets).
     """
 
     def __init__(self, subgroup_generators: Sequence[Word], n_generators: int,
@@ -82,6 +84,7 @@ class CosetTable:
         self._action = action
         self._parents = parents
         self.total_defined = total_defined
+        self._partitions: dict = {}
 
     @property
     def index(self) -> int:
@@ -101,15 +104,24 @@ class CosetTable:
         """Apply the word left to right starting from the given coset."""
         if not 1 <= start <= self.index:
             raise CosetRangeError(start, self.index)
-        ncols = self.ncols
         c = start
         action = self._action
-        for i, s in word:
-            col = 2 * i + (0 if s > 0 else 1)
-            if col >= ncols:
-                raise ValueError("word uses a generator outside this table's alphabet")
-            c = action[col][c]
+        try:
+            for i, s in word:
+                c = action[2 * i + (s < 0)][c]
+        except IndexError:  # a column past the last generator's
+            raise ValueError("word uses a generator outside this table's alphabet") from None
         return c
+
+    def permutation(self, word: Word) -> list[int]:
+        """The word's action on all cosets at once, as a 1-based list
+        (0 at position 0): the composition of its letters' columns."""
+        if word.max_generator_index() >= self.n_generators:
+            raise ValueError("word uses a generator outside this table's alphabet")
+        image = list(range(self.index + 1))
+        for col in _columns(word):
+            image = list(map(self._action[col].__getitem__, image))
+        return image
 
     def membership(self, word: Word) -> bool:
         """True iff the word lies in the subgroup (traces coset 1 to itself)."""
@@ -304,10 +316,7 @@ def _verify(table: CosetTable, pres: GroupPresentation,
         if list(map(action[col ^ 1].__getitem__, column)) != identity:
             raise AssertionError("action is not inverse-consistent")
     for rel in pres.relators:
-        image = identity
-        for col in _columns(rel):
-            image = list(map(action[col].__getitem__, image))
-        if image != identity:
+        if table.permutation(rel) != identity:
             raise AssertionError("relator does not close")
     for w in subgroup:
         if not table.membership(w):

@@ -1,29 +1,115 @@
 """Double cosets H\\G/H over a coset table, with the two induced maps.
 
-A double coset HgH is represented as the orbit of the H-coset of g under
-right multiplication by the acting subgroup's generators.  With the
-standardized tables this gives a canonical identifier (the minimal coset
-index in the orbit), stable across runs.  The package only ever uses
-symmetric double cosets: the acting words generate the same subgroup the
-table was enumerated against (P or P+).
+A double coset HgH is the orbit of the H-coset of g under right
+multiplication by the acting subgroup's generators.  The orbits are
+computed once per (table, acting words): a union-find over the acting
+words' permutations, each the composition of its letters' columns,
+gives a label array holding, for every coset, the minimal coset of its
+orbit.  With the standardized tables that minimal index is a canonical
+identifier, stable across runs.  The partition is kept on the table, so
+dc_id is one trace plus one lookup.  The package only ever uses
+symmetric double cosets: the acting words generate the same subgroup
+the table was enumerated against (P or P+).
 
-Two maps descend to double cosets and are computed through witness words:
-inversion (core reversal), and the twist g -> n g n, well defined once
-the validation checks for n have passed.
+Two maps descend to double cosets: inversion (core reversal), and the
+twist g -> n g n, well defined once the validation checks for n have
+passed.  Each is filled in per double coset on first use, by walking
+the witness tree from the canonical coset up to coset 1.  The walk meets
+the witness's letters last-first, which is the order in which its
+inverse applies them, so it traces the inverse of the witness without
+building a word.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .coset_enumeration import CosetTable
 from .errors import PreconditionUnverified, TableMismatch
 from .knot_input import ValidationReport
-from .word_algebra import Word, concat, invert
+from .word_algebra import Word, invert
 
 
-@dataclass(frozen=True)
+class _Partition:
+    """Double-coset orbits of one table under fixed acting words.
+
+    label[c] is the minimal coset of c's orbit (label[0] = 0), size maps
+    each canonical coset to its orbit size in increasing canonical order,
+    inv maps a canonical coset to that of the inverse double coset, and
+    twist[n] does the same for g -> n g n; both fill in on first use.
+    The table keeps its partitions, so a partition holds no reference
+    back to it: that cycle would keep a dropped table alive until the
+    cyclic garbage collector ran.
+    """
+
+    def __init__(self, table: CosetTable, acting: Sequence[Word]):
+        parent = list(range(table.index + 1))
+
+        def find(c: int) -> int:
+            root = c
+            while parent[root] != root:
+                root = parent[root]
+            while parent[c] != root:
+                parent[c], c = root, parent[c]
+            return root
+
+        for w in acting:
+            if not w:
+                continue
+            for c, d in enumerate(table.permutation(w)):
+                if c != d:
+                    a, b = find(c), find(d)
+                    if a > b:
+                        a, b = b, a
+                    parent[b] = a  # the root stays the orbit's minimum
+        self.label = [find(c) for c in range(table.index + 1)]
+        # a canonical coset is the first of its orbit met in 1..index
+        self.size = Counter(self.label[1:])
+        self.inv: dict[int, int] = {}
+        self.twist: dict[Word, dict[int, int]] = {}
+
+    def id(self, table: CosetTable, canonical: int) -> "DoubleCosetId":
+        return DoubleCosetId(table, canonical, self.size[canonical], self)
+
+    def inverse(self, table: CosetTable, canonical: int) -> int:
+        image = self.inv.get(canonical)
+        if image is None:
+            image = self.inv[canonical] = self.label[_unwitness(table, canonical, 1)]
+        return image
+
+    def twisted(self, table: CosetTable, n: Word, canonical: int) -> int:
+        images = self.twist.setdefault(n, {})
+        image = images.get(canonical)
+        if image is None:
+            # the class of (n g n)^-1 = n^-1 g^-1 n^-1, then inverted
+            n_inv = invert(n)
+            x = table.trace(_unwitness(table, canonical, table.trace(1, n_inv)), n_inv)
+            image = images[canonical] = self.inverse(table, self.label[x])
+        return image
+
+
+def _unwitness(table: CosetTable, canonical: int, start: int) -> int:
+    """The coset start * witness(canonical)^-1, read off the witness tree
+    from canonical up to coset 1, one inverse column per edge."""
+    parents, action = table._parents, table._action
+    c, x = canonical, start
+    while (edge := parents[c]) is not None:
+        c, col = edge
+        x = action[col ^ 1][x]
+    return x
+
+
+def _partition(table: CosetTable, acting: Sequence[Word]) -> _Partition:
+    key = tuple(acting)
+    part = table._partitions.get(key)
+    if part is None:
+        part = table._partitions[key] = _Partition(table, key)
+    return part
+
+
+@dataclass(frozen=True, eq=False)
 class DoubleCosetId:
     """Canonical identifier of one double coset over a fixed table.
 
@@ -33,19 +119,15 @@ class DoubleCosetId:
     """
 
     table: CosetTable
-    orbit: tuple[int, ...]  # sorted coset indices, closed under the action
-
-    def __post_init__(self):
-        if not self.orbit or list(self.orbit) != sorted(set(self.orbit)):
-            raise ValueError("orbit must be a nonempty sorted set of cosets")
+    canonical: int
+    orbit_size: int
+    partition: _Partition  # the labels this id was read from
 
     @property
-    def canonical(self) -> int:
-        return self.orbit[0]
-
-    @property
-    def orbit_size(self) -> int:
-        return len(self.orbit)
+    def orbit(self) -> tuple[int, ...]:
+        """The orbit's cosets in increasing order (a scan of the labels)."""
+        label = self.partition.label
+        return tuple(c for c in range(1, len(label)) if label[c] == self.canonical)
 
     def representative(self) -> Word:
         """Witness word of the canonical coset."""
@@ -53,6 +135,14 @@ class DoubleCosetId:
 
     def sort_key(self):
         return (self.canonical,)
+
+    def __eq__(self, other):
+        if not isinstance(other, DoubleCosetId):
+            return NotImplemented
+        return self.canonical == other.canonical and self.table is other.table
+
+    def __hash__(self):
+        return hash(self.canonical)
 
     def __repr__(self):
         return f"DoubleCosetId(canonical={self.canonical}, orbit_size={self.orbit_size})"
@@ -91,24 +181,14 @@ def _require_same_table(table: CosetTable, d: DoubleCosetId) -> None:
 
 
 def dc_id(table: CosetTable, acting: Sequence[Word], g: Word) -> DoubleCosetId:
-    """Double coset of g: orbit of its coset under the acting subgroup.
+    """Double coset of g: the label of its coset.
 
     The acting words must lie in the table's subgroup for the result to
     be a double coset of that subgroup; then the output is unchanged
     under g -> p g q with p, q in the subgroup.
     """
-    start = table.trace(1, g)
-    moves = [w for w in acting if w] + [invert(w) for w in acting if w]
-    seen = {start}
-    stack = [start]
-    while stack:
-        c = stack.pop()
-        for w in moves:
-            d = table.trace(c, w)
-            if d not in seen:
-                seen.add(d)
-                stack.append(d)
-    return DoubleCosetId(table, tuple(sorted(seen)))
+    part = _partition(table, acting)
+    return part.id(table, part.label[table.trace(1, g)])
 
 
 def dc_all(table: CosetTable, acting: Sequence[Word]) -> tuple[DoubleCosetId, ...]:
@@ -117,38 +197,16 @@ def dc_all(table: CosetTable, acting: Sequence[Word]) -> tuple[DoubleCosetId, ..
     Returned sorted by canonical index; orbit sizes sum to the table's
     index.
     """
-    n = table.index
-    parent = list(range(n + 1))
-
-    def find(c: int) -> int:
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
-
-    for w in acting:
-        if not w:
-            continue
-        for c in range(1, n + 1):
-            a, b = find(c), find(table.trace(c, w))
-            if a != b:
-                if a > b:
-                    a, b = b, a
-                parent[b] = a
-    orbits: dict[int, list[int]] = {}
-    for c in range(1, n + 1):
-        orbits.setdefault(find(c), []).append(c)
-    return tuple(DoubleCosetId(table, tuple(members))
-                 for _, members in sorted(orbits.items()))
+    part = _partition(table, acting)
+    return tuple(part.id(table, c) for c in part.size)
 
 
 def dc_invert(table: CosetTable, acting: Sequence[Word],
               d: DoubleCosetId) -> DoubleCosetId:
     """Image of the double coset under g -> g^-1; an involution."""
     _require_same_table(table, d)
-    return dc_id(table, acting, invert(table.witness(d.canonical)))
+    part = _partition(table, acting)
+    return part.id(table, part.inverse(table, d.canonical))
 
 
 def dc_twist(table: CosetTable, acting: Sequence[Word], n: Word,
@@ -164,4 +222,5 @@ def dc_twist(table: CosetTable, acting: Sequence[Word], n: Word,
             "the twist map needs a validation report with the "
             "normalization and n^2 checks passed")
     _require_same_table(table, d)
-    return dc_id(table, acting, concat(n, table.witness(d.canonical), n))
+    part = _partition(table, acting)
+    return part.id(table, part.twisted(table, n, d.canonical))

@@ -33,7 +33,7 @@ from .errors import (CaseMismatch, MissingPPlus, PreconditionUnverified,
                      TableMismatch)
 from .knot_input import (SurfaceKnotInput, ValidationReport,
                          validate_with_tables)
-from .word_algebra import Word, invert
+from .word_algebra import Word
 
 
 class CaseLabel(Enum):
@@ -148,15 +148,17 @@ def _require_case(ctx: ClassifierContext, case: CaseLabel) -> None:
         raise CaseMismatch(f"case {case.value} needs {want} surface input")
 
 
-def _case3_table(ctx: ClassifierContext) -> tuple[CosetTable, Sequence[Word]]:
+def case_table(ctx: ClassifierContext,
+               case: CaseLabel) -> tuple[CosetTable, Sequence[Word]]:
+    """The table and acting words a case works over: P+ for Case 3, P
+    for Cases 1 and 2.  Raises CaseMismatch if the case does not fit the
+    input's surface."""
+    _require_case(ctx, case)
+    if case is not CaseLabel.CASE3:
+        return ctx.p_table, ctx.input.p_generators
     if ctx.p_plus_table is None:
         raise MissingPPlus("this context has no P+ table")
     return ctx.p_plus_table, ctx.input.p_plus_generators
-
-
-def _twist(ctx: ClassifierContext, d: DoubleCosetId) -> DoubleCosetId:
-    table, acting = _case3_table(ctx)
-    return dc_twist(table, acting, ctx.input.n_word, d, ctx.report)
 
 
 def oriented_cord_invariant(ctx: ClassifierContext, g: Word) -> DoubleCosetId:
@@ -170,40 +172,37 @@ def local_oriented_cord_invariant(ctx: ClassifierContext, g: Word) -> DoubleCose
     The cord word must come from path choices compatible with the local
     orientations; that is the caller's responsibility.
     """
-    table, acting = _case3_table(ctx)
-    return dc_id(table, acting, g)
+    if ctx.p_plus_table is None:
+        raise MissingPPlus("this context has no P+ table")
+    return dc_id(ctx.p_plus_table, ctx.input.p_plus_generators, g)
 
 
-def _invariant_from_dc(ctx: ClassifierContext, case: CaseLabel,
-                       core_oriented: bool, d: DoubleCosetId) -> HandleInvariant:
-    if case is CaseLabel.CASE3:
-        table, acting = _case3_table(ctx)
+def _value(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
+           table: CosetTable, acting: Sequence[Word],
+           d: DoubleCosetId) -> InvariantValue:
+    """The invariant value of a double coset d over case_table(ctx, case),
+    which is (table, acting)."""
+    if case is not CaseLabel.CASE3:
         if core_oriented:
-            value: InvariantValue = UnorderedPair(d, _twist(ctx, d))
-        else:
-            di = dc_invert(table, acting, d)
-            value = UnorderedPair(
-                UnorderedPair(d, _twist(ctx, d)),
-                UnorderedPair(di, _twist(ctx, di)))
-    else:
-        if core_oriented:
-            value = d
-        else:
-            value = UnorderedPair(
-                d, dc_invert(ctx.p_table, ctx.input.p_generators, d))
-    return HandleInvariant(case, core_oriented, value)
+            return d
+        return UnorderedPair(d, dc_invert(table, acting, d))
+
+    def with_twist(x: DoubleCosetId) -> UnorderedPair:
+        return UnorderedPair(x, dc_twist(table, acting, ctx.input.n_word, x,
+                                         ctx.report))
+
+    if core_oriented:
+        return with_twist(d)
+    return UnorderedPair(with_twist(d), with_twist(dc_invert(table, acting, d)))
 
 
 def handle_invariant(ctx: ClassifierContext, case: CaseLabel,
                      core_oriented: bool, g: Word) -> HandleInvariant:
     """Invariant of the 1-handle carried by the cord word g."""
-    _require_case(ctx, case)
-    if case is CaseLabel.CASE3:
-        table, acting = _case3_table(ctx)
-        d = dc_id(table, acting, g)
-    else:
-        d = dc_id(ctx.p_table, ctx.input.p_generators, g)
-    return _invariant_from_dc(ctx, case, core_oriented, d)
+    table, acting = case_table(ctx, case)
+    d = dc_id(table, acting, g)
+    return HandleInvariant(case, core_oriented,
+                           _value(ctx, case, core_oriented, table, acting, d))
 
 
 def equivalent(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
@@ -215,39 +214,19 @@ def equivalent(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
 
 def image_member(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
                  candidate: HandleInvariant) -> bool:
-    """Decide whether a candidate value is realized by some 1-handle."""
-    _require_case(ctx, case)
+    """Decide whether a candidate value is realized by some 1-handle.
+
+    The value of a double coset D always contains D, so a candidate is
+    realized iff it is the value of one of its own double cosets.
+    """
+    table, acting = case_table(ctx, case)
     if candidate.kind != _kind_of(case, core_oriented):
         raise CaseMismatch("candidate carries a different kind of value")
-    if case is CaseLabel.CASE3:
-        table, acting = _case3_table(ctx)
-    else:
-        table, acting = ctx.p_table, ctx.input.p_generators
-    for d in candidate.double_cosets():
-        if d.table is not table:
-            raise TableMismatch("candidate was built over a different table")
-
-    if case is not CaseLabel.CASE3:
-        if core_oriented:
-            # the oriented-core map is onto all double cosets
-            return True
-        first, second = candidate.value.elements
-        return second == dc_invert(table, acting, first)
-
-    if core_oriented:
-        first, second = candidate.value.elements
-        return second == _twist(ctx, first)
-
-    # unoriented Case 3: some ordering must be the pair of oriented-core
-    # values of a word and its inverse
-    a, b = candidate.value.elements
-    for x, y in ((a, b), (b, a)):
-        for d in x.elements:
-            di = dc_invert(table, acting, d)
-            if (x == UnorderedPair(d, _twist(ctx, d))
-                    and y == UnorderedPair(di, _twist(ctx, di))):
-                return True
-    return False
+    ids = candidate.double_cosets()
+    if any(d.table is not table for d in ids):
+        raise TableMismatch("candidate was built over a different table")
+    return any(_value(ctx, case, core_oriented, table, acting, d) == candidate.value
+               for d in ids)
 
 
 def enumerate_classes(ctx: ClassifierContext, case: CaseLabel,
@@ -255,20 +234,19 @@ def enumerate_classes(ctx: ClassifierContext, case: CaseLabel,
     """All equivalence classes, each with a representative cord word.
 
     Exactly the image of the invariant map, without duplicates, ordered
-    by the canonical index of the first double coset reached.
+    by the canonical index of the first double coset reached.  Every
+    double coset of a value has that same value, so the first one reached
+    is the value's least, and the representative is its witness.
     """
-    _require_case(ctx, case)
-    if case is CaseLabel.CASE3:
-        table, acting = _case3_table(ctx)
-    else:
-        table, acting = ctx.p_table, ctx.input.p_generators
+    table, acting = case_table(ctx, case)
     out: list[tuple[HandleInvariant, Word]] = []
     seen: set[HandleInvariant] = set()
     for d in dc_all(table, acting):
-        inv = _invariant_from_dc(ctx, case, core_oriented, d)
+        inv = HandleInvariant(case, core_oriented,
+                              _value(ctx, case, core_oriented, table, acting, d))
         if inv not in seen:
             seen.add(inv)
-            out.append((inv, table.witness(d.canonical)))
+            out.append((inv, d.representative()))
     return out
 
 
@@ -281,18 +259,15 @@ def nonsurjectivity_witness(ctx: ClassifierContext, case: CaseLabel,
     of a word outside the relevant subgroup with the class of the
     identity; image_member rejects it.
     """
-    _require_case(ctx, case)
+    table, acting = case_table(ctx, case)
+    d_one = dc_id(table, acting, Word())
 
     if case is not CaseLabel.CASE3:
-        if core_oriented or ctx.p_table.index == 1:
+        if core_oriented or table.index == 1:
             return None  # bijective map, or P = G
-        acting = ctx.input.p_generators
-        d_one = dc_id(ctx.p_table, acting, Word())
-        d_out = dc_id(ctx.p_table, acting, ctx.p_table.witness(2))
+        d_out = dc_id(table, acting, table.witness(2))
         return HandleInvariant(case, False, UnorderedPair(d_out, d_one))
 
-    table, acting = _case3_table(ctx)
-    d_one = dc_id(table, acting, Word())
     n = ctx.input.n_word
     if not table.membership(n):
         # n witnesses P+ != P: {class(n), class(1)} is never hit

@@ -2,7 +2,8 @@
 
 Everything here works on explicit permutation tuples and never touches
 the coset-table machinery, so it can serve as a second route for the
-values the package computes.
+values the package computes.  The one exception, orbit_partition, reads
+a finished table through its public trace alone.
 """
 
 from __future__ import annotations
@@ -79,13 +80,41 @@ def classifier_values(elements, h_set, case3, core_oriented, n_img=None):
     return values
 
 
-def coxeter_skg(n, p):
+def orbit_partition(table, acting):
+    """Orbits of the cosets 1..index under right multiplication by the
+    acting words, by a plain search with one table.trace per move; sorted
+    tuples in increasing order of their least coset.  Each word acts as a
+    permutation of a finite set, so forward moves alone close an orbit."""
+    orbits, seen = [], set()
+    for start in range(1, table.index + 1):
+        if start in seen:
+            continue
+        orbit, stack = {start}, [start]
+        while stack:
+            c = stack.pop()
+            for w in acting:
+                d = table.trace(c, w)
+                if d not in orbit:
+                    orbit.add(d)
+                    stack.append(d)
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+def coxeter_skg(n, p, p_plus=None, n_gen=None):
     """.skg text of the Coxeter presentation of S_n on s1..s(n-1): every
     s_i^2, then (s_i s_j)^m for i < j (m = 3 if adjacent, else 2), with
-    P generated by the listed s_i."""
+    P generated by the listed s_i.  Given p_plus and n_gen, the surface
+    is non-orientable with P+ = <s_i : i in p_plus> and n = s_(n_gen)."""
     lines = ["group: " + " ".join(f"s{i}" for i in range(1, n))]
     lines += [f"rel: s{i}^2" for i in range(1, n)]
     lines += ["rel: " + " ".join([f"s{i} s{j}"] * (3 if j == i + 1 else 2))
               for i in range(1, n) for j in range(i + 1, n)]
-    return "\n".join(lines + ["P: " + " , ".join(f"s{i}" for i in p),
-                              "orientable: true"]) + "\n"
+    lines.append("P: " + " , ".join(f"s{i}" for i in p))
+    if p_plus is None:
+        lines.append("orientable: true")
+    else:
+        lines += ["P+: " + " , ".join(f"s{i}" for i in p_plus),
+                  f"n: s{n_gen}", "orientable: false"]
+    return "\n".join(lines) + "\n"

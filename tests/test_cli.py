@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -180,6 +181,16 @@ def test_records_in_missing_directory(skg, tmp_path, capsys):
     assert not rec.exists()
 
 
+def test_image_check_case_mismatch(skg, capsys):
+    s3 = skg("s3.skg", S3)
+    assert run(["image-check", s3, "--case", "3", "--candidate", "b;1;1;1"]) == 1
+    assert capsys.readouterr().err == \
+        "error: case 3 needs a non-orientable surface input\n"
+    d8 = skg("d8.skg", D8_CASE3)
+    assert run(["image-check", d8, "--case", "1", "--candidate", "r;1"]) == 1
+    assert capsys.readouterr().err == "error: case 1 needs an orientable surface input\n"
+
+
 def test_candidate_word_count_is_a_usage_error(skg, capsys):
     path = skg("d8.skg", D8_CASE3)
     assert run(["image-check", path, "--case", "3", "--core-oriented",
@@ -195,22 +206,35 @@ def test_huge_exponent_is_a_syntax_error(skg, capsys):
         "error: line 1, column 3: word expands to more than 100000 letters\n"
 
 
-def test_closed_pipe_exits_quietly(skg):
-    # like `handlecoset classes s7.skg --case 1 --core-oriented | head -c 100`:
-    # the ~120 kB listing overfills the pipe, so the writer must meet EPIPE
-    path = skg("s7.skg", coxeter_skg(7, [1]))
+def _classes_into_closed_pipe(argv):
+    """Run `classes` in a child whose stdout reader leaves after 100 bytes,
+    like `| head -c 100`; the ~120 kB listing overfills the pipe, so the
+    writer must meet EPIPE.  Returns (exit code, first bytes, stderr)."""
     env = dict(os.environ, PYTHONPATH=str(Path(handlecoset.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-m", "handlecoset.cli", "classes", path,
-                             "--case", "1", "--core-oriented"],
+    proc = subprocess.Popen([sys.executable, "-m", "handlecoset.cli"] + argv,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             bufsize=0, env=env)
     head = proc.stdout.read(100)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert head.startswith(b"case 1, oriented core: ")
-    assert err == b""
+    return proc.wait(timeout=60), head, err
+
+
+def test_closed_pipe_exits_quietly(skg, tmp_path, capsys):
+    path = skg("s7.skg", coxeter_skg(7, [1]))
+    argv = ["classes", path, "--case", "1", "--core-oriented"]
+    rec = tmp_path / "r.json"
+    for extra in ([], ["--records", str(rec)]):
+        code, head, err = _classes_into_closed_pipe(argv + extra)
+        assert code == 1
+        assert head.startswith(b"case 1, oriented core: ")
+        assert err == b""
+    # the record is written before the listing, so it is whole
+    full = tmp_path / "full.json"
+    assert run(argv + ["--records", str(full)]) == 0
+    capsys.readouterr()
+    assert rec.read_bytes() == full.read_bytes()
 
 
 def test_records_written_and_deterministic(skg, tmp_path, capsys):
@@ -252,3 +276,43 @@ def test_selftest_smoke(capsys):
     out = capsys.readouterr().out
     assert "0 failed" in out
     assert "FAIL" not in out
+
+
+Q8 = "group: a b\nrel: a^4\nrel: a^2 b^-2\nrel: b^-1 a b a\nP: a\norientable: true\n"
+S7_P2 = coxeter_skg(7, [2])
+S7_CASE3 = coxeter_skg(7, [2, 5], [2], 5)
+
+# sha256 of `classes --records` output; the file name is the record's "input"
+PINNED_CLASSES = [
+    ("s7", S7_P2, 1, True,
+     "c2a8be527afb6b6ccf2c925c7fe5194ba778c79458e3d8b8ec852e0f4deb8cbd"),
+    ("s7", S7_P2, 1, False,
+     "3576820948d7b863c370c72a56ab2b6374166d6a8089a9683df606adbdca1ed3"),
+    ("s7", S7_P2, 2, False,
+     "db144c96ec67759a8c1bfdb477c375e2a10e427be1fc599b72a49ce3933ccced"),
+    ("s7c3", S7_CASE3, 3, True,
+     "1adb2e511b95406ad426bac57455d17bd1b22a2bb8aa14bf969d5473ff7d90c4"),
+    ("s7c3", S7_CASE3, 3, False,
+     "2557ede30d1f3c0f8c30f9e0c938ce3fdf905faa7207c1d26f77ad5e606d6be7"),
+    ("d8", D8_CASE3, 3, True,
+     "ecb9d6c83bbb5d888b258bb4ed09af55bfd783c3ec61e914c3ad0ab6fdc5534e"),
+    ("d8", D8_CASE3, 3, False,
+     "a4cdbebda37d673a059db885cd1eacb6471ccab77fb82093b4b949d35de174fd"),
+    ("q8", Q8, 1, True,
+     "dcdf7234735155c61432fc8fba81f88e4d48a166cd1eeae670b6b736fd5b4487"),
+    ("q8", Q8, 1, False,
+     "18b1ee02d1eadbd24059f57c344c138ca67f3a555c4834b22bdbc8a0be3b61ef"),
+]
+
+
+@pytest.mark.parametrize("name,text,case,oriented,digest", PINNED_CLASSES,
+                         ids=[f"{p[0]}-case{p[2]}-{'or' if p[3] else 'un'}"
+                              for p in PINNED_CLASSES])
+def test_pinned_classes_records(skg, tmp_path, capsys, name, text, case,
+                                oriented, digest):
+    path = skg(f"{name}.skg", text)
+    rec = tmp_path / "r.json"
+    argv = ["classes", path, "--case", str(case), "--records", str(rec)]
+    assert run(argv + (["--core-oriented"] if oriented else [])) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(rec.read_bytes()).hexdigest() == digest

@@ -56,6 +56,15 @@ def test_trace_examples():
     for coset in (0, 4):  # 0 is the columns' placeholder slot
         with pytest.raises(CosetRangeError):
             s3_table.letter_action(coset, (0, 1))
+    foreign = Word(((0, 1), (2, -1)))  # S3 has generators 0 and 1 only
+    with pytest.raises(ValueError, match="outside this table's alphabet"):
+        s3_table.trace(1, foreign)
+    with pytest.raises(ValueError, match="outside this table's alphabet"):
+        s3_table.permutation(foreign)
+    # a word's permutation sends every coset where trace does
+    w = word("a b^-1 a", S3)
+    assert s3_table.permutation(w) == \
+        [0] + [s3_table.trace(c, w) for c in range(1, s3_table.index + 1)]
 
 
 def test_membership_examples():

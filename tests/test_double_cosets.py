@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from brute import double_coset_partition, peval, subgroup_of
+from brute import (coxeter_skg, double_coset_partition, orbit_partition,
+                   peval, subgroup_of)
 from handlecoset.coset_enumeration import enumerate_cosets
 from handlecoset.double_cosets import (DoubleCosetId, UnorderedPair, dc_all,
                                        dc_id, dc_invert, dc_twist)
 from handlecoset.errors import PreconditionUnverified, TableMismatch
 from handlecoset.handle_classifier import ClassifierContext
-from handlecoset.knot_input import parse_input, parse_word, validate
+from handlecoset.knot_input import (ValidationCheck, ValidationReport,
+                                    parse_input, parse_word, validate)
 from handlecoset.selftest import GROUP_CORPUS
 from handlecoset.word_algebra import Word, concat, free_reduce, invert
 
@@ -225,3 +227,66 @@ def test_partition_oracle_on_corpus():
             table_side = {frozenset(bridge[c] for c in orbit.orbit)
                           for orbit in dc_all(table, words)}
             assert table_side == brute, case.name
+
+
+def _oracle_tables():
+    """(label, presentation, subgroup words) over every GROUP_CORPUS
+    subgroup and the Coxeter presentations of S5 and S6 with several P."""
+    for case in GROUP_CORPUS:
+        pres = parse_input(case.skg).presentation
+        for words_text in case.subgroups:
+            yield case.name, pres, [parse_word(t, pres) for t in words_text]
+    for n in (5, 6):
+        for p in ([1], [2], [1, 3], [2, 3], [1, 2, 4]):
+            parsed = parse_input(coxeter_skg(n, p))
+            yield f"s{n}-{p}", parsed.presentation, list(parsed.p_generators)
+
+
+# the twist identity dc_twist(D) = class of n w n (w the witness of D)
+# holds for every word n, so the walk is exercised with n that need not
+# normalize the subgroup, under a report whose twist checks are marked passed
+TWIST_REPORT = ValidationReport(tuple(
+    ValidationCheck(name, "pass", "")
+    for name in ("twist_normalizes_p_plus", "n_squared_in_p_plus")))
+
+
+def test_label_arrays_match_orbit_search():
+    for label, pres, words in _oracle_tables():
+        table = enumerate_cosets(pres, words)
+        dcs = dc_all(table, words)
+        reference = orbit_partition(table, words)
+        assert [d.orbit for d in dcs] == reference, label
+        assert [(d.canonical, d.orbit_size) for d in dcs] == \
+            [(o[0], len(o)) for o in reference], label
+        for orbit in reference:
+            for c in orbit:
+                assert dc_id(table, words, table.witness(c)).canonical == orbit[0]
+        ngens = len(pres.generators)
+        twisters = [Word(((i, 1),)) for i in range(ngens)] + \
+            [free_reduce([(ngens - 1, -1), (0, -1), (0, -1)])]
+        for d in dcs:
+            w = d.representative()
+            assert dc_invert(table, words, d) == dc_id(table, words, invert(w)), label
+            for n in twisters:
+                assert dc_twist(table, words, n, d, TWIST_REPORT) == \
+                    dc_id(table, words, concat(n, w, n)), (label, n)
+
+
+def test_ids_compare_by_table_and_canonical():
+    for label, pres, words in _oracle_tables():
+        table = enumerate_cosets(pres, words)
+        other = enumerate_cosets(pres, words)
+        dcs = dc_all(table, words)
+        again = [dc_id(table, words, d.representative()) for d in dcs]
+        for d, e in zip(dcs, again):
+            assert d == e and hash(d) == hash(e) and d is not e
+        for d in dcs:
+            for e in dcs:
+                assert (d == e) == (d.canonical == e.canonical), label
+                if d == e:
+                    assert hash(d) == hash(e)
+        assert len(set(dcs) | set(again)) == len(dcs)
+        # equal tables, equal canonical indices, still different ids
+        for d, e in zip(dcs, dc_all(other, words)):
+            assert d.canonical == e.canonical and d != e, label
+        assert dcs[0] != dcs[0].canonical

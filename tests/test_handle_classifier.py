@@ -180,6 +180,8 @@ def test_enumerate_classes_representatives_reproduce_values():
         for label, core in cases:
             for inv, rep in enumerate_classes(ctx, label, core):
                 assert handle_invariant(ctx, label, core, rep) == inv
+                # the CLI prints this witness as the class representative
+                assert rep == inv.double_cosets()[0].representative()
 
 
 def test_nonsurjectivity_witnesses():
