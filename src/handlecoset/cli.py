@@ -59,6 +59,8 @@ def _load(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read {path}: not valid UTF-8")
     return parse_input(text, label=Path(path).stem)
 
 
@@ -236,7 +238,6 @@ def _cmd_classes(args) -> int:
 def _cmd_image_check(args) -> int:
     input = _load(args.file)
     case = _case(args)
-    ctx = _context(args, input)
     parts = [p.strip() for p in args.candidate.split(";")]
     words = [parse_word(p, input.presentation) for p in parts]
     expected = {("case3", False): 4, ("case3", True): 2,
@@ -246,6 +247,7 @@ def _cmd_image_check(args) -> int:
         raise UsageError(f"--candidate needs {expected[key]} words "
                          f"for case {case.value}"
                          f"{' with oriented core' if args.core_oriented else ''}")
+    ctx = _context(args, input)
     table, acting = case_table(ctx, case)
     ids = [dc_id(table, acting, w) for w in words]
     if len(ids) == 1:
@@ -355,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=range(1, MAX_SEPARATE_DEGREE + 1),
                    help=f"largest permutation degree searched, 1..{MAX_SEPARATE_DEGREE}")
 
-    add("selftest", _cmd_selftest, help="run the built-in oracle suite")
+    # selftest writes no record, so it takes no --records
+    p = sub.add_parser("selftest", help="run the built-in oracle suite")
+    p.set_defaults(func=_cmd_selftest)
     return parser
 
 

@@ -55,10 +55,6 @@ def _columns(word: Word) -> tuple[int, ...]:
     return tuple(2 * i + (0 if s > 0 else 1) for i, s in word)
 
 
-def _column_letter(col: int) -> tuple[int, int]:
-    return (col // 2, 1 if col % 2 == 0 else -1)
-
-
 class CosetTable:
     """Complete standardized right-coset table.
 
@@ -135,7 +131,7 @@ class CosetTable:
         c = coset
         while self._parents[c] is not None:
             parent, col = self._parents[c]
-            letters.append(_column_letter(col))
+            letters.append((col >> 1, -1 if col & 1 else 1))
             c = parent
         return Word(tuple(reversed(letters)))
 

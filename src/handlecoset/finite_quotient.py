@@ -55,10 +55,6 @@ def perm_inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def perm_identity(degree: int) -> Perm:
-    return tuple(range(degree))
-
-
 def _trace(action: list[Perm], columns: tuple[int, ...], x: int) -> int:
     """Image of point x under a word compiled by _columns: action[2i] is the
     image of generator i and action[2i + 1] its inverse."""
@@ -97,7 +93,7 @@ def _search(pres: GroupPresentation, degree: int, limit: int) -> tuple[Permutati
         ready[rel.max_generator_index()].append(_columns(rel))
 
     found: list[PermutationAssignment] = []
-    action: list[Perm] = [perm_identity(degree)] * (2 * ngens)
+    action: list[Perm] = [tuple(range(degree))] * (2 * ngens)
 
     def extend(k: int) -> None:
         if len(found) >= limit:

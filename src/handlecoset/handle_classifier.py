@@ -22,7 +22,7 @@ neighborhood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -71,9 +71,11 @@ class HandleInvariant:
     case: CaseLabel
     core_oriented: bool
     value: InvariantValue
+    kind: str = field(init=False, repr=False)  # fixed by case and core_oriented
 
     def __post_init__(self):
-        kind = self.kind
+        kind = _kind_of(self.case, self.core_oriented)
+        object.__setattr__(self, "kind", kind)
         v = self.value
         if kind == "oriented-core":
             ok = isinstance(v, DoubleCosetId)
@@ -87,10 +89,6 @@ class HandleInvariant:
                     for e in v.elements)
         if not ok:
             raise ValueError(f"value shape does not match kind {kind!r}")
-
-    @property
-    def kind(self) -> str:
-        return _kind_of(self.case, self.core_oriented)
 
     def __eq__(self, other):
         if not isinstance(other, HandleInvariant):

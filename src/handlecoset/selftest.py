@@ -4,7 +4,11 @@ Every table-driven computation in the package is cross-checked here
 against brute force in concrete finite permutation groups: explicit
 models of cyclic, dihedral, symmetric, alternating and quaternion groups
 whose arithmetic never touches the enumeration engine.  The suite backs
-the `selftest` CLI subcommand and the acceptance tests.
+the `selftest` CLI subcommand, and the test suite runs each property as a
+test of its own.  The permutation arithmetic below (pmul, pinv, peval,
+mulclose, subgroup_of, double_coset, double_coset_partition,
+classifier_values) is the package's one brute-force oracle toolkit; the
+tests import it from here.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .handle_classifier import (CaseLabel, ClassifierContext, equivalent,
                                 enumerate_classes, handle_invariant,
                                 image_member, nonsurjectivity_witness)
 from .knot_input import (SurfaceKnotInput, parse_input, parse_word, serialize,
-                         validate, validate_with_tables)
+                         validate)
 from .word_algebra import Word, concat, free_reduce, invert
 
 Perm = tuple[int, ...]
@@ -37,21 +41,23 @@ Perm = tuple[int, ...]
 # brute-force permutation arithmetic (independent of the enumeration engine)
 # ---------------------------------------------------------------------------
 
-def _mul(p: Perm, q: Perm) -> Perm:
+def pmul(p: Perm, q: Perm) -> Perm:
+    """Apply p, then q."""
     return tuple(q[x] for x in p)
 
 
-def _inv(p: Perm) -> Perm:
+def pinv(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, x in enumerate(p):
         out[x] = i
     return tuple(out)
 
 
-def _eval(word: Word, gens: tuple[Perm, ...]) -> Perm:
+def peval(word: Word, gens: tuple[Perm, ...]) -> Perm:
+    """Evaluate a Word against permutation images of the generators."""
     acc = tuple(range(len(gens[0])))
     for i, s in word:
-        acc = _mul(acc, gens[i] if s > 0 else _inv(gens[i]))
+        acc = pmul(acc, gens[i] if s > 0 else pinv(gens[i]))
     return acc
 
 
@@ -66,12 +72,43 @@ def mulclose(gens) -> frozenset:
         new = []
         for x in frontier:
             for g in gens:
-                y = _mul(x, g)
+                y = pmul(x, g)
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
         frontier = new
     return frozenset(seen)
+
+
+def subgroup_of(words, model: tuple[Perm, ...]) -> frozenset:
+    """The subgroup the words generate in the model (trivial for no words)."""
+    identity = tuple(range(len(model[0])))
+    return mulclose([peval(w, model) for w in words] + [identity])
+
+
+def double_coset(h_set, g: Perm) -> frozenset:
+    return frozenset(pmul(pmul(h, g), k) for h in h_set for k in h_set)
+
+
+def double_coset_partition(elements, h_set):
+    """Partition of the right H-cosets into double cosets, as a set of
+    frozensets of cosets, together with the map element -> its coset."""
+    coset_of = {g: frozenset(pmul(h, g) for h in h_set) for g in elements}
+    return ({frozenset(coset_of[x] for x in double_coset(h_set, g))
+             for g in elements}, coset_of)
+
+
+def classifier_values(elements, h_set, case3: bool, core_oriented: bool,
+                      n_img: Optional[Perm] = None) -> set:
+    """All invariant values over the group elements, as comparable objects."""
+    def oriented(x: Perm):
+        if not case3:
+            return double_coset(h_set, x)
+        return frozenset({double_coset(h_set, x),
+                          double_coset(h_set, pmul(pmul(n_img, x), n_img))})
+
+    return {oriented(g) if core_oriented else frozenset({oriented(g), oriented(pinv(g))})
+            for g in elements}
 
 
 def _cycle(n: int) -> Perm:
@@ -214,11 +251,14 @@ def _cases_for(input: SurfaceKnotInput) -> tuple[tuple[CaseLabel, bool], ...]:
 
 @lru_cache(maxsize=None)
 def _resolved_groups():
+    """(case, presentation, subgroups) per GROUP_CORPUS case; the subgroups
+    are the trivial one, then the case's own, as tuples of words."""
     out = []
     for case in GROUP_CORPUS:
         parsed = parse_input(case.skg, label=case.name)
-        subgroups = tuple(tuple(parse_word(w, parsed.presentation) for w in words)
-                          for words in case.subgroups)
+        subgroups = ((),) + tuple(
+            tuple(parse_word(w, parsed.presentation) for w in words)
+            for words in case.subgroups)
         out.append((case, parsed.presentation, subgroups))
     return tuple(out)
 
@@ -250,10 +290,6 @@ def _random_subgroup_word(rng: random.Random, gens, max_factors: int = 8) -> Wor
     return concat(*parts)
 
 
-def _brute_double_coset(h_set, g: Perm) -> frozenset:
-    return frozenset(_mul(_mul(h, g), k) for h in h_set for k in h_set)
-
-
 def _sides(ctx: ClassifierContext):
     """(table, acting words) pairs to exercise: P, plus P+ when present."""
     sides = [(ctx.p_table, ctx.input.p_generators)]
@@ -270,7 +306,7 @@ def check_corpus_models() -> str:
     for case, pres, subgroups in _resolved_groups():
         identity = tuple(range(len(case.model[0])))
         for rel in pres.relators:
-            assert _eval(rel, case.model) == identity, \
+            assert peval(rel, case.model) == identity, \
                 f"{case.name}: model violates a relator"
         assert len(mulclose(case.model)) == case.order, \
             f"{case.name}: model order is not {case.order}"
@@ -295,14 +331,8 @@ def check_word_algebra(trials: int, seed: int) -> str:
 def check_enumeration_order_index() -> str:
     runs = 0
     for case, pres, subgroups in _resolved_groups():
-        table = enumerate_cosets(pres, [])
-        assert table.index == case.order, \
-            f"{case.name}: trivial-subgroup index {table.index} != order {case.order}"
-        runs += 1
         for words in subgroups:
-            h_size = len(mulclose([_eval(w, case.model) for w in words]
-                                  + [tuple(range(len(case.model[0])))]))
-            expected = case.order // h_size
+            expected = case.order // len(subgroup_of(words, case.model))
             table = enumerate_cosets(pres, words)
             assert table.index == expected, \
                 f"{case.name}: subgroup index {table.index} != {expected}"
@@ -359,24 +389,21 @@ def check_double_coset_partition() -> str:
         elements = mulclose(case.model)
         for words in subgroups:
             table = enumerate_cosets(pres, words)
-            h_set = mulclose([_eval(w, case.model) for w in words]
-                             + [tuple(range(len(case.model[0])))])
-            coset_of = {g: frozenset(_mul(h, g) for h in h_set) for g in elements}
+            h_set = subgroup_of(words, case.model)
+            brute, coset_of = double_coset_partition(elements, h_set)
             # the witness map must biject table cosets onto the model's cosets
-            bridge = {c: coset_of[_eval(table.witness(c), case.model)]
+            bridge = {c: coset_of[peval(table.witness(c), case.model)]
                       for c in range(1, table.index + 1)}
             assert len(set(bridge.values())) == table.index == \
                 len(elements) // len(h_set), f"{case.name}: bad coset bridge"
-            brute = {frozenset(coset_of[x] for x in _brute_double_coset(h_set, g))
-                     for g in elements}
             table_side = {frozenset(bridge[c] for c in orbit.orbit)
                           for orbit in dc_all(table, words)}
             assert table_side == brute, f"{case.name}: partitions differ"
             checked += 1
     # pinned sanity value: S3 with subgroup <a> has orbits of sizes 1 and 2
-    s3 = next(g for g in _resolved_groups() if g[0].name == "s3")
-    table = enumerate_cosets(s3[1], s3[2][0])
-    sizes = sorted(o.orbit_size for o in dc_all(table, s3[2][0]))
+    _case, pres, subgroups = next(g for g in _resolved_groups() if g[0].name == "s3")
+    a = subgroups[1]  # <a>, after the trivial subgroup
+    sizes = sorted(o.orbit_size for o in dc_all(enumerate_cosets(pres, a), a))
     assert sizes == [1, 2], f"s3/<a> orbit sizes {sizes}"
     return f"{checked} double-coset partitions equal brute force"
 
@@ -456,25 +483,12 @@ def check_classifier_count_oracle() -> str:
         if case.model is None:
             continue
         elements = mulclose(case.model)
-        identity = tuple(range(len(case.model[0])))
         case3 = not parsed.surface_orientable
         words = parsed.p_plus_generators if case3 else parsed.p_generators
-        h_set = mulclose([_eval(w, case.model) for w in words] + [identity])
-        n_img = _eval(parsed.n_word, case.model) if case3 else None
-
-        def value(g: Perm, core: bool):
-            if not case3:
-                dc = _brute_double_coset(h_set, g)
-                if core:
-                    return dc
-                return frozenset({dc, _brute_double_coset(h_set, _inv(g))})
-            def pair(x):
-                return frozenset({_brute_double_coset(h_set, x),
-                                  _brute_double_coset(h_set, _mul(_mul(n_img, x), n_img))})
-            return pair(g) if core else frozenset({pair(g), pair(_inv(g))})
-
+        h_set = subgroup_of(words, case.model)
+        n_img = peval(parsed.n_word, case.model) if case3 else None
         for label, core in _cases_for(parsed):
-            brute_count = len({value(g, core) for g in elements})
+            brute_count = len(classifier_values(elements, h_set, case3, core, n_img))
             classes = enumerate_classes(ctx, label, core)
             assert len(classes) == brute_count, \
                 f"{case.label} case{label.value} core={core}: " \
@@ -547,14 +561,12 @@ def check_validation_vs_brute() -> str:
     for case, parsed, ctx in _resolved_inputs():
         if case.model is None or parsed.surface_orientable:
             continue
-        identity = tuple(range(len(case.model[0])))
-        h_plus = mulclose([_eval(w, case.model)
-                           for w in parsed.p_plus_generators] + [identity])
-        n_img = _eval(parsed.n_word, case.model)
-        ok_d = all(_mul(_mul(n_img, _eval(w, case.model)), _inv(n_img)) in h_plus
-                   and _mul(_mul(_inv(n_img), _eval(w, case.model)), n_img) in h_plus
+        h_plus = subgroup_of(parsed.p_plus_generators, case.model)
+        n_img = peval(parsed.n_word, case.model)
+        ok_d = all(pmul(pmul(n_img, peval(w, case.model)), pinv(n_img)) in h_plus
+                   and pmul(pmul(pinv(n_img), peval(w, case.model)), n_img) in h_plus
                    for w in parsed.p_plus_generators)
-        ok_e = _mul(n_img, n_img) in h_plus
+        ok_e = pmul(n_img, n_img) in h_plus
         named = {c.name: c.status for c in ctx.report.checks}
         assert (named["twist_normalizes_p_plus"] == "pass") == ok_d
         assert (named["n_squared_in_p_plus"] == "pass") == ok_e
@@ -646,33 +658,37 @@ class SelfTestResult:
     detail: str
 
 
-def run_all(trials: int = 250, pairs: int = 160,
-            seed: int = 20260809) -> list[SelfTestResult]:
-    """Run every oracle property; used by `selftest` and the acceptance suite."""
-    checks: list[tuple[str, Callable[[], str]]] = [
-        ("corpus-models", check_corpus_models),
-        ("word-algebra", lambda: check_word_algebra(trials, seed)),
-        ("enumeration-order-index", check_enumeration_order_index),
-        ("enumeration-table-invariants", check_enumeration_table_invariants),
-        ("enumeration-determinism", lambda: check_enumeration_determinism(seed)),
-        ("double-coset-partition", check_double_coset_partition),
-        ("representative-independence",
-         lambda: check_representative_independence(max(trials // 2, 50), seed)),
-        ("involutions", check_involutions),
-        ("image-characterization", check_image_characterization),
-        ("trivial-group-sanity", check_trivial_sanity),
-        ("classifier-count-oracle", check_classifier_count_oracle),
-        ("classifier-invariances",
-         lambda: check_classifier_invariances(max(trials // 5, 20), seed)),
-        ("equivalence-relation", lambda: check_equivalence_relation(seed)),
-        ("input-roundtrip", check_roundtrip),
-        ("validation-vs-brute", check_validation_vs_brute),
-        ("quotient-soundness", lambda: check_quotient_soundness(pairs, seed)),
-        ("quotient-determinism", check_quotient_determinism),
-        ("record-determinism", check_record_determinism),
-    ]
+SEED = 20260809
+
+# every oracle property, in run order; `selftest` runs them all through
+# run_all, and the test suite runs each as a test of its own
+CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
+    ("corpus-models", check_corpus_models),
+    ("word-algebra", lambda: check_word_algebra(250, SEED)),
+    ("enumeration-order-index", check_enumeration_order_index),
+    ("enumeration-table-invariants", check_enumeration_table_invariants),
+    ("enumeration-determinism", lambda: check_enumeration_determinism(SEED)),
+    ("double-coset-partition", check_double_coset_partition),
+    ("representative-independence",
+     lambda: check_representative_independence(125, SEED)),
+    ("involutions", check_involutions),
+    ("image-characterization", check_image_characterization),
+    ("trivial-group-sanity", check_trivial_sanity),
+    ("classifier-count-oracle", check_classifier_count_oracle),
+    ("classifier-invariances", lambda: check_classifier_invariances(50, SEED)),
+    ("equivalence-relation", lambda: check_equivalence_relation(SEED)),
+    ("input-roundtrip", check_roundtrip),
+    ("validation-vs-brute", check_validation_vs_brute),
+    ("quotient-soundness", lambda: check_quotient_soundness(160, SEED)),
+    ("quotient-determinism", check_quotient_determinism),
+    ("record-determinism", check_record_determinism),
+)
+
+
+def run_all() -> list[SelfTestResult]:
+    """Run every oracle property; used by the `selftest` command."""
     results = []
-    for name, fn in checks:
+    for name, fn in CHECKS:
         try:
             detail = fn()
             results.append(SelfTestResult(name, True, detail))

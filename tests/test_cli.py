@@ -155,6 +155,13 @@ def test_missing_file(capsys):
     assert capsys.readouterr().err.startswith("error: cannot read /no/such/file.skg:")
 
 
+def test_invalid_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.skg"
+    path.write_bytes(b"group: a\xff\nP: a\norientable: true\n")
+    assert run(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: not valid UTF-8\n"
+
+
 def test_env_var_limits(skg, capsys, monkeypatch):
     path = skg("free2.skg", FREE2)
     monkeypatch.setenv("HANDLE_COSET_MAX_COSETS", "40")
@@ -197,6 +204,19 @@ def test_candidate_word_count_is_a_usage_error(skg, capsys):
                 "--candidate", "s"]) == 2
     assert capsys.readouterr().err == \
         "error: --candidate needs 2 words for case 3 with oriented core\n"
+
+
+def test_candidate_is_checked_before_the_build(skg, capsys, monkeypatch):
+    # the build would exhaust its budget (exit 3); the malformed candidate
+    # is a usage error (exit 2) and must be reported first
+    path = skg("ok.skg", "group: a b\nrel: a^2\nP: a\norientable: true\n")
+    monkeypatch.setenv("HANDLE_COSET_MAX_COSETS", "50")
+    assert run(["image-check", path, "--case", "1", "--candidate", "a;a;a"]) == 2
+    assert capsys.readouterr().err == "error: --candidate needs 2 words for case 1\n"
+    assert run(["image-check", path, "--case", "1", "--candidate", "a;zz"]) == 2
+    assert "unknown generator" in capsys.readouterr().err
+    assert run(["image-check", path, "--case", "1", "--candidate", "a;a"]) == 3
+    capsys.readouterr()
 
 
 def test_huge_exponent_is_a_syntax_error(skg, capsys):
@@ -276,6 +296,23 @@ def test_selftest_smoke(capsys):
     out = capsys.readouterr().out
     assert "0 failed" in out
     assert "FAIL" not in out
+
+
+def test_selftest_takes_no_records(tmp_path, capsys):
+    rec = tmp_path / "r.json"
+    assert run(["selftest", "--records", str(rec)]) == 2
+    assert "--records" in capsys.readouterr().err
+    assert not rec.exists()
+
+
+def test_cli_import_leaves_the_oracle_unloaded():
+    # every CLI process imports handlecoset.cli; only `selftest` needs the
+    # oracle suite, so the import must not pull it in
+    env = dict(os.environ, PYTHONPATH=str(Path(handlecoset.__file__).parents[1]))
+    code = "import sys, handlecoset.cli; print('handlecoset.selftest' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "False\n"
 
 
 Q8 = "group: a b\nrel: a^4\nrel: a^2 b^-2\nrel: b^-1 a b a\nP: a\norientable: true\n"

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from brute import classifier_values, peval, subgroup_of
-from handlecoset.double_cosets import UnorderedPair, dc_all, dc_id
+from handlecoset.double_cosets import UnorderedPair, dc_id
 from handlecoset.errors import (CaseMismatch, MissingPPlus,
                                 PreconditionUnverified, TableMismatch)
 from handlecoset.handle_classifier import (CaseLabel, ClassifierContext,
@@ -14,8 +13,7 @@ from handlecoset.handle_classifier import (CaseLabel, ClassifierContext,
                                            nonsurjectivity_witness,
                                            oriented_cord_invariant)
 from handlecoset.knot_input import parse_input, parse_word
-from handlecoset.selftest import INPUT_CORPUS
-from handlecoset.word_algebra import Word, concat, free_reduce, invert
+from handlecoset.word_algebra import Word, free_reduce, invert
 
 UNKNOTTED = "group: t\nP: t\norientable: true"
 T2 = "group: t\nP: t^2\norientable: true"
@@ -202,70 +200,6 @@ def test_nonsurjectivity_witnesses():
     witness = nonsurjectivity_witness(ctx, CaseLabel.CASE3, True)
     assert witness is not None
     assert not image_member(ctx, CaseLabel.CASE3, True, witness)
-
-
-def test_classes_accepted_by_image_member():
-    for text in (UNKNOTTED, T2, S3, D8_CASE3, C4_CASE3):
-        parsed, ctx = ctx_of(text)
-        cases = [(CaseLabel.CASE1, True), (CaseLabel.CASE1, False),
-                 (CaseLabel.CASE2, True), (CaseLabel.CASE2, False)] \
-            if parsed.surface_orientable else \
-            [(CaseLabel.CASE3, True), (CaseLabel.CASE3, False)]
-        for label, core in cases:
-            for inv, _rep in enumerate_classes(ctx, label, core):
-                assert image_member(ctx, label, core, inv)
-
-
-def test_slide_invariance_randomized():
-    rng = random.Random(11)
-    for text in (S3, D8_CASE3):
-        parsed, ctx = ctx_of(text)
-        case3 = not parsed.surface_orientable
-        label = CaseLabel.CASE3 if case3 else CaseLabel.CASE1
-        acting = list(parsed.p_plus_generators if case3 else parsed.p_generators)
-        ngens = len(parsed.presentation.generators)
-        for _ in range(100):
-            g = free_reduce([(rng.randrange(ngens), rng.choice((1, -1)))
-                             for _ in range(rng.randint(0, 6))])
-            p = concat(*[w if rng.random() < 0.5 else invert(w)
-                         for w in rng.choices(acting, k=rng.randint(0, 8))])
-            q = concat(*[w if rng.random() < 0.5 else invert(w)
-                         for w in rng.choices(acting, k=rng.randint(0, 8))])
-            for core in (True, False):
-                assert handle_invariant(ctx, label, core, concat(p, g, q)) == \
-                    handle_invariant(ctx, label, core, g)
-                if not core:
-                    assert handle_invariant(ctx, label, core, invert(g)) == \
-                        handle_invariant(ctx, label, core, g)
-
-
-def test_case3_orientation_swap_invariance():
-    parsed, ctx = ctx_of(D8_CASE3)
-    rng = random.Random(12)
-    n = parsed.n_word
-    for _ in range(60):
-        g = free_reduce([(rng.randrange(2), rng.choice((1, -1)))
-                         for _ in range(rng.randint(0, 6))])
-        assert handle_invariant(ctx, CaseLabel.CASE3, True, concat(n, g, n)) == \
-            handle_invariant(ctx, CaseLabel.CASE3, True, g)
-
-
-def test_count_oracle_against_brute_classifier():
-    for case in INPUT_CORPUS:
-        if case.model is None:
-            continue
-        parsed = parse_input(case.skg, label=case.label)
-        ctx = ClassifierContext.build(parsed)
-        case3 = not parsed.surface_orientable
-        words = parsed.p_plus_generators if case3 else parsed.p_generators
-        gens = [Word(((i, 1),)) for i in range(len(parsed.presentation.generators))]
-        elements = subgroup_of(gens, case.model)
-        h_set = subgroup_of(words, case.model)
-        n_img = peval(parsed.n_word, case.model) if case3 else None
-        label = CaseLabel.CASE3 if case3 else CaseLabel.CASE1
-        for core in (True, False):
-            brute = len(classifier_values(elements, h_set, case3, core, n_img))
-            assert len(enumerate_classes(ctx, label, core)) == brute, case.label
 
 
 def test_context_build_rejects_invalid_input():

@@ -2,13 +2,13 @@ import tracemalloc
 
 import pytest
 
-from brute import peval, pmul, pinv, subgroup_of
 from handlecoset.coset_enumeration import EnumerationLimits
 from handlecoset.errors import (DuplicateGenerator, MissingSection,
                                 SkgSyntaxError, UnknownGenerator)
 from handlecoset.knot_input import (MAX_WORD_LETTERS, SurfaceKnotInput,
                                     format_word, parse_input, parse_word,
                                     serialize, validate)
+from handlecoset.selftest import peval, pinv, pmul, subgroup_of
 from handlecoset.word_algebra import Word
 
 D8_CASE3 = ("group: r s\nrel: r^4\nrel: s^2\nrel: r s r s\n"
