@@ -24,7 +24,8 @@ from .coset_enumeration import EnumerationLimits, enumerate_cosets
 from .double_cosets import DoubleCosetId, UnorderedPair, dc_id
 from .errors import (HandleCosetError, MissingPPlus, MissingSection,
                      ResourceExhausted, SkgSyntaxError, UsageError)
-from .finite_quotient import SeparationVerdict, quotient_separate
+from .finite_quotient import (MAX_SEPARATE_DEGREE, SeparationVerdict,
+                              quotient_separate)
 from .handle_classifier import (CaseLabel, ClassifierContext, HandleInvariant,
                                 case_table, enumerate_classes,
                                 handle_invariant, image_member)
@@ -32,8 +33,6 @@ from .knot_input import format_word, parse_input, parse_word, validate
 from .word_algebra import Word
 
 ENV_MAX_COSETS = "HANDLE_COSET_MAX_COSETS"
-# the search lists all d! permutations of each degree d up to this bound
-MAX_SEPARATE_DEGREE = 8
 
 
 def _limits(max_cosets: Optional[int] = None) -> EnumerationLimits:
@@ -62,10 +61,6 @@ def _load(path: str):
     except UnicodeDecodeError:
         raise UsageError(f"cannot read {path}: not valid UTF-8")
     return parse_input(text, label=Path(path).stem)
-
-
-def _case(args) -> CaseLabel:
-    return CaseLabel(args.case)
 
 
 def _cords(args, presentation, expected: int) -> list[Word]:
@@ -128,10 +123,6 @@ def _emit(args, record: dict) -> None:
             raise UsageError(f"cannot write {args.records}: {exc.strerror}")
 
 
-def _context(args, input) -> ClassifierContext:
-    return ClassifierContext.build(input, _limits())
-
-
 def _defined(ctx: ClassifierContext) -> int:
     total = ctx.p_table.total_defined
     if ctx.p_plus_table is not None:
@@ -178,10 +169,10 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_invariant(args) -> int:
     input = _load(args.file)
-    case = _case(args)
+    case = CaseLabel(args.case)
     g = _cords(args, input.presentation, 1)[0]
     start = time.perf_counter()
-    ctx = _context(args, input)
+    ctx = ClassifierContext.build(input, _limits())
     inv = handle_invariant(ctx, case, args.core_oriented, g)
     elapsed = time.perf_counter() - start
     text = _formatter(input.presentation.generator_names)
@@ -198,9 +189,9 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_equiv(args) -> int:
     input = _load(args.file)
-    case = _case(args)
+    case = CaseLabel(args.case)
     g1, g2 = _cords(args, input.presentation, 2)
-    ctx = _context(args, input)
+    ctx = ClassifierContext.build(input, _limits())
     inv1 = handle_invariant(ctx, case, args.core_oriented, g1)
     inv2 = handle_invariant(ctx, case, args.core_oriented, g2)
     verdict = "equivalent" if inv1 == inv2 else "inequivalent"
@@ -214,8 +205,8 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_classes(args) -> int:
     input = _load(args.file)
-    case = _case(args)
-    ctx = _context(args, input)
+    case = CaseLabel(args.case)
+    ctx = ClassifierContext.build(input, _limits())
     classes = enumerate_classes(ctx, case, args.core_oriented)
     text = _formatter(input.presentation.generator_names)
     # a class's representative is the witness of its value's first double coset
@@ -237,7 +228,7 @@ def _cmd_classes(args) -> int:
 
 def _cmd_image_check(args) -> int:
     input = _load(args.file)
-    case = _case(args)
+    case = CaseLabel(args.case)
     parts = [p.strip() for p in args.candidate.split(";")]
     words = [parse_word(p, input.presentation) for p in parts]
     expected = {("case3", False): 4, ("case3", True): 2,
@@ -247,8 +238,8 @@ def _cmd_image_check(args) -> int:
         raise UsageError(f"--candidate needs {expected[key]} words "
                          f"for case {case.value}"
                          f"{' with oriented core' if args.core_oriented else ''}")
-    ctx = _context(args, input)
-    table, acting = case_table(ctx, case)
+    ctx = ClassifierContext.build(input, _limits())
+    table, acting, _n = case_table(ctx, case)
     ids = [dc_id(table, acting, w) for w in words]
     if len(ids) == 1:
         value = ids[0]
@@ -270,7 +261,7 @@ def _cmd_image_check(args) -> int:
 
 def _cmd_separate(args) -> int:
     input = _load(args.file)
-    case = _case(args)
+    case = CaseLabel(args.case)
     g1, g2 = _cords(args, input.presentation, 2)
     verdict = quotient_separate(input, case, args.core_oriented, g1, g2,
                                 max_degree=args.max_degree)

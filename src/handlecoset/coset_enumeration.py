@@ -86,10 +86,6 @@ class CosetTable:
     def index(self) -> int:
         return len(self._action[0]) - 1
 
-    @property
-    def ncols(self) -> int:
-        return 2 * self.n_generators
-
     def letter_action(self, coset: int, letter: tuple[int, int]) -> int:
         if not 1 <= coset <= self.index:
             raise CosetRangeError(coset, self.index)

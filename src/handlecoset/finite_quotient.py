@@ -5,8 +5,10 @@ groups of small degree and compare the handle invariants inside the
 finite image.  Double-coset equality is preserved by any homomorphism,
 so a difference in some image certifies inequivalence; agreement proves
 nothing.  Inside a finite image everything is brute force over
-permutations, deliberately independent of the enumeration engine; only
-the encoding of words as action columns is shared with it.
+permutations, deliberately independent of the enumeration engine.  Two
+things are shared with the rest of the package: the encoding of words
+as action columns, and the case dispatch (handle_classifier.case_words),
+which picks the acting words and the twist word.
 """
 
 from __future__ import annotations
@@ -15,15 +17,20 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 from .coset_enumeration import _columns
-from .errors import CaseMismatch
-from .handle_classifier import CaseLabel
+from .handle_classifier import CaseLabel, case_words
 from .knot_input import SurfaceKnotInput
 from .word_algebra import GroupPresentation, Word
 
 Perm = tuple[int, ...]
+Columns = tuple[int, ...]  # a word compiled by _columns
+
+# the search lists all d! permutations of each degree d up to this bound
+MAX_SEPARATE_DEGREE = 8
+# assignments kept per degree, in lexicographic order of generator images
+HOM_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -45,7 +52,7 @@ class SeparationVerdict(Enum):
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
     """Apply p, then q (matching left-to-right word evaluation)."""
-    return tuple(q[x] for x in p)
+    return tuple(map(q.__getitem__, p))
 
 
 def perm_inverse(p: Perm) -> Perm:
@@ -73,12 +80,9 @@ def _holds(action: list[Perm], relators: list[tuple[int, ...]], points: range) -
     return True
 
 
-def eval_word(images: tuple[Perm, ...], degree: int, word: Word) -> Perm:
-    action: list[Perm] = []
-    for p in images:
-        action += (p, perm_inverse(p))
-    columns = _columns(word)
-    return tuple(_trace(action, columns, x) for x in range(degree))
+def _check_degree(degree: int) -> None:
+    if not 1 <= degree <= MAX_SEPARATE_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_SEPARATE_DEGREE}, got {degree}")
 
 
 @lru_cache(maxsize=None)
@@ -115,91 +119,100 @@ def _search(pres: GroupPresentation, degree: int, limit: int) -> tuple[Permutati
 
 
 def find_homomorphisms(pres: GroupPresentation, degree: int,
-                       limit: int = 64) -> list[PermutationAssignment]:
+                       limit: int = HOM_LIMIT) -> list[PermutationAssignment]:
     """Backtracking search for homomorphisms into S_degree.
 
     Generator images are tried in lexicographic order, so the output
     order is deterministic; at most `limit` assignments are returned and
     each one satisfies every relator.  An empty list is a valid result.
+    The degree must lie in 1..MAX_SEPARATE_DEGREE.
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    _check_degree(degree)
     if limit < 0:
         raise ValueError("limit must be >= 0")
     return list(_search(pres, degree, limit))
 
 
-@lru_cache(maxsize=100_000)
-def _double_coset_min(subgens: tuple[Perm, ...], x: Perm) -> Perm:
-    """Minimal element of (subgroup) x (subgroup), by closure from x."""
-    moves = []
-    for s in subgens:
-        moves.append(("L", s))
-        moves.append(("L", perm_inverse(s)))
-        moves.append(("R", s))
-        moves.append(("R", perm_inverse(s)))
-    seen = {x}
-    stack = [x]
-    while stack:
-        y = stack.pop()
-        for side, s in moves:
-            z = perm_compose(s, y) if side == "L" else perm_compose(y, s)
-            if z not in seen:
-                seen.add(z)
-                stack.append(z)
-    return min(seen)
+def _image_value(hom: PermutationAssignment, acting: list[Columns],
+                 n: Optional[Columns], core_oriented: bool) -> Callable[[Columns], object]:
+    """The invariant of a cord inside hom's image, as a function of the
+    cord word compiled by _columns.  The generator action and the images
+    of the acting words and of n are built once, so every cord evaluated
+    through the result shares them.  A double coset is named by its
+    least permutation."""
+    action: list[Callable[[int], int]] = []
+    for p in hom.images:
+        action += (p.__getitem__, perm_inverse(p).__getitem__)
+    identity = tuple(range(hom.degree))
 
+    def image(columns: Columns) -> Perm:
+        x = identity
+        for c in columns:
+            x = tuple(map(action[c], x))
+        return x
 
-def _image_invariant(hom: PermutationAssignment, subgroup_words: tuple[Word, ...],
-                     n_word: Optional[Word], case3: bool, core_oriented: bool,
-                     g: Word):
-    degree = hom.degree
-    subgens = tuple(eval_word(hom.images, degree, w) for w in subgroup_words)
-    gp = eval_word(hom.images, degree, g)
+    subgens = [image(w) for w in acting]
+    right_moves = [s.__getitem__ for s in subgens]
 
     def dc(x: Perm) -> Perm:
-        return _double_coset_min(subgens, x)
+        # Hx is the closure of {x} under y -> s*y, and HxH that of Hx under
+        # y -> y*s; in a finite group the inverse moves are products of
+        # these, so neither closure needs them
+        seen = {x}
+        stack = [x]
+        while stack:
+            y_of = stack.pop().__getitem__
+            for s in subgens:
+                z = tuple(map(y_of, s))
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+        stack = list(seen)
+        while stack:
+            y = stack.pop()
+            for s_of in right_moves:
+                z = tuple(map(s_of, y))
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+        return min(seen)
 
-    if not case3:
+    if n is None:
+        oriented = dc
+    else:
+        n_image = image(n)
+
+        def oriented(x: Perm) -> frozenset:
+            return frozenset({dc(x), dc(perm_compose(perm_compose(n_image, x), n_image))})
+
+    def value(g: Columns):
+        x = image(g)
         if core_oriented:
-            return dc(gp)
-        return frozenset({dc(gp), dc(perm_inverse(gp))})
+            return oriented(x)
+        return frozenset({oriented(x), oriented(perm_inverse(x))})
 
-    np = eval_word(hom.images, degree, n_word)
-
-    def trio(x: Perm) -> frozenset:
-        return frozenset({dc(x), dc(perm_compose(perm_compose(np, x), np))})
-
-    if core_oriented:
-        return trio(gp)
-    return frozenset({trio(gp), trio(perm_inverse(gp))})
+    return value
 
 
 def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
                       core_oriented: bool, g1: Word, g2: Word,
-                      max_degree: int = 6,
-                      hom_limit: int = 64) -> SeparationVerdict:
+                      max_degree: int = 6) -> SeparationVerdict:
     """Try to certify that g1 and g2 carry inequivalent 1-handles.
 
     DISTINCT only when some homomorphism onto a permutation group of
     degree <= max_degree gives the two words different invariants there;
-    UNKNOWN otherwise.  Never claims equivalence.
+    UNKNOWN otherwise.  Never claims equivalence.  Raises CaseMismatch
+    if the case does not fit the input's surface, and ValueError if
+    max_degree lies outside 1..MAX_SEPARATE_DEGREE.
     """
-    case3 = not case.requires_orientable
-    if case3 != (not input.surface_orientable):
-        raise CaseMismatch(f"case {case.value} does not match the input's orientability")
-    if case3:
-        subgroup_words = input.p_plus_generators
-        n_word = input.n_word
-    else:
-        subgroup_words = input.p_generators
-        n_word = None
+    acting, n = case_words(input, case)
+    _check_degree(max_degree)
+    acting_columns = [_columns(w) for w in acting]
+    n_columns = None if n is None else _columns(n)
+    c1, c2 = _columns(g1), _columns(g2)
     for degree in range(1, max_degree + 1):
-        for hom in _search(input.presentation, degree, hom_limit):
-            v1 = _image_invariant(hom, subgroup_words, n_word, case3,
-                                  core_oriented, g1)
-            v2 = _image_invariant(hom, subgroup_words, n_word, case3,
-                                  core_oriented, g2)
-            if v1 != v2:
+        for hom in _search(input.presentation, degree, HOM_LIMIT):
+            value = _image_value(hom, acting_columns, n_columns, core_oriented)
+            if value(c1) != value(c2):
                 return SeparationVerdict.DISTINCT
     return SeparationVerdict.UNKNOWN

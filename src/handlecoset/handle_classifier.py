@@ -140,23 +140,31 @@ class ClassifierContext:
         return cls(input, p_table, p_plus_table, report)
 
 
-def _require_case(ctx: ClassifierContext, case: CaseLabel) -> None:
-    if case.requires_orientable != ctx.input.surface_orientable:
+def case_words(input: SurfaceKnotInput,
+               case: CaseLabel) -> tuple[Sequence[Word], Optional[Word]]:
+    """The acting words and twist word a case works with: the P+
+    generators and n for Case 3, the P generators and None for Cases 1
+    and 2.  Raises CaseMismatch if the case does not fit the input's
+    surface."""
+    if case.requires_orientable != input.surface_orientable:
         want = "an orientable" if case.requires_orientable else "a non-orientable"
         raise CaseMismatch(f"case {case.value} needs {want} surface input")
+    if case is CaseLabel.CASE3:
+        return input.p_plus_generators, input.n_word
+    return input.p_generators, None
 
 
-def case_table(ctx: ClassifierContext,
-               case: CaseLabel) -> tuple[CosetTable, Sequence[Word]]:
-    """The table and acting words a case works over: P+ for Case 3, P
-    for Cases 1 and 2.  Raises CaseMismatch if the case does not fit the
-    input's surface."""
-    _require_case(ctx, case)
-    if case is not CaseLabel.CASE3:
-        return ctx.p_table, ctx.input.p_generators
+def case_table(ctx: ClassifierContext, case: CaseLabel
+               ) -> tuple[CosetTable, Sequence[Word], Optional[Word]]:
+    """The table, acting words and twist word a case works over:
+    case_words(ctx.input, case) with the P+ table for Case 3 and the P
+    table for Cases 1 and 2."""
+    acting, n = case_words(ctx.input, case)
+    if n is None:
+        return ctx.p_table, acting, None
     if ctx.p_plus_table is None:
         raise MissingPPlus("this context has no P+ table")
-    return ctx.p_plus_table, ctx.input.p_plus_generators
+    return ctx.p_plus_table, acting, n
 
 
 def oriented_cord_invariant(ctx: ClassifierContext, g: Word) -> DoubleCosetId:
@@ -175,19 +183,18 @@ def local_oriented_cord_invariant(ctx: ClassifierContext, g: Word) -> DoubleCose
     return dc_id(ctx.p_plus_table, ctx.input.p_plus_generators, g)
 
 
-def _value(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
-           table: CosetTable, acting: Sequence[Word],
+def _value(ctx: ClassifierContext, core_oriented: bool, table: CosetTable,
+           acting: Sequence[Word], n: Optional[Word],
            d: DoubleCosetId) -> InvariantValue:
     """The invariant value of a double coset d over case_table(ctx, case),
-    which is (table, acting)."""
-    if case is not CaseLabel.CASE3:
+    which is (table, acting, n); n is None outside Case 3."""
+    if n is None:
         if core_oriented:
             return d
         return UnorderedPair(d, dc_invert(table, acting, d))
 
     def with_twist(x: DoubleCosetId) -> UnorderedPair:
-        return UnorderedPair(x, dc_twist(table, acting, ctx.input.n_word, x,
-                                         ctx.report))
+        return UnorderedPair(x, dc_twist(table, acting, n, x, ctx.report))
 
     if core_oriented:
         return with_twist(d)
@@ -197,10 +204,10 @@ def _value(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
 def handle_invariant(ctx: ClassifierContext, case: CaseLabel,
                      core_oriented: bool, g: Word) -> HandleInvariant:
     """Invariant of the 1-handle carried by the cord word g."""
-    table, acting = case_table(ctx, case)
+    table, acting, n = case_table(ctx, case)
     d = dc_id(table, acting, g)
     return HandleInvariant(case, core_oriented,
-                           _value(ctx, case, core_oriented, table, acting, d))
+                           _value(ctx, core_oriented, table, acting, n, d))
 
 
 def equivalent(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
@@ -217,13 +224,13 @@ def image_member(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
     The value of a double coset D always contains D, so a candidate is
     realized iff it is the value of one of its own double cosets.
     """
-    table, acting = case_table(ctx, case)
+    table, acting, n = case_table(ctx, case)
     if candidate.kind != _kind_of(case, core_oriented):
         raise CaseMismatch("candidate carries a different kind of value")
     ids = candidate.double_cosets()
     if any(d.table is not table for d in ids):
         raise TableMismatch("candidate was built over a different table")
-    return any(_value(ctx, case, core_oriented, table, acting, d) == candidate.value
+    return any(_value(ctx, core_oriented, table, acting, n, d) == candidate.value
                for d in ids)
 
 
@@ -236,12 +243,12 @@ def enumerate_classes(ctx: ClassifierContext, case: CaseLabel,
     double coset of a value has that same value, so the first one reached
     is the value's least, and the representative is its witness.
     """
-    table, acting = case_table(ctx, case)
+    table, acting, n = case_table(ctx, case)
     out: list[tuple[HandleInvariant, Word]] = []
     seen: set[HandleInvariant] = set()
     for d in dc_all(table, acting):
         inv = HandleInvariant(case, core_oriented,
-                              _value(ctx, case, core_oriented, table, acting, d))
+                              _value(ctx, core_oriented, table, acting, n, d))
         if inv not in seen:
             seen.add(inv)
             out.append((inv, d.representative()))
@@ -257,16 +264,15 @@ def nonsurjectivity_witness(ctx: ClassifierContext, case: CaseLabel,
     of a word outside the relevant subgroup with the class of the
     identity; image_member rejects it.
     """
-    table, acting = case_table(ctx, case)
+    table, acting, n = case_table(ctx, case)
     d_one = dc_id(table, acting, Word())
 
-    if case is not CaseLabel.CASE3:
+    if n is None:
         if core_oriented or table.index == 1:
             return None  # bijective map, or P = G
         d_out = dc_id(table, acting, table.witness(2))
         return HandleInvariant(case, False, UnorderedPair(d_out, d_one))
 
-    n = ctx.input.n_word
     if not table.membership(n):
         # n witnesses P+ != P: {class(n), class(1)} is never hit
         pair = UnorderedPair(dc_id(table, acting, n), d_one)

@@ -431,16 +431,22 @@ def check_involutions() -> str:
             orbits = dc_all(table, acting)
             assert sum(o.orbit_size for o in orbits) == table.index
             for d in orbits:
-                assert dc_invert(table, acting, dc_invert(table, acting, d)) == d
+                once = dc_invert(table, acting, d)
+                assert once == dc_id(table, acting, invert(d.representative())), \
+                    f"{case.label}: inversion disagrees with the inverted witness"
+                assert dc_invert(table, acting, once) == d
                 total += 1
         if ctx.p_plus_table is not None:
-            table, acting = ctx.p_plus_table, parsed.p_plus_generators
+            table, acting, n = ctx.p_plus_table, parsed.p_plus_generators, parsed.n_word
             for d in dc_all(table, acting):
-                once = dc_twist(table, acting, parsed.n_word, d, ctx.report)
-                twice = dc_twist(table, acting, parsed.n_word, once, ctx.report)
+                once = dc_twist(table, acting, n, d, ctx.report)
+                assert once == dc_id(table, acting, concat(n, d.representative(), n)), \
+                    f"{case.label}: twist disagrees with n w n on the witness"
+                twice = dc_twist(table, acting, n, once, ctx.report)
                 assert twice == d, f"{case.label}: twist is not an involution"
                 total += 1
-    return f"{total} double cosets verified under invert^2 = twist^2 = id"
+    return (f"{total} double cosets verified against their witnesses "
+            f"and under invert^2 = twist^2 = id")
 
 
 def check_image_characterization() -> str:

@@ -51,12 +51,6 @@ class Word:
     def __bool__(self) -> bool:
         return bool(self.letters)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return concat(self, other)
-
-    def inverse(self) -> "Word":
-        return invert(self)
-
     @property
     def is_identity(self) -> bool:
         return not self.letters

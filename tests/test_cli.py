@@ -114,6 +114,13 @@ def test_separate_max_degree_bounds(skg, capsys):
     capsys.readouterr()
 
 
+def test_separate_case_mismatch(skg, capsys):
+    path = skg("t2.skg", T2)
+    assert run(["separate", path, "--case", "3", "--cord", "t", "--cord", "1"]) == 1
+    assert capsys.readouterr().err == \
+        "error: case 3 needs a non-orientable surface input\n"
+
+
 def test_exit_code_domain_error(skg, capsys):
     path = skg("s3.skg", S3)
     assert run(["invariant", path, "--case", "3", "--cord", "b"]) == 1
@@ -291,11 +298,23 @@ def test_invariant_record_shape(skg, tmp_path, capsys):
     assert record["cosets_defined"] >= 3
 
 
-def test_selftest_smoke(capsys):
+def _stub_fail() -> str:
+    raise AssertionError("stub broke")
+
+
+def test_selftest_smoke(capsys, monkeypatch):
+    # each real check runs as its own test_selftest_property item; here
+    # stubs drive only the command's PASS/FAIL lines and exit code
+    from handlecoset import selftest
+    monkeypatch.setattr(selftest, "CHECKS", (("stub-pass", lambda: "all good"),
+                                             ("stub-fail", _stub_fail)))
+    assert run(["selftest"]) == 1
+    assert capsys.readouterr().out == ("PASS stub-pass: all good\n"
+                                       "FAIL stub-fail: AssertionError: stub broke\n"
+                                       "2 properties, 1 failed\n")
+    monkeypatch.setattr(selftest, "CHECKS", (("stub-pass", lambda: "all good"),))
     assert run(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "0 failed" in out
-    assert "FAIL" not in out
+    assert capsys.readouterr().out == "PASS stub-pass: all good\n1 properties, 0 failed\n"
 
 
 def test_selftest_takes_no_records(tmp_path, capsys):

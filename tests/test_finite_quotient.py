@@ -1,15 +1,19 @@
 import itertools
+import random
 
 import pytest
 
 from handlecoset.errors import CaseMismatch
-from handlecoset.finite_quotient import (SeparationVerdict,
+from handlecoset.finite_quotient import (MAX_SEPARATE_DEGREE,
+                                         SeparationVerdict,
                                          find_homomorphisms,
                                          quotient_separate)
 from handlecoset.handle_classifier import CaseLabel
 from handlecoset.knot_input import parse_input, parse_word
-from handlecoset.selftest import peval
-from handlecoset.word_algebra import Word
+from handlecoset.selftest import (INPUT_CORPUS, _random_subgroup_word,
+                                  _random_word, classifier_values, peval,
+                                  subgroup_of)
+from handlecoset.word_algebra import Word, concat, invert
 
 C2 = parse_input("group: a\nrel: a^2\nP: 1\norientable: true").presentation
 C3 = parse_input("group: a\nrel: a^3\nP: 1\norientable: true").presentation
@@ -124,10 +128,94 @@ def test_separate_case3():
 
 
 def test_separate_case_mismatch():
-    with pytest.raises(CaseMismatch):
+    with pytest.raises(CaseMismatch,
+                       match="^case 3 needs a non-orientable surface input$"):
         quotient_separate(S3_INPUT, CaseLabel.CASE3, True, Word(), Word())
+    with pytest.raises(CaseMismatch,
+                       match="^case 1 needs an orientable surface input$"):
+        quotient_separate(D8_CASE3, CaseLabel.CASE1, True, Word(), Word())
 
 
 def test_degree_validation():
-    with pytest.raises(ValueError):
-        find_homomorphisms(C2, 0)
+    # the library bounds the degree itself: 0 used to give UNKNOWN without
+    # a search, and 9 to list all 9! permutations
+    for degree in (0, MAX_SEPARATE_DEGREE + 1):
+        with pytest.raises(ValueError, match="degree must be in 1..8"):
+            find_homomorphisms(C2, degree)
+        with pytest.raises(ValueError, match="degree must be in 1..8"):
+            quotient_separate(T2_INPUT, CaseLabel.CASE1, True, Word(), Word(),
+                              max_degree=degree)
+
+
+def _brute_separates(input, case, core_oriented, g1, g2, max_degree):
+    """True iff some find_homomorphisms image of degree <= max_degree
+    gives g1 and g2 different invariant values, each value computed by
+    the oracle's element-level double cosets."""
+    case3 = case is CaseLabel.CASE3
+    acting = input.p_plus_generators if case3 else input.p_generators
+    for degree in range(1, max_degree + 1):
+        for hom in find_homomorphisms(input.presentation, degree):
+            h_set = subgroup_of(acting, hom.images)
+            n_img = peval(input.n_word, hom.images) if case3 else None
+            values = [classifier_values([peval(g, hom.images)], h_set, case3,
+                                        core_oriented, n_img) for g in (g1, g2)]
+            if values[0] != values[1]:
+                return True
+    return False
+
+
+def _related_word(rng, input, case, core_oriented, g, moved):
+    """A word the exact invariant cannot tell from g: a slide p g' q with
+    p, q in the acting subgroup.  g' is g, or if moved, its inverse
+    (unoriented cores) or n g n (Case 3 oriented cores)."""
+    case3 = case is CaseLabel.CASE3
+    acting = input.p_plus_generators if case3 else input.p_generators
+    choices = [g]
+    if not core_oriented:
+        choices.append(invert(g))
+    if case3 and core_oriented:
+        choices.append(concat(input.n_word, g, input.n_word))
+    return concat(_random_subgroup_word(rng, acting), choices[-1] if moved else g,
+                  _random_subgroup_word(rng, acting))
+
+
+# every oracle input, plus two where inversion moves double cosets in an
+# image of degree <= 4 (Z/3 with trivial P), which no INPUT_CORPUS input has
+SEPARATE_INPUTS = [(c.label, c.skg, c.sample_cord) for c in INPUT_CORPUS] + [
+    ("t3", "group: t\nP: t^3\norientable: true", "t"),
+    ("t3-case3", "group: t\nP: t^3\nP+: t^3\nn: 1\norientable: false", "t"),
+]
+
+
+@pytest.mark.parametrize("label,skg,sample", SEPARATE_INPUTS,
+                         ids=[label for label, *_ in SEPARATE_INPUTS])
+def test_separate_matches_brute_force_images(label, skg, sample):
+    input = parse_input(skg, label=label)
+    cases = [CaseLabel.CASE3] if not input.surface_orientable \
+        else [CaseLabel.CASE1, CaseLabel.CASE2]
+    rng = random.Random(f"separate-{label}")
+    ngens = len(input.presentation.generators)
+    verdicts = set()
+    for case in cases:
+        for core_oriented in (True, False):
+            for k in range(8):
+                # the sample cord moves under the inverse and the twist in
+                # the inputs where some image of degree <= 4 lets them act
+                g1 = parse_word(sample, input.presentation) if k < 2 \
+                    else _random_word(rng, ngens)
+                g2 = _related_word(rng, input, case, core_oriented, g1,
+                                   moved=k % 4 == 1) \
+                    if k % 2 else _random_word(rng, ngens)
+                max_degree = 3 + k % 2
+                expected = _brute_separates(input, case, core_oriented, g1, g2,
+                                            max_degree)
+                verdict = quotient_separate(input, case, core_oriented, g1, g2,
+                                            max_degree=max_degree)
+                assert (verdict is SeparationVerdict.DISTINCT) == expected, \
+                    (case, core_oriented, g1, g2)
+                verdicts.add(verdict)
+    assert SeparationVerdict.UNKNOWN in verdicts
+    # the unknotted input has P = G, and C5 has no non-trivial image of
+    # degree <= 4; every other input gets a separated pair
+    if label not in ("unknotted", "c5-trivial"):
+        assert SeparationVerdict.DISTINCT in verdicts
