@@ -4,7 +4,7 @@ The package takes a knot group presentation together with generating
 words for its peripheral subgroups, enumerates cosets (Todd-Coxeter),
 and classifies cords and 1-handles through canonical double-coset
 invariants, with a finite-quotient fallback for separating pairs when
-enumeration is out of reach.
+enumeration is out of reach and for proving infinite index.
 """
 
 from .coset_enumeration import (CosetTable, EnumerationLimits,
@@ -12,8 +12,8 @@ from .coset_enumeration import (CosetTable, EnumerationLimits,
 from .double_cosets import (DoubleCosetId, UnorderedPair, dc_all, dc_id,
                             dc_invert, dc_twist)
 from .errors import (CaseMismatch, CosetRangeError, DuplicateGenerator,
-                     HandleCosetError, MissingPPlus, MissingSection,
-                     PreconditionUnverified, ResourceExhausted,
+                     HandleCosetError, InfiniteIndex, MissingPPlus,
+                     MissingSection, PreconditionUnverified, ResourceExhausted,
                      SkgSyntaxError, TableMismatch, UnknownGenerator,
                      UsageError)
 from .finite_quotient import (PermutationAssignment, SeparationVerdict,
@@ -36,7 +36,7 @@ __all__ = [
     "CaseLabel", "CaseMismatch", "ClassifierContext", "CosetRangeError",
     "CosetTable", "DoubleCosetId", "DuplicateGenerator", "EnumerationLimits",
     "GeneratorSymbol", "GroupPresentation", "HandleCosetError",
-    "HandleInvariant", "MissingPPlus", "MissingSection",
+    "HandleInvariant", "InfiniteIndex", "MissingPPlus", "MissingSection",
     "PermutationAssignment", "PreconditionUnverified", "ResourceExhausted",
     "SeparationVerdict", "SkgSyntaxError", "SurfaceKnotInput", "TableMismatch",
     "UnknownGenerator", "UnorderedPair", "UsageError", "ValidationCheck",

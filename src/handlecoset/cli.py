@@ -7,7 +7,9 @@ input and version give byte-identical output, so wall-clock timing is
 printed only on the human stream.
 
 Exit codes: 0 success, 1 domain error (message names the failing check),
-2 syntax or usage error, 3 enumeration resource exhaustion.
+2 syntax or usage error, 3 no table: enumeration resource exhaustion, or
+a proof that P has infinite index (errors.InfiniteIndex; the message
+says which).
 """
 
 from __future__ import annotations

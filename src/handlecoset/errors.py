@@ -41,19 +41,44 @@ class MissingSection(HandleCosetError):
 class ResourceExhausted(HandleCosetError):
     """Coset enumeration hit its limits before completing.
 
-    Inconclusive: the index may be infinite, or merely larger than the
-    budget.  Callers must never read this as "infinite index".
+    Inconclusive in itself: the index may be infinite, or merely larger
+    than the budget.  Only the InfiniteIndex subclass is a proof of
+    infinite index; a plain ResourceExhausted must never be read as one.
     """
 
-    def __init__(self, limits, live_cosets: int, total_defined: int):
+    def __init__(self, limits, live_cosets: int, total_defined: int,
+                 what: str = "coset enumeration exhausted its budget"):
         super().__init__(
-            f"coset enumeration exhausted its budget "
+            f"{what} "
             f"({live_cosets} live cosets, {total_defined} defined; "
             f"limits: {limits.max_live_cosets} live / {limits.max_total_defined} total)"
         )
         self.limits = limits
         self.live_cosets = live_cosets
         self.total_defined = total_defined
+
+
+class InfiniteIndex(ResourceExhausted):
+    """P has infinite index, proved in a finite image of the group.
+
+    Raised by ClassifierContext.build when its probe enumeration ran out
+    and a transitive permutation image of the given degree has a point
+    stabilizer H with H^ab of rank h_rank over Q, of which the
+    intersection of P with H spans only p_rank.  The coset counts and
+    limits are the probe's.
+    """
+
+    def __init__(self, limits, live_cosets: int, total_defined: int,
+                 degree: int, h_rank: int, p_rank: int):
+        super().__init__(
+            limits, live_cosets, total_defined,
+            f"P has infinite index: in a transitive permutation image of "
+            f"degree {degree}, the point stabilizer H has H^ab of rank "
+            f"{h_rank} over Q and the intersection of P with H spans rank "
+            f"{p_rank}; the probe enumeration stopped")
+        self.degree = degree
+        self.h_rank = h_rank
+        self.p_rank = p_rank
 
 
 class CosetRangeError(HandleCosetError):

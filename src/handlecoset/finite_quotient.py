@@ -1,4 +1,5 @@
-"""Finite-quotient separation: sound but incomplete inequivalence tests.
+"""Finite quotients: sound but incomplete separation, and proofs of
+infinite index.
 
 When coset enumeration is out of reach, map the group onto permutation
 groups of small degree and compare the handle invariants inside the
@@ -9,6 +10,13 @@ permutations, deliberately independent of the enumeration engine.  Two
 things are shared with the rest of the package: the encoding of words
 as action columns, and the case dispatch (handle_classifier.case_words),
 which picks the acting words and the twist word.
+
+The same images can prove that a subgroup K has infinite index, which
+no enumeration budget can (index_certificate): in a transitive image
+the stabilizer H of point 0 has finite index, and abelianised
+Reidemeister-Schreier gives H^ab over Q; if H_K, the intersection of K
+with H, spans a smaller rank there, |H : H_K| is infinite, and so is
+|G : K|.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .coset_enumeration import _columns
 from .handle_classifier import CaseLabel, case_words
@@ -31,6 +39,8 @@ Columns = tuple[int, ...]  # a word compiled by _columns
 MAX_SEPARATE_DEGREE = 8
 # assignments kept per degree, in lexicographic order of generator images
 HOM_LIMIT = 64
+# degrees of the images infinite_index_certificate searches
+CERTIFICATE_DEGREES = range(2, 6)
 
 
 @dataclass(frozen=True)
@@ -216,3 +226,146 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
             if value(c1) != value(c2):
                 return SeparationVerdict.DISTINCT
     return SeparationVerdict.UNKNOWN
+
+
+class IndexCertificate(NamedTuple):
+    """A proof that a subgroup K has infinite index in the group.
+
+    hom is transitive; H, the stabilizer of point 0 in its image, has
+    H^ab over Q of rank h_rank, and H_K = K intersect H spans only
+    p_rank < h_rank of it.  So H_K has infinite index in H, and since
+    |G : H| = degree is finite, K has infinite index in G.  (A NamedTuple
+    costs a sixth of a frozen dataclass at import.)
+    """
+
+    hom: PermutationAssignment
+    h_rank: int
+    p_rank: int
+
+    @property
+    def degree(self) -> int:
+        return self.hom.degree
+
+
+def _extend_basis(basis: list[tuple[int, dict]], rows: Iterable[list[int]],
+                  width: int) -> None:
+    """Add the integer rows to an echelon basis of Q^width, by exact
+    elimination in Fractions, until it spans the whole space.  A basis
+    row is its pivot column and its nonzero entries, 1 at the pivot and
+    0 at every earlier pivot, so len(basis) is the rank."""
+    # imported here: the fractions module would add a fifth to the
+    # package's import time, which every CLI process pays
+    from fractions import Fraction
+
+    for dense in rows:
+        if len(basis) == width:
+            return
+        row = {c: Fraction(x) for c, x in enumerate(dense) if x}
+        for col, b in basis:
+            f = row.get(col)
+            if f:
+                for c, y in b.items():
+                    x = row.get(c, 0) - f * y
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+        if row:
+            lead = min(row)
+            pivot = row[lead]
+            basis.append((lead, {c: x / pivot for c, x in row.items()}))
+
+
+def index_certificate(hom: PermutationAssignment, pres: GroupPresentation,
+                      subgroup: Sequence[Word]) -> Optional[IndexCertificate]:
+    """A certificate that the subgroup has infinite index, read off one
+    homomorphism, or None (the image is not transitive, or its ranks do
+    not differ).
+
+    Abelianised Reidemeister-Schreier: a breadth-first Schreier tree from
+    point 0 leaves one symbol per non-tree edge x --g--> x g, and a word
+    traced from a point becomes the vector of symbols it crosses (+1
+    forwards, -1 against a generator).  H^ab over Q is the symbol space
+    modulo one row per (relator, point).  H_K = K intersect H is
+    generated by u_o w u_o'^-1, for o in the K-orbit of 0, w a subgroup
+    generator and o' = o w, where u_o is a product of subgroup generators
+    carrying 0 to o; its row is U[o] + (w traced from o) - U[o'], with
+    U[o] the row of u_o traced from 0.
+    """
+    ngens = len(pres.generators)
+    action: list[Perm] = []
+    for p in hom.images:
+        action += (p, perm_inverse(p))
+    tree: set[tuple[int, int]] = set()  # edges (x, i) with x g_i on the tree
+    order = [0]
+    reached = {0}
+    for x in order:  # grows while it is walked
+        for col, perm in enumerate(action):
+            y = perm[x]
+            if y not in reached:
+                reached.add(y)
+                order.append(y)
+                tree.add((x, col >> 1) if col % 2 == 0 else (y, col >> 1))
+    if len(order) < hom.degree:
+        return None
+    symbol = {}
+    for x in range(hom.degree):
+        for i in range(ngens):
+            if (x, i) not in tree:
+                symbol[x, i] = len(symbol)
+    width = len(symbol)
+
+    def rewrite(columns: Columns, x: int) -> tuple[list[int], int]:
+        row = [0] * width
+        for c in columns:
+            if c & 1:
+                x = action[c][x]
+                k = symbol.get((x, c >> 1))
+                if k is not None:
+                    row[k] -= 1
+            else:
+                k = symbol.get((x, c >> 1))
+                if k is not None:
+                    row[k] += 1
+                x = action[c][x]
+        return row, x
+
+    relators = [_columns(rel) for rel in pres.relators]
+    basis: list[tuple[int, dict]] = []
+    _extend_basis(basis, (rewrite(rel, x)[0]
+                          for rel in relators for x in range(hom.degree)), width)
+    relator_rank = len(basis)
+    if relator_rank == width:
+        return None  # H^ab is finite
+    words = [_columns(w) for w in subgroup]
+    path = {0: [0] * width}  # o -> U[o]
+    orbit = [0]
+    rows = []
+    for o in orbit:  # grows while it is walked
+        for w in words:
+            traced, end = rewrite(w, o)
+            row = [a + b for a, b in zip(path[o], traced)]
+            if end in path:
+                rows.append([a - b for a, b in zip(row, path[end])])
+            else:
+                path[end] = row
+                orbit.append(end)
+    _extend_basis(basis, rows, width)
+    if len(basis) == width:
+        return None
+    return IndexCertificate(hom, width - relator_rank, len(basis) - relator_rank)
+
+
+def infinite_index_certificate(pres: GroupPresentation, subgroup: Sequence[Word]
+                               ) -> Optional[IndexCertificate]:
+    """The first certificate of infinite index for the subgroup among the
+    homomorphisms find_homomorphisms lists at each degree of
+    CERTIFICATE_DEGREES, or None.  It runs the same capped searches as
+    quotient_separate, so a later separation on the same presentation
+    finds them cached."""
+    for degree in CERTIFICATE_DEGREES:
+        for hom in find_homomorphisms(pres, degree):
+            cert = index_certificate(hom, pres, subgroup)
+            if cert is not None:
+                return cert
+    return None

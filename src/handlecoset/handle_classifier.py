@@ -29,8 +29,8 @@ from typing import Optional, Sequence, Union
 from .coset_enumeration import CosetTable, EnumerationLimits, enumerate_cosets
 from .double_cosets import (DoubleCosetId, UnorderedPair, dc_all, dc_id,
                             dc_invert, dc_twist)
-from .errors import (CaseMismatch, MissingPPlus, PreconditionUnverified,
-                     TableMismatch)
+from .errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
+                     PreconditionUnverified, ResourceExhausted, TableMismatch)
 from .knot_input import (SurfaceKnotInput, ValidationReport,
                          validate_with_tables)
 from .word_algebra import Word
@@ -47,6 +47,9 @@ class CaseLabel(Enum):
 
 
 InvariantValue = Union[DoubleCosetId, UnorderedPair]
+
+# build's first enumeration of P gets this fraction of the caller's budget
+PROBE_FRACTION = 8
 
 
 def _kind_of(case: CaseLabel, core_oriented: bool) -> str:
@@ -128,11 +131,37 @@ class ClassifierContext:
     @classmethod
     def build(cls, input: SurfaceKnotInput,
               limits: Optional[EnumerationLimits] = None) -> "ClassifierContext":
-        p_table = enumerate_cosets(input.presentation, input.p_generators, limits)
+        """Enumerate the P (and P+) tables under the limits and validate.
+
+        P is first enumerated under a probe budget of 1/PROBE_FRACTION of
+        each limit (at least 1).  A probe that completes is the table a
+        full-budget run gives, defined-coset count included: enumeration
+        reads its budget only when about to break it.  A probe that runs
+        out asks finite_quotient.infinite_index_certificate for a proof
+        that P has infinite index and raises InfiniteIndex if it finds
+        one; for a non-orientable input that also covers P+, a subgroup
+        of P.  Otherwise P is enumerated again under the full limits,
+        which raise a plain ResourceExhausted if they run out too.
+        """
+        # finite_quotient imports this module, so its import waits until here
+        from .finite_quotient import infinite_index_certificate
+
+        if limits is None:
+            limits = EnumerationLimits()
+        pres = input.presentation
+        probe = EnumerationLimits(max(1, limits.max_live_cosets // PROBE_FRACTION),
+                                  max(1, limits.max_total_defined // PROBE_FRACTION))
+        try:
+            p_table = enumerate_cosets(pres, input.p_generators, probe)
+        except ResourceExhausted as exc:
+            cert = infinite_index_certificate(pres, input.p_generators)
+            if cert is not None:
+                raise InfiniteIndex(probe, exc.live_cosets, exc.total_defined,
+                                    cert.degree, cert.h_rank, cert.p_rank) from None
+            p_table = enumerate_cosets(pres, input.p_generators, limits)
         p_plus_table = None
         if not input.surface_orientable:
-            p_plus_table = enumerate_cosets(input.presentation,
-                                            input.p_plus_generators, limits)
+            p_plus_table = enumerate_cosets(pres, input.p_plus_generators, limits)
         report = validate_with_tables(input, p_table, p_plus_table)
         if not report.ok:
             failed = "; ".join(f"{c.name}: {c.detail}" for c in report.failures)

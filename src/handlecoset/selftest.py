@@ -26,7 +26,7 @@ from .coset_enumeration import enumerate_cosets
 from .double_cosets import dc_all, dc_id, dc_invert, dc_twist
 from .errors import HandleCosetError
 from .finite_quotient import (SeparationVerdict, find_homomorphisms,
-                              quotient_separate)
+                              index_certificate, quotient_separate)
 from .handle_classifier import (CaseLabel, ClassifierContext, equivalent,
                                 enumerate_classes, handle_invariant,
                                 image_member, nonsurjectivity_witness)
@@ -193,6 +193,16 @@ class InputCase:
 INPUT_CORPUS: tuple[InputCase, ...] = (
     InputCase("unknotted", "group: t\nP: t\norientable: true", "t t"),
     InputCase("t2", "group: t\nP: t^2\norientable: true", "t"),
+    # the image Z/3 with trivial P is the smallest where inversion moves
+    # a double coset (t against t^-1), for both orientations of surface
+    InputCase("t3", "group: t\nP: t^3\norientable: true", "t"),
+    InputCase("t3-case3", "group: t\nP: t^3\nP+: t^3\nn: 1\norientable: false",
+              "t"),
+    # the modular group Z/2 * Z/3 with P of index 2 (the kernel of a -> 1,
+    # b -> 0 onto Z/2): the one infinite non-abelian input
+    InputCase("c2c3-index2",
+              "group: a b\nrel: a^2\nrel: b^3\nP: b , a b a\norientable: true",
+              "a"),
     InputCase("s3-synthetic",
               "group: a b\nrel: a^2\nrel: b^3\nrel: a b a b\n"
               "P: a\norientable: true", "b",
@@ -288,6 +298,22 @@ def _random_subgroup_word(rng: random.Random, gens, max_factors: int = 8) -> Wor
         w = rng.choice(gens)
         parts.append(w if rng.random() < 0.5 else invert(w))
     return concat(*parts)
+
+
+def _related_word(rng: random.Random, input: SurfaceKnotInput, case: CaseLabel,
+                  core_oriented: bool, g: Word, moved: bool) -> Word:
+    """A word the exact invariant cannot tell from g: a slide p g' q with
+    p, q in the acting subgroup.  g' is g, or if moved, its inverse
+    (unoriented cores) or n g n (Case 3 oriented cores)."""
+    case3 = case is CaseLabel.CASE3
+    acting = input.p_plus_generators if case3 else input.p_generators
+    choices = [g]
+    if not core_oriented:
+        choices.append(invert(g))
+    if case3 and core_oriented:
+        choices.append(concat(input.n_word, g, input.n_word))
+    return concat(_random_subgroup_word(rng, acting), choices[-1] if moved else g,
+                  _random_subgroup_word(rng, acting))
 
 
 def _sides(ctx: ClassifierContext):
@@ -594,11 +620,10 @@ def check_quotient_soundness(pairs: int, seed: int, max_degree: int = 3) -> str:
         cases = _cases_for(parsed)
         label, core = cases[0] if total % 2 == 0 else cases[-1]
         g1 = _random_word(rng, ngens)
-        if rng.random() < 0.5:
-            acting = parsed.p_plus_generators if label is CaseLabel.CASE3 \
-                else parsed.p_generators
-            g2 = concat(_random_subgroup_word(rng, acting), g1,
-                        _random_subgroup_word(rng, acting))
+        draw = rng.random()
+        if draw < 0.5:
+            # half of these move g by the inverse or the twist first
+            g2 = _related_word(rng, parsed, label, core, g1, moved=draw < 0.25)
         else:
             g2 = _random_word(rng, ngens)
         exact_equal = equivalent(ctx, label, core, g1, g2)
@@ -626,6 +651,30 @@ def check_quotient_determinism() -> str:
     v2 = quotient_separate(t2, CaseLabel.CASE1, True, g1, g2, max_degree=2)
     assert v1 == v2 == SeparationVerdict.DISTINCT
     return "repeated searches returned identical homomorphisms and verdicts"
+
+
+def check_infinite_index_certificate(max_degree: int = 4) -> str:
+    """No finite-index subgroup gets a certificate of infinite index:
+    every GROUP_CORPUS subgroup (the trivial one too) and the P and P+ of
+    every INPUT_CORPUS input, over every image of degree <= max_degree
+    that an uncapped search finds."""
+    subjects = [(case.name, pres, words)
+                for case, pres, subgroups in _resolved_groups() for words in subgroups]
+    for case, parsed, _ctx in _resolved_inputs():
+        subjects.append((case.label, parsed.presentation, parsed.p_generators))
+        if parsed.p_plus_generators is not None:
+            subjects.append((case.label, parsed.presentation,
+                             parsed.p_plus_generators))
+    images = 0
+    for name, pres, words in subjects:
+        for degree in range(1, max_degree + 1):
+            for hom in find_homomorphisms(pres, degree, limit=10**9):
+                assert index_certificate(hom, pres, words) is None, \
+                    f"{name}: certificate of infinite index for a finite-index " \
+                    f"subgroup from {hom.images}"
+                images += 1
+    return (f"{images} images of {len(subjects)} finite-index subgroups, "
+            f"no certificate of infinite index")
 
 
 def check_record_determinism() -> str:
@@ -687,6 +736,7 @@ CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("validation-vs-brute", check_validation_vs_brute),
     ("quotient-soundness", lambda: check_quotient_soundness(160, SEED)),
     ("quotient-determinism", check_quotient_determinism),
+    ("infinite-index-certificate", check_infinite_index_certificate),
     ("record-determinism", check_record_determinism),
 )
 

@@ -1,14 +1,16 @@
 import hashlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import handlecoset
-from brute import coxeter_skg
+from brute import coxeter_skg, two_bridge_skg
 from handlecoset.cli import run
 
 UNKNOTTED = "group: t\nP: t\norientable: true\n"
@@ -149,6 +151,18 @@ def test_exit_code_resource_exhausted(skg, capsys):
     code = run(["enumerate", path, "--max-cosets", "50"])
     assert code == 3
     assert "exhausted" in capsys.readouterr().err
+
+
+def test_classes_on_the_trefoil_proves_infinite_index(skg, capsys):
+    # the default budget's probe runs out, and an image of degree 3 proves
+    # that no budget would do: still exit 3, now with the reason
+    path = skg("trefoil.skg", two_bridge_skg(3, 1))
+    start = time.perf_counter()
+    assert run(["classes", path, "--case", "1"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: P has infinite index:")
+    assert "degree 3" in err
 
 
 def test_max_cosets_must_be_positive(skg, capsys):
@@ -332,6 +346,20 @@ def test_cli_import_leaves_the_oracle_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out == "False\n"
+
+
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.iter_modules(handlecoset.__path__)))
+def test_each_module_imports_first(module):
+    # the package __init__ imports its modules in one fixed order, which
+    # can hide an import cycle; here the package is a bare namespace, so
+    # the named module really is the first one imported
+    code = (f"import importlib, sys, types\n"
+            f"pkg = types.ModuleType('handlecoset')\n"
+            f"pkg.__path__ = {list(handlecoset.__path__)!r}\n"
+            f"sys.modules['handlecoset'] = pkg\n"
+            f"importlib.import_module('handlecoset.{module}')\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 Q8 = "group: a b\nrel: a^4\nrel: a^2 b^-2\nrel: b^-1 a b a\nP: a\norientable: true\n"

@@ -3,17 +3,19 @@ import random
 
 import pytest
 
+from brute import TWO_BRIDGE_13, coxeter_skg, two_bridge_skg
 from handlecoset.errors import CaseMismatch
-from handlecoset.finite_quotient import (MAX_SEPARATE_DEGREE,
+from handlecoset.finite_quotient import (CERTIFICATE_DEGREES,
+                                         MAX_SEPARATE_DEGREE,
                                          SeparationVerdict,
-                                         find_homomorphisms,
+                                         find_homomorphisms, index_certificate,
+                                         infinite_index_certificate,
                                          quotient_separate)
 from handlecoset.handle_classifier import CaseLabel
 from handlecoset.knot_input import parse_input, parse_word
-from handlecoset.selftest import (INPUT_CORPUS, _random_subgroup_word,
-                                  _random_word, classifier_values, peval,
-                                  subgroup_of)
-from handlecoset.word_algebra import Word, concat, invert
+from handlecoset.selftest import (INPUT_CORPUS, _random_word, _related_word,
+                                  classifier_values, peval, subgroup_of)
+from handlecoset.word_algebra import Word
 
 C2 = parse_input("group: a\nrel: a^2\nP: 1\norientable: true").presentation
 C3 = parse_input("group: a\nrel: a^3\nP: 1\norientable: true").presentation
@@ -164,27 +166,7 @@ def _brute_separates(input, case, core_oriented, g1, g2, max_degree):
     return False
 
 
-def _related_word(rng, input, case, core_oriented, g, moved):
-    """A word the exact invariant cannot tell from g: a slide p g' q with
-    p, q in the acting subgroup.  g' is g, or if moved, its inverse
-    (unoriented cores) or n g n (Case 3 oriented cores)."""
-    case3 = case is CaseLabel.CASE3
-    acting = input.p_plus_generators if case3 else input.p_generators
-    choices = [g]
-    if not core_oriented:
-        choices.append(invert(g))
-    if case3 and core_oriented:
-        choices.append(concat(input.n_word, g, input.n_word))
-    return concat(_random_subgroup_word(rng, acting), choices[-1] if moved else g,
-                  _random_subgroup_word(rng, acting))
-
-
-# every oracle input, plus two where inversion moves double cosets in an
-# image of degree <= 4 (Z/3 with trivial P), which no INPUT_CORPUS input has
-SEPARATE_INPUTS = [(c.label, c.skg, c.sample_cord) for c in INPUT_CORPUS] + [
-    ("t3", "group: t\nP: t^3\norientable: true", "t"),
-    ("t3-case3", "group: t\nP: t^3\nP+: t^3\nn: 1\norientable: false", "t"),
-]
+SEPARATE_INPUTS = [(c.label, c.skg, c.sample_cord) for c in INPUT_CORPUS]
 
 
 @pytest.mark.parametrize("label,skg,sample", SEPARATE_INPUTS,
@@ -219,3 +201,46 @@ def test_separate_matches_brute_force_images(label, skg, sample):
     # degree <= 4; every other input gets a separated pair
     if label not in ("unknotted", "c5-trivial"):
         assert SeparationVerdict.DISTINCT in verdicts
+
+
+def _transitive(hom):
+    orbit, stack = {0}, [0]
+    while stack:
+        x = stack.pop()
+        for image in hom.images:
+            if image[x] not in orbit:
+                orbit.add(image[x])
+                stack.append(image[x])
+    return len(orbit) == hom.degree
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_no_certificate_on_coxeter_groups(n):
+    # S_n is finite, so every subgroup has finite index: no transitive
+    # image of degree <= 5 may certify infinite index for any P
+    presentation = parse_input(coxeter_skg(n, [1])).presentation
+    homs = [hom for degree in range(1, 6)
+            for hom in find_homomorphisms(presentation, degree, limit=10**9)]
+    transitive = sum(map(_transitive, homs))
+    assert transitive == {4: 32, 5: 122}[n]
+    for p in ([1], [2], [1, 3]):
+        words = parse_input(coxeter_skg(n, p)).p_generators
+        for hom in homs:
+            assert index_certificate(hom, presentation, words) is None, (p, hom)
+
+
+def test_certificates_on_two_bridge_knots():
+    # degree <= 5 proves infinite index for 34 of the 40 knots with p <= 13;
+    # the torus knots T(2, p) = b(p, +-1) first map onto a dihedral group
+    # of degree p, so p = 7, 11, 13 are out of reach
+    missed = []
+    for p, q in TWO_BRIDGE_13:
+        data = parse_input(two_bridge_skg(p, q))
+        cert = infinite_index_certificate(data.presentation, data.p_generators)
+        if cert is None:
+            missed.append((p, q))
+        else:
+            assert cert.degree in CERTIFICATE_DEGREES
+            assert 0 <= cert.p_rank < cert.h_rank
+    assert len(TWO_BRIDGE_13) == 40
+    assert missed == [(7, -1), (7, 1), (11, -1), (11, 1), (13, -1), (13, 1)]

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from brute import coxeter_skg, two_bridge_skg
+from handlecoset.coset_enumeration import EnumerationLimits, enumerate_cosets
 from handlecoset.double_cosets import UnorderedPair, dc_id
-from handlecoset.errors import (CaseMismatch, MissingPPlus,
-                                PreconditionUnverified, TableMismatch)
+from handlecoset.errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
+                                PreconditionUnverified, ResourceExhausted,
+                                TableMismatch)
 from handlecoset.handle_classifier import (CaseLabel, ClassifierContext,
                                            HandleInvariant, enumerate_classes,
                                            equivalent, handle_invariant,
@@ -207,3 +210,41 @@ def test_context_build_rejects_invalid_input():
                       "P: r^2\nP+: s\nn: r\norientable: false")
     with pytest.raises(PreconditionUnverified):
         ClassifierContext.build(bad)
+
+
+def test_build_proves_infinite_index_after_the_probe():
+    # the probe gets 1/8 of each limit; on the trefoil it runs out, and a
+    # transitive image of degree 3 proves that P has infinite index
+    parsed = parse_input(two_bridge_skg(3, 1))
+    with pytest.raises(InfiniteIndex) as info:
+        ClassifierContext.build(parsed, EnumerationLimits(2000, 20000))
+    exc = info.value
+    assert isinstance(exc, ResourceExhausted)
+    assert exc.limits == EnumerationLimits(250, 2500)
+    assert (exc.degree, exc.h_rank, exc.p_rank) == (3, 2, 1)
+    assert str(exc).startswith("P has infinite index: in a transitive "
+                               "permutation image of degree 3,")
+
+
+def test_build_without_a_certificate_runs_the_full_budget():
+    # b(7, 1) = T(2, 7) has no certificate of degree <= 5, so the build
+    # runs out of the full budget and says no more than that
+    parsed = parse_input(two_bridge_skg(7, 1))
+    limits = EnumerationLimits(2000, 20000)
+    with pytest.raises(ResourceExhausted) as info:
+        ClassifierContext.build(parsed, limits)
+    assert type(info.value) is ResourceExhausted
+    assert info.value.limits == limits
+
+
+def test_build_after_a_spent_probe_gives_the_full_budget_table():
+    # S5 with trivial P needs 139 live cosets: the probe (50) runs out, no
+    # finite image certifies anything, and the full run's table is the one
+    # enumerate_cosets gives under the same limits
+    parsed = parse_input(coxeter_skg(5, [1]).replace("P: s1", "P: 1"))
+    limits = EnumerationLimits(400, 4000)
+    ctx = ClassifierContext.build(parsed, limits)
+    table = enumerate_cosets(parsed.presentation, (), limits)
+    assert ctx.p_table.index == table.index == 120
+    assert ctx.p_table.total_defined == table.total_defined
+    assert ctx.p_table._action == table._action
