@@ -8,8 +8,8 @@ printed only on the human stream.
 
 Exit codes: 0 success, 1 domain error (message names the failing check),
 2 syntax or usage error, 3 no table: enumeration resource exhaustion, or
-a proof that P has infinite index (errors.InfiniteIndex; the message
-says which).
+a proof that P or P+ has infinite index (errors.InfiniteIndex; the
+message says which).
 """
 
 from __future__ import annotations

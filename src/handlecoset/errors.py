@@ -59,26 +59,31 @@ class ResourceExhausted(HandleCosetError):
 
 
 class InfiniteIndex(ResourceExhausted):
-    """P has infinite index, proved in a finite image of the group.
+    """P or P+ has infinite index, proved in a finite image of the group.
 
-    Raised by ClassifierContext.build when its probe enumeration ran out
-    and a transitive permutation image of the given degree has a point
-    stabilizer H with H^ab of rank h_rank over Q, of which the
-    intersection of P with H spans only p_rank.  The coset counts and
-    limits are the probe's.
+    Raised by ClassifierContext.build when its probe enumeration of the
+    named subgroup ran out and a transitive permutation image of the
+    given degree (in the dihedral group D_degree if dihedral is set) has
+    a point stabilizer H with H^ab of rank h_rank over Q, of which the
+    intersection of the subgroup with H spans only p_rank.  The coset
+    counts and limits are the probe's.
     """
 
     def __init__(self, limits, live_cosets: int, total_defined: int,
-                 degree: int, h_rank: int, p_rank: int):
+                 subgroup: str, degree: int, h_rank: int, p_rank: int,
+                 dihedral: bool):
+        image = "dihedral permutation image" if dihedral else "permutation image"
         super().__init__(
             limits, live_cosets, total_defined,
-            f"P has infinite index: in a transitive permutation image of "
+            f"{subgroup} has infinite index: in a transitive {image} of "
             f"degree {degree}, the point stabilizer H has H^ab of rank "
-            f"{h_rank} over Q and the intersection of P with H spans rank "
-            f"{p_rank}; the probe enumeration stopped")
+            f"{h_rank} over Q and the intersection of {subgroup} with H "
+            f"spans rank {p_rank}; the probe enumeration stopped")
+        self.subgroup = subgroup
         self.degree = degree
         self.h_rank = h_rank
         self.p_rank = p_rank
+        self.dihedral = dihedral
 
 
 class CosetRangeError(HandleCosetError):

@@ -16,13 +16,18 @@ no enumeration budget can (index_certificate): in a transitive image
 the stabilizer H of point 0 has finite index, and abelianised
 Reidemeister-Schreier gives H^ab over Q; if H_K, the intersection of K
 with H, spans a smaller rank there, |H : H_K| is infinite, and so is
-|G : K|.
+|G : K|.  The certificate searches S_d for small d, then the dihedral
+group D_m of order 2m acting on Z/m for larger m: every 2-bridge knot
+group b(p, q) maps onto D_p with the meridians going to reflections
+(Riley, "Homomorphisms of knot groups on finite groups", 1971), and
+2m candidate images per generator stay cheap where m! do not.  The one
+search kernel, _search, serves both candidate sets.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -39,13 +44,17 @@ Columns = tuple[int, ...]  # a word compiled by _columns
 MAX_SEPARATE_DEGREE = 8
 # assignments kept per degree, in lexicographic order of generator images
 HOM_LIMIT = 64
-# degrees of the images infinite_index_certificate searches
+# degrees of the images in S_d infinite_index_certificate searches first
 CERTIFICATE_DEGREES = range(2, 6)
+# then the degrees m of its images in the dihedral group D_m; each degree
+# adds to every build whose probe runs out without a certificate
+DIHEDRAL_DEGREES = range(6, 14)
 
 
 @dataclass(frozen=True)
 class PermutationAssignment:
-    """Images of the presentation's generators in the symmetric group S_degree.
+    """Images of the presentation's generators in the symmetric group
+    S_degree, or in the dihedral group D_degree if dihedral is set.
 
     Only produced by find_homomorphisms, which guarantees every relator
     evaluates to the identity permutation.
@@ -53,6 +62,7 @@ class PermutationAssignment:
 
     degree: int
     images: tuple[Perm, ...]
+    dihedral: bool = field(default=False, repr=False)
 
 
 class SeparationVerdict(Enum):
@@ -90,15 +100,28 @@ def _holds(action: list[Perm], relators: list[tuple[int, ...]], points: range) -
     return True
 
 
-def _check_degree(degree: int) -> None:
-    if not 1 <= degree <= MAX_SEPARATE_DEGREE:
-        raise ValueError(f"degree must be in 1..{MAX_SEPARATE_DEGREE}, got {degree}")
+def _check_degree(degree: int, dihedral: bool = False) -> None:
+    top = DIHEDRAL_DEGREES[-1] if dihedral else MAX_SEPARATE_DEGREE
+    if not 1 <= degree <= top:
+        raise ValueError(f"degree must be in 1..{top}, got {degree}")
+
+
+def _dihedral(degree: int) -> list[Perm]:
+    """The elements x -> x + c and x -> c - x of D_degree acting on
+    Z/degree, in lexicographic order."""
+    points = range(degree)
+    return sorted({tuple((s * x + c) % degree for x in points)
+                   for c in points for s in (1, -1)})
 
 
 @lru_cache(maxsize=None)
-def _search(pres: GroupPresentation, degree: int, limit: int) -> tuple[PermutationAssignment, ...]:
+def _search(pres: GroupPresentation, degree: int, limit: int,
+            dihedral: bool) -> tuple[PermutationAssignment, ...]:
     ngens = len(pres.generators)
-    perms = tuple(itertools.permutations(range(degree)))  # lexicographic
+    if dihedral:
+        perms = _dihedral(degree)
+    else:
+        perms = itertools.permutations(range(degree))  # lexicographic
     candidates = tuple((p, perm_inverse(p)) for p in perms)
     points = range(degree)
     # a relator becomes checkable once its highest generator is assigned
@@ -113,7 +136,7 @@ def _search(pres: GroupPresentation, degree: int, limit: int) -> tuple[Permutati
         if len(found) >= limit:
             return
         if k == ngens:
-            found.append(PermutationAssignment(degree, tuple(action[0::2])))
+            found.append(PermutationAssignment(degree, tuple(action[0::2]), dihedral))
             return
         checks = ready[k]
         for p, p_inv in candidates:
@@ -129,18 +152,22 @@ def _search(pres: GroupPresentation, degree: int, limit: int) -> tuple[Permutati
 
 
 def find_homomorphisms(pres: GroupPresentation, degree: int,
-                       limit: int = HOM_LIMIT) -> list[PermutationAssignment]:
-    """Backtracking search for homomorphisms into S_degree.
+                       limit: int = HOM_LIMIT,
+                       dihedral: bool = False) -> list[PermutationAssignment]:
+    """Backtracking search for homomorphisms into S_degree, or into the
+    dihedral group D_degree (x -> x + c and x -> c - x on Z/degree) if
+    dihedral is set.
 
     Generator images are tried in lexicographic order, so the output
     order is deterministic; at most `limit` assignments are returned and
     each one satisfies every relator.  An empty list is a valid result.
-    The degree must lie in 1..MAX_SEPARATE_DEGREE.
+    The degree must lie in 1..MAX_SEPARATE_DEGREE, or in
+    1..max(DIHEDRAL_DEGREES) for D_degree.
     """
-    _check_degree(degree)
+    _check_degree(degree, dihedral)
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    return list(_search(pres, degree, limit))
+    return list(_search(pres, degree, limit, dihedral))
 
 
 def _image_value(hom: PermutationAssignment, acting: list[Columns],
@@ -221,7 +248,7 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
     n_columns = None if n is None else _columns(n)
     c1, c2 = _columns(g1), _columns(g2)
     for degree in range(1, max_degree + 1):
-        for hom in _search(input.presentation, degree, HOM_LIMIT):
+        for hom in _search(input.presentation, degree, HOM_LIMIT, False):
             value = _image_value(hom, acting_columns, n_columns, core_oriented)
             if value(c1) != value(c2):
                 return SeparationVerdict.DISTINCT
@@ -359,13 +386,15 @@ def index_certificate(hom: PermutationAssignment, pres: GroupPresentation,
 def infinite_index_certificate(pres: GroupPresentation, subgroup: Sequence[Word]
                                ) -> Optional[IndexCertificate]:
     """The first certificate of infinite index for the subgroup among the
-    homomorphisms find_homomorphisms lists at each degree of
-    CERTIFICATE_DEGREES, or None.  It runs the same capped searches as
-    quotient_separate, so a later separation on the same presentation
-    finds them cached."""
-    for degree in CERTIFICATE_DEGREES:
-        for hom in find_homomorphisms(pres, degree):
-            cert = index_certificate(hom, pres, subgroup)
-            if cert is not None:
-                return cert
+    homomorphisms find_homomorphisms lists into S_d for each d in
+    CERTIFICATE_DEGREES, then into D_m for each m in DIHEDRAL_DEGREES,
+    or None.  The S_d searches are the capped ones quotient_separate
+    runs, so a later separation on the same presentation finds them
+    cached; separation never uses the dihedral images."""
+    for dihedral, degrees in ((False, CERTIFICATE_DEGREES), (True, DIHEDRAL_DEGREES)):
+        for degree in degrees:
+            for hom in find_homomorphisms(pres, degree, dihedral=dihedral):
+                cert = index_certificate(hom, pres, subgroup)
+                if cert is not None:
+                    return cert
     return None

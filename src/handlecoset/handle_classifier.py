@@ -133,15 +133,17 @@ class ClassifierContext:
               limits: Optional[EnumerationLimits] = None) -> "ClassifierContext":
         """Enumerate the P (and P+) tables under the limits and validate.
 
-        P is first enumerated under a probe budget of 1/PROBE_FRACTION of
-        each limit (at least 1).  A probe that completes is the table a
-        full-budget run gives, defined-coset count included: enumeration
-        reads its budget only when about to break it.  A probe that runs
-        out asks finite_quotient.infinite_index_certificate for a proof
-        that P has infinite index and raises InfiniteIndex if it finds
-        one; for a non-orientable input that also covers P+, a subgroup
-        of P.  Otherwise P is enumerated again under the full limits,
-        which raise a plain ResourceExhausted if they run out too.
+        Each subgroup is first enumerated under a probe budget of
+        1/PROBE_FRACTION of each limit (at least 1).  A probe that
+        completes is the table a full-budget run gives, defined-coset
+        count included: enumeration reads its budget only when about to
+        break it.  A probe that runs out asks
+        finite_quotient.infinite_index_certificate for a proof that the
+        subgroup has infinite index, in an image of degree 2..5 or a
+        dihedral one of degree 6..13, and raises InfiniteIndex naming P
+        or P+ if it finds one.  Otherwise the subgroup is enumerated
+        again under the full limits, which raise a plain
+        ResourceExhausted if they run out too.
         """
         # finite_quotient imports this module, so its import waits until here
         from .finite_quotient import infinite_index_certificate
@@ -151,17 +153,22 @@ class ClassifierContext:
         pres = input.presentation
         probe = EnumerationLimits(max(1, limits.max_live_cosets // PROBE_FRACTION),
                                   max(1, limits.max_total_defined // PROBE_FRACTION))
-        try:
-            p_table = enumerate_cosets(pres, input.p_generators, probe)
-        except ResourceExhausted as exc:
-            cert = infinite_index_certificate(pres, input.p_generators)
-            if cert is not None:
-                raise InfiniteIndex(probe, exc.live_cosets, exc.total_defined,
-                                    cert.degree, cert.h_rank, cert.p_rank) from None
-            p_table = enumerate_cosets(pres, input.p_generators, limits)
+
+        def enumerate_subgroup(name: str, words: Sequence[Word]) -> CosetTable:
+            try:
+                return enumerate_cosets(pres, words, probe)
+            except ResourceExhausted as exc:
+                cert = infinite_index_certificate(pres, words)
+                if cert is not None:
+                    raise InfiniteIndex(probe, exc.live_cosets, exc.total_defined,
+                                        name, cert.degree, cert.h_rank, cert.p_rank,
+                                        cert.hom.dihedral) from None
+            return enumerate_cosets(pres, words, limits)
+
+        p_table = enumerate_subgroup("P", input.p_generators)
         p_plus_table = None
         if not input.surface_orientable:
-            p_plus_table = enumerate_cosets(pres, input.p_plus_generators, limits)
+            p_plus_table = enumerate_subgroup("P+", input.p_plus_generators)
         report = validate_with_tables(input, p_table, p_plus_table)
         if not report.ok:
             failed = "; ".join(f"{c.name}: {c.detail}" for c in report.failures)

@@ -25,8 +25,9 @@ from typing import Callable, Optional
 from .coset_enumeration import enumerate_cosets
 from .double_cosets import dc_all, dc_id, dc_invert, dc_twist
 from .errors import HandleCosetError
-from .finite_quotient import (SeparationVerdict, find_homomorphisms,
-                              index_certificate, quotient_separate)
+from .finite_quotient import (DIHEDRAL_DEGREES, SeparationVerdict,
+                              find_homomorphisms, index_certificate,
+                              quotient_separate)
 from .handle_classifier import (CaseLabel, ClassifierContext, equivalent,
                                 enumerate_classes, handle_invariant,
                                 image_member, nonsurjectivity_witness)
@@ -656,8 +657,9 @@ def check_quotient_determinism() -> str:
 def check_infinite_index_certificate(max_degree: int = 4) -> str:
     """No finite-index subgroup gets a certificate of infinite index:
     every GROUP_CORPUS subgroup (the trivial one too) and the P and P+ of
-    every INPUT_CORPUS input, over every image of degree <= max_degree
-    that an uncapped search finds."""
+    every INPUT_CORPUS input, over every image in S_d, d <= max_degree,
+    and every image in D_m, m in DIHEDRAL_DEGREES, that an uncapped
+    search finds."""
     subjects = [(case.name, pres, words)
                 for case, pres, subgroups in _resolved_groups() for words in subgroups]
     for case, parsed, _ctx in _resolved_inputs():
@@ -665,10 +667,12 @@ def check_infinite_index_certificate(max_degree: int = 4) -> str:
         if parsed.p_plus_generators is not None:
             subjects.append((case.label, parsed.presentation,
                              parsed.p_plus_generators))
+    searches = [(d, False) for d in range(1, max_degree + 1)]
+    searches += [(m, True) for m in DIHEDRAL_DEGREES]
     images = 0
     for name, pres, words in subjects:
-        for degree in range(1, max_degree + 1):
-            for hom in find_homomorphisms(pres, degree, limit=10**9):
+        for degree, dihedral in searches:
+            for hom in find_homomorphisms(pres, degree, 10**9, dihedral):
                 assert index_certificate(hom, pres, words) is None, \
                     f"{name}: certificate of infinite index for a finite-index " \
                     f"subgroup from {hom.images}"

@@ -165,6 +165,28 @@ def test_classes_on_the_trefoil_proves_infinite_index(skg, capsys):
     assert "degree 3" in err
 
 
+def test_classes_on_a_torus_knot_proves_infinite_index(skg, capsys):
+    # T(2, 7) = b(7, 1) first maps onto the dihedral group of degree 7
+    path = skg("t27.skg", two_bridge_skg(7, 1))
+    assert run(["classes", path, "--case", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: P has infinite index:")
+    assert "dihedral" in err and "degree 7" in err
+
+
+def test_classes_proves_p_plus_has_infinite_index(skg, capsys):
+    # P has finite index on the trefoil, P+ = <a> does not: the P+ probe
+    # runs out and the degree-3 image proves it, instead of a million cosets
+    path = skg("t3-p-plus.skg", "group: a b\nrel: a b a b^-1 a^-1 b^-1\n"
+               "P: a , b a b^-1\nP+: a\nn: b a b^-1\norientable: false\n")
+    start = time.perf_counter()
+    assert run(["classes", path, "--case", "3"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: P+ has infinite index:")
+    assert "degree 3" in err
+
+
 def test_max_cosets_must_be_positive(skg, capsys):
     path = skg("free2.skg", FREE2)
     assert run(["enumerate", path, "--max-cosets", "0"]) == 2

@@ -1,20 +1,23 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from brute import TWO_BRIDGE_13, coxeter_skg, two_bridge_skg
 from handlecoset.errors import CaseMismatch
 from handlecoset.finite_quotient import (CERTIFICATE_DEGREES,
+                                         DIHEDRAL_DEGREES,
                                          MAX_SEPARATE_DEGREE,
                                          SeparationVerdict,
                                          find_homomorphisms, index_certificate,
                                          infinite_index_certificate,
-                                         quotient_separate)
+                                         quotient_separate, _search)
 from handlecoset.handle_classifier import CaseLabel
 from handlecoset.knot_input import parse_input, parse_word
 from handlecoset.selftest import (INPUT_CORPUS, _random_word, _related_word,
-                                  classifier_values, peval, subgroup_of)
+                                  classifier_values, mulclose, peval,
+                                  subgroup_of)
 from handlecoset.word_algebra import Word
 
 C2 = parse_input("group: a\nrel: a^2\nP: 1\norientable: true").presentation
@@ -217,30 +220,80 @@ def _transitive(hom):
 @pytest.mark.parametrize("n", [4, 5])
 def test_no_certificate_on_coxeter_groups(n):
     # S_n is finite, so every subgroup has finite index: no transitive
-    # image of degree <= 5 may certify infinite index for any P
+    # image of degree <= 5, nor any dihedral image the certificate
+    # searches, may certify infinite index for any P
     presentation = parse_input(coxeter_skg(n, [1])).presentation
     homs = [hom for degree in range(1, 6)
             for hom in find_homomorphisms(presentation, degree, limit=10**9)]
     transitive = sum(map(_transitive, homs))
     assert transitive == {4: 32, 5: 122}[n]
+    dihedral = [hom for m in DIHEDRAL_DEGREES
+                for hom in find_homomorphisms(presentation, m, 10**9, dihedral=True)]
+    # S4 maps onto D_6 = S_3 x Z/2; S5 has no transitive dihedral image
+    assert sum(map(_transitive, dihedral)) == {4: 6, 5: 0}[n]
     for p in ([1], [2], [1, 3]):
         words = parse_input(coxeter_skg(n, p)).p_generators
-        for hom in homs:
+        for hom in homs + dihedral:
             assert index_certificate(hom, presentation, words) is None, (p, hom)
 
 
+# the degree of the first certificate for each knot of TWO_BRIDGE_13, in
+# its order: the images in S_2..S_5 certify all but the torus knots
+# T(2, p) = b(p, +-1), which first map onto the dihedral group D_p
+CERTIFICATE_DEGREE = [3, 3, 4, 5, 5, 4, 5, 5, 7, 7, 5, 5, 3, 3, 3, 3, 3, 3,
+                      4, 5, 4, 5, 11, 11, 5, 4, 5, 4,
+                      4, 4, 4, 5, 4, 13, 13, 4, 5, 4, 4, 4]
+
+
 def test_certificates_on_two_bridge_knots():
-    # degree <= 5 proves infinite index for 34 of the 40 knots with p <= 13;
-    # the torus knots T(2, p) = b(p, +-1) first map onto a dihedral group
-    # of degree p, so p = 7, 11, 13 are out of reach
-    missed = []
-    for p, q in TWO_BRIDGE_13:
+    assert len(TWO_BRIDGE_13) == len(CERTIFICATE_DEGREE) == 40
+    for (p, q), degree in zip(TWO_BRIDGE_13, CERTIFICATE_DEGREE):
         data = parse_input(two_bridge_skg(p, q))
         cert = infinite_index_certificate(data.presentation, data.p_generators)
-        if cert is None:
-            missed.append((p, q))
-        else:
-            assert cert.degree in CERTIFICATE_DEGREES
+        assert cert is not None and cert.degree == degree, (p, q)
+        if degree in CERTIFICATE_DEGREES:
+            assert not cert.hom.dihedral
             assert 0 <= cert.p_rank < cert.h_rank
-    assert len(TWO_BRIDGE_13) == 40
-    assert missed == [(7, -1), (7, 1), (11, -1), (11, 1), (13, -1), (13, 1)]
+        else:
+            assert cert.hom.dihedral and degree == p and abs(q) == 1
+            assert (cert.h_rank, cert.p_rank) == ((p + 1) // 2, 1)
+
+
+@pytest.mark.parametrize("skg", [two_bridge_skg(17, 1), coxeter_skg(8, [1])],
+                         ids=["b(17,1)", "S8"])
+def test_search_without_a_certificate_stays_cheap(skg):
+    # every build whose probe runs out without a certificate pays for the
+    # whole search: the knot b(17, 1), whose first dihedral image is D_17,
+    # and the finite S8 with P = <s1>
+    data = parse_input(skg)
+    _search.cache_clear()
+    start = time.perf_counter()
+    assert infinite_index_certificate(data.presentation, data.p_generators) is None
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("pres", [TREFOIL, FIGURE_EIGHT, S3_INPUT.presentation],
+                         ids=["trefoil", "figure-eight", "s3"])
+def test_dihedral_homs_match_reference_search(pres):
+    # D_m is generated by the rotation x -> x + 1 and the reflection
+    # x -> -x of Z/m; the search tries its 2m elements in sorted order
+    for m in range(3, 14):
+        rotation = tuple((x + 1) % m for x in range(m))
+        reflection = tuple(-x % m for x in range(m))
+        elements = sorted(mulclose([rotation, reflection]))
+        assert len(elements) == 2 * m
+        expected = [images for images in
+                    itertools.product(elements, repeat=len(pres.generators))
+                    if all(peval(rel, images) == elements[0] for rel in pres.relators)]
+        for limit in (5, 10**9):  # the smaller limit binds at every m
+            homs = find_homomorphisms(pres, m, limit, dihedral=True)
+            assert [h.images for h in homs] == expected[:limit]
+            assert all(h.degree == m and h.dihedral for h in homs)
+    # the trefoil's D_3 = S_3 images are its S_3 images, found in the same order
+    assert [h.images for h in find_homomorphisms(TREFOIL, 3, dihedral=True)] == \
+        [h.images for h in find_homomorphisms(TREFOIL, 3)]
+    # a p-colouring needs p to divide the determinant: 5 for the figure
+    # eight, so D_7 gives only the 7 maps onto Z/7 and the 7 onto Z/2
+    assert len(find_homomorphisms(FIGURE_EIGHT, 7, 10**9, dihedral=True)) == 14
+    with pytest.raises(ValueError):
+        find_homomorphisms(TREFOIL, DIHEDRAL_DEGREES[-1] + 1, dihedral=True)

@@ -221,20 +221,43 @@ def test_build_proves_infinite_index_after_the_probe():
     exc = info.value
     assert isinstance(exc, ResourceExhausted)
     assert exc.limits == EnumerationLimits(250, 2500)
-    assert (exc.degree, exc.h_rank, exc.p_rank) == (3, 2, 1)
+    assert (exc.subgroup, exc.degree, exc.h_rank, exc.p_rank) == ("P", 3, 2, 1)
+    assert not exc.dihedral
     assert str(exc).startswith("P has infinite index: in a transitive "
                                "permutation image of degree 3,")
 
 
 def test_build_without_a_certificate_runs_the_full_budget():
-    # b(7, 1) = T(2, 7) has no certificate of degree <= 5, so the build
-    # runs out of the full budget and says no more than that
-    parsed = parse_input(two_bridge_skg(7, 1))
+    # b(17, 1) = T(2, 17) has no certificate in S_2..S_5 nor in D_6..D_13
+    # (its first dihedral image is D_17), so the build runs out of the
+    # full budget and says no more than that
+    parsed = parse_input(two_bridge_skg(17, 1))
     limits = EnumerationLimits(2000, 20000)
     with pytest.raises(ResourceExhausted) as info:
         ClassifierContext.build(parsed, limits)
     assert type(info.value) is ResourceExhausted
     assert info.value.limits == limits
+
+
+@pytest.mark.parametrize("text, subgroup, degree, h_rank, image", [
+    # on the trefoil P = <a, b a b^-1> has finite index, but P+ = <a> has
+    # not: P+ gets the same probe and certificate as P
+    ("group: a b\nrel: a b a b^-1 a^-1 b^-1\nP: a , b a b^-1\nP+: a\n"
+     "n: b a b^-1\norientable: false", "P+", 3, 2, "permutation image"),
+    # b(7, 1) = T(2, 7) has no certificate in S_2..S_5; its 7-colourings
+    # map it onto the dihedral group D_7
+    (two_bridge_skg(7, 1), "P", 7, 4, "dihedral permutation image"),
+], ids=["trefoil-p-plus", "b(7,1)"])
+def test_infinite_index_names_the_subgroup_and_the_image(text, subgroup, degree,
+                                                         h_rank, image):
+    with pytest.raises(InfiniteIndex) as info:
+        ClassifierContext.build(parse_input(text), EnumerationLimits(2000, 20000))
+    exc = info.value
+    assert (exc.subgroup, exc.degree, exc.h_rank, exc.p_rank) == (subgroup, degree, h_rank, 1)
+    assert exc.dihedral == (degree == 7)
+    assert exc.limits == EnumerationLimits(250, 2500)
+    assert str(exc).startswith(f"{subgroup} has infinite index: in a transitive "
+                               f"{image} of degree {degree},")
 
 
 def test_build_after_a_spent_probe_gives_the_full_budget_table():
