@@ -18,15 +18,15 @@ from .errors import (CaseMismatch, CosetRangeError, DuplicateGenerator,
                      UsageError)
 from .finite_quotient import (PermutationAssignment, SeparationVerdict,
                               find_homomorphisms, quotient_separate)
-from .handle_classifier import (CaseLabel, ClassifierContext, HandleInvariant,
+from .handle_classifier import (ClassifierContext, HandleInvariant,
                                 case_table, enumerate_classes, equivalent,
                                 handle_invariant, image_member,
                                 local_oriented_cord_invariant,
                                 nonsurjectivity_witness,
-                                oriented_cord_invariant)
-from .knot_input import (SurfaceKnotInput, ValidationCheck, ValidationReport,
-                         format_word, parse_input, parse_word, serialize,
-                         validate)
+                                oriented_cord_invariant, validate)
+from .knot_input import (CaseLabel, SurfaceKnotInput, ValidationCheck,
+                         ValidationReport, format_word, parse_input,
+                         parse_word, serialize)
 from .word_algebra import (GeneratorSymbol, GroupPresentation, Word, concat,
                            free_reduce, invert, power)
 

@@ -22,16 +22,17 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .coset_enumeration import EnumerationLimits, enumerate_cosets
+from .coset_enumeration import EnumerationLimits
 from .double_cosets import DoubleCosetId, UnorderedPair, dc_id
 from .errors import (HandleCosetError, MissingPPlus, MissingSection,
                      ResourceExhausted, SkgSyntaxError, UsageError)
 from .finite_quotient import (MAX_SEPARATE_DEGREE, SeparationVerdict,
                               quotient_separate)
-from .handle_classifier import (CaseLabel, ClassifierContext, HandleInvariant,
+from .handle_classifier import (ClassifierContext, HandleInvariant,
                                 case_table, enumerate_classes,
-                                handle_invariant, image_member)
-from .knot_input import format_word, parse_input, parse_word, validate
+                                handle_invariant, image_member,
+                                subgroup_table, validate)
+from .knot_input import CaseLabel, format_word, parse_input, parse_word
 from .word_algebra import Word
 
 ENV_MAX_COSETS = "HANDLE_COSET_MAX_COSETS"
@@ -158,7 +159,8 @@ def _cmd_enumerate(args) -> int:
     else:
         subgroup = input.p_generators
     start = time.perf_counter()
-    table = enumerate_cosets(input.presentation, subgroup, _limits(args.max_cosets))
+    table = subgroup_table(input.presentation, args.subgroup, subgroup,
+                           _limits(args.max_cosets))
     elapsed = time.perf_counter() - start
     _emit(args, {"command": "enumerate", "input": input.label,
                  "subgroup": args.subgroup, "index": table.index,

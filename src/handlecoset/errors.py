@@ -61,10 +61,10 @@ class ResourceExhausted(HandleCosetError):
 class InfiniteIndex(ResourceExhausted):
     """P or P+ has infinite index, proved in a finite image of the group.
 
-    Raised by ClassifierContext.build when its probe enumeration of the
-    named subgroup ran out and a transitive permutation image of the
-    given degree (in the dihedral group D_degree if dihedral is set) has
-    a point stabilizer H with H^ab of rank h_rank over Q, of which the
+    Raised by handle_classifier.subgroup_table when its probe enumeration
+    of the named subgroup ran out and a transitive permutation image of
+    the given degree (in the dihedral group D_degree if dihedral is set)
+    has a point stabilizer H with H^ab of rank h_rank over Q, of which the
     intersection of the subgroup with H spans only p_rank.  The coset
     counts and limits are the probe's.
     """

@@ -8,8 +8,8 @@ so a difference in some image certifies inequivalence; agreement proves
 nothing.  Inside a finite image everything is brute force over
 permutations, deliberately independent of the enumeration engine.  Two
 things are shared with the rest of the package: the encoding of words
-as action columns, and the case dispatch (handle_classifier.case_words),
-which picks the acting words and the twist word.
+as action columns, and the case dispatch (knot_input.case_words), which
+picks the acting words and the twist word.
 
 The same images can prove that a subgroup K has infinite index, which
 no enumeration budget can (index_certificate): in a transitive image
@@ -33,8 +33,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .coset_enumeration import _columns
-from .handle_classifier import CaseLabel, case_words
-from .knot_input import SurfaceKnotInput
+from .knot_input import CaseLabel, SurfaceKnotInput, case_words
 from .word_algebra import GroupPresentation, Word
 
 Perm = tuple[int, ...]

@@ -23,7 +23,6 @@ neighborhood.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional, Sequence, Union
 
 from .coset_enumeration import CosetTable, EnumerationLimits, enumerate_cosets
@@ -31,25 +30,61 @@ from .double_cosets import (DoubleCosetId, UnorderedPair, dc_all, dc_id,
                             dc_invert, dc_twist)
 from .errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                      PreconditionUnverified, ResourceExhausted, TableMismatch)
-from .knot_input import (SurfaceKnotInput, ValidationReport,
-                         validate_with_tables)
-from .word_algebra import Word
-
-
-class CaseLabel(Enum):
-    CASE1 = 1  # oriented surface, orientable handle
-    CASE2 = 2  # oriented surface, non-orientable handle
-    CASE3 = 3  # non-orientable surface
-
-    @property
-    def requires_orientable(self) -> bool:
-        return self is not CaseLabel.CASE3
-
+from .finite_quotient import infinite_index_certificate
+from .knot_input import (CaseLabel, SurfaceKnotInput, ValidationReport,
+                         case_words, validate_with_tables)
+from .word_algebra import GroupPresentation, Word
 
 InvariantValue = Union[DoubleCosetId, UnorderedPair]
 
-# build's first enumeration of P gets this fraction of the caller's budget
+# subgroup_table's first enumeration gets this fraction of the caller's budget
 PROBE_FRACTION = 8
+
+
+def subgroup_table(pres: GroupPresentation, name: str, words: Sequence[Word],
+                   limits: Optional[EnumerationLimits] = None) -> CosetTable:
+    """The coset table of the subgroup the words generate, named (P or
+    P+) in InfiniteIndex.
+
+    Enumerates first under 1/PROBE_FRACTION of each limit (at least 1).
+    A probe that completes is the table a full-budget run gives,
+    defined-coset count included: enumeration reads its budget only when
+    about to break it.  A probe that runs out asks
+    infinite_index_certificate for a proof of infinite index and raises
+    InfiniteIndex if it finds one.  Otherwise the full limits run, and
+    raise a plain ResourceExhausted if they run out too.
+    """
+    if limits is None:
+        limits = EnumerationLimits()
+    probe = EnumerationLimits(max(1, limits.max_live_cosets // PROBE_FRACTION),
+                              max(1, limits.max_total_defined // PROBE_FRACTION))
+    try:
+        return enumerate_cosets(pres, words, probe)
+    except ResourceExhausted as exc:
+        cert = infinite_index_certificate(pres, words)
+        if cert is not None:
+            raise InfiniteIndex(probe, exc.live_cosets, exc.total_defined,
+                                name, cert.degree, cert.h_rank, cert.p_rank,
+                                cert.hom.dihedral) from None
+    return enumerate_cosets(pres, words, limits)
+
+
+def validate(input: SurfaceKnotInput,
+             limits: Optional[EnumerationLimits] = None) -> ValidationReport:
+    """Build the peripheral tables with subgroup_table and run all
+    side-condition checks.  Never raises ResourceExhausted (InfiniteIndex
+    included): the checks that need that table come back "unknown"."""
+    if input.surface_orientable:
+        return validate_with_tables(input, None, None)
+
+    def table(name: str, words: Sequence[Word]) -> Optional[CosetTable]:
+        try:
+            return subgroup_table(input.presentation, name, words, limits)
+        except ResourceExhausted:
+            return None
+
+    return validate_with_tables(input, table("P", input.p_generators),
+                                table("P+", input.p_plus_generators))
 
 
 def _kind_of(case: CaseLabel, core_oriented: bool) -> str:
@@ -131,63 +166,21 @@ class ClassifierContext:
     @classmethod
     def build(cls, input: SurfaceKnotInput,
               limits: Optional[EnumerationLimits] = None) -> "ClassifierContext":
-        """Enumerate the P (and P+) tables under the limits and validate.
-
-        Each subgroup is first enumerated under a probe budget of
-        1/PROBE_FRACTION of each limit (at least 1).  A probe that
-        completes is the table a full-budget run gives, defined-coset
-        count included: enumeration reads its budget only when about to
-        break it.  A probe that runs out asks
-        finite_quotient.infinite_index_certificate for a proof that the
-        subgroup has infinite index, in an image of degree 2..5 or a
-        dihedral one of degree 6..13, and raises InfiniteIndex naming P
-        or P+ if it finds one.  Otherwise the subgroup is enumerated
-        again under the full limits, which raise a plain
-        ResourceExhausted if they run out too.
-        """
-        # finite_quotient imports this module, so its import waits until here
-        from .finite_quotient import infinite_index_certificate
-
-        if limits is None:
-            limits = EnumerationLimits()
+        """Build the P (and P+) tables with subgroup_table under the
+        limits, which raises InfiniteIndex or ResourceExhausted, and
+        validate; a failed side-condition check raises
+        PreconditionUnverified."""
         pres = input.presentation
-        probe = EnumerationLimits(max(1, limits.max_live_cosets // PROBE_FRACTION),
-                                  max(1, limits.max_total_defined // PROBE_FRACTION))
-
-        def enumerate_subgroup(name: str, words: Sequence[Word]) -> CosetTable:
-            try:
-                return enumerate_cosets(pres, words, probe)
-            except ResourceExhausted as exc:
-                cert = infinite_index_certificate(pres, words)
-                if cert is not None:
-                    raise InfiniteIndex(probe, exc.live_cosets, exc.total_defined,
-                                        name, cert.degree, cert.h_rank, cert.p_rank,
-                                        cert.hom.dihedral) from None
-            return enumerate_cosets(pres, words, limits)
-
-        p_table = enumerate_subgroup("P", input.p_generators)
+        p_table = subgroup_table(pres, "P", input.p_generators, limits)
         p_plus_table = None
         if not input.surface_orientable:
-            p_plus_table = enumerate_subgroup("P+", input.p_plus_generators)
+            p_plus_table = subgroup_table(pres, "P+", input.p_plus_generators,
+                                          limits)
         report = validate_with_tables(input, p_table, p_plus_table)
         if not report.ok:
             failed = "; ".join(f"{c.name}: {c.detail}" for c in report.failures)
             raise PreconditionUnverified(f"input failed validation: {failed}")
         return cls(input, p_table, p_plus_table, report)
-
-
-def case_words(input: SurfaceKnotInput,
-               case: CaseLabel) -> tuple[Sequence[Word], Optional[Word]]:
-    """The acting words and twist word a case works with: the P+
-    generators and n for Case 3, the P generators and None for Cases 1
-    and 2.  Raises CaseMismatch if the case does not fit the input's
-    surface."""
-    if case.requires_orientable != input.surface_orientable:
-        want = "an orientable" if case.requires_orientable else "a non-orientable"
-        raise CaseMismatch(f"case {case.value} needs {want} surface input")
-    if case is CaseLabel.CASE3:
-        return input.p_plus_generators, input.n_word
-    return input.p_generators, None
 
 
 def case_table(ctx: ClassifierContext, case: CaseLabel

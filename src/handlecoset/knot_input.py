@@ -1,4 +1,4 @@
-"""Surface-knot group input: data model, .skg parsing, validation.
+"""Surface-knot group input: data model, cases, .skg parsing, validation.
 
 An input bundles a knot group presentation with words generating the
 peripheral subgroup P, and, for a non-orientable surface, words for the
@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from enum import Enum
 from itertools import groupby
 from typing import Optional, Sequence
 
-from .coset_enumeration import CosetTable, EnumerationLimits, enumerate_cosets
-from .errors import (DuplicateGenerator, MissingSection, ResourceExhausted,
+from .coset_enumeration import CosetTable
+from .errors import (CaseMismatch, DuplicateGenerator, MissingSection,
                      SkgSyntaxError, UnknownGenerator)
 from .word_algebra import (GeneratorSymbol, GroupPresentation, Word, concat,
                            free_reduce, invert, power)
@@ -60,6 +61,30 @@ class SurfaceKnotInput:
         else:
             if self.p_plus_generators is None or self.n_word is None:
                 raise ValueError("non-orientable input needs P+ generators and n")
+
+
+class CaseLabel(Enum):
+    CASE1 = 1  # oriented surface, orientable handle
+    CASE2 = 2  # oriented surface, non-orientable handle
+    CASE3 = 3  # non-orientable surface
+
+    @property
+    def requires_orientable(self) -> bool:
+        return self is not CaseLabel.CASE3
+
+
+def case_words(input: SurfaceKnotInput,
+               case: CaseLabel) -> tuple[Sequence[Word], Optional[Word]]:
+    """The acting words and twist word a case works with: the P+
+    generators and n for Case 3, the P generators and None for Cases 1
+    and 2.  Raises CaseMismatch if the case does not fit the input's
+    surface."""
+    if case.requires_orientable != input.surface_orientable:
+        want = "an orientable" if case.requires_orientable else "a non-orientable"
+        raise CaseMismatch(f"case {case.value} needs {want} surface input")
+    if case is CaseLabel.CASE3:
+        return input.p_plus_generators, input.n_word
+    return input.p_generators, None
 
 
 @dataclass(frozen=True)
@@ -348,26 +373,3 @@ def validate_with_tables(input: SurfaceKnotInput,
         p_plus_table, "n_squared_in_p_plus",
         [(power(n, 2), f"({n_text})^2")], ""))
     return ValidationReport(tuple(checks))
-
-
-def validate(input: SurfaceKnotInput,
-             limits: Optional[EnumerationLimits] = None) -> ValidationReport:
-    """Enumerate the peripheral tables and run all side-condition checks.
-
-    Resource exhaustion never raises here; affected checks come back
-    "unknown".
-    """
-    if input.surface_orientable:
-        return validate_with_tables(input, None, None)
-    p_table = None
-    p_plus_table = None
-    try:
-        p_table = enumerate_cosets(input.presentation, input.p_generators, limits)
-    except ResourceExhausted:
-        pass
-    try:
-        p_plus_table = enumerate_cosets(input.presentation,
-                                        input.p_plus_generators, limits)
-    except ResourceExhausted:
-        pass
-    return validate_with_tables(input, p_table, p_plus_table)

@@ -28,11 +28,12 @@ from .errors import HandleCosetError
 from .finite_quotient import (DIHEDRAL_DEGREES, SeparationVerdict,
                               find_homomorphisms, index_certificate,
                               quotient_separate)
-from .handle_classifier import (CaseLabel, ClassifierContext, equivalent,
+from .handle_classifier import (ClassifierContext, equivalent,
                                 enumerate_classes, handle_invariant,
-                                image_member, nonsurjectivity_witness)
-from .knot_input import (SurfaceKnotInput, parse_input, parse_word, serialize,
-                         validate)
+                                image_member, nonsurjectivity_witness,
+                                validate)
+from .knot_input import (CaseLabel, SurfaceKnotInput, parse_input, parse_word,
+                         serialize)
 from .word_algebra import Word, concat, free_reduce, invert
 
 Perm = tuple[int, ...]

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -19,6 +20,9 @@ S3 = "group: a b\nrel: a^2\nrel: b^3\nrel: a b a b\nP: a\norientable: true\n"
 D8_CASE3 = ("group: r s\nrel: r^4\nrel: s^2\nrel: r s r s\n"
             "P: r^2 , s\nP+: r^2\nn: s\norientable: false\n")
 FREE2 = "group: a b\nP: a\norientable: true\n"
+# the trefoil with P of finite index and P+ = <a> of infinite index
+T3_P_PLUS = ("group: a b\nrel: a b a b^-1 a^-1 b^-1\n"
+             "P: a , b a b^-1\nP+: a\nn: b a b^-1\norientable: false\n")
 
 
 @pytest.fixture
@@ -147,10 +151,16 @@ def test_exit_code_usage_error(skg, capsys):
 
 
 def test_exit_code_resource_exhausted(skg, capsys):
+    # on the free group the probe runs out and S_2 proves infinite index
     path = skg("free2.skg", FREE2)
     code = run(["enumerate", path, "--max-cosets", "50"])
     assert code == 3
-    assert "exhausted" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: P has infinite index:")
+    # b(17, 1) has no certificate, so the full budget runs out as well
+    path = skg("b17.skg", two_bridge_skg(17, 1))
+    assert run(["enumerate", path, "--max-cosets", "50"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: coset enumeration exhausted its budget")
 
 
 def test_classes_on_the_trefoil_proves_infinite_index(skg, capsys):
@@ -177,14 +187,36 @@ def test_classes_on_a_torus_knot_proves_infinite_index(skg, capsys):
 def test_classes_proves_p_plus_has_infinite_index(skg, capsys):
     # P has finite index on the trefoil, P+ = <a> does not: the P+ probe
     # runs out and the degree-3 image proves it, instead of a million cosets
-    path = skg("t3-p-plus.skg", "group: a b\nrel: a b a b^-1 a^-1 b^-1\n"
-               "P: a , b a b^-1\nP+: a\nn: b a b^-1\norientable: false\n")
+    path = skg("t3-p-plus.skg", T3_P_PLUS)
     start = time.perf_counter()
     assert run(["classes", path, "--case", "3"]) == 3
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: P+ has infinite index:")
     assert "degree 3" in err
+
+
+def test_validate_stops_at_the_p_plus_certificate(skg, capsys):
+    # the P+ checks stay unknown, but the certificate ends the P+ table
+    # after the probe instead of a million cosets
+    path = skg("t3-p-plus.skg", T3_P_PLUS)
+    start = time.perf_counter()
+    assert run(["validate", path]) == 0
+    assert time.perf_counter() - start < 1.0
+    unknown = "P+-table enumeration hit resource limits"
+    assert capsys.readouterr().out == (
+        "[pass] p_plus_in_p: all traces close at coset 1\n"
+        "[pass] n_in_p: all traces close at coset 1\n"
+        f"[unknown] n_vs_p_plus: {unknown}\n"
+        f"[unknown] twist_normalizes_p_plus: {unknown}\n"
+        f"[unknown] n_squared_in_p_plus: {unknown}\n"
+        "5 checks, 0 failed\n")
+
+
+def test_enumerate_proves_p_plus_has_infinite_index(skg, capsys):
+    path = skg("t3-p-plus.skg", T3_P_PLUS)
+    assert run(["enumerate", path, "--subgroup", "P+"]) == 3
+    assert capsys.readouterr().err.startswith("error: P+ has infinite index:")
 
 
 def test_max_cosets_must_be_positive(skg, capsys):
@@ -382,6 +414,24 @@ def test_each_module_imports_first(module):
             f"sys.modules['handlecoset'] = pkg\n"
             f"importlib.import_module('handlecoset.{module}')\n")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_no_lazy_package_imports():
+    # a function-level import hides a module cycle from the test above;
+    # only the CLI loading the oracle suite on demand, and the oracle
+    # driving the CLI, import inside a function
+    found = set()
+    for path in Path(handlecoset.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    target = node.module or ",".join(a.name for a in node.names)
+                    found.add((path.stem, func.name, target))
+    assert found == {("cli", "_cmd_selftest", "selftest"),
+                     ("selftest", "check_record_determinism", "cli")}
 
 
 Q8 = "group: a b\nrel: a^4\nrel: a^2 b^-2\nrel: b^-1 a b a\nP: a\norientable: true\n"

@@ -5,9 +5,10 @@ import pytest
 from handlecoset.coset_enumeration import EnumerationLimits
 from handlecoset.errors import (DuplicateGenerator, MissingSection,
                                 SkgSyntaxError, UnknownGenerator)
+from handlecoset.handle_classifier import validate
 from handlecoset.knot_input import (MAX_WORD_LETTERS, SurfaceKnotInput,
                                     format_word, parse_input, parse_word,
-                                    serialize, validate)
+                                    serialize)
 from handlecoset.selftest import peval, pinv, pmul, subgroup_of
 from handlecoset.word_algebra import Word
 
