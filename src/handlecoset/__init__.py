@@ -19,14 +19,14 @@ from .errors import (CaseMismatch, CosetRangeError, DuplicateGenerator,
 from .finite_quotient import (PermutationAssignment, SeparationVerdict,
                               find_homomorphisms, quotient_separate)
 from .handle_classifier import (ClassifierContext, HandleInvariant,
-                                case_table, enumerate_classes, equivalent,
+                                ValidationCheck, ValidationReport, case_table,
+                                enumerate_classes, equivalent,
                                 handle_invariant, image_member,
                                 local_oriented_cord_invariant,
                                 nonsurjectivity_witness,
                                 oriented_cord_invariant, validate)
-from .knot_input import (CaseLabel, SurfaceKnotInput, ValidationCheck,
-                         ValidationReport, format_word, parse_input,
-                         parse_word, serialize)
+from .knot_input import (CaseLabel, SurfaceKnotInput, format_word,
+                         parse_input, parse_word, serialize)
 from .word_algebra import (GeneratorSymbol, GroupPresentation, Word, concat,
                            free_reduce, invert, power)
 

@@ -24,8 +24,8 @@ from typing import Optional
 
 from .coset_enumeration import EnumerationLimits
 from .double_cosets import DoubleCosetId, UnorderedPair, dc_id
-from .errors import (HandleCosetError, MissingPPlus, MissingSection,
-                     ResourceExhausted, SkgSyntaxError, UsageError)
+from .errors import (HandleCosetError, MissingSection, ResourceExhausted,
+                     SkgSyntaxError, UsageError)
 from .finite_quotient import (MAX_SEPARATE_DEGREE, SeparationVerdict,
                               quotient_separate)
 from .handle_classifier import (ClassifierContext, HandleInvariant,
@@ -152,15 +152,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     input = _load(args.file)
-    if args.subgroup == "P+":
-        if input.p_plus_generators is None:
-            raise MissingPPlus("this input has no P+ section")
-        subgroup = input.p_plus_generators
-    else:
-        subgroup = input.p_generators
     start = time.perf_counter()
-    table = subgroup_table(input.presentation, args.subgroup, subgroup,
-                           _limits(args.max_cosets))
+    table = subgroup_table(input, args.subgroup, _limits(args.max_cosets))
     elapsed = time.perf_counter() - start
     _emit(args, {"command": "enumerate", "input": input.label,
                  "subgroup": args.subgroup, "index": table.index,

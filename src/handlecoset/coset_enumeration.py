@@ -270,7 +270,9 @@ class _Enumeration:
 
     def _standardize(self):
         """Renumber live cosets 1.. in BFS order by (coset, column) from
-        coset 0, writing each column straight into a 1-based list."""
+        coset 0, writing each column straight into a 1-based list.  No
+        live row points at a dead coset: for each coset coincidence kills,
+        it clears every entry that points back at it."""
         table, ncols, merged = self.table, self.ncols, self.merged
         number = [0] * (len(table) // ncols)  # 0 = not reached yet
         number[0] = 1  # coset 0 survives every merge (min offset wins)
@@ -283,8 +285,6 @@ class _Enumeration:
                 d = table[c + col]
                 if d is None:
                     raise AssertionError("incomplete row after enumeration")
-                if d in merged:
-                    d = self.rep(d)
                 k = d // ncols
                 if not number[k]:
                     order.append(d)

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .coset_enumeration import CosetTable
 from .errors import PreconditionUnverified, TableMismatch
-from .knot_input import ValidationReport
 from .word_algebra import Word, invert
+
+if TYPE_CHECKING:
+    from .handle_classifier import ValidationReport
 
 
 class _Partition:

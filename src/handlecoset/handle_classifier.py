@@ -18,6 +18,11 @@ symmetry apply:
 Degenerate cord words (the empty word, words tracing into the subgroup)
 are legal; they model cords that can be isotoped into the boundary
 neighborhood.
+
+The peripheral tables come from subgroup_table, and the side conditions
+on P+ and n that make the twist well defined are checked here beside
+them (validate), so every way to a table, and every reason one is
+missing, lives in this module.
 """
 
 from __future__ import annotations
@@ -31,31 +36,37 @@ from .double_cosets import (DoubleCosetId, UnorderedPair, dc_all, dc_id,
 from .errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                      PreconditionUnverified, ResourceExhausted, TableMismatch)
 from .finite_quotient import infinite_index_certificate
-from .knot_input import (CaseLabel, SurfaceKnotInput, ValidationReport,
-                         case_words, validate_with_tables)
-from .word_algebra import GroupPresentation, Word
+from .knot_input import CaseLabel, SurfaceKnotInput, case_words, format_word
+from .word_algebra import Word, concat, invert, power
 
 InvariantValue = Union[DoubleCosetId, UnorderedPair]
+# a table, or the ResourceExhausted (InfiniteIndex included) that refused it
+_TableOrRefusal = Union[CosetTable, ResourceExhausted]
 
 # subgroup_table's first enumeration gets this fraction of the caller's budget
 PROBE_FRACTION = 8
 
 
-def subgroup_table(pres: GroupPresentation, name: str, words: Sequence[Word],
+def subgroup_table(input: SurfaceKnotInput, name: str,
                    limits: Optional[EnumerationLimits] = None) -> CosetTable:
-    """The coset table of the subgroup the words generate, named (P or
-    P+) in InfiniteIndex.
+    """The coset table of the input's subgroup P or P+, as name says.
 
+    Raises MissingPPlus for "P+" on an input without a P+ section.
     Enumerates first under 1/PROBE_FRACTION of each limit (at least 1).
     A probe that completes is the table a full-budget run gives,
     defined-coset count included: enumeration reads its budget only when
     about to break it.  A probe that runs out asks
     infinite_index_certificate for a proof of infinite index and raises
-    InfiniteIndex if it finds one.  Otherwise the full limits run, and
-    raise a plain ResourceExhausted if they run out too.
+    InfiniteIndex, naming the subgroup, if it finds one.  Otherwise the
+    full limits run, and raise a plain ResourceExhausted if they run out
+    too.
     """
+    words = input.p_generators if name == "P" else input.p_plus_generators
+    if words is None:
+        raise MissingPPlus("this input has no P+ section")
     if limits is None:
         limits = EnumerationLimits()
+    pres = input.presentation
     probe = EnumerationLimits(max(1, limits.max_live_cosets // PROBE_FRACTION),
                               max(1, limits.max_total_defined // PROBE_FRACTION))
     try:
@@ -69,22 +80,114 @@ def subgroup_table(pres: GroupPresentation, name: str, words: Sequence[Word],
     return enumerate_cosets(pres, words, limits)
 
 
+@dataclass(frozen=True)
+class ValidationCheck:
+    name: str
+    status: str  # "pass" | "fail" | "unknown"
+    detail: str
+
+
+_CHECK_NAMES = (
+    "p_plus_in_p",
+    "n_in_p",
+    "n_vs_p_plus",
+    "twist_normalizes_p_plus",
+    "n_squared_in_p_plus",
+)
+
+_TWIST_CHECKS = {"twist_normalizes_p_plus", "n_squared_in_p_plus"}
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """Outcome of the side-condition checks; a check is "unknown" only
+    when the table it needs was refused, and its detail is then the
+    refusal's message."""
+
+    checks: tuple[ValidationCheck, ...]
+
+    @property
+    def failures(self) -> tuple[ValidationCheck, ...]:
+        return tuple(c for c in self.checks if c.status == "fail")
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    @property
+    def twist_verified(self) -> bool:
+        """True when the checks guarding the n-twist map all passed."""
+        named = {c.name: c.status for c in self.checks}
+        return all(named.get(name) == "pass" for name in _TWIST_CHECKS)
+
+
+def _membership_check(table: _TableOrRefusal, name: str,
+                      words: Sequence[tuple[Word, str]]) -> ValidationCheck:
+    if isinstance(table, ResourceExhausted):
+        return ValidationCheck(name, "unknown", str(table))
+    for word, shown in words:
+        if not table.membership(word):
+            return ValidationCheck(name, "fail", f"{shown} is not in the subgroup")
+    return ValidationCheck(name, "pass", "all traces close at coset 1")
+
+
+def _validate_with_tables(input: SurfaceKnotInput,
+                          p_table: Optional[_TableOrRefusal],
+                          p_plus_table: Optional[_TableOrRefusal]
+                          ) -> ValidationReport:
+    """Run the side-condition checks against the P and P+ tables, which
+    an orientable input does not need."""
+    if input.surface_orientable:
+        checks = tuple(ValidationCheck(name, "pass", "vacuous: surface is orientable")
+                       for name in _CHECK_NAMES)
+        return ValidationReport(checks)
+
+    names = input.presentation.generator_names
+    n = input.n_word
+    n_text = format_word(n, names)
+    pp_words = [(w, format_word(w, names)) for w in input.p_plus_generators]
+
+    checks = [_membership_check(p_table, "p_plus_in_p", pp_words),
+              _membership_check(p_table, "n_in_p", [(n, n_text)])]
+
+    if isinstance(p_plus_table, ResourceExhausted):
+        checks.extend(ValidationCheck(name, "unknown", str(p_plus_table))
+                      for name in _CHECK_NAMES[2:])  # the three on P+
+        return ValidationReport(tuple(checks))
+
+    in_pp = p_plus_table.membership(n)
+    checks.append(ValidationCheck(
+        "n_vs_p_plus", "pass",
+        f"observed: {n_text} is {'in' if in_pp else 'not in'} P+"))
+
+    n_inv = invert(n)
+    conjugates = []
+    for w, shown in pp_words:
+        conjugates.append((concat(n, w, n_inv), f"{n_text} ({shown}) {n_text}^-1"))
+        conjugates.append((concat(n_inv, w, n), f"{n_text}^-1 ({shown}) {n_text}"))
+    checks.append(_membership_check(
+        p_plus_table, "twist_normalizes_p_plus", conjugates))
+    checks.append(_membership_check(
+        p_plus_table, "n_squared_in_p_plus", [(power(n, 2), f"({n_text})^2")]))
+    return ValidationReport(tuple(checks))
+
+
 def validate(input: SurfaceKnotInput,
              limits: Optional[EnumerationLimits] = None) -> ValidationReport:
     """Build the peripheral tables with subgroup_table and run all
-    side-condition checks.  Never raises ResourceExhausted (InfiniteIndex
-    included): the checks that need that table come back "unknown"."""
+    side-condition checks.  Never raises ResourceExhausted: a check that
+    needs a refused table comes back "unknown", with the message of the
+    ResourceExhausted (InfiniteIndex included) as its detail."""
     if input.surface_orientable:
-        return validate_with_tables(input, None, None)
+        return _validate_with_tables(input, None, None)
 
-    def table(name: str, words: Sequence[Word]) -> Optional[CosetTable]:
+    def table(name: str) -> _TableOrRefusal:
         try:
-            return subgroup_table(input.presentation, name, words, limits)
-        except ResourceExhausted:
-            return None
+            return subgroup_table(input, name, limits)
+        except ResourceExhausted as exc:
+            return exc
 
-    return validate_with_tables(input, table("P", input.p_generators),
-                                table("P+", input.p_plus_generators))
+    return _validate_with_tables(input, table("P"), table("P+"))
 
 
 def _kind_of(case: CaseLabel, core_oriented: bool) -> str:
@@ -170,13 +273,11 @@ class ClassifierContext:
         limits, which raises InfiniteIndex or ResourceExhausted, and
         validate; a failed side-condition check raises
         PreconditionUnverified."""
-        pres = input.presentation
-        p_table = subgroup_table(pres, "P", input.p_generators, limits)
+        p_table = subgroup_table(input, "P", limits)
         p_plus_table = None
         if not input.surface_orientable:
-            p_plus_table = subgroup_table(pres, "P+", input.p_plus_generators,
-                                          limits)
-        report = validate_with_tables(input, p_table, p_plus_table)
+            p_plus_table = subgroup_table(input, "P+", limits)
+        report = _validate_with_tables(input, p_table, p_plus_table)
         if not report.ok:
             failed = "; ".join(f"{c.name}: {c.detail}" for c in report.failures)
             raise PreconditionUnverified(f"input failed validation: {failed}")

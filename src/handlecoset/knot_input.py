@@ -1,4 +1,4 @@
-"""Surface-knot group input: data model, cases, .skg parsing, validation.
+"""Surface-knot group input: data model, cases, .skg parsing and writing.
 
 An input bundles a knot group presentation with words generating the
 peripheral subgroup P, and, for a non-orientable surface, words for the
@@ -6,7 +6,8 @@ positive peripheral subgroup P+ together with a word n standing for the
 image of an orientation-reversing peripheral loop.  None of this is
 derived from geometry here; the words are trusted input, and cord words
 are assumed to have been computed with path choices compatible with the
-local orientations they encode.
+local orientations they encode.  The side conditions on P+ and n are
+checked against the coset tables, by handle_classifier.validate.
 
 The .skg format is line oriented (UTF-8):
 
@@ -32,11 +33,9 @@ from enum import Enum
 from itertools import groupby
 from typing import Optional, Sequence
 
-from .coset_enumeration import CosetTable
 from .errors import (CaseMismatch, DuplicateGenerator, MissingSection,
                      SkgSyntaxError, UnknownGenerator)
-from .word_algebra import (GeneratorSymbol, GroupPresentation, Word, concat,
-                           free_reduce, invert, power)
+from .word_algebra import GeneratorSymbol, GroupPresentation, Word, free_reduce
 
 _TOKEN = re.compile(r"\S+")
 # a word may expand (before free reduction) to at most this many letters
@@ -85,46 +84,6 @@ def case_words(input: SurfaceKnotInput,
     if case is CaseLabel.CASE3:
         return input.p_plus_generators, input.n_word
     return input.p_generators, None
-
-
-@dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    status: str  # "pass" | "fail" | "unknown"
-    detail: str
-
-
-_CHECK_NAMES = (
-    "p_plus_in_p",
-    "n_in_p",
-    "n_vs_p_plus",
-    "twist_normalizes_p_plus",
-    "n_squared_in_p_plus",
-)
-
-_TWIST_CHECKS = {"twist_normalizes_p_plus", "n_squared_in_p_plus"}
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the side-condition checks; "unknown" only after a
-    coset enumeration hit its resource limits."""
-
-    checks: tuple[ValidationCheck, ...]
-
-    @property
-    def failures(self) -> tuple[ValidationCheck, ...]:
-        return tuple(c for c in self.checks if c.status == "fail")
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def twist_verified(self) -> bool:
-        """True when the checks guarding the n-twist map all passed."""
-        named = {c.name: c.status for c in self.checks}
-        return all(named.get(name) == "pass" for name in _TWIST_CHECKS)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +144,9 @@ def parse_input(text: str, label: str = "") -> SurfaceKnotInput:
     relators: list[Word] = []
     p_gens: Optional[tuple[Word, ...]] = None
     pp_gens: Optional[tuple[Word, ...]] = None
-    pp_line = 0
     n_word: Optional[Word] = None
-    n_line = 0
     orientable: Optional[bool] = None
-    seen_group = False
+    seen: dict[str, int] = {}  # each section but rel -> the line it is on
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -200,14 +157,15 @@ def parse_input(text: str, label: str = "") -> SurfaceKnotInput:
             raise SkgSyntaxError(line_no, 1, "expected '<key>: <value>'")
         keyword = key.strip()
         rest_col = len(key) + 2  # 1-based column where the value starts
-        if not seen_group and keyword != "group":
+        if "group" not in seen and keyword != "group":
             raise SkgSyntaxError(line_no, 1,
                                  "'group:' must be the first non-comment line")
+        if keyword in seen:
+            raise SkgSyntaxError(line_no, 1, f"'{keyword}:' may appear only once")
+        if keyword != "rel":
+            seen[keyword] = line_no
 
         if keyword == "group":
-            if seen_group:
-                raise SkgSyntaxError(line_no, 1, "'group:' may appear only once")
-            seen_group = True
             for match in _TOKEN.finditer(rest):
                 name = match.group(0)
                 col = rest_col + match.start()
@@ -230,23 +188,12 @@ def parse_input(text: str, label: str = "") -> SurfaceKnotInput:
                                      "relator reduces to the identity")
             relators.append(word)
         elif keyword == "P":
-            if p_gens is not None:
-                raise SkgSyntaxError(line_no, 1, "'P:' may appear only once")
             p_gens = _parse_word_list(rest, line_no, rest_col, name_to_index)
         elif keyword == "P+":
-            if pp_gens is not None:
-                raise SkgSyntaxError(line_no, 1, "'P+:' may appear only once")
             pp_gens = _parse_word_list(rest, line_no, rest_col, name_to_index)
-            pp_line = line_no
         elif keyword == "n":
-            if n_word is not None:
-                raise SkgSyntaxError(line_no, 1, "'n:' may appear only once")
             n_word = _parse_word_tokens(rest, line_no, rest_col, name_to_index)
-            n_line = line_no
         elif keyword == "orientable":
-            if orientable is not None:
-                raise SkgSyntaxError(line_no, 1,
-                                     "'orientable:' may appear only once")
             value = rest.strip()
             if value == "true":
                 orientable = True
@@ -258,24 +205,15 @@ def parse_input(text: str, label: str = "") -> SurfaceKnotInput:
         else:
             raise SkgSyntaxError(line_no, 1, f"unknown section {keyword!r}")
 
-    if not seen_group:
-        raise MissingSection("group:")
-    if p_gens is None:
-        raise MissingSection("P:")
-    if orientable is None:
-        raise MissingSection("orientable:")
-    if orientable:
-        if pp_gens is not None:
-            raise SkgSyntaxError(pp_line, 1,
-                                 "'P+:' is not allowed when orientable: true")
-        if n_word is not None:
-            raise SkgSyntaxError(n_line, 1,
-                                 "'n:' is not allowed when orientable: true")
-    else:
-        if pp_gens is None:
-            raise MissingSection("P+:", "required for non-orientable input")
-        if n_word is None:
-            raise MissingSection("n:", "required for non-orientable input")
+    for section in ("group", "P", "orientable"):
+        if section not in seen:
+            raise MissingSection(f"{section}:")
+    for section in ("P+", "n"):
+        if orientable and section in seen:
+            raise SkgSyntaxError(seen[section], 1, f"'{section}:' is not "
+                                 "allowed when orientable: true")
+        if not orientable and section not in seen:
+            raise MissingSection(f"{section}:", "required for non-orientable input")
 
     presentation = GroupPresentation(tuple(generators), tuple(relators))
     return SurfaceKnotInput(presentation, p_gens, pp_gens, n_word,
@@ -309,67 +247,3 @@ def serialize(input: SurfaceKnotInput) -> str:
     lines.append("orientable: " + ("true" if input.surface_orientable else "false"))
     return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-def _membership_check(table: Optional[CosetTable], name: str,
-                      words: Sequence[tuple[Word, str]],
-                      unknown_detail: str) -> ValidationCheck:
-    if table is None:
-        return ValidationCheck(name, "unknown", unknown_detail)
-    for word, shown in words:
-        if not table.membership(word):
-            return ValidationCheck(name, "fail", f"{shown} is not in the subgroup")
-    return ValidationCheck(name, "pass", "all traces close at coset 1")
-
-
-def validate_with_tables(input: SurfaceKnotInput,
-                         p_table: Optional[CosetTable],
-                         p_plus_table: Optional[CosetTable]) -> ValidationReport:
-    """Run the side-condition checks against already enumerated tables.
-
-    A missing table marks the checks that need it as "unknown".
-    """
-    if input.surface_orientable:
-        checks = tuple(ValidationCheck(name, "pass", "vacuous: surface is orientable")
-                       for name in _CHECK_NAMES)
-        return ValidationReport(checks)
-
-    names = input.presentation.generator_names
-    n = input.n_word
-    n_text = format_word(n, names)
-    pp_words = [(w, format_word(w, names)) for w in input.p_plus_generators]
-
-    checks = []
-    checks.append(_membership_check(
-        p_table, "p_plus_in_p", pp_words,
-        "P-table enumeration hit resource limits"))
-    checks.append(_membership_check(
-        p_table, "n_in_p", [(n, n_text)],
-        "P-table enumeration hit resource limits"))
-
-    if p_plus_table is None:
-        unknown = "P+-table enumeration hit resource limits"
-        checks.append(ValidationCheck("n_vs_p_plus", "unknown", unknown))
-        checks.append(ValidationCheck("twist_normalizes_p_plus", "unknown", unknown))
-        checks.append(ValidationCheck("n_squared_in_p_plus", "unknown", unknown))
-        return ValidationReport(tuple(checks))
-
-    in_pp = p_plus_table.membership(n)
-    checks.append(ValidationCheck(
-        "n_vs_p_plus", "pass",
-        f"observed: {n_text} is {'in' if in_pp else 'not in'} P+"))
-
-    n_inv = invert(n)
-    conjugates = []
-    for w, shown in pp_words:
-        conjugates.append((concat(n, w, n_inv), f"{n_text} ({shown}) {n_text}^-1"))
-        conjugates.append((concat(n_inv, w, n), f"{n_text}^-1 ({shown}) {n_text}"))
-    checks.append(_membership_check(
-        p_plus_table, "twist_normalizes_p_plus", conjugates, ""))
-    checks.append(_membership_check(
-        p_plus_table, "n_squared_in_p_plus",
-        [(power(n, 2), f"({n_text})^2")], ""))
-    return ValidationReport(tuple(checks))

@@ -198,13 +198,21 @@ def test_classes_proves_p_plus_has_infinite_index(skg, capsys):
 
 def test_validate_stops_at_the_p_plus_certificate(skg, capsys):
     # the P+ checks stay unknown, but the certificate ends the P+ table
-    # after the probe instead of a million cosets
+    # after the probe instead of a million cosets, and each of them says
+    # so with the message enumerate prints after "error: "
     path = skg("t3-p-plus.skg", T3_P_PLUS)
     start = time.perf_counter()
     assert run(["validate", path]) == 0
     assert time.perf_counter() - start < 1.0
-    unknown = "P+-table enumeration hit resource limits"
-    assert capsys.readouterr().out == (
+    unknown = ("P+ has infinite index: in a transitive permutation image of "
+               "degree 3, the point stabilizer H has H^ab of rank 2 over Q and "
+               "the intersection of P+ with H spans rank 1; the probe "
+               "enumeration stopped (125000 live cosets, 125061 defined; "
+               "limits: 125000 live / 1250000 total)")
+    out = capsys.readouterr().out
+    assert run(["enumerate", path, "--subgroup", "P+"]) == 3
+    assert capsys.readouterr().err == f"error: {unknown}\n"
+    assert out == (
         "[pass] p_plus_in_p: all traces close at coset 1\n"
         "[pass] n_in_p: all traces close at coset 1\n"
         f"[unknown] n_vs_p_plus: {unknown}\n"
@@ -217,6 +225,12 @@ def test_enumerate_proves_p_plus_has_infinite_index(skg, capsys):
     path = skg("t3-p-plus.skg", T3_P_PLUS)
     assert run(["enumerate", path, "--subgroup", "P+"]) == 3
     assert capsys.readouterr().err.startswith("error: P+ has infinite index:")
+
+
+def test_enumerate_p_plus_needs_a_p_plus_section(skg, capsys):
+    path = skg("s3.skg", S3)
+    assert run(["enumerate", path, "--subgroup", "P+"]) == 1
+    assert capsys.readouterr().err == "error: this input has no P+ section\n"
 
 
 def test_max_cosets_must_be_positive(skg, capsys):
@@ -432,6 +446,35 @@ def test_no_lazy_package_imports():
                     found.add((path.stem, func.name, target))
     assert found == {("cli", "_cmd_selftest", "selftest"),
                      ("selftest", "check_record_determinism", "cli")}
+
+
+def _runtime_imports(module):
+    """The package modules a module imports when it loads: its top-level
+    relative imports, outside `if TYPE_CHECKING:` blocks."""
+    path = Path(handlecoset.__file__).parent / f"{module}.py"
+    found = set()
+    body = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while body:
+        node = body.pop()
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module
+                         else (a.name for a in node.names))
+        elif isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name)
+                    and node.test.id == "TYPE_CHECKING"):
+                body.extend(node.body)
+            body.extend(node.orelse)
+    return found
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("knot_input", {"errors", "word_algebra"}),
+    ("double_cosets", {"coset_enumeration", "errors", "word_algebra"}),
+], ids=["knot_input", "double_cosets"])
+def test_input_layer_imports_no_engine(module, allowed):
+    # the input model and the double-coset maps sit below the engine
+    # that builds and checks the peripheral tables
+    assert _runtime_imports(module) <= allowed
 
 
 Q8 = "group: a b\nrel: a^4\nrel: a^2 b^-2\nrel: b^-1 a b a\nP: a\norientable: true\n"

@@ -7,9 +7,9 @@ from handlecoset.coset_enumeration import enumerate_cosets
 from handlecoset.double_cosets import (UnorderedPair, dc_all, dc_id,
                                        dc_invert, dc_twist)
 from handlecoset.errors import PreconditionUnverified, TableMismatch
-from handlecoset.handle_classifier import ClassifierContext, validate
-from handlecoset.knot_input import (ValidationCheck, ValidationReport,
-                                    parse_input, parse_word)
+from handlecoset.handle_classifier import (ClassifierContext, ValidationCheck,
+                                           ValidationReport, validate)
+from handlecoset.knot_input import parse_input, parse_word
 from handlecoset.selftest import GROUP_CORPUS
 from handlecoset.word_algebra import Word, concat, free_reduce, invert
 

@@ -70,6 +70,9 @@ def test_homs_deterministic_and_limited():
     assert first == second
     capped = find_homomorphisms(S3_INPUT.presentation, 3, limit=4)
     assert capped == first[:4]
+    assert find_homomorphisms(S3_INPUT.presentation, 3, limit=0) == []
+    with pytest.raises(ValueError):
+        find_homomorphisms(S3_INPUT.presentation, 3, limit=-1)
 
 
 def reference_homs(pres, degree, limit):

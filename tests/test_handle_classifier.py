@@ -159,6 +159,16 @@ def test_image_member_tag_and_table_checks():
         image_member(other, CaseLabel.CASE1, False, built)
 
 
+def test_handle_invariant_rejects_a_value_of_the_wrong_shape():
+    parsed, ctx = ctx_of(S3)
+    b = parse_word("b", parsed.presentation)
+    d = dc_id(ctx.p_table, parsed.p_generators, b)
+    with pytest.raises(ValueError):
+        HandleInvariant(CaseLabel.CASE1, True, UnorderedPair(d, d))
+    with pytest.raises(ValueError):
+        HandleInvariant(CaseLabel.CASE1, False, d)
+
+
 def test_enumerate_classes_counts():
     parsed, ctx = ctx_of(UNKNOTTED)
     assert len(enumerate_classes(ctx, CaseLabel.CASE1, True)) == 1

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from brute import two_bridge_skg
 from handlecoset.coset_enumeration import EnumerationLimits
 from handlecoset.errors import (DuplicateGenerator, MissingSection,
                                 SkgSyntaxError, UnknownGenerator)
@@ -77,6 +78,36 @@ def test_parse_word_syntax():
 def test_parse_errors(text, error):
     with pytest.raises(error):
         parse_input(text)
+
+
+CASE3_TAIL = "P+: t\nn: t\norientable: false"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    pytest.param("group: t\nP: t\nP: t\norientable: true", SkgSyntaxError,
+                 "line 3, column 1: 'P:' may appear only once", id="P-twice"),
+    pytest.param(f"group: t\nP: t\nP+: t\n{CASE3_TAIL}", SkgSyntaxError,
+                 "line 4, column 1: 'P+:' may appear only once", id="P+-twice"),
+    pytest.param(f"group: t\nP: t\nn: t\n{CASE3_TAIL}", SkgSyntaxError,
+                 "line 5, column 1: 'n:' may appear only once", id="n-twice"),
+    pytest.param("group: t\nP: t\norientable: true\norientable: true",
+                 SkgSyntaxError,
+                 "line 4, column 1: 'orientable:' may appear only once",
+                 id="orientable-twice"),
+    pytest.param("group:\nP: 1\norientable: true", SkgSyntaxError,
+                 "line 1, column 7: at least one generator is required",
+                 id="no-generators"),
+    pytest.param("", MissingSection, "missing required section 'group:'",
+                 id="empty"),
+    pytest.param("group: t\nP: t\nn: t\norientable: false", MissingSection,
+                 "missing required section 'P+:' "
+                 "(required for non-orientable input)", id="no-P+"),
+])
+def test_parse_error_messages(text, error, message):
+    with pytest.raises(error) as info:
+        parse_input(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_syntax_error_carries_position():
@@ -184,3 +215,17 @@ def test_validate_resource_exhaustion_is_unknown():
     assert any(c.status == "unknown" for c in report.checks)
     assert not report.twist_verified
     assert report.ok  # unknown is not a failure
+    # the probe runs out and the certificate proves it: the P checks say so
+    for check in report.checks[:2]:
+        assert check.detail.startswith("P has infinite index:")
+
+
+def test_validate_without_a_certificate_reports_the_exhaustion():
+    # b(17, 1) has no finite image that certifies P = <a>, so both tables
+    # run out plainly, and every check carries that refusal
+    text = two_bridge_skg(17, 1).replace("orientable: true",
+                                         "P+: a\nn: b\norientable: false")
+    report = validate(parse_input(text), EnumerationLimits(50, 500))
+    assert [c.status for c in report.checks] == ["unknown"] * 5
+    for check in report.checks:
+        assert check.detail.startswith("coset enumeration exhausted its budget (")
