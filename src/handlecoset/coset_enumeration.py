@@ -8,7 +8,19 @@ table is renumbered into breadth-first standard form (columns ordered
 g1, g1^-1, g2, g2^-1, ...), which makes the result independent of the
 internal deduction order; witness words fall out of the BFS tree.
 
-During the run the table is one flat list of stride ncols = 2 * ngens.
+During the run the table is one flat list whose stride ncols is the
+number of distinct columns.  A generator is involutory when the
+presentation has a relator that is that letter twice (x^2 or x^-2).
+Its two letters share one flat column, which is its own inverse; every
+other generator has a column per letter.  A column map sends each
+letter to its flat column, and an inverse map sends each flat column to
+its inverse (k ^ 1 for a pair, k itself for a shared column).  Relators
+and subgroup words are compiled through the column map, and every edge
+is installed together with its reverse through the inverse map, so the
+x^2 relators hold at every coset and are not scanned.  On the Coxeter
+presentation of S_n every generator is an involution: the stride halves
+and about half as many cosets are defined.
+
 A coset is named by its base offset (coset number times ncols), and a
 defined slot holds the target's base offset, so one scan step is the
 single subscript table[f + col]; None marks an undefined slot.  Gaps are
@@ -16,12 +28,15 @@ filled inside the scan loop, and the live/defined budget is read only
 when a scan first needs a definition.  Dead cosets are the keys of a
 union-find dict, so live cosets = defined cosets - merged cosets.
 
-Standardization writes the finished table straight into one 1-based
-list per column.  The post-checks work a column at a time: every column
-is a permutation, composing a column with its inverse column gives the
-identity list, every relator's composed columns give the identity list,
-every subgroup generator fixes coset 1, and every witness-tree edge is a
-table edge.
+Standardization walks the distinct columns and writes the finished
+table straight into one 1-based list per column; the result has a
+column for every letter, and an involutory generator's two columns are
+one list.  The standardized table does not depend on the sharing.  The
+post-checks work a column at a time and check every relator, x^2
+included: every column is a permutation, composing a column with its
+inverse column gives the identity list, every relator's composed
+columns give the identity list, every subgroup generator fixes coset 1,
+and every witness-tree edge is a table edge.
 
 Cosets are numbered 1..index and coset 1 is the subgroup itself.
 """
@@ -65,9 +80,12 @@ class CosetTable:
     discovery tree (witness(1) is the empty word).
 
     Storage is one list per column: _action[col][c] is the image of
-    coset c, with a 0 placeholder at position 0.  _parents[c] is the BFS
-    tree edge (parent, col) that discovered coset c, None for c = 1 (and
-    at the placeholder).  _partitions holds the double-coset partitions
+    coset c, with a 0 placeholder at position 0.  Column 2i is generator
+    i and column 2i+1 its inverse; for an involutory generator (a
+    relator x^2 or x^-2) the two are the same list object, so the table
+    must not be edited in place.  _parents[c] is the BFS tree edge
+    (parent, col) that discovered coset c, None for c = 1 (and at the
+    placeholder).  _partitions holds the double-coset partitions
     built over this table, keyed by their acting words (see
     double_cosets).
     """
@@ -136,13 +154,38 @@ class CosetTable:
 
 
 class _Enumeration:
-    """One HLT run over a flat table; a coset is named by its base offset."""
+    """One HLT run over a flat table; a coset is named by its base offset.
+
+    column[2i + (s < 0)] is the flat column of the letter (i, s) and
+    inv[k] the inverse of flat column k; an involutory generator's two
+    letters share one self-inverse column (inv[k] == k).  std[k] is the
+    standard column (2i or 2i + 1) of flat column k."""
 
     def __init__(self, pres: GroupPresentation, subgroup: Sequence[Word],
                  limits: EnumerationLimits):
-        self.ncols = 2 * len(pres.generators)
-        self.relators = [_columns(r) for r in pres.relators]
-        self.subgroup = [_columns(w) for w in subgroup]
+        squares = [r for r in pres.relators
+                   if len(r) == 2 and r.letters[0] == r.letters[1]]
+        involutory = {r.letters[0][0] for r in squares}
+        column: list[int] = []
+        inv: list[int] = []
+        std: list[int] = []
+        for i in range(len(pres.generators)):
+            k = len(inv)
+            if i in involutory:
+                column += [k, k]
+                inv.append(k)
+                std.append(2 * i)
+            else:
+                column += [k, k + 1]
+                inv += [k + 1, k]
+                std += [2 * i, 2 * i + 1]
+        self.column, self.inv, self.std = column, inv, std
+        self.ncols = len(inv)
+        # an edge of a self-inverse column is installed with its reverse,
+        # so the x^2 relators hold at every coset without a scan
+        self.relators = [tuple(column[c] for c in _columns(r))
+                         for r in pres.relators if r not in squares]
+        self.subgroup = [tuple(column[c] for c in _columns(w)) for w in subgroup]
         self.limits = limits
         self.blank: list[Optional[int]] = [None] * self.ncols
         self.table = list(self.blank)
@@ -167,7 +210,7 @@ class _Enumeration:
         queue.append(b)
 
     def coincidence(self, a: int, b: int) -> None:
-        table = self.table
+        table, inv = self.table, self.inv
         queue: deque[int] = deque()
         self.merge(a, b, queue)
         while queue:
@@ -177,16 +220,17 @@ class _Enumeration:
                 if delta is None:
                     continue
                 # dismantle the dead row, re-install the edge at representatives
-                table[delta + (col ^ 1)] = None
+                back = inv[col]
+                table[delta + back] = None
                 mu = self.rep(gamma)
                 nu = self.rep(delta)
                 if table[mu + col] is not None:
                     self.merge(nu, table[mu + col], queue)
-                elif table[nu + (col ^ 1)] is not None:
-                    self.merge(mu, table[nu + (col ^ 1)], queue)
+                elif table[nu + back] is not None:
+                    self.merge(mu, table[nu + back], queue)
                 else:
                     table[mu + col] = nu
-                    table[nu + (col ^ 1)] = mu
+                    table[nu + back] = mu
 
     def cap(self) -> int:
         """Offset at which the next definition would break the budget:
@@ -206,13 +250,13 @@ class _Enumeration:
             raise self.exhausted()
         table += self.blank
         table[alpha + col] = beta
-        table[beta + (col ^ 1)] = alpha
+        table[beta + self.inv[col]] = alpha
 
     def scan_and_fill(self, alpha: int, words: list[tuple[int, ...]]) -> None:
         """Scan coset alpha under each word in turn, filling every gap by
         definitions and closing it by a deduction or a coincidence; stop
         early if alpha itself dies in a coincidence."""
-        table = self.table
+        table, inv = self.table, self.inv
         cap = -1  # read on the first definition only
         for word in words:
             f, i = alpha, 0
@@ -225,7 +269,7 @@ class _Enumeration:
                     f = nxt
                     i += 1
                 while j >= i:
-                    nxt = table[b + (word[j] ^ 1)]
+                    nxt = table[b + inv[word[j]]]
                     if nxt is None:
                         break
                     b = nxt
@@ -240,7 +284,7 @@ class _Enumeration:
                 col = word[i]
                 if j == i:
                     table[f + col] = b
-                    table[b + (col ^ 1)] = f
+                    table[b + inv[col]] = f
                     break
                 # a gap of two or more letters: define f^col and step onto it
                 beta = len(table)
@@ -250,7 +294,7 @@ class _Enumeration:
                     raise self.exhausted()
                 table += self.blank
                 table[f + col] = beta
-                table[beta + (col ^ 1)] = f
+                table[beta + inv[col]] = f
                 f = beta
                 i += 1
 
@@ -270,15 +314,18 @@ class _Enumeration:
 
     def _standardize(self):
         """Renumber live cosets 1.. in BFS order by (coset, column) from
-        coset 0, writing each column straight into a 1-based list.  No
-        live row points at a dead coset: for each coset coincidence kills,
-        it clears every entry that points back at it."""
-        table, ncols, merged = self.table, self.ncols, self.merged
+        coset 0, writing each flat column straight into a 1-based list.
+        The flat columns run in the standard order g1, g1^-1, g2, ...
+        without the inverse of an involutory generator, which is the same
+        column and so never reaches a coset first.  No live row points at
+        a dead coset: for each coset coincidence kills, it clears every
+        entry that points back at it."""
+        table, ncols, merged, std = self.table, self.ncols, self.merged, self.std
         number = [0] * (len(table) // ncols)  # 0 = not reached yet
         number[0] = 1  # coset 0 survives every merge (min offset wins)
         order = [0]
         parents: list[Optional[tuple[int, int]]] = [None, None]
-        action: list[list[int]] = [[0] for _ in range(ncols)]
+        flat: list[list[int]] = [[0] for _ in range(ncols)]
         for c in order:  # grows while it is walked
             here = number[c // ncols]
             for col in range(ncols):
@@ -289,12 +336,13 @@ class _Enumeration:
                 if not number[k]:
                     order.append(d)
                     number[k] = len(order)
-                    parents.append((here, col))
-                action[col].append(number[k])
+                    parents.append((here, std[col]))
+                flat[col].append(number[k])
         defined = len(table) // ncols
         if len(order) != defined - len(merged):
             raise AssertionError("coset table is not connected")
-        return action, parents, defined
+        # a self-inverse column stands for both letters: one list, twice
+        return [flat[k] for k in self.column], parents, defined
 
 
 def _verify(table: CosetTable, pres: GroupPresentation,

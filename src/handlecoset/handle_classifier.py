@@ -93,6 +93,7 @@ _CHECK_NAMES = (
     "n_vs_p_plus",
     "twist_normalizes_p_plus",
     "n_squared_in_p_plus",
+    "p_plus_index_in_p",
 )
 
 _TWIST_CHECKS = {"twist_normalizes_p_plus", "n_squared_in_p_plus"}
@@ -131,6 +132,22 @@ def _membership_check(table: _TableOrRefusal, name: str,
     return ValidationCheck(name, "pass", "all traces close at coset 1")
 
 
+def _index_check(p_table: _TableOrRefusal, p_plus_table: _TableOrRefusal,
+                 p_plus_in_p: ValidationCheck) -> ValidationCheck:
+    """|P : P+| <= 2, read off the indices |G : P+| = |G : P| |P : P+|."""
+    name = "p_plus_index_in_p"
+    if isinstance(p_table, ResourceExhausted):
+        return ValidationCheck(name, "unknown", str(p_table))
+    if isinstance(p_plus_table, InfiniteIndex):
+        return ValidationCheck(name, "fail", f"|P : P+| is infinite; {p_plus_table}")
+    if isinstance(p_plus_table, ResourceExhausted):
+        return ValidationCheck(name, "unknown", str(p_plus_table))
+    if p_plus_in_p.status != "pass":
+        return ValidationCheck(name, "fail", "P+ is not in P")
+    k = p_plus_table.index // p_table.index
+    return ValidationCheck(name, "pass" if k <= 2 else "fail", f"|P : P+| = {k}")
+
+
 def _validate_with_tables(input: SurfaceKnotInput,
                           p_table: Optional[_TableOrRefusal],
                           p_plus_table: Optional[_TableOrRefusal]
@@ -152,23 +169,23 @@ def _validate_with_tables(input: SurfaceKnotInput,
 
     if isinstance(p_plus_table, ResourceExhausted):
         checks.extend(ValidationCheck(name, "unknown", str(p_plus_table))
-                      for name in _CHECK_NAMES[2:])  # the three on P+
-        return ValidationReport(tuple(checks))
+                      for name in _CHECK_NAMES[2:5])  # the three on P+
+    else:
+        in_pp = p_plus_table.membership(n)
+        checks.append(ValidationCheck(
+            "n_vs_p_plus", "pass",
+            f"observed: {n_text} is {'in' if in_pp else 'not in'} P+"))
 
-    in_pp = p_plus_table.membership(n)
-    checks.append(ValidationCheck(
-        "n_vs_p_plus", "pass",
-        f"observed: {n_text} is {'in' if in_pp else 'not in'} P+"))
-
-    n_inv = invert(n)
-    conjugates = []
-    for w, shown in pp_words:
-        conjugates.append((concat(n, w, n_inv), f"{n_text} ({shown}) {n_text}^-1"))
-        conjugates.append((concat(n_inv, w, n), f"{n_text}^-1 ({shown}) {n_text}"))
-    checks.append(_membership_check(
-        p_plus_table, "twist_normalizes_p_plus", conjugates))
-    checks.append(_membership_check(
-        p_plus_table, "n_squared_in_p_plus", [(power(n, 2), f"({n_text})^2")]))
+        n_inv = invert(n)
+        conjugates = []
+        for w, shown in pp_words:
+            conjugates.append((concat(n, w, n_inv), f"{n_text} ({shown}) {n_text}^-1"))
+            conjugates.append((concat(n_inv, w, n), f"{n_text}^-1 ({shown}) {n_text}"))
+        checks.append(_membership_check(
+            p_plus_table, "twist_normalizes_p_plus", conjugates))
+        checks.append(_membership_check(
+            p_plus_table, "n_squared_in_p_plus", [(power(n, 2), f"({n_text})^2")]))
+    checks.append(_index_check(p_table, p_plus_table, checks[0]))
     return ValidationReport(tuple(checks))
 
 

@@ -34,7 +34,7 @@ from .handle_classifier import (ClassifierContext, equivalent,
                                 validate)
 from .knot_input import (CaseLabel, SurfaceKnotInput, parse_input, parse_word,
                          serialize)
-from .word_algebra import Word, concat, free_reduce, invert
+from .word_algebra import GroupPresentation, Word, concat, free_reduce, invert
 
 Perm = tuple[int, ...]
 
@@ -254,6 +254,21 @@ BROKEN_INPUTS: tuple[tuple[str, str, str], ...] = (
 )
 
 
+def respell_squares(pres: GroupPresentation) -> GroupPresentation:
+    """The presentation with each relator x^2 or x^-2 spelled y x x y^-1,
+    y the next generator: the same group, but the enumerator shares a
+    column only for an x^2 relator, so none of its columns is shared.
+    Needs two generators wherever there is such a relator."""
+    relators = []
+    for rel in pres.relators:
+        if len(rel) == 2 and rel.letters[0] == rel.letters[1]:
+            x = rel.letters[0]
+            y = (x[0] + 1) % len(pres.generators)
+            rel = Word(((y, 1), x, x, (y, -1)))
+        relators.append(rel)
+    return GroupPresentation(pres.generators, tuple(relators))
+
+
 def _cases_for(input: SurfaceKnotInput) -> tuple[tuple[CaseLabel, bool], ...]:
     if input.surface_orientable:
         return ((CaseLabel.CASE1, True), (CaseLabel.CASE1, False),
@@ -390,9 +405,14 @@ def check_enumeration_table_invariants() -> str:
 
 
 def check_enumeration_determinism(seed: int) -> str:
+    """A shuffled presentation and subgroup, and the presentation with its
+    x^2 relators respelled so that no column is shared, give the same
+    standardized table."""
     rng = random.Random(seed)
-    compared = 0
+    compared = respelled = 0
     for case, pres, subgroups in _resolved_groups():
+        unaliased = respell_squares(pres)
+        letters = [(i, s) for i in range(len(pres.generators)) for s in (1, -1)]
         for words in subgroups:
             base = enumerate_cosets(pres, words)
             relators = list(pres.relators)
@@ -400,15 +420,19 @@ def check_enumeration_determinism(seed: int) -> str:
             shuffled_pres = type(pres)(pres.generators, tuple(relators))
             shuffled_words = list(words)
             rng.shuffle(shuffled_words)
-            other = enumerate_cosets(shuffled_pres, shuffled_words)
-            assert base.index == other.index
-            letters = [(i, s) for i in range(len(pres.generators)) for s in (1, -1)]
-            for c in range(1, base.index + 1):
-                assert base.witness(c) == other.witness(c)
-                for letter in letters:
-                    assert base.letter_action(c, letter) == other.letter_action(c, letter)
+            others = [enumerate_cosets(shuffled_pres, shuffled_words)]
+            if unaliased != pres:
+                others.append(enumerate_cosets(unaliased, words))
+                respelled += 1
+            for other in others:
+                assert base.index == other.index
+                for c in range(1, base.index + 1):
+                    assert base.witness(c) == other.witness(c)
+                    for letter in letters:
+                        assert base.letter_action(c, letter) == other.letter_action(c, letter)
             compared += 1
-    return f"{compared} shuffled re-runs produced identical standardized tables"
+    return (f"{compared} shuffled and {respelled} respelled re-runs produced "
+            "identical standardized tables")
 
 
 def check_double_coset_partition() -> str:
@@ -595,15 +619,21 @@ def check_validation_vs_brute() -> str:
     for case, parsed, ctx in _resolved_inputs():
         if case.model is None or parsed.surface_orientable:
             continue
+        h = subgroup_of(parsed.p_generators, case.model)
         h_plus = subgroup_of(parsed.p_plus_generators, case.model)
         n_img = peval(parsed.n_word, case.model)
         ok_d = all(pmul(pmul(n_img, peval(w, case.model)), pinv(n_img)) in h_plus
                    and pmul(pmul(pinv(n_img), peval(w, case.model)), n_img) in h_plus
                    for w in parsed.p_plus_generators)
         ok_e = pmul(n_img, n_img) in h_plus
+        ratio = len(h) // len(h_plus)  # |P : P+| when P+ <= P
         named = {c.name: c.status for c in ctx.report.checks}
         assert (named["twist_normalizes_p_plus"] == "pass") == ok_d
         assert (named["n_squared_in_p_plus"] == "pass") == ok_e
+        assert (named["p_plus_index_in_p"] == "pass") == (h_plus <= h and ratio <= 2)
+        details = {c.name: c.detail for c in ctx.report.checks}
+        if h_plus <= h:
+            assert details["p_plus_index_in_p"] == f"|P : P+| = {ratio}"
         checked += 1
     for label, skg, failing in BROKEN_INPUTS:
         report = validate(parse_input(skg, label=label))

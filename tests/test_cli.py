@@ -199,10 +199,11 @@ def test_classes_proves_p_plus_has_infinite_index(skg, capsys):
 def test_validate_stops_at_the_p_plus_certificate(skg, capsys):
     # the P+ checks stay unknown, but the certificate ends the P+ table
     # after the probe instead of a million cosets, and each of them says
-    # so with the message enumerate prints after "error: "
+    # so with the message enumerate prints after "error: "; over a
+    # finite-index P, that proof fails |P : P+| <= 2
     path = skg("t3-p-plus.skg", T3_P_PLUS)
     start = time.perf_counter()
-    assert run(["validate", path]) == 0
+    assert run(["validate", path]) == 1
     assert time.perf_counter() - start < 1.0
     unknown = ("P+ has infinite index: in a transitive permutation image of "
                "degree 3, the point stabilizer H has H^ab of rank 2 over Q and "
@@ -218,7 +219,8 @@ def test_validate_stops_at_the_p_plus_certificate(skg, capsys):
         f"[unknown] n_vs_p_plus: {unknown}\n"
         f"[unknown] twist_normalizes_p_plus: {unknown}\n"
         f"[unknown] n_squared_in_p_plus: {unknown}\n"
-        "5 checks, 0 failed\n")
+        f"[fail] p_plus_index_in_p: |P : P+| is infinite; {unknown}\n"
+        "6 checks, 1 failed\n")
 
 
 def test_enumerate_proves_p_plus_has_infinite_index(skg, capsys):
@@ -484,15 +486,15 @@ S7_CASE3 = coxeter_skg(7, [2, 5], [2], 5)
 # sha256 of `classes --records` output; the file name is the record's "input"
 PINNED_CLASSES = [
     ("s7", S7_P2, 1, True,
-     "c2a8be527afb6b6ccf2c925c7fe5194ba778c79458e3d8b8ec852e0f4deb8cbd"),
+     "6341362c10c97f59db2da98c808d3740617102a294020e404190f0ed0b3069e4"),
     ("s7", S7_P2, 1, False,
-     "3576820948d7b863c370c72a56ab2b6374166d6a8089a9683df606adbdca1ed3"),
+     "0ead2141b9475147e7fec1dbc851d4458c6faca020e2eb40ee7f51154e6697f2"),
     ("s7", S7_P2, 2, False,
-     "db144c96ec67759a8c1bfdb477c375e2a10e427be1fc599b72a49ce3933ccced"),
+     "e700d27b01a667b16d4e828919cef04d3a7aaf5e517264040e5c4a6b0b2ea62e"),
     ("s7c3", S7_CASE3, 3, True,
-     "1adb2e511b95406ad426bac57455d17bd1b22a2bb8aa14bf969d5473ff7d90c4"),
+     "8582e0ea3d6a81748deb97649bf495bbfb9ade1309b20f125329c413d980f434"),
     ("s7c3", S7_CASE3, 3, False,
-     "2557ede30d1f3c0f8c30f9e0c938ce3fdf905faa7207c1d26f77ad5e606d6be7"),
+     "6dfdfe6bf35f0831a259ded29bd0d879a93a13e27d68701da29296734a6dfe13"),
     ("d8", D8_CASE3, 3, True,
      "ecb9d6c83bbb5d888b258bb4ed09af55bfd783c3ec61e914c3ad0ab6fdc5534e"),
     ("d8", D8_CASE3, 3, False,

@@ -193,7 +193,7 @@ def test_validate_dihedral_case3_passes():
 def test_validate_orientable_vacuous():
     report = validate(parse_input("group: t\nP: t\norientable: true"))
     assert all(c.status == "pass" for c in report.checks)
-    assert len(report.checks) == 5
+    assert len(report.checks) == 6
     assert report.twist_verified
 
 
@@ -206,6 +206,21 @@ def test_validate_p_plus_not_in_p_fails():
     assert named["p_plus_in_p"].status == "fail"
     assert "s" in named["p_plus_in_p"].detail
     assert not report.ok
+
+
+@pytest.mark.parametrize("p, p_plus, status, detail", [
+    ("r^2 , s", "r^2", "pass", "|P : P+| = 2"),
+    ("r^2", "r^2", "pass", "|P : P+| = 1"),
+    ("r , s", "s", "fail", "|P : P+| = 4"),
+    ("r^2", "s", "fail", "P+ is not in P"),
+])
+def test_validate_p_plus_index_in_p(p, p_plus, status, detail):
+    # |P : P+| from the two indices of D_4, over the P+ in P check
+    text = (f"group: r s\nrel: r^4\nrel: s^2\nrel: r s r s\n"
+            f"P: {p}\nP+: {p_plus}\nn: r^2\norientable: false")
+    check = validate(parse_input(text)).checks[-1]
+    assert (check.name, check.status, check.detail) == \
+        ("p_plus_index_in_p", status, detail)
 
 
 def test_validate_resource_exhaustion_is_unknown():
@@ -226,6 +241,6 @@ def test_validate_without_a_certificate_reports_the_exhaustion():
     text = two_bridge_skg(17, 1).replace("orientable: true",
                                          "P+: a\nn: b\norientable: false")
     report = validate(parse_input(text), EnumerationLimits(50, 500))
-    assert [c.status for c in report.checks] == ["unknown"] * 5
+    assert [c.status for c in report.checks] == ["unknown"] * 6
     for check in report.checks:
         assert check.detail.startswith("coset enumeration exhausted its budget (")
