@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from .coset_enumeration import EnumerationLimits
-from .double_cosets import DoubleCosetId, UnorderedPair, dc_id
+from .double_cosets import DoubleCosetId, dc_id, nest_slots, slot_count
 from .errors import (HandleCosetError, MissingSection, ResourceExhausted,
                      SkgSyntaxError, UsageError)
 from .finite_quotient import (MAX_SEPARATE_DEGREE, SeparationVerdict,
@@ -228,24 +228,18 @@ def _cmd_image_check(args) -> int:
     case = CaseLabel(args.case)
     parts = [p.strip() for p in args.candidate.split(";")]
     words = [parse_word(p, input.presentation) for p in parts]
-    expected = {("case3", False): 4, ("case3", True): 2,
-                ("case12", True): 1, ("case12", False): 2}
-    key = ("case3" if case is CaseLabel.CASE3 else "case12", args.core_oriented)
-    if len(words) != expected[key]:
-        raise UsageError(f"--candidate needs {expected[key]} words "
+    twisted = case is CaseLabel.CASE3
+    expected = slot_count(twisted, args.core_oriented)
+    if len(words) != expected:
+        raise UsageError(f"--candidate needs {expected} words "
                          f"for case {case.value}"
                          f"{' with oriented core' if args.core_oriented else ''}")
     ctx = ClassifierContext.build(input, _limits())
     table, acting, _n = case_table(ctx, case)
-    ids = [dc_id(table, acting, w) for w in words]
-    if len(ids) == 1:
-        value = ids[0]
-    elif len(ids) == 2:
-        value = UnorderedPair(ids[0], ids[1])
-    else:
-        value = UnorderedPair(UnorderedPair(ids[0], ids[1]),
-                              UnorderedPair(ids[2], ids[3]))
-    candidate = HandleInvariant(case, args.core_oriented, value)
+    # the candidate's words fill the value's slots in slot order
+    slots = iter([dc_id(table, acting, w) for w in words])
+    candidate = HandleInvariant(case, args.core_oriented, nest_slots(
+        lambda *_: next(slots), twisted, args.core_oriented))
     verdict = "in-image" if image_member(ctx, case, args.core_oriented, candidate) \
         else "not-in-image"
     _emit(args, {"command": "image-check", "input": input.label,

@@ -18,13 +18,16 @@ the witness tree from the canonical coset up to coset 1.  The walk meets
 the witness's letters last-first, which is the order in which its
 inverse applies them, so it traces the inverse of the witness without
 building a word.
+
+nest_slots is the one definition of an invariant value's shape: how its
+double cosets nest in unordered pairs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .coset_enumeration import CosetTable
 from .errors import PreconditionUnverified, TableMismatch
@@ -175,6 +178,28 @@ class UnorderedPair:
 
     def __repr__(self):
         return f"{{{self.first!r}, {self.second!r}}}"
+
+
+def slot_count(twisted: bool, core_oriented: bool) -> int:
+    """How many double cosets nest_slots nests: 1, 2 or 4."""
+    return (2 if twisted else 1) * (1 if core_oriented else 2)
+
+
+def nest_slots(slot: Callable, twisted: bool, core_oriented: bool,
+               pair: Callable = UnorderedPair):
+    """A value: its slot_count slots, nested by pair in slot order.  The
+    slots are D, then twist(D) when the case has a twist, then the same
+    for D^-1 when the core is unoriented.  slot(inverted, None) is D or
+    D^-1, slot(inverted, s) the twist of slot s; each is called once."""
+    d = slot(False, None)
+    if twisted:
+        d = pair(d, slot(False, d))
+    if core_oriented:
+        return d
+    e = slot(True, None)
+    if twisted:
+        e = pair(e, slot(True, e))
+    return pair(d, e)
 
 
 def _require_same_table(table: CosetTable, d: DoubleCosetId) -> None:

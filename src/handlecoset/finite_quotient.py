@@ -6,10 +6,11 @@ groups of small degree and compare the handle invariants inside the
 finite image.  Double-coset equality is preserved by any homomorphism,
 so a difference in some image certifies inequivalence; agreement proves
 nothing.  Inside a finite image everything is brute force over
-permutations, deliberately independent of the enumeration engine.  Two
+permutations, deliberately independent of the enumeration engine.  Three
 things are shared with the rest of the package: the encoding of words
-as action columns, and the case dispatch (knot_input.case_words), which
-picks the acting words and the twist word.
+as action columns, the case dispatch (knot_input.case_words), which
+picks the acting words and the twist word, and the value's shape
+(double_cosets.nest_slots).
 
 The same images can prove that a subgroup K has infinite index, which
 no enumeration budget can (index_certificate): in a transitive image
@@ -29,10 +30,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .coset_enumeration import _columns
+from .double_cosets import nest_slots
 from .knot_input import CaseLabel, SurfaceKnotInput, case_words
 from .word_algebra import GroupPresentation, Word
 
@@ -213,21 +215,16 @@ def _image_value(hom: PermutationAssignment, acting: list[Columns],
                     stack.append(z)
         return min(seen)
 
-    if n is None:
-        oriented = dc
-    else:
-        n_image = image(n)
+    n_image = None if n is None else image(n)
 
-        def oriented(x: Perm) -> frozenset:
-            return frozenset({dc(x), dc(perm_compose(perm_compose(n_image, x), n_image))})
+    def slot(x: Perm, inverted: bool, of: Optional[Perm]) -> Perm:
+        # twist the element, not its name `of`: n need not normalize
+        if inverted:
+            x = perm_inverse(x)
+        return dc(x if of is None else perm_compose(perm_compose(n_image, x), n_image))
 
-    def value(g: Columns):
-        x = image(g)
-        if core_oriented:
-            return oriented(x)
-        return frozenset({oriented(x), oriented(perm_inverse(x))})
-
-    return value
+    return lambda g: nest_slots(partial(slot, image(g)), n is not None,
+                                core_oriented, lambda a, b: frozenset((a, b)))
 
 
 def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,

@@ -15,6 +15,8 @@ symmetry apply:
           the unordered pair of the two oriented-core values for g and
           g^-1.
 
+Every value is built by double_cosets.nest_slots, which fixes its shape.
+
 Degenerate cord words (the empty word, words tracing into the subgroup)
 are legal; they model cords that can be isotoped into the boundary
 neighborhood.
@@ -27,12 +29,13 @@ missing, lives in this module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .coset_enumeration import CosetTable, EnumerationLimits, enumerate_cosets
 from .double_cosets import (DoubleCosetId, UnorderedPair, dc_all, dc_id,
-                            dc_invert, dc_twist)
+                            dc_invert, dc_twist, nest_slots, slot_count)
 from .errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                      PreconditionUnverified, ResourceExhausted, TableMismatch)
 from .finite_quotient import infinite_index_certificate
@@ -215,15 +218,11 @@ def _kind_of(case: CaseLabel, core_oriented: bool) -> str:
 
 @dataclass(frozen=True, eq=False)
 class HandleInvariant:
-    """Case-tagged invariant value.
+    """Case-tagged invariant value, shaped as nest_slots nests it.
 
-    kind "oriented-core": a single double coset (Cases 1/2, oriented core)
-    kind "unordered-core": pair {D, D^-1} (Cases 1/2)
-    kind "case3-oriented-core": pair {D, twist(D)} over P+
-    kind "case3": unordered pair of two such pairs
-
-    Cases 1 and 2 share their kinds, and equality compares kind and value
-    only; the case label rides along for reporting.
+    kind is "oriented-core" or "unordered-core" in Cases 1/2, which share
+    their kinds, and "case3-oriented-core" or "case3" in Case 3.  Equality
+    compares kind and value only; the case label rides along for reporting.
     """
 
     case: CaseLabel
@@ -234,18 +233,8 @@ class HandleInvariant:
     def __post_init__(self):
         kind = _kind_of(self.case, self.core_oriented)
         object.__setattr__(self, "kind", kind)
-        v = self.value
-        if kind == "oriented-core":
-            ok = isinstance(v, DoubleCosetId)
-        elif kind in ("unordered-core", "case3-oriented-core"):
-            ok = isinstance(v, UnorderedPair) and \
-                all(isinstance(e, DoubleCosetId) for e in v.elements)
-        else:
-            ok = isinstance(v, UnorderedPair) and \
-                all(isinstance(e, UnorderedPair) and
-                    all(isinstance(d, DoubleCosetId) for d in e.elements)
-                    for e in v.elements)
-        if not ok:
+        size = slot_count(self.case is CaseLabel.CASE3, self.core_oriented)
+        if not _nests(self.value, size):
             raise ValueError(f"value shape does not match kind {kind!r}")
 
     def __eq__(self, other):
@@ -269,6 +258,14 @@ class HandleInvariant:
 
         walk(self.value)
         return tuple(out)
+
+
+def _nests(value, size: int) -> bool:
+    """True iff value pairs size double cosets as nest_slots does."""
+    if size == 1:
+        return isinstance(value, DoubleCosetId)
+    return (isinstance(value, UnorderedPair) and _nests(value.first, size // 2)
+            and _nests(value.second, size // 2))
 
 
 @dataclass(frozen=True)
@@ -335,17 +332,12 @@ def _value(ctx: ClassifierContext, core_oriented: bool, table: CosetTable,
            d: DoubleCosetId) -> InvariantValue:
     """The invariant value of a double coset d over case_table(ctx, case),
     which is (table, acting, n); n is None outside Case 3."""
-    if n is None:
-        if core_oriented:
-            return d
-        return UnorderedPair(d, dc_invert(table, acting, d))
+    def slot(inverted: bool, of: Optional[DoubleCosetId]) -> DoubleCosetId:
+        if of is not None:
+            return dc_twist(table, acting, n, of, ctx.report)
+        return dc_invert(table, acting, d) if inverted else d
 
-    def with_twist(x: DoubleCosetId) -> UnorderedPair:
-        return UnorderedPair(x, dc_twist(table, acting, n, x, ctx.report))
-
-    if core_oriented:
-        return with_twist(d)
-    return UnorderedPair(with_twist(d), with_twist(dc_invert(table, acting, d)))
+    return nest_slots(slot, n is not None, core_oriented)
 
 
 def handle_invariant(ctx: ClassifierContext, case: CaseLabel,
@@ -412,22 +404,18 @@ def nonsurjectivity_witness(ctx: ClassifierContext, case: CaseLabel,
     identity; image_member rejects it.
     """
     table, acting, n = case_table(ctx, case)
-    d_one = dc_id(table, acting, Word())
-
-    if n is None:
-        if core_oriented or table.index == 1:
-            return None  # bijective map, or P = G
-        d_out = dc_id(table, acting, table.witness(2))
-        return HandleInvariant(case, False, UnorderedPair(d_out, d_one))
-
-    if not table.membership(n):
+    if n is None and core_oriented:
+        return None  # bijective map
+    if n is not None and not table.membership(n):
         # n witnesses P+ != P: {class(n), class(1)} is never hit
-        pair = UnorderedPair(dc_id(table, acting, n), d_one)
+        d = dc_id(table, acting, n)
     elif table.index > 1:
-        # the twist by n degenerates; any word outside P+ works
-        pair = UnorderedPair(dc_id(table, acting, table.witness(2)), d_one)
+        # any word outside P works, or outside P+ when the twist degenerates
+        d = dc_id(table, acting, table.witness(2))
     else:
-        return None  # P+ = G: the single value is hit
-    if core_oriented:
-        return HandleInvariant(case, True, pair)
-    return HandleInvariant(case, False, UnorderedPair(pair, pair))
+        return None  # P = G or P+ = G: the single value is hit
+    # the slots alternate between d and the class of 1
+    slots = itertools.cycle((d, dc_id(table, acting, Word())))
+    return HandleInvariant(case, core_oriented,
+                           nest_slots(lambda *_: next(slots), n is not None,
+                                      core_oriented))

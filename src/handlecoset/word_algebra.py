@@ -82,14 +82,7 @@ def invert(w: Word) -> Word:
 
 def concat(*words: Word) -> Word:
     """Freely reduced concatenation of any number of words."""
-    out: list[Letter] = []
-    for w in words:
-        for idx, sign in w.letters:
-            if out and out[-1][0] == idx and out[-1][1] == -sign:
-                out.pop()
-            else:
-                out.append((idx, sign))
-    return Word(tuple(out))
+    return free_reduce(letter for w in words for letter in w.letters)
 
 
 def power(w: Word, k: int) -> Word:

@@ -310,6 +310,29 @@ def test_candidate_is_checked_before_the_build(skg, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name, text, case, oriented, candidate, verdict", [
+    # an oriented core in Cases 1/2 has a bijective invariant: one word
+    # always names a realized value, so there is no not-in-image candidate
+    ("s3", S3, 1, True, "b", "in-image"),
+    ("s3", S3, 2, True, "b a", "in-image"),
+    ("d8", D8_CASE3, 3, False, "r;r^3;r^3;r", "in-image"),
+    ("d8", D8_CASE3, 3, False, "r ; r^3 ; r^3 ; r s", "not-in-image"),
+], ids=["one-word-case1", "one-word-case2", "four-words-in", "four-words-out"])
+def test_image_check_end_to_end(skg, tmp_path, capsys, name, text, case,
+                                oriented, candidate, verdict):
+    path = skg(f"{name}.skg", text)
+    rec = tmp_path / "r.json"
+    argv = ["image-check", path, "--case", str(case), "--candidate", candidate,
+            "--records", str(rec)]
+    assert run(argv + (["--core-oriented"] if oriented else [])) == 0
+    assert capsys.readouterr().out == verdict + "\n"
+    assert json.loads(rec.read_text()) == {
+        "command": "image-check", "input": name, "case": case,
+        "core_oriented": oriented, "verdict": verdict,
+        "words": [w.strip() for w in candidate.split(";")],
+        "cosets_defined": 3 if name == "s3" else 6}
+
+
 def test_huge_exponent_is_a_syntax_error(skg, capsys):
     path = skg("s3.skg", S3)
     assert run(["invariant", path, "--case", "1", "--cord", "b a^10000000"]) == 2
@@ -448,6 +471,22 @@ def test_no_lazy_package_imports():
                     found.add((path.stem, func.name, target))
     assert found == {("cli", "_cmd_selftest", "selftest"),
                      ("selftest", "check_record_determinism", "cli")}
+
+
+def test_pairs_are_built_only_in_double_cosets():
+    # a value's shape has one definition, double_cosets.nest_slots; a
+    # module building pairs itself would be a second one
+    callers = set()
+    for path in Path(handlecoset.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "UnorderedPair":
+                callers.add(path.stem)
+    assert callers <= {"double_cosets"}
 
 
 def _runtime_imports(module):

@@ -5,7 +5,8 @@ import pytest
 from brute import coxeter_skg, orbit_partition
 from handlecoset.coset_enumeration import enumerate_cosets
 from handlecoset.double_cosets import (UnorderedPair, dc_all, dc_id,
-                                       dc_invert, dc_twist)
+                                       dc_invert, dc_twist, nest_slots,
+                                       slot_count)
 from handlecoset.errors import PreconditionUnverified, TableMismatch
 from handlecoset.handle_classifier import (ClassifierContext, ValidationCheck,
                                            ValidationReport, validate)
@@ -129,6 +130,25 @@ def test_unordered_pair_is_unordered():
     nested1 = UnorderedPair(UnorderedPair(y, x), UnorderedPair(x, x))
     nested2 = UnorderedPair(UnorderedPair(x, x), UnorderedPair(x, y))
     assert nested1 == nested2
+
+
+@pytest.mark.parametrize("twisted, core_oriented, value, slots", [
+    (False, True, "D", ["D"]),
+    (True, True, ["D", "tD"], ["D", "tD"]),
+    (False, False, ["D", "iD"], ["D", "iD"]),
+    (True, False, [["D", "tD"], ["iD", "tiD"]], ["D", "tD", "iD", "tiD"]),
+])
+def test_nest_slots_fills_slots_in_order(twisted, core_oriented, value, slots):
+    # a slot is named by the maps applied to D: i for inverse, t for twist
+    made = []
+
+    def slot(inverted, of):
+        made.append("i" * inverted + "D" if of is None else "t" + of)
+        return made[-1]
+
+    assert nest_slots(slot, twisted, core_oriented, lambda a, b: [a, b]) == value
+    assert made == slots  # each slot made once, in slot order
+    assert len(slots) == slot_count(twisted, core_oriented)
 
 
 def test_invert_matches_word_inversion():

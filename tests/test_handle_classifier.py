@@ -169,6 +169,17 @@ def test_handle_invariant_rejects_a_value_of_the_wrong_shape():
         HandleInvariant(CaseLabel.CASE1, False, d)
 
 
+def test_handle_invariant_checks_the_case3_shapes():
+    parsed, ctx = ctx_of(D8_CASE3)
+    d = dc_id(ctx.p_plus_table, parsed.p_plus_generators, Word())
+    with pytest.raises(ValueError):
+        HandleInvariant(CaseLabel.CASE3, True, d)
+    with pytest.raises(ValueError):
+        HandleInvariant(CaseLabel.CASE3, False, UnorderedPair(d, d))
+    assert HandleInvariant(CaseLabel.CASE3, False, UnorderedPair(
+        UnorderedPair(d, d), UnorderedPair(d, d))).double_cosets() == (d,) * 4
+
+
 def test_enumerate_classes_counts():
     parsed, ctx = ctx_of(UNKNOTTED)
     assert len(enumerate_classes(ctx, CaseLabel.CASE1, True)) == 1
@@ -213,6 +224,10 @@ def test_nonsurjectivity_witnesses():
     witness = nonsurjectivity_witness(ctx, CaseLabel.CASE3, True)
     assert witness is not None
     assert not image_member(ctx, CaseLabel.CASE3, True, witness)
+    # P+ = G: the single value is hit, so there is no witness
+    parsed, ctx = ctx_of("group: t\nrel: t^3\nP: t\nP+: t\nn: 1\norientable: false")
+    for core in (True, False):
+        assert nonsurjectivity_witness(ctx, CaseLabel.CASE3, core) is None
 
 
 def test_context_build_rejects_invalid_input():

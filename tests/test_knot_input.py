@@ -235,6 +235,19 @@ def test_validate_resource_exhaustion_is_unknown():
         assert check.detail.startswith("P has infinite index:")
 
 
+def test_validate_index_is_unknown_when_only_p_plus_runs_out():
+    # S4 with P = G: the P table is complete, but P+ = <a> has index 12,
+    # beyond 8 live cosets, and a finite group gives no certificate
+    text = ("group: a b\nrel: a^2\nrel: b^3\nrel: a b a b a b a b\n"
+            "P: a , b\nP+: a\nn: 1\norientable: false")
+    report = validate(parse_input(text), EnumerationLimits(8, 8))
+    assert [c.status for c in report.checks] == ["pass"] * 2 + ["unknown"] * 4
+    check = report.checks[-1]
+    assert check.name == "p_plus_index_in_p"
+    assert check.detail == ("coset enumeration exhausted its budget (8 live "
+                            "cosets, 8 defined; limits: 8 live / 8 total)")
+
+
 def test_validate_without_a_certificate_reports_the_exhaustion():
     # b(17, 1) has no finite image that certifies P = <a>, so both tables
     # run out plainly, and every check carries that refusal
