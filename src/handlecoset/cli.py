@@ -29,7 +29,7 @@ from .errors import (HandleCosetError, MissingSection, ResourceExhausted,
 from .finite_quotient import (MAX_SEPARATE_DEGREE, SeparationVerdict,
                               quotient_separate)
 from .handle_classifier import (ClassifierContext, HandleInvariant,
-                                case_table, enumerate_classes,
+                                case_table, enumerate_classes, equivalent,
                                 handle_invariant, image_member,
                                 subgroup_table, validate)
 from .knot_input import CaseLabel, format_word, parse_input, parse_word
@@ -189,9 +189,8 @@ def _cmd_equiv(args) -> int:
     case = CaseLabel(args.case)
     g1, g2 = _cords(args, input.presentation, 2)
     ctx = ClassifierContext.build(input, _limits())
-    inv1 = handle_invariant(ctx, case, args.core_oriented, g1)
-    inv2 = handle_invariant(ctx, case, args.core_oriented, g2)
-    verdict = "equivalent" if inv1 == inv2 else "inequivalent"
+    verdict = "equivalent" if equivalent(ctx, case, args.core_oriented, g1, g2) \
+        else "inequivalent"
     _emit(args, {"command": "equiv", "input": input.label,
                  "case": case.value, "core_oriented": args.core_oriented,
                  "words": list(args.cord), "verdict": verdict,

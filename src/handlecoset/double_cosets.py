@@ -20,14 +20,16 @@ inverse applies them, so it traces the inverse of the witness without
 building a word.
 
 nest_slots is the one definition of an invariant value's shape: how its
-double cosets nest in unordered pairs.
+double cosets nest in unordered pairs: by UnorderedPair over
+DoubleCosetIds into the value, or by key_pair over canonical integers
+into a key, equal exactly when the values are.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .coset_enumeration import CosetTable
 from .errors import PreconditionUnverified, TableMismatch
@@ -37,13 +39,14 @@ if TYPE_CHECKING:
     from .handle_classifier import ValidationReport
 
 
-class _Partition:
+class Partition:
     """Double-coset orbits of one table under fixed acting words.
 
     label[c] is the minimal coset of c's orbit (label[0] = 0), size maps
     each canonical coset to its orbit size in increasing canonical order,
     inv maps a canonical coset to that of the inverse double coset, and
-    twist[n] does the same for g -> n g n; both fill in on first use.
+    twist[n] does the same for g -> n g n (twisted takes it as images);
+    both fill in on first use.
     The table keeps its partitions, so a partition holds no reference
     back to it: that cycle would keep a dropped table alive until the
     cyclic garbage collector ran.
@@ -84,8 +87,8 @@ class _Partition:
             image = self.inv[canonical] = self.label[_unwitness(table, canonical, 1)]
         return image
 
-    def twisted(self, table: CosetTable, n: Word, canonical: int) -> int:
-        images = self.twist.setdefault(n, {})
+    def twisted(self, table: CosetTable, n: Word, canonical: int,
+                images: dict[int, int]) -> int:
         image = images.get(canonical)
         if image is None:
             # the class of (n g n)^-1 = n^-1 g^-1 n^-1, then inverted
@@ -106,11 +109,12 @@ def _unwitness(table: CosetTable, canonical: int, start: int) -> int:
     return x
 
 
-def _partition(table: CosetTable, acting: Sequence[Word]) -> _Partition:
+def partition(table: CosetTable, acting: Sequence[Word]) -> Partition:
+    """The table's partition under the acting words, built on first use."""
     key = tuple(acting)
     part = table._partitions.get(key)
     if part is None:
-        part = table._partitions[key] = _Partition(table, key)
+        part = table._partitions[key] = Partition(table, key)
     return part
 
 
@@ -126,7 +130,7 @@ class DoubleCosetId:
     table: CosetTable
     canonical: int
     orbit_size: int
-    partition: _Partition  # the labels this id was read from
+    partition: Partition  # the labels this id was read from
 
     @property
     def orbit(self) -> tuple[int, ...]:
@@ -138,8 +142,8 @@ class DoubleCosetId:
         """Witness word of the canonical coset."""
         return self.table.witness(self.canonical)
 
-    def sort_key(self):
-        return (self.canonical,)
+    def sort_key(self) -> int:
+        return self.canonical
 
     def __eq__(self, other):
         if not isinstance(other, DoubleCosetId):
@@ -164,7 +168,12 @@ class UnorderedPair:
     second: PairElement
 
     def __post_init__(self):
-        if self.second.sort_key() < self.first.sort_key():
+        try:
+            swap = self.second.sort_key() < self.first.sort_key()
+        except TypeError:  # a double coset against a pair, at some depth
+            raise ValueError(f"pair elements differ in shape: {_shape(self.first)} "
+                             f"and {_shape(self.second)}") from None
+        if swap:
             first, second = self.second, self.first
             object.__setattr__(self, "first", first)
             object.__setattr__(self, "second", second)
@@ -178,6 +187,19 @@ class UnorderedPair:
 
     def __repr__(self):
         return f"{{{self.first!r}, {self.second!r}}}"
+
+
+def _shape(element: PairElement) -> str:
+    if isinstance(element, DoubleCosetId):
+        return "D"
+    return f"{{{_shape(element.first)}, {_shape(element.second)}}}"
+
+
+def key_pair(a, b):
+    """UnorderedPair's pairing on keys (canonical integers, or keys of
+    pairs): the sorted tuple.  A value's sort_key() is the key that
+    nest_slots builds with key_pair from the same canonical integers."""
+    return (a, b) if a <= b else (b, a)
 
 
 def slot_count(twisted: bool, core_oriented: bool) -> int:
@@ -214,7 +236,7 @@ def dc_id(table: CosetTable, acting: Sequence[Word], g: Word) -> DoubleCosetId:
     be a double coset of that subgroup; then the output is unchanged
     under g -> p g q with p, q in the subgroup.
     """
-    part = _partition(table, acting)
+    part = partition(table, acting)
     return part.id(table, part.label[table.trace(1, g)])
 
 
@@ -224,7 +246,7 @@ def dc_all(table: CosetTable, acting: Sequence[Word]) -> tuple[DoubleCosetId, ..
     Returned sorted by canonical index; orbit sizes sum to the table's
     index.
     """
-    part = _partition(table, acting)
+    part = partition(table, acting)
     return tuple(part.id(table, c) for c in part.size)
 
 
@@ -232,22 +254,26 @@ def dc_invert(table: CosetTable, acting: Sequence[Word],
               d: DoubleCosetId) -> DoubleCosetId:
     """Image of the double coset under g -> g^-1; an involution."""
     _require_same_table(table, d)
-    part = _partition(table, acting)
+    part = partition(table, acting)
     return part.id(table, part.inverse(table, d.canonical))
 
 
-def dc_twist(table: CosetTable, acting: Sequence[Word], n: Word,
-             d: DoubleCosetId, report: ValidationReport) -> DoubleCosetId:
-    """Image of the double coset under g -> n g n.
-
-    Requires a validation report whose twist checks passed: n must
-    normalize the subgroup (so the map is well defined on double cosets)
-    and n^2 must lie in it (so the map is an involution).
-    """
+def require_twist_verified(report: Optional[ValidationReport]) -> None:
+    """The twist g -> n g n needs a validation report whose twist checks
+    passed: n must normalize the subgroup (so the map is well defined on
+    double cosets) and n^2 must lie in it (so the map is an involution)."""
     if report is None or not report.twist_verified:
         raise PreconditionUnverified(
             "the twist map needs a validation report with the "
             "normalization and n^2 checks passed")
+
+
+def dc_twist(table: CosetTable, acting: Sequence[Word], n: Word,
+             d: DoubleCosetId, report: ValidationReport) -> DoubleCosetId:
+    """Image of the double coset under g -> n g n; see
+    require_twist_verified for what the report must show."""
+    require_twist_verified(report)
     _require_same_table(table, d)
-    part = _partition(table, acting)
-    return part.id(table, part.twisted(table, n, d.canonical))
+    part = partition(table, acting)
+    images = part.twist.setdefault(n, {})
+    return part.id(table, part.twisted(table, n, d.canonical, images))

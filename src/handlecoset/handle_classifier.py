@@ -16,6 +16,9 @@ symmetry apply:
           g^-1.
 
 Every value is built by double_cosets.nest_slots, which fixes its shape.
+A query resolves its case once (_resolve), then works on canonical coset
+numbers: equivalent, image_member and enumerate_classes compare values
+as keys paired by key_pair, and only a returned value is built of ids.
 
 Degenerate cord words (the empty word, words tracing into the subgroup)
 are legal; they model cords that can be isotoped into the boundary
@@ -31,11 +34,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .coset_enumeration import CosetTable, EnumerationLimits, enumerate_cosets
-from .double_cosets import (DoubleCosetId, UnorderedPair, dc_all, dc_id,
-                            dc_invert, dc_twist, nest_slots, slot_count)
+from .double_cosets import (DoubleCosetId, UnorderedPair, Partition, dc_id,
+                            key_pair, nest_slots, partition,
+                            require_twist_verified, slot_count)
 from .errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                      PreconditionUnverified, ResourceExhausted, TableMismatch)
 from .finite_quotient import infinite_index_certificate
@@ -118,7 +123,7 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    @property
+    @cached_property
     def twist_verified(self) -> bool:
         """True when the checks guarding the n-twist map all passed."""
         named = {c.name: c.status for c in self.checks}
@@ -247,17 +252,11 @@ class HandleInvariant:
 
     def double_cosets(self) -> tuple[DoubleCosetId, ...]:
         """All double-coset ids inside the value, left to right."""
-        out: list[DoubleCosetId] = []
+        return _leaves(self.value)
 
-        def walk(v):
-            if isinstance(v, DoubleCosetId):
-                out.append(v)
-            else:
-                walk(v.first)
-                walk(v.second)
 
-        walk(self.value)
-        return tuple(out)
+def _leaves(v) -> tuple[DoubleCosetId, ...]:
+    return (v,) if isinstance(v, DoubleCosetId) else _leaves(v.first) + _leaves(v.second)
 
 
 def _nests(value, size: int) -> bool:
@@ -272,13 +271,16 @@ def _nests(value, size: int) -> bool:
 class ClassifierContext:
     """An input together with its enumerated tables and validation report.
 
-    Build once, query many times; all queries are read-only.
+    Build once, query many times; a query changes nothing but caches:
+    _cases keeps each case as its first query resolved it (_resolve).
     """
 
     input: SurfaceKnotInput
     p_table: CosetTable
     p_plus_table: Optional[CosetTable]
     report: ValidationReport
+    _cases: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def build(cls, input: SurfaceKnotInput,
@@ -327,50 +329,78 @@ def local_oriented_cord_invariant(ctx: ClassifierContext, g: Word) -> DoubleCose
     return dc_id(ctx.p_plus_table, ctx.input.p_plus_generators, g)
 
 
-def _value(ctx: ClassifierContext, core_oriented: bool, table: CosetTable,
-           acting: Sequence[Word], n: Optional[Word],
-           d: DoubleCosetId) -> InvariantValue:
-    """The invariant value of a double coset d over case_table(ctx, case),
-    which is (table, acting, n); n is None outside Case 3."""
-    def slot(inverted: bool, of: Optional[DoubleCosetId]) -> DoubleCosetId:
-        if of is not None:
-            return dc_twist(table, acting, n, of, ctx.report)
-        return dc_invert(table, acting, d) if inverted else d
+class _Case(NamedTuple):
+    """A case as its first query resolved it (_resolve): case_table's
+    table and n, the table's partition, and n's twist images there."""
 
-    return nest_slots(slot, n is not None, core_oriented)
+    table: CosetTable
+    part: Partition
+    n: Optional[Word]
+    twist: Optional[dict[int, int]]
+
+
+def _resolve(ctx: ClassifierContext, case: CaseLabel) -> _Case:
+    """The case over ctx, kept on ctx from its first query; a Case-3
+    query also needs ctx.report to verify the twist."""
+    r = ctx._cases.get(case)
+    if r is None:
+        table, acting, n = case_table(ctx, case)
+        part = partition(table, acting)
+        twist = None if n is None else part.twist.setdefault(n, {})
+        r = ctx._cases[case] = _Case(table, part, n, twist)
+    if r.n is not None:
+        require_twist_verified(ctx.report)
+    return r
+
+
+def _value(r: _Case, core_oriented: bool, c: int, key: bool = False):
+    """The value of the double coset c over r: DoubleCosetIds paired by
+    UnorderedPair, or with key, canonical integers paired by key_pair.
+    One integer slot function feeds both."""
+    def slot(inverted: bool, of: Optional[int]) -> int:
+        if of is not None:
+            return r.part.twisted(r.table, r.n, of, r.twist)
+        return r.part.inverse(r.table, c) if inverted else c
+
+    if key:
+        return nest_slots(slot, r.n is not None, core_oriented, key_pair)
+    return nest_slots(lambda inverted, of: r.part.id(r.table, slot(
+        inverted, None if of is None else of.canonical)), r.n is not None, core_oriented)
 
 
 def handle_invariant(ctx: ClassifierContext, case: CaseLabel,
                      core_oriented: bool, g: Word) -> HandleInvariant:
     """Invariant of the 1-handle carried by the cord word g."""
-    table, acting, n = case_table(ctx, case)
-    d = dc_id(table, acting, g)
-    return HandleInvariant(case, core_oriented,
-                           _value(ctx, core_oriented, table, acting, n, d))
+    r = _resolve(ctx, case)
+    return HandleInvariant(case, core_oriented, _value(
+        r, core_oriented, r.part.label[r.table.trace(1, g)]))
 
 
 def equivalent(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
                g1: Word, g2: Word) -> bool:
     """True iff the two cord words carry equivalent 1-handles."""
-    return (handle_invariant(ctx, case, core_oriented, g1)
-            == handle_invariant(ctx, case, core_oriented, g2))
+    r = _resolve(ctx, case)
+    label, trace = r.part.label, r.table.trace
+    return (_value(r, core_oriented, label[trace(1, g1)], key=True)
+            == _value(r, core_oriented, label[trace(1, g2)], key=True))
 
 
 def image_member(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
                  candidate: HandleInvariant) -> bool:
     """Decide whether a candidate value is realized by some 1-handle.
 
-    The value of a double coset D always contains D, so a candidate is
-    realized iff it is the value of one of its own double cosets.
+    The value of a double coset D always contains D, and every double
+    coset of a value has that same value, so a candidate is realized iff
+    it is the value of its first double coset.
     """
-    table, acting, n = case_table(ctx, case)
+    r = _resolve(ctx, case)
     if candidate.kind != _kind_of(case, core_oriented):
         raise CaseMismatch("candidate carries a different kind of value")
     ids = candidate.double_cosets()
-    if any(d.table is not table for d in ids):
+    if any(d.table is not r.table for d in ids):
         raise TableMismatch("candidate was built over a different table")
-    return any(_value(ctx, core_oriented, table, acting, n, d) == candidate.value
-               for d in ids)
+    return _value(r, core_oriented, ids[0].canonical, key=True) == \
+        candidate.value.sort_key()
 
 
 def enumerate_classes(ctx: ClassifierContext, case: CaseLabel,
@@ -378,19 +408,19 @@ def enumerate_classes(ctx: ClassifierContext, case: CaseLabel,
     """All equivalence classes, each with a representative cord word.
 
     Exactly the image of the invariant map, without duplicates, ordered
-    by the canonical index of the first double coset reached.  Every
-    double coset of a value has that same value, so the first one reached
-    is the value's least, and the representative is its witness.
+    by the canonical index of each value's least double coset.  Every
+    double coset of a value has that same value, so a value is emitted
+    once, at its least double coset, with that coset's witness.
     """
-    table, acting, n = case_table(ctx, case)
+    r = _resolve(ctx, case)
     out: list[tuple[HandleInvariant, Word]] = []
-    seen: set[HandleInvariant] = set()
-    for d in dc_all(table, acting):
-        inv = HandleInvariant(case, core_oriented,
-                              _value(ctx, core_oriented, table, acting, n, d))
-        if inv not in seen:
-            seen.add(inv)
-            out.append((inv, d.representative()))
+    for c in r.part.size:  # canonical cosets in increasing order
+        least = _value(r, core_oriented, c, key=True)
+        while isinstance(least, tuple):  # key_pair sorts: the leftmost is least
+            least = least[0]
+        if least == c:
+            out.append((HandleInvariant(case, core_oriented, _value(r, core_oriented, c)),
+                        r.table.witness(c)))
     return out
 
 

@@ -7,8 +7,8 @@ whose arithmetic never touches the enumeration engine.  The suite backs
 the `selftest` CLI subcommand, and the test suite runs each property as a
 test of its own.  The permutation arithmetic below (pmul, pinv, peval,
 mulclose, subgroup_of, double_coset, double_coset_partition,
-classifier_values) is the package's one brute-force oracle toolkit; the
-tests import it from here.
+classifier_key, classifier_values) is the package's one brute-force
+oracle toolkit; the tests import it from here.
 """
 
 from __future__ import annotations
@@ -100,17 +100,22 @@ def double_coset_partition(elements, h_set):
              for g in elements}, coset_of)
 
 
+def classifier_key(x: Perm, h_set, case3: bool, core_oriented: bool,
+                   n_img: Optional[Perm] = None):
+    """The invariant value of one element, as a comparable object."""
+    def oriented(y: Perm):
+        if not case3:
+            return double_coset(h_set, y)
+        return frozenset({double_coset(h_set, y),
+                          double_coset(h_set, pmul(pmul(n_img, y), n_img))})
+
+    return oriented(x) if core_oriented else frozenset({oriented(x), oriented(pinv(x))})
+
+
 def classifier_values(elements, h_set, case3: bool, core_oriented: bool,
                       n_img: Optional[Perm] = None) -> set:
     """All invariant values over the group elements, as comparable objects."""
-    def oriented(x: Perm):
-        if not case3:
-            return double_coset(h_set, x)
-        return frozenset({double_coset(h_set, x),
-                          double_coset(h_set, pmul(pmul(n_img, x), n_img))})
-
-    return {oriented(g) if core_oriented else frozenset({oriented(g), oriented(pinv(g))})
-            for g in elements}
+    return {classifier_key(g, h_set, case3, core_oriented, n_img) for g in elements}
 
 
 def _cycle(n: int) -> Perm:
@@ -607,6 +612,38 @@ def check_equivalence_relation(seed: int) -> str:
     return f"{total} reflexivity/symmetry/transitivity samples"
 
 
+def check_equivalence_vs_brute(pairs: int, seed: int) -> str:
+    """equivalent agrees with the element-level key and with comparing
+    handle_invariant values, on seeded pairs about half of which are
+    related by _related_word, in every case of every modelled input."""
+    total = 0
+    for k, (case, parsed, ctx) in enumerate(_resolved_inputs()):
+        if case.model is None:
+            continue
+        rng = random.Random(seed * 17 + k)
+        ngens = len(parsed.presentation.generators)
+        case3 = not parsed.surface_orientable
+        h_set = subgroup_of(parsed.p_plus_generators if case3 else parsed.p_generators,
+                            case.model)
+        n_img = peval(parsed.n_word, case.model) if case3 else None
+        for label, core in _cases_for(parsed):
+            for _ in range(pairs):
+                g = _random_word(rng, ngens)
+                draw = rng.random()
+                h = _related_word(rng, parsed, label, core, g, moved=draw < 0.25) \
+                    if draw < 0.5 else _random_word(rng, ngens)
+                brute = [classifier_key(peval(w, case.model), h_set, case3, core, n_img)
+                         for w in (g, h)]
+                verdict = equivalent(ctx, label, core, g, h)
+                where = f"{case.label} case{label.value} core={core}"
+                assert verdict == (brute[0] == brute[1]), f"{where}: brute force differs"
+                assert verdict == (handle_invariant(ctx, label, core, g)
+                                   == handle_invariant(ctx, label, core, h)), \
+                    f"{where}: the values differ"
+                total += 1
+    return f"{total} pairs: equivalent agrees with brute force and with the values"
+
+
 def check_roundtrip() -> str:
     for case, parsed, _ctx in _resolved_inputs():
         again = parse_input(serialize(parsed), label=parsed.label)
@@ -769,6 +806,7 @@ CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("classifier-count-oracle", check_classifier_count_oracle),
     ("classifier-invariances", lambda: check_classifier_invariances(50, SEED)),
     ("equivalence-relation", lambda: check_equivalence_relation(SEED)),
+    ("equivalence-vs-brute", lambda: check_equivalence_vs_brute(24, SEED)),
     ("input-roundtrip", check_roundtrip),
     ("validation-vs-brute", check_validation_vs_brute),
     ("quotient-soundness", lambda: check_quotient_soundness(160, SEED)),

@@ -556,3 +556,82 @@ def test_pinned_classes_records(skg, tmp_path, capsys, name, text, case,
     assert run(argv + (["--core-oriented"] if oriented else [])) == 0
     capsys.readouterr()
     assert hashlib.sha256(rec.read_bytes()).hexdigest() == digest
+
+
+# sha256 of `invariant`, `equiv` and `image-check --records` output, with a
+# line of stdout; words are the --cord words, or the --candidate text
+PINNED_QUERIES = [
+    ("s7", S7_P2, "invariant", 1, True, ["s1 s2 s3"],
+     "invariant: [s1 s2 s3]",
+     "606b3572eead84c92fb506bdc89e9e6abd4370767d69fec5941d2103e580bd7f"),
+    ("s7", S7_P2, "invariant", 1, False, ["s1 s2 s3"],
+     "invariant: {[s1 s2 s3], [s3 s2 s1]}",
+     "5e69a6490c50403c42ec171be14da5b05f4721077fa1d5c961ed5d560bfef3d3"),
+    ("s7", S7_P2, "equiv", 1, True, ["s1 s2 s3", "s3 s2 s1"],
+     "inequivalent",
+     "af53d85b94102b6f10d5bc1026eb869617a66a3d3c1cf804625b39a69d1f938f"),
+    ("s7", S7_P2, "equiv", 1, False, ["s1 s2 s3", "s3 s2 s1"],
+     "equivalent",
+     "4b61d4ec20ca7e2e095aae2eff032ed967b854b8245c8f6be1a300c95b059140"),
+    ("s7", S7_P2, "image-check", 1, False, "s1 s3 s4;s4 s3 s1",
+     "in-image",
+     "994f7227fbbf2c6adeb0bb6689c95b5010868b9b87c452dab0cc5632bd5584e1"),
+    ("s7", S7_P2, "image-check", 1, False, "s1;1",
+     "not-in-image",
+     "f74bcdebf48e020c63449e4d04f0e0601df4b10664f40cc47ea495b54c54ad8b"),
+    ("s7c3", S7_CASE3, "invariant", 3, True, ["s1 s2 s3"],
+     "invariant: {[s1 s2 s3], [s1 s2 s3]}",
+     "b05fcc2fc091b894bfba0e82aa6a6dfda1af95f84195a46a85524fdf754bf767"),
+    ("s7c3", S7_CASE3, "invariant", 3, False, ["s1 s2 s3"],
+     "invariant: {{[s1 s2 s3], [s1 s2 s3]}, {[s3 s2 s1], [s3 s2 s1]}}",
+     "e53244c0f5f58a3bba15545ffd1aa5684dc618557247447fd125bf4780bb8ed4"),
+    ("s7c3", S7_CASE3, "equiv", 3, True, ["s1 s2 s3", "s5 s1 s2 s3 s5"],
+     "equivalent",
+     "74a852cb877d123a04295506654aa77773db0220953d4afb36d22f8b5b28488a"),
+    ("s7c3", S7_CASE3, "equiv", 3, False, ["s1 s2 s3", "1"],
+     "inequivalent",
+     "10144689b3ee9ff403a3046611ec3d43296499efa0190dd0ebc666cae274cae1"),
+    ("s7c3", S7_CASE3, "image-check", 3, True, "s1 s3;s5 s1 s3 s5",
+     "in-image",
+     "54833329b95d49b4720f42fa5bfa01762a3d9d11112c0840c6da100dc6f93400"),
+    ("s7c3", S7_CASE3, "image-check", 3, False, "s5;1;s5;1",
+     "not-in-image",
+     "ca661960ed8bdc3100d1fb12cd6de0f09e381763717380de59919a16bcbe14d3"),
+    ("d8", D8_CASE3, "invariant", 3, True, ["r s"],
+     "invariant: {[r s], [r s]}",
+     "e68e37be36d17477b8dd75bd1d148e00cd9afbf9a260ad0a5a2ed684cb425061"),
+    ("d8", D8_CASE3, "invariant", 3, False, ["r"],
+     "invariant: {{[r], [r]}, {[r], [r]}}",
+     "6ee114d0d20ee54995de9e4e09b7b1396bc5f001ed55a641ddc3bdd4947a0ec0"),
+    ("d8", D8_CASE3, "equiv", 3, True, ["r", "s r s"],
+     "equivalent",
+     "ba845094c5456017da562c0b0d4ed973edebba247149b80d151cd1f52910614a"),
+    ("d8", D8_CASE3, "equiv", 3, False, ["r", "1"],
+     "inequivalent",
+     "2430e0722ce3ac27801342d48ed24c485512886a8d65531a28e3069574c9989d"),
+    ("d8", D8_CASE3, "image-check", 3, False, "r;r^3;r^3;r",
+     "in-image",
+     "e7c84f6eb722439f7afd8304837b41f75a1b8f45362ccdcbd0b5ddcc53c83709"),
+    ("d8", D8_CASE3, "image-check", 3, True, "s;1",
+     "not-in-image",
+     "6f4e279022670186973b8015b425205ae515a47160ddb1d2021d4e93a7d7750a"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,text,command,case,oriented,words,shown,digest", PINNED_QUERIES,
+    ids=[f"{p[0]}-{p[2]}-case{p[3]}-{'or' if p[4] else 'un'}"
+         + (f"-{p[6]}" if p[2] == "image-check" else "") for p in PINNED_QUERIES])
+def test_pinned_query_records(skg, tmp_path, capsys, name, text, command, case,
+                              oriented, words, shown, digest):
+    path = skg(f"{name}.skg", text)
+    rec = tmp_path / "r.json"
+    argv = [command, path, "--case", str(case), "--records", str(rec)]
+    argv += ["--core-oriented"] if oriented else []
+    if command == "image-check":
+        argv += ["--candidate", words]
+    else:
+        argv += [arg for word in words for arg in ("--cord", word)]
+    assert run(argv) == 0
+    assert shown in capsys.readouterr().out.splitlines()
+    assert hashlib.sha256(rec.read_bytes()).hexdigest() == digest

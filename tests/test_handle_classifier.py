@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from brute import coxeter_skg, two_bridge_skg
 from handlecoset.coset_enumeration import EnumerationLimits, enumerate_cosets
-from handlecoset.double_cosets import UnorderedPair, dc_id
+from handlecoset.double_cosets import UnorderedPair, dc_id, dc_twist
 from handlecoset.errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                                 PreconditionUnverified, ResourceExhausted,
                                 TableMismatch)
@@ -15,7 +16,7 @@ from handlecoset.handle_classifier import (CaseLabel, ClassifierContext,
                                            local_oriented_cord_invariant,
                                            nonsurjectivity_witness,
                                            oriented_cord_invariant)
-from handlecoset.knot_input import parse_input, parse_word
+from handlecoset.knot_input import case_words, parse_input, parse_word
 from handlecoset.word_algebra import Word, free_reduce, invert
 
 UNKNOTTED = "group: t\nP: t\norientable: true"
@@ -178,6 +179,79 @@ def test_handle_invariant_checks_the_case3_shapes():
         HandleInvariant(CaseLabel.CASE3, False, UnorderedPair(d, d))
     assert HandleInvariant(CaseLabel.CASE3, False, UnorderedPair(
         UnorderedPair(d, d), UnorderedPair(d, d))).double_cosets() == (d,) * 4
+
+
+def test_a_pair_of_two_shapes_is_a_value_error():
+    # over the D8 P+ table: a double coset beside a pair, at any depth
+    parsed, ctx = ctx_of(D8_CASE3)
+    d = dc_id(ctx.p_plus_table, parsed.p_plus_generators, Word())
+    pair = UnorderedPair(d, d)
+    with pytest.raises(ValueError, match=r"differ in shape: D and \{D, D\}$"):
+        UnorderedPair(d, pair)
+    with pytest.raises(ValueError, match=r"differ in shape: \{D, D\} and D$"):
+        HandleInvariant(CaseLabel.CASE3, False, UnorderedPair(pair, d))
+    with pytest.raises(ValueError, match=r"\{D, D\} and \{\{D, D\}, \{D, D\}\}$"):
+        HandleInvariant(CaseLabel.CASE3, False,
+                        UnorderedPair(pair, UnorderedPair(pair, pair)))
+
+
+@pytest.mark.parametrize("status", ["fail", "unknown"])
+@pytest.mark.parametrize("check", ["twist_normalizes_p_plus", "n_squared_in_p_plus"])
+def test_every_case3_query_checks_the_twist(check, status):
+    parsed, ctx = ctx_of(D8_CASE3)
+    r = parse_word("r", parsed.presentation)
+    candidate = handle_invariant(ctx, CaseLabel.CASE3, False, r)
+    checks = tuple(replace(c, status=status) if c.name == check else c
+                   for c in ctx.report.checks)
+    bad = replace(ctx, report=replace(ctx.report, checks=checks))
+    assert not bad.report.twist_verified
+    queries = [lambda: handle_invariant(bad, CaseLabel.CASE3, True, r),
+               lambda: equivalent(bad, CaseLabel.CASE3, False, r, Word()),
+               lambda: image_member(bad, CaseLabel.CASE3, False, candidate),
+               lambda: enumerate_classes(bad, CaseLabel.CASE3, True)]
+    for query in queries * 2:  # the second round finds the case resolved
+        with pytest.raises(PreconditionUnverified):
+            query()
+    d = candidate.double_cosets()[0]
+    with pytest.raises(PreconditionUnverified):
+        dc_twist(ctx.p_plus_table, parsed.p_plus_generators, parsed.n_word, d, None)
+
+
+@pytest.mark.parametrize("text, case", [
+    (coxeter_skg(5, [1, 2]), CaseLabel.CASE1),
+    (coxeter_skg(5, [1, 2, 4], [1, 2], 4), CaseLabel.CASE3),
+], ids=["case1", "case3"])
+def test_warm_queries_hash_at_most_one_word_each(monkeypatch, text, case):
+    # a query resolves its case on the context once; after that neither
+    # the acting words nor n are hashed to find the partition or the twist
+    parsed, ctx = ctx_of(text)
+    assert len(case_words(parsed, case)[0]) >= 2
+    rng = random.Random(5)
+    words = [free_reduce([(rng.randrange(4), rng.choice((1, -1)))
+                          for _ in range(rng.randint(0, 12))]) for _ in range(8)]
+
+    def queries() -> int:
+        count = 0
+        for core in (True, False):
+            for g, h in zip(words, words[1:]):
+                inv = handle_invariant(ctx, case, core, g)
+                equivalent(ctx, case, core, g, h)
+                image_member(ctx, case, core, inv)
+                count += 3
+        return count
+
+    queries()  # warm: partitions, inverse and twist images
+    hashes = 0
+    word_hash = Word.__hash__
+
+    def counting_hash(self):
+        nonlocal hashes
+        hashes += 1
+        return word_hash(self)
+
+    monkeypatch.setattr(Word, "__hash__", counting_hash)
+    count = queries()
+    assert hashes <= count, f"{hashes} Word hashes in {count} queries"
 
 
 def test_enumerate_classes_counts():
