@@ -5,12 +5,13 @@ When coset enumeration is out of reach, map the group onto permutation
 groups of small degree and compare the handle invariants inside the
 finite image.  Double-coset equality is preserved by any homomorphism,
 so a difference in some image certifies inequivalence; agreement proves
-nothing.  Inside a finite image everything is brute force over
-permutations, deliberately independent of the enumeration engine.  Three
-things are shared with the rest of the package: the encoding of words
-as action columns, the case dispatch (knot_input.case_words), which
-picks the acting words and the twist word, and the value's shape
-(double_cosets.nest_slots).
+nothing.  Conjugating an image in S_d changes neither, so S_d is
+searched up to conjugacy.  Inside a finite image everything is brute
+force over permutations, deliberately independent of the enumeration
+engine.  Three things are shared with the rest of the package: the
+encoding of words as action columns, the case dispatch
+(knot_input.case_words), which picks the acting words and the twist
+word, and the value's shape (double_cosets.nest_slots).
 
 The same images can prove that a subgroup K has infinite index, which
 no enumeration budget can (index_certificate): in a transitive image
@@ -43,7 +44,7 @@ Columns = tuple[int, ...]  # a word compiled by _columns
 
 # the search lists all d! permutations of each degree d up to this bound
 MAX_SEPARATE_DEGREE = 8
-# assignments kept per degree, in lexicographic order of generator images
+# assignments kept per degree; binds only at d = 6 on knots with p <= 13
 HOM_LIMIT = 64
 # degrees of the images in S_d infinite_index_certificate searches first
 CERTIFICATE_DEGREES = range(2, 6)
@@ -55,7 +56,8 @@ DIHEDRAL_DEGREES = range(6, 14)
 @dataclass(frozen=True)
 class PermutationAssignment:
     """Images of the presentation's generators in the symmetric group
-    S_degree, or in the dihedral group D_degree if dihedral is set.
+    S_degree, generator 0's the least permutation of its cycle type, or
+    in the dihedral group D_degree if dihedral is set.
 
     Only produced by find_homomorphisms, which guarantees every relator
     evaluates to the identity permutation.
@@ -115,15 +117,27 @@ def _dihedral(degree: int) -> list[Perm]:
                    for c in points for s in (1, -1)})
 
 
+def _class_leaders(degree: int, least: int = 1) -> list[Perm]:
+    """The least permutation of each cycle type of S_degree with no cycle
+    shorter than `least`, in lexicographic order: cycles x -> x + 1 on
+    consecutive points, by increasing length."""
+    if degree == 0:
+        return [()]
+    return [tuple(range(1, k)) + (0,) + tuple(x + k for x in rest)
+            for k in range(least, degree + 1)
+            for rest in _class_leaders(degree - k, k)]
+
+
 @lru_cache(maxsize=None)
 def _search(pres: GroupPresentation, degree: int, limit: int,
             dihedral: bool) -> tuple[PermutationAssignment, ...]:
     ngens = len(pres.generators)
     if dihedral:
-        perms = _dihedral(degree)
-    else:
-        perms = itertools.permutations(range(degree))  # lexicographic
+        perms = firsts = _dihedral(degree)
+    else:  # lexicographic; a conjugation takes generator 0 to its leader
+        perms, firsts = itertools.permutations(range(degree)), _class_leaders(degree)
     candidates = tuple((p, perm_inverse(p)) for p in perms)
+    levels = [tuple((p, perm_inverse(p)) for p in firsts)] + [candidates] * (ngens - 1)
     points = range(degree)
     # a relator becomes checkable once its highest generator is assigned
     ready: list[list[tuple[int, ...]]] = [[] for _ in range(ngens)]
@@ -140,7 +154,7 @@ def _search(pres: GroupPresentation, degree: int, limit: int,
             found.append(PermutationAssignment(degree, tuple(action[0::2]), dihedral))
             return
         checks = ready[k]
-        for p, p_inv in candidates:
+        for p, p_inv in levels[k]:
             action[2 * k] = p
             action[2 * k + 1] = p_inv
             if _holds(action, checks, points):
@@ -159,11 +173,13 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
     dihedral group D_degree (x -> x + c and x -> c - x on Z/degree) if
     dihedral is set.
 
-    Generator images are tried in lexicographic order, so the output
-    order is deterministic; at most `limit` assignments are returned and
-    each one satisfies every relator.  An empty list is a valid result.
-    The degree must lie in 1..MAX_SEPARATE_DEGREE, or in
-    1..max(DIHEDRAL_DEGREES) for D_degree.
+    Images are tried in lexicographic order, so the output order is
+    deterministic; in S_degree generator 0 tries only the least
+    permutation of each cycle type, so below the limit every
+    homomorphism is conjugate to a listed one.  At most `limit`
+    assignments are returned and each one satisfies every relator.  An
+    empty list is a valid result.  The degree must lie in
+    1..MAX_SEPARATE_DEGREE, or in 1..max(DIHEDRAL_DEGREES) for D_degree.
     """
     _check_degree(degree, dihedral)
     if limit < 0:
@@ -384,9 +400,9 @@ def infinite_index_certificate(pres: GroupPresentation, subgroup: Sequence[Word]
     """The first certificate of infinite index for the subgroup among the
     homomorphisms find_homomorphisms lists into S_d for each d in
     CERTIFICATE_DEGREES, then into D_m for each m in DIHEDRAL_DEGREES,
-    or None.  The S_d searches are the capped ones quotient_separate
-    runs, so a later separation on the same presentation finds them
-    cached; separation never uses the dihedral images."""
+    or None, each read at point 0 only.  The S_d searches are the capped
+    ones quotient_separate runs, so a later separation on the same
+    presentation finds them cached; it never uses the dihedral images."""
     for dihedral, degrees in ((False, CERTIFICATE_DEGREES), (True, DIHEDRAL_DEGREES)):
         for degree in degrees:
             for hom in find_homomorphisms(pres, degree, dihedral=dihedral):

@@ -18,7 +18,7 @@ import io
 import os
 import random
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -80,6 +80,12 @@ def mulclose(gens) -> frozenset:
                     new.append(y)
         frontier = new
     return frozenset(seen)
+
+
+def rebased(hom, point: int):
+    """hom conjugated by the transposition (0 point): point becomes point 0."""
+    t = [point if x == 0 else 0 if x == point else x for x in range(hom.degree)]
+    return replace(hom, images=tuple(pmul(pmul(t, p), t) for p in hom.images))
 
 
 def subgroup_of(words, model: tuple[Perm, ...]) -> frozenset:
@@ -729,7 +735,8 @@ def check_infinite_index_certificate(max_degree: int = 4) -> str:
     every GROUP_CORPUS subgroup (the trivial one too) and the P and P+ of
     every INPUT_CORPUS input, over every image in S_d, d <= max_degree,
     and every image in D_m, m in DIHEDRAL_DEGREES, that an uncapped
-    search finds."""
+    search finds.  The S_d images come up to conjugacy, so each is read
+    at every base point; the D_m family holds its own rotations."""
     subjects = [(case.name, pres, words)
                 for case, pres, subgroups in _resolved_groups() for words in subgroups]
     for case, parsed, _ctx in _resolved_inputs():
@@ -743,9 +750,10 @@ def check_infinite_index_certificate(max_degree: int = 4) -> str:
     for name, pres, words in subjects:
         for degree, dihedral in searches:
             for hom in find_homomorphisms(pres, degree, 10**9, dihedral):
-                assert index_certificate(hom, pres, words) is None, \
-                    f"{name}: certificate of infinite index for a finite-index " \
-                    f"subgroup from {hom.images}"
+                for point in range(1 if dihedral else degree):
+                    assert index_certificate(rebased(hom, point), pres, words) is None, \
+                        f"{name}: certificate of infinite index for a finite-index " \
+                        f"subgroup from {hom.images} at point {point}"
                 images += 1
     return (f"{images} images of {len(subjects)} finite-index subgroups, "
             f"no certificate of infinite index")

@@ -5,9 +5,10 @@ import time
 import pytest
 
 from brute import TWO_BRIDGE_13, coxeter_skg, two_bridge_skg
+from handlecoset import finite_quotient
 from handlecoset.errors import CaseMismatch
 from handlecoset.finite_quotient import (CERTIFICATE_DEGREES,
-                                         DIHEDRAL_DEGREES,
+                                         DIHEDRAL_DEGREES, HOM_LIMIT,
                                          MAX_SEPARATE_DEGREE,
                                          SeparationVerdict,
                                          find_homomorphisms, index_certificate,
@@ -16,8 +17,8 @@ from handlecoset.finite_quotient import (CERTIFICATE_DEGREES,
 from handlecoset.handle_classifier import CaseLabel
 from handlecoset.knot_input import parse_input, parse_word
 from handlecoset.selftest import (INPUT_CORPUS, _random_word, _related_word,
-                                  classifier_values, mulclose, peval,
-                                  subgroup_of)
+                                  classifier_values, mulclose, peval, pinv,
+                                  pmul, rebased, subgroup_of)
 from handlecoset.word_algebra import Word
 
 C2 = parse_input("group: a\nrel: a^2\nP: 1\norientable: true").presentation
@@ -76,26 +77,66 @@ def test_homs_deterministic_and_limited():
         find_homomorphisms(S3_INPUT.presentation, 3, limit=-1)
 
 
+def cycle_type(p):
+    seen, lengths = set(), []
+    for start in range(len(p)):
+        x, length = start, 0
+        while x not in seen:
+            seen.add(x)
+            x, length = p[x], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
 def reference_homs(pres, degree, limit):
-    """The first `limit` generator-image tuples, in lexicographic order of
-    itertools.product over lexicographic permutations, that satisfy every
-    relator."""
+    """The first `limit` generator-image tuples that satisfy every
+    relator, in lexicographic order of itertools.product: generator 0
+    over the least permutation of each cycle type, found as the min over
+    the permutations of that type, in lexicographic order, and every
+    other generator over all permutations, in lexicographic order."""
     perms = list(itertools.permutations(range(degree)))
-    identity = perms[0]
+    by_type = {}
+    for p in perms:
+        by_type.setdefault(cycle_type(p), []).append(p)
+    leaders = sorted(min(members) for members in by_type.values())
     found = []
-    for images in itertools.product(perms, repeat=len(pres.generators)):
+    for images in itertools.product(leaders, *[perms] * (len(pres.generators) - 1)):
         if len(found) >= limit:
             break
-        if all(peval(rel, images) == identity for rel in pres.relators):
+        if all(peval(rel, images) == perms[0] for rel in pres.relators):
             found.append(images)
     return found
+
+
+def _fixes(action, rel, x):
+    """True iff the word rel maps point x to itself; action[i] is the pair
+    (image of generator i, its inverse)."""
+    y = x
+    for i, s in rel:
+        y = action[i][s < 0][y]
+    return y == x
+
+
+def lexicographic_homs(pres, degree):
+    """Every generator-image tuple that satisfies every relator, lazily,
+    in lexicographic order of itertools.product over all permutations:
+    the images in S_degree before any are identified up to conjugacy.
+    Relators are traced point by point, up to the first moved point."""
+    perms = list(itertools.permutations(range(degree)))
+    inverse = {p: pinv(p) for p in perms}
+    for images in itertools.product(perms, repeat=len(pres.generators)):
+        action = [(p, inverse[p]) for p in images]
+        if all(_fixes(action, rel, x) for rel in pres.relators for x in range(degree)):
+            yield images
 
 
 @pytest.mark.parametrize("pres", [TREFOIL, FIGURE_EIGHT, S3_INPUT.presentation],
                          ids=["trefoil", "figure-eight", "s3"])
 def test_homs_match_reference_search(pres):
     capped = 0
-    for degree, limit in [(d, 64) for d in range(1, 6)] + [(d, 10**6) for d in range(1, 5)]:
+    for degree, limit in [(d, limit) for d in range(1, 7) for limit in (5, HOM_LIMIT)] + \
+            [(d, 10**6) for d in range(1, 5)]:
         homs = find_homomorphisms(pres, degree, limit)
         assert [h.images for h in homs] == reference_homs(pres, degree, limit)
         assert all(h.degree == degree for h in homs)
@@ -104,6 +145,29 @@ def test_homs_match_reference_search(pres):
                 assert peval(rel, h.images) == tuple(range(degree))
         capped += len(homs) == limit
     assert capped  # the limit binds at least once, so its handling is tested
+
+
+COVERAGE_INPUTS = [("trefoil", TREFOIL), ("figure-eight", FIGURE_EIGHT),
+                   ("s3", S3_INPUT.presentation)] + \
+    [(c.label, parse_input(c.skg).presentation) for c in INPUT_CORPUS
+     if len(parse_input(c.skg).presentation.generators) == 2]
+
+
+@pytest.mark.parametrize("pres", [pres for _, pres in COVERAGE_INPUTS],
+                         ids=[label for label, _ in COVERAGE_INPUTS])
+def test_every_image_is_listed_up_to_conjugacy(pres):
+    # below the cap, each homomorphism into S_d is conjugate to a listed one
+    for degree in range(1, 5):
+        homs = find_homomorphisms(pres, degree, 10**9)
+        assert len(homs) < HOM_LIMIT  # so the default search lists them all
+        listed = {h.images for h in homs}
+        assert len(listed) == len(homs)
+        full = list(lexicographic_homs(pres, degree))
+        assert listed <= set(full)
+        perms = list(itertools.permutations(range(degree)))
+        for images in full:
+            assert any(tuple(pmul(pmul(pinv(s), p), s) for p in images) in listed
+                       for s in perms), (degree, images)
 
 
 def test_separate_t2_parity():
@@ -156,21 +220,26 @@ def test_degree_validation():
                               max_degree=degree)
 
 
-def _brute_separates(input, case, core_oriented, g1, g2, max_degree):
-    """True iff some find_homomorphisms image of degree <= max_degree
-    gives g1 and g2 different invariant values, each value computed by
-    the oracle's element-level double cosets."""
+def _brute_separates(input, case, core_oriented, g1, g2, family):
+    """True iff some generator-image tuple of the family gives g1 and g2
+    different invariant values, each value computed by the oracle's
+    element-level double cosets."""
     case3 = case is CaseLabel.CASE3
     acting = input.p_plus_generators if case3 else input.p_generators
-    for degree in range(1, max_degree + 1):
-        for hom in find_homomorphisms(input.presentation, degree):
-            h_set = subgroup_of(acting, hom.images)
-            n_img = peval(input.n_word, hom.images) if case3 else None
-            values = [classifier_values([peval(g, hom.images)], h_set, case3,
-                                        core_oriented, n_img) for g in (g1, g2)]
-            if values[0] != values[1]:
-                return True
+    for images in family:
+        h_set = subgroup_of(acting, images)
+        n_img = peval(input.n_word, images) if case3 else None
+        values = [classifier_values([peval(g, images)], h_set, case3,
+                                    core_oriented, n_img) for g in (g1, g2)]
+        if values[0] != values[1]:
+            return True
     return False
+
+
+def lexicographic_family(pres, max_degree, limit):
+    """The first `limit` lexicographic_homs of each degree up to max_degree."""
+    return [images for degree in range(1, max_degree + 1)
+            for images in itertools.islice(lexicographic_homs(pres, degree), limit)]
 
 
 SEPARATE_INPUTS = [(c.label, c.skg, c.sample_cord) for c in INPUT_CORPUS]
@@ -184,6 +253,8 @@ def test_separate_matches_brute_force_images(label, skg, sample):
         else [CaseLabel.CASE1, CaseLabel.CASE2]
     rng = random.Random(f"separate-{label}")
     ngens = len(input.presentation.generators)
+    # every image of degree <= 4, uncapped
+    families = {d: lexicographic_family(input.presentation, d, 10**9) for d in (3, 4)}
     verdicts = set()
     for case in cases:
         for core_oriented in (True, False):
@@ -197,7 +268,7 @@ def test_separate_matches_brute_force_images(label, skg, sample):
                     if k % 2 else _random_word(rng, ngens)
                 max_degree = 3 + k % 2
                 expected = _brute_separates(input, case, core_oriented, g1, g2,
-                                            max_degree)
+                                            families[max_degree])
                 verdict = quotient_separate(input, case, core_oriented, g1, g2,
                                             max_degree=max_degree)
                 assert (verdict is SeparationVerdict.DISTINCT) == expected, \
@@ -225,12 +296,14 @@ def _transitive(hom):
 def test_no_certificate_on_coxeter_groups(n):
     # S_n is finite, so every subgroup has finite index: no transitive
     # image of degree <= 5, nor any dihedral image the certificate
-    # searches, may certify infinite index for any P
+    # searches, may certify infinite index for any P.  The S_d images
+    # come up to conjugacy, so each is read at every base point, which
+    # covers every image
     presentation = parse_input(coxeter_skg(n, [1])).presentation
     homs = [hom for degree in range(1, 6)
             for hom in find_homomorphisms(presentation, degree, limit=10**9)]
     transitive = sum(map(_transitive, homs))
-    assert transitive == {4: 32, 5: 122}[n]
+    assert transitive == {4: 8, 5: 14}[n]
     dihedral = [hom for m in DIHEDRAL_DEGREES
                 for hom in find_homomorphisms(presentation, m, 10**9, dihedral=True)]
     # S4 maps onto D_6 = S_3 x Z/2; S5 has no transitive dihedral image
@@ -238,29 +311,43 @@ def test_no_certificate_on_coxeter_groups(n):
     for p in ([1], [2], [1, 3]):
         words = parse_input(coxeter_skg(n, p)).p_generators
         for hom in homs + dihedral:
-            assert index_certificate(hom, presentation, words) is None, (p, hom)
+            for point in range(hom.degree):
+                assert index_certificate(rebased(hom, point), presentation,
+                                         words) is None, (p, hom, point)
 
 
-# the degree of the first certificate for each knot of TWO_BRIDGE_13, in
-# its order: the images in S_2..S_5 certify all but the torus knots
-# T(2, p) = b(p, +-1), which first map onto the dihedral group D_p
-CERTIFICATE_DEGREE = [3, 3, 4, 5, 5, 4, 5, 5, 7, 7, 5, 5, 3, 3, 3, 3, 3, 3,
-                      4, 5, 4, 5, 11, 11, 5, 4, 5, 4,
-                      4, 4, 4, 5, 4, 13, 13, 4, 5, 4, 4, 4]
+# the first certificate for each knot of TWO_BRIDGE_13, in its order, as
+# (degree, h_rank, p_rank, dihedral): the images in S_2..S_5 certify all
+# but the torus knots T(2, p) = b(p, +-1), which first map onto the
+# dihedral group D_p
+CERTIFICATE = [(3, 2, 1, False), (3, 2, 1, False), (4, 2, 1, False),
+               (5, 3, 1, False), (5, 3, 1, False), (4, 2, 1, False),
+               (5, 2, 1, False), (5, 2, 1, False), (7, 4, 1, True),
+               (7, 4, 1, True), (5, 2, 1, False), (5, 2, 1, False),
+               (3, 2, 1, False), (3, 2, 1, False), (3, 2, 1, False),
+               (3, 2, 1, False), (3, 2, 1, False), (3, 2, 1, False),
+               (4, 2, 1, False), (5, 2, 1, False), (4, 2, 1, False),
+               (5, 2, 1, False), (11, 6, 1, True), (11, 6, 1, True),
+               (5, 2, 1, False), (4, 2, 1, False), (5, 2, 1, False),
+               (4, 2, 1, False), (4, 2, 1, False), (4, 2, 1, False),
+               (4, 2, 1, False), (5, 3, 1, False), (4, 2, 1, False),
+               (13, 7, 1, True), (13, 7, 1, True), (4, 2, 1, False),
+               (5, 3, 1, False), (4, 2, 1, False), (4, 2, 1, False),
+               (4, 2, 1, False)]
 
 
 def test_certificates_on_two_bridge_knots():
-    assert len(TWO_BRIDGE_13) == len(CERTIFICATE_DEGREE) == 40
-    for (p, q), degree in zip(TWO_BRIDGE_13, CERTIFICATE_DEGREE):
+    assert len(TWO_BRIDGE_13) == len(CERTIFICATE) == 40
+    for (p, q), expected in zip(TWO_BRIDGE_13, CERTIFICATE):
         data = parse_input(two_bridge_skg(p, q))
         cert = infinite_index_certificate(data.presentation, data.p_generators)
-        assert cert is not None and cert.degree == degree, (p, q)
-        if degree in CERTIFICATE_DEGREES:
-            assert not cert.hom.dihedral
-            assert 0 <= cert.p_rank < cert.h_rank
+        assert cert is not None, (p, q)
+        assert (cert.degree, cert.h_rank, cert.p_rank, cert.hom.dihedral) == expected, (p, q)
+        degree, h_rank, p_rank, dihedral = expected
+        if dihedral:
+            assert degree == p and abs(q) == 1 and (h_rank, p_rank) == ((p + 1) // 2, 1)
         else:
-            assert cert.hom.dihedral and degree == p and abs(q) == 1
-            assert (cert.h_rank, cert.p_rank) == ((p + 1) // 2, 1)
+            assert degree in CERTIFICATE_DEGREES and 0 <= p_rank < h_rank
 
 
 @pytest.mark.parametrize("skg", [two_bridge_skg(17, 1), coxeter_skg(8, [1])],
@@ -293,11 +380,55 @@ def test_dihedral_homs_match_reference_search(pres):
             homs = find_homomorphisms(pres, m, limit, dihedral=True)
             assert [h.images for h in homs] == expected[:limit]
             assert all(h.degree == m and h.dihedral for h in homs)
-    # the trefoil's D_3 = S_3 images are its S_3 images, found in the same order
+    # D_3 is all of S_3, so the trefoil's D_3 images are all its images in
+    # S_3, in the same order
     assert [h.images for h in find_homomorphisms(TREFOIL, 3, dihedral=True)] == \
-        [h.images for h in find_homomorphisms(TREFOIL, 3)]
+        list(itertools.islice(lexicographic_homs(TREFOIL, 3), HOM_LIMIT))
     # a p-colouring needs p to divide the determinant: 5 for the figure
     # eight, so D_7 gives only the 7 maps onto Z/7 and the 7 onto Z/2
     assert len(find_homomorphisms(FIGURE_EIGHT, 7, 10**9, dihedral=True)) == 14
     with pytest.raises(ValueError):
         find_homomorphisms(TREFOIL, DIHEDRAL_DEGREES[-1] + 1, dihedral=True)
+
+
+def test_search_cost_without_a_timer(monkeypatch):
+    # the relator checks of the S_d searches of degree <= 6 on S8 with
+    # P = <s1>: 4.09M when generator 0 ran over all of S_d, 256k when it
+    # takes one permutation per cycle type
+    presentation = parse_input(coxeter_skg(8, [1])).presentation
+    holds, calls = finite_quotient._holds, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return holds(*args)
+
+    monkeypatch.setattr(finite_quotient, "_holds", counted)
+    _search.cache_clear()
+    for degree in range(1, 7):
+        find_homomorphisms(presentation, degree)
+    _search.cache_clear()
+    assert calls[0] < 500_000
+
+
+REGRESSION_INPUTS = [(f"b({p},{q})", two_bridge_skg(p, q), 6) for p, q in TWO_BRIDGE_13] + \
+    [(c.label, c.skg, 5) for c in INPUT_CORPUS]
+
+
+def test_no_pair_separated_by_lexicographic_images_is_lost():
+    # the capped search listed the first HOM_LIMIT images of each degree
+    # in lexicographic order; every pair those images separate must still
+    # be separated
+    rng = random.Random("lexicographic-images")
+    separated = 0
+    for label, skg, max_degree in REGRESSION_INPUTS:
+        input = parse_input(skg, label=label)
+        case = CaseLabel.CASE1 if input.surface_orientable else CaseLabel.CASE3
+        family = lexicographic_family(input.presentation, max_degree, HOM_LIMIT)
+        ngens = len(input.presentation.generators)
+        for k in range(4):
+            g1, g2 = _random_word(rng, ngens, 10), _random_word(rng, ngens, 10)
+            if _brute_separates(input, case, k % 2 == 0, g1, g2, family):
+                separated += 1
+                assert quotient_separate(input, case, k % 2 == 0, g1, g2, max_degree) \
+                    is SeparationVerdict.DISTINCT, (label, g1, g2)
+    assert separated >= 100
