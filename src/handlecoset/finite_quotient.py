@@ -6,10 +6,13 @@ groups of small degree and compare the handle invariants inside the
 finite image.  Double-coset equality is preserved by any homomorphism,
 so a difference in some image certifies inequivalence; agreement proves
 nothing.  Conjugating an image in S_d changes neither, so S_d is
-searched up to conjugacy.  Inside a finite image everything is brute
-force over permutations, deliberately independent of the enumeration
-engine.  Three things are shared with the rest of the package: the
-encoding of words as action columns, the case dispatch
+searched up to conjugacy of generator 0's image.  A generator that a
+relator proves conjugate to an earlier one draws only from that one's
+cycle type; in Schubert and Wirtinger presentations of knot groups
+every generator is such a meridian.  Inside a finite image everything
+is brute force over permutations, deliberately independent of the
+enumeration engine.  Three things are shared with the rest of the
+package: the encoding of words as action columns, the case dispatch
 (knot_input.case_words), which picks the acting words and the twist
 word, and the value's shape (double_cosets.nest_slots).
 
@@ -21,9 +24,10 @@ with H, spans a smaller rank there, |H : H_K| is infinite, and so is
 |G : K|.  The certificate searches S_d for small d, then the dihedral
 group D_m of order 2m acting on Z/m for larger m: every 2-bridge knot
 group b(p, q) maps onto D_p with the meridians going to reflections
-(Riley, "Homomorphisms of knot groups on finite groups", 1971), and
-2m candidate images per generator stay cheap where m! do not.  The one
-search kernel, _search, serves both candidate sets.
+(Riley, "Homomorphisms of knot groups on finite groups", 1971), and a
+generator of D_m has only 2m candidate images, so its search stays cheap
+at degrees where that of S_m does not.  The one search kernel, _search,
+serves both candidate sets.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
+from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .coset_enumeration import _columns
@@ -42,7 +47,8 @@ from .word_algebra import GroupPresentation, Word
 Perm = tuple[int, ...]
 Columns = tuple[int, ...]  # a word compiled by _columns
 
-# the search lists all d! permutations of each degree d up to this bound
+# the largest degree of S_d searched; a generator with no earlier conjugate
+# partner still runs over all d! permutations
 MAX_SEPARATE_DEGREE = 8
 # assignments kept per degree; binds only at d = 6 on knots with p <= 13
 HOM_LIMIT = 64
@@ -128,9 +134,58 @@ def _class_leaders(degree: int, least: int = 1) -> list[Perm]:
             for rest in _class_leaders(degree - k, k)]
 
 
+def _cycle_type(p: Perm) -> tuple[int, ...]:
+    """The cycle lengths of p, in increasing order."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        if not seen[start]:
+            x, length = start, 0
+            while not seen[x]:
+                seen[x] = True
+                x, length = p[x], length + 1
+            lengths.append(length)
+    lengths.sort()
+    return tuple(lengths)
+
+
+def _partners(pres: GroupPresentation) -> list[int]:
+    """For each generator, the least generator a relator chain proves it
+    conjugate to, itself if none.
+
+    A relator read cyclically as x^e u y^-e u^-1, with x and y generators,
+    says y = u^-1 x u, so every homomorphism gives x and y images of one
+    cycle type; a union-find whose root is the least index joins them."""
+    root = list(range(len(pres.generators)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for rel in pres.relators:
+        half, odd = divmod(len(rel), 2)
+        if odd:
+            continue
+        w = rel.letters * 2  # rotation r is w[r:r + len(rel)]
+        for r in range(len(rel)):
+            (x, e), (y, f) = w[r], w[r + half]
+            if f == -e and w[r + half + 1:r + 2 * half] == \
+                    tuple((i, -s) for i, s in reversed(w[r + 1:r + half])):
+                a, b = sorted((find(x), find(y)))
+                root[b] = a
+    return [find(i) for i in range(len(root))]
+
+
 @lru_cache(maxsize=None)
 def _search(pres: GroupPresentation, degree: int, limit: int,
             dihedral: bool) -> tuple[PermutationAssignment, ...]:
+    """The first `limit` assignments of find_homomorphisms, depth first:
+    generator 0 over the class leaders of S_degree (all of D_degree),
+    generator k over all candidates, or, if _partners gives it an earlier
+    generator j, over those of the cycle type of j's image only.  A
+    candidate of another type fails a relator whatever comes later, so
+    the pruning drops no assignment and keeps their order."""
     ngens = len(pres.generators)
     if dihedral:
         perms = firsts = _dihedral(degree)
@@ -138,6 +193,11 @@ def _search(pres: GroupPresentation, degree: int, limit: int,
         perms, firsts = itertools.permutations(range(degree)), _class_leaders(degree)
     candidates = tuple((p, perm_inverse(p)) for p in perms)
     levels = [tuple((p, perm_inverse(p)) for p in firsts)] + [candidates] * (ngens - 1)
+    partner = _partners(pres)
+    by_type: dict[tuple[int, ...], list[tuple[Perm, Perm]]] = {}
+    if any(j < k for k, j in enumerate(partner)):
+        for c in candidates:
+            by_type.setdefault(_cycle_type(c[0]), []).append(c)
     points = range(degree)
     # a relator becomes checkable once its highest generator is assigned
     ready: list[list[tuple[int, ...]]] = [[] for _ in range(ngens)]
@@ -154,7 +214,9 @@ def _search(pres: GroupPresentation, degree: int, limit: int,
             found.append(PermutationAssignment(degree, tuple(action[0::2]), dihedral))
             return
         checks = ready[k]
-        for p, p_inv in levels[k]:
+        j = partner[k]
+        level = levels[k] if j == k else by_type[_cycle_type(action[2 * j])]
+        for p, p_inv in level:
             action[2 * k] = p
             action[2 * k + 1] = p_inv
             if _holds(action, checks, points):
@@ -176,7 +238,11 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
     Images are tried in lexicographic order, so the output order is
     deterministic; in S_degree generator 0 tries only the least
     permutation of each cycle type, so below the limit every
-    homomorphism is conjugate to a listed one.  At most `limit`
+    homomorphism is conjugate to a listed one.  A generator that a
+    relator x^e u y^-e u^-1 proves conjugate to an earlier one (see
+    _partners) tries only the permutations of its partner's cycle type;
+    no other can satisfy that relator, so this lists the same
+    assignments in the same order.  At most `limit`
     assignments are returned and each one satisfies every relator.  An
     empty list is a valid result.  The degree must lie in
     1..MAX_SEPARATE_DEGREE, or in 1..max(DIHEDRAL_DEGREES) for D_degree.
@@ -288,21 +354,24 @@ class IndexCertificate(NamedTuple):
 
 def _extend_basis(basis: list[tuple[int, dict]], rows: Iterable[list[int]],
                   width: int) -> None:
-    """Add the integer rows to an echelon basis of Q^width, by exact
-    elimination in Fractions, until it spans the whole space.  A basis
-    row is its pivot column and its nonzero entries, 1 at the pivot and
-    0 at every earlier pivot, so len(basis) is the rank."""
-    # imported here: the fractions module would add a fifth to the
-    # package's import time, which every CLI process pays
-    from fractions import Fraction
-
+    """Add the integer rows to an echelon basis of Q^width, by
+    fraction-free elimination, until it spans the whole space.  A basis
+    row is its pivot column and its nonzero entries, 0 at every earlier
+    pivot and with content (the gcd of its entries) 1, so len(basis) is
+    the rank over Q."""
     for dense in rows:
         if len(basis) == width:
             return
-        row = {c: Fraction(x) for c, x in enumerate(dense) if x}
+        row = {c: x for c, x in enumerate(dense) if x}
         for col, b in basis:
             f = row.get(col)
             if f:
+                # row * pivot - b * f, both factors divided by their gcd
+                pivot = b[col]
+                g = gcd(f, pivot)
+                f, pivot = f // g, pivot // g
+                if pivot != 1:
+                    row = {c: x * pivot for c, x in row.items()}
                 for c, y in b.items():
                     x = row.get(c, 0) - f * y
                     if x:
@@ -310,9 +379,8 @@ def _extend_basis(basis: list[tuple[int, dict]], rows: Iterable[list[int]],
                     else:
                         del row[c]
         if row:
-            lead = min(row)
-            pivot = row[lead]
-            basis.append((lead, {c: x / pivot for c, x in row.items()}))
+            content = gcd(*row.values())
+            basis.append((min(row), {c: x // content for c, x in row.items()}))
 
 
 def index_certificate(hom: PermutationAssignment, pres: GroupPresentation,

@@ -6,27 +6,30 @@ models of cyclic, dihedral, symmetric, alternating and quaternion groups
 whose arithmetic never touches the enumeration engine.  The suite backs
 the `selftest` CLI subcommand, and the test suite runs each property as a
 test of its own.  The permutation arithmetic below (pmul, pinv, peval,
-mulclose, subgroup_of, double_coset, double_coset_partition,
-classifier_key, classifier_values) is the package's one brute-force
-oracle toolkit; the tests import it from here.
+mulclose, cycle_type, lexicographic_filter, subgroup_of, double_coset,
+double_coset_partition, classifier_key, classifier_values) is the
+package's one brute-force oracle toolkit; the tests import it from here,
+and two_bridge_skg (the Schubert presentations of 2-bridge knots) too.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import os
 import random
 import tempfile
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import gcd
 from typing import Callable, Optional
 
 from .coset_enumeration import enumerate_cosets
 from .double_cosets import dc_all, dc_id, dc_invert, dc_twist
 from .errors import HandleCosetError
-from .finite_quotient import (DIHEDRAL_DEGREES, SeparationVerdict, _search,
-                              find_homomorphisms, index_certificate,
+from .finite_quotient import (DIHEDRAL_DEGREES, HOM_LIMIT, SeparationVerdict,
+                              _search, find_homomorphisms, index_certificate,
                               quotient_separate)
 from .handle_classifier import (ClassifierContext, equivalent,
                                 enumerate_classes, handle_invariant,
@@ -86,6 +89,39 @@ def rebased(hom, point: int):
     """hom conjugated by the transposition (0 point): point becomes point 0."""
     t = [point if x == 0 else 0 if x == point else x for x in range(hom.degree)]
     return replace(hom, images=tuple(pmul(pmul(t, p), t) for p in hom.images))
+
+
+def cycle_type(p: Perm) -> tuple[int, ...]:
+    """The cycle lengths of p, in increasing order."""
+    seen, lengths = set(), []
+    for start in range(len(p)):
+        x, length = start, 0
+        while x not in seen:
+            seen.add(x)
+            x, length = p[x], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def lexicographic_filter(pres: GroupPresentation, degree: int, limit: int) -> list:
+    """The first `limit` generator-image tuples that satisfy every
+    relator, in lexicographic order of itertools.product: generator 0
+    over the least permutation of each cycle type, found as the min over
+    the permutations of that type, and every other generator over all
+    permutations.  Each whole tuple is evaluated; nothing is pruned."""
+    perms = list(itertools.permutations(range(degree)))
+    by_type: dict = {}
+    for p in perms:
+        by_type.setdefault(cycle_type(p), []).append(p)
+    leaders = sorted(min(members) for members in by_type.values())
+    found = []
+    for images in itertools.product(leaders, *[perms] * (len(pres.generators) - 1)):
+        if len(found) >= limit:
+            break
+        if all(peval(rel, images) == perms[0] for rel in pres.relators):
+            found.append(images)
+    return found
 
 
 def subgroup_of(words, model: tuple[Perm, ...]) -> frozenset:
@@ -278,6 +314,18 @@ def respell_squares(pres: GroupPresentation) -> GroupPresentation:
             rel = Word(((y, 1), x, x, (y, -1)))
         relators.append(rel)
     return GroupPresentation(pres.generators, tuple(relators))
+
+
+def two_bridge_skg(p: int, q: int) -> str:
+    """.skg text of the Schubert presentation <a, b | a w = w b> of the
+    2-bridge knot b(p, q), P = <a> (a meridian): w = b^e1 a^e2 ... a^e(p-1)
+    with e_i = (-1)^floor(i q / p)."""
+    letters = [("b" if i % 2 else "a", -1 if (i * q) // p % 2 else 1)
+               for i in range(1, p)]
+    inverse = [(g, -e) for g, e in reversed(letters)]
+    relator = [("a", 1)] + letters + [("b", -1)] + inverse
+    text = " ".join(g if e == 1 else f"{g}^{e}" for g, e in relator)
+    return f"group: a b\nrel: {text}\nP: a\norientable: true\n"
 
 
 def _cases_for(input: SurfaceKnotInput) -> tuple[tuple[CaseLabel, bool], ...]:
@@ -714,7 +762,21 @@ def check_quotient_soundness(pairs: int, seed: int, max_degree: int = 3) -> str:
     return f"{total} pairs; no equivalent pair was ever separated"
 
 
-def check_quotient_determinism() -> str:
+def check_quotient_determinism(seed: int, max_degree: int = 5) -> str:
+    """Repeated searches and verdicts agree, and on a seeded 2-bridge
+    knot, whose Schubert relator makes b conjugate to a so that b draws
+    only from the cycle type of a's image, find_homomorphisms lists what
+    the unpruned lexicographic filter does, in order, under the default
+    cap, for every degree up to max_degree."""
+    rng = random.Random(seed)
+    p = rng.choice(range(5, 14, 2))
+    q = rng.choice([q for q in range(-p + 1, p) if q % 2 and gcd(p, abs(q)) == 1])
+    knot = parse_input(two_bridge_skg(p, q)).presentation
+    _search.cache_clear()
+    for degree in range(1, max_degree + 1):
+        homs = find_homomorphisms(knot, degree)
+        assert [h.images for h in homs] == lexicographic_filter(knot, degree, HOM_LIMIT), \
+            f"b({p},{q}): the images in S_{degree} differ from the lexicographic filter"
     s3 = next(g for g in _resolved_groups() if g[0].name == "s3")
     homs_a = find_homomorphisms(s3[1], 3)
     _search.cache_clear()  # else the repeat is a cache lookup
@@ -727,7 +789,8 @@ def check_quotient_determinism() -> str:
     _search.cache_clear()
     v2 = quotient_separate(t2, CaseLabel.CASE1, True, g1, g2, max_degree=2)
     assert v1 == v2 == SeparationVerdict.DISTINCT
-    return "repeated searches returned identical homomorphisms and verdicts"
+    return "repeated searches returned identical homomorphisms and verdicts; " \
+        f"b({p},{q}) matched the lexicographic filter at degrees 1..{max_degree}"
 
 
 def check_infinite_index_certificate(max_degree: int = 4) -> str:
@@ -818,7 +881,7 @@ CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("input-roundtrip", check_roundtrip),
     ("validation-vs-brute", check_validation_vs_brute),
     ("quotient-soundness", lambda: check_quotient_soundness(160, SEED)),
-    ("quotient-determinism", check_quotient_determinism),
+    ("quotient-determinism", lambda: check_quotient_determinism(SEED)),
     ("infinite-index-certificate", check_infinite_index_certificate),
     ("record-determinism", check_record_determinism),
 )

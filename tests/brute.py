@@ -1,12 +1,13 @@
 """Test-only oracle helpers that the package itself does not need.
 
 The engine-independent permutation arithmetic (pmul, peval, mulclose,
-subgroup_of, double_coset_partition, classifier_values, ...) lives in
+subgroup_of, double_coset_partition, classifier_values, ...) and
+two_bridge_skg, the Schubert presentations of 2-bridge knots, live in
 handlecoset.selftest, which the `selftest` command needs at run time;
-tests import it from there.  What stays here: orbit_partition, a plain
+tests import them from there.  What stays here: orbit_partition, a plain
 orbit search over a finished table through its public trace alone,
 coxeter_skg, the .skg text of the Coxeter presentations of S_n, and
-two_bridge_skg, the Schubert presentations of 2-bridge knots.
+TWO_BRIDGE_13, the Schubert pairs with p <= 13.
 """
 
 from __future__ import annotations
@@ -52,18 +53,6 @@ def coxeter_skg(n, p, p_plus=None, n_gen=None):
         lines += ["P+: " + " , ".join(f"s{i}" for i in p_plus),
                   f"n: s{n_gen}", "orientable: false"]
     return "\n".join(lines) + "\n"
-
-
-def two_bridge_skg(p, q):
-    """.skg text of the Schubert presentation <a, b | a w = w b> of the
-    2-bridge knot b(p, q), P = <a> (a meridian): w = b^e1 a^e2 ... a^e(p-1)
-    with e_i = (-1)^floor(i q / p)."""
-    letters = [("b" if i % 2 else "a", -1 if (i * q) // p % 2 else 1)
-               for i in range(1, p)]
-    inverse = [(g, -e) for g, e in reversed(letters)]
-    relator = [("a", 1)] + letters + [("b", -1)] + inverse
-    text = " ".join(g if e == 1 else f"{g}^{e}" for g, e in relator)
-    return f"group: a b\nrel: {text}\nP: a\norientable: true\n"
 
 
 # every Schubert pair (p, q) with p <= 13: p and q odd, 0 < |q| < p, coprime

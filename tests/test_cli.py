@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import handlecoset
-from brute import coxeter_skg, two_bridge_skg
+from brute import coxeter_skg
 from handlecoset.cli import run
+from handlecoset.selftest import two_bridge_skg
 
 UNKNOTTED = "group: t\nP: t\norientable: true\n"
 T2 = "group: t\nP: t^2\norientable: true\n"

@@ -1,10 +1,14 @@
 import itertools
 import random
 import time
+from dataclasses import replace
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
-from brute import TWO_BRIDGE_13, coxeter_skg, two_bridge_skg
+from brute import TWO_BRIDGE_13, coxeter_skg
 from handlecoset import finite_quotient
 from handlecoset.errors import CaseMismatch
 from handlecoset.finite_quotient import (CERTIFICATE_DEGREES,
@@ -13,13 +17,15 @@ from handlecoset.finite_quotient import (CERTIFICATE_DEGREES,
                                          SeparationVerdict,
                                          find_homomorphisms, index_certificate,
                                          infinite_index_certificate,
-                                         quotient_separate, _search)
+                                         quotient_separate, _extend_basis,
+                                         _partners, _search)
 from handlecoset.handle_classifier import CaseLabel
 from handlecoset.knot_input import parse_input, parse_word
 from handlecoset.selftest import (INPUT_CORPUS, _random_word, _related_word,
-                                  classifier_values, mulclose, peval, pinv,
-                                  pmul, rebased, subgroup_of)
-from handlecoset.word_algebra import Word
+                                  classifier_values, lexicographic_filter,
+                                  mulclose, peval, pinv, pmul, rebased,
+                                  subgroup_of, two_bridge_skg)
+from handlecoset.word_algebra import Word, invert
 
 C2 = parse_input("group: a\nrel: a^2\nP: 1\norientable: true").presentation
 C3 = parse_input("group: a\nrel: a^3\nP: 1\norientable: true").presentation
@@ -31,6 +37,13 @@ TREFOIL = parse_input("group: a b\nrel: a b a b^-1 a^-1 b^-1\n"
                       "P: a\norientable: true").presentation
 FIGURE_EIGHT = parse_input("group: a b\nrel: a b a b^-1 a^-1 b^-1 a b a^-1 b^-1\n"
                            "P: a\norientable: true").presentation
+# a 3-generator Wirtinger presentation of the trefoil: x3 = x1^-1 x2 x1,
+# and x2 = x3^-1 x1 x3 written inverted and rotated; the first pairs x3
+# with x2, the second x2 with x1, so x3 reaches x1 only through the
+# union-find
+WIRTINGER_TREFOIL = parse_input("group: x1 x2 x3\nrel: x3^-1 x1^-1 x2 x1\n"
+                                "rel: x1^-1 x3 x2 x3^-1\n"
+                                "P: x1\norientable: true").presentation
 D8_CASE3 = parse_input("group: r s\nrel: r^4\nrel: s^2\nrel: r s r s\n"
                        "P: r^2 , s\nP+: r^2\nn: s\norientable: false",
                        label="d8")
@@ -77,38 +90,6 @@ def test_homs_deterministic_and_limited():
         find_homomorphisms(S3_INPUT.presentation, 3, limit=-1)
 
 
-def cycle_type(p):
-    seen, lengths = set(), []
-    for start in range(len(p)):
-        x, length = start, 0
-        while x not in seen:
-            seen.add(x)
-            x, length = p[x], length + 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths))
-
-
-def reference_homs(pres, degree, limit):
-    """The first `limit` generator-image tuples that satisfy every
-    relator, in lexicographic order of itertools.product: generator 0
-    over the least permutation of each cycle type, found as the min over
-    the permutations of that type, in lexicographic order, and every
-    other generator over all permutations, in lexicographic order."""
-    perms = list(itertools.permutations(range(degree)))
-    by_type = {}
-    for p in perms:
-        by_type.setdefault(cycle_type(p), []).append(p)
-    leaders = sorted(min(members) for members in by_type.values())
-    found = []
-    for images in itertools.product(leaders, *[perms] * (len(pres.generators) - 1)):
-        if len(found) >= limit:
-            break
-        if all(peval(rel, images) == perms[0] for rel in pres.relators):
-            found.append(images)
-    return found
-
-
 def _fixes(action, rel, x):
     """True iff the word rel maps point x to itself; action[i] is the pair
     (image of generator i, its inverse)."""
@@ -131,14 +112,46 @@ def lexicographic_homs(pres, degree):
             yield images
 
 
-@pytest.mark.parametrize("pres", [TREFOIL, FIGURE_EIGHT, S3_INPUT.presentation],
-                         ids=["trefoil", "figure-eight", "s3"])
-def test_homs_match_reference_search(pres):
+def test_partners_of_knot_groups():
+    # the Schubert relator a w b^-1 w^-1 pairs b with a on every knot
+    for p, q in TWO_BRIDGE_13:
+        assert _partners(parse_input(two_bridge_skg(p, q)).presentation) == [0, 0], (p, q)
+    assert _partners(WIRTINGER_TREFOIL) == [0, 0, 0]
+    # the same relators in another order, and each one inverted
+    assert _partners(replace(WIRTINGER_TREFOIL,
+                             relators=WIRTINGER_TREFOIL.relators[::-1])) == [0, 0, 0]
+    assert _partners(replace(WIRTINGER_TREFOIL,
+                             relators=tuple(map(invert, WIRTINGER_TREFOIL.relators)))) \
+        == [0, 0, 0]
+
+
+# a a b^-1 a has the shape x u y^-1 v, but v is not u^-1: it says b = a^3,
+# and a 3-cycle a gives b the identity
+B_IS_A_CUBED = parse_input("group: a b\nrel: a a b^-1 a\nP: a\norientable: true").presentation
+
+
+@pytest.mark.parametrize("pres", [parse_input(coxeter_skg(n, [1])).presentation
+                                  for n in range(3, 7)] +
+                         [S3_INPUT.presentation, D8_CASE3.presentation,
+                          T2_INPUT.presentation, B_IS_A_CUBED],
+                         ids=["S3-coxeter", "S4-coxeter", "S5-coxeter", "S6-coxeter",
+                              "s3", "d8", "t2", "b-is-a-cubed"])
+def test_no_partners_without_a_conjugating_relator(pres):
+    assert _partners(pres) == list(range(len(pres.generators)))
+
+
+# the brute-force reference evaluates every tuple of the product, so the
+# 3-generator input stops at degree 5 (degree 6 would take 12 s)
+@pytest.mark.parametrize("pres,top", [(TREFOIL, 6), (FIGURE_EIGHT, 6),
+                                      (S3_INPUT.presentation, 6),
+                                      (WIRTINGER_TREFOIL, 5)],
+                         ids=["trefoil", "figure-eight", "s3", "wirtinger-trefoil"])
+def test_homs_match_reference_search(pres, top):
     capped = 0
-    for degree, limit in [(d, limit) for d in range(1, 7) for limit in (5, HOM_LIMIT)] + \
+    for degree, limit in [(d, limit) for d in range(1, top + 1) for limit in (5, HOM_LIMIT)] + \
             [(d, 10**6) for d in range(1, 5)]:
         homs = find_homomorphisms(pres, degree, limit)
-        assert [h.images for h in homs] == reference_homs(pres, degree, limit)
+        assert [h.images for h in homs] == lexicographic_filter(pres, degree, limit)
         assert all(h.degree == degree for h in homs)
         for h in homs:
             for rel in pres.relators:
@@ -363,8 +376,9 @@ def test_search_without_a_certificate_stays_cheap(skg):
     assert time.perf_counter() - start < 2.0
 
 
-@pytest.mark.parametrize("pres", [TREFOIL, FIGURE_EIGHT, S3_INPUT.presentation],
-                         ids=["trefoil", "figure-eight", "s3"])
+@pytest.mark.parametrize("pres", [TREFOIL, FIGURE_EIGHT, S3_INPUT.presentation,
+                                  WIRTINGER_TREFOIL],
+                         ids=["trefoil", "figure-eight", "s3", "wirtinger-trefoil"])
 def test_dihedral_homs_match_reference_search(pres):
     # D_m is generated by the rotation x -> x + 1 and the reflection
     # x -> -x of Z/m; the search tries its 2m elements in sorted order
@@ -391,11 +405,7 @@ def test_dihedral_homs_match_reference_search(pres):
         find_homomorphisms(TREFOIL, DIHEDRAL_DEGREES[-1] + 1, dihedral=True)
 
 
-def test_search_cost_without_a_timer(monkeypatch):
-    # the relator checks of the S_d searches of degree <= 6 on S8 with
-    # P = <s1>: 4.09M when generator 0 ran over all of S_d, 256k when it
-    # takes one permutation per cycle type
-    presentation = parse_input(coxeter_skg(8, [1])).presentation
+def _count_holds(monkeypatch):
     holds, calls = finite_quotient._holds, [0]
 
     def counted(*args):
@@ -404,10 +414,80 @@ def test_search_cost_without_a_timer(monkeypatch):
 
     monkeypatch.setattr(finite_quotient, "_holds", counted)
     _search.cache_clear()
+    return calls
+
+
+def test_search_cost_without_a_timer(monkeypatch):
+    # the relator checks of the S_d searches of degree <= 6 on S8 with
+    # P = <s1>: 4.09M when generator 0 ran over all of S_d, 256k when it
+    # takes one permutation per cycle type; the Coxeter relators pair no
+    # generators, so the conjugacy pruning leaves this count as it is
+    presentation = parse_input(coxeter_skg(8, [1])).presentation
+    calls = _count_holds(monkeypatch)
     for degree in range(1, 7):
         find_homomorphisms(presentation, degree)
     _search.cache_clear()
     assert calls[0] < 500_000
+
+
+def test_knot_search_cost_without_a_timer(monkeypatch):
+    # the relator checks of the default searches of S_1..S_6 and D_6..D_13
+    # on the 40 knots: 433,278 when b ran over every candidate, 74,970
+    # when it draws only from the cycle type of a's image
+    calls = _count_holds(monkeypatch)
+    for p, q in TWO_BRIDGE_13:
+        presentation = parse_input(two_bridge_skg(p, q)).presentation
+        for degree in range(1, 7):
+            find_homomorphisms(presentation, degree)
+        for m in DIHEDRAL_DEGREES:
+            find_homomorphisms(presentation, m, dihedral=True)
+    _search.cache_clear()
+    assert calls[0] < 120_000
+
+
+def fraction_rank(rows):
+    """The rank over Q of the integer rows, by Gaussian elimination in
+    Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@given(st.data())
+def test_integer_elimination_matches_fractions(data):
+    width = data.draw(st.integers(1, 6), label="width")
+    entry = st.integers(-3, 3) | st.integers(-10**12, 10**12)
+    row = st.lists(entry, min_size=width, max_size=width) | st.just([0] * width)
+    rows = data.draw(st.lists(row, max_size=10), label="rows")
+    if rows:  # repeated rows
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=3), label="repeats")
+    # index_certificate extends one basis twice: relator rows, then K's
+    split = data.draw(st.integers(0, len(rows)), label="split")
+    consumed = []
+    basis = []
+    _extend_basis(basis, rows[:split], width)
+    _extend_basis(basis, (consumed.append(r) or r for r in rows[split:]), width)
+    rank = fraction_rank(rows)
+    assert len(basis) == rank
+    # once the first `full` rows span Q^width, one more row is read and
+    # the rest are not
+    if rank == width:
+        full = next(k for k in range(len(rows) + 1) if fraction_rank(rows[:k]) == width)
+        assert len(consumed) == min(max(full - split, 0) + 1, len(rows) - split)
+    pivots = [col for col, _ in basis]
+    for i, (col, b) in enumerate(basis):
+        assert min(b) == col and all(b.values())
+        assert gcd(*b.values()) == 1
+        assert not set(pivots[:i]) & set(b)
 
 
 REGRESSION_INPUTS = [(f"b({p},{q})", two_bridge_skg(p, q), 6) for p, q in TWO_BRIDGE_13] + \

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from brute import coxeter_skg, two_bridge_skg
+from brute import coxeter_skg
 from handlecoset.coset_enumeration import EnumerationLimits, enumerate_cosets
 from handlecoset.double_cosets import UnorderedPair, dc_id, dc_twist
 from handlecoset.errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
@@ -17,6 +17,7 @@ from handlecoset.handle_classifier import (CaseLabel, ClassifierContext,
                                            nonsurjectivity_witness,
                                            oriented_cord_invariant)
 from handlecoset.knot_input import case_words, parse_input, parse_word
+from handlecoset.selftest import two_bridge_skg
 from handlecoset.word_algebra import Word, free_reduce, invert
 
 UNKNOTTED = "group: t\nP: t\norientable: true"

@@ -2,7 +2,6 @@ import tracemalloc
 
 import pytest
 
-from brute import two_bridge_skg
 from handlecoset.coset_enumeration import EnumerationLimits
 from handlecoset.errors import (DuplicateGenerator, MissingSection,
                                 SkgSyntaxError, UnknownGenerator)
@@ -10,7 +9,7 @@ from handlecoset.handle_classifier import validate
 from handlecoset.knot_input import (MAX_WORD_LETTERS, SurfaceKnotInput,
                                     format_word, parse_input, parse_word,
                                     serialize)
-from handlecoset.selftest import peval, pinv, pmul, subgroup_of
+from handlecoset.selftest import peval, pinv, pmul, subgroup_of, two_bridge_skg
 from handlecoset.word_algebra import Word
 
 D8_CASE3 = ("group: r s\nrel: r^4\nrel: s^2\nrel: r s r s\n"
