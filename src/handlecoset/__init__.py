@@ -19,9 +19,9 @@ from .errors import (CaseMismatch, CosetRangeError, DuplicateGenerator,
 from .finite_quotient import (PermutationAssignment, SeparationVerdict,
                               find_homomorphisms, quotient_separate)
 from .handle_classifier import (ClassifierContext, HandleInvariant,
-                                ValidationCheck, ValidationReport, case_table,
-                                enumerate_classes, equivalent,
-                                handle_invariant, image_member,
+                                ValidationCheck, ValidationReport,
+                                candidate_invariant, enumerate_classes,
+                                equivalent, handle_invariant, image_member,
                                 local_oriented_cord_invariant,
                                 nonsurjectivity_witness,
                                 oriented_cord_invariant, validate)
@@ -41,7 +41,7 @@ __all__ = [
     "SeparationVerdict", "SkgSyntaxError", "SurfaceKnotInput", "TableMismatch",
     "UnknownGenerator", "UnorderedPair", "UsageError", "ValidationCheck",
     "ValidationReport",
-    "Word", "case_table", "concat", "dc_all", "dc_id", "dc_invert", "dc_twist",
+    "Word", "candidate_invariant", "concat", "dc_all", "dc_id", "dc_invert", "dc_twist",
     "enumerate_classes", "enumerate_cosets", "equivalent",
     "find_homomorphisms", "format_word", "free_reduce", "handle_invariant",
     "image_member", "invert", "local_oriented_cord_invariant",

@@ -23,14 +23,14 @@ from pathlib import Path
 from typing import Optional
 
 from .coset_enumeration import EnumerationLimits
-from .double_cosets import DoubleCosetId, dc_id, nest_slots, slot_count
+from .double_cosets import DoubleCosetId, slot_count
 from .errors import (HandleCosetError, MissingSection, ResourceExhausted,
                      SkgSyntaxError, UsageError)
 from .finite_quotient import (MAX_SEPARATE_DEGREE, SeparationVerdict,
                               quotient_separate)
 from .handle_classifier import (ClassifierContext, HandleInvariant,
-                                case_table, enumerate_classes, equivalent,
-                                handle_invariant, image_member,
+                                candidate_invariant, enumerate_classes,
+                                equivalent, handle_invariant, image_member,
                                 subgroup_table, validate)
 from .knot_input import CaseLabel, format_word, parse_input, parse_word
 from .word_algebra import Word
@@ -227,18 +227,12 @@ def _cmd_image_check(args) -> int:
     case = CaseLabel(args.case)
     parts = [p.strip() for p in args.candidate.split(";")]
     words = [parse_word(p, input.presentation) for p in parts]
-    twisted = case is CaseLabel.CASE3
-    expected = slot_count(twisted, args.core_oriented)
+    expected = slot_count(case is CaseLabel.CASE3, args.core_oriented)
     if len(words) != expected:
-        raise UsageError(f"--candidate needs {expected} words "
-                         f"for case {case.value}"
+        raise UsageError(f"--candidate needs {expected} words for case {case.value}"
                          f"{' with oriented core' if args.core_oriented else ''}")
     ctx = ClassifierContext.build(input, _limits())
-    table, acting, _n = case_table(ctx, case)
-    # the candidate's words fill the value's slots in slot order
-    slots = iter([dc_id(table, acting, w) for w in words])
-    candidate = HandleInvariant(case, args.core_oriented, nest_slots(
-        lambda *_: next(slots), twisted, args.core_oriented))
+    candidate = candidate_invariant(ctx, case, args.core_oriented, words)
     verdict = "in-image" if image_member(ctx, case, args.core_oriented, candidate) \
         else "not-in-image"
     _emit(args, {"command": "image-check", "input": input.label,

@@ -85,8 +85,8 @@ class CosetTable:
     relator x^2 or x^-2) the two are the same list object, so the table
     must not be edited in place.  _parents[c] is the BFS tree edge
     (parent, col) that discovered coset c, None for c = 1 (and at the
-    placeholder).  _partitions holds the double-coset partitions
-    built over this table, keyed by their acting words (see
+    placeholder).  _partition holds the table's one double-coset
+    partition, under its own subgroup generators, once built (see
     double_cosets).
     """
 
@@ -98,7 +98,7 @@ class CosetTable:
         self._action = action
         self._parents = parents
         self.total_defined = total_defined
-        self._partitions: dict = {}
+        self._partition = None
 
     @property
     def index(self) -> int:

@@ -1,15 +1,13 @@
 """Double cosets H\\G/H over a coset table, with the two induced maps.
 
 A double coset HgH is the orbit of the H-coset of g under right
-multiplication by the acting subgroup's generators.  The orbits are
-computed once per (table, acting words): a union-find over the acting
-words' permutations, each the composition of its letters' columns,
-gives a label array holding, for every coset, the minimal coset of its
-orbit.  With the standardized tables that minimal index is a canonical
-identifier, stable across runs.  The partition is kept on the table, so
-dc_id is one trace plus one lookup.  The package only ever uses
-symmetric double cosets: the acting words generate the same subgroup
-the table was enumerated against (P or P+).
+multiplication by the generators H's table was enumerated against.  A
+union-find over their permutations, each the composition of its
+letters' columns, gives a label array holding, for every coset, the
+minimal coset of its orbit: with the standardized tables a canonical
+identifier, stable across runs.  The table keeps this one partition, so
+dc_id is one trace plus one lookup; the dc_* functions name H by those
+acting words and refuse any others.
 
 Two maps descend to double cosets: inversion (core reversal), and the
 twist g -> n g n, well defined once the validation checks for n have
@@ -40,19 +38,19 @@ if TYPE_CHECKING:
 
 
 class Partition:
-    """Double-coset orbits of one table under fixed acting words.
+    """Double-coset orbits of one table under its subgroup generators.
 
     label[c] is the minimal coset of c's orbit (label[0] = 0), size maps
     each canonical coset to its orbit size in increasing canonical order,
     inv maps a canonical coset to that of the inverse double coset, and
     twist[n] does the same for g -> n g n (twisted takes it as images);
     both fill in on first use.
-    The table keeps its partitions, so a partition holds no reference
+    The table keeps its partition, so a partition holds no reference
     back to it: that cycle would keep a dropped table alive until the
     cyclic garbage collector ran.
     """
 
-    def __init__(self, table: CosetTable, acting: Sequence[Word]):
+    def __init__(self, table: CosetTable):
         parent = list(range(table.index + 1))
 
         def find(c: int) -> int:
@@ -63,7 +61,7 @@ class Partition:
                 parent[c], c = root, parent[c]
             return root
 
-        for w in acting:
+        for w in table.subgroup_generators:
             if not w:
                 continue
             for c, d in enumerate(table.permutation(w)):
@@ -79,7 +77,7 @@ class Partition:
         self.twist: dict[Word, dict[int, int]] = {}
 
     def id(self, table: CosetTable, canonical: int) -> "DoubleCosetId":
-        return DoubleCosetId(table, canonical, self.size[canonical], self)
+        return DoubleCosetId(table, canonical, self.size[canonical])
 
     def inverse(self, table: CosetTable, canonical: int) -> int:
         image = self.inv.get(canonical)
@@ -109,13 +107,22 @@ def _unwitness(table: CosetTable, canonical: int, start: int) -> int:
     return x
 
 
-def partition(table: CosetTable, acting: Sequence[Word]) -> Partition:
-    """The table's partition under the acting words, built on first use."""
-    key = tuple(acting)
-    part = table._partitions.get(key)
+def partition(table: CosetTable) -> Partition:
+    """The table's partition, built on first use."""
+    part = table._partition
     if part is None:
-        part = table._partitions[key] = Partition(table, key)
+        part = table._partition = Partition(table)
     return part
+
+
+def _partition_for(table: CosetTable, acting: Sequence[Word],
+                   d: Optional[DoubleCosetId] = None) -> Partition:
+    """The table's partition, once the dc_* arguments pass their checks."""
+    if d is not None and d.table is not table:
+        raise TableMismatch("double coset belongs to a different table")
+    if tuple(acting) != table.subgroup_generators:
+        raise ValueError("acting words must be the table's subgroup generators")
+    return partition(table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,12 +137,11 @@ class DoubleCosetId:
     table: CosetTable
     canonical: int
     orbit_size: int
-    partition: Partition  # the labels this id was read from
 
     @property
     def orbit(self) -> tuple[int, ...]:
         """The orbit's cosets in increasing order (a scan of the labels)."""
-        label = self.partition.label
+        label = partition(self.table).label
         return tuple(c for c in range(1, len(label)) if label[c] == self.canonical)
 
     def representative(self) -> Word:
@@ -224,19 +230,14 @@ def nest_slots(slot: Callable, twisted: bool, core_oriented: bool,
     return pair(d, e)
 
 
-def _require_same_table(table: CosetTable, d: DoubleCosetId) -> None:
-    if d.table is not table:
-        raise TableMismatch("double coset belongs to a different table")
-
-
 def dc_id(table: CosetTable, acting: Sequence[Word], g: Word) -> DoubleCosetId:
     """Double coset of g: the label of its coset.
 
-    The acting words must lie in the table's subgroup for the result to
-    be a double coset of that subgroup; then the output is unchanged
-    under g -> p g q with p, q in the subgroup.
+    The acting words must be the table's subgroup generators (else
+    ValueError); the output is unchanged under g -> p g q with p, q in
+    the subgroup.
     """
-    part = partition(table, acting)
+    part = _partition_for(table, acting)
     return part.id(table, part.label[table.trace(1, g)])
 
 
@@ -246,15 +247,14 @@ def dc_all(table: CosetTable, acting: Sequence[Word]) -> tuple[DoubleCosetId, ..
     Returned sorted by canonical index; orbit sizes sum to the table's
     index.
     """
-    part = partition(table, acting)
+    part = _partition_for(table, acting)
     return tuple(part.id(table, c) for c in part.size)
 
 
 def dc_invert(table: CosetTable, acting: Sequence[Word],
               d: DoubleCosetId) -> DoubleCosetId:
     """Image of the double coset under g -> g^-1; an involution."""
-    _require_same_table(table, d)
-    part = partition(table, acting)
+    part = _partition_for(table, acting, d)
     return part.id(table, part.inverse(table, d.canonical))
 
 
@@ -273,7 +273,6 @@ def dc_twist(table: CosetTable, acting: Sequence[Word], n: Word,
     """Image of the double coset under g -> n g n; see
     require_twist_verified for what the report must show."""
     require_twist_verified(report)
-    _require_same_table(table, d)
-    part = partition(table, acting)
+    part = _partition_for(table, acting, d)
     images = part.twist.setdefault(n, {})
     return part.id(table, part.twisted(table, n, d.canonical, images))

@@ -40,7 +40,7 @@ from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .coset_enumeration import _columns
-from .double_cosets import nest_slots
+from .double_cosets import key_pair, nest_slots
 from .knot_input import CaseLabel, SurfaceKnotInput, case_words
 from .word_algebra import GroupPresentation, Word
 
@@ -306,7 +306,7 @@ def _image_value(hom: PermutationAssignment, acting: list[Columns],
         return dc(x if of is None else perm_compose(perm_compose(n_image, x), n_image))
 
     return lambda g: nest_slots(partial(slot, image(g)), n is not None,
-                                core_oriented, lambda a, b: frozenset((a, b)))
+                                core_oriented, key_pair)
 
 
 def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
@@ -317,11 +317,15 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
     DISTINCT only when some homomorphism onto a permutation group of
     degree <= max_degree gives the two words different invariants there;
     UNKNOWN otherwise.  Never claims equivalence.  Raises CaseMismatch
-    if the case does not fit the input's surface, and ValueError if
-    max_degree lies outside 1..MAX_SEPARATE_DEGREE.
+    if the case does not fit the input's surface, and ValueError for a
+    max_degree outside 1..MAX_SEPARATE_DEGREE or a cord letter outside
+    the presentation.
     """
     acting, n = case_words(input, case)
     _check_degree(max_degree)
+    ngens = len(input.presentation.generators)
+    if max(g1.max_generator_index(), g2.max_generator_index()) >= ngens:
+        raise ValueError("cord word uses a generator outside the presentation")
     acting_columns = [_columns(w) for w in acting]
     n_columns = None if n is None else _columns(n)
     c1, c2 = _columns(g1), _columns(g2)

@@ -15,10 +15,10 @@ symmetry apply:
           the unordered pair of the two oriented-core values for g and
           g^-1.
 
-Every value is built by double_cosets.nest_slots, which fixes its shape.
-A query resolves its case once (_resolve), then works on canonical coset
-numbers: equivalent, image_member and enumerate_classes compare values
-as keys paired by key_pair, and only a returned value is built of ids.
+The input fixes the one subgroup a context works over (P, or P+ on a
+non-orientable surface): ClassifierContext._case.  nest_slots fixes
+every value's shape; queries compare values as keys paired by key_pair,
+and only a returned value is built of ids.
 
 Degenerate cord words (the empty word, words tracing into the subgroup)
 are legal; they model cords that can be isotoped into the boundary
@@ -32,7 +32,6 @@ missing, lives in this module.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
@@ -272,15 +271,13 @@ class ClassifierContext:
     """An input together with its enumerated tables and validation report.
 
     Build once, query many times; a query changes nothing but caches:
-    _cases keeps each case as its first query resolved it (_resolve).
+    _case is the one case table every query works over.
     """
 
     input: SurfaceKnotInput
     p_table: CosetTable
     p_plus_table: Optional[CosetTable]
     report: ValidationReport
-    _cases: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     @classmethod
     def build(cls, input: SurfaceKnotInput,
@@ -299,18 +296,17 @@ class ClassifierContext:
             raise PreconditionUnverified(f"input failed validation: {failed}")
         return cls(input, p_table, p_plus_table, report)
 
-
-def case_table(ctx: ClassifierContext, case: CaseLabel
-               ) -> tuple[CosetTable, Sequence[Word], Optional[Word]]:
-    """The table, acting words and twist word a case works over:
-    case_words(ctx.input, case) with the P+ table for Case 3 and the P
-    table for Cases 1 and 2."""
-    acting, n = case_words(ctx.input, case)
-    if n is None:
-        return ctx.p_table, acting, None
-    if ctx.p_plus_table is None:
-        raise MissingPPlus("this context has no P+ table")
-    return ctx.p_plus_table, acting, n
+    @cached_property
+    def _case(self) -> _Case:
+        """P's table in Cases 1 and 2; in Case 3, P+'s with the twist n."""
+        if self.input.surface_orientable:
+            table, n = self.p_table, None
+        else:
+            table, n = self.p_plus_table, self.input.n_word
+            if table is None:
+                raise MissingPPlus("this context has no P+ table")
+        part = partition(table)
+        return _Case(table, part, n, None if n is None else part.twist.setdefault(n, {}))
 
 
 def oriented_cord_invariant(ctx: ClassifierContext, g: Word) -> DoubleCosetId:
@@ -330,8 +326,7 @@ def local_oriented_cord_invariant(ctx: ClassifierContext, g: Word) -> DoubleCose
 
 
 class _Case(NamedTuple):
-    """A case as its first query resolved it (_resolve): case_table's
-    table and n, the table's partition, and n's twist images there."""
+    """A context's case table, its partition, n and n's twist images."""
 
     table: CosetTable
     part: Partition
@@ -340,14 +335,10 @@ class _Case(NamedTuple):
 
 
 def _resolve(ctx: ClassifierContext, case: CaseLabel) -> _Case:
-    """The case over ctx, kept on ctx from its first query; a Case-3
-    query also needs ctx.report to verify the twist."""
-    r = ctx._cases.get(case)
-    if r is None:
-        table, acting, n = case_table(ctx, case)
-        part = partition(table, acting)
-        twist = None if n is None else part.twist.setdefault(n, {})
-        r = ctx._cases[case] = _Case(table, part, n, twist)
+    """ctx's case table, for a case that fits its surface and guards."""
+    if (case is CaseLabel.CASE3) == ctx.input.surface_orientable:
+        case_words(ctx.input, case)  # raises the CaseMismatch
+    r = ctx._case
     if r.n is not None:
         require_twist_verified(ctx.report)
     return r
@@ -424,6 +415,20 @@ def enumerate_classes(ctx: ClassifierContext, case: CaseLabel,
     return out
 
 
+def candidate_invariant(ctx: ClassifierContext, case: CaseLabel,
+                        core_oriented: bool, words: Sequence[Word]) -> HandleInvariant:
+    """The value whose slots, in nest_slots order, are the double cosets
+    of the words, one per slot (else ValueError), realized or not."""
+    r = _resolve(ctx, case)
+    twisted = r.n is not None
+    size = slot_count(twisted, core_oriented)
+    if len(words) != size:
+        raise ValueError(f"this kind of value has {size} slots, not {len(words)}")
+    ids = iter([r.part.id(r.table, r.part.label[r.table.trace(1, w)]) for w in words])
+    return HandleInvariant(case, core_oriented,
+                           nest_slots(lambda *_: next(ids), twisted, core_oriented))
+
+
 def nonsurjectivity_witness(ctx: ClassifierContext, case: CaseLabel,
                             core_oriented: bool) -> Optional[HandleInvariant]:
     """A candidate value no 1-handle realizes, when one must exist.
@@ -433,19 +438,16 @@ def nonsurjectivity_witness(ctx: ClassifierContext, case: CaseLabel,
     of a word outside the relevant subgroup with the class of the
     identity; image_member rejects it.
     """
-    table, acting, n = case_table(ctx, case)
-    if n is None and core_oriented:
+    r = _resolve(ctx, case)
+    if r.n is None and core_oriented:
         return None  # bijective map
-    if n is not None and not table.membership(n):
-        # n witnesses P+ != P: {class(n), class(1)} is never hit
-        d = dc_id(table, acting, n)
-    elif table.index > 1:
+    if r.n is not None and not r.table.membership(r.n):
+        g = r.n  # n witnesses P+ != P: {class(n), class(1)} is never hit
+    elif r.table.index > 1:
         # any word outside P works, or outside P+ when the twist degenerates
-        d = dc_id(table, acting, table.witness(2))
+        g = r.table.witness(2)
     else:
         return None  # P = G or P+ = G: the single value is hit
-    # the slots alternate between d and the class of 1
-    slots = itertools.cycle((d, dc_id(table, acting, Word())))
-    return HandleInvariant(case, core_oriented,
-                           nest_slots(lambda *_: next(slots), n is not None,
-                                      core_oriented))
+    # the slots alternate between the class of g and the class of 1
+    slots = slot_count(r.n is not None, core_oriented)
+    return candidate_invariant(ctx, case, core_oriented, [g, Word()] * (slots // 2))

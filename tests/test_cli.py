@@ -490,6 +490,34 @@ def test_pairs_are_built_only_in_double_cosets():
     assert callers <= {"double_cosets"}
 
 
+def test_only_the_classifier_chooses_a_case_table():
+    # which table a case works over is decided in handle_classifier
+    # alone, and the CLI builds candidates through it, not from ids
+    package = Path(handlecoset.__file__).parent
+
+    def attrs(nodes):
+        return {n.attr for node in nodes for n in ast.walk(node)
+                if isinstance(n, ast.Attribute)}
+
+    choosers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.IfExp):
+                sides = attrs([node.body]), attrs([node.orelse])
+            elif isinstance(node, ast.If):
+                sides = attrs(node.body), attrs(node.orelse)
+            else:
+                continue
+            if any("p_table" in a and "p_plus_table" in b
+                   for a, b in (sides, sides[::-1])):
+                choosers.add(path.stem)
+    assert choosers == {"handle_classifier"}
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not called & {"nest_slots", "dc_id", "dc_all", "dc_invert", "dc_twist"}
+
+
 def _runtime_imports(module):
     """The package modules a module imports when it loads: its top-level
     relative imports, outside `if TYPE_CHECKING:` blocks."""

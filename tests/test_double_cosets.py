@@ -120,6 +120,22 @@ def test_table_mismatch():
         dc_invert(other, parsed.p_generators, d)
 
 
+def test_dc_functions_reject_foreign_acting_words():
+    # a table keeps one partition, under the words it was enumerated
+    # against; other words, even for the same subgroup, are refused
+    parsed, ctx = case3_context()
+    table, acting = ctx.p_plus_table, parsed.p_plus_generators
+    d = dc_id(table, list(acting), Word())
+    for foreign in (parsed.p_generators, (), list(acting) * 2):
+        calls = [lambda: dc_id(table, foreign, Word()),
+                 lambda: dc_all(table, foreign),
+                 lambda: dc_invert(table, foreign, d),
+                 lambda: dc_twist(table, foreign, parsed.n_word, d, ctx.report)]
+        for call in calls:
+            with pytest.raises(ValueError, match="must be the table.s subgroup generators"):
+                call()
+
+
 def test_unordered_pair_is_unordered():
     parsed, table = setup_s3()
     acting = parsed.p_generators

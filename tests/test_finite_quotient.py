@@ -222,6 +222,14 @@ def test_separate_case_mismatch():
         quotient_separate(D8_CASE3, CaseLabel.CASE1, True, Word(), Word())
 
 
+def test_separate_rejects_a_foreign_generator():
+    # S3 has generators 0 and 1; generator 5 used to index past the
+    # homomorphism's action and raise a bare IndexError
+    for g1, g2 in ((Word(((5, 1),)), Word()), (Word(), Word(((5, -1),)))):
+        with pytest.raises(ValueError, match="outside the presentation"):
+            quotient_separate(S3_INPUT, CaseLabel.CASE1, True, g1, g2)
+
+
 def test_degree_validation():
     # the library bounds the degree itself: 0 used to give UNKNOWN without
     # a search, and 9 to list all 9! permutations

@@ -5,13 +5,14 @@ import pytest
 
 from brute import coxeter_skg
 from handlecoset.coset_enumeration import EnumerationLimits, enumerate_cosets
-from handlecoset.double_cosets import UnorderedPair, dc_id, dc_twist
+from handlecoset.double_cosets import Partition, UnorderedPair, dc_id, dc_twist
 from handlecoset.errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                                 PreconditionUnverified, ResourceExhausted,
                                 TableMismatch)
 from handlecoset.handle_classifier import (CaseLabel, ClassifierContext,
-                                           HandleInvariant, enumerate_classes,
-                                           equivalent, handle_invariant,
+                                           HandleInvariant, candidate_invariant,
+                                           enumerate_classes, equivalent,
+                                           handle_invariant,
                                            image_member,
                                            local_oriented_cord_invariant,
                                            nonsurjectivity_witness,
@@ -150,6 +151,43 @@ def test_image_member_rejects_dihedral_case3_candidate():
     assert not image_member(ctx, CaseLabel.CASE3, True, candidate)
 
 
+def test_candidate_slots_follow_nest_slots():
+    # the words D, n D n, D^-1, n D^-1 n fill the four Case-3 slots
+    parsed, ctx = ctx_of(D8_CASE3)
+    words = [parse_word(t, parsed.presentation)
+             for t in ("r", "s r s", "r^-1", "s r^-1 s")]
+    built = candidate_invariant(ctx, CaseLabel.CASE3, False, words)
+    assert built == handle_invariant(ctx, CaseLabel.CASE3, False, words[0])
+    assert image_member(ctx, CaseLabel.CASE3, False, built)
+    with pytest.raises(ValueError, match="has 4 slots, not 3"):
+        candidate_invariant(ctx, CaseLabel.CASE3, False, words[:3])
+    with pytest.raises(CaseMismatch, match="needs an orientable surface"):
+        candidate_invariant(ctx, CaseLabel.CASE1, True, words[:1])
+
+
+def test_one_partition_per_table(monkeypatch):
+    # cases 1 and 2 work over the P table's one partition, which dc_id
+    # and oriented_cord_invariant read too
+    built = []
+    init = Partition.__init__
+
+    def counting_init(self, table):
+        built.append(table)
+        init(self, table)
+
+    monkeypatch.setattr(Partition, "__init__", counting_init)
+    parsed, ctx = ctx_of(S3)
+    b = parse_word("b", parsed.presentation)
+    for case in (CaseLabel.CASE1, CaseLabel.CASE2):
+        for core in (True, False):
+            handle_invariant(ctx, case, core, b)
+            equivalent(ctx, case, core, b, Word())
+            enumerate_classes(ctx, case, core)
+    dc_id(ctx.p_table, parsed.p_generators, b)
+    oriented_cord_invariant(ctx, b)
+    assert built == [ctx.p_table]
+
+
 def test_image_member_tag_and_table_checks():
     parsed, ctx = ctx_of(S3)
     b = parse_word("b", parsed.presentation)
@@ -209,7 +247,8 @@ def test_every_case3_query_checks_the_twist(check, status):
     queries = [lambda: handle_invariant(bad, CaseLabel.CASE3, True, r),
                lambda: equivalent(bad, CaseLabel.CASE3, False, r, Word()),
                lambda: image_member(bad, CaseLabel.CASE3, False, candidate),
-               lambda: enumerate_classes(bad, CaseLabel.CASE3, True)]
+               lambda: enumerate_classes(bad, CaseLabel.CASE3, True),
+               lambda: nonsurjectivity_witness(bad, CaseLabel.CASE3, False)]
     for query in queries * 2:  # the second round finds the case resolved
         with pytest.raises(PreconditionUnverified):
             query()
