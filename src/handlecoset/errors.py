@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from typing import Optional
+
 
 class HandleCosetError(Exception):
     """Base class for every domain error raised by this package."""
@@ -44,15 +46,16 @@ class ResourceExhausted(HandleCosetError):
     Inconclusive in itself: the index may be infinite, or merely larger
     than the budget.  Only the InfiniteIndex subclass is a proof of
     infinite index; a plain ResourceExhausted must never be read as one.
+    limits is None only on an InfiniteIndex proved before any enumeration.
     """
 
     def __init__(self, limits, live_cosets: int, total_defined: int,
                  what: str = "coset enumeration exhausted its budget"):
-        super().__init__(
-            f"{what} "
-            f"({live_cosets} live cosets, {total_defined} defined; "
-            f"limits: {limits.max_live_cosets} live / {limits.max_total_defined} total)"
-        )
+        if limits is not None:
+            what += (f" ({live_cosets} live cosets, {total_defined} defined; "
+                     f"limits: {limits.max_live_cosets} live / "
+                     f"{limits.max_total_defined} total)")
+        super().__init__(what)
         self.limits = limits
         self.live_cosets = live_cosets
         self.total_defined = total_defined
@@ -61,29 +64,34 @@ class ResourceExhausted(HandleCosetError):
 class InfiniteIndex(ResourceExhausted):
     """P or P+ has infinite index, proved in a finite image of the group.
 
-    Raised by handle_classifier.subgroup_table when its probe enumeration
-    of the named subgroup ran out and a transitive permutation image of
-    the given degree (in the dihedral group D_degree if dihedral is set)
-    has a point stabilizer H with H^ab of rank h_rank over Q, of which the
-    intersection of the subgroup with H spans only p_rank.  The coset
-    counts and limits are the probe's.
+    Raised by handle_classifier.subgroup_table with the certificate cert
+    (a finite_quotient.IndexCertificate) for the named subgroup: a
+    transitive permutation image of the given degree (in the dihedral
+    group D_degree if dihedral is set) has a point stabilizer H with H^ab
+    of rank h_rank over Q, of which the intersection of the subgroup with
+    H spans only p_rank.  An image in S_d is found before any
+    enumeration: the message ends at the ranks, limits is None and no
+    coset was defined.  A dihedral one is found after the probe
+    enumeration ran out, given as probe: the coset counts and limits are
+    the probe's, and the message quotes them.
     """
 
-    def __init__(self, limits, live_cosets: int, total_defined: int,
-                 subgroup: str, degree: int, h_rank: int, p_rank: int,
-                 dihedral: bool):
-        image = "dihedral permutation image" if dihedral else "permutation image"
-        super().__init__(
-            limits, live_cosets, total_defined,
-            f"{subgroup} has infinite index: in a transitive {image} of "
-            f"degree {degree}, the point stabilizer H has H^ab of rank "
-            f"{h_rank} over Q and the intersection of {subgroup} with H "
-            f"spans rank {p_rank}; the probe enumeration stopped")
+    def __init__(self, subgroup: str, cert, probe: Optional[ResourceExhausted] = None):
         self.subgroup = subgroup
-        self.degree = degree
-        self.h_rank = h_rank
-        self.p_rank = p_rank
-        self.dihedral = dihedral
+        self.degree = cert.degree
+        self.h_rank = cert.h_rank
+        self.p_rank = cert.p_rank
+        self.dihedral = cert.hom.dihedral
+        image = "dihedral permutation image" if self.dihedral else "permutation image"
+        what = (f"{subgroup} has infinite index: in a transitive {image} of "
+                f"degree {self.degree}, the point stabilizer H has H^ab of rank "
+                f"{self.h_rank} over Q and the intersection of {subgroup} with H "
+                f"spans rank {self.p_rank}")
+        if probe is None:
+            super().__init__(None, 0, 0, what)
+        else:
+            super().__init__(probe.limits, probe.live_cosets, probe.total_defined,
+                             what + "; the probe enumeration stopped")
 
 
 class CosetRangeError(HandleCosetError):

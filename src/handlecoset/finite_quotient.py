@@ -21,12 +21,12 @@ no enumeration budget can (index_certificate): in a transitive image
 the stabilizer H of point 0 has finite index, and abelianised
 Reidemeister-Schreier gives H^ab over Q; if H_K, the intersection of K
 with H, spans a smaller rank there, |H : H_K| is infinite, and so is
-|G : K|.  The certificate searches S_d for small d, then the dihedral
-group D_m of order 2m acting on Z/m for larger m: every 2-bridge knot
-group b(p, q) maps onto D_p with the meridians going to reflections
-(Riley, "Homomorphisms of knot groups on finite groups", 1971), and a
-generator of D_m has only 2m candidate images, so its search stays cheap
-at degrees where that of S_m does not.  The one search kernel, _search,
+|G : K|.  One certificate walk searches S_d for small d, a second the
+dihedral group D_m of order 2m acting on Z/m for larger m: every
+2-bridge knot group b(p, q) maps onto D_p with the meridians going to
+reflections (Riley, "Homomorphisms of knot groups on finite groups",
+1971), and a generator of D_m has only 2m candidate images, so its
+search stays cheap at degrees where that of S_m does not.  The one search kernel, _search,
 serves both candidate sets.
 """
 
@@ -52,10 +52,12 @@ Columns = tuple[int, ...]  # a word compiled by _columns
 MAX_SEPARATE_DEGREE = 8
 # assignments kept per degree; binds only at d = 6 on knots with p <= 13
 HOM_LIMIT = 64
-# degrees of the images in S_d infinite_index_certificate searches first
+# degrees of the images in S_d of the first certificate walk, which runs on
+# every build before it enumerates, finite index included; each degree
+# adds to every build
 CERTIFICATE_DEGREES = range(2, 6)
-# then the degrees m of its images in the dihedral group D_m; each degree
-# adds to every build whose probe runs out without a certificate
+# degrees m of the images in the dihedral group D_m of the second walk;
+# each degree adds to every build whose probe runs out
 DIHEDRAL_DEGREES = range(6, 14)
 
 
@@ -149,13 +151,20 @@ def _cycle_type(p: Perm) -> tuple[int, ...]:
     return tuple(lengths)
 
 
-def _partners(pres: GroupPresentation) -> list[int]:
+@lru_cache(maxsize=None)
+def _partners(pres: GroupPresentation) -> tuple[int, ...]:
     """For each generator, the least generator a relator chain proves it
     conjugate to, itself if none.
 
-    A relator read cyclically as x^e u y^-e u^-1, with x and y generators,
-    says y = u^-1 x u, so every homomorphism gives x and y images of one
-    cycle type; a union-find whose root is the least index joins them."""
+    A relator read cyclically as x^e u y^f u^-1, with x and y generators,
+    says y^f = u^-1 x^-e u, so y is conjugate to x or x^-1, and every
+    homomorphism gives x and y images of one cycle type, whatever the
+    signs; a union-find whose root is the least index joins them.  A
+    generator with an x^2 relator is its own inverse, so its letters
+    match whatever their signs: on the Coxeter presentation of S_n,
+    (s_i s_j)^3 reads as s_i (s_j s_i) s_j (s_j s_i)^-1."""
+    squares = {r.letters[0][0] for r in pres.relators
+               if len(r) == 2 and r.letters[0] == r.letters[1]}
     root = list(range(len(pres.generators)))
 
     def find(i: int) -> int:
@@ -167,14 +176,14 @@ def _partners(pres: GroupPresentation) -> list[int]:
         half, odd = divmod(len(rel), 2)
         if odd:
             continue
-        w = rel.letters * 2  # rotation r is w[r:r + len(rel)]
-        for r in range(len(rel)):
-            (x, e), (y, f) = w[r], w[r + half]
-            if f == -e and w[r + half + 1:r + 2 * half] == \
+        # a self-inverse letter is unsigned, and so is its inverse
+        w = tuple((i, 0 if i in squares else s) for i, s in rel.letters) * 2
+        for r in range(len(rel)):  # rotation r is w[r:r + len(rel)]
+            if w[r + half + 1:r + 2 * half] == \
                     tuple((i, -s) for i, s in reversed(w[r + 1:r + half])):
-                a, b = sorted((find(x), find(y)))
+                a, b = sorted((find(w[r][0]), find(w[r + half][0])))
                 root[b] = a
-    return [find(i) for i in range(len(root))]
+    return tuple(find(i) for i in range(len(root)))
 
 
 @lru_cache(maxsize=None)
@@ -239,13 +248,13 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
     deterministic; in S_degree generator 0 tries only the least
     permutation of each cycle type, so below the limit every
     homomorphism is conjugate to a listed one.  A generator that a
-    relator x^e u y^-e u^-1 proves conjugate to an earlier one (see
-    _partners) tries only the permutations of its partner's cycle type;
-    no other can satisfy that relator, so this lists the same
-    assignments in the same order.  At most `limit`
-    assignments are returned and each one satisfies every relator.  An
-    empty list is a valid result.  The degree must lie in
-    1..MAX_SEPARATE_DEGREE, or in 1..max(DIHEDRAL_DEGREES) for D_degree.
+    relator x^e u y^f u^-1 proves conjugate to an earlier one or its
+    inverse (see _partners) tries only the permutations of its partner's
+    cycle type; no other can satisfy that relator, so this lists the
+    same assignments in the same order.  At most `limit` assignments are
+    returned and each one satisfies every relator.  An empty list is a
+    valid result.  The degree must lie in 1..MAX_SEPARATE_DEGREE, or in
+    1..max(DIHEDRAL_DEGREES) for D_degree.
     """
     _check_degree(degree, dihedral)
     if limit < 0:
@@ -467,18 +476,26 @@ def index_certificate(hom: PermutationAssignment, pres: GroupPresentation,
     return IndexCertificate(hom, width - relator_rank, len(basis) - relator_rank)
 
 
-def infinite_index_certificate(pres: GroupPresentation, subgroup: Sequence[Word]
-                               ) -> Optional[IndexCertificate]:
+def certificate_walk(pres: GroupPresentation, subgroup: Sequence[Word],
+                     dihedral: bool = False) -> Optional[IndexCertificate]:
     """The first certificate of infinite index for the subgroup among the
     homomorphisms find_homomorphisms lists into S_d for each d in
-    CERTIFICATE_DEGREES, then into D_m for each m in DIHEDRAL_DEGREES,
-    or None, each read at point 0 only.  The S_d searches are the capped
+    CERTIFICATE_DEGREES, or with dihedral, into D_m for each m in
+    DIHEDRAL_DEGREES, or None, each read at point 0 only.
+    handle_classifier.subgroup_table walks S_d before it enumerates, and
+    D_m only once its probe has run out.  The S_d searches are the capped
     ones quotient_separate runs, so a later separation on the same
     presentation finds them cached; it never uses the dihedral images."""
-    for dihedral, degrees in ((False, CERTIFICATE_DEGREES), (True, DIHEDRAL_DEGREES)):
-        for degree in degrees:
-            for hom in find_homomorphisms(pres, degree, dihedral=dihedral):
-                cert = index_certificate(hom, pres, subgroup)
-                if cert is not None:
-                    return cert
+    for degree in DIHEDRAL_DEGREES if dihedral else CERTIFICATE_DEGREES:
+        for hom in find_homomorphisms(pres, degree, dihedral=dihedral):
+            cert = index_certificate(hom, pres, subgroup)
+            if cert is not None:
+                return cert
     return None
+
+
+def infinite_index_certificate(pres: GroupPresentation, subgroup: Sequence[Word]
+                               ) -> Optional[IndexCertificate]:
+    """The first certificate of the S_d walk, else of the D_m walk (see
+    certificate_walk), or None."""
+    return certificate_walk(pres, subgroup) or certificate_walk(pres, subgroup, True)

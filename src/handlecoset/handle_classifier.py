@@ -42,7 +42,7 @@ from .double_cosets import (DoubleCosetId, UnorderedPair, Partition, dc_id,
                             require_twist_verified, slot_count)
 from .errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                      PreconditionUnverified, ResourceExhausted, TableMismatch)
-from .finite_quotient import infinite_index_certificate
+from .finite_quotient import certificate_walk
 from .knot_input import CaseLabel, SurfaceKnotInput, case_words, format_word
 from .word_algebra import Word, concat, invert, power
 
@@ -58,15 +58,20 @@ def subgroup_table(input: SurfaceKnotInput, name: str,
                    limits: Optional[EnumerationLimits] = None) -> CosetTable:
     """The coset table of the input's subgroup P or P+, as name says.
 
-    Raises MissingPPlus for "P+" on an input without a P+ section.
-    Enumerates first under 1/PROBE_FRACTION of each limit (at least 1).
-    A probe that completes is the table a full-budget run gives,
-    defined-coset count included: enumeration reads its budget only when
-    about to break it.  A probe that runs out asks
-    infinite_index_certificate for a proof of infinite index and raises
-    InfiniteIndex, naming the subgroup, if it finds one.  Otherwise the
-    full limits run, and raise a plain ResourceExhausted if they run out
-    too.
+    Raises MissingPPlus for "P+" on an input without a P+ section.  The
+    steps run cheapest first, and the first that decides ends the build:
+
+    1. the S_d certificate walk (finite_quotient.certificate_walk), before
+       any enumeration: a certificate raises InfiniteIndex, naming the
+       subgroup, that quotes no enumeration;
+    2. a probe enumeration under 1/PROBE_FRACTION of each limit (at least
+       1).  A probe that completes is the table a full-budget run gives,
+       defined-coset count included: enumeration reads its budget only
+       when about to break it;
+    3. if the probe ran out, the D_m certificate walk: a certificate
+       raises InfiniteIndex quoting the probe's counts and limits;
+    4. the full limits, which raise a plain ResourceExhausted if they run
+       out too.
     """
     words = input.p_generators if name == "P" else input.p_plus_generators
     if words is None:
@@ -74,16 +79,17 @@ def subgroup_table(input: SurfaceKnotInput, name: str,
     if limits is None:
         limits = EnumerationLimits()
     pres = input.presentation
+    cert = certificate_walk(pres, words)
+    if cert is not None:
+        raise InfiniteIndex(name, cert)
     probe = EnumerationLimits(max(1, limits.max_live_cosets // PROBE_FRACTION),
                               max(1, limits.max_total_defined // PROBE_FRACTION))
     try:
         return enumerate_cosets(pres, words, probe)
     except ResourceExhausted as exc:
-        cert = infinite_index_certificate(pres, words)
+        cert = certificate_walk(pres, words, dihedral=True)
         if cert is not None:
-            raise InfiniteIndex(probe, exc.live_cosets, exc.total_defined,
-                                name, cert.degree, cert.h_rank, cert.p_rank,
-                                cert.hom.dihedral) from None
+            raise InfiniteIndex(name, cert, exc) from None
     return enumerate_cosets(pres, words, limits)
 
 

@@ -9,7 +9,8 @@ test of its own.  The permutation arithmetic below (pmul, pinv, peval,
 mulclose, cycle_type, lexicographic_filter, subgroup_of, double_coset,
 double_coset_partition, classifier_key, classifier_values) is the
 package's one brute-force oracle toolkit; the tests import it from here,
-and two_bridge_skg (the Schubert presentations of 2-bridge knots) too.
+and two_bridge_skg and coxeter_skg (the Schubert presentations of
+2-bridge knots and the Coxeter presentations of S_n) too.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from typing import Callable, Optional
 from .coset_enumeration import enumerate_cosets
 from .double_cosets import dc_all, dc_id, dc_invert, dc_twist
 from .errors import HandleCosetError
-from .finite_quotient import (DIHEDRAL_DEGREES, HOM_LIMIT, SeparationVerdict,
-                              _search, find_homomorphisms, index_certificate,
-                              quotient_separate)
+from .finite_quotient import (CERTIFICATE_DEGREES, DIHEDRAL_DEGREES, HOM_LIMIT,
+                              SeparationVerdict, _search, find_homomorphisms,
+                              index_certificate, quotient_separate)
 from .handle_classifier import (ClassifierContext, equivalent,
                                 enumerate_classes, handle_invariant,
                                 image_member, nonsurjectivity_witness,
@@ -109,18 +110,34 @@ def lexicographic_filter(pres: GroupPresentation, degree: int, limit: int) -> li
     relator, in lexicographic order of itertools.product: generator 0
     over the least permutation of each cycle type, found as the min over
     the permutations of that type, and every other generator over all
-    permutations.  Each whole tuple is evaluated; nothing is pruned."""
+    permutations.  A relator is evaluated once the images of all its
+    generators are chosen, and a prefix that fails one is not extended,
+    since no extension can satisfy it; nothing else is pruned, so every
+    generator runs over all of its candidates whatever its relators say
+    about its cycle type."""
     perms = list(itertools.permutations(range(degree)))
     by_type: dict = {}
     for p in perms:
         by_type.setdefault(cycle_type(p), []).append(p)
     leaders = sorted(min(members) for members in by_type.values())
-    found = []
-    for images in itertools.product(leaders, *[perms] * (len(pres.generators) - 1)):
-        if len(found) >= limit:
-            break
-        if all(peval(rel, images) == perms[0] for rel in pres.relators):
+    ready: list = [[] for _ in pres.generators]
+    for rel in pres.relators:
+        ready[rel.max_generator_index()].append(rel)
+    found: list = []
+
+    def extend(images: tuple) -> None:
+        k = len(images)
+        if k == len(ready):
             found.append(images)
+            return
+        for p in leaders if k == 0 else perms:
+            if len(found) >= limit:
+                return
+            prefix = images + (p,)
+            if all(peval(rel, prefix) == perms[0] for rel in ready[k]):
+                extend(prefix)
+
+    extend(())
     return found
 
 
@@ -326,6 +343,25 @@ def two_bridge_skg(p: int, q: int) -> str:
     relator = [("a", 1)] + letters + [("b", -1)] + inverse
     text = " ".join(g if e == 1 else f"{g}^{e}" for g, e in relator)
     return f"group: a b\nrel: {text}\nP: a\norientable: true\n"
+
+
+def coxeter_skg(n: int, p: list[int], p_plus: Optional[list[int]] = None,
+                n_gen: Optional[int] = None) -> str:
+    """.skg text of the Coxeter presentation of S_n on s1..s(n-1): every
+    s_i^2, then (s_i s_j)^m for i < j (m = 3 if adjacent, else 2), with
+    P generated by the listed s_i.  Given p_plus and n_gen, the surface
+    is non-orientable with P+ = <s_i : i in p_plus> and n = s_(n_gen)."""
+    lines = ["group: " + " ".join(f"s{i}" for i in range(1, n))]
+    lines += [f"rel: s{i}^2" for i in range(1, n)]
+    lines += ["rel: " + " ".join([f"s{i} s{j}"] * (3 if j == i + 1 else 2))
+              for i in range(1, n) for j in range(i + 1, n)]
+    lines.append("P: " + " , ".join(f"s{i}" for i in p))
+    if p_plus is None:
+        lines.append("orientable: true")
+    else:
+        lines += ["P+: " + " , ".join(f"s{i}" for i in p_plus),
+                  f"n: s{n_gen}", "orientable: false"]
+    return "\n".join(lines) + "\n"
 
 
 def _cases_for(input: SurfaceKnotInput) -> tuple[tuple[CaseLabel, bool], ...]:
@@ -763,20 +799,28 @@ def check_quotient_soundness(pairs: int, seed: int, max_degree: int = 3) -> str:
 
 
 def check_quotient_determinism(seed: int, max_degree: int = 5) -> str:
-    """Repeated searches and verdicts agree, and on a seeded 2-bridge
-    knot, whose Schubert relator makes b conjugate to a so that b draws
-    only from the cycle type of a's image, find_homomorphisms lists what
-    the unpruned lexicographic filter does, in order, under the default
-    cap, for every degree up to max_degree."""
+    """Repeated searches and verdicts agree, and find_homomorphisms lists
+    what the lexicographic filter, which knows nothing of conjugate
+    partners, does, in order, under the default cap: on a seeded 2-bridge
+    knot, whose Schubert relator makes b conjugate to a, and on the
+    Coxeter presentation of S5, whose s_i are their own inverses and all
+    join s_1, at every degree up to max_degree; and on every
+    GROUP_CORPUS group up to degree 4, where a generator with no x^2
+    relator (b of a4 = <a, b | a^2, b^3, (a b)^3>) must join no other."""
     rng = random.Random(seed)
     p = rng.choice(range(5, 14, 2))
     q = rng.choice([q for q in range(-p + 1, p) if q % 2 and gcd(p, abs(q)) == 1])
-    knot = parse_input(two_bridge_skg(p, q)).presentation
+    subjects = [(f"b({p},{q})", parse_input(two_bridge_skg(p, q)).presentation,
+                 max_degree),
+                ("S5-coxeter", parse_input(coxeter_skg(5, [1])).presentation,
+                 max_degree)]
+    subjects += [(case.name, pres, 4) for case, pres, _subgroups in _resolved_groups()]
     _search.cache_clear()
-    for degree in range(1, max_degree + 1):
-        homs = find_homomorphisms(knot, degree)
-        assert [h.images for h in homs] == lexicographic_filter(knot, degree, HOM_LIMIT), \
-            f"b({p},{q}): the images in S_{degree} differ from the lexicographic filter"
+    for name, pres, top in subjects:
+        for degree in range(1, top + 1):
+            homs = find_homomorphisms(pres, degree)
+            assert [h.images for h in homs] == lexicographic_filter(pres, degree, HOM_LIMIT), \
+                f"{name}: the images in S_{degree} differ from the lexicographic filter"
     s3 = next(g for g in _resolved_groups() if g[0].name == "s3")
     homs_a = find_homomorphisms(s3[1], 3)
     _search.cache_clear()  # else the repeat is a cache lookup
@@ -790,14 +834,16 @@ def check_quotient_determinism(seed: int, max_degree: int = 5) -> str:
     v2 = quotient_separate(t2, CaseLabel.CASE1, True, g1, g2, max_degree=2)
     assert v1 == v2 == SeparationVerdict.DISTINCT
     return "repeated searches returned identical homomorphisms and verdicts; " \
-        f"b({p},{q}) matched the lexicographic filter at degrees 1..{max_degree}"
+        f"b({p},{q}) and S5-coxeter matched the lexicographic filter at degrees " \
+        f"1..{max_degree}, {len(subjects) - 2} corpus groups at degrees 1..4"
 
 
-def check_infinite_index_certificate(max_degree: int = 4) -> str:
+def check_infinite_index_certificate(max_degree: int = CERTIFICATE_DEGREES[-1]) -> str:
     """No finite-index subgroup gets a certificate of infinite index:
     every GROUP_CORPUS subgroup (the trivial one too) and the P and P+ of
-    every INPUT_CORPUS input, over every image in S_d, d <= max_degree,
-    and every image in D_m, m in DIHEDRAL_DEGREES, that an uncapped
+    every INPUT_CORPUS input, over every image in S_d, d <= max_degree
+    (by default the last of CERTIFICATE_DEGREES, which every build reads
+    before it enumerates), and every image in D_m, m in DIHEDRAL_DEGREES, that an uncapped
     search finds.  The S_d images come up to conjugacy, so each is read
     at every base point; the D_m family holds its own rotations."""
     subjects = [(case.name, pres, words)

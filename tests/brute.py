@@ -1,12 +1,12 @@
 """Test-only oracle helpers that the package itself does not need.
 
 The engine-independent permutation arithmetic (pmul, peval, mulclose,
-subgroup_of, double_coset_partition, classifier_values, ...) and
-two_bridge_skg, the Schubert presentations of 2-bridge knots, live in
+subgroup_of, double_coset_partition, classifier_values, ...),
+two_bridge_skg, the Schubert presentations of 2-bridge knots, and
+coxeter_skg, the Coxeter presentations of S_n, live in
 handlecoset.selftest, which the `selftest` command needs at run time;
 tests import them from there.  What stays here: orbit_partition, a plain
-orbit search over a finished table through its public trace alone,
-coxeter_skg, the .skg text of the Coxeter presentations of S_n, and
+orbit search over a finished table through its public trace alone, and
 TWO_BRIDGE_13, the Schubert pairs with p <= 13.
 """
 
@@ -35,24 +35,6 @@ def orbit_partition(table, acting):
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))
     return orbits
-
-
-def coxeter_skg(n, p, p_plus=None, n_gen=None):
-    """.skg text of the Coxeter presentation of S_n on s1..s(n-1): every
-    s_i^2, then (s_i s_j)^m for i < j (m = 3 if adjacent, else 2), with
-    P generated by the listed s_i.  Given p_plus and n_gen, the surface
-    is non-orientable with P+ = <s_i : i in p_plus> and n = s_(n_gen)."""
-    lines = ["group: " + " ".join(f"s{i}" for i in range(1, n))]
-    lines += [f"rel: s{i}^2" for i in range(1, n)]
-    lines += ["rel: " + " ".join([f"s{i} s{j}"] * (3 if j == i + 1 else 2))
-              for i in range(1, n) for j in range(i + 1, n)]
-    lines.append("P: " + " , ".join(f"s{i}" for i in p))
-    if p_plus is None:
-        lines.append("orientable: true")
-    else:
-        lines += ["P+: " + " , ".join(f"s{i}" for i in p_plus),
-                  f"n: s{n_gen}", "orientable: false"]
-    return "\n".join(lines) + "\n"
 
 
 # every Schubert pair (p, q) with p <= 13: p and q odd, 0 < |q| < p, coprime

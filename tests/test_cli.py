@@ -11,9 +11,8 @@ from pathlib import Path
 import pytest
 
 import handlecoset
-from brute import coxeter_skg
 from handlecoset.cli import run
-from handlecoset.selftest import two_bridge_skg
+from handlecoset.selftest import coxeter_skg, two_bridge_skg
 
 UNKNOTTED = "group: t\nP: t\norientable: true\n"
 T2 = "group: t\nP: t^2\norientable: true\n"
@@ -152,7 +151,8 @@ def test_exit_code_usage_error(skg, capsys):
 
 
 def test_exit_code_resource_exhausted(skg, capsys):
-    # on the free group the probe runs out and S_2 proves infinite index
+    # on the free group an image in S_2 proves infinite index before any
+    # enumeration
     path = skg("free2.skg", FREE2)
     code = run(["enumerate", path, "--max-cosets", "50"])
     assert code == 3
@@ -165,8 +165,8 @@ def test_exit_code_resource_exhausted(skg, capsys):
 
 
 def test_classes_on_the_trefoil_proves_infinite_index(skg, capsys):
-    # the default budget's probe runs out, and an image of degree 3 proves
-    # that no budget would do: still exit 3, now with the reason
+    # before any enumeration, an image of degree 3 proves that no budget
+    # would do: still exit 3, with the reason
     path = skg("trefoil.skg", two_bridge_skg(3, 1))
     start = time.perf_counter()
     assert run(["classes", path, "--case", "1"]) == 3
@@ -186,8 +186,8 @@ def test_classes_on_a_torus_knot_proves_infinite_index(skg, capsys):
 
 
 def test_classes_proves_p_plus_has_infinite_index(skg, capsys):
-    # P has finite index on the trefoil, P+ = <a> does not: the P+ probe
-    # runs out and the degree-3 image proves it, instead of a million cosets
+    # P has finite index on the trefoil, P+ = <a> does not: the degree-3
+    # image proves it before any P+ enumeration, instead of a million cosets
     path = skg("t3-p-plus.skg", T3_P_PLUS)
     start = time.perf_counter()
     assert run(["classes", path, "--case", "3"]) == 3
@@ -199,18 +199,17 @@ def test_classes_proves_p_plus_has_infinite_index(skg, capsys):
 
 def test_validate_stops_at_the_p_plus_certificate(skg, capsys):
     # the P+ checks stay unknown, but the certificate ends the P+ table
-    # after the probe instead of a million cosets, and each of them says
-    # so with the message enumerate prints after "error: "; over a
-    # finite-index P, that proof fails |P : P+| <= 2
+    # before any enumeration instead of after a million cosets, and each
+    # of them says so with the message enumerate prints after "error: ",
+    # which quotes no enumeration; over a finite-index P, that proof fails
+    # |P : P+| <= 2
     path = skg("t3-p-plus.skg", T3_P_PLUS)
     start = time.perf_counter()
     assert run(["validate", path]) == 1
     assert time.perf_counter() - start < 1.0
     unknown = ("P+ has infinite index: in a transitive permutation image of "
                "degree 3, the point stabilizer H has H^ab of rank 2 over Q and "
-               "the intersection of P+ with H spans rank 1; the probe "
-               "enumeration stopped (125000 live cosets, 125061 defined; "
-               "limits: 125000 live / 1250000 total)")
+               "the intersection of P+ with H spans rank 1")
     out = capsys.readouterr().out
     assert run(["enumerate", path, "--subgroup", "P+"]) == 3
     assert capsys.readouterr().err == f"error: {unknown}\n"

@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from brute import coxeter_skg
 from handlecoset.cli import run
 from handlecoset.coset_enumeration import (CosetTable, EnumerationLimits,
                                            _verify, enumerate_cosets)
 from handlecoset.errors import CosetRangeError, ResourceExhausted
 from handlecoset.knot_input import parse_input, parse_word
 from handlecoset.word_algebra import GroupPresentation, Word
-from handlecoset.selftest import GROUP_CORPUS, mulclose, respell_squares
+from handlecoset.selftest import (GROUP_CORPUS, coxeter_skg, mulclose,
+                                  respell_squares)
 
 
 def load(text):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from brute import coxeter_skg, orbit_partition
+from brute import orbit_partition
 from handlecoset.coset_enumeration import enumerate_cosets
 from handlecoset.double_cosets import (UnorderedPair, dc_all, dc_id,
                                        dc_invert, dc_twist, nest_slots,
@@ -11,7 +11,7 @@ from handlecoset.errors import PreconditionUnverified, TableMismatch
 from handlecoset.handle_classifier import (ClassifierContext, ValidationCheck,
                                            ValidationReport, validate)
 from handlecoset.knot_input import parse_input, parse_word
-from handlecoset.selftest import GROUP_CORPUS
+from handlecoset.selftest import GROUP_CORPUS, coxeter_skg
 from handlecoset.word_algebra import Word, concat, free_reduce, invert
 
 S3_TEXT = "group: a b\nrel: a^2\nrel: b^3\nrel: a b a b\nP: a\norientable: true"

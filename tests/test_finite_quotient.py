@@ -8,13 +8,13 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from brute import TWO_BRIDGE_13, coxeter_skg
+from brute import TWO_BRIDGE_13
 from handlecoset import finite_quotient
 from handlecoset.errors import CaseMismatch
 from handlecoset.finite_quotient import (CERTIFICATE_DEGREES,
                                          DIHEDRAL_DEGREES, HOM_LIMIT,
                                          MAX_SEPARATE_DEGREE,
-                                         SeparationVerdict,
+                                         SeparationVerdict, certificate_walk,
                                          find_homomorphisms, index_certificate,
                                          infinite_index_certificate,
                                          quotient_separate, _extend_basis,
@@ -22,7 +22,8 @@ from handlecoset.finite_quotient import (CERTIFICATE_DEGREES,
 from handlecoset.handle_classifier import CaseLabel
 from handlecoset.knot_input import parse_input, parse_word
 from handlecoset.selftest import (INPUT_CORPUS, _random_word, _related_word,
-                                  classifier_values, lexicographic_filter,
+                                  classifier_values, coxeter_skg,
+                                  lexicographic_filter,
                                   mulclose, peval, pinv, pmul, rebased,
                                   subgroup_of, two_bridge_skg)
 from handlecoset.word_algebra import Word, invert
@@ -115,14 +116,35 @@ def lexicographic_homs(pres, degree):
 def test_partners_of_knot_groups():
     # the Schubert relator a w b^-1 w^-1 pairs b with a on every knot
     for p, q in TWO_BRIDGE_13:
-        assert _partners(parse_input(two_bridge_skg(p, q)).presentation) == [0, 0], (p, q)
-    assert _partners(WIRTINGER_TREFOIL) == [0, 0, 0]
+        assert _partners(parse_input(two_bridge_skg(p, q)).presentation) == (0, 0), (p, q)
+    assert _partners(WIRTINGER_TREFOIL) == (0, 0, 0)
     # the same relators in another order, and each one inverted
     assert _partners(replace(WIRTINGER_TREFOIL,
-                             relators=WIRTINGER_TREFOIL.relators[::-1])) == [0, 0, 0]
+                             relators=WIRTINGER_TREFOIL.relators[::-1])) == (0, 0, 0)
     assert _partners(replace(WIRTINGER_TREFOIL,
                              relators=tuple(map(invert, WIRTINGER_TREFOIL.relators)))) \
-        == [0, 0, 0]
+        == (0, 0, 0)
+
+
+@pytest.mark.parametrize("n", range(3, 9), ids=[f"S{n}-coxeter" for n in range(3, 9)])
+def test_partners_of_coxeter_generators(n):
+    # s_i has the relator s_i^2, so it is its own inverse: (s_i s_j)^3
+    # reads as s_i (s_j s_i) s_j (s_j s_i)^-1 and joins s_j to s_i, and
+    # every s_i of S_n joins s_1, also with the relators reversed or
+    # inverted
+    pres = parse_input(coxeter_skg(n, [1])).presentation
+    for relators in (pres.relators, pres.relators[::-1],
+                     tuple(map(invert, pres.relators))):
+        assert _partners(replace(pres, relators=relators)) == (0,) * (n - 1)
+
+
+def test_partners_with_one_sign_on_both_generators():
+    # a c b c^-1 says b = c^-1 a^-1 c: b is conjugate to a^-1, which has
+    # a's cycle type, so b joins a although neither is its own inverse
+    pres = parse_input("group: a b c\nrel: a c b c^-1\nP: a\n"
+                       "orientable: true").presentation
+    assert _partners(pres) == (0, 0, 2)
+    assert _partners(replace(pres, relators=(invert(pres.relators[0]),))) == (0, 0, 2)
 
 
 # a a b^-1 a has the shape x u y^-1 v, but v is not u^-1: it says b = a^3,
@@ -130,14 +152,13 @@ def test_partners_of_knot_groups():
 B_IS_A_CUBED = parse_input("group: a b\nrel: a a b^-1 a\nP: a\norientable: true").presentation
 
 
-@pytest.mark.parametrize("pres", [parse_input(coxeter_skg(n, [1])).presentation
-                                  for n in range(3, 7)] +
-                         [S3_INPUT.presentation, D8_CASE3.presentation,
-                          T2_INPUT.presentation, B_IS_A_CUBED],
-                         ids=["S3-coxeter", "S4-coxeter", "S5-coxeter", "S6-coxeter",
-                              "s3", "d8", "t2", "b-is-a-cubed"])
+# s3 and d8 have an involution u, but their relators x u y u^-1 pair a
+# generator only with itself
+@pytest.mark.parametrize("pres", [S3_INPUT.presentation, D8_CASE3.presentation,
+                                  T2_INPUT.presentation, B_IS_A_CUBED],
+                         ids=["s3", "d8", "t2", "b-is-a-cubed"])
 def test_no_partners_without_a_conjugating_relator(pres):
-    assert _partners(pres) == list(range(len(pres.generators)))
+    assert _partners(pres) == tuple(range(len(pres.generators)))
 
 
 # the brute-force reference evaluates every tuple of the product, so the
@@ -313,14 +334,33 @@ def _transitive(hom):
     return len(orbit) == hom.degree
 
 
-@pytest.mark.parametrize("n", [4, 5])
+def _bench_shapes(n):
+    """The P and P+ of every classes-coxeter and queries-coxeter query
+    shape that fits S_n: each <s_i>, each <s_a, s_b> with a and b not
+    adjacent, and the four pinned queries-coxeter P with their P+."""
+    gens = range(1, n)
+    shapes = [[i] for i in gens] + [[a, b] for a in gens for b in gens if b > a + 1]
+    shapes += [[1, 2, 3, 4, 5], [2, 3, 4, 5], [3, 4, 5], [1, 2, 3, 5], [1, 2, 3]]
+    return [p for p in shapes if max(p) < n]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_no_certificate_on_coxeter_groups(n):
-    # S_n is finite, so every subgroup has finite index: no transitive
-    # image of degree <= 5, nor any dihedral image the certificate
-    # searches, may certify infinite index for any P.  The S_d images
-    # come up to conjugacy, so each is read at every base point, which
-    # covers every image
+    # S_n is finite, so every subgroup has finite index.  Every build now
+    # reads the S_d images before it enumerates, so neither walk may
+    # certify infinite index for the subgroup of any bench query shape,
+    # read at point 0 as subgroup_table reads them
     presentation = parse_input(coxeter_skg(n, [1])).presentation
+    for p in _bench_shapes(n):
+        words = parse_input(coxeter_skg(n, p)).p_generators
+        assert certificate_walk(presentation, words) is None, p
+        assert certificate_walk(presentation, words, dihedral=True) is None, p
+    if n > 5:
+        return
+    # no transitive image of degree <= 5, nor any dihedral image the
+    # certificate searches, may certify infinite index for any P.  The
+    # S_d images come up to conjugacy, so each is read at every base
+    # point, which covers every image
     homs = [hom for degree in range(1, 6)
             for hom in find_homomorphisms(presentation, degree, limit=10**9)]
     transitive = sum(map(_transitive, homs))
@@ -374,9 +414,11 @@ def test_certificates_on_two_bridge_knots():
 @pytest.mark.parametrize("skg", [two_bridge_skg(17, 1), coxeter_skg(8, [1])],
                          ids=["b(17,1)", "S8"])
 def test_search_without_a_certificate_stays_cheap(skg):
-    # every build whose probe runs out without a certificate pays for the
-    # whole search: the knot b(17, 1), whose first dihedral image is D_17,
-    # and the finite S8 with P = <s1>
+    # every build pays for the S_d walk before it enumerates, and one
+    # whose probe runs out pays for the D_m walk as well: the knot
+    # b(17, 1), whose first dihedral image is D_17, pays for both without
+    # a certificate, and so would the finite S8 with P = <s1> if its
+    # probe ran out
     data = parse_input(skg)
     _search.cache_clear()
     start = time.perf_counter()
@@ -428,14 +470,14 @@ def _count_holds(monkeypatch):
 def test_search_cost_without_a_timer(monkeypatch):
     # the relator checks of the S_d searches of degree <= 6 on S8 with
     # P = <s1>: 4.09M when generator 0 ran over all of S_d, 256k when it
-    # takes one permutation per cycle type; the Coxeter relators pair no
-    # generators, so the conjugacy pruning leaves this count as it is
+    # takes one permutation per cycle type, 7,547 since every s_i, its
+    # own inverse by s_i^2, joins s_1 and draws from one cycle type
     presentation = parse_input(coxeter_skg(8, [1])).presentation
     calls = _count_holds(monkeypatch)
     for degree in range(1, 7):
         find_homomorphisms(presentation, degree)
     _search.cache_clear()
-    assert calls[0] < 500_000
+    assert calls[0] < 15_000
 
 
 def test_knot_search_cost_without_a_timer(monkeypatch):

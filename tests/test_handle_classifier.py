@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from brute import coxeter_skg
+from handlecoset import handle_classifier
 from handlecoset.coset_enumeration import EnumerationLimits, enumerate_cosets
 from handlecoset.double_cosets import Partition, UnorderedPair, dc_id, dc_twist
 from handlecoset.errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
@@ -18,7 +18,7 @@ from handlecoset.handle_classifier import (CaseLabel, ClassifierContext,
                                            nonsurjectivity_witness,
                                            oriented_cord_invariant)
 from handlecoset.knot_input import case_words, parse_input, parse_word
-from handlecoset.selftest import two_bridge_skg
+from handlecoset.selftest import coxeter_skg, two_bridge_skg
 from handlecoset.word_algebra import Word, free_reduce, invert
 
 UNKNOTTED = "group: t\nP: t\norientable: true"
@@ -351,19 +351,64 @@ def test_context_build_rejects_invalid_input():
         ClassifierContext.build(bad)
 
 
-def test_build_proves_infinite_index_after_the_probe():
-    # the probe gets 1/8 of each limit; on the trefoil it runs out, and a
-    # transitive image of degree 3 proves that P has infinite index
+def test_build_proves_infinite_index_before_any_enumeration():
+    # the S_d walk runs before the probe; on the trefoil a transitive
+    # image of degree 3 proves that P has infinite index, so no coset is
+    # defined and the message ends at the ranks
     parsed = parse_input(two_bridge_skg(3, 1))
     with pytest.raises(InfiniteIndex) as info:
         ClassifierContext.build(parsed, EnumerationLimits(2000, 20000))
     exc = info.value
     assert isinstance(exc, ResourceExhausted)
-    assert exc.limits == EnumerationLimits(250, 2500)
+    assert (exc.limits, exc.live_cosets, exc.total_defined) == (None, 0, 0)
     assert (exc.subgroup, exc.degree, exc.h_rank, exc.p_rank) == ("P", 3, 2, 1)
     assert not exc.dihedral
-    assert str(exc).startswith("P has infinite index: in a transitive "
-                               "permutation image of degree 3,")
+    assert str(exc) == ("P has infinite index: in a transitive permutation "
+                        "image of degree 3, the point stabilizer H has H^ab of "
+                        "rank 2 over Q and the intersection of P with H spans "
+                        "rank 1")
+
+
+FREE2 = "group: a b\nP: a\norientable: true"
+S5_TRIVIAL = coxeter_skg(5, [1]).replace("P: s1", "P: 1")
+
+
+@pytest.mark.parametrize("text, limits, enumerations, outcome", [
+    (two_bridge_skg(3, 1), None, 0, "S_d"),
+    (FREE2, None, 0, "S_d"),
+    (two_bridge_skg(7, 1), None, 1, "D_m"),
+    (two_bridge_skg(17, 1), None, 2, "exhausted"),
+    (coxeter_skg(5, [1]), None, 1, 60),
+    (S5_TRIVIAL, EnumerationLimits(400, 4000), 2, 120),
+], ids=["trefoil", "free2", "b(7,1)", "b(17,1)", "S5", "S5-trivial-P"])
+def test_subgroup_table_runs_the_cheapest_step_first(monkeypatch, text, limits,
+                                                     enumerations, outcome):
+    # the S_d walk, then the probe, then the D_m walk, then the full
+    # budget: count the enumerations each input reaches, without a timer;
+    # an integer outcome is the index of the table that comes back
+    calls = []
+
+    def counted(pres, words, budget):
+        calls.append(budget)
+        return enumerate_cosets(pres, words, budget)
+
+    monkeypatch.setattr(handle_classifier, "enumerate_cosets", counted)
+    parsed = parse_input(text)
+    limits = limits or EnumerationLimits(2000, 20000)
+    probe = EnumerationLimits(limits.max_live_cosets // 8, limits.max_total_defined // 8)
+    if isinstance(outcome, int):
+        assert handle_classifier.subgroup_table(parsed, "P", limits).index == outcome
+    else:
+        with pytest.raises(ResourceExhausted) as info:
+            handle_classifier.subgroup_table(parsed, "P", limits)
+        exc = info.value
+        if outcome == "exhausted":
+            assert type(exc) is ResourceExhausted and exc.limits == limits
+        else:
+            assert isinstance(exc, InfiniteIndex)
+            assert exc.dihedral == (outcome == "D_m")
+            assert exc.limits == (probe if exc.dihedral else None)
+    assert calls == [probe, limits][:enumerations]
 
 
 def test_build_without_a_certificate_runs_the_full_budget():
@@ -380,7 +425,7 @@ def test_build_without_a_certificate_runs_the_full_budget():
 
 @pytest.mark.parametrize("text, subgroup, degree, h_rank, image", [
     # on the trefoil P = <a, b a b^-1> has finite index, but P+ = <a> has
-    # not: P+ gets the same probe and certificate as P
+    # not: P+ gets the same certificate walk as P, before any enumeration
     ("group: a b\nrel: a b a b^-1 a^-1 b^-1\nP: a , b a b^-1\nP+: a\n"
      "n: b a b^-1\norientable: false", "P+", 3, 2, "permutation image"),
     # b(7, 1) = T(2, 7) has no certificate in S_2..S_5; its 7-colourings
@@ -394,7 +439,8 @@ def test_infinite_index_names_the_subgroup_and_the_image(text, subgroup, degree,
     exc = info.value
     assert (exc.subgroup, exc.degree, exc.h_rank, exc.p_rank) == (subgroup, degree, h_rank, 1)
     assert exc.dihedral == (degree == 7)
-    assert exc.limits == EnumerationLimits(250, 2500)
+    # only a dihedral certificate comes after the probe, whose limits it quotes
+    assert exc.limits == (EnumerationLimits(250, 2500) if exc.dihedral else None)
     assert str(exc).startswith(f"{subgroup} has infinite index: in a transitive "
                                f"{image} of degree {degree},")
 

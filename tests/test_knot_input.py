@@ -229,7 +229,7 @@ def test_validate_resource_exhaustion_is_unknown():
     assert any(c.status == "unknown" for c in report.checks)
     assert not report.twist_verified
     assert report.ok  # unknown is not a failure
-    # the probe runs out and the certificate proves it: the P checks say so
+    # an image in S_2 proves it before any enumeration: the P checks say so
     for check in report.checks[:2]:
         assert check.detail.startswith("P has infinite index:")
 
