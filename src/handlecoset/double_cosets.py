@@ -43,8 +43,8 @@ class Partition:
     label[c] is the minimal coset of c's orbit (label[0] = 0), size maps
     each canonical coset to its orbit size in increasing canonical order,
     inv maps a canonical coset to that of the inverse double coset, and
-    twist[n] does the same for g -> n g n (twisted takes it as images);
-    both fill in on first use.
+    twist_images(n) does the same for g -> n g n (twisted takes it as
+    images); both fill in on first use.
     The table keeps its partition, so a partition holds no reference
     back to it: that cycle would keep a dropped table alive until the
     cyclic garbage collector ran.
@@ -74,7 +74,9 @@ class Partition:
         # a canonical coset is the first of its orbit met in 1..index
         self.size = Counter(self.label[1:])
         self.inv: dict[int, int] = {}
-        self.twist: dict[Word, dict[int, int]] = {}
+        # (n, n's twist images), compared by equality: a word hashes its
+        # letters on every call, and a table meets one n in practice
+        self._twists: list[tuple[Word, dict[int, int]]] = []
 
     def id(self, table: CosetTable, canonical: int) -> "DoubleCosetId":
         return DoubleCosetId(table, canonical, self.size[canonical])
@@ -84,6 +86,16 @@ class Partition:
         if image is None:
             image = self.inv[canonical] = self.label[_unwitness(table, canonical, 1)]
         return image
+
+    def twist_images(self, n: Word) -> dict[int, int]:
+        """The images of g -> n g n filled in so far, found without
+        hashing n."""
+        for m, images in self._twists:
+            if m == n:
+                return images
+        images = {}
+        self._twists.append((n, images))
+        return images
 
     def twisted(self, table: CosetTable, n: Word, canonical: int,
                 images: dict[int, int]) -> int:
@@ -274,5 +286,4 @@ def dc_twist(table: CosetTable, acting: Sequence[Word], n: Word,
     require_twist_verified for what the report must show."""
     require_twist_verified(report)
     part = _partition_for(table, acting, d)
-    images = part.twist.setdefault(n, {})
-    return part.id(table, part.twisted(table, n, d.canonical, images))
+    return part.id(table, part.twisted(table, n, d.canonical, part.twist_images(n)))

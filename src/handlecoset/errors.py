@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from typing import Optional
-
 
 class HandleCosetError(Exception):
     """Base class for every domain error raised by this package."""
@@ -46,7 +44,8 @@ class ResourceExhausted(HandleCosetError):
     Inconclusive in itself: the index may be infinite, or merely larger
     than the budget.  Only the InfiniteIndex subclass is a proof of
     infinite index; a plain ResourceExhausted must never be read as one.
-    limits is None only on an InfiniteIndex proved before any enumeration.
+    limits is None exactly on an InfiniteIndex, which is proved before
+    any enumeration.
     """
 
     def __init__(self, limits, live_cosets: int, total_defined: int,
@@ -69,29 +68,23 @@ class InfiniteIndex(ResourceExhausted):
     transitive permutation image of the given degree (in the dihedral
     group D_degree if dihedral is set) has a point stabilizer H with H^ab
     of rank h_rank over Q, of which the intersection of the subgroup with
-    H spans only p_rank.  An image in S_d is found before any
-    enumeration: the message ends at the ranks, limits is None and no
-    coset was defined.  A dihedral one is found after the probe
-    enumeration ran out, given as probe: the coset counts and limits are
-    the probe's, and the message quotes them.
+    H spans only p_rank.  Every image is found before any enumeration:
+    the message ends at the ranks, limits is None and no coset was
+    defined.
     """
 
-    def __init__(self, subgroup: str, cert, probe: Optional[ResourceExhausted] = None):
+    def __init__(self, subgroup: str, cert):
         self.subgroup = subgroup
         self.degree = cert.degree
         self.h_rank = cert.h_rank
         self.p_rank = cert.p_rank
         self.dihedral = cert.hom.dihedral
         image = "dihedral permutation image" if self.dihedral else "permutation image"
-        what = (f"{subgroup} has infinite index: in a transitive {image} of "
-                f"degree {self.degree}, the point stabilizer H has H^ab of rank "
-                f"{self.h_rank} over Q and the intersection of {subgroup} with H "
-                f"spans rank {self.p_rank}")
-        if probe is None:
-            super().__init__(None, 0, 0, what)
-        else:
-            super().__init__(probe.limits, probe.live_cosets, probe.total_defined,
-                             what + "; the probe enumeration stopped")
+        super().__init__(None, 0, 0,
+                         f"{subgroup} has infinite index: in a transitive {image} of "
+                         f"degree {self.degree}, the point stabilizer H has H^ab of rank "
+                         f"{self.h_rank} over Q and the intersection of {subgroup} with H "
+                         f"spans rank {self.p_rank}")
 
 
 class CosetRangeError(HandleCosetError):

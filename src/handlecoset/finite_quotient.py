@@ -26,8 +26,11 @@ dihedral group D_m of order 2m acting on Z/m for larger m: every
 2-bridge knot group b(p, q) maps onto D_p with the meridians going to
 reflections (Riley, "Homomorphisms of knot groups on finite groups",
 1971), and a generator of D_m has only 2m candidate images, so its
-search stays cheap at degrees where that of S_m does not.  The one search kernel, _search,
-serves both candidate sets.
+search stays cheap at degrees where that of S_m does not.  D_m is
+searched up to conjugacy by the affine maps x -> u x + t of Z/m, which
+normalise it, and since only its identity fixes both 0 and 1, a
+relator is traced from those two points alone.  The one search kernel,
+_search, serves both candidate sets.
 """
 
 from __future__ import annotations
@@ -56,8 +59,9 @@ HOM_LIMIT = 64
 # every build before it enumerates, finite index included; each degree
 # adds to every build
 CERTIFICATE_DEGREES = range(2, 6)
-# degrees m of the images in the dihedral group D_m of the second walk;
-# each degree adds to every build whose probe runs out
+# degrees m of the images in the dihedral group D_m of the second walk,
+# which runs on every build the first walk leaves undecided, before it
+# enumerates; each degree adds to every such build
 DIHEDRAL_DEGREES = range(6, 14)
 
 
@@ -65,7 +69,8 @@ DIHEDRAL_DEGREES = range(6, 14)
 class PermutationAssignment:
     """Images of the presentation's generators in the symmetric group
     S_degree, generator 0's the least permutation of its cycle type, or
-    in the dihedral group D_degree if dihedral is set.
+    in the dihedral group D_degree if dihedral is set, generator 0's one
+    of _dihedral_leaders.
 
     Only produced by find_homomorphisms, which guarantees every relator
     evaluates to the identity permutation.
@@ -123,6 +128,18 @@ def _dihedral(degree: int) -> list[Perm]:
     points = range(degree)
     return sorted({tuple((s * x + c) % degree for x in points)
                    for c in points for s in (1, -1)})
+
+
+def _dihedral_leaders(degree: int) -> list[Perm]:
+    """One element of each class of D_degree under conjugation by the
+    affine maps x -> u x + t (u a unit mod degree), in lexicographic
+    order.  Such a map takes x -> x + c to x -> x + u c and x -> c - x
+    to x -> u c + 2t - x, so the leaders are x -> x + g for each g
+    dividing degree, x -> -x, and for even degree x -> 1 - x."""
+    points = range(degree)
+    maps = [(1, g) for g in range(1, degree + 1) if degree % g == 0]
+    maps += [(-1, 0)] + ([(-1, 1)] if degree % 2 == 0 else [])
+    return sorted({tuple((s * x + c) % degree for x in points) for s, c in maps})
 
 
 def _class_leaders(degree: int, least: int = 1) -> list[Perm]:
@@ -190,16 +207,20 @@ def _partners(pres: GroupPresentation) -> tuple[int, ...]:
 def _search(pres: GroupPresentation, degree: int, limit: int,
             dihedral: bool) -> tuple[PermutationAssignment, ...]:
     """The first `limit` assignments of find_homomorphisms, depth first:
-    generator 0 over the class leaders of S_degree (all of D_degree),
+    generator 0 over the class leaders of S_degree (or _dihedral_leaders),
     generator k over all candidates, or, if _partners gives it an earlier
     generator j, over those of the cycle type of j's image only.  A
     candidate of another type fails a relator whatever comes later, so
     the pruning drops no assignment and keeps their order."""
     ngens = len(pres.generators)
+    # lexicographic; a conjugation takes generator 0 to its leader
     if dihedral:
-        perms = firsts = _dihedral(degree)
-    else:  # lexicographic; a conjugation takes generator 0 to its leader
+        perms, firsts = _dihedral(degree), _dihedral_leaders(degree)
+        # an element of D_degree that fixes 0 and 1 is the identity
+        points = range(min(degree, 2))
+    else:
         perms, firsts = itertools.permutations(range(degree)), _class_leaders(degree)
+        points = range(degree)
     candidates = tuple((p, perm_inverse(p)) for p in perms)
     levels = [tuple((p, perm_inverse(p)) for p in firsts)] + [candidates] * (ngens - 1)
     partner = _partners(pres)
@@ -207,7 +228,6 @@ def _search(pres: GroupPresentation, degree: int, limit: int,
     if any(j < k for k, j in enumerate(partner)):
         for c in candidates:
             by_type.setdefault(_cycle_type(c[0]), []).append(c)
-    points = range(degree)
     # a relator becomes checkable once its highest generator is assigned
     ready: list[list[tuple[int, ...]]] = [[] for _ in range(ngens)]
     for rel in pres.relators:
@@ -246,8 +266,10 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
 
     Images are tried in lexicographic order, so the output order is
     deterministic; in S_degree generator 0 tries only the least
-    permutation of each cycle type, so below the limit every
-    homomorphism is conjugate to a listed one.  A generator that a
+    permutation of each cycle type, and in D_degree one element of each
+    class under the affine maps x -> u x + t, so below the limit every
+    homomorphism is conjugate to a listed one, by a permutation or an
+    affine map.  A generator that a
     relator x^e u y^f u^-1 proves conjugate to an earlier one or its
     inverse (see _partners) tries only the permutations of its partner's
     cycle type; no other can satisfy that relator, so this lists the
@@ -268,7 +290,9 @@ def _image_value(hom: PermutationAssignment, acting: list[Columns],
     cord word compiled by _columns.  The generator action and the images
     of the acting words and of n are built once, so every cord evaluated
     through the result shares them.  A double coset is named by its
-    least permutation."""
+    least permutation, and every element of a closure computed is
+    recorded with that name, so a later slot in the same double coset,
+    of this cord or another, is one lookup."""
     action: list[Callable[[int], int]] = []
     for p in hom.images:
         action += (p.__getitem__, perm_inverse(p).__getitem__)
@@ -282,8 +306,12 @@ def _image_value(hom: PermutationAssignment, acting: list[Columns],
 
     subgens = [image(w) for w in acting]
     right_moves = [s.__getitem__ for s in subgens]
+    named: dict[Perm, Perm] = {}  # element -> least element of its HxH
 
     def dc(x: Perm) -> Perm:
+        name = named.get(x)
+        if name is not None:
+            return name
         # Hx is the closure of {x} under y -> s*y, and HxH that of Hx under
         # y -> y*s; in a finite group the inverse moves are products of
         # these, so neither closure needs them
@@ -304,7 +332,9 @@ def _image_value(hom: PermutationAssignment, acting: list[Columns],
                 if z not in seen:
                     seen.add(z)
                     stack.append(z)
-        return min(seen)
+        name = min(seen)
+        named.update(dict.fromkeys(seen, name))
+        return name
 
     n_image = None if n is None else image(n)
 
@@ -482,10 +512,10 @@ def certificate_walk(pres: GroupPresentation, subgroup: Sequence[Word],
     homomorphisms find_homomorphisms lists into S_d for each d in
     CERTIFICATE_DEGREES, or with dihedral, into D_m for each m in
     DIHEDRAL_DEGREES, or None, each read at point 0 only.
-    handle_classifier.subgroup_table walks S_d before it enumerates, and
-    D_m only once its probe has run out.  The S_d searches are the capped
-    ones quotient_separate runs, so a later separation on the same
-    presentation finds them cached; it never uses the dihedral images."""
+    handle_classifier.subgroup_table walks S_d, then D_m, before it
+    enumerates.  The S_d searches are the capped ones quotient_separate
+    runs, so a later separation on the same presentation finds them
+    cached; it never uses the dihedral images."""
     for degree in DIHEDRAL_DEGREES if dihedral else CERTIFICATE_DEGREES:
         for hom in find_homomorphisms(pres, degree, dihedral=dihedral):
             cert = index_certificate(hom, pres, subgroup)

@@ -42,16 +42,13 @@ from .double_cosets import (DoubleCosetId, UnorderedPair, Partition, dc_id,
                             require_twist_verified, slot_count)
 from .errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                      PreconditionUnverified, ResourceExhausted, TableMismatch)
-from .finite_quotient import certificate_walk
+from .finite_quotient import infinite_index_certificate
 from .knot_input import CaseLabel, SurfaceKnotInput, case_words, format_word
 from .word_algebra import Word, concat, invert, power
 
 InvariantValue = Union[DoubleCosetId, UnorderedPair]
 # a table, or the ResourceExhausted (InfiniteIndex included) that refused it
 _TableOrRefusal = Union[CosetTable, ResourceExhausted]
-
-# subgroup_table's first enumeration gets this fraction of the caller's budget
-PROBE_FRACTION = 8
 
 
 def subgroup_table(input: SurfaceKnotInput, name: str,
@@ -61,35 +58,21 @@ def subgroup_table(input: SurfaceKnotInput, name: str,
     Raises MissingPPlus for "P+" on an input without a P+ section.  The
     steps run cheapest first, and the first that decides ends the build:
 
-    1. the S_d certificate walk (finite_quotient.certificate_walk), before
-       any enumeration: a certificate raises InfiniteIndex, naming the
-       subgroup, that quotes no enumeration;
-    2. a probe enumeration under 1/PROBE_FRACTION of each limit (at least
-       1).  A probe that completes is the table a full-budget run gives,
-       defined-coset count included: enumeration reads its budget only
-       when about to break it;
-    3. if the probe ran out, the D_m certificate walk: a certificate
-       raises InfiniteIndex quoting the probe's counts and limits;
-    4. the full limits, which raise a plain ResourceExhausted if they run
-       out too.
+    1. the S_d certificate walk;
+    2. the D_m certificate walk.  Both come before any enumeration
+       (finite_quotient.infinite_index_certificate runs them), and a
+       certificate raises InfiniteIndex, naming the subgroup, that
+       quotes no enumeration;
+    3. one enumeration under the limits, which raises a plain
+       ResourceExhausted if they run out.
     """
     words = input.p_generators if name == "P" else input.p_plus_generators
     if words is None:
         raise MissingPPlus("this input has no P+ section")
-    if limits is None:
-        limits = EnumerationLimits()
     pres = input.presentation
-    cert = certificate_walk(pres, words)
+    cert = infinite_index_certificate(pres, words)
     if cert is not None:
         raise InfiniteIndex(name, cert)
-    probe = EnumerationLimits(max(1, limits.max_live_cosets // PROBE_FRACTION),
-                              max(1, limits.max_total_defined // PROBE_FRACTION))
-    try:
-        return enumerate_cosets(pres, words, probe)
-    except ResourceExhausted as exc:
-        cert = certificate_walk(pres, words, dihedral=True)
-        if cert is not None:
-            raise InfiniteIndex(name, cert, exc) from None
     return enumerate_cosets(pres, words, limits)
 
 
@@ -312,7 +295,7 @@ class ClassifierContext:
             if table is None:
                 raise MissingPPlus("this context has no P+ table")
         part = partition(table)
-        return _Case(table, part, n, None if n is None else part.twist.setdefault(n, {}))
+        return _Case(table, part, n, None if n is None else part.twist_images(n))
 
 
 def oriented_cord_invariant(ctx: ClassifierContext, g: Word) -> DoubleCosetId:

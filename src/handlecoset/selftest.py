@@ -844,8 +844,9 @@ def check_infinite_index_certificate(max_degree: int = CERTIFICATE_DEGREES[-1]) 
     every INPUT_CORPUS input, over every image in S_d, d <= max_degree
     (by default the last of CERTIFICATE_DEGREES, which every build reads
     before it enumerates), and every image in D_m, m in DIHEDRAL_DEGREES, that an uncapped
-    search finds.  The S_d images come up to conjugacy, so each is read
-    at every base point; the D_m family holds its own rotations."""
+    search finds.  The S_d images come up to conjugacy and the D_m images
+    up to the affine maps x -> u x + t, so each is read at every base
+    point (u x fixes 0, so it keeps the stabilizer of 0)."""
     subjects = [(case.name, pres, words)
                 for case, pres, subgroups in _resolved_groups() for words in subgroups]
     for case, parsed, _ctx in _resolved_inputs():
@@ -859,7 +860,7 @@ def check_infinite_index_certificate(max_degree: int = CERTIFICATE_DEGREES[-1]) 
     for name, pres, words in subjects:
         for degree, dihedral in searches:
             for hom in find_homomorphisms(pres, degree, 10**9, dihedral):
-                for point in range(1 if dihedral else degree):
+                for point in range(degree):
                     assert index_certificate(rebased(hom, point), pres, words) is None, \
                         f"{name}: certificate of infinite index for a finite-index " \
                         f"subgroup from {hom.images} at point {point}"

@@ -210,6 +210,37 @@ def test_dc_twist_can_move_classes():
     assert moved == 4
 
 
+def test_warm_dc_functions_hash_no_word(monkeypatch):
+    # S6 with P = <s1, s2, s4>, P+ = <s1, s2> and n = s4: once the
+    # partition and the images are filled in, a round of dc_id, dc_invert
+    # and dc_twist over every double coset finds the partition and n's
+    # twist images without hashing a Word (dc_twist used to hash n)
+    parsed = parse_input(coxeter_skg(6, [1, 2, 4], [1, 2], 4))
+    ctx = ClassifierContext.build(parsed)
+    table, acting, n = ctx.p_plus_table, parsed.p_plus_generators, parsed.n_word
+
+    def round_trip() -> int:
+        dcs = dc_all(table, acting)
+        for d in dcs:
+            assert dc_id(table, acting, d.representative()) == d
+            dc_invert(table, acting, d)
+            dc_twist(table, acting, n, d, ctx.report)
+        return len(dcs)
+
+    round_trip()  # warm
+    hashes = 0
+    word_hash = Word.__hash__
+
+    def counting_hash(self):
+        nonlocal hashes
+        hashes += 1
+        return word_hash(self)
+
+    monkeypatch.setattr(Word, "__hash__", counting_hash)
+    assert round_trip() == 34
+    assert hashes == 0
+
+
 def test_dc_orbits_can_have_size_two():
     # D6 with non-central P+ = <s>: P+ r P+ covers two cosets
     parsed = parse_input("group: r s\nrel: r^6\nrel: s^2\nrel: r s r s\n"

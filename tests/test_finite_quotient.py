@@ -359,16 +359,18 @@ def test_no_certificate_on_coxeter_groups(n):
         return
     # no transitive image of degree <= 5, nor any dihedral image the
     # certificate searches, may certify infinite index for any P.  The
-    # S_d images come up to conjugacy, so each is read at every base
-    # point, which covers every image
+    # S_d images come up to conjugacy and the D_m ones up to the affine
+    # maps x -> u x + t, so each is read at every base point, which
+    # covers every image: u x fixes 0, so it keeps the stabilizer of 0
     homs = [hom for degree in range(1, 6)
             for hom in find_homomorphisms(presentation, degree, limit=10**9)]
     transitive = sum(map(_transitive, homs))
     assert transitive == {4: 8, 5: 14}[n]
     dihedral = [hom for m in DIHEDRAL_DEGREES
                 for hom in find_homomorphisms(presentation, m, 10**9, dihedral=True)]
-    # S4 maps onto D_6 = S_3 x Z/2; S5 has no transitive dihedral image
-    assert sum(map(_transitive, dihedral)) == {4: 6, 5: 0}[n]
+    # S4 maps onto D_6 = S_3 x Z/2, with s_1 going to x -> -x or to
+    # x -> 1 - x; S5 has no transitive dihedral image
+    assert sum(map(_transitive, dihedral)) == {4: 2, 5: 0}[n]
     for p in ([1], [2], [1, 3]):
         words = parse_input(coxeter_skg(n, p)).p_generators
         for hom in homs + dihedral:
@@ -414,11 +416,10 @@ def test_certificates_on_two_bridge_knots():
 @pytest.mark.parametrize("skg", [two_bridge_skg(17, 1), coxeter_skg(8, [1])],
                          ids=["b(17,1)", "S8"])
 def test_search_without_a_certificate_stays_cheap(skg):
-    # every build pays for the S_d walk before it enumerates, and one
-    # whose probe runs out pays for the D_m walk as well: the knot
-    # b(17, 1), whose first dihedral image is D_17, pays for both without
-    # a certificate, and so would the finite S8 with P = <s1> if its
-    # probe ran out
+    # every build that the S_d walk leaves undecided pays for the D_m
+    # walk as well before it enumerates: the knot b(17, 1), whose first
+    # dihedral image is D_17, pays for both without a certificate, and
+    # so does the finite S8 with P = <s1>
     data = parse_input(skg)
     _search.cache_clear()
     start = time.perf_counter()
@@ -426,43 +427,64 @@ def test_search_without_a_certificate_stays_cheap(skg):
     assert time.perf_counter() - start < 2.0
 
 
+def _dihedral_group(m):
+    """The elements of D_m, generated by x -> x + 1 and x -> -x on Z/m,
+    in sorted order: 2m of them from m = 3 on, m on Z/1 and Z/2, where
+    x -> -x is the identity."""
+    elements = sorted(mulclose([tuple((x + 1) % m for x in range(m)),
+                                tuple(-x % m for x in range(m))]))
+    assert len(elements) == (2 * m if m > 2 else m)
+    return elements
+
+
+def test_only_the_identity_of_a_dihedral_group_fixes_0_and_1():
+    # the D_m search traces each relator from the points 0 and 1 alone
+    for m in range(1, DIHEDRAL_DEGREES[-1] + 1):
+        fixing = [p for p in _dihedral_group(m) if p[:2] == tuple(range(min(m, 2)))]
+        assert fixing == [tuple(range(m))], m
+
+
 @pytest.mark.parametrize("pres", [TREFOIL, FIGURE_EIGHT, S3_INPUT.presentation,
                                   WIRTINGER_TREFOIL],
                          ids=["trefoil", "figure-eight", "s3", "wirtinger-trefoil"])
 def test_dihedral_homs_match_reference_search(pres):
-    # D_m is generated by the rotation x -> x + 1 and the reflection
-    # x -> -x of Z/m; the search tries its 2m elements in sorted order
-    for m in range(3, 14):
-        rotation = tuple((x + 1) % m for x in range(m))
-        reflection = tuple(-x % m for x in range(m))
-        elements = sorted(mulclose([rotation, reflection]))
-        assert len(elements) == 2 * m
-        expected = [images for images in
+    # uncapped, the search lists homomorphisms into D_m only, and every
+    # one that the brute-force reference finds is conjugate to a listed
+    # one by an affine map x -> u x + t of Z/m, u a unit
+    for m in range(1, DIHEDRAL_DEGREES[-1] + 1):
+        elements = _dihedral_group(m)
+        expected = {images for images in
                     itertools.product(elements, repeat=len(pres.generators))
-                    if all(peval(rel, images) == elements[0] for rel in pres.relators)]
-        for limit in (5, 10**9):  # the smaller limit binds at every m
-            homs = find_homomorphisms(pres, m, limit, dihedral=True)
-            assert [h.images for h in homs] == expected[:limit]
-            assert all(h.degree == m and h.dihedral for h in homs)
-    # D_3 is all of S_3, so the trefoil's D_3 images are all its images in
-    # S_3, in the same order
-    assert [h.images for h in find_homomorphisms(TREFOIL, 3, dihedral=True)] == \
-        list(itertools.islice(lexicographic_homs(TREFOIL, 3), HOM_LIMIT))
+                    if all(peval(rel, images) == elements[0] for rel in pres.relators)}
+        homs = find_homomorphisms(pres, m, 10**9, dihedral=True)
+        assert all(h.degree == m and h.dihedral for h in homs)
+        listed = {h.images for h in homs}
+        assert len(listed) == len(homs) and listed <= expected, m
+        affine = [tuple((u * x + t) % m for x in range(m))
+                  for u in range(1, m + 1) if gcd(u, m) == 1 for t in range(m)]
+        for images in expected:
+            assert any(tuple(pmul(pmul(pinv(s), p), s) for p in images) in listed
+                       for s in affine), (m, images)
+        assert [h.images for h in find_homomorphisms(pres, m, 5, dihedral=True)] == \
+            [h.images for h in homs[:5]]
     # a p-colouring needs p to divide the determinant: 5 for the figure
-    # eight, so D_7 gives only the 7 maps onto Z/7 and the 7 onto Z/2
-    assert len(find_homomorphisms(FIGURE_EIGHT, 7, 10**9, dihedral=True)) == 14
+    # eight, so up to affine maps D_7 gives only the trivial map, the map
+    # onto Z/7 and the map onto Z/2
+    assert len(find_homomorphisms(FIGURE_EIGHT, 7, 10**9, dihedral=True)) == 3
     with pytest.raises(ValueError):
         find_homomorphisms(TREFOIL, DIHEDRAL_DEGREES[-1] + 1, dihedral=True)
 
 
-def _count_holds(monkeypatch):
-    holds, calls = finite_quotient._holds, [0]
+def _count_holds(monkeypatch, name="_holds"):
+    """Count the calls of finite_quotient's function `name`: _holds
+    checks one candidate, _trace traces one relator from one point."""
+    holds, calls = getattr(finite_quotient, name), [0]
 
     def counted(*args):
         calls[0] += 1
         return holds(*args)
 
-    monkeypatch.setattr(finite_quotient, "_holds", counted)
+    monkeypatch.setattr(finite_quotient, name, counted)
     _search.cache_clear()
     return calls
 
@@ -478,6 +500,26 @@ def test_search_cost_without_a_timer(monkeypatch):
         find_homomorphisms(presentation, degree)
     _search.cache_clear()
     assert calls[0] < 15_000
+
+
+@pytest.mark.parametrize("skg, checks, traces", [
+    (coxeter_skg(8, [1]), 1_500, 8_000), (two_bridge_skg(13, 1), 400, 500)],
+    ids=["S8", "b(13,1)"])
+def test_dihedral_walk_cost_without_a_timer(monkeypatch, skg, checks, traces):
+    # the default searches of D_6..D_13, which every build the S_d walk
+    # leaves undecided runs: on S8 with P = <s1>, 4,712 relator checks
+    # tracing 82,640 relators from a point when generator 0 ran over all
+    # of D_m and each check traced every point, 815 and 4,148 with one
+    # leader per affine class and the points 0 and 1; on b(13, 1), 966
+    # and 2,667, then 213 and 227
+    presentation = parse_input(skg).presentation
+    for name, bound in (("_holds", checks), ("_trace", traces)):
+        calls = _count_holds(monkeypatch, name)
+        for m in DIHEDRAL_DEGREES:
+            find_homomorphisms(presentation, m, dihedral=True)
+        _search.cache_clear()
+        monkeypatch.undo()
+        assert calls[0] < bound, name
 
 
 def test_knot_search_cost_without_a_timer(monkeypatch):

@@ -352,7 +352,7 @@ def test_context_build_rejects_invalid_input():
 
 
 def test_build_proves_infinite_index_before_any_enumeration():
-    # the S_d walk runs before the probe; on the trefoil a transitive
+    # the S_d walk runs before any enumeration; on the trefoil a transitive
     # image of degree 3 proves that P has infinite index, so no coset is
     # defined and the message ends at the ranks
     parsed = parse_input(two_bridge_skg(3, 1))
@@ -373,19 +373,8 @@ FREE2 = "group: a b\nP: a\norientable: true"
 S5_TRIVIAL = coxeter_skg(5, [1]).replace("P: s1", "P: 1")
 
 
-@pytest.mark.parametrize("text, limits, enumerations, outcome", [
-    (two_bridge_skg(3, 1), None, 0, "S_d"),
-    (FREE2, None, 0, "S_d"),
-    (two_bridge_skg(7, 1), None, 1, "D_m"),
-    (two_bridge_skg(17, 1), None, 2, "exhausted"),
-    (coxeter_skg(5, [1]), None, 1, 60),
-    (S5_TRIVIAL, EnumerationLimits(400, 4000), 2, 120),
-], ids=["trefoil", "free2", "b(7,1)", "b(17,1)", "S5", "S5-trivial-P"])
-def test_subgroup_table_runs_the_cheapest_step_first(monkeypatch, text, limits,
-                                                     enumerations, outcome):
-    # the S_d walk, then the probe, then the D_m walk, then the full
-    # budget: count the enumerations each input reaches, without a timer;
-    # an integer outcome is the index of the table that comes back
+def _count_enumerations(monkeypatch) -> list:
+    """The limits of every enumeration subgroup_table runs from now on."""
     calls = []
 
     def counted(pres, words, budget):
@@ -393,9 +382,25 @@ def test_subgroup_table_runs_the_cheapest_step_first(monkeypatch, text, limits,
         return enumerate_cosets(pres, words, budget)
 
     monkeypatch.setattr(handle_classifier, "enumerate_cosets", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text, limits, enumerations, outcome", [
+    (two_bridge_skg(3, 1), None, 0, "S_d"),
+    (FREE2, None, 0, "S_d"),
+    (two_bridge_skg(7, 1), None, 0, "D_m"),
+    (two_bridge_skg(17, 1), None, 1, "exhausted"),
+    (coxeter_skg(5, [1]), None, 1, 60),
+    (S5_TRIVIAL, EnumerationLimits(400, 4000), 1, 120),
+], ids=["trefoil", "free2", "b(7,1)", "b(17,1)", "S5", "S5-trivial-P"])
+def test_subgroup_table_runs_the_cheapest_step_first(monkeypatch, text, limits,
+                                                     enumerations, outcome):
+    # the S_d walk, then the D_m walk, then one enumeration under the
+    # full limits: count the enumerations each input reaches, without a
+    # timer; an integer outcome is the index of the table that comes back
+    calls = _count_enumerations(monkeypatch)
     parsed = parse_input(text)
     limits = limits or EnumerationLimits(2000, 20000)
-    probe = EnumerationLimits(limits.max_live_cosets // 8, limits.max_total_defined // 8)
     if isinstance(outcome, int):
         assert handle_classifier.subgroup_table(parsed, "P", limits).index == outcome
     else:
@@ -407,8 +412,8 @@ def test_subgroup_table_runs_the_cheapest_step_first(monkeypatch, text, limits,
         else:
             assert isinstance(exc, InfiniteIndex)
             assert exc.dihedral == (outcome == "D_m")
-            assert exc.limits == (probe if exc.dihedral else None)
-    assert calls == [probe, limits][:enumerations]
+            assert exc.limits is None
+    assert calls == [limits] * enumerations
 
 
 def test_build_without_a_certificate_runs_the_full_budget():
@@ -439,19 +444,22 @@ def test_infinite_index_names_the_subgroup_and_the_image(text, subgroup, degree,
     exc = info.value
     assert (exc.subgroup, exc.degree, exc.h_rank, exc.p_rank) == (subgroup, degree, h_rank, 1)
     assert exc.dihedral == (degree == 7)
-    # only a dihedral certificate comes after the probe, whose limits it quotes
-    assert exc.limits == (EnumerationLimits(250, 2500) if exc.dihedral else None)
+    # either walk certifies before any enumeration, so no limits are quoted
+    assert (exc.limits, exc.live_cosets, exc.total_defined) == (None, 0, 0)
     assert str(exc).startswith(f"{subgroup} has infinite index: in a transitive "
                                f"{image} of degree {degree},")
+    assert str(exc).endswith(f"{subgroup} with H spans rank 1")
 
 
-def test_build_after_a_spent_probe_gives_the_full_budget_table():
-    # S5 with trivial P needs 139 live cosets: the probe (50) runs out, no
-    # finite image certifies anything, and the full run's table is the one
-    # enumerate_cosets gives under the same limits
-    parsed = parse_input(coxeter_skg(5, [1]).replace("P: s1", "P: 1"))
+def test_build_without_a_certificate_enumerates_once(monkeypatch):
+    # S5 with trivial P needs 139 live cosets: no finite image certifies
+    # anything, so the build runs one enumeration under the full limits,
+    # and its table is the one enumerate_cosets gives under them
+    calls = _count_enumerations(monkeypatch)
+    parsed = parse_input(S5_TRIVIAL)
     limits = EnumerationLimits(400, 4000)
     ctx = ClassifierContext.build(parsed, limits)
+    assert calls == [limits]
     table = enumerate_cosets(parsed.presentation, (), limits)
     assert ctx.p_table.index == table.index == 120
     assert ctx.p_table.total_defined == table.total_defined
