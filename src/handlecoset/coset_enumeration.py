@@ -32,11 +32,15 @@ Standardization walks the distinct columns and writes the finished
 table straight into one 1-based list per column; the result has a
 column for every letter, and an involutory generator's two columns are
 one list.  The standardized table does not depend on the sharing.  The
-post-checks work a column at a time and check every relator, x^2
-included: every column is a permutation, composing a column with its
-inverse column gives the identity list, every relator's composed
-columns give the identity list, every subgroup generator fixes coset 1,
-and every witness-tree edge is a table edge.
+post-checks prove each invariant once.  One check per generator (both
+columns have index + 1 entries, none of the generator's is negative,
+and the inverse column undoes it on every coset) proves that both
+columns are permutations and inverse to each other.  Every relator's
+composed columns give the identity list, a power u^m composed as u's
+list raised to the m-th power; the x^2 relator of an involution whose
+two letters are one list is that same inverse check, so it is not
+composed again.  Every subgroup generator fixes coset 1, and every
+witness-tree edge is a table edge.
 
 Cosets are numbered 1..index and coset 1 is the subgroup itself.
 """
@@ -255,10 +259,29 @@ class _Enumeration:
     def scan_and_fill(self, alpha: int, words: list[tuple[int, ...]]) -> None:
         """Scan coset alpha under each word in turn, filling every gap by
         definitions and closing it by a deduction or a coincidence; stop
-        early if alpha itself dies in a coincidence."""
+        early if alpha itself dies in a coincidence.
+
+        Each word is first traced forward alone: most scans meet no gap,
+        and such a scan ends at once, with a coincidence unless it ends
+        on alpha.  Only a scan that meets a gap restarts as the
+        two-ended scan, whose forward half stops at the same gap, so
+        every definition is made as before."""
         table, inv = self.table, self.inv
         cap = -1  # read on the first definition only
         for word in words:
+            f = alpha
+            for col in word:
+                nxt = table[f + col]
+                if nxt is None:
+                    break
+                f = nxt
+            else:
+                if f != alpha:
+                    self.coincidence(f, alpha)
+                    if alpha in self.merged:
+                        return
+                    cap = -1  # merges widen the live budget
+                continue
             f, i = alpha, 0
             b, j = alpha, len(word) - 1
             while True:
@@ -345,18 +368,73 @@ class _Enumeration:
         return [flat[k] for k in self.column], parents, defined
 
 
+def _root(columns: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(u, m) with columns = u repeated m times and m as large as possible."""
+    n = len(columns)
+    for d in range(1, n // 2 + 1):
+        if n % d == 0 and columns[:d] * (n // d) == columns:
+            return columns[:d], n // d
+    return columns, 1
+
+
+def _column_fault(a: list[int], b: list[int], identity: list[int]) -> str:
+    """The message for a generator column a and its inverse column b that
+    fail _verify's check: the first of "a is a permutation", "b inverts
+    a" and "b is a permutation" that fails.  Once the first two hold, b
+    agrees with a's inverse on 0..index, so only extra entries are left."""
+    try:
+        if sorted(a) != identity:
+            return "column is not a permutation"
+        if list(map(b.__getitem__, a)) != identity:
+            return "action is not inverse-consistent"
+    except TypeError:  # an entry that is not an int
+        return "column is not a permutation"
+    except IndexError:
+        return "action is not inverse-consistent"
+    return "column is not a permutation"
+
+
 def _verify(table: CosetTable, pres: GroupPresentation,
             subgroup: Sequence[Word]) -> None:
-    """Linear post-checks of the table invariants, a column at a time."""
+    """Linear post-checks of the table invariants, each proved once.
+
+    Columns: for each generator, with a its column and b its inverse
+    column, one check that both have index + 1 entries, that no entry
+    of a is negative, and that b[a[c]] == c for every c, where an entry
+    past the end or of the wrong type fails.  Then a maps 0..index into
+    0..index and has a left inverse, so it is a permutation; it is onto,
+    so b is its inverse on every point, and both columns are
+    permutations that invert each other.
+
+    Relators: a relator u^m (m as large as possible) composes u's
+    columns once and then raises that list to the m-th power.  The x^2
+    relator of an involution whose two letters are one list is not
+    composed: b is a there, so the column check above is x^2 = 1.
+
+    Then every subgroup generator fixes coset 1, and every witness-tree
+    edge is a table edge."""
     action = table._action
     identity = list(range(table.index + 1))
-    for col, column in enumerate(action):
-        if sorted(column) != identity:
-            raise AssertionError("column is not a permutation")
-        if list(map(action[col ^ 1].__getitem__, column)) != identity:
-            raise AssertionError("action is not inverse-consistent")
+    for col in range(0, len(action), 2):
+        a, b = action[col], action[col + 1]
+        try:
+            ok = (len(a) == len(b) == len(identity) and min(a) >= 0
+                  and list(map(b.__getitem__, a)) == identity)
+        except (IndexError, TypeError):
+            ok = False
+        if not ok:
+            raise AssertionError(_column_fault(a, b, identity))
     for rel in pres.relators:
-        if table.permutation(rel) != identity:
+        u, m = _root(_columns(rel))
+        if m == 2 and len(u) == 1 and action[u[0]] is action[u[0] ^ 1]:
+            continue
+        image = action[u[0]]
+        for col in u[1:]:
+            image = list(map(action[col].__getitem__, image))
+        power = image
+        for _ in range(m - 1):
+            power = list(map(image.__getitem__, power))
+        if power != identity:
             raise AssertionError("relator does not close")
     for w in subgroup:
         if not table.membership(w):

@@ -209,9 +209,10 @@ def _search(pres: GroupPresentation, degree: int, limit: int,
     """The first `limit` assignments of find_homomorphisms, depth first:
     generator 0 over the class leaders of S_degree (or _dihedral_leaders),
     generator k over all candidates, or, if _partners gives it an earlier
-    generator j, over those of the cycle type of j's image only.  A
-    candidate of another type fails a relator whatever comes later, so
-    the pruning drops no assignment and keeps their order."""
+    generator j, over those of the cycle type of j's image only, a list
+    picked once per image of j that passes its relators.  A candidate
+    of another type fails a relator whatever comes later, so the
+    pruning drops no assignment and keeps their order."""
     ngens = len(pres.generators)
     # lexicographic; a conjugation takes generator 0 to its leader
     if dihedral:
@@ -223,9 +224,13 @@ def _search(pres: GroupPresentation, degree: int, limit: int,
         points = range(degree)
     candidates = tuple((p, perm_inverse(p)) for p in perms)
     levels = [tuple((p, perm_inverse(p)) for p in firsts)] + [candidates] * (ngens - 1)
-    partner = _partners(pres)
+    # generator j -> the later generators whose partner it is
+    partnered: dict[int, list[int]] = {}
+    for k, j in enumerate(_partners(pres)):
+        if j < k:
+            partnered.setdefault(j, []).append(k)
     by_type: dict[tuple[int, ...], list[tuple[Perm, Perm]]] = {}
-    if any(j < k for k, j in enumerate(partner)):
+    if partnered:
         for c in candidates:
             by_type.setdefault(_cycle_type(c[0]), []).append(c)
     # a relator becomes checkable once its highest generator is assigned
@@ -243,12 +248,14 @@ def _search(pres: GroupPresentation, degree: int, limit: int,
             found.append(PermutationAssignment(degree, tuple(action[0::2]), dihedral))
             return
         checks = ready[k]
-        j = partner[k]
-        level = levels[k] if j == k else by_type[_cycle_type(action[2 * j])]
-        for p, p_inv in level:
+        for p, p_inv in levels[k]:
             action[2 * k] = p
             action[2 * k + 1] = p_inv
             if _holds(action, checks, points):
+                if k in partnered:  # fix the levels that draw from p's type
+                    same = by_type[_cycle_type(p)]
+                    for later in partnered[k]:
+                        levels[later] = same
                 extend(k + 1)
             if len(found) >= limit:
                 return

@@ -30,7 +30,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 from typing import Optional, Sequence
 
 from .errors import (CaseMismatch, DuplicateGenerator, MissingSection,
@@ -225,9 +224,15 @@ def format_word(word: Word, names: Sequence[str]) -> str:
     if word.is_identity:
         return "1"
     parts = []
-    for (i, s), run in groupby(word):
-        k = s * len(list(run))
-        parts.append(names[i] if k == 1 else f"{names[i]}^{k}")
+    letters = word.letters
+    run, k = letters[0], 0
+    for letter in letters + (None,):  # None closes the last run
+        if letter == run:
+            k += 1
+            continue
+        i, s = run
+        parts.append(names[i] if s * k == 1 else f"{names[i]}^{s * k}")
+        run, k = letter, 1
     return " ".join(parts)
 
 

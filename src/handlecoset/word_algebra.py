@@ -35,12 +35,17 @@ class Word:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self):
-        for idx, sign in self.letters:
-            if idx < 0 or sign not in (1, -1):
-                raise ValueError(f"bad letter {(idx, sign)!r}")
-        for (i, s), (j, t) in zip(self.letters, self.letters[1:]):
+        # one pass; a bad letter anywhere wins over a cancelling pair
+        reduced = True
+        j = t = None  # the previous letter
+        for i, s in self.letters:
+            if i < 0 or s not in (1, -1):
+                raise ValueError(f"bad letter {(i, s)!r}")
             if i == j and s == -t:
-                raise ValueError("word is not freely reduced")
+                reduced = False
+            j, t = i, s
+        if not reduced:
+            raise ValueError("word is not freely reduced")
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -294,6 +294,49 @@ def test_verify_rejects_a_bad_witness_parent():
         _verify(table, S3, [])
 
 
+def test_verify_rejects_a_negative_entry():
+    # -1 reads as the last coset in a Python list, so the inverse check
+    # alone would pass; the range check rejects it
+    table = _copy(enumerate_cosets(S3, []))
+    column = table._action[2]
+    column[column.index(table.index)] = -1
+    with pytest.raises(AssertionError, match="not a permutation"):
+        _verify(table, S3, [])
+
+
+def test_verify_rejects_a_long_inverse_column():
+    table = _copy(enumerate_cosets(S3, []))
+    table._action[3].append(1)  # b^-1 still inverts b on every coset
+    with pytest.raises(AssertionError, match="not a permutation"):
+        _verify(table, S3, [])
+
+
+def test_verify_rejects_a_shared_column_that_is_not_an_involution():
+    # a's two letters share one list; make it b's permutation, not a's
+    table = _copy(enumerate_cosets(S3, []))
+    table._action[0] = table._action[1] = table._action[2]
+    with pytest.raises(AssertionError, match="not inverse-consistent"):
+        _verify(table, S3, [])
+
+
+def test_verify_composes_x2_on_two_lists():
+    # a's columns in the regular table of C4 are two lists, so a^2 is
+    # checked as a relator, and it moves every coset
+    table = enumerate_cosets(C4, [])
+    wider = GroupPresentation(C4.generators, C4.relators + (word("a^2", C4),))
+    with pytest.raises(AssertionError, match="relator does not close"):
+        _verify(table, wider, [])
+
+
+def test_verify_rejects_a_power_relator_that_does_not_close():
+    # a b has order 2 in S3, so (a b)^3 = a b moves every coset
+    table = enumerate_cosets(S3, [])
+    wider = GroupPresentation(S3.generators,
+                              S3.relators + (word("a b a b a b", S3),))
+    with pytest.raises(AssertionError, match="relator does not close"):
+        _verify(table, wider, [])
+
+
 def _table_digest(table):
     h = hashlib.sha256()
     for c in range(1, table.index + 1):

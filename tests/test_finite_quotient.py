@@ -477,7 +477,8 @@ def test_dihedral_homs_match_reference_search(pres):
 
 def _count_holds(monkeypatch, name="_holds"):
     """Count the calls of finite_quotient's function `name`: _holds
-    checks one candidate, _trace traces one relator from one point."""
+    checks one candidate, _trace traces one relator from one point,
+    _cycle_type reads one permutation's cycle type."""
     holds, calls = getattr(finite_quotient, name), [0]
 
     def counted(*args):
@@ -520,6 +521,19 @@ def test_dihedral_walk_cost_without_a_timer(monkeypatch, skg, checks, traces):
         _search.cache_clear()
         monkeypatch.undo()
         assert calls[0] < bound, name
+
+
+def test_dihedral_walk_cycle_types_without_a_timer(monkeypatch):
+    # the D_6..D_13 searches on S8 with P = <s1>: every s_i joins s_1, so
+    # each search groups its 2m candidates by cycle type (152 calls in
+    # all) and reads the type of each image of s_1 that passes its
+    # relators once (24), not again on every node below it (164)
+    presentation = parse_input(coxeter_skg(8, [1])).presentation
+    calls = _count_holds(monkeypatch, "_cycle_type")
+    for m in DIHEDRAL_DEGREES:
+        find_homomorphisms(presentation, m, dihedral=True)
+    _search.cache_clear()
+    assert calls[0] < 200
 
 
 def test_knot_search_cost_without_a_timer(monkeypatch):

@@ -1,6 +1,8 @@
 import tracemalloc
+from itertools import groupby
 
 import pytest
+from hypothesis import given, strategies as st
 
 from handlecoset.coset_enumeration import EnumerationLimits
 from handlecoset.errors import (DuplicateGenerator, MissingSection,
@@ -10,7 +12,7 @@ from handlecoset.knot_input import (MAX_WORD_LETTERS, SurfaceKnotInput,
                                     format_word, parse_input, parse_word,
                                     serialize)
 from handlecoset.selftest import peval, pinv, pmul, subgroup_of, two_bridge_skg
-from handlecoset.word_algebra import Word
+from handlecoset.word_algebra import Word, free_reduce
 
 D8_CASE3 = ("group: r s\nrel: r^4\nrel: s^2\nrel: r s r s\n"
             "P: r^2 , s\nP+: r^2\nn: s\norientable: false")
@@ -158,6 +160,42 @@ def test_format_word():
     assert format_word(Word(), names) == "1"
     assert format_word(parse_word("a a a b^-2 a", parsed.presentation),
                        names) == "a^3 b^-2 a"
+
+
+def groupby_format(word, names):
+    """format_word as a groupby over the letters, its reference."""
+    if word.is_identity:
+        return "1"
+    parts = []
+    for (i, s), run in groupby(word):
+        k = s * len(list(run))
+        parts.append(names[i] if k == 1 else f"{names[i]}^{k}")
+    return " ".join(parts)
+
+
+ABC = parse_input("group: a b c\nP: a\norientable: true").presentation
+# runs of either sign; free reduction merges or cancels neighbouring runs
+runs_st = st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                             st.integers(min_value=-4, max_value=4)),
+                   max_size=10)
+
+
+def _word_of_runs(runs):
+    return free_reduce([(i, 1 if k > 0 else -1) for i, k in runs
+                        for _ in range(abs(k))])
+
+
+@given(runs_st)
+def test_format_word_matches_groupby(runs):
+    word = _word_of_runs(runs)
+    assert format_word(word, ABC.generator_names) == \
+        groupby_format(word, ABC.generator_names)
+
+
+@given(runs_st)
+def test_format_word_parses_back(runs):
+    word = _word_of_runs(runs)
+    assert parse_word(format_word(word, ABC.generator_names), ABC) == word
 
 
 def test_input_invariants():

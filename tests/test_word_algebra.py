@@ -106,6 +106,46 @@ def test_word_rejects_unreduced():
         Word(((A, 2),))
 
 
+def two_loop_validate(letters):
+    """Word's validation as two passes, the reference for its one pass:
+    every letter first, then every adjacent pair."""
+    for idx, sign in letters:
+        if idx < 0 or sign not in (1, -1):
+            raise ValueError(f"bad letter {(idx, sign)!r}")
+    for (i, s), (j, t) in zip(letters, letters[1:]):
+        if i == j and s == -t:
+            raise ValueError("word is not freely reduced")
+
+
+def outcome(check, letters):
+    try:
+        check(letters)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# mostly well-formed letters over a small alphabet, so cancelling pairs
+# are common, mixed with bad indices and signs, wrong arities and non-pairs
+any_letters_st = st.lists(st.one_of(
+    st.tuples(st.integers(min_value=0, max_value=2), st.sampled_from((1, -1))),
+    st.tuples(st.integers(min_value=-2, max_value=2),
+              st.integers(min_value=-2, max_value=2)),
+    st.tuples(st.integers(min_value=0, max_value=2)),
+    st.tuples(st.integers(), st.integers(), st.integers()),
+    st.none(), st.text(max_size=3)), max_size=12).map(tuple)
+
+
+@given(any_letters_st)
+def test_word_validates_like_the_two_pass_reference(letters):
+    assert outcome(Word, letters) == outcome(two_loop_validate, letters)
+
+
+def test_a_bad_letter_wins_over_a_cancelling_pair():
+    with pytest.raises(ValueError, match="bad letter"):
+        Word(((A, 1), (A, -1), (B, 0)))
+
+
 def test_generator_symbol_names():
     assert GeneratorSymbol("t_1").name == "t_1"
     for bad in ("", "1a", "a-b", "a b"):
