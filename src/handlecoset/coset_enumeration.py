@@ -32,15 +32,7 @@ Standardization walks the distinct columns and writes the finished
 table straight into one 1-based list per column; the result has a
 column for every letter, and an involutory generator's two columns are
 one list.  The standardized table does not depend on the sharing.  The
-post-checks prove each invariant once.  One check per generator (both
-columns have index + 1 entries, none of the generator's is negative,
-and the inverse column undoes it on every coset) proves that both
-columns are permutations and inverse to each other.  Every relator's
-composed columns give the identity list, a power u^m composed as u's
-list raised to the m-th power; the x^2 relator of an involution whose
-two letters are one list is that same inverse check, so it is not
-composed again.  Every subgroup generator fixes coset 1, and every
-witness-tree edge is a table edge.
+post-checks, which _verify states, prove each invariant once.
 
 Cosets are numbered 1..index and coset 1 is the subgroup itself.
 """
@@ -81,7 +73,8 @@ class CosetTable:
     a permutation of 1..index on each signed generator.  Every relator
     traces each coset to itself and every subgroup generator fixes
     coset 1.  witness(c) is a word carrying coset 1 to c along the BFS
-    discovery tree (witness(1) is the empty word).
+    discovery tree (witness(1) is the empty word), and unwitness(c, x)
+    traces x by its inverse.
 
     Storage is one list per column: _action[col][c] is the image of
     coset c, with a 0 placeholder at position 0.  Column 2i is generator
@@ -152,6 +145,17 @@ class CosetTable:
             letters.append((col >> 1, -1 if col & 1 else 1))
             c = parent
         return Word(tuple(reversed(letters)))
+
+    def unwitness(self, coset: int, start: int) -> int:
+        """The coset start * witness(coset)^-1, read off the BFS tree from
+        coset up to coset 1, one inverse column per edge; no word is
+        built."""
+        parents, action = self._parents, self._action
+        c, x = coset, start
+        while (edge := parents[c]) is not None:
+            c, col = edge
+            x = action[col ^ 1][x]
+        return x
 
     def __repr__(self):
         return f"<CosetTable index={self.index} on {self.n_generators} generators>"

@@ -12,10 +12,10 @@ acting words and refuse any others.
 Two maps descend to double cosets: inversion (core reversal), and the
 twist g -> n g n, well defined once the validation checks for n have
 passed.  Each is filled in per double coset on first use, by walking
-the witness tree from the canonical coset up to coset 1.  The walk meets
-the witness's letters last-first, which is the order in which its
-inverse applies them, so it traces the inverse of the witness without
-building a word.
+the witness tree from the canonical coset up to coset 1
+(CosetTable.unwitness).  The walk meets the witness's letters
+last-first, which is the order in which its inverse applies them, so it
+traces the inverse of the witness without building a word.
 
 nest_slots is the one definition of an invariant value's shape: how its
 double cosets nest in unordered pairs: by UnorderedPair over
@@ -84,7 +84,7 @@ class Partition:
     def inverse(self, table: CosetTable, canonical: int) -> int:
         image = self.inv.get(canonical)
         if image is None:
-            image = self.inv[canonical] = self.label[_unwitness(table, canonical, 1)]
+            image = self.inv[canonical] = self.label[table.unwitness(canonical, 1)]
         return image
 
     def twist_images(self, n: Word) -> dict[int, int]:
@@ -103,20 +103,9 @@ class Partition:
         if image is None:
             # the class of (n g n)^-1 = n^-1 g^-1 n^-1, then inverted
             n_inv = invert(n)
-            x = table.trace(_unwitness(table, canonical, table.trace(1, n_inv)), n_inv)
+            x = table.trace(table.unwitness(canonical, table.trace(1, n_inv)), n_inv)
             image = images[canonical] = self.inverse(table, self.label[x])
         return image
-
-
-def _unwitness(table: CosetTable, canonical: int, start: int) -> int:
-    """The coset start * witness(canonical)^-1, read off the witness tree
-    from canonical up to coset 1, one inverse column per edge."""
-    parents, action = table._parents, table._action
-    c, x = canonical, start
-    while (edge := parents[c]) is not None:
-        c, col = edge
-        x = action[col ^ 1][x]
-    return x
 
 
 def partition(table: CosetTable) -> Partition:

@@ -21,16 +21,17 @@ no enumeration budget can (index_certificate): in a transitive image
 the stabilizer H of point 0 has finite index, and abelianised
 Reidemeister-Schreier gives H^ab over Q; if H_K, the intersection of K
 with H, spans a smaller rank there, |H : H_K| is infinite, and so is
-|G : K|.  One certificate walk searches S_d for small d, a second the
-dihedral group D_m of order 2m acting on Z/m for larger m: every
-2-bridge knot group b(p, q) maps onto D_p with the meridians going to
-reflections (Riley, "Homomorphisms of knot groups on finite groups",
-1971), and a generator of D_m has only 2m candidate images, so its
-search stays cheap at degrees where that of S_m does not.  D_m is
-searched up to conjugacy by the affine maps x -> u x + t of Z/m, which
-normalise it, and since only its identity fixes both 0 and 1, a
-relator is traced from those two points alone.  The one search kernel,
-_search, serves both candidate sets.
+|G : K|.  The certificate walk (infinite_index_certificate) reads the
+images in S_d for small d, then those in the dihedral group D_m of
+order 2m acting on Z/m for larger m: every 2-bridge knot group b(p, q)
+maps onto D_p with the meridians going to reflections (Riley,
+"Homomorphisms of knot groups on finite groups", 1971), and a generator
+of D_m has only 2m candidate images, so its search stays cheap at
+degrees where that of S_m does not.  D_m is searched up to conjugacy
+by the affine maps x -> u x + t of Z/m, which normalise it, and since
+only its identity fixes both 0 and 1, a relator is traced from those
+two points alone.  The one search kernel, _search, serves both
+candidate sets.
 """
 
 from __future__ import annotations
@@ -55,13 +56,13 @@ Columns = tuple[int, ...]  # a word compiled by _columns
 MAX_SEPARATE_DEGREE = 8
 # assignments kept per degree; binds only at d = 6 on knots with p <= 13
 HOM_LIMIT = 64
-# degrees of the images in S_d of the first certificate walk, which runs on
-# every build before it enumerates, finite index included; each degree
-# adds to every build
+# degrees of the images in S_d that the certificate walk reads first; it
+# runs on every build before it enumerates, finite index included, so each
+# degree adds to every build
 CERTIFICATE_DEGREES = range(2, 6)
-# degrees m of the images in the dihedral group D_m of the second walk,
-# which runs on every build the first walk leaves undecided, before it
-# enumerates; each degree adds to every such build
+# degrees m of the images in the dihedral group D_m that the walk reads
+# next, on every build the S_d images leave undecided; each degree adds to
+# every such build
 DIHEDRAL_DEGREES = range(6, 14)
 
 
@@ -72,8 +73,8 @@ class PermutationAssignment:
     in the dihedral group D_degree if dihedral is set, generator 0's one
     of _dihedral_leaders.
 
-    Only produced by find_homomorphisms, which guarantees every relator
-    evaluates to the identity permutation.
+    Only produced by _search, which guarantees every relator evaluates
+    to the identity permutation.
     """
 
     degree: int
@@ -116,10 +117,18 @@ def _holds(action: list[Perm], relators: list[tuple[int, ...]], points: range) -
     return True
 
 
-def _check_degree(degree: int, dihedral: bool = False) -> None:
-    top = DIHEDRAL_DEGREES[-1] if dihedral else MAX_SEPARATE_DEGREE
-    if not 1 <= degree <= top:
-        raise ValueError(f"degree must be in 1..{top}, got {degree}")
+def _check_degree(degree: int) -> None:
+    if not 1 <= degree <= MAX_SEPARATE_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_SEPARATE_DEGREE}, got {degree}")
+
+
+def _action(hom: PermutationAssignment) -> list[Perm]:
+    """The image of generator i at 2i and its inverse at 2i + 1, the
+    order of the columns of a word compiled by _columns."""
+    action = []
+    for p in hom.images:
+        action += (p, perm_inverse(p))
+    return action
 
 
 def _dihedral(degree: int) -> list[Perm]:
@@ -206,13 +215,15 @@ def _partners(pres: GroupPresentation) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _search(pres: GroupPresentation, degree: int, limit: int,
             dihedral: bool) -> tuple[PermutationAssignment, ...]:
-    """The first `limit` assignments of find_homomorphisms, depth first:
-    generator 0 over the class leaders of S_degree (or _dihedral_leaders),
-    generator k over all candidates, or, if _partners gives it an earlier
-    generator j, over those of the cycle type of j's image only, a list
-    picked once per image of j that passes its relators.  A candidate
-    of another type fails a relator whatever comes later, so the
-    pruning drops no assignment and keeps their order."""
+    """The first `limit` homomorphisms into S_degree (find_homomorphisms
+    lists them), or if dihedral is set into D_degree (x -> x + c and
+    x -> c - x on Z/degree; infinite_index_certificate reads them), depth
+    first: generator 0 over the class leaders of S_degree (or
+    _dihedral_leaders), generator k over all candidates, or, if _partners
+    gives it an earlier generator j, over those of the cycle type of j's
+    image only, a list picked once per image of j that passes its
+    relators.  A candidate of another type fails a relator whatever comes
+    later, so the pruning drops no assignment and keeps their order."""
     ngens = len(pres.generators)
     # lexicographic; a conjugation takes generator 0 to its leader
     if dihedral:
@@ -265,30 +276,24 @@ def _search(pres: GroupPresentation, degree: int, limit: int,
 
 
 def find_homomorphisms(pres: GroupPresentation, degree: int,
-                       limit: int = HOM_LIMIT,
-                       dihedral: bool = False) -> list[PermutationAssignment]:
-    """Backtracking search for homomorphisms into S_degree, or into the
-    dihedral group D_degree (x -> x + c and x -> c - x on Z/degree) if
-    dihedral is set.
+                       limit: int = HOM_LIMIT) -> list[PermutationAssignment]:
+    """Backtracking search for homomorphisms into S_degree.
 
     Images are tried in lexicographic order, so the output order is
-    deterministic; in S_degree generator 0 tries only the least
-    permutation of each cycle type, and in D_degree one element of each
-    class under the affine maps x -> u x + t, so below the limit every
-    homomorphism is conjugate to a listed one, by a permutation or an
-    affine map.  A generator that a
-    relator x^e u y^f u^-1 proves conjugate to an earlier one or its
-    inverse (see _partners) tries only the permutations of its partner's
-    cycle type; no other can satisfy that relator, so this lists the
-    same assignments in the same order.  At most `limit` assignments are
-    returned and each one satisfies every relator.  An empty list is a
-    valid result.  The degree must lie in 1..MAX_SEPARATE_DEGREE, or in
-    1..max(DIHEDRAL_DEGREES) for D_degree.
+    deterministic; generator 0 tries only the least permutation of each
+    cycle type, so below the limit every homomorphism is conjugate to a
+    listed one.  A generator that a relator x^e u y^f u^-1 proves
+    conjugate to an earlier one or its inverse (see _partners) tries
+    only the permutations of its partner's cycle type; no other can
+    satisfy that relator, so this lists the same assignments in the same
+    order.  At most `limit` assignments are returned and each one
+    satisfies every relator.  An empty list is a valid result.  The
+    degree must lie in 1..MAX_SEPARATE_DEGREE.
     """
-    _check_degree(degree, dihedral)
+    _check_degree(degree)
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    return list(_search(pres, degree, limit, dihedral))
+    return list(_search(pres, degree, limit, False))
 
 
 def _image_value(hom: PermutationAssignment, acting: list[Columns],
@@ -300,9 +305,7 @@ def _image_value(hom: PermutationAssignment, acting: list[Columns],
     least permutation, and every element of a closure computed is
     recorded with that name, so a later slot in the same double coset,
     of this cord or another, is one lookup."""
-    action: list[Callable[[int], int]] = []
-    for p in hom.images:
-        action += (p.__getitem__, perm_inverse(p).__getitem__)
+    action = [p.__getitem__ for p in _action(hom)]
     identity = tuple(range(hom.degree))
 
     def image(columns: Columns) -> Perm:
@@ -450,9 +453,7 @@ def index_certificate(hom: PermutationAssignment, pres: GroupPresentation,
     U[o] the row of u_o traced from 0.
     """
     ngens = len(pres.generators)
-    action: list[Perm] = []
-    for p in hom.images:
-        action += (p, perm_inverse(p))
+    action = _action(hom)
     tree: set[tuple[int, int]] = set()  # edges (x, i) with x g_i on the tree
     order = [0]
     reached = {0}
@@ -513,26 +514,21 @@ def index_certificate(hom: PermutationAssignment, pres: GroupPresentation,
     return IndexCertificate(hom, width - relator_rank, len(basis) - relator_rank)
 
 
-def certificate_walk(pres: GroupPresentation, subgroup: Sequence[Word],
-                     dihedral: bool = False) -> Optional[IndexCertificate]:
-    """The first certificate of infinite index for the subgroup among the
-    homomorphisms find_homomorphisms lists into S_d for each d in
-    CERTIFICATE_DEGREES, or with dihedral, into D_m for each m in
-    DIHEDRAL_DEGREES, or None, each read at point 0 only.
-    handle_classifier.subgroup_table walks S_d, then D_m, before it
-    enumerates.  The S_d searches are the capped ones quotient_separate
-    runs, so a later separation on the same presentation finds them
-    cached; it never uses the dihedral images."""
-    for degree in DIHEDRAL_DEGREES if dihedral else CERTIFICATE_DEGREES:
-        for hom in find_homomorphisms(pres, degree, dihedral=dihedral):
-            cert = index_certificate(hom, pres, subgroup)
-            if cert is not None:
-                return cert
-    return None
-
-
 def infinite_index_certificate(pres: GroupPresentation, subgroup: Sequence[Word]
                                ) -> Optional[IndexCertificate]:
-    """The first certificate of the S_d walk, else of the D_m walk (see
-    certificate_walk), or None."""
-    return certificate_walk(pres, subgroup) or certificate_walk(pres, subgroup, True)
+    """The first certificate of infinite index for the subgroup, or None.
+
+    The walk reads the images that _search lists under HOM_LIMIT into
+    S_d for each d in CERTIFICATE_DEGREES, then into D_m for each m in
+    DIHEDRAL_DEGREES, each at point 0 only, and stops at the first
+    certificate.  handle_classifier.subgroup_table runs it before it
+    enumerates.  The S_d searches are the capped ones quotient_separate
+    runs, so a later separation on the same presentation finds them
+    cached; it never uses the D_m images."""
+    for dihedral, degrees in ((False, CERTIFICATE_DEGREES), (True, DIHEDRAL_DEGREES)):
+        for degree in degrees:
+            for hom in _search(pres, degree, HOM_LIMIT, dihedral):
+                cert = index_certificate(hom, pres, subgroup)
+                if cert is not None:
+                    return cert
+    return None

@@ -58,12 +58,11 @@ def subgroup_table(input: SurfaceKnotInput, name: str,
     Raises MissingPPlus for "P+" on an input without a P+ section.  The
     steps run cheapest first, and the first that decides ends the build:
 
-    1. the S_d certificate walk;
-    2. the D_m certificate walk.  Both come before any enumeration
-       (finite_quotient.infinite_index_certificate runs them), and a
-       certificate raises InfiniteIndex, naming the subgroup, that
-       quotes no enumeration;
-    3. one enumeration under the limits, which raises a plain
+    1. the certificate walk over the images in S_d, then in D_m
+       (finite_quotient.infinite_index_certificate), before any
+       enumeration; a certificate raises InfiniteIndex, naming the
+       subgroup, that quotes no enumeration;
+    2. one enumeration under the limits, which raises a plain
        ResourceExhausted if they run out.
     """
     words = input.p_generators if name == "P" else input.p_plus_generators
@@ -209,7 +208,7 @@ def _kind_of(case: CaseLabel, core_oriented: bool) -> str:
     return "oriented-core" if core_oriented else "unordered-core"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HandleInvariant:
     """Case-tagged invariant value, shaped as nest_slots nests it.
 
@@ -218,8 +217,8 @@ class HandleInvariant:
     compares kind and value only; the case label rides along for reporting.
     """
 
-    case: CaseLabel
-    core_oriented: bool
+    case: CaseLabel = field(compare=False)
+    core_oriented: bool = field(compare=False)
     value: InvariantValue
     kind: str = field(init=False, repr=False)  # fixed by case and core_oriented
 
@@ -229,14 +228,6 @@ class HandleInvariant:
         size = slot_count(self.case is CaseLabel.CASE3, self.core_oriented)
         if not _nests(self.value, size):
             raise ValueError(f"value shape does not match kind {kind!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, HandleInvariant):
-            return NotImplemented
-        return self.kind == other.kind and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.kind, self.value))
 
     def double_cosets(self) -> tuple[DoubleCosetId, ...]:
         """All double-coset ids inside the value, left to right."""

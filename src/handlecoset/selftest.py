@@ -838,15 +838,15 @@ def check_quotient_determinism(seed: int, max_degree: int = 5) -> str:
         f"1..{max_degree}, {len(subjects) - 2} corpus groups at degrees 1..4"
 
 
-def check_infinite_index_certificate(max_degree: int = CERTIFICATE_DEGREES[-1]) -> str:
+def check_infinite_index_certificate() -> str:
     """No finite-index subgroup gets a certificate of infinite index:
     every GROUP_CORPUS subgroup (the trivial one too) and the P and P+ of
-    every INPUT_CORPUS input, over every image in S_d, d <= max_degree
-    (by default the last of CERTIFICATE_DEGREES, which every build reads
-    before it enumerates), and every image in D_m, m in DIHEDRAL_DEGREES, that an uncapped
-    search finds.  The S_d images come up to conjugacy and the D_m images
-    up to the affine maps x -> u x + t, so each is read at every base
-    point (u x fixes 0, so it keeps the stabilizer of 0)."""
+    every INPUT_CORPUS input, over every image an uncapped _search finds
+    in S_d, d up to the last of CERTIFICATE_DEGREES, and in D_m, m in
+    DIHEDRAL_DEGREES: the groups every build reads before it enumerates.
+    The S_d images come up to conjugacy and the D_m images up to the
+    affine maps x -> u x + t, so each is read at every base point (u x
+    fixes 0, so it keeps the stabilizer of 0)."""
     subjects = [(case.name, pres, words)
                 for case, pres, subgroups in _resolved_groups() for words in subgroups]
     for case, parsed, _ctx in _resolved_inputs():
@@ -854,12 +854,12 @@ def check_infinite_index_certificate(max_degree: int = CERTIFICATE_DEGREES[-1]) 
         if parsed.p_plus_generators is not None:
             subjects.append((case.label, parsed.presentation,
                              parsed.p_plus_generators))
-    searches = [(d, False) for d in range(1, max_degree + 1)]
+    searches = [(d, False) for d in range(1, CERTIFICATE_DEGREES[-1] + 1)]
     searches += [(m, True) for m in DIHEDRAL_DEGREES]
     images = 0
     for name, pres, words in subjects:
         for degree, dihedral in searches:
-            for hom in find_homomorphisms(pres, degree, 10**9, dihedral):
+            for hom in _search(pres, degree, 10**9, dihedral):
                 for point in range(degree):
                     assert index_certificate(rebased(hom, point), pres, words) is None, \
                         f"{name}: certificate of infinite index for a finite-index " \

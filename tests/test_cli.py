@@ -489,6 +489,18 @@ def test_pairs_are_built_only_in_double_cosets():
     assert callers <= {"double_cosets"}
 
 
+def test_only_coset_enumeration_reads_the_table_fields():
+    # a table's columns and witness tree are read through CosetTable's
+    # own methods everywhere else, so their layout has one owner
+    readers = set()
+    for path in Path(handlecoset.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(isinstance(node, ast.Attribute) and node.attr in ("_parents", "_action")
+               for node in ast.walk(tree)):
+            readers.add(path.stem)
+    assert readers == {"coset_enumeration"}
+
+
 def test_only_the_classifier_chooses_a_case_table():
     # which table a case works over is decided in handle_classifier
     # alone, and the CLI builds candidates through it, not from ids

@@ -14,7 +14,7 @@ from handlecoset.errors import CaseMismatch
 from handlecoset.finite_quotient import (CERTIFICATE_DEGREES,
                                          DIHEDRAL_DEGREES, HOM_LIMIT,
                                          MAX_SEPARATE_DEGREE,
-                                         SeparationVerdict, certificate_walk,
+                                         SeparationVerdict,
                                          find_homomorphisms, index_certificate,
                                          infinite_index_certificate,
                                          quotient_separate, _extend_basis,
@@ -347,14 +347,13 @@ def _bench_shapes(n):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_no_certificate_on_coxeter_groups(n):
     # S_n is finite, so every subgroup has finite index.  Every build now
-    # reads the S_d images before it enumerates, so neither walk may
-    # certify infinite index for the subgroup of any bench query shape,
-    # read at point 0 as subgroup_table reads them
+    # reads the S_d and D_m images before it enumerates, so the walk may
+    # not certify infinite index for the subgroup of any bench query
+    # shape, read at point 0 as subgroup_table reads them
     presentation = parse_input(coxeter_skg(n, [1])).presentation
     for p in _bench_shapes(n):
         words = parse_input(coxeter_skg(n, p)).p_generators
-        assert certificate_walk(presentation, words) is None, p
-        assert certificate_walk(presentation, words, dihedral=True) is None, p
+        assert infinite_index_certificate(presentation, words) is None, p
     if n > 5:
         return
     # no transitive image of degree <= 5, nor any dihedral image the
@@ -367,7 +366,7 @@ def test_no_certificate_on_coxeter_groups(n):
     transitive = sum(map(_transitive, homs))
     assert transitive == {4: 8, 5: 14}[n]
     dihedral = [hom for m in DIHEDRAL_DEGREES
-                for hom in find_homomorphisms(presentation, m, 10**9, dihedral=True)]
+                for hom in _search(presentation, m, 10**9, True)]
     # S4 maps onto D_6 = S_3 x Z/2, with s_1 going to x -> -x or to
     # x -> 1 - x; S5 has no transitive dihedral image
     assert sum(map(_transitive, dihedral)) == {4: 2, 5: 0}[n]
@@ -427,6 +426,31 @@ def test_search_without_a_certificate_stays_cheap(skg):
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.parametrize("p, steps", [
+    (3, 2), (7, len(CERTIFICATE_DEGREES) + 2),
+    (17, len(CERTIFICATE_DEGREES) + len(DIHEDRAL_DEGREES))])
+def test_walk_reads_s_d_then_d_m_and_stops_at_a_certificate(monkeypatch, p, steps):
+    # b(3, 1) is certified in S_3, b(7, 1) in D_7, and b(17, 1) nowhere:
+    # the walk searches S_2..S_5, then D_6..D_13, each under the cap,
+    # and no search follows the one that certifies
+    searched = []
+    search = finite_quotient._search
+
+    def recorded(pres, degree, limit, dihedral):
+        searched.append((degree, dihedral, limit))
+        return search(pres, degree, limit, dihedral)
+
+    monkeypatch.setattr(finite_quotient, "_search", recorded)
+    data = parse_input(two_bridge_skg(p, 1))
+    cert = infinite_index_certificate(data.presentation, data.p_generators)
+    walk = [(d, False, HOM_LIMIT) for d in CERTIFICATE_DEGREES]
+    walk += [(m, True, HOM_LIMIT) for m in DIHEDRAL_DEGREES]
+    assert searched == walk[:steps]
+    assert (cert is None) == (p == 17)
+    if cert is not None:
+        assert (cert.degree, cert.hom.dihedral) == searched[-1][:2]
+
+
 def _dihedral_group(m):
     """The elements of D_m, generated by x -> x + 1 and x -> -x on Z/m,
     in sorted order: 2m of them from m = 3 on, m on Z/1 and Z/2, where
@@ -456,7 +480,7 @@ def test_dihedral_homs_match_reference_search(pres):
         expected = {images for images in
                     itertools.product(elements, repeat=len(pres.generators))
                     if all(peval(rel, images) == elements[0] for rel in pres.relators)}
-        homs = find_homomorphisms(pres, m, 10**9, dihedral=True)
+        homs = _search(pres, m, 10**9, True)
         assert all(h.degree == m and h.dihedral for h in homs)
         listed = {h.images for h in homs}
         assert len(listed) == len(homs) and listed <= expected, m
@@ -465,14 +489,12 @@ def test_dihedral_homs_match_reference_search(pres):
         for images in expected:
             assert any(tuple(pmul(pmul(pinv(s), p), s) for p in images) in listed
                        for s in affine), (m, images)
-        assert [h.images for h in find_homomorphisms(pres, m, 5, dihedral=True)] == \
+        assert [h.images for h in _search(pres, m, 5, True)] == \
             [h.images for h in homs[:5]]
     # a p-colouring needs p to divide the determinant: 5 for the figure
     # eight, so up to affine maps D_7 gives only the trivial map, the map
     # onto Z/7 and the map onto Z/2
-    assert len(find_homomorphisms(FIGURE_EIGHT, 7, 10**9, dihedral=True)) == 3
-    with pytest.raises(ValueError):
-        find_homomorphisms(TREFOIL, DIHEDRAL_DEGREES[-1] + 1, dihedral=True)
+    assert len(_search(FIGURE_EIGHT, 7, 10**9, True)) == 3
 
 
 def _count_holds(monkeypatch, name="_holds"):
@@ -517,7 +539,7 @@ def test_dihedral_walk_cost_without_a_timer(monkeypatch, skg, checks, traces):
     for name, bound in (("_holds", checks), ("_trace", traces)):
         calls = _count_holds(monkeypatch, name)
         for m in DIHEDRAL_DEGREES:
-            find_homomorphisms(presentation, m, dihedral=True)
+            _search(presentation, m, HOM_LIMIT, True)
         _search.cache_clear()
         monkeypatch.undo()
         assert calls[0] < bound, name
@@ -531,7 +553,7 @@ def test_dihedral_walk_cycle_types_without_a_timer(monkeypatch):
     presentation = parse_input(coxeter_skg(8, [1])).presentation
     calls = _count_holds(monkeypatch, "_cycle_type")
     for m in DIHEDRAL_DEGREES:
-        find_homomorphisms(presentation, m, dihedral=True)
+        _search(presentation, m, HOM_LIMIT, True)
     _search.cache_clear()
     assert calls[0] < 200
 
@@ -546,7 +568,7 @@ def test_knot_search_cost_without_a_timer(monkeypatch):
         for degree in range(1, 7):
             find_homomorphisms(presentation, degree)
         for m in DIHEDRAL_DEGREES:
-            find_homomorphisms(presentation, m, dihedral=True)
+            _search(presentation, m, HOM_LIMIT, True)
     _search.cache_clear()
     assert calls[0] < 120_000
 
