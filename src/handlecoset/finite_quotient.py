@@ -6,7 +6,12 @@ groups of small degree and compare the handle invariants inside the
 finite image.  Double-coset equality is preserved by any homomorphism,
 so a difference in some image certifies inequivalence; agreement proves
 nothing.  Conjugating an image in S_d changes neither, so S_d is
-searched up to conjugacy of generator 0's image.  A generator that a
+searched up to conjugacy of generator 0's image.  An image whose
+generators all fix one point is, on the other points, an isomorphic
+image of one degree less; when that degree was listed below the cap,
+one of its listed images is conjugate to it and was compared first, so
+quotient_separate skips it and the verdict stays that of comparing every
+listed image (find_homomorphisms still lists it).  A generator that a
 relator proves conjugate to an earlier one draws only from that one's
 cycle type; in Schubert and Wirtinger presentations of knot groups
 every generator is such a meridian.  Inside a finite image everything
@@ -177,7 +182,8 @@ def _cycle_type(p: Perm) -> tuple[int, ...]:
     return tuple(lengths)
 
 
-@lru_cache(maxsize=None)
+# bounded like _search; one key per presentation
+@lru_cache(maxsize=32)
 def _partners(pres: GroupPresentation) -> tuple[int, ...]:
     """For each generator, the least generator a relator chain proves it
     conjugate to, itself if none.
@@ -212,7 +218,10 @@ def _partners(pres: GroupPresentation) -> tuple[int, ...]:
     return tuple(find(i) for i in range(len(root)))
 
 
-@lru_cache(maxsize=None)
+# bounded, so that a process that runs many presentations keeps only the
+# latest; one presentation's walk and separation read S_1..S_8 and
+# D_6..D_13 at the default cap, 16 keys
+@lru_cache(maxsize=32)
 def _search(pres: GroupPresentation, degree: int, limit: int,
             dihedral: bool) -> tuple[PermutationAssignment, ...]:
     """The first `limit` homomorphisms into S_degree (find_homomorphisms
@@ -296,6 +305,19 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
     return list(_search(pres, degree, limit, False))
 
 
+def _fixes_a_point(hom: PermutationAssignment) -> bool:
+    """True iff every generator image of hom, an image in S_d, fixes one
+    common point.  Generator 0's image is a class leader, whose fixed
+    points are 0..f-1, so the search stops at the first point it moves."""
+    images = hom.images
+    for x in range(hom.degree):
+        if all(p[x] == x for p in images):
+            return True
+        if images[0][x] != x:
+            return False
+    return False
+
+
 def _image_value(hom: PermutationAssignment, acting: list[Columns],
                  n: Optional[Columns], core_oriented: bool) -> Callable[[Columns], object]:
     """The invariant of a cord inside hom's image, as a function of the
@@ -365,10 +387,17 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
 
     DISTINCT only when some homomorphism onto a permutation group of
     degree <= max_degree gives the two words different invariants there;
-    UNKNOWN otherwise.  Never claims equivalence.  Raises CaseMismatch
-    if the case does not fit the input's surface, and ValueError for a
-    max_degree outside 1..MAX_SEPARATE_DEGREE or a cord letter outside
-    the presentation.
+    UNKNOWN otherwise.  Never claims equivalence.  The images are those
+    find_homomorphisms lists, by increasing degree, less the images of
+    degree d whose generators all fix one common point when fewer than
+    HOM_LIMIT were listed at degree d - 1 (at degree 1, always):
+    restricted to the other points, such an image is isomorphic to one in
+    S_(d-1), so conjugate to a listed one, which compared the two words
+    equal or the loop would have returned.  The verdict is the same as if
+    every listed image were compared.  Raises CaseMismatch if the case
+    does not fit the input's surface, and ValueError for a max_degree
+    outside 1..MAX_SEPARATE_DEGREE or a cord letter outside the
+    presentation.
     """
     acting, n = case_words(input, case)
     _check_degree(max_degree)
@@ -378,11 +407,16 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
     acting_columns = [_columns(w) for w in acting]
     n_columns = None if n is None else _columns(n)
     c1, c2 = _columns(g1), _columns(g2)
+    complete = True  # the listing of degree 0, the trivial group
     for degree in range(1, max_degree + 1):
-        for hom in _search(input.presentation, degree, HOM_LIMIT, False):
+        homs = _search(input.presentation, degree, HOM_LIMIT, False)
+        for hom in homs:
+            if complete and _fixes_a_point(hom):
+                continue  # an image of degree - 1 plus a point: compared
             value = _image_value(hom, acting_columns, n_columns, core_oriented)
             if value(c1) != value(c2):
                 return SeparationVerdict.DISTINCT
+        complete = len(homs) < HOM_LIMIT
     return SeparationVerdict.UNKNOWN
 
 

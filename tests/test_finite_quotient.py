@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 
 from brute import TWO_BRIDGE_13
 from handlecoset import finite_quotient
-from handlecoset.errors import CaseMismatch
+from handlecoset.coset_enumeration import _columns
+from handlecoset.errors import CaseMismatch, InfiniteIndex
 from handlecoset.finite_quotient import (CERTIFICATE_DEGREES,
                                          DIHEDRAL_DEGREES, HOM_LIMIT,
                                          MAX_SEPARATE_DEGREE,
@@ -18,15 +19,16 @@ from handlecoset.finite_quotient import (CERTIFICATE_DEGREES,
                                          find_homomorphisms, index_certificate,
                                          infinite_index_certificate,
                                          quotient_separate, _extend_basis,
+                                         _image_value,
                                          _partners, _search)
-from handlecoset.handle_classifier import CaseLabel
-from handlecoset.knot_input import parse_input, parse_word
+from handlecoset.handle_classifier import CaseLabel, ClassifierContext
+from handlecoset.knot_input import case_words, parse_input, parse_word
 from handlecoset.selftest import (INPUT_CORPUS, _random_word, _related_word,
                                   classifier_values, coxeter_skg,
                                   lexicographic_filter,
                                   mulclose, peval, pinv, pmul, rebased,
                                   subgroup_of, two_bridge_skg)
-from handlecoset.word_algebra import Word, invert
+from handlecoset.word_algebra import Word, concat, invert, power
 
 C2 = parse_input("group: a\nrel: a^2\nP: 1\norientable: true").presentation
 C3 = parse_input("group: a\nrel: a^3\nP: 1\norientable: true").presentation
@@ -640,3 +642,127 @@ def test_no_pair_separated_by_lexicographic_images_is_lost():
                 assert quotient_separate(input, case, k % 2 == 0, g1, g2, max_degree) \
                     is SeparationVerdict.DISTINCT, (label, g1, g2)
     assert separated >= 100
+
+
+def _first_separating_degrees(input, case, core_oriented, pairs, max_degree):
+    """For each pair of cord words, the least degree at which an image that
+    _search lists gives the two words different values, None if there is
+    none up to max_degree: quotient_separate without the skip, every
+    listed image compared."""
+    acting, n = case_words(input, case)
+    acting = [_columns(w) for w in acting]
+    n = None if n is None else _columns(n)
+    pairs = [(_columns(g1), _columns(g2)) for g1, g2 in pairs]
+    first = [None] * len(pairs)
+    for degree in range(1, max_degree + 1):
+        for hom in _search(input.presentation, degree, finite_quotient.HOM_LIMIT, False):
+            value = _image_value(hom, acting, n, core_oriented)
+            for i, (c1, c2) in enumerate(pairs):
+                if first[i] is None and value(c1) != value(c2):
+                    first[i] = degree
+    return first
+
+
+def _unskipped_images(pres, max_degree):
+    """The listed images that a pair no image separates is compared in:
+    those of degree d, less, when the listing of degree d - 1 is below the
+    cap, those whose generators all fix some one point."""
+    unskipped = []
+    complete = True
+    for degree in range(1, max_degree + 1):
+        homs = _search(pres, degree, finite_quotient.HOM_LIMIT, False)
+        unskipped += [hom for hom in homs if not complete or not any(
+            all(p[x] == x for p in hom.images) for x in range(degree))]
+        complete = len(homs) < finite_quotient.HOM_LIMIT
+    return unskipped
+
+
+SKIP_INPUTS = [(f"b({p},{q})", two_bridge_skg(p, q)) for p, q in TWO_BRIDGE_13] + \
+    [(c.label, c.skg) for c in INPUT_CORPUS]
+
+
+@pytest.mark.parametrize("limit", [HOM_LIMIT, 3], ids=["default-cap", "cap-3"])
+def test_skipped_images_change_no_verdict(monkeypatch, limit):
+    # an image whose generators all fix one point is an image of one degree
+    # less plus that point, so quotient_separate skips it when the lower
+    # degree was listed in full; its verdict must be that of the full loop,
+    # and the images it compares those the rule leaves, also when a cap of
+    # 3 binds at low degrees and so switches the skip off above them
+    monkeypatch.setattr(finite_quotient, "HOM_LIMIT", limit)
+    compared = []
+
+    def recorded(hom, *args):
+        compared.append(hom)
+        return _image_value(hom, *args)
+
+    monkeypatch.setattr(finite_quotient, "_image_value", recorded)
+    rng = random.Random(f"skip-{limit}")
+    verdicts = set()
+    for label, skg in SKIP_INPUTS:
+        input = parse_input(skg, label=label)
+        ngens = len(input.presentation.generators)
+        top = 7 if ngens == 2 else 6
+        unskipped = _unskipped_images(input.presentation, top)
+        cases = [c for c in CaseLabel if c.requires_orientable == input.surface_orientable]
+        for case, core_oriented in itertools.product(cases, (True, False)):
+            words = [_random_word(rng, ngens) for _ in range(4)]
+            pairs = [(g1, _related_word(rng, input, case, core_oriented, g1, moved))
+                     for g1, moved in zip(words, (False, True))] + [tuple(words[2:])]
+            firsts = _first_separating_degrees(input, case, core_oriented, pairs, top)
+            for (g1, g2), first in zip(pairs, firsts):
+                max_degree = rng.choice((6, top))
+                compared.clear()
+                verdict = quotient_separate(input, case, core_oriented, g1, g2,
+                                            max_degree)
+                expected = first is not None and first <= max_degree
+                assert (verdict is SeparationVerdict.DISTINCT) == expected, \
+                    (label, case, core_oriented, g1, g2, max_degree)
+                # an unseparated pair is compared in every unskipped image
+                # up to max_degree, a separated one in a prefix of them
+                upto = [h for h in unskipped if h.degree <= max_degree]
+                assert compared == (upto if not expected else upto[:len(compared)]), \
+                    (label, max_degree)
+                verdicts.add(verdict)
+    assert verdicts == set(SeparationVerdict)
+
+
+def test_separation_cost_without_a_timer(monkeypatch):
+    # the images compared for the equivalent pairs g, p g q (p and q
+    # powers of a) of the 40 knots at max_degree 6: 3,442 when every
+    # listed image was compared, 1,694 since those whose generators fix
+    # one common point are skipped
+    calls = _count_holds(monkeypatch, "_image_value")
+    rng = random.Random("separation-cost")
+    for p, q in TWO_BRIDGE_13:
+        input = parse_input(two_bridge_skg(p, q))
+        g = _random_word(rng, 2, 10)
+        h = concat(power(Word(((0, 1),)), rng.randint(-3, 3)), g,
+                   power(Word(((0, 1),)), rng.randint(-3, 3)))
+        assert quotient_separate(input, CaseLabel.CASE1, True, g, h, 6) \
+            is SeparationVerdict.UNKNOWN
+    _search.cache_clear()
+    assert calls[0] < 2_000
+
+
+def test_search_caches_are_bounded():
+    # b(13, 1) has no certificate in S_2..S_5, so the build's walk lists
+    # all four before it reads D_6..D_13; a separation after it finds them
+    _search.cache_clear()
+    input = parse_input(two_bridge_skg(13, 1))
+    with pytest.raises(InfiniteIndex):
+        ClassifierContext.build(input)
+    before = _search.cache_info()
+    g = parse_word("a b", input.presentation)
+    assert quotient_separate(input, CaseLabel.CASE1, True, g, g) is SeparationVerdict.UNKNOWN
+    after = _search.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (4, 2)
+    # neither cache grows with the presentations a process has seen
+    knots = [(p, q) for p in range(3, 24, 2) for q in range(-p + 1, p)
+             if q % 2 and gcd(p, abs(q)) == 1][:100]
+    assert len(knots) == 100
+    for p, q in knots:
+        input = parse_input(two_bridge_skg(p, q))
+        quotient_separate(input, CaseLabel.CASE1, True, Word(), Word(), max_degree=3)
+        for cache in (_search, _partners):
+            assert cache.cache_info().currsize <= cache.cache_info().maxsize
+    _search.cache_clear()
