@@ -32,7 +32,8 @@ from .handle_classifier import (ClassifierContext, HandleInvariant,
                                 candidate_invariant, enumerate_classes,
                                 equivalent, handle_invariant, image_member,
                                 subgroup_table, validate)
-from .knot_input import CaseLabel, format_word, parse_input, parse_word
+from .knot_input import (CaseLabel, case_words, format_word, parse_input,
+                         parse_word)
 from .word_algebra import Word
 
 ENV_MAX_COSETS = "HANDLE_COSET_MAX_COSETS"
@@ -64,6 +65,13 @@ def _load(path: str):
     except UnicodeDecodeError:
         raise UsageError(f"cannot read {path}: not valid UTF-8")
     return parse_input(text, label=Path(path).stem)
+
+
+def _context(input, case: CaseLabel) -> ClassifierContext:
+    """The input's context, built only once the case is known to fit its
+    surface: a mismatch is reported before any table is built."""
+    case_words(input, case)  # raises the CaseMismatch
+    return ClassifierContext.build(input, _limits())
 
 
 def _cords(args, presentation, expected: int) -> list[Word]:
@@ -169,7 +177,7 @@ def _cmd_invariant(args) -> int:
     case = CaseLabel(args.case)
     g = _cords(args, input.presentation, 1)[0]
     start = time.perf_counter()
-    ctx = ClassifierContext.build(input, _limits())
+    ctx = _context(input, case)
     inv = handle_invariant(ctx, case, args.core_oriented, g)
     elapsed = time.perf_counter() - start
     text = _formatter(input.presentation.generator_names)
@@ -188,7 +196,7 @@ def _cmd_equiv(args) -> int:
     input = _load(args.file)
     case = CaseLabel(args.case)
     g1, g2 = _cords(args, input.presentation, 2)
-    ctx = ClassifierContext.build(input, _limits())
+    ctx = _context(input, case)
     verdict = "equivalent" if equivalent(ctx, case, args.core_oriented, g1, g2) \
         else "inequivalent"
     _emit(args, {"command": "equiv", "input": input.label,
@@ -202,7 +210,7 @@ def _cmd_equiv(args) -> int:
 def _cmd_classes(args) -> int:
     input = _load(args.file)
     case = CaseLabel(args.case)
-    ctx = ClassifierContext.build(input, _limits())
+    ctx = _context(input, case)
     classes = enumerate_classes(ctx, case, args.core_oriented)
     text = _formatter(input.presentation.generator_names)
     # a class's representative is the witness of its value's first double coset
@@ -231,7 +239,7 @@ def _cmd_image_check(args) -> int:
     if len(words) != expected:
         raise UsageError(f"--candidate needs {expected} words for case {case.value}"
                          f"{' with oriented core' if args.core_oriented else ''}")
-    ctx = ClassifierContext.build(input, _limits())
+    ctx = _context(input, case)
     candidate = candidate_invariant(ctx, case, args.core_oriented, words)
     verdict = "in-image" if image_member(ctx, case, args.core_oriented, candidate) \
         else "not-in-image"

@@ -40,25 +40,28 @@ Cosets are numbered 1..index and coset 1 is the subgroup itself.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CosetRangeError, ResourceExhausted
-from .word_algebra import GroupPresentation, Word
+from .word_algebra import GroupPresentation, Word, _Frozen
 
 
-@dataclass(frozen=True)
-class EnumerationLimits:
+class EnumerationLimits(_Frozen):
     """Hard resource budget for one enumeration run."""
 
-    max_live_cosets: int = 1_000_000
-    max_total_defined: int = 10_000_000
+    __slots__ = _fields = ("max_live_cosets", "max_total_defined")
 
-    def __post_init__(self):
-        if self.max_live_cosets <= 0 or self.max_total_defined <= 0:
+    def __init__(self, max_live_cosets: int = 1_000_000,
+                 max_total_defined: int = 10_000_000):
+        if max_live_cosets <= 0 or max_total_defined <= 0:
             raise ValueError("limits must be positive")
-        if self.max_total_defined < self.max_live_cosets:
+        if max_total_defined < max_live_cosets:
             raise ValueError("max_total_defined must be >= max_live_cosets")
+        object.__setattr__(self, "max_live_cosets", max_live_cosets)
+        object.__setattr__(self, "max_total_defined", max_total_defined)
+
+    def _key(self):
+        return (self.max_live_cosets, self.max_total_defined)
 
 
 def _columns(word: Word) -> tuple[int, ...]:

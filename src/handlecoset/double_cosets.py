@@ -26,12 +26,11 @@ into a key, equal exactly when the values are.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .coset_enumeration import CosetTable
 from .errors import PreconditionUnverified, TableMismatch
-from .word_algebra import Word, invert
+from .word_algebra import Word, _Frozen, invert
 
 if TYPE_CHECKING:
     from .handle_classifier import ValidationReport
@@ -126,8 +125,7 @@ def _partition_for(table: CosetTable, acting: Sequence[Word],
     return partition(table)
 
 
-@dataclass(frozen=True, eq=False)
-class DoubleCosetId:
+class DoubleCosetId(_Frozen):
     """Canonical identifier of one double coset over a fixed table.
 
     Two ids over the same table are equal iff their canonical (minimal)
@@ -135,9 +133,12 @@ class DoubleCosetId:
     equal.
     """
 
-    table: CosetTable
-    canonical: int
-    orbit_size: int
+    __slots__ = _fields = ("table", "canonical", "orbit_size")
+
+    def __init__(self, table: CosetTable, canonical: int, orbit_size: int):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "orbit_size", orbit_size)
 
     @property
     def orbit(self) -> tuple[int, ...]:
@@ -167,23 +168,24 @@ class DoubleCosetId:
 PairElement = Union[DoubleCosetId, "UnorderedPair"]
 
 
-@dataclass(frozen=True)
-class UnorderedPair:
+class UnorderedPair(_Frozen):
     """Two elements compared without order; nested pairs sort lexicographically."""
 
-    first: PairElement
-    second: PairElement
+    __slots__ = _fields = ("first", "second")
 
-    def __post_init__(self):
+    def __init__(self, first: PairElement, second: PairElement):
         try:
-            swap = self.second.sort_key() < self.first.sort_key()
+            swap = second.sort_key() < first.sort_key()
         except TypeError:  # a double coset against a pair, at some depth
-            raise ValueError(f"pair elements differ in shape: {_shape(self.first)} "
-                             f"and {_shape(self.second)}") from None
+            raise ValueError(f"pair elements differ in shape: {_shape(first)} "
+                             f"and {_shape(second)}") from None
         if swap:
-            first, second = self.second, self.first
-            object.__setattr__(self, "first", first)
-            object.__setattr__(self, "second", second)
+            first, second = second, first
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+
+    def _key(self):
+        return (self.first, self.second)
 
     @property
     def elements(self) -> tuple[PairElement, PairElement]:

@@ -42,7 +42,6 @@ candidate sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
 from math import gcd
@@ -51,7 +50,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .coset_enumeration import _columns
 from .double_cosets import key_pair, nest_slots
 from .knot_input import CaseLabel, SurfaceKnotInput, case_words
-from .word_algebra import GroupPresentation, Word
+from .word_algebra import GroupPresentation, Word, _Frozen
 
 Perm = tuple[int, ...]
 Columns = tuple[int, ...]  # a word compiled by _columns
@@ -71,20 +70,28 @@ CERTIFICATE_DEGREES = range(2, 6)
 DIHEDRAL_DEGREES = range(6, 14)
 
 
-@dataclass(frozen=True)
-class PermutationAssignment:
+class PermutationAssignment(_Frozen):
     """Images of the presentation's generators in the symmetric group
     S_degree, generator 0's the least permutation of its cycle type, or
     in the dihedral group D_degree if dihedral is set, generator 0's one
-    of _dihedral_leaders.
+    of _dihedral_leaders; repr leaves dihedral out.
 
     Only produced by _search, which guarantees every relator evaluates
     to the identity permutation.
     """
 
-    degree: int
-    images: tuple[Perm, ...]
-    dihedral: bool = field(default=False, repr=False)
+    __slots__ = _fields = ("degree", "images", "dihedral")
+
+    def __init__(self, degree: int, images: tuple[Perm, ...], dihedral: bool = False):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "dihedral", dihedral)
+
+    def _key(self):
+        return (self.degree, self.images, self.dihedral)
+
+    def __repr__(self):
+        return f"PermutationAssignment(degree={self.degree!r}, images={self.images!r})"
 
 
 class SeparationVerdict(Enum):
@@ -426,8 +433,7 @@ class IndexCertificate(NamedTuple):
     hom is transitive; H, the stabilizer of point 0 in its image, has
     H^ab over Q of rank h_rank, and H_K = K intersect H spans only
     p_rank < h_rank of it.  So H_K has infinite index in H, and since
-    |G : H| = degree is finite, K has infinite index in G.  (A NamedTuple
-    costs a sixth of a frozen dataclass at import.)
+    |G : H| = degree is finite, K has infinite index in G.
     """
 
     hom: PermutationAssignment

@@ -32,7 +32,6 @@ missing, lives in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -44,7 +43,7 @@ from .errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                      PreconditionUnverified, ResourceExhausted, TableMismatch)
 from .finite_quotient import infinite_index_certificate
 from .knot_input import CaseLabel, SurfaceKnotInput, case_words, format_word
-from .word_algebra import Word, concat, invert, power
+from .word_algebra import Word, _Frozen, concat, invert, power
 
 InvariantValue = Union[DoubleCosetId, UnorderedPair]
 # a table, or the ResourceExhausted (InfiniteIndex included) that refused it
@@ -75,11 +74,16 @@ def subgroup_table(input: SurfaceKnotInput, name: str,
     return enumerate_cosets(pres, words, limits)
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    status: str  # "pass" | "fail" | "unknown"
-    detail: str
+class ValidationCheck(_Frozen):
+    __slots__ = _fields = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "status", status)  # "pass" | "fail" | "unknown"
+        object.__setattr__(self, "detail", detail)
+
+    def _key(self):
+        return (self.name, self.status, self.detail)
 
 
 _CHECK_NAMES = (
@@ -94,13 +98,18 @@ _CHECK_NAMES = (
 _TWIST_CHECKS = {"twist_normalizes_p_plus", "n_squared_in_p_plus"}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Frozen):
     """Outcome of the side-condition checks; a check is "unknown" only
     when the table it needs was refused, and its detail is then the
     refusal's message."""
 
-    checks: tuple[ValidationCheck, ...]
+    _fields = ("checks",)  # no __slots__: twist_verified's cache needs a __dict__
+
+    def __init__(self, checks: tuple[ValidationCheck, ...]):
+        object.__setattr__(self, "checks", checks)
+
+    def _key(self):
+        return (self.checks,)
 
     @property
     def failures(self) -> tuple[ValidationCheck, ...]:
@@ -208,26 +217,29 @@ def _kind_of(case: CaseLabel, core_oriented: bool) -> str:
     return "oriented-core" if core_oriented else "unordered-core"
 
 
-@dataclass(frozen=True)
-class HandleInvariant:
+class HandleInvariant(_Frozen):
     """Case-tagged invariant value, shaped as nest_slots nests it.
 
     kind is "oriented-core" or "unordered-core" in Cases 1/2, which share
-    their kinds, and "case3-oriented-core" or "case3" in Case 3.  Equality
-    compares kind and value only; the case label rides along for reporting.
+    their kinds, and "case3-oriented-core" or "case3" in Case 3; case and
+    core_oriented fix it, and repr leaves it out.  Equality compares kind
+    and value only; the case label rides along for reporting.
     """
 
-    case: CaseLabel = field(compare=False)
-    core_oriented: bool = field(compare=False)
-    value: InvariantValue
-    kind: str = field(init=False, repr=False)  # fixed by case and core_oriented
+    _fields = ("case", "core_oriented", "value")
+    __slots__ = _fields + ("kind",)
 
-    def __post_init__(self):
-        kind = _kind_of(self.case, self.core_oriented)
-        object.__setattr__(self, "kind", kind)
-        size = slot_count(self.case is CaseLabel.CASE3, self.core_oriented)
-        if not _nests(self.value, size):
+    def __init__(self, case: CaseLabel, core_oriented: bool, value: InvariantValue):
+        kind = _kind_of(case, core_oriented)
+        if not _nests(value, slot_count(case is CaseLabel.CASE3, core_oriented)):
             raise ValueError(f"value shape does not match kind {kind!r}")
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "core_oriented", core_oriented)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "kind", kind)
+
+    def _key(self):
+        return (self.value, self.kind)
 
     def double_cosets(self) -> tuple[DoubleCosetId, ...]:
         """All double-coset ids inside the value, left to right."""
@@ -246,18 +258,25 @@ def _nests(value, size: int) -> bool:
             and _nests(value.second, size // 2))
 
 
-@dataclass(frozen=True)
-class ClassifierContext:
+class ClassifierContext(_Frozen):
     """An input together with its enumerated tables and validation report.
 
     Build once, query many times; a query changes nothing but caches:
     _case is the one case table every query works over.
     """
 
-    input: SurfaceKnotInput
-    p_table: CosetTable
-    p_plus_table: Optional[CosetTable]
-    report: ValidationReport
+    # no __slots__: the cached _case needs a __dict__
+    _fields = ("input", "p_table", "p_plus_table", "report")
+
+    def __init__(self, input: SurfaceKnotInput, p_table: CosetTable,
+                 p_plus_table: Optional[CosetTable], report: ValidationReport):
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "p_table", p_table)
+        object.__setattr__(self, "p_plus_table", p_plus_table)
+        object.__setattr__(self, "report", report)
+
+    def _key(self):
+        return (self.input, self.p_table, self.p_plus_table, self.report)
 
     @classmethod
     def build(cls, input: SurfaceKnotInput,

@@ -28,37 +28,44 @@ MAX_WORD_LETTERS is a syntax error at the token that crosses it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import (CaseMismatch, DuplicateGenerator, MissingSection,
                      SkgSyntaxError, UnknownGenerator)
-from .word_algebra import GeneratorSymbol, GroupPresentation, Word, free_reduce
+from .word_algebra import (GeneratorSymbol, GroupPresentation, Word, _Frozen,
+                           free_reduce)
 
 _TOKEN = re.compile(r"\S+")
 # a word may expand (before free reduction) to at most this many letters
 MAX_WORD_LETTERS = 100_000
 
 
-@dataclass(frozen=True)
-class SurfaceKnotInput:
+class SurfaceKnotInput(_Frozen):
     """Parsed surface-knot group data."""
 
-    presentation: GroupPresentation
-    p_generators: tuple[Word, ...]
-    p_plus_generators: Optional[tuple[Word, ...]]
-    n_word: Optional[Word]
-    surface_orientable: bool
-    label: str = ""
+    __slots__ = _fields = ("presentation", "p_generators", "p_plus_generators",
+                           "n_word", "surface_orientable", "label")
 
-    def __post_init__(self):
-        if self.surface_orientable:
-            if self.p_plus_generators is not None:
+    def __init__(self, presentation: GroupPresentation, p_generators: tuple[Word, ...],
+                 p_plus_generators: Optional[tuple[Word, ...]], n_word: Optional[Word],
+                 surface_orientable: bool, label: str = ""):
+        if surface_orientable:
+            if p_plus_generators is not None:
                 raise ValueError("orientable input must not carry P+ generators")
         else:
-            if self.p_plus_generators is None or self.n_word is None:
+            if p_plus_generators is None or n_word is None:
                 raise ValueError("non-orientable input needs P+ generators and n")
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "p_generators", p_generators)
+        object.__setattr__(self, "p_plus_generators", p_plus_generators)
+        object.__setattr__(self, "n_word", n_word)
+        object.__setattr__(self, "surface_orientable", surface_orientable)
+        object.__setattr__(self, "label", label)
+
+    def _key(self):
+        return (self.presentation, self.p_generators, self.p_plus_generators,
+                self.n_word, self.surface_orientable, self.label)
 
 
 class CaseLabel(Enum):

@@ -21,7 +21,7 @@ import itertools
 import os
 import random
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Callable, Optional
@@ -30,8 +30,9 @@ from .coset_enumeration import enumerate_cosets
 from .double_cosets import dc_all, dc_id, dc_invert, dc_twist
 from .errors import HandleCosetError
 from .finite_quotient import (CERTIFICATE_DEGREES, DIHEDRAL_DEGREES, HOM_LIMIT,
-                              SeparationVerdict, _search, find_homomorphisms,
-                              index_certificate, quotient_separate)
+                              PermutationAssignment, SeparationVerdict, _search,
+                              find_homomorphisms, index_certificate,
+                              quotient_separate)
 from .handle_classifier import (ClassifierContext, equivalent,
                                 enumerate_classes, handle_invariant,
                                 image_member, nonsurjectivity_witness,
@@ -89,7 +90,8 @@ def mulclose(gens) -> frozenset:
 def rebased(hom, point: int):
     """hom conjugated by the transposition (0 point): point becomes point 0."""
     t = [point if x == 0 else 0 if x == point else x for x in range(hom.degree)]
-    return replace(hom, images=tuple(pmul(pmul(t, p), t) for p in hom.images))
+    images = tuple(pmul(pmul(t, p), t) for p in hom.images)
+    return PermutationAssignment(hom.degree, images, hom.dihedral)
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:

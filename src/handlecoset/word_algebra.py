@@ -9,7 +9,6 @@ words compare and hash cheaply.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 Letter = tuple[int, int]  # (generator index, sign in {+1, -1})
@@ -17,28 +16,70 @@ Letter = tuple[int, int]  # (generator index, sign in {+1, -1})
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its constructor's parameters in _fields, sets its
+    fields with object.__setattr__ in __init__, and returns from _key
+    the tuple that == and hash compare, read straight from its fields:
+    presentations and words are hashed as cache keys, where a getattr
+    loop would cost.  Assigning or deleting any attribute raises
+    AttributeError, repr shows the _fields, and pickle and copy rebuild
+    an instance through its constructor.  These are plain classes, not
+    frozen dataclasses, because every CLI process imports the package:
+    dataclasses imports inspect and execs each class's methods, which
+    took about 80% of the package's import time.  (A NamedTuple costs a
+    sixth of a frozen dataclass at import.)
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GeneratorSymbol(_Frozen):
     """A named generator; names match [A-Za-z][A-Za-z0-9_]*."""
 
-    name: str
+    __slots__ = _fields = ("name",)
 
-    def __post_init__(self):
-        if not _NAME.match(self.name):
-            raise ValueError(f"invalid generator name: {self.name!r}")
+    def __init__(self, name: str):
+        if not _NAME.match(name):
+            raise ValueError(f"invalid generator name: {name!r}")
+        object.__setattr__(self, "name", name)
+
+    def _key(self):
+        return (self.name,)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Frozen):
     """A freely reduced word; the empty word is the identity element."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = _fields = ("letters",)
 
-    def __post_init__(self):
+    def __init__(self, letters: tuple[Letter, ...] = ()):
         # one pass; a bad letter anywhere wins over a cancelling pair
         reduced = True
         j = t = None  # the previous letter
-        for i, s in self.letters:
+        for i, s in letters:
             if i < 0 or s not in (1, -1):
                 raise ValueError(f"bad letter {(i, s)!r}")
             if i == j and s == -t:
@@ -46,6 +87,10 @@ class Word:
             j, t = i, s
         if not reduced:
             raise ValueError("word is not freely reduced")
+        object.__setattr__(self, "letters", letters)
+
+    def _key(self):
+        return (self.letters,)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -96,29 +141,33 @@ def power(w: Word, k: int) -> Word:
     return concat(*([base] * abs(k)))
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(_Frozen):
     """A finite presentation: generator symbols plus freely reduced relators.
 
     Relators must be nonempty; generator names must be pairwise distinct.
     """
 
-    generators: tuple[GeneratorSymbol, ...]
-    relators: tuple[Word, ...] = ()
+    __slots__ = _fields = ("generators", "relators")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, generators: tuple[GeneratorSymbol, ...],
+                 relators: tuple[Word, ...] = ()):
+        if not generators:
             raise ValueError("a presentation needs at least one generator")
-        names = [g.name for g in self.generators]
+        names = [g.name for g in generators]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate generator names: {', '.join(dupes)}")
-        n = len(self.generators)
-        for rel in self.relators:
+        n = len(generators)
+        for rel in relators:
             if rel.is_identity:
                 raise ValueError("relators must be nonempty")
             if rel.max_generator_index() >= n:
                 raise ValueError("relator uses a generator index outside the presentation")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+
+    def _key(self):
+        return (self.generators, self.relators)
 
     @property
     def generator_names(self) -> tuple[str, ...]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import handlecoset
+from handlecoset import handle_classifier
 from handlecoset.cli import run
 from handlecoset.selftest import coxeter_skg, two_bridge_skg
 
@@ -125,6 +126,29 @@ def test_separate_case_mismatch(skg, capsys):
     assert run(["separate", path, "--case", "3", "--cord", "t", "--cord", "1"]) == 1
     assert capsys.readouterr().err == \
         "error: case 3 needs a non-orientable surface input\n"
+
+
+# P = <a> has infinite index in Z^2, and the surface is orientable
+Z2 = "group: a b\nrel: a b a^-1 b^-1\nP: a\norientable: true\n"
+CASE3_ARGS = {"invariant": ["--cord", "b"], "equiv": ["--cord", "b", "--cord", "1"],
+              "classes": [], "image-check": ["--candidate", "b;1;b;1"],
+              "separate": ["--cord", "b", "--cord", "1"]}
+
+
+@pytest.mark.parametrize("command", sorted(CASE3_ARGS))
+def test_every_command_checks_the_case_before_the_build(command, skg, capsys,
+                                                        monkeypatch):
+    # a case that does not fit the surface is the same domain error for
+    # every command, before any certificate or enumeration runs
+    enumerations = []
+    monkeypatch.setattr(handle_classifier, "enumerate_cosets",
+                        lambda *args: enumerations.append(args))
+    for name, text in (("z2", Z2), ("s3", S3)):  # P of infinite, then finite index
+        path = skg(f"{name}.skg", text)
+        assert run([command, path, "--case", "3"] + CASE3_ARGS[command]) == 1
+        assert capsys.readouterr().err == \
+            "error: case 3 needs a non-orientable surface input\n"
+    assert enumerations == []
 
 
 def test_exit_code_domain_error(skg, capsys):
@@ -433,12 +457,14 @@ def test_selftest_takes_no_records(tmp_path, capsys):
 
 def test_cli_import_leaves_the_oracle_unloaded():
     # every CLI process imports handlecoset.cli; only `selftest` needs the
-    # oracle suite, so the import must not pull it in
+    # oracle suite, so the import must not pull it in, nor dataclasses,
+    # which imports inspect and cost most of the package's import time
     env = dict(os.environ, PYTHONPATH=str(Path(handlecoset.__file__).parents[1]))
-    code = "import sys, handlecoset.cli; print('handlecoset.selftest' in sys.modules)"
+    code = ("import sys, handlecoset.cli; print(*(m in sys.modules for m in "
+            "('handlecoset.selftest', 'dataclasses', 'inspect')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out == "False\n"
+    assert out == "False False False\n"
 
 
 @pytest.mark.parametrize("module", sorted(

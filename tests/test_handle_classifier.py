@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -10,7 +9,8 @@ from handlecoset.errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                                 PreconditionUnverified, ResourceExhausted,
                                 TableMismatch)
 from handlecoset.handle_classifier import (CaseLabel, ClassifierContext,
-                                           HandleInvariant, candidate_invariant,
+                                           HandleInvariant, ValidationCheck,
+                                           ValidationReport, candidate_invariant,
                                            enumerate_classes, equivalent,
                                            handle_invariant,
                                            image_member,
@@ -240,9 +240,10 @@ def test_every_case3_query_checks_the_twist(check, status):
     parsed, ctx = ctx_of(D8_CASE3)
     r = parse_word("r", parsed.presentation)
     candidate = handle_invariant(ctx, CaseLabel.CASE3, False, r)
-    checks = tuple(replace(c, status=status) if c.name == check else c
+    checks = tuple(ValidationCheck(c.name, status, c.detail) if c.name == check else c
                    for c in ctx.report.checks)
-    bad = replace(ctx, report=replace(ctx.report, checks=checks))
+    bad = ClassifierContext(ctx.input, ctx.p_table, ctx.p_plus_table,
+                            ValidationReport(checks))
     assert not bad.report.twist_verified
     queries = [lambda: handle_invariant(bad, CaseLabel.CASE3, True, r),
                lambda: equivalent(bad, CaseLabel.CASE3, False, r, Word()),
