@@ -65,12 +65,11 @@ class InfiniteIndex(ResourceExhausted):
 
     Raised by handle_classifier.subgroup_table with the certificate cert
     (a finite_quotient.IndexCertificate) for the named subgroup: a
-    transitive permutation image of the given degree (in the dihedral
-    group D_degree if dihedral is set) has a point stabilizer H with H^ab
-    of rank h_rank over Q, of which the intersection of the subgroup with
-    H spans only p_rank.  Every image is found before any enumeration:
-    the message ends at the ranks, limits is None and no coset was
-    defined.
+    transitive permutation image of the given degree has a point
+    stabilizer H with H^ab of rank h_rank over Q, of which the
+    intersection of the subgroup with H spans only p_rank.  Every image
+    is found before any enumeration: the message ends at the ranks,
+    limits is None and no coset was defined.
     """
 
     def __init__(self, subgroup: str, cert):
@@ -78,13 +77,11 @@ class InfiniteIndex(ResourceExhausted):
         self.degree = cert.degree
         self.h_rank = cert.h_rank
         self.p_rank = cert.p_rank
-        self.dihedral = cert.hom.dihedral
-        image = "dihedral permutation image" if self.dihedral else "permutation image"
         super().__init__(None, 0, 0,
-                         f"{subgroup} has infinite index: in a transitive {image} of "
-                         f"degree {self.degree}, the point stabilizer H has H^ab of rank "
-                         f"{self.h_rank} over Q and the intersection of {subgroup} with H "
-                         f"spans rank {self.p_rank}")
+                         f"{subgroup} has infinite index: in a transitive permutation "
+                         f"image of degree {self.degree}, the point stabilizer H has H^ab "
+                         f"of rank {self.h_rank} over Q and the intersection of {subgroup} "
+                         f"with H spans rank {self.p_rank}")
 
 
 class CosetRangeError(HandleCosetError):

@@ -27,16 +27,12 @@ the stabilizer H of point 0 has finite index, and abelianised
 Reidemeister-Schreier gives H^ab over Q; if H_K, the intersection of K
 with H, spans a smaller rank there, |H : H_K| is infinite, and so is
 |G : K|.  The certificate walk (infinite_index_certificate) reads the
-images in S_d for small d, then those in the dihedral group D_m of
-order 2m acting on Z/m for larger m: every 2-bridge knot group b(p, q)
-maps onto D_p with the meridians going to reflections (Riley,
-"Homomorphisms of knot groups on finite groups", 1971), and a generator
-of D_m has only 2m candidate images, so its search stays cheap at
-degrees where that of S_m does not.  D_m is searched up to conjugacy
-by the affine maps x -> u x + t of Z/m, which normalise it, and since
-only its identity fixes both 0 and 1, a relator is traced from those
-two points alone.  The one search kernel, _search, serves both
-candidate sets.
+images in S_d for small d, then those in AGL(1, m) for a few primes m
+that send each generator to x -> s x + c_i, one s for all: they are not
+searched but solved for, as the kernel mod m of the relators' Fox
+derivatives (Fox, "Free differential calculus I", 1953; "Metacyclic
+invariants of knots and links", 1970).  s = -1 gives the dihedral images
+that reach the torus knots T(2, p).
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ import itertools
 from enum import Enum
 from functools import lru_cache, partial
 from math import gcd
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .coset_enumeration import _columns
 from .double_cosets import key_pair, nest_slots
@@ -64,34 +60,22 @@ HOM_LIMIT = 64
 # runs on every build before it enumerates, finite index included, so each
 # degree adds to every build
 CERTIFICATE_DEGREES = range(2, 6)
-# degrees m of the images in the dihedral group D_m that the walk reads
-# next, on every build the S_d images leave undecided; each degree adds to
-# every such build
-DIHEDRAL_DEGREES = range(6, 14)
+# the primes m of the AGL(1, m) images that the walk reads after S_d
+AFFINE_DEGREES = (7, 11, 13)
 
 
 class PermutationAssignment(_Frozen):
-    """Images of the presentation's generators in the symmetric group
-    S_degree, generator 0's the least permutation of its cycle type, or
-    in the dihedral group D_degree if dihedral is set, generator 0's one
-    of _dihedral_leaders; repr leaves dihedral out.
+    """Images of the generators in S_degree, made only by _search and
+    _affine_images, so that every relator evaluates to the identity."""
 
-    Only produced by _search, which guarantees every relator evaluates
-    to the identity permutation.
-    """
+    __slots__ = _fields = ("degree", "images")
 
-    __slots__ = _fields = ("degree", "images", "dihedral")
-
-    def __init__(self, degree: int, images: tuple[Perm, ...], dihedral: bool = False):
+    def __init__(self, degree: int, images: tuple[Perm, ...]):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "dihedral", dihedral)
 
     def _key(self):
-        return (self.degree, self.images, self.dihedral)
-
-    def __repr__(self):
-        return f"PermutationAssignment(degree={self.degree!r}, images={self.images!r})"
+        return (self.degree, self.images)
 
 
 class SeparationVerdict(Enum):
@@ -141,26 +125,6 @@ def _action(hom: PermutationAssignment) -> list[Perm]:
     for p in hom.images:
         action += (p, perm_inverse(p))
     return action
-
-
-def _dihedral(degree: int) -> list[Perm]:
-    """The elements x -> x + c and x -> c - x of D_degree acting on
-    Z/degree, in lexicographic order."""
-    points = range(degree)
-    return sorted({tuple((s * x + c) % degree for x in points)
-                   for c in points for s in (1, -1)})
-
-
-def _dihedral_leaders(degree: int) -> list[Perm]:
-    """One element of each class of D_degree under conjugation by the
-    affine maps x -> u x + t (u a unit mod degree), in lexicographic
-    order.  Such a map takes x -> x + c to x -> x + u c and x -> c - x
-    to x -> u c + 2t - x, so the leaders are x -> x + g for each g
-    dividing degree, x -> -x, and for even degree x -> 1 - x."""
-    points = range(degree)
-    maps = [(1, g) for g in range(1, degree + 1) if degree % g == 0]
-    maps += [(-1, 0)] + ([(-1, 1)] if degree % 2 == 0 else [])
-    return sorted({tuple((s * x + c) % degree for x in points) for s, c in maps})
 
 
 def _class_leaders(degree: int, least: int = 1) -> list[Perm]:
@@ -226,31 +190,24 @@ def _partners(pres: GroupPresentation) -> tuple[int, ...]:
 
 
 # bounded, so that a process that runs many presentations keeps only the
-# latest; one presentation's walk and separation read S_1..S_8 and
-# D_6..D_13 at the default cap, 16 keys
+# latest; one presentation's walk and separation read S_1..S_8 at the
+# default cap, 8 keys
 @lru_cache(maxsize=32)
-def _search(pres: GroupPresentation, degree: int, limit: int,
-            dihedral: bool) -> tuple[PermutationAssignment, ...]:
-    """The first `limit` homomorphisms into S_degree (find_homomorphisms
-    lists them), or if dihedral is set into D_degree (x -> x + c and
-    x -> c - x on Z/degree; infinite_index_certificate reads them), depth
-    first: generator 0 over the class leaders of S_degree (or
-    _dihedral_leaders), generator k over all candidates, or, if _partners
-    gives it an earlier generator j, over those of the cycle type of j's
-    image only, a list picked once per image of j that passes its
-    relators.  A candidate of another type fails a relator whatever comes
-    later, so the pruning drops no assignment and keeps their order."""
+def _search(pres: GroupPresentation, degree: int,
+            limit: int) -> tuple[PermutationAssignment, ...]:
+    """The first `limit` homomorphisms into S_degree, depth first:
+    generator 0 over the class leaders of S_degree, generator k over all
+    permutations, or, if _partners gives it an earlier generator j, over
+    those of the cycle type of j's image only, a list picked once per
+    image of j that passes its relators.  A candidate of another type
+    fails a relator whatever comes later, so the pruning drops no
+    assignment and keeps their order."""
     ngens = len(pres.generators)
+    points = range(degree)
     # lexicographic; a conjugation takes generator 0 to its leader
-    if dihedral:
-        perms, firsts = _dihedral(degree), _dihedral_leaders(degree)
-        # an element of D_degree that fixes 0 and 1 is the identity
-        points = range(min(degree, 2))
-    else:
-        perms, firsts = itertools.permutations(range(degree)), _class_leaders(degree)
-        points = range(degree)
-    candidates = tuple((p, perm_inverse(p)) for p in perms)
-    levels = [tuple((p, perm_inverse(p)) for p in firsts)] + [candidates] * (ngens - 1)
+    candidates = tuple((p, perm_inverse(p)) for p in itertools.permutations(points))
+    levels = [tuple((p, perm_inverse(p)) for p in _class_leaders(degree))]
+    levels += [candidates] * (ngens - 1)
     # generator j -> the later generators whose partner it is
     partnered: dict[int, list[int]] = {}
     for k, j in enumerate(_partners(pres)):
@@ -272,7 +229,7 @@ def _search(pres: GroupPresentation, degree: int, limit: int,
         if len(found) >= limit:
             return
         if k == ngens:
-            found.append(PermutationAssignment(degree, tuple(action[0::2]), dihedral))
+            found.append(PermutationAssignment(degree, tuple(action[0::2])))
             return
         checks = ready[k]
         for p, p_inv in levels[k]:
@@ -309,7 +266,7 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
     _check_degree(degree)
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    return list(_search(pres, degree, limit, False))
+    return list(_search(pres, degree, limit))
 
 
 def _fixes_a_point(hom: PermutationAssignment) -> bool:
@@ -416,7 +373,7 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
     c1, c2 = _columns(g1), _columns(g2)
     complete = True  # the listing of degree 0, the trivial group
     for degree in range(1, max_degree + 1):
-        homs = _search(input.presentation, degree, HOM_LIMIT, False)
+        homs = _search(input.presentation, degree, HOM_LIMIT)
         for hom in homs:
             if complete and _fixes_a_point(hom):
                 continue  # an image of degree - 1 plus a point: compared
@@ -554,21 +511,78 @@ def index_certificate(hom: PermutationAssignment, pres: GroupPresentation,
     return IndexCertificate(hom, width - relator_rank, len(basis) - relator_rank)
 
 
+def _affine_row(columns: Columns, s: int, m: int, ngens: int) -> Optional[list[int]]:
+    """A relator's row mod m, or None if s^e != 1 (e its exponent sum): read
+    left to right with generator i as x -> s x + c_i, it maps x to s^e x +
+    s^(e - 1) (row . c), row[i] its Fox derivative along generator i at 1/s."""
+    row, power = [0] * ngens, 1  # power is 1/s^(the exponent sum read so far)
+    inverse = pow(s, -1, m)
+    for c in columns:
+        if c & 1:
+            power = power * s % m
+            row[c >> 1] -= power
+        else:
+            row[c >> 1] += power
+            power = power * inverse % m
+    return [x % m for x in row] if power == 1 else None
+
+
+def _affine_images(pres: GroupPresentation, m: int,
+                   limit: int) -> Iterator[PermutationAssignment]:
+    """The first `limit` homomorphisms into AGL(1, m), m prime, that send
+    generator i to x -> s x + c_i, one s != 1 for all, lazily: for each s
+    that every relator's multiplier allows, c runs over the kernel of the
+    relators' rows up to x -> u x + t, which takes c to u c + (1 - s) t,
+    so c_0 = 0 and the first nonzero entry is 1 (c = 0 fixes 0).  Rows
+    are eliminated from the last column, so free columns after the first
+    nonzero one run over Z/m and each pivot follows from those before."""
+    ngens = len(pres.generators)
+    relators = [_columns(rel) for rel in pres.relators]
+    for s in range(2, m):
+        pivots: dict[int, list[int]] = {}  # column -> its pivot row
+        for columns in relators:
+            row = _affine_row(columns, s, m, ngens)
+            if row is None:
+                break
+            for col in range(ngens - 1, 0, -1):  # column 0 is c_0 = 0
+                f = row[col]
+                if f and col in pivots:
+                    row = [(x - f * y) % m for x, y in zip(row, pivots[col])]
+                elif f:
+                    pivots[col] = [x * pow(f, -1, m) % m for x in row]
+                    break
+        else:
+            free = [col for col in range(1, ngens) if col not in pivots]
+            for j in range(len(free)):
+                for rest in itertools.product(range(m), repeat=len(free) - j - 1):
+                    if limit == 0:
+                        return
+                    c = [0] * ngens
+                    for col, x in zip(free[j:], (1,) + rest):
+                        c[col] = x
+                    for col in sorted(pivots):
+                        c[col] = -sum(x * y for x, y in zip(pivots[col], c)) % m
+                    limit -= 1
+                    yield PermutationAssignment(m, tuple(
+                        tuple((s * x + ci) % m for x in range(m)) for ci in c))
+
+
 def infinite_index_certificate(pres: GroupPresentation, subgroup: Sequence[Word]
                                ) -> Optional[IndexCertificate]:
     """The first certificate of infinite index for the subgroup, or None.
 
     The walk reads the images that _search lists under HOM_LIMIT into
-    S_d for each d in CERTIFICATE_DEGREES, then into D_m for each m in
-    DIHEDRAL_DEGREES, each at point 0 only, and stops at the first
-    certificate.  handle_classifier.subgroup_table runs it before it
-    enumerates.  The S_d searches are the capped ones quotient_separate
-    runs, so a later separation on the same presentation finds them
-    cached; it never uses the D_m images."""
-    for dihedral, degrees in ((False, CERTIFICATE_DEGREES), (True, DIHEDRAL_DEGREES)):
-        for degree in degrees:
-            for hom in _search(pres, degree, HOM_LIMIT, dihedral):
-                cert = index_certificate(hom, pres, subgroup)
-                if cert is not None:
-                    return cert
+    S_d for each d in CERTIFICATE_DEGREES, then those _affine_images
+    lists under HOM_LIMIT for each m in AFFINE_DEGREES, each at point 0
+    only, and stops at the first certificate.
+    handle_classifier.subgroup_table runs it before it enumerates.  The
+    S_d searches are the capped ones quotient_separate runs, so a later
+    separation on the same presentation finds them cached; it never uses
+    the affine images."""
+    walk = itertools.chain((_search(pres, d, HOM_LIMIT) for d in CERTIFICATE_DEGREES),
+                           (_affine_images(pres, m, HOM_LIMIT) for m in AFFINE_DEGREES))
+    for hom in itertools.chain.from_iterable(walk):
+        cert = index_certificate(hom, pres, subgroup)
+        if cert is not None:
+            return cert
     return None

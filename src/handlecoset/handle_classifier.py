@@ -57,7 +57,7 @@ def subgroup_table(input: SurfaceKnotInput, name: str,
     Raises MissingPPlus for "P+" on an input without a P+ section.  The
     steps run cheapest first, and the first that decides ends the build:
 
-    1. the certificate walk over the images in S_d, then in D_m
+    1. the certificate walk over the images in S_d, then in AGL(1, m)
        (finite_quotient.infinite_index_certificate), before any
        enumeration; a certificate raises InfiniteIndex, naming the
        subgroup, that quotes no enumeration;

@@ -29,9 +29,9 @@ from typing import Callable, Optional
 from .coset_enumeration import enumerate_cosets
 from .double_cosets import dc_all, dc_id, dc_invert, dc_twist
 from .errors import HandleCosetError
-from .finite_quotient import (CERTIFICATE_DEGREES, DIHEDRAL_DEGREES, HOM_LIMIT,
-                              PermutationAssignment, SeparationVerdict, _search,
-                              find_homomorphisms, index_certificate,
+from .finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES, HOM_LIMIT,
+                              PermutationAssignment, SeparationVerdict, _affine_images,
+                              _search, find_homomorphisms, index_certificate,
                               quotient_separate)
 from .handle_classifier import (ClassifierContext, equivalent,
                                 enumerate_classes, handle_invariant,
@@ -91,7 +91,7 @@ def rebased(hom, point: int):
     """hom conjugated by the transposition (0 point): point becomes point 0."""
     t = [point if x == 0 else 0 if x == point else x for x in range(hom.degree)]
     images = tuple(pmul(pmul(t, p), t) for p in hom.images)
-    return PermutationAssignment(hom.degree, images, hom.dihedral)
+    return PermutationAssignment(hom.degree, images)
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
@@ -843,12 +843,11 @@ def check_quotient_determinism(seed: int, max_degree: int = 5) -> str:
 def check_infinite_index_certificate() -> str:
     """No finite-index subgroup gets a certificate of infinite index:
     every GROUP_CORPUS subgroup (the trivial one too) and the P and P+ of
-    every INPUT_CORPUS input, over every image an uncapped _search finds
-    in S_d, d up to the last of CERTIFICATE_DEGREES, and in D_m, m in
-    DIHEDRAL_DEGREES: the groups every build reads before it enumerates.
-    The S_d images come up to conjugacy and the D_m images up to the
-    affine maps x -> u x + t, so each is read at every base point (u x
-    fixes 0, so it keeps the stabilizer of 0)."""
+    every INPUT_CORPUS input, over every image, uncapped, of the kinds a
+    build reads before it enumerates: _search's in S_d up to the last of
+    CERTIFICATE_DEGREES, and _affine_images' for m in AFFINE_DEGREES.  Both
+    come up to conjugacy (the affine ones by x -> u x + t), so each is read
+    at every base point (u x fixes 0, so it keeps the stabilizer of 0)."""
     subjects = [(case.name, pres, words)
                 for case, pres, subgroups in _resolved_groups() for words in subgroups]
     for case, parsed, _ctx in _resolved_inputs():
@@ -856,17 +855,17 @@ def check_infinite_index_certificate() -> str:
         if parsed.p_plus_generators is not None:
             subjects.append((case.label, parsed.presentation,
                              parsed.p_plus_generators))
-    searches = [(d, False) for d in range(1, CERTIFICATE_DEGREES[-1] + 1)]
-    searches += [(m, True) for m in DIHEDRAL_DEGREES]
     images = 0
     for name, pres, words in subjects:
-        for degree, dihedral in searches:
-            for hom in _search(pres, degree, 10**9, dihedral):
-                for point in range(degree):
-                    assert index_certificate(rebased(hom, point), pres, words) is None, \
-                        f"{name}: certificate of infinite index for a finite-index " \
-                        f"subgroup from {hom.images} at point {point}"
-                images += 1
+        homs = [hom for d in range(1, CERTIFICATE_DEGREES[-1] + 1)
+                for hom in _search(pres, d, 10**9)]
+        homs += [hom for m in AFFINE_DEGREES for hom in _affine_images(pres, m, 10**9)]
+        for hom in homs:
+            for point in range(hom.degree):
+                assert index_certificate(rebased(hom, point), pres, words) is None, \
+                    f"{name}: certificate of infinite index for a finite-index " \
+                    f"subgroup from {hom.images} at point {point}"
+            images += 1
     return (f"{images} images of {len(subjects)} finite-index subgroups, "
             f"no certificate of infinite index")
 

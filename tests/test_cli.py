@@ -200,13 +200,17 @@ def test_classes_on_the_trefoil_proves_infinite_index(skg, capsys):
     assert "degree 3" in err
 
 
-def test_classes_on_a_torus_knot_proves_infinite_index(skg, capsys):
-    # T(2, 7) = b(7, 1) first maps onto the dihedral group of degree 7
-    path = skg("t27.skg", two_bridge_skg(7, 1))
+@pytest.mark.parametrize("p, h_rank", [(7, 4), (11, 6), (13, 7)],
+                         ids=["T(2,7)", "T(2,11)", "T(2,13)"])
+def test_classes_on_a_torus_knot_proves_infinite_index(skg, capsys, p, h_rank):
+    # T(2, p) = b(p, 1) first maps onto the dihedral group of degree p,
+    # its affine image at m = p with s = -1
+    path = skg(f"t2{p}.skg", two_bridge_skg(p, 1))
     assert run(["classes", path, "--case", "1"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: P has infinite index:")
-    assert "dihedral" in err and "degree 7" in err
+    assert err == (f"error: P has infinite index: in a transitive permutation image "
+                   f"of degree {p}, the point stabilizer H has H^ab of rank {h_rank} "
+                   f"over Q and the intersection of P with H spans rank 1\n")
 
 
 def test_classes_proves_p_plus_has_infinite_index(skg, capsys):

@@ -8,6 +8,7 @@ from handlecoset.double_cosets import Partition, UnorderedPair, dc_id, dc_twist
 from handlecoset.errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                                 PreconditionUnverified, ResourceExhausted,
                                 TableMismatch)
+from handlecoset.finite_quotient import AFFINE_DEGREES, CERTIFICATE_DEGREES
 from handlecoset.handle_classifier import (CaseLabel, ClassifierContext,
                                            HandleInvariant, ValidationCheck,
                                            ValidationReport, candidate_invariant,
@@ -363,7 +364,7 @@ def test_build_proves_infinite_index_before_any_enumeration():
     assert isinstance(exc, ResourceExhausted)
     assert (exc.limits, exc.live_cosets, exc.total_defined) == (None, 0, 0)
     assert (exc.subgroup, exc.degree, exc.h_rank, exc.p_rank) == ("P", 3, 2, 1)
-    assert not exc.dihedral
+    assert not hasattr(exc, "dihedral")
     assert str(exc) == ("P has infinite index: in a transitive permutation "
                         "image of degree 3, the point stabilizer H has H^ab of "
                         "rank 2 over Q and the intersection of P with H spans "
@@ -389,14 +390,14 @@ def _count_enumerations(monkeypatch) -> list:
 @pytest.mark.parametrize("text, limits, enumerations, outcome", [
     (two_bridge_skg(3, 1), None, 0, "S_d"),
     (FREE2, None, 0, "S_d"),
-    (two_bridge_skg(7, 1), None, 0, "D_m"),
+    (two_bridge_skg(7, 1), None, 0, "affine"),
     (two_bridge_skg(17, 1), None, 1, "exhausted"),
     (coxeter_skg(5, [1]), None, 1, 60),
     (S5_TRIVIAL, EnumerationLimits(400, 4000), 1, 120),
 ], ids=["trefoil", "free2", "b(7,1)", "b(17,1)", "S5", "S5-trivial-P"])
 def test_subgroup_table_runs_the_cheapest_step_first(monkeypatch, text, limits,
                                                      enumerations, outcome):
-    # the S_d walk, then the D_m walk, then one enumeration under the
+    # the S_d walk, then the affine walk, then one enumeration under the
     # full limits: count the enumerations each input reaches, without a
     # timer; an integer outcome is the index of the table that comes back
     calls = _count_enumerations(monkeypatch)
@@ -412,15 +413,17 @@ def test_subgroup_table_runs_the_cheapest_step_first(monkeypatch, text, limits,
             assert type(exc) is ResourceExhausted and exc.limits == limits
         else:
             assert isinstance(exc, InfiniteIndex)
-            assert exc.dihedral == (outcome == "D_m")
+            assert (exc.degree in AFFINE_DEGREES) == (outcome == "affine")
+            assert (exc.degree in CERTIFICATE_DEGREES) == (outcome == "S_d")
             assert exc.limits is None
     assert calls == [limits] * enumerations
 
 
 def test_build_without_a_certificate_runs_the_full_budget():
-    # b(17, 1) = T(2, 17) has no certificate in S_2..S_5 nor in D_6..D_13
-    # (its first dihedral image is D_17), so the build runs out of the
-    # full budget and says no more than that
+    # b(17, 1) = T(2, 17) has no certificate in S_2..S_5 nor among the
+    # affine images at m = 7, 11, 13 (its first one is the dihedral image
+    # at m = 17), so the build runs out of the full budget and says no
+    # more than that
     parsed = parse_input(two_bridge_skg(17, 1))
     limits = EnumerationLimits(2000, 20000)
     with pytest.raises(ResourceExhausted) as info:
@@ -429,26 +432,26 @@ def test_build_without_a_certificate_runs_the_full_budget():
     assert info.value.limits == limits
 
 
-@pytest.mark.parametrize("text, subgroup, degree, h_rank, image", [
+@pytest.mark.parametrize("text, subgroup, degree, h_rank", [
     # on the trefoil P = <a, b a b^-1> has finite index, but P+ = <a> has
     # not: P+ gets the same certificate walk as P, before any enumeration
     ("group: a b\nrel: a b a b^-1 a^-1 b^-1\nP: a , b a b^-1\nP+: a\n"
-     "n: b a b^-1\norientable: false", "P+", 3, 2, "permutation image"),
+     "n: b a b^-1\norientable: false", "P+", 3, 2),
     # b(7, 1) = T(2, 7) has no certificate in S_2..S_5; its 7-colourings
-    # map it onto the dihedral group D_7
-    (two_bridge_skg(7, 1), "P", 7, 4, "dihedral permutation image"),
+    # map it onto the dihedral group D_7, its affine image with s = -1
+    (two_bridge_skg(7, 1), "P", 7, 4),
 ], ids=["trefoil-p-plus", "b(7,1)"])
-def test_infinite_index_names_the_subgroup_and_the_image(text, subgroup, degree,
-                                                         h_rank, image):
+def test_infinite_index_names_the_subgroup_and_the_image(text, subgroup, degree, h_rank):
     with pytest.raises(InfiniteIndex) as info:
         ClassifierContext.build(parse_input(text), EnumerationLimits(2000, 20000))
     exc = info.value
     assert (exc.subgroup, exc.degree, exc.h_rank, exc.p_rank) == (subgroup, degree, h_rank, 1)
-    assert exc.dihedral == (degree == 7)
+    assert not hasattr(exc, "dihedral")
     # either walk certifies before any enumeration, so no limits are quoted
     assert (exc.limits, exc.live_cosets, exc.total_defined) == (None, 0, 0)
+    # one wording for both walks
     assert str(exc).startswith(f"{subgroup} has infinite index: in a transitive "
-                               f"{image} of degree {degree},")
+                               f"permutation image of degree {degree},")
     assert str(exc).endswith(f"{subgroup} with H spans rank 1")
 
 

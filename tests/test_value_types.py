@@ -85,8 +85,8 @@ CASES = [
      lambda s: (s.first, s.second), f"{{{D1}, {D2}}}",
      [(lambda s: UnorderedPair(s.first, s), "pair elements differ in shape: D and {D, D}")]),
     (PermutationAssignment,
-     lambda: PermutationAssignment(degree=3, images=((1, 0, 2), (0, 2, 1)), dihedral=True),
-     ("degree", "images", "dihedral"), (), lambda s: (s.degree, s.images, s.dihedral),
+     lambda: PermutationAssignment(degree=3, images=((1, 0, 2), (0, 2, 1))),
+     ("degree", "images"), (), lambda s: (s.degree, s.images),
      "PermutationAssignment(degree=3, images=((1, 0, 2), (0, 2, 1)))", []),
     (SurfaceKnotInput, _d8_input,
      ("presentation", "p_generators", "p_plus_generators", "n_word",
