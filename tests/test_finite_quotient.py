@@ -14,6 +14,7 @@ from handlecoset.errors import CaseMismatch, InfiniteIndex
 from handlecoset.finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES,
                                          HOM_LIMIT, MAX_SEPARATE_DEGREE,
                                          SeparationVerdict, _affine_images,
+                                         _affine_row,
                                          find_homomorphisms, index_certificate,
                                          infinite_index_certificate,
                                          quotient_separate, _extend_basis,
@@ -24,7 +25,7 @@ from handlecoset.knot_input import case_words, parse_input, parse_word
 from handlecoset.selftest import (INPUT_CORPUS, _random_word, _related_word,
                                   classifier_values, coxeter_skg,
                                   lexicographic_filter,
-                                  peval, pinv, pmul, rebased,
+                                  mulclose, peval, pinv, pmul, rebased,
                                   subgroup_of, two_bridge_skg)
 from handlecoset.word_algebra import GroupPresentation, Word, concat, invert, power
 
@@ -456,6 +457,70 @@ def test_walk_reads_s_d_then_d_m_and_stops_at_a_certificate(monkeypatch, p, step
         assert cert.degree == searched[-1][1]
 
 
+def _dihedral_group(m):
+    """The elements of D_m, generated by x -> x + 1 and x -> -x on Z/m,
+    in sorted order: 2m of them from m = 3 on, m on Z/1 and Z/2, where
+    x -> -x is the identity."""
+    elements = sorted(mulclose([tuple((x + 1) % m for x in range(m)),
+                                tuple(-x % m for x in range(m))]))
+    assert len(elements) == (2 * m if m > 2 else m)
+    return elements
+
+
+def test_only_the_identity_of_a_dihedral_group_fixes_0_and_1():
+    # a relator read in D_m, or in AGL(1, m) for m prime, is trivial once
+    # it fixes 0 and 1.  _affine_row reads exactly those two points: a
+    # relator of exponent sum 0 maps 0 to s^-1 (row . c) and has the
+    # multiplier s^0 = 1, which the row checks
+    for m in range(1, AFFINE_DEGREES[-1] + 1):
+        fixing = [p for p in _dihedral_group(m) if p[:2] == tuple(range(min(m, 2)))]
+        assert fixing == [tuple(range(m))], m
+    for m in (3, 5) + AFFINE_DEGREES:
+        affine = [tuple((u * x + t) % m for x in range(m))
+                  for u in range(1, m) for t in range(m)]
+        assert [p for p in affine if p[:2] == (0, 1)] == [tuple(range(m))], m
+    m, rel = 7, TREFOIL.relators[0]
+    for s in range(2, m):
+        row = _affine_row(_columns(rel), s, m, 2)
+        for c in itertools.product(range(m), repeat=2):
+            image = peval(rel, [tuple((s * x + ci) % m for x in range(m)) for ci in c])
+            assert (image[1] - image[0]) % m == 1
+            assert image[0] == pow(s, -1, m) * (row[0] * c[0] + row[1] * c[1]) % m
+            assert (image == tuple(range(m))) == (image[0] == 0), (s, c)
+
+
+# up to affine maps the trefoil has one 3-colouring and no p-colouring
+# for p = 5, 7, 11, 13; the one-relator FIGURE_EIGHT, whose Fox derivative
+# t^2 - 2t + 2 is not that of a knot, has one 5-colouring and no other
+@pytest.mark.parametrize("pres, colourings", [
+    (TREFOIL, {3: 1}), (FIGURE_EIGHT, {5: 1}), (S3_INPUT.presentation, {}),
+    (WIRTINGER_TREFOIL, {3: 1})],
+    ids=["trefoil", "figure-eight", "s3", "wirtinger-trefoil"])
+def test_dihedral_homs_match_reference_search(pres, colourings):
+    # the homomorphisms into D_m that send every generator to a reflection
+    # x -> c_i - x are the affine images with s = -1.  Against a
+    # brute-force search of D_m, uncapped, each listed one is such a
+    # homomorphism, and each such homomorphism with a non-constant c is
+    # conjugate by an affine map x -> u x + t to exactly one listed one;
+    # a constant c maps onto Z/2 and is not listed
+    for m in (3, 5, 7) + AFFINE_DEGREES:
+        elements = _dihedral_group(m)
+        reflections = [p for p in elements if all((p[x] + x) % m == p[0] for x in range(m))]
+        expected = {images for images in
+                    itertools.product(reflections, repeat=len(pres.generators))
+                    if all(peval(rel, images) == elements[0] for rel in pres.relators)}
+        listed = [h.images for h in _affine_images(pres, m, 10**9)
+                  if h.images[0][1] == (h.images[0][0] - 1) % m]
+        assert set(listed) <= expected, m
+        affine = [tuple((u * x + t) % m for x in range(m))
+                  for u in range(1, m) for t in range(m)]
+        for images in expected:
+            conjugates = {tuple(pmul(pmul(pinv(g), p), g) for p in images) for g in affine}
+            hits = [h for h in listed if h in conjugates]
+            assert len(hits) == (len({p[0] for p in images}) > 1), (m, images)
+        assert len(listed) == colourings.get(m, 0), m
+
+
 def _affine_reference(pres, m):
     """Every tuple of maps x -> s x + c_i on Z/m, one s != 1 for all
     generators, that satisfies every relator, by brute force over every
@@ -561,6 +626,21 @@ def test_affine_walk_cost_without_a_timer(monkeypatch, skg, rows, images):
               for hom in _affine_images(presentation, m, HOM_LIMIT)]
     assert calls[0] <= rows
     assert len(listed) == images
+
+
+def test_dihedral_walk_cycle_types_without_a_timer(monkeypatch):
+    # the certificate walk on S8 with P = <s1>: its S_2..S_5 searches
+    # group each generator's candidates by cycle type, 162 reads in all.
+    # Its second half once searched D_6..D_13 and read 176 more; the
+    # affine listings that replace it solve for c and read none
+    data = parse_input(coxeter_skg(8, [1]))
+    calls = _count_holds(monkeypatch, "_cycle_type")
+    for m in AFFINE_DEGREES:
+        list(_affine_images(data.presentation, m, HOM_LIMIT))
+    assert calls[0] == 0
+    assert infinite_index_certificate(data.presentation, data.p_generators) is None
+    _search.cache_clear()
+    assert calls[0] < 200
 
 
 def test_knot_search_cost_without_a_timer(monkeypatch):
