@@ -14,10 +14,12 @@ presentation has a relator that is that letter twice (x^2 or x^-2).
 Its two letters share one flat column, which is its own inverse; every
 other generator has a column per letter.  A column map sends each
 letter to its flat column, and an inverse map sends each flat column to
-its inverse (k ^ 1 for a pair, k itself for a shared column).  Relators
-and subgroup words are compiled through the column map, and every edge
-is installed together with its reverse through the inverse map, so the
-x^2 relators hold at every coset and are not scanned.  On the Coxeter
+its inverse (k ^ 1 for a pair, k itself for a shared column).  A word
+arrives compiled to standard columns (Word.columns: 2i for generator i,
+2i + 1 for its inverse); relators and subgroup words are mapped through
+the column map, and every edge is installed together with its reverse
+through the inverse map, so the x^2 relators hold at every coset and are
+not scanned.  On the Coxeter
 presentation of S_n every generator is an involution: the stride halves
 and about half as many cosets are defined.
 
@@ -31,8 +33,10 @@ union-find dict, so live cosets = defined cosets - merged cosets.
 Standardization walks the distinct columns and writes the finished
 table straight into one 1-based list per column; the result has a
 column for every letter, and an involutory generator's two columns are
-one list.  The standardized table does not depend on the sharing.  The
-post-checks, which _verify states, prove each invariant once.
+one list.  The standardized table does not depend on the sharing, and
+its columns are numbered as Word.columns numbers a word's letters, so
+tracing a word is one subscript per letter.  The post-checks, which
+_verify states, prove each invariant once.
 
 Cosets are numbered 1..index and coset 1 is the subgroup itself.
 """
@@ -43,7 +47,7 @@ from collections import deque
 from typing import Optional, Sequence
 
 from .errors import CosetRangeError, ResourceExhausted
-from .word_algebra import GroupPresentation, Word, _Frozen
+from .word_algebra import GroupPresentation, Word, _Frozen, column_letters
 
 
 class EnumerationLimits(_Frozen):
@@ -62,11 +66,6 @@ class EnumerationLimits(_Frozen):
 
     def _key(self):
         return (self.max_live_cosets, self.max_total_defined)
-
-
-def _columns(word: Word) -> tuple[int, ...]:
-    # column 2i carries generator i, column 2i+1 its inverse; col ^ 1 flips
-    return tuple(2 * i + (0 if s > 0 else 1) for i, s in word)
 
 
 class CosetTable:
@@ -105,20 +104,19 @@ class CosetTable:
         return len(self._action[0]) - 1
 
     def letter_action(self, coset: int, letter: tuple[int, int]) -> int:
-        if not 1 <= coset <= self.index:
-            raise CosetRangeError(coset, self.index)
-        i, s = letter
-        return self._action[2 * i + (0 if s > 0 else 1)][coset]
+        return self.trace(coset, Word((letter,)))
 
     def trace(self, start: int, word: Word) -> int:
-        """Apply the word left to right starting from the given coset."""
+        """Apply the word left to right starting from the given coset:
+        one subscript per letter, through the columns the word compiled
+        when it was built."""
         if not 1 <= start <= self.index:
             raise CosetRangeError(start, self.index)
         c = start
         action = self._action
         try:
-            for i, s in word:
-                c = action[2 * i + (s < 0)][c]
+            for col in word.columns:
+                c = action[col][c]
         except IndexError:  # a column past the last generator's
             raise ValueError("word uses a generator outside this table's alphabet") from None
         return c
@@ -129,7 +127,7 @@ class CosetTable:
         if word.max_generator_index() >= self.n_generators:
             raise ValueError("word uses a generator outside this table's alphabet")
         image = list(range(self.index + 1))
-        for col in _columns(word):
+        for col in word.columns:
             image = list(map(self._action[col].__getitem__, image))
         return image
 
@@ -141,13 +139,13 @@ class CosetTable:
         """A word with trace(1, word) == coset, read off the BFS tree."""
         if not 1 <= coset <= self.index:
             raise CosetRangeError(coset, self.index)
-        letters = []
+        letters = column_letters(2 * self.n_generators)
+        path = []
         c = coset
         while self._parents[c] is not None:
-            parent, col = self._parents[c]
-            letters.append((col >> 1, -1 if col & 1 else 1))
-            c = parent
-        return Word(tuple(reversed(letters)))
+            c, col = self._parents[c]
+            path.append(letters[col])
+        return Word(tuple(reversed(path)))
 
     def unwitness(self, coset: int, start: int) -> int:
         """The coset start * witness(coset)^-1, read off the BFS tree from
@@ -194,9 +192,9 @@ class _Enumeration:
         self.ncols = len(inv)
         # an edge of a self-inverse column is installed with its reverse,
         # so the x^2 relators hold at every coset without a scan
-        self.relators = [tuple(column[c] for c in _columns(r))
+        self.relators = [tuple(column[c] for c in r.columns)
                          for r in pres.relators if r not in squares]
-        self.subgroup = [tuple(column[c] for c in _columns(w)) for w in subgroup]
+        self.subgroup = [tuple(column[c] for c in w.columns) for w in subgroup]
         self.limits = limits
         self.blank: list[Optional[int]] = [None] * self.ncols
         self.table = list(self.blank)
@@ -432,7 +430,7 @@ def _verify(table: CosetTable, pres: GroupPresentation,
         if not ok:
             raise AssertionError(_column_fault(a, b, identity))
     for rel in pres.relators:
-        u, m = _root(_columns(rel))
+        u, m = _root(rel.columns)
         if m == 2 and len(u) == 1 and action[u[0]] is action[u[0] ^ 1]:
             continue
         image = action[u[0]]

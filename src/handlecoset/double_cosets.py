@@ -26,7 +26,7 @@ into a key, equal exactly when the values are.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 from .coset_enumeration import CosetTable
 from .errors import PreconditionUnverified, TableMismatch
@@ -36,14 +36,24 @@ if TYPE_CHECKING:
     from .handle_classifier import ValidationReport
 
 
+class Twist(NamedTuple):
+    """The twist g -> n g n over one table: n, n^-1 and the coset 1 n^-1,
+    each found once, and the images of canonical cosets filled in so far."""
+
+    n: Word
+    n_inv: Word
+    start: int
+    images: dict[int, int]
+
+
 class Partition:
     """Double-coset orbits of one table under its subgroup generators.
 
     label[c] is the minimal coset of c's orbit (label[0] = 0), size maps
     each canonical coset to its orbit size in increasing canonical order,
     inv maps a canonical coset to that of the inverse double coset, and
-    twist_images(n) does the same for g -> n g n (twisted takes it as
-    images); both fill in on first use.
+    twist(table, n) does the same for g -> n g n (twisted takes it); both
+    fill in on first use.
     The table keeps its partition, so a partition holds no reference
     back to it: that cycle would keep a dropped table alive until the
     cyclic garbage collector ran.
@@ -73,9 +83,9 @@ class Partition:
         # a canonical coset is the first of its orbit met in 1..index
         self.size = Counter(self.label[1:])
         self.inv: dict[int, int] = {}
-        # (n, n's twist images), compared by equality: a word hashes its
-        # letters on every call, and a table meets one n in practice
-        self._twists: list[tuple[Word, dict[int, int]]] = []
+        # compared by n's equality: a word hashes its letters on every
+        # call, and a table meets one n in practice
+        self._twists: list[Twist] = []
 
     def id(self, table: CosetTable, canonical: int) -> "DoubleCosetId":
         return DoubleCosetId(table, canonical, self.size[canonical])
@@ -86,23 +96,23 @@ class Partition:
             image = self.inv[canonical] = self.label[table.unwitness(canonical, 1)]
         return image
 
-    def twist_images(self, n: Word) -> dict[int, int]:
-        """The images of g -> n g n filled in so far, found without
-        hashing n."""
-        for m, images in self._twists:
-            if m == n:
-                return images
-        images = {}
-        self._twists.append((n, images))
-        return images
+    def twist(self, table: CosetTable, n: Word) -> Twist:
+        """n's twist over the table, found without hashing n; the table
+        must be the one this partition was built from."""
+        for twist in self._twists:
+            if twist.n == n:
+                return twist
+        n_inv = invert(n)
+        twist = Twist(n, n_inv, table.trace(1, n_inv), {})
+        self._twists.append(twist)
+        return twist
 
-    def twisted(self, table: CosetTable, n: Word, canonical: int,
-                images: dict[int, int]) -> int:
+    def twisted(self, table: CosetTable, twist: Twist, canonical: int) -> int:
+        images = twist.images
         image = images.get(canonical)
         if image is None:
             # the class of (n g n)^-1 = n^-1 g^-1 n^-1, then inverted
-            n_inv = invert(n)
-            x = table.trace(table.unwitness(canonical, table.trace(1, n_inv)), n_inv)
+            x = table.trace(table.unwitness(canonical, twist.start), twist.n_inv)
             image = images[canonical] = self.inverse(table, self.label[x])
         return image
 
@@ -277,4 +287,4 @@ def dc_twist(table: CosetTable, acting: Sequence[Word], n: Word,
     require_twist_verified for what the report must show."""
     require_twist_verified(report)
     part = _partition_for(table, acting, d)
-    return part.id(table, part.twisted(table, n, d.canonical, part.twist_images(n)))
+    return part.id(table, part.twisted(table, part.twist(table, n), d.canonical))

@@ -17,9 +17,10 @@ cycle type; in Schubert and Wirtinger presentations of knot groups
 every generator is such a meridian.  Inside a finite image everything
 is brute force over permutations, deliberately independent of the
 enumeration engine.  Three things are shared with the rest of the
-package: the encoding of words as action columns, the case dispatch
-(knot_input.case_words), which picks the acting words and the twist
-word, and the value's shape (double_cosets.nest_slots).
+package: the encoding of words as action columns, which each Word
+carries (Word.columns), the case dispatch (knot_input.case_words), which
+picks the acting words and the twist word, and the value's shape
+(double_cosets.nest_slots).
 
 The same images can prove that a subgroup K has infinite index, which
 no enumeration budget can (index_certificate): in a transitive image
@@ -43,13 +44,12 @@ from functools import lru_cache, partial
 from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .coset_enumeration import _columns
 from .double_cosets import key_pair, nest_slots
 from .knot_input import CaseLabel, SurfaceKnotInput, case_words
 from .word_algebra import GroupPresentation, Word, _Frozen
 
 Perm = tuple[int, ...]
-Columns = tuple[int, ...]  # a word compiled by _columns
+Columns = tuple[int, ...]  # a word's action columns, Word.columns
 
 # the largest degree of S_d searched; a generator with no earlier conjugate
 # partner still runs over all d! permutations
@@ -96,8 +96,8 @@ def perm_inverse(p: Perm) -> Perm:
 
 
 def _trace(action: list[Perm], columns: tuple[int, ...], x: int) -> int:
-    """Image of point x under a word compiled by _columns: action[2i] is the
-    image of generator i and action[2i + 1] its inverse."""
+    """Image of point x under a word's columns (Word.columns): action[2i]
+    is the image of generator i and action[2i + 1] its inverse."""
     for c in columns:
         x = action[c][x]
     return x
@@ -120,7 +120,7 @@ def _check_degree(degree: int) -> None:
 
 def _action(hom: PermutationAssignment) -> list[Perm]:
     """The image of generator i at 2i and its inverse at 2i + 1, the
-    order of the columns of a word compiled by _columns."""
+    order of a word's columns (Word.columns)."""
     action = []
     for p in hom.images:
         action += (p, perm_inverse(p))
@@ -220,7 +220,7 @@ def _search(pres: GroupPresentation, degree: int,
     # a relator becomes checkable once its highest generator is assigned
     ready: list[list[tuple[int, ...]]] = [[] for _ in range(ngens)]
     for rel in pres.relators:
-        ready[rel.max_generator_index()].append(_columns(rel))
+        ready[rel.max_generator_index()].append(rel.columns)
 
     found: list[PermutationAssignment] = []
     action: list[Perm] = [tuple(range(degree))] * (2 * ngens)
@@ -285,10 +285,10 @@ def _fixes_a_point(hom: PermutationAssignment) -> bool:
 def _image_value(hom: PermutationAssignment, acting: list[Columns],
                  n: Optional[Columns], core_oriented: bool) -> Callable[[Columns], object]:
     """The invariant of a cord inside hom's image, as a function of the
-    cord word compiled by _columns.  The generator action and the images
-    of the acting words and of n are built once, so every cord evaluated
-    through the result shares them.  A double coset is named by its
-    least permutation, and every element of a closure computed is
+    cord word's columns (Word.columns).  The generator action and the
+    images of the acting words and of n are built once, so every cord
+    evaluated through the result shares them.  A double coset is named
+    by its least permutation, and every element of a closure computed is
     recorded with that name, so a later slot in the same double coset,
     of this cord or another, is one lookup."""
     action = [p.__getitem__ for p in _action(hom)]
@@ -368,9 +368,9 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
     ngens = len(input.presentation.generators)
     if max(g1.max_generator_index(), g2.max_generator_index()) >= ngens:
         raise ValueError("cord word uses a generator outside the presentation")
-    acting_columns = [_columns(w) for w in acting]
-    n_columns = None if n is None else _columns(n)
-    c1, c2 = _columns(g1), _columns(g2)
+    acting_columns = [w.columns for w in acting]
+    n_columns = None if n is None else n.columns
+    c1, c2 = g1.columns, g2.columns
     complete = True  # the listing of degree 0, the trivial group
     for degree in range(1, max_degree + 1):
         homs = _search(input.presentation, degree, HOM_LIMIT)
@@ -485,14 +485,14 @@ def index_certificate(hom: PermutationAssignment, pres: GroupPresentation,
                 x = action[c][x]
         return row, x
 
-    relators = [_columns(rel) for rel in pres.relators]
+    relators = [rel.columns for rel in pres.relators]
     basis: list[tuple[int, dict]] = []
     _extend_basis(basis, (rewrite(rel, x)[0]
                           for rel in relators for x in range(hom.degree)), width)
     relator_rank = len(basis)
     if relator_rank == width:
         return None  # H^ab is finite
-    words = [_columns(w) for w in subgroup]
+    words = [w.columns for w in subgroup]
     path = {0: [0] * width}  # o -> U[o]
     orbit = [0]
     rows = []
@@ -537,7 +537,7 @@ def _affine_images(pres: GroupPresentation, m: int,
     are eliminated from the last column, so free columns after the first
     nonzero one run over Z/m and each pivot follows from those before."""
     ngens = len(pres.generators)
-    relators = [_columns(rel) for rel in pres.relators]
+    relators = [rel.columns for rel in pres.relators]
     for s in range(2, m):
         pivots: dict[int, list[int]] = {}  # column -> its pivot row
         for columns in relators:

@@ -36,8 +36,8 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .coset_enumeration import CosetTable, EnumerationLimits, enumerate_cosets
-from .double_cosets import (DoubleCosetId, UnorderedPair, Partition, dc_id,
-                            key_pair, nest_slots, partition,
+from .double_cosets import (DoubleCosetId, UnorderedPair, Partition, Twist,
+                            dc_id, key_pair, nest_slots, partition,
                             require_twist_verified, slot_count)
 from .errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                      PreconditionUnverified, ResourceExhausted, TableMismatch)
@@ -305,7 +305,7 @@ class ClassifierContext(_Frozen):
             if table is None:
                 raise MissingPPlus("this context has no P+ table")
         part = partition(table)
-        return _Case(table, part, n, None if n is None else part.twist_images(n))
+        return _Case(table, part, n, None if n is None else part.twist(table, n))
 
 
 def oriented_cord_invariant(ctx: ClassifierContext, g: Word) -> DoubleCosetId:
@@ -325,12 +325,12 @@ def local_oriented_cord_invariant(ctx: ClassifierContext, g: Word) -> DoubleCose
 
 
 class _Case(NamedTuple):
-    """A context's case table, its partition, n and n's twist images."""
+    """A context's case table, its partition, n and n's twist."""
 
     table: CosetTable
     part: Partition
     n: Optional[Word]
-    twist: Optional[dict[int, int]]
+    twist: Optional[Twist]
 
 
 def _resolve(ctx: ClassifierContext, case: CaseLabel) -> _Case:
@@ -349,7 +349,7 @@ def _value(r: _Case, core_oriented: bool, c: int, key: bool = False):
     One integer slot function feeds both."""
     def slot(inverted: bool, of: Optional[int]) -> int:
         if of is not None:
-            return r.part.twisted(r.table, r.n, of, r.twist)
+            return r.part.twisted(r.table, r.twist, of)
         return r.part.inverse(r.table, c) if inverted else c
 
     if key:

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 from .errors import (CaseMismatch, DuplicateGenerator, MissingSection,
                      SkgSyntaxError, UnknownGenerator)
 from .word_algebra import (GeneratorSymbol, GroupPresentation, Word, _Frozen,
-                           free_reduce)
+                           free_reduce, shared_letter)
 
 _TOKEN = re.compile(r"\S+")
 # a word may expand (before free reduction) to at most this many letters
@@ -119,9 +119,8 @@ def _parse_word_tokens(segment: str, line_no: int, col_offset: int,
         if len(letters) + abs(k) > MAX_WORD_LETTERS:
             raise SkgSyntaxError(line_no, col, f"word expands to more than "
                                  f"{MAX_WORD_LETTERS} letters")
-        idx = name_to_index[base]
-        sign = 1 if k >= 0 else -1
-        letters.extend([(idx, sign)] * abs(k))
+        one = shared_letter(name_to_index[base], 1 if k >= 0 else -1)
+        letters.extend([one] * abs(k))
     if not saw_token:
         raise SkgSyntaxError(line_no, col_offset, "expected a word")
     return free_reduce(letters)

@@ -245,6 +245,14 @@ GROUP_CORPUS: tuple[GroupCase, ...] = (
               "P: a\norientable: true",
               ((2, 3, 1, 0, 7, 6, 4, 5), (4, 5, 6, 7, 1, 0, 3, 2)), 8,
               (("a",), ("a^2",), ("b",))),
+    # the Frobenius group Z/7 x| Z/3 as x -> 2x and x -> 2x + 1 mod 7; with
+    # t = a^-1 b (x -> x + 1) the third relator is a^-1 t a = t^2.  It is
+    # its own image in AGL(1, 7), so the certificate walk reads an affine
+    # image of it
+    GroupCase("f21", "group: a b\nrel: a^3\nrel: b^3\n"
+              "rel: a^-2 b a b^-1 a b^-1 a\nP: a\norientable: true",
+              ((0, 2, 4, 6, 1, 3, 5), (1, 3, 5, 0, 2, 4, 6)), 21,
+              (("a",), ("a^-1 b",))),
 )
 
 
@@ -855,19 +863,21 @@ def check_infinite_index_certificate() -> str:
         if parsed.p_plus_generators is not None:
             subjects.append((case.label, parsed.presentation,
                              parsed.p_plus_generators))
-    images = 0
+    images = affine = 0
     for name, pres, words in subjects:
         homs = [hom for d in range(1, CERTIFICATE_DEGREES[-1] + 1)
                 for hom in _search(pres, d, 10**9)]
+        sd = len(homs)
         homs += [hom for m in AFFINE_DEGREES for hom in _affine_images(pres, m, 10**9)]
         for hom in homs:
             for point in range(hom.degree):
                 assert index_certificate(rebased(hom, point), pres, words) is None, \
                     f"{name}: certificate of infinite index for a finite-index " \
                     f"subgroup from {hom.images} at point {point}"
-            images += 1
-    return (f"{images} images of {len(subjects)} finite-index subgroups, "
-            f"no certificate of infinite index")
+        images += len(homs)
+        affine += len(homs) - sd
+    return (f"{images} images ({affine} affine) of {len(subjects)} finite-index "
+            f"subgroups, no certificate of infinite index")
 
 
 def check_record_determinism() -> str:

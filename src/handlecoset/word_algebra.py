@@ -4,6 +4,11 @@ Every group element handled by this package is a word: a sequence of
 signed generator letters with no adjacent x x^-1 pair.  Letters store
 generator indices, not names; names live only in the presentation, so
 words compare and hash cheaply.
+
+This module owns the encoding of letters as action columns: a word
+compiles its letters to columns once, when it is built (Word.columns),
+and the parser, invert and coset-table witnesses build their words from
+one shared (i, s) pair per column (column_letters).
 """
 
 from __future__ import annotations
@@ -71,23 +76,33 @@ class GeneratorSymbol(_Frozen):
 
 
 class Word(_Frozen):
-    """A freely reduced word; the empty word is the identity element."""
+    """A freely reduced word; the empty word is the identity element.
 
-    __slots__ = _fields = ("letters",)
+    columns holds each letter's action column, compiled once here: 2i
+    for (i, +1) and 2i + 1 for (i, -1), so col ^ 1 is the inverse
+    letter's.  Coset tables and finite images read a word through it.
+    It follows from letters, so repr, == and hash leave it out, and
+    pickle rebuilds it through the constructor."""
+
+    _fields = ("letters",)
+    __slots__ = _fields + ("columns",)
 
     def __init__(self, letters: tuple[Letter, ...] = ()):
         # one pass; a bad letter anywhere wins over a cancelling pair
         reduced = True
         j = t = None  # the previous letter
+        columns = []
         for i, s in letters:
             if i < 0 or s not in (1, -1):
                 raise ValueError(f"bad letter {(i, s)!r}")
             if i == j and s == -t:
                 reduced = False
             j, t = i, s
+            columns.append(2 * i + (s < 0))
         if not reduced:
             raise ValueError("word is not freely reduced")
         object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "columns", tuple(columns))
 
     def _key(self):
         return (self.letters,)
@@ -107,26 +122,63 @@ class Word(_Frozen):
 
     def max_generator_index(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
-        return max((i for i, _ in self.letters), default=-1)
+        return max(self.columns, default=-1) >> 1
+
+
+# the letter of each action column, one pair shared by every word built
+# from it; a fresh pair costs about 64 B, eight times its slot in a word.
+# It grows a generator at a time, to the largest alphabet parsed or
+# enumerated, so col < len(table) implies col ^ 1 < len(table)
+_LETTERS: list[Letter] = []
+
+
+def column_letters(ncols: int) -> list[Letter]:
+    """The shared letter of every action column below ncols, indexed by
+    column; callers only read it.  The table grows into a new list, never
+    in place, so a thread that reads or grows it meanwhile still holds a
+    correct table."""
+    global _LETTERS
+    table = _LETTERS
+    if len(table) < ncols:
+        table = _LETTERS = table + [(i, s)
+                                    for i in range(len(table) >> 1, (ncols + 1) >> 1)
+                                    for s in (1, -1)]
+    return table
+
+
+def shared_letter(i: int, s: int) -> Letter:
+    """The shared pair (i, s), for a generator index i >= 0 and s = +-1."""
+    col = 2 * i + (s < 0)
+    table = _LETTERS
+    if col >= len(table):
+        table = column_letters(col + 1)
+    return table[col]
 
 
 def free_reduce(letters: Iterable[Letter]) -> Word:
     """Cancel adjacent inverse pairs until none remain.
 
     A single stack pass; free reduction is confluent, so the result does
-    not depend on cancellation order.
+    not depend on cancellation order.  The word keeps the letter objects
+    it is given.
     """
     out: list[Letter] = []
-    for idx, sign in letters:
+    for letter in letters:
+        idx, sign = letter
         if out and out[-1][0] == idx and out[-1][1] == -sign:
             out.pop()
         else:
-            out.append((idx, sign))
+            out.append(letter)
     return Word(tuple(out))
 
 
 def invert(w: Word) -> Word:
-    """Reverse the letters and flip every sign."""
+    """Reverse the letters and flip every sign.  The letters are the
+    shared ones wherever the table reaches, and it is not grown here: a
+    word may name any generator index."""
+    columns, table = w.columns, _LETTERS
+    if max(columns, default=-1) < len(table):
+        return Word(tuple([table[col ^ 1] for col in reversed(columns)]))
     return Word(tuple((i, -s) for i, s in reversed(w.letters)))
 
 

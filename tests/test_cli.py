@@ -531,6 +531,45 @@ def test_only_coset_enumeration_reads_the_table_fields():
     assert readers == {"coset_enumeration"}
 
 
+def _signs_to_columns(node) -> bool:
+    """2 * i + (s < 0), or any 2 * i + a test or conditional: a letter's
+    sign turned into a column offset."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    for doubled, offset in ((node.left, node.right), (node.right, node.left)):
+        if (isinstance(doubled, ast.BinOp) and isinstance(doubled.op, ast.Mult)
+                and any(isinstance(x, ast.Constant) and x.value == 2
+                        for x in (doubled.left, doubled.right))
+                and isinstance(offset, (ast.Compare, ast.IfExp))):
+            return True
+    return False
+
+
+def _columns_to_signs(node) -> bool:
+    """-1 if col & 1 else 1, or 1 if ... else -1: a column's parity turned
+    into a letter's sign."""
+    def unit(x):
+        if isinstance(x, ast.UnaryOp) and isinstance(x.op, ast.USub):
+            x = x.operand
+        return isinstance(x, ast.Constant) and x.value == 1
+
+    test = node.test if isinstance(node, ast.IfExp) else None
+    return (isinstance(test, ast.BinOp) and isinstance(test.op, ast.BitAnd)
+            and unit(test.right) and unit(node.body) and unit(node.orelse))
+
+
+def test_only_word_algebra_encodes_letters_as_columns():
+    # every other module reads a word's columns (Word.columns) and builds
+    # letters from column_letters, so the encoding has one owner
+    encoders = set()
+    for path in Path(handlecoset.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(_signs_to_columns(node) or _columns_to_signs(node)
+               for node in ast.walk(tree)):
+            encoders.add(path.stem)
+    assert encoders == {"word_algebra"}
+
+
 def test_only_the_classifier_chooses_a_case_table():
     # which table a case works over is decided in handle_classifier
     # alone, and the CLI builds candidates through it, not from ids

@@ -8,7 +8,7 @@ from handlecoset.coset_enumeration import (CosetTable, EnumerationLimits,
                                            _verify, enumerate_cosets)
 from handlecoset.errors import CosetRangeError, ResourceExhausted
 from handlecoset.knot_input import parse_input, parse_word
-from handlecoset.word_algebra import GroupPresentation, Word
+from handlecoset.word_algebra import GroupPresentation, Word, shared_letter
 from handlecoset.selftest import (GROUP_CORPUS, coxeter_skg, mulclose,
                                   respell_squares)
 
@@ -96,6 +96,9 @@ def test_witnesses():
         assert table.trace(1, table.witness(c)) == c
     with pytest.raises(CosetRangeError):
         table.witness(table.index + 1)
+    # a witness holds the shared pair of each column, not a fresh one
+    for c in range(1, table.index + 1):
+        assert all(x is shared_letter(*x) for x in table.witness(c).letters)
 
 
 def test_standardized_numbering_is_bfs():

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from brute import TWO_BRIDGE_13
 from handlecoset import finite_quotient
-from handlecoset.coset_enumeration import _columns
 from handlecoset.errors import CaseMismatch, InfiniteIndex
 from handlecoset.finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES,
                                          HOM_LIMIT, MAX_SEPARATE_DEGREE,
@@ -34,10 +33,15 @@ C3 = parse_input("group: a\nrel: a^3\nP: 1\norientable: true").presentation
 S3_INPUT = parse_input("group: a b\nrel: a^2\nrel: b^3\nrel: a b a b\n"
                        "P: a\norientable: true", label="s3")
 T2_INPUT = parse_input("group: t\nP: t^2\norientable: true", label="t2")
-# Schubert presentations <a, b | a w = w b> of the 2-bridge knots b(3,1), b(5,2)
+# Schubert presentations <a, b | a w = w b> of the 2-bridge knots b(3,1)
+# and b(5,3), the trefoil and the figure eight
 TREFOIL = parse_input("group: a b\nrel: a b a b^-1 a^-1 b^-1\n"
                       "P: a\norientable: true").presentation
-FIGURE_EIGHT = parse_input("group: a b\nrel: a b a b^-1 a^-1 b^-1 a b a^-1 b^-1\n"
+FIGURE_EIGHT = parse_input(two_bridge_skg(5, 3)).presentation
+# the Schubert formula at p = 5 with the even q = 2: not a knot group, since
+# its Fox derivative along a, t^2 - 2t + 2, is not symmetric; a one-relator
+# group all the same
+SCHUBERT_5_2 = parse_input("group: a b\nrel: a b a b^-1 a^-1 b^-1 a b a^-1 b^-1\n"
                            "P: a\norientable: true").presentation
 # a 3-generator Wirtinger presentation of the trefoil: x3 = x1^-1 x2 x1,
 # and x2 = x3^-1 x1 x3 written inverted and rotated; the first pairs x3
@@ -165,10 +169,12 @@ def test_no_partners_without_a_conjugating_relator(pres):
 
 # the brute-force reference evaluates every tuple of the product, so the
 # 3-generator input stops at degree 5 (degree 6 would take 12 s)
-@pytest.mark.parametrize("pres,top", [(TREFOIL, 6), (FIGURE_EIGHT, 6),
+@pytest.mark.parametrize("pres,top", [(TREFOIL, 6), (SCHUBERT_5_2, 6),
+                                      (FIGURE_EIGHT, 6),
                                       (S3_INPUT.presentation, 6),
                                       (WIRTINGER_TREFOIL, 5)],
-                         ids=["trefoil", "figure-eight", "s3", "wirtinger-trefoil"])
+                         ids=["trefoil", "schubert-5-2", "figure-eight", "s3",
+                              "wirtinger-trefoil"])
 def test_homs_match_reference_search(pres, top):
     capped = 0
     for degree, limit in [(d, limit) for d in range(1, top + 1) for limit in (5, HOM_LIMIT)] + \
@@ -183,8 +189,8 @@ def test_homs_match_reference_search(pres, top):
     assert capped  # the limit binds at least once, so its handling is tested
 
 
-COVERAGE_INPUTS = [("trefoil", TREFOIL), ("figure-eight", FIGURE_EIGHT),
-                   ("s3", S3_INPUT.presentation)] + \
+COVERAGE_INPUTS = [("trefoil", TREFOIL), ("schubert-5-2", SCHUBERT_5_2),
+                   ("figure-eight", FIGURE_EIGHT), ("s3", S3_INPUT.presentation)] + \
     [(c.label, parse_input(c.skg).presentation) for c in INPUT_CORPUS
      if len(parse_input(c.skg).presentation.generators) == 2]
 
@@ -481,7 +487,7 @@ def test_only_the_identity_of_a_dihedral_group_fixes_0_and_1():
         assert [p for p in affine if p[:2] == (0, 1)] == [tuple(range(m))], m
     m, rel = 7, TREFOIL.relators[0]
     for s in range(2, m):
-        row = _affine_row(_columns(rel), s, m, 2)
+        row = _affine_row(rel.columns, s, m, 2)
         for c in itertools.product(range(m), repeat=2):
             image = peval(rel, [tuple((s * x + ci) % m for x in range(m)) for ci in c])
             assert (image[1] - image[0]) % m == 1
@@ -489,13 +495,15 @@ def test_only_the_identity_of_a_dihedral_group_fixes_0_and_1():
             assert (image == tuple(range(m))) == (image[0] == 0), (s, c)
 
 
-# up to affine maps the trefoil has one 3-colouring and no p-colouring
-# for p = 5, 7, 11, 13; the one-relator FIGURE_EIGHT, whose Fox derivative
-# t^2 - 2t + 2 is not that of a knot, has one 5-colouring and no other
+# up to affine maps the trefoil (determinant 3) has one 3-colouring and the
+# figure eight (determinant 5) one 5-colouring, and neither has a
+# p-colouring for another p in 3, 5, 7, 11, 13; the one-relator
+# SCHUBERT_5_2, whose Fox derivative t^2 - 2t + 2 is not that of a knot,
+# has one 5-colouring and no other
 @pytest.mark.parametrize("pres, colourings", [
-    (TREFOIL, {3: 1}), (FIGURE_EIGHT, {5: 1}), (S3_INPUT.presentation, {}),
-    (WIRTINGER_TREFOIL, {3: 1})],
-    ids=["trefoil", "figure-eight", "s3", "wirtinger-trefoil"])
+    (TREFOIL, {3: 1}), (SCHUBERT_5_2, {5: 1}), (FIGURE_EIGHT, {5: 1}),
+    (S3_INPUT.presentation, {}), (WIRTINGER_TREFOIL, {3: 1})],
+    ids=["trefoil", "schubert-5-2", "figure-eight", "s3", "wirtinger-trefoil"])
 def test_dihedral_homs_match_reference_search(pres, colourings):
     # the homomorphisms into D_m that send every generator to a reflection
     # x -> c_i - x are the affine images with s = -1.  Against a
@@ -542,8 +550,7 @@ def _affine_reference(pres, m):
 # free
 C3_FREE_PRODUCT = parse_input("group: a b\nrel: a^3\nP: a\norientable: true").presentation
 AFFINE_INPUTS = [("trefoil", TREFOIL, {3: 1, 5: 0, 7: 2}),
-                 ("figure-eight", parse_input(two_bridge_skg(5, 3)).presentation,
-                  {3: 0, 5: 1, 7: 0}),
+                 ("figure-eight", FIGURE_EIGHT, {3: 0, 5: 1, 7: 0}),
                  ("b(7,3)", parse_input(two_bridge_skg(7, 3)).presentation,
                   {3: 0, 5: 0, 7: 1}),
                  ("s3", S3_INPUT.presentation, {3: 0, 5: 0, 7: 0}),
@@ -732,9 +739,9 @@ def _first_separating_degrees(input, case, core_oriented, pairs, max_degree):
     none up to max_degree: quotient_separate without the skip, every
     listed image compared."""
     acting, n = case_words(input, case)
-    acting = [_columns(w) for w in acting]
-    n = None if n is None else _columns(n)
-    pairs = [(_columns(g1), _columns(g2)) for g1, g2 in pairs]
+    acting = [w.columns for w in acting]
+    n = None if n is None else n.columns
+    pairs = [(g1.columns, g2.columns) for g1, g2 in pairs]
     first = [None] * len(pairs)
     for degree in range(1, max_degree + 1):
         for hom in _search(input.presentation, degree, finite_quotient.HOM_LIMIT):

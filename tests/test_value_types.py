@@ -58,7 +58,8 @@ CASES = [
     (GeneratorSymbol, lambda: GeneratorSymbol(name="a"), ("name",), (), lambda s: (s.name,),
      "GeneratorSymbol(name='a')",
      [(lambda s: GeneratorSymbol("1a"), "invalid generator name: '1a'")]),
-    (Word, lambda: Word(letters=((0, 1), (1, -1))), ("letters",), (), lambda s: (s.letters,),
+    (Word, lambda: Word(letters=((0, 1), (1, -1))), ("letters",), ("columns",),
+     lambda s: (s.letters,),
      "Word(letters=((0, 1), (1, -1)))",
      [(lambda s: Word(((0, 1), (0, -1))), "word is not freely reduced"),
       (lambda s: Word(((0, 1), (0, -1), (2, 0))), "bad letter (2, 0)"),

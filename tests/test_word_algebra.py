@@ -1,9 +1,17 @@
+import sys
+import threading
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
+from handlecoset import word_algebra
+from handlecoset.knot_input import parse_word
 from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation,
-                                      Word, concat, free_reduce, invert,
-                                      power)
+                                      Word, column_letters, concat,
+                                      free_reduce, invert, power,
+                                      shared_letter)
 
 A, B, C = 0, 1, 2
 
@@ -97,6 +105,96 @@ def test_power():
     assert power(w((A, 1)), 3) == w((A, 1), (A, 1), (A, 1))
     assert power(w((A, 1)), -2) == w((A, -1), (A, -1))
     assert power(w((A, 1), (B, 1)), 0) == Word()
+
+
+@given(words_st)
+def test_columns_encode_each_letter(word):
+    # column 2i for (i, +1) and 2i + 1 for (i, -1), compiled once when
+    # the word is built, and as frozen as the letters
+    assert word.columns == tuple(2 * i + (0 if s > 0 else 1) for i, s in word)
+    assert word.max_generator_index() == max((i for i, _ in word), default=-1)
+    assert [column_letters(col + 1)[col] for col in word.columns] == list(word.letters)
+    with pytest.raises(AttributeError):
+        word.columns = ()
+    assert word.columns == Word(word.letters).columns
+
+
+def test_built_words_share_their_letters():
+    # a parsed word, its inverse and a free reduction hold the one shared
+    # pair of each column, not a pair per letter
+    pres = GroupPresentation((GeneratorSymbol("a"), GeneratorSymbol("b")))
+    word = parse_word("a b^-1 a^-1 b a^2 b^-3", pres)
+    for u in (word, invert(word), concat(word, word), free_reduce(word.letters)):
+        assert all(x is shared_letter(*x) for x in u.letters)
+
+
+def test_a_parsed_word_keeps_two_slots_per_letter():
+    # 10,000 letters: a word keeps its letters and its columns, 8 B a slot;
+    # a fresh (i, s) pair per letter would add about 64 B a letter
+    pres = GroupPresentation((GeneratorSymbol("a"), GeneratorSymbol("b")))
+    parse_word("a b^-1", pres)  # the shared pairs exist before the count
+    text = " ".join(["a b^-1 a^-1 b"] * 2500)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        word = parse_word(text, pres)
+        inverse = invert(word)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(word) == len(inverse) == 10_000
+    assert kept < 2 * 24 * len(word), kept
+
+
+def test_invert_grows_no_letter_table():
+    # a word may name any generator index; its inverse does not extend the
+    # shared table to that index
+    before = len(column_letters(0))
+    far = Word(((10**9, 1), (3, -1)))
+    assert invert(far) == Word(((3, 1), (10**9, -1)))
+    assert len(column_letters(0)) == before
+
+
+class _YieldingList(list):
+    """A list whose len() hands the interpreter to another thread after it
+    has read the length, so a thread that grows a table from its length
+    meets the others mid-growth."""
+
+    def __len__(self):
+        n = super().__len__()
+        time.sleep(0)
+        return n
+
+
+def test_the_letter_table_grows_safely_under_threads(monkeypatch):
+    # threads that grow the shared table from empty at once each get a
+    # table whose column c holds the letter of c, however their steps
+    # interleave; a lost or doubled step would shift every later letter
+    wrong = []
+
+    def grow(start, step):
+        start.wait(timeout=10)
+        for ncols in range(1, 64, step):
+            column_letters(ncols)
+        wrong.extend(c for c, x in enumerate(column_letters(64))
+                     if x != (c >> 1, (-1) ** c))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(word_algebra, "_LETTERS", _YieldingList())
+            start = threading.Barrier(4)
+            threads = [threading.Thread(target=grow, args=(start, step))
+                       for step in (1, 1, 2, 3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
 
 
 def test_word_rejects_unreduced():
