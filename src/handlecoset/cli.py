@@ -23,15 +23,14 @@ from pathlib import Path
 from typing import Optional
 
 from .coset_enumeration import EnumerationLimits
-from .double_cosets import DoubleCosetId, slot_count
+from .double_cosets import slot_count
 from .errors import (HandleCosetError, MissingSection, ResourceExhausted,
                      SkgSyntaxError, UsageError)
 from .finite_quotient import (MAX_SEPARATE_DEGREE, SeparationVerdict,
                               quotient_separate)
-from .handle_classifier import (ClassifierContext, HandleInvariant,
-                                candidate_invariant, enumerate_classes,
-                                equivalent, handle_invariant, image_member,
-                                subgroup_table, validate)
+from .handle_classifier import (ClassifierContext, candidate_invariant,
+                                class_listing, equivalent, handle_invariant,
+                                image_member, subgroup_table, validate)
 from .knot_input import (CaseLabel, case_words, format_word, parse_input,
                          parse_word)
 from .word_algebra import Word
@@ -85,41 +84,20 @@ def _cords(args, presentation, expected: int) -> list[Word]:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _formatter(names):
-    """Text of a double coset's representative, formatted once per
-    double coset for the life of one command; a caller already holding
-    the representative word passes it along."""
-    texts: dict[int, str] = {}
-
-    def text(d: DoubleCosetId, word: Optional[Word] = None) -> str:
-        out = texts.get(d.canonical)
-        if out is None:
-            if word is None:
-                word = d.representative()
-            out = texts[d.canonical] = format_word(word, names)
-        return out
-
-    return text
+def _value_json(key, orbit_size, texts) -> dict:
+    """A value's record, read off its key: a canonical coset, or a pair
+    of keys, as key_pair sorts them, which is the order of the value's
+    own pairs."""
+    if isinstance(key, int):
+        return {"canonical": key, "orbit_size": orbit_size[key],
+                "representative": texts[key]}
+    return {"pair": [_value_json(k, orbit_size, texts) for k in key]}
 
 
-def _value_json(value, text) -> dict:
-    if isinstance(value, DoubleCosetId):
-        return {"canonical": value.canonical, "orbit_size": value.orbit_size,
-                "representative": text(value)}
-    return {"pair": [_value_json(value.first, text),
-                     _value_json(value.second, text)]}
-
-
-def _invariant_json(inv: HandleInvariant, text) -> dict:
-    return {"kind": inv.kind, "case": inv.case.value,
-            "core_oriented": inv.core_oriented,
-            "value": _value_json(inv.value, text)}
-
-
-def _value_text(value, text) -> str:
-    if isinstance(value, DoubleCosetId):
-        return f"[{text(value)}]"
-    return "{" + ", ".join(_value_text(v, text) for v in value.elements) + "}"
+def _value_text(key, texts) -> str:
+    if isinstance(key, int):
+        return f"[{texts[key]}]"
+    return "{" + ", ".join(_value_text(k, texts) for k in key) + "}"
 
 
 def _emit(args, record: dict) -> None:
@@ -180,14 +158,20 @@ def _cmd_invariant(args) -> int:
     ctx = _context(input, case)
     inv = handle_invariant(ctx, case, args.core_oriented, g)
     elapsed = time.perf_counter() - start
-    text = _formatter(input.presentation.generator_names)
+    names = input.presentation.generator_names
+    ids = set(inv.double_cosets())
+    orbit_size = {d.canonical: d.orbit_size for d in ids}
+    texts = {d.canonical: format_word(d.representative(), names) for d in ids}
+    key = inv.value.sort_key()
     _emit(args, {"command": "invariant", "input": input.label,
                  "words": list(args.cord),
-                 "result": _invariant_json(inv, text),
+                 "result": {"kind": inv.kind, "case": case.value,
+                            "core_oriented": args.core_oriented,
+                            "value": _value_json(key, orbit_size, texts)},
                  "cosets_defined": _defined(ctx)})
     core = "oriented core" if args.core_oriented else "unoriented core"
     print(f"case {case.value}, {core}")
-    print(f"invariant: {_value_text(inv.value, text)}")
+    print(f"invariant: {_value_text(key, texts)}")
     print(f"time: {elapsed:.3f}s ({_defined(ctx)} cosets defined)")
     return 0
 
@@ -211,22 +195,21 @@ def _cmd_classes(args) -> int:
     input = _load(args.file)
     case = CaseLabel(args.case)
     ctx = _context(input, case)
-    classes = enumerate_classes(ctx, case, args.core_oriented)
-    text = _formatter(input.presentation.generator_names)
-    # a class's representative is the witness of its value's first double coset
-    reps = [text(inv.double_cosets()[0], rep) for inv, rep in classes]
+    kind, classes, orbit_size, texts = class_listing(ctx, case, args.core_oriented)
+    head = {"kind": kind, "case": case.value, "core_oriented": args.core_oriented}
     _emit(args, {"command": "classes", "input": input.label,
                  "case": case.value, "core_oriented": args.core_oriented,
                  "count": len(classes),
-                 "classes": [{"representative": rep,
-                              "value": _invariant_json(inv, text)}
-                             for (inv, _), rep in zip(classes, reps)],
+                 "classes": [{"representative": texts[c],
+                              "value": dict(head, value=_value_json(
+                                  key, orbit_size, texts))}
+                             for key, c in classes],
                  "cosets_defined": _defined(ctx)})
     core = "oriented core" if args.core_oriented else "unoriented core"
     print(f"case {case.value}, {core}: {len(classes)} classes")
-    for k, ((inv, _), rep) in enumerate(zip(classes, reps), start=1):
-        print(f"  class {k}: representative {rep}  "
-              f"value {_value_text(inv.value, text)}")
+    for k, (key, c) in enumerate(classes, start=1):
+        print(f"  class {k}: representative {texts[c]}  "
+              f"value {_value_text(key, texts)}")
     return 0
 
 

@@ -6,7 +6,11 @@ within budget.  Strategy: HLT relator scanning with filling, coincidences
 handled through a union-find queue with path compression.  A completed
 table is renumbered into breadth-first standard form (columns ordered
 g1, g1^-1, g2, g2^-1, ...), which makes the result independent of the
-internal deduction order; witness words fall out of the BFS tree.
+internal deduction order.  The BFS tree carries a witness word to every
+coset, and since a parent is numbered before its children and a
+parent's children are numbered together, one walk in coset order spells
+every witness, each from its parent's text and one letter
+(CosetTable.witness_texts).
 
 During the run the table is one flat list whose stride ncols is the
 number of distinct columns.  A generator is involutory when the
@@ -44,9 +48,10 @@ Cosets are numbered 1..index and coset 1 is the subgroup itself.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import CosetRangeError, ResourceExhausted
+from .knot_input import run_token
 from .word_algebra import GroupPresentation, Word, _Frozen, column_letters
 
 
@@ -75,8 +80,10 @@ class CosetTable:
     a permutation of 1..index on each signed generator.  Every relator
     traces each coset to itself and every subgroup generator fixes
     coset 1.  witness(c) is a word carrying coset 1 to c along the BFS
-    discovery tree (witness(1) is the empty word), and unwitness(c, x)
-    traces x by its inverse.
+    discovery tree (witness(1) is the empty word), climbing from c to
+    coset 1; witness_texts spells the witnesses of many cosets in one
+    walk down the tree instead, and unwitness(c, x) traces x by the
+    inverse of witness(c).
 
     Storage is one list per column: _action[col][c] is the image of
     coset c, with a 0 placeholder at position 0.  Column 2i is generator
@@ -146,6 +153,46 @@ class CosetTable:
             c, col = self._parents[c]
             path.append(letters[col])
         return Word(tuple(reversed(path)))
+
+    def witness_texts(self, cosets: Iterable[int],
+                      names: Sequence[str]) -> dict[int, str]:
+        """format_word(witness(c), names) for each coset c given, in one
+        walk of the BFS tree in coset order; no word is built.  A coset's
+        parent is numbered before it, and each parent's children are
+        numbered together, so each text is its parent's plus one letter:
+        the letter lengthens the parent's last run or starts a new one.
+        A text is kept only until its coset's last child is built, unless
+        it is asked for."""
+        wanted = set(cosets)
+        for c in wanted:
+            if not 1 <= c <= self.index:
+                raise CosetRangeError(c, self.index)
+        # the shared letter table may run past this table's columns
+        letters = column_letters(len(self._action))[:len(self._action)]
+        single = [run_token(names[i], s) for i, s in letters]
+        parents = self._parents
+        out = {1: "1"} if 1 in wanted else {}
+        # (text, the text before its last run, last column, run length)
+        # of cosets lo, lo + 1, ...; coset 1's text is the empty string
+        live = deque([("", "", -1, 0)])
+        lo = 1
+        for c in range(2, max(wanted, default=1) + 1):
+            p, col = parents[c]
+            while lo < p:  # every child of coset lo is built
+                live.popleft()
+                lo += 1
+            text, head, last, k = live[0]
+            if col == last:
+                k += 1
+                i, s = letters[col]
+                text = head + run_token(names[i], s * k)
+            else:
+                head, k = (text + " " if text else ""), 1
+                text = head + single[col]
+            live.append((text, head, col, k))
+            if c in wanted:
+                out[c] = text
+        return out
 
     def unwitness(self, coset: int, start: int) -> int:
         """The coset start * witness(coset)^-1, read off the BFS tree from

@@ -33,7 +33,7 @@ missing, lives in this module.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Any, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .coset_enumeration import CosetTable, EnumerationLimits, enumerate_cosets
 from .double_cosets import (DoubleCosetId, UnorderedPair, Partition, Twist,
@@ -393,25 +393,47 @@ def image_member(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
         candidate.value.sort_key()
 
 
+def _classes(r: _Case, core_oriented: bool) -> Iterator[tuple[Any, int]]:
+    """(value key, least canonical coset) of every class over r, in
+    increasing order of that coset.  Every double coset of a value has
+    that same value, so a value is listed once, at its least double
+    coset, which is the leftmost leaf of its key (key_pair sorts)."""
+    for c in r.part.size:  # canonical cosets in increasing order
+        key = least = _value(r, core_oriented, c, key=True)
+        while isinstance(least, tuple):
+            least = least[0]
+        if least == c:
+            yield key, c
+
+
 def enumerate_classes(ctx: ClassifierContext, case: CaseLabel,
                       core_oriented: bool) -> list[tuple[HandleInvariant, Word]]:
     """All equivalence classes, each with a representative cord word.
 
     Exactly the image of the invariant map, without duplicates, ordered
-    by the canonical index of each value's least double coset.  Every
-    double coset of a value has that same value, so a value is emitted
-    once, at its least double coset, with that coset's witness.
+    by the canonical index of each value's least double coset; a class's
+    representative is the witness of that coset.
     """
     r = _resolve(ctx, case)
-    out: list[tuple[HandleInvariant, Word]] = []
-    for c in r.part.size:  # canonical cosets in increasing order
-        least = _value(r, core_oriented, c, key=True)
-        while isinstance(least, tuple):  # key_pair sorts: the leftmost is least
-            least = least[0]
-        if least == c:
-            out.append((HandleInvariant(case, core_oriented, _value(r, core_oriented, c)),
-                        r.table.witness(c)))
-    return out
+    return [(HandleInvariant(case, core_oriented, _value(r, core_oriented, c)),
+             r.table.witness(c)) for _, c in _classes(r, core_oriented)]
+
+
+def class_listing(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool
+                  ) -> tuple[str, list[tuple[Any, int]], dict[int, int], dict[int, str]]:
+    """The classes of enumerate_classes as keys, without a value object
+    or a word per class: (kind, the (value key, least canonical coset)
+    of each class, each canonical coset's orbit size, each canonical
+    coset's witness text).  One walk of the witness tree spells the
+    texts (CosetTable.witness_texts, as format_word spells a witness);
+    every canonical coset is a leaf of some class's value, since a
+    double coset's value contains it.  A plain tuple, not a NamedTuple:
+    each CLI process imports this module, and a NamedTuple class costs
+    about half a millisecond to create."""
+    r = _resolve(ctx, case)
+    size = r.part.size
+    return (_kind_of(case, core_oriented), list(_classes(r, core_oriented)), size,
+            r.table.witness_texts(size, ctx.input.presentation.generator_names))
 
 
 def candidate_invariant(ctx: ClassifierContext, case: CaseLabel,

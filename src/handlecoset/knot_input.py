@@ -98,29 +98,40 @@ def case_words(input: SurfaceKnotInput,
 
 def _parse_word_tokens(segment: str, line_no: int, col_offset: int,
                        name_to_index: dict[str, int]) -> Word:
+    """Parse one word; each distinct token is parsed once, at its first
+    occurrence, which is where a bad token is reported.  The letter
+    budget is checked at every token, before it expands."""
     letters: list[tuple[int, int]] = []
+    parsed: dict[str, tuple[tuple[int, int], int]] = {}  # token -> (letter, count)
     saw_token = False
     for match in _TOKEN.finditer(segment):
         token = match.group(0)
-        col = col_offset + match.start()
         saw_token = True
         if token == "1":
             continue
-        base, caret, exponent = token.partition("^")
-        if base not in name_to_index:
-            raise UnknownGenerator(line_no, col, f"unknown generator {base!r}")
-        k = 1
-        if caret:
-            try:
-                k = int(exponent)
-            except ValueError:
-                raise SkgSyntaxError(line_no, col,
-                                     f"bad exponent in token {token!r}") from None
-        if len(letters) + abs(k) > MAX_WORD_LETTERS:
-            raise SkgSyntaxError(line_no, col, f"word expands to more than "
-                                 f"{MAX_WORD_LETTERS} letters")
-        one = shared_letter(name_to_index[base], 1 if k >= 0 else -1)
-        letters.extend([one] * abs(k))
+        hit = parsed.get(token)
+        if hit is None:
+            col = col_offset + match.start()
+            base, caret, exponent = token.partition("^")
+            if base not in name_to_index:
+                raise UnknownGenerator(line_no, col, f"unknown generator {base!r}")
+            k = 1
+            if caret:
+                try:
+                    k = int(exponent)
+                except ValueError:
+                    raise SkgSyntaxError(line_no, col,
+                                         f"bad exponent in token {token!r}") from None
+            hit = parsed[token] = (shared_letter(name_to_index[base], 1 if k >= 0 else -1),
+                                   abs(k))
+        one, k = hit
+        if k == 1 and len(letters) < MAX_WORD_LETTERS:  # the common token
+            letters.append(one)
+        elif len(letters) + k > MAX_WORD_LETTERS:
+            raise SkgSyntaxError(line_no, col_offset + match.start(), f"word expands "
+                                 f"to more than {MAX_WORD_LETTERS} letters")
+        else:
+            letters.extend([one] * k)
     if not saw_token:
         raise SkgSyntaxError(line_no, col_offset, "expected a word")
     return free_reduce(letters)
@@ -225,8 +236,16 @@ def parse_input(text: str, label: str = "") -> SurfaceKnotInput:
                             orientable, label)
 
 
+def run_token(name: str, exponent: int) -> str:
+    """The .skg token of a run of equal letters: the generator's name,
+    raised to the run's length, negated for a run of inverse letters;
+    the name alone for a single positive letter."""
+    return name if exponent == 1 else f"{name}^{exponent}"
+
+
 def format_word(word: Word, names: Sequence[str]) -> str:
-    """Render a word in .skg syntax; the empty word renders as '1'."""
+    """Render a word in .skg syntax, one run_token per run of equal
+    letters; the empty word renders as '1'."""
     if word.is_identity:
         return "1"
     parts = []
@@ -237,7 +256,7 @@ def format_word(word: Word, names: Sequence[str]) -> str:
             k += 1
             continue
         i, s = run
-        parts.append(names[i] if s * k == 1 else f"{names[i]}^{s * k}")
+        parts.append(run_token(names[i], s * k))
         run, k = letter, 1
     return " ".join(parts)
 

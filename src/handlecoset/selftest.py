@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import json
 import os
 import random
 import tempfile
@@ -35,8 +36,9 @@ from .finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES, HOM_LIMIT,
                               quotient_separate)
 from .handle_classifier import (ClassifierContext, equivalent,
                                 enumerate_classes, handle_invariant,
-                                image_member, nonsurjectivity_witness,
-                                validate)
+                                image_member, local_oriented_cord_invariant,
+                                nonsurjectivity_witness,
+                                oriented_cord_invariant, validate)
 from .knot_input import (CaseLabel, SurfaceKnotInput, parse_input, parse_word,
                          serialize)
 from .word_algebra import GroupPresentation, Word, concat, free_reduce, invert
@@ -880,13 +882,39 @@ def check_infinite_index_certificate() -> str:
             f"subgroups, no certificate of infinite index")
 
 
+def _check_class_texts(record: dict, ctx: ClassifierContext) -> int:
+    """Parse every representative text of a `classes` record back, with
+    parse_word, and trace it: each must lie in the double coset listed
+    beside it, and a class's own representative in the first double
+    coset of its value.  This checks the texts, built in one walk of
+    the witness tree, without format_word.  Returns how many it read."""
+    pres = ctx.input.presentation
+    dc = local_oriented_cord_invariant if record["case"] == 3 else oriented_cord_invariant
+
+    def leaves(value) -> list:
+        if "pair" in value:
+            return [d for v in value["pair"] for d in leaves(v)]
+        return [value]
+
+    checked = 0
+    for entry in record["classes"]:
+        ids = leaves(entry["value"]["value"])
+        for text, canonical in ([(entry["representative"], ids[0]["canonical"])]
+                                + [(d["representative"], d["canonical"]) for d in ids]):
+            got = dc(ctx, parse_word(text, pres)).canonical
+            assert got == canonical, (f"{ctx.input.label}: {text!r} traces into "
+                                      f"double coset {got}, not {canonical}")
+            checked += 1
+    return checked
+
+
 def check_record_determinism() -> str:
     from . import cli  # imported lazily; cli itself imports this module
 
-    compared = 0
+    compared = texts = 0
     sink = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sink):
-        for case, parsed, _ctx in _resolved_inputs():
+        for case, parsed, ctx in _resolved_inputs():
             path = os.path.join(tmp, case.label + ".skg")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(case.skg + "\n")
@@ -906,7 +934,10 @@ def check_record_determinism() -> str:
                         blobs.append(fh.read())
                 assert blobs[0] == blobs[1], f"{case.label}: records differ"
                 compared += 1
-    return f"{compared} command reruns produced byte-identical records"
+                if argv[0] == "classes":
+                    texts += _check_class_texts(json.loads(blobs[0]), ctx)
+    return (f"{compared} command reruns produced byte-identical records; "
+            f"{texts} class representative texts traced into their double cosets")
 
 
 @dataclass(frozen=True)

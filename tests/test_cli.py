@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import handlecoset
-from handlecoset import handle_classifier
+from handlecoset import CosetTable, handle_classifier
 from handlecoset.cli import run
 from handlecoset.selftest import coxeter_skg, two_bridge_skg
 
@@ -630,6 +630,8 @@ def test_input_layer_imports_no_engine(module, allowed):
 Q8 = "group: a b\nrel: a^4\nrel: a^2 b^-2\nrel: b^-1 a b a\nP: a\norientable: true\n"
 S7_P2 = coxeter_skg(7, [2])
 S7_CASE3 = coxeter_skg(7, [2, 5], [2], 5)
+C5_TRIVIAL = "group: a\nrel: a^5\nP: 1\norientable: true\n"
+C12_A3 = "group: a\nrel: a^12\nP: a^3\norientable: true\n"
 
 # sha256 of `classes --records` output; the file name is the record's "input"
 PINNED_CLASSES = [
@@ -651,6 +653,15 @@ PINNED_CLASSES = [
      "dcdf7234735155c61432fc8fba81f88e4d48a166cd1eeae670b6b736fd5b4487"),
     ("q8", Q8, 1, False,
      "18b1ee02d1eadbd24059f57c344c138ca67f3a555c4834b22bdbc8a0be3b61ef"),
+    # runs of a letter and of its inverse: a^2 and a^-2
+    ("c5-trivial", C5_TRIVIAL, 1, True,
+     "016ae11b96201bfeefbda9ad355ff65870bf6b03eb47ee7bf246e7886d42df66"),
+    ("c5-trivial", C5_TRIVIAL, 1, False,
+     "d7ae584662c82c2958f8bd19daa8cc668cffd8be3b75b31463ef441fe824991c"),
+    ("c12", C12_A3, 1, True,
+     "e6110013988f5a896e3eba2cd4dc8bfeb04c036f7a756871b756039fc7803c55"),
+    ("c12", C12_A3, 1, False,
+     "21034892f9fb9e1470df6c0176fb8fe42543ae41a02953fae4d338a64235ec17"),
 ]
 
 
@@ -665,6 +676,33 @@ def test_pinned_classes_records(skg, tmp_path, capsys, name, text, case,
     assert run(argv + (["--core-oriented"] if oriented else [])) == 0
     capsys.readouterr()
     assert hashlib.sha256(rec.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("oriented", [True, False], ids=["or", "un"])
+def test_classes_spells_no_witness_word(skg, tmp_path, capsys, monkeypatch,
+                                        oriented):
+    # `classes` spells every representative in one walk down the witness
+    # tree: no root-ward CosetTable.witness walk, no format_word call
+    calls = []
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls.append(name)
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(CosetTable, "witness", counted("witness", CosetTable.witness))
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "handlecoset" and hasattr(module, "format_word"):
+            monkeypatch.setattr(module, "format_word",
+                                counted("format_word", module.format_word))
+    path = skg("s6.skg", coxeter_skg(6, [1]))
+    rec = tmp_path / "r.json"
+    argv = ["classes", path, "--case", "1", "--records", str(rec)]
+    assert run(argv + (["--core-oriented"] if oriented else [])) == 0
+    capsys.readouterr()
+    assert json.loads(rec.read_text())["count"] > 100
+    assert calls == []
 
 
 # sha256 of `invariant`, `equiv` and `image-check --records` output, with a

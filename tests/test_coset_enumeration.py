@@ -7,10 +7,11 @@ from handlecoset.cli import run
 from handlecoset.coset_enumeration import (CosetTable, EnumerationLimits,
                                            _verify, enumerate_cosets)
 from handlecoset.errors import CosetRangeError, ResourceExhausted
-from handlecoset.knot_input import parse_input, parse_word
-from handlecoset.word_algebra import GroupPresentation, Word, shared_letter
-from handlecoset.selftest import (GROUP_CORPUS, coxeter_skg, mulclose,
-                                  respell_squares)
+from handlecoset.knot_input import format_word, parse_input, parse_word
+from handlecoset.word_algebra import (GroupPresentation, Word, column_letters,
+                                      shared_letter)
+from handlecoset.selftest import (GROUP_CORPUS, INPUT_CORPUS, coxeter_skg,
+                                  mulclose, respell_squares)
 
 
 def load(text):
@@ -99,6 +100,62 @@ def test_witnesses():
     # a witness holds the shared pair of each column, not a fresh one
     for c in range(1, table.index + 1):
         assert all(x is shared_letter(*x) for x in table.witness(c).letters)
+
+
+def _spelled_tables():
+    """(id, skg text, subgroup words) for every GROUP_CORPUS subgroup, the
+    P and P+ of every INPUT_CORPUS input, and Coxeter S5 over <s2>."""
+    out = []
+    for case in GROUP_CORPUS:
+        for k, words in enumerate(case.subgroups):
+            out.append((f"{case.name}-{k}", case.skg, words))
+    for case in INPUT_CORPUS:
+        parsed = parse_input(case.skg)
+        names = parsed.presentation.generator_names
+        for side, words in (("P", parsed.p_generators),
+                            ("P+", parsed.p_plus_generators)):
+            if words is not None:
+                out.append((f"{case.label}-{side}", case.skg,
+                            [format_word(w, names) for w in words]))
+    out.append(("s5", coxeter_skg(5, [2]), ["s2"]))
+    return out
+
+
+@pytest.mark.parametrize("text,words", [t[1:] for t in _spelled_tables()],
+                         ids=[t[0] for t in _spelled_tables()])
+def test_witness_texts_spell_each_witness(text, words):
+    pres = load(text)
+    names = pres.generator_names
+    table = enumerate_cosets(pres, [word(w, pres) for w in words])
+    every = range(1, table.index + 1)
+    texts = table.witness_texts(every, names)
+    assert texts == {c: format_word(table.witness(c), names) for c in every}
+    # some of the cosets, in any order, get the same texts
+    some = list(every)[::-3]
+    assert table.witness_texts(some, names) == {c: texts[c] for c in some}
+
+
+def test_witness_texts_merge_runs():
+    c5 = load("group: a\nrel: a^5\nP: 1\norientable: true")
+    table = enumerate_cosets(c5, [])
+    assert table.witness_texts(range(1, 6), ["a"]) == \
+        {1: "1", 2: "a", 3: "a^-1", 4: "a^2", 5: "a^-2"}
+    assert table.witness_texts([], ["a"]) == {}
+    for c in (0, 6):
+        with pytest.raises(CosetRangeError):
+            table.witness_texts([1, c], ["a"])
+
+
+def test_witness_texts_past_the_shared_letter_table():
+    # the shared letter table grows to the largest alphabet seen, so it
+    # may run past a table's columns, and past the names given for them
+    column_letters(2 * 40)
+    table = enumerate_cosets(S3, [word("a", S3)])
+    assert len(column_letters(0)) > 2 * table.n_generators
+    names = S3.generator_names
+    every = range(1, table.index + 1)
+    assert table.witness_texts(every, names) == \
+        {c: format_word(table.witness(c), names) for c in every}
 
 
 def test_standardized_numbering_is_bfs():
