@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from .coset_enumeration import EnumerationLimits
-from .double_cosets import slot_count
+from .double_cosets import key_leaves, partition, slot_count
 from .errors import (HandleCosetError, MissingSection, ResourceExhausted,
                      SkgSyntaxError, UsageError)
 from .finite_quotient import (MAX_SEPARATE_DEGREE, SeparationVerdict,
@@ -31,8 +31,7 @@ from .finite_quotient import (MAX_SEPARATE_DEGREE, SeparationVerdict,
 from .handle_classifier import (ClassifierContext, candidate_invariant,
                                 class_listing, equivalent, handle_invariant,
                                 image_member, subgroup_table, validate)
-from .knot_input import (CaseLabel, case_words, format_word, parse_input,
-                         parse_word)
+from .knot_input import CaseLabel, case_words, parse_input, parse_word
 from .word_algebra import Word
 
 ENV_MAX_COSETS = "HANDLE_COSET_MAX_COSETS"
@@ -158,20 +157,17 @@ def _cmd_invariant(args) -> int:
     ctx = _context(input, case)
     inv = handle_invariant(ctx, case, args.core_oriented, g)
     elapsed = time.perf_counter() - start
-    names = input.presentation.generator_names
-    ids = set(inv.double_cosets())
-    orbit_size = {d.canonical: d.orbit_size for d in ids}
-    texts = {d.canonical: format_word(d.representative(), names) for d in ids}
-    key = inv.value.sort_key()
+    orbit_size = partition(inv.table).size
+    texts = inv.table.witness_texts(key_leaves(inv.key), input.presentation.generator_names)
     _emit(args, {"command": "invariant", "input": input.label,
                  "words": list(args.cord),
                  "result": {"kind": inv.kind, "case": case.value,
                             "core_oriented": args.core_oriented,
-                            "value": _value_json(key, orbit_size, texts)},
+                            "value": _value_json(inv.key, orbit_size, texts)},
                  "cosets_defined": _defined(ctx)})
     core = "oriented core" if args.core_oriented else "unoriented core"
     print(f"case {case.value}, {core}")
-    print(f"invariant: {_value_text(key, texts)}")
+    print(f"invariant: {_value_text(inv.key, texts)}")
     print(f"time: {elapsed:.3f}s ({_defined(ctx)} cosets defined)")
     return 0
 

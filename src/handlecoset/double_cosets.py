@@ -18,9 +18,10 @@ last-first, which is the order in which its inverse applies them, so it
 traces the inverse of the witness without building a word.
 
 nest_slots is the one definition of an invariant value's shape: how its
-double cosets nest in unordered pairs: by UnorderedPair over
-DoubleCosetIds into the value, or by key_pair over canonical integers
-into a key, equal exactly when the values are.
+double cosets nest in unordered pairs.  A value is held as a key, its
+canonical integers nested by key_pair, and two keys over one table are
+equal exactly when the values are.  key_view builds the display view of
+a key, DoubleCosetIds paired by UnorderedPair, for repr and copies.
 """
 
 from __future__ import annotations
@@ -197,10 +198,6 @@ class UnorderedPair(_Frozen):
     def _key(self):
         return (self.first, self.second)
 
-    @property
-    def elements(self) -> tuple[PairElement, PairElement]:
-        return (self.first, self.second)
-
     def sort_key(self):
         return (self.first.sort_key(), self.second.sort_key())
 
@@ -221,17 +218,30 @@ def key_pair(a, b):
     return (a, b) if a <= b else (b, a)
 
 
+def key_leaves(key) -> tuple[int, ...]:
+    """A key's canonical integers, left to right."""
+    return (key,) if isinstance(key, int) else key_leaves(key[0]) + key_leaves(key[1])
+
+
+def key_view(table: CosetTable, key) -> PairElement:
+    """The display view of a key over its table: each canonical integer's
+    DoubleCosetId, paired by UnorderedPair; its sort_key() is the key."""
+    if isinstance(key, int):
+        return partition(table).id(table, key)
+    return UnorderedPair(key_view(table, key[0]), key_view(table, key[1]))
+
+
 def slot_count(twisted: bool, core_oriented: bool) -> int:
     """How many double cosets nest_slots nests: 1, 2 or 4."""
     return (2 if twisted else 1) * (1 if core_oriented else 2)
 
 
 def nest_slots(slot: Callable, twisted: bool, core_oriented: bool,
-               pair: Callable = UnorderedPair):
-    """A value: its slot_count slots, nested by pair in slot order.  The
-    slots are D, then twist(D) when the case has a twist, then the same
-    for D^-1 when the core is unoriented.  slot(inverted, None) is D or
-    D^-1, slot(inverted, s) the twist of slot s; each is called once."""
+               pair: Callable = key_pair):
+    """A value's key: its slot_count slots, nested by pair in slot order.
+    The slots are D, then twist(D) when the case has a twist, then the
+    same for D^-1 when the core is unoriented.  slot(inverted, None) is D
+    or D^-1, slot(inverted, s) the twist of slot s; each is called once."""
     d = slot(False, None)
     if twisted:
         d = pair(d, slot(False, d))

@@ -44,7 +44,7 @@ from functools import lru_cache, partial
 from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .double_cosets import key_pair, nest_slots
+from .double_cosets import nest_slots
 from .knot_input import CaseLabel, SurfaceKnotInput, case_words
 from .word_algebra import GroupPresentation, Word, _Frozen
 
@@ -340,8 +340,7 @@ def _image_value(hom: PermutationAssignment, acting: list[Columns],
             x = perm_inverse(x)
         return dc(x if of is None else perm_compose(perm_compose(n_image, x), n_image))
 
-    return lambda g: nest_slots(partial(slot, image(g)), n is not None,
-                                core_oriented, key_pair)
+    return lambda g: nest_slots(partial(slot, image(g)), n is not None, core_oriented)
 
 
 def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,

@@ -17,8 +17,8 @@ symmetry apply:
 
 The input fixes the one subgroup a context works over (P, or P+ on a
 non-orientable surface): ClassifierContext._case.  nest_slots fixes
-every value's shape; queries compare values as keys paired by key_pair,
-and only a returned value is built of ids.
+every value's shape; queries build and compare values as keys, and a
+HandleInvariant builds its view of ids (key_view) only for display.
 
 Degenerate cord words (the empty word, words tracing into the subgroup)
 are legal; they model cords that can be isotoped into the boundary
@@ -36,8 +36,8 @@ from functools import cached_property
 from typing import Any, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .coset_enumeration import CosetTable, EnumerationLimits, enumerate_cosets
-from .double_cosets import (DoubleCosetId, UnorderedPair, Partition, Twist,
-                            dc_id, key_pair, nest_slots, partition,
+from .double_cosets import (DoubleCosetId, PairElement, Partition, Twist, UnorderedPair,
+                            dc_id, key_leaves, key_view, nest_slots, partition,
                             require_twist_verified, slot_count)
 from .errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                      PreconditionUnverified, ResourceExhausted, TableMismatch)
@@ -45,7 +45,6 @@ from .finite_quotient import infinite_index_certificate
 from .knot_input import CaseLabel, SurfaceKnotInput, case_words, format_word
 from .word_algebra import Word, _Frozen, concat, invert, power
 
-InvariantValue = Union[DoubleCosetId, UnorderedPair]
 # a table, or the ResourceExhausted (InfiniteIndex included) that refused it
 _TableOrRefusal = Union[CosetTable, ResourceExhausted]
 
@@ -218,44 +217,62 @@ def _kind_of(case: CaseLabel, core_oriented: bool) -> str:
 
 
 class HandleInvariant(_Frozen):
-    """Case-tagged invariant value, shaped as nest_slots nests it.
+    """Case-tagged invariant value: a table and a key over it.
 
     kind is "oriented-core" or "unordered-core" in Cases 1/2, which share
     their kinds, and "case3-oriented-core" or "case3" in Case 3; case and
-    core_oriented fix it, and repr leaves it out.  Equality compares kind
-    and value only; the case label rides along for reporting.
+    core_oriented fix it, and repr leaves it out.  Equality compares kind,
+    key and table (by identity) only; the case label rides along for
+    reporting.  value, the key's view (key_view), is built on first use.
     """
 
+    # no __slots__: _of and the cached value fill in the __dict__
     _fields = ("case", "core_oriented", "value")
-    __slots__ = _fields + ("kind",)
 
-    def __init__(self, case: CaseLabel, core_oriented: bool, value: InvariantValue):
+    def __init__(self, case: CaseLabel, core_oriented: bool, value: PairElement):
+        # UnorderedPair pairs only equal shapes: the leftmost leaf's depth is the shape
+        leaf, size = value, 1
+        while isinstance(leaf, UnorderedPair):
+            leaf, size = leaf.first, 2 * size
         kind = _kind_of(case, core_oriented)
-        if not _nests(value, slot_count(case is CaseLabel.CASE3, core_oriented)):
+        if not (isinstance(leaf, DoubleCosetId)
+                and size == slot_count(case is CaseLabel.CASE3, core_oriented)):
             raise ValueError(f"value shape does not match kind {kind!r}")
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "core_oriented", core_oriented)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "kind", kind)
+        key = value.sort_key()
+        if key_view(leaf.table, key) != value:
+            raise TableMismatch("value pairs double cosets of different tables")
+        self.__dict__.update(case=case, core_oriented=core_oriented, kind=kind,
+                             table=leaf.table, key=key, value=value)
 
-    def _key(self):
-        return (self.value, self.kind)
+    @classmethod
+    def _of(cls, case: CaseLabel, core_oriented: bool, table: CosetTable,
+            key) -> "HandleInvariant":
+        """An invariant from its table and key, as the queries build it:
+        no check, and no view until one is asked for."""
+        inv = object.__new__(cls)
+        f = inv.__dict__  # item by item: update() with keywords costs more
+        f["case"], f["core_oriented"], f["kind"], f["table"], f["key"] = (
+            case, core_oriented, _kind_of(case, core_oriented), table, key)
+        return inv
+
+    @cached_property
+    def value(self) -> PairElement:
+        return key_view(self.table, self.key)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.key == other.key and self.kind == other.kind
+                and self.table is other.table)
+
+    def __hash__(self):
+        # a DoubleCosetId hashes as its canonical integer: hash((value, kind))
+        return hash((self.key, self.kind))
 
     def double_cosets(self) -> tuple[DoubleCosetId, ...]:
         """All double-coset ids inside the value, left to right."""
-        return _leaves(self.value)
-
-
-def _leaves(v) -> tuple[DoubleCosetId, ...]:
-    return (v,) if isinstance(v, DoubleCosetId) else _leaves(v.first) + _leaves(v.second)
-
-
-def _nests(value, size: int) -> bool:
-    """True iff value pairs size double cosets as nest_slots does."""
-    if size == 1:
-        return isinstance(value, DoubleCosetId)
-    return (isinstance(value, UnorderedPair) and _nests(value.first, size // 2)
-            and _nests(value.second, size // 2))
+        part = partition(self.table)
+        return tuple(part.id(self.table, c) for c in key_leaves(self.key))
 
 
 class ClassifierContext(_Frozen):
@@ -343,26 +360,29 @@ def _resolve(ctx: ClassifierContext, case: CaseLabel) -> _Case:
     return r
 
 
-def _value(r: _Case, core_oriented: bool, c: int, key: bool = False):
-    """The value of the double coset c over r: DoubleCosetIds paired by
-    UnorderedPair, or with key, canonical integers paired by key_pair.
-    One integer slot function feeds both."""
+def _value(r: _Case, core_oriented: bool, c: int):
+    """The key of the double coset c's value over r: canonical integers
+    paired by key_pair."""
     def slot(inverted: bool, of: Optional[int]) -> int:
         if of is not None:
             return r.part.twisted(r.table, r.twist, of)
         return r.part.inverse(r.table, c) if inverted else c
 
-    if key:
-        return nest_slots(slot, r.n is not None, core_oriented, key_pair)
-    return nest_slots(lambda inverted, of: r.part.id(r.table, slot(
-        inverted, None if of is None else of.canonical)), r.n is not None, core_oriented)
+    return nest_slots(slot, r.n is not None, core_oriented)
+
+
+def _least(key) -> int:
+    """A key's leftmost canonical integer, its least (key_pair sorts)."""
+    while isinstance(key, tuple):
+        key = key[0]
+    return key
 
 
 def handle_invariant(ctx: ClassifierContext, case: CaseLabel,
                      core_oriented: bool, g: Word) -> HandleInvariant:
     """Invariant of the 1-handle carried by the cord word g."""
     r = _resolve(ctx, case)
-    return HandleInvariant(case, core_oriented, _value(
+    return HandleInvariant._of(case, core_oriented, r.table, _value(
         r, core_oriented, r.part.label[r.table.trace(1, g)]))
 
 
@@ -371,8 +391,8 @@ def equivalent(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
     """True iff the two cord words carry equivalent 1-handles."""
     r = _resolve(ctx, case)
     label, trace = r.part.label, r.table.trace
-    return (_value(r, core_oriented, label[trace(1, g1)], key=True)
-            == _value(r, core_oriented, label[trace(1, g2)], key=True))
+    return (_value(r, core_oriented, label[trace(1, g1)])
+            == _value(r, core_oriented, label[trace(1, g2)]))
 
 
 def image_member(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
@@ -386,23 +406,20 @@ def image_member(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
     r = _resolve(ctx, case)
     if candidate.kind != _kind_of(case, core_oriented):
         raise CaseMismatch("candidate carries a different kind of value")
-    ids = candidate.double_cosets()
-    if any(d.table is not r.table for d in ids):
+    if candidate.table is not r.table:
         raise TableMismatch("candidate was built over a different table")
-    return _value(r, core_oriented, ids[0].canonical, key=True) == \
-        candidate.value.sort_key()
+    key = candidate.key
+    return _value(r, core_oriented, _least(key)) == key
 
 
 def _classes(r: _Case, core_oriented: bool) -> Iterator[tuple[Any, int]]:
     """(value key, least canonical coset) of every class over r, in
     increasing order of that coset.  Every double coset of a value has
     that same value, so a value is listed once, at its least double
-    coset, which is the leftmost leaf of its key (key_pair sorts)."""
+    coset."""
     for c in r.part.size:  # canonical cosets in increasing order
-        key = least = _value(r, core_oriented, c, key=True)
-        while isinstance(least, tuple):
-            least = least[0]
-        if least == c:
+        key = _value(r, core_oriented, c)
+        if _least(key) == c:
             yield key, c
 
 
@@ -415,14 +432,14 @@ def enumerate_classes(ctx: ClassifierContext, case: CaseLabel,
     representative is the witness of that coset.
     """
     r = _resolve(ctx, case)
-    return [(HandleInvariant(case, core_oriented, _value(r, core_oriented, c)),
-             r.table.witness(c)) for _, c in _classes(r, core_oriented)]
+    return [(HandleInvariant._of(case, core_oriented, r.table, key), r.table.witness(c))
+            for key, c in _classes(r, core_oriented)]
 
 
 def class_listing(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool
                   ) -> tuple[str, list[tuple[Any, int]], dict[int, int], dict[int, str]]:
-    """The classes of enumerate_classes as keys, without a value object
-    or a word per class: (kind, the (value key, least canonical coset)
+    """The classes of enumerate_classes, without an invariant or a word
+    per class: (kind, the (value key, least canonical coset)
     of each class, each canonical coset's orbit size, each canonical
     coset's witness text).  One walk of the witness tree spells the
     texts (CosetTable.witness_texts, as format_word spells a witness);
@@ -445,9 +462,9 @@ def candidate_invariant(ctx: ClassifierContext, case: CaseLabel,
     size = slot_count(twisted, core_oriented)
     if len(words) != size:
         raise ValueError(f"this kind of value has {size} slots, not {len(words)}")
-    ids = iter([r.part.id(r.table, r.part.label[r.table.trace(1, w)]) for w in words])
-    return HandleInvariant(case, core_oriented,
-                           nest_slots(lambda *_: next(ids), twisted, core_oriented))
+    slots = iter([r.part.label[r.table.trace(1, w)] for w in words])
+    return HandleInvariant._of(case, core_oriented, r.table,
+                               nest_slots(lambda *_: next(slots), twisted, core_oriented))
 
 
 def nonsurjectivity_witness(ctx: ClassifierContext, case: CaseLabel,

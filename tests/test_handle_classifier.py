@@ -1,10 +1,14 @@
+import copy
+import hashlib
+import pickle
 import random
 
 import pytest
 
 from handlecoset import handle_classifier
 from handlecoset.coset_enumeration import EnumerationLimits, enumerate_cosets
-from handlecoset.double_cosets import Partition, UnorderedPair, dc_id, dc_twist
+from handlecoset.double_cosets import (DoubleCosetId, Partition, UnorderedPair,
+                                       dc_id, dc_invert, dc_twist, slot_count)
 from handlecoset.errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                                 PreconditionUnverified, ResourceExhausted,
                                 TableMismatch)
@@ -19,7 +23,7 @@ from handlecoset.handle_classifier import (CaseLabel, ClassifierContext,
                                            nonsurjectivity_witness,
                                            oriented_cord_invariant)
 from handlecoset.knot_input import case_words, parse_input, parse_word
-from handlecoset.selftest import coxeter_skg, two_bridge_skg
+from handlecoset.selftest import INPUT_CORPUS, coxeter_skg, two_bridge_skg
 from handlecoset.word_algebra import Word, free_reduce, invert
 
 UNKNOTTED = "group: t\nP: t\norientable: true"
@@ -468,3 +472,128 @@ def test_build_without_a_certificate_enumerates_once(monkeypatch):
     assert ctx.p_table.index == table.index == 120
     assert ctx.p_table.total_defined == table.total_defined
     assert ctx.p_table._action == table._action
+
+
+# -- invariants as keys, ids only for display --------------------------------
+
+def _corpus_invariants():
+    """(context, case, core_oriented, cord, invariant) over every
+    INPUT_CORPUS input, case and orientation: the representative of each
+    class, then six seeded cords."""
+    for k, item in enumerate(INPUT_CORPUS):
+        parsed, ctx = ctx_of(item.skg)
+        rng = random.Random(k)
+        ngens = len(parsed.presentation.generators)
+        cases = (CaseLabel.CASE1, CaseLabel.CASE2) if parsed.surface_orientable \
+            else (CaseLabel.CASE3,)
+        for case in cases:
+            for core in (True, False):
+                words = [rep for _inv, rep in enumerate_classes(ctx, case, core)]
+                words += [free_reduce([(rng.randrange(ngens), rng.choice((1, -1)))
+                                       for _ in range(rng.randint(0, 8))])
+                          for _ in range(6)]
+                for g in words:
+                    yield ctx, case, core, g, handle_invariant(ctx, case, core, g)
+
+
+def _object_value(ctx, case, core_oriented, g):
+    """g's value as ids and pairs, built from dc_id, dc_invert and dc_twist."""
+    acting, n = case_words(ctx.input, case)
+    table = ctx.p_table if n is None else ctx.p_plus_table
+
+    def oriented(d):
+        return d if n is None else UnorderedPair(d, dc_twist(table, acting, n, d, ctx.report))
+
+    d = dc_id(table, acting, g)
+    if core_oriented:
+        return oriented(d)
+    return UnorderedPair(oriented(d), oriented(dc_invert(table, acting, d)))
+
+
+# sha256 of the reprs _corpus_invariants yields, one a line, and two of
+# them, as the values built of ids printed them
+CORPUS_REPRS_SHA256 = "296c541abe6ff574ea3856d2be3f4b4bb41092b33e3f652bff994eef977c7972"
+PINNED_REPRS = {
+    ("s3-synthetic", CaseLabel.CASE1, False, "b"):
+        "HandleInvariant(case=<CaseLabel.CASE1: 1>, core_oriented=False, value="
+        "{DoubleCosetId(canonical=2, orbit_size=2), DoubleCosetId(canonical=2, "
+        "orbit_size=2)})",
+    ("d6-split-case3", CaseLabel.CASE3, False, "r"):
+        "HandleInvariant(case=<CaseLabel.CASE3: 3>, core_oriented=False, value="
+        "{{DoubleCosetId(canonical=2, orbit_size=1), DoubleCosetId(canonical=3, "
+        "orbit_size=1)}, {DoubleCosetId(canonical=2, orbit_size=1), "
+        "DoubleCosetId(canonical=3, orbit_size=1)}})",
+}
+
+
+def test_the_view_is_the_value_ids_built():
+    reprs = []
+    for ctx, case, core, g, inv in _corpus_invariants():
+        assert inv.value == _object_value(ctx, case, core, g)
+        rebuilt = HandleInvariant(case, core, inv.value)
+        assert rebuilt == inv and hash(rebuilt) == hash(inv)
+        assert image_member(ctx, case, core, inv)
+        text = repr(inv)
+        for twin in (pickle.loads(pickle.dumps(inv)), copy.deepcopy(inv)):
+            assert repr(twin) == text
+        reprs.append(text)
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == CORPUS_REPRS_SHA256
+    for (label, case, core, cord), text in PINNED_REPRS.items():
+        item = next(item for item in INPUT_CORPUS if item.label == label)
+        parsed, ctx = ctx_of(item.skg)
+        g = parse_word(cord, parsed.presentation)
+        assert repr(handle_invariant(ctx, case, core, g)) == text
+
+
+@pytest.mark.parametrize("text", [S3, D8_CASE3], ids=["s3", "d8"])
+def test_queries_build_no_ids(monkeypatch, text):
+    # the queries work on keys; an id or a pair is built only when a
+    # value is shown, so a query that builds one has lost its speed
+    parsed, ctx = ctx_of(text)
+    built = []
+
+    def counting(init):
+        def counted(self, *args):
+            built.append(type(self).__name__)
+            init(self, *args)
+        return counted
+
+    for cls in (DoubleCosetId, UnorderedPair):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    rng = random.Random(3)
+    words = [free_reduce([(rng.randrange(2), rng.choice((1, -1)))
+                          for _ in range(rng.randint(0, 8))]) for _ in range(8)]
+    cases = [CaseLabel.CASE1, CaseLabel.CASE2] if parsed.surface_orientable \
+        else [CaseLabel.CASE3]
+    for case in cases:
+        for core in (True, False):
+            slots = slot_count(case is CaseLabel.CASE3, core)
+            for g, h in zip(words, words[1:]):
+                inv = handle_invariant(ctx, case, core, g)
+                equivalent(ctx, case, core, g, h)
+                assert image_member(ctx, case, core, inv)
+                candidate = candidate_invariant(ctx, case, core, [g, h][:slots] * (slots // 2 or 1))
+                image_member(ctx, case, core, candidate)
+            enumerate_classes(ctx, case, core)
+    assert built == []
+    repr(inv)  # the display view is built of ids, which are counted
+    assert "DoubleCosetId" in built
+
+
+def test_a_value_over_two_tables_is_a_table_mismatch():
+    for text, case, acting in ((S3, CaseLabel.CASE1, "p_generators"),
+                               (D8_CASE3, CaseLabel.CASE3, "p_plus_generators")):
+        parsed, ctx = ctx_of(text)
+        other = ClassifierContext.build(parsed)
+        table, other_table = ((c.p_plus_table if case is CaseLabel.CASE3 else c.p_table)
+                              for c in (ctx, other))
+        words = getattr(parsed, acting)
+        mine = dc_id(table, words, Word())
+        theirs = dc_id(other_table, words, Word())
+        pair = UnorderedPair(mine, theirs)
+        if case is CaseLabel.CASE3:  # the stray id sits one pair deep
+            pair = UnorderedPair(UnorderedPair(mine, mine), pair)
+        with pytest.raises(TableMismatch, match="different tables"):
+            HandleInvariant(case, False, pair)
+        assert HandleInvariant(case, True, UnorderedPair(mine, mine) if case is
+                               CaseLabel.CASE3 else mine).table is table
