@@ -31,7 +31,8 @@ from .finite_quotient import (MAX_SEPARATE_DEGREE, SeparationVerdict,
 from .handle_classifier import (ClassifierContext, candidate_invariant,
                                 class_listing, equivalent, handle_invariant,
                                 image_member, subgroup_table, validate)
-from .knot_input import CaseLabel, case_words, parse_input, parse_word
+from .knot_input import (CaseLabel, case_words, format_word, parse_input,
+                         parse_word)
 from .word_algebra import Word
 
 ENV_MAX_COSETS = "HANDLE_COSET_MAX_COSETS"
@@ -157,8 +158,10 @@ def _cmd_invariant(args) -> int:
     ctx = _context(input, case)
     inv = handle_invariant(ctx, case, args.core_oriented, g)
     elapsed = time.perf_counter() - start
+    names = input.presentation.generator_names
+    # a climb per leaf: witness_texts would walk every coset up to the last
+    texts = {c: format_word(inv.table.witness(c), names) for c in key_leaves(inv.key)}
     orbit_size = partition(inv.table).size
-    texts = inv.table.witness_texts(key_leaves(inv.key), input.presentation.generator_names)
     _emit(args, {"command": "invariant", "input": input.label,
                  "words": list(args.cord),
                  "result": {"kind": inv.kind, "case": case.value,

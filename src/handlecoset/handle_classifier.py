@@ -230,7 +230,8 @@ class HandleInvariant(_Frozen):
     _fields = ("case", "core_oriented", "value")
 
     def __init__(self, case: CaseLabel, core_oriented: bool, value: PairElement):
-        # UnorderedPair pairs only equal shapes: the leftmost leaf's depth is the shape
+        # the leftmost id holds the table, which a key does not; its depth
+        # is the shape, since UnorderedPair pairs only equal shapes
         leaf, size = value, 1
         while isinstance(leaf, UnorderedPair):
             leaf, size = leaf.first, 2 * size

@@ -610,7 +610,7 @@ def check_involutions() -> str:
 
 def check_image_characterization() -> str:
     accepted = 0
-    rejected = set()
+    rejected = 0
     for case, parsed, ctx in _resolved_inputs():
         for label, core in _cases_for(parsed):
             for inv, _rep in enumerate_classes(ctx, label, core):
@@ -621,10 +621,14 @@ def check_image_characterization() -> str:
             if witness is not None:
                 assert not image_member(ctx, label, core, witness), \
                     f"{case.label}: witness not rejected"
-                rejected.add((case.label, label, core))
-    for must_exist in (("t2", CaseLabel.CASE1, False), ("d8-case3", CaseLabel.CASE3, True)):
-        assert must_exist in rejected, f"{must_exist[0]}: expected a non-surjectivity witness"
-    return f"{accepted} classes accepted, {len(rejected)} witnesses rejected"
+                rejected += 1
+    by_label = {case.label: ctx for case, _parsed, ctx in _resolved_inputs()}
+    must_exist = (("t2", CaseLabel.CASE1, False),
+                  ("d8-case3", CaseLabel.CASE3, True))
+    for label, case_label, core in must_exist:
+        assert nonsurjectivity_witness(by_label[label], case_label, core) is not None, \
+            f"{label}: expected a non-surjectivity witness"
+    return f"{accepted} classes accepted, {rejected} witnesses rejected"
 
 
 def check_trivial_sanity() -> str:
@@ -664,33 +668,49 @@ def check_classifier_invariances(trials: int, seed: int) -> str:
         rng = random.Random(seed * 7 + k)
         ngens = len(parsed.presentation.generators)
         for label, core in _cases_for(parsed):
+            acting = parsed.p_plus_generators if label is CaseLabel.CASE3 \
+                else parsed.p_generators
             for _ in range(trials):
                 g = _random_word(rng, ngens)
+                p = _random_subgroup_word(rng, acting)
+                q = _random_subgroup_word(rng, acting)
                 base = handle_invariant(ctx, label, core, g)
-                for moved in (False, True):  # a slide, then a reversal or swap
-                    h = _related_word(rng, parsed, label, core, g, moved)
-                    assert handle_invariant(ctx, label, core, h) == base
-                if label is CaseLabel.CASE2:  # Cases 1 and 2 share their values
-                    assert handle_invariant(ctx, CaseLabel.CASE1, core, g) == base
+                assert handle_invariant(ctx, label, core, concat(p, g, q)) == base
+                if not core:
+                    assert handle_invariant(ctx, label, core, invert(g)) == base
+                if label is CaseLabel.CASE3 and core:
+                    swapped = concat(parsed.n_word, g, parsed.n_word)
+                    assert handle_invariant(ctx, label, core, swapped) == base
                 total += 1
+        if parsed.surface_orientable:
+            for _ in range(trials // 4 + 1):
+                g = _random_word(rng, ngens)
+                for core in (True, False):
+                    one = handle_invariant(ctx, CaseLabel.CASE1, core, g)
+                    two = handle_invariant(ctx, CaseLabel.CASE2, core, g)
+                    assert one.value == two.value
     return f"{total} invariance trials (slides, reversal, orientation swap)"
 
 
 def check_equivalence_relation(seed: int) -> str:
-    """On a sample, the words equivalent to each word hold that word, and
-    two such rows are equal or disjoint: the relation is reflexive,
-    symmetric and transitive."""
     total = 0
     for k, (case, parsed, ctx) in enumerate(_resolved_inputs()):
         rng = random.Random(seed * 13 + k)
+        ngens = len(parsed.presentation.generators)
         label, core = _cases_for(parsed)[0]
-        sample = [_random_word(rng, len(parsed.presentation.generators)) for _ in range(6)]
-        rows = [frozenset(j for j, h in enumerate(sample) if equivalent(ctx, label, core, g, h))
-                for g in sample]
-        assert all(i in row for i, row in enumerate(rows)), f"{case.label}: not reflexive"
-        assert all(a == b or not a & b for a in rows for b in rows), \
-            f"{case.label}: not symmetric and transitive"
-        total += len(sample) ** 2
+        sample = [_random_word(rng, ngens) for _ in range(6)]
+        for g in sample:
+            assert equivalent(ctx, label, core, g, g)
+            total += 1
+        for g1 in sample:
+            for g2 in sample:
+                forward = equivalent(ctx, label, core, g1, g2)
+                assert forward == equivalent(ctx, label, core, g2, g1)
+                if forward:
+                    for g3 in sample:
+                        if equivalent(ctx, label, core, g2, g3):
+                            assert equivalent(ctx, label, core, g1, g3)
+                total += 1
     return f"{total} reflexivity/symmetry/transitivity samples"
 
 
@@ -777,11 +797,15 @@ def check_quotient_soundness(pairs: int, seed: int, max_degree: int = 3) -> str:
             g2 = _related_word(rng, parsed, label, core, g1, moved=draw < 0.25)
         else:
             g2 = _random_word(rng, ngens)
+        exact_equal = equivalent(ctx, label, core, g1, g2)
         verdict = quotient_separate(parsed, label, core, g1, g2,
                                     max_degree=max_degree)
-        if equivalent(ctx, label, core, g1, g2):
+        if exact_equal:
             assert verdict is SeparationVerdict.UNKNOWN, \
                 f"{case.label}: separated an equivalent pair"
+        else:
+            # agreement direction: DISTINCT must imply exact inequivalence
+            assert verdict in (SeparationVerdict.UNKNOWN, SeparationVerdict.DISTINCT)
         total += 1
     return f"{total} pairs; no equivalent pair was ever separated"
 
