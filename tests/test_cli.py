@@ -782,3 +782,65 @@ def test_pinned_query_records(skg, tmp_path, capsys, name, text, command, case,
     assert run(argv) == 0
     assert shown in capsys.readouterr().out.splitlines()
     assert hashlib.sha256(rec.read_bytes()).hexdigest() == digest
+
+
+VALIDATE_FAILS = ("group: r s\nrel: r^4\nrel: s^2\nrel: r s r s\n"
+                  "P: r^2\nP+: s\nn: r\norientable: false\n")
+B53 = two_bridge_skg(5, 3)
+
+# sha256 of `validate`, `enumerate` and `separate --records` output; budget
+# is HANDLE_COSET_MAX_COSETS, or None to leave it unset.  The validate rows
+# cover every way to a check: pass, fail, vacuous, a P+ table refused by a
+# certificate, a P+ table refused by the budget, and both tables refused
+PINNED_OTHER = [
+    ("d8", D8_CASE3, ["validate"], None, 0,
+     "b5bbb7e284a8dab2d2690ad1f40dafcc8ec391b6833ff23bc045eca57e9b49a4"),
+    ("bad", VALIDATE_FAILS, ["validate"], None, 1,
+     "d360648a8c7369b8dd1350f045d73c6e8b6f7ee54f8663e8a16f345292157f3c"),
+    ("s3", S3, ["validate"], None, 0,
+     "2fd5d1db319606a009c0ead0b620c275e1a0e920bba9c945c7e88db92f15a9a3"),
+    ("t3-p-plus", T3_P_PLUS, ["validate"], None, 1,
+     "7eea8bfd57a2ad871209c001678dbb9bb370dddeefd640821474582b57830a62"),
+    ("s7c3", S7_CASE3, ["validate"], "2000", 0,
+     "6ab4b33b862cfd11d4caf0d2ba4e372e0f632b6274e01a82c83d361ce837dab2"),
+    ("s7c3", S7_CASE3, ["validate"], "50", 0,
+     "76903871e5626e569d0ec5752a3e72161cc71ab64608837e7d52463d22fe21d0"),
+    ("d8", D8_CASE3, ["enumerate"], None, 0,
+     "fd45db7555e2ca54836bbd54cebb6c8259102a6f14353436e1b6dd43bd5d8e92"),
+    ("d8", D8_CASE3, ["enumerate", "--subgroup", "P+"], None, 0,
+     "0a74f84e7bdd40e0272891b0dc29c10ab6e49d12a326a708ae8e4f71e99e0201"),
+    ("s7", S7_P2, ["enumerate"], None, 0,
+     "50f49bc2e152188ac9c8c532d22ea204dd39d0abbb9c8ac2d18cc9eaaa55ce67"),
+    ("t2", T2, ["separate", "--case", "1", "--core-oriented", "--cord", "t",
+                "--cord", "1", "--max-degree", "2"], None, 0,
+     "da2faab45b7dad82b52d3e0cb46d1ccc1f47fb8532ff9480ba1e0c30e32b6dd3"),
+    ("t2", T2, ["separate", "--case", "1", "--core-oriented", "--cord", "t",
+                "--cord", "t", "--max-degree", "2"], None, 0,
+     "a8161519a5c6455e4bcf90678079ad24e4e74fa6ebbdc52ece1d1a1fb634036d"),
+    ("b5-3", B53, ["separate", "--case", "1", "--cord", "b", "--cord", "1"], None, 0,
+     "5d6cdbdc3e2438367917bf0a5e1ef0f0130830605571e78d5cd37ff3ca51b297"),
+    ("b5-3", B53, ["separate", "--case", "2", "--core-oriented", "--cord", "b",
+                   "--cord", "a b"], None, 0,
+     "ee733391f549be1c8c0713a5d5cb1f5c3168d0fdc358d1415221c068abc4a016"),
+    ("d8", D8_CASE3, ["separate", "--case", "3", "--cord", "s", "--cord", "1"],
+     None, 0, "3e7f4bbedf4d3f32a3d18559783037a1d3ea99f59ae4ba5e58acb9354c595f5f"),
+    ("d8", D8_CASE3, ["separate", "--case", "3", "--core-oriented", "--cord", "r",
+                      "--cord", "s r s"], None, 0,
+     "e48e738ea8e6778c158a02a49b9d536c3ab2fefe7ae77037cfd1c9f48f3323e4"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,text,argv,budget,code,digest", PINNED_OTHER,
+    ids=[f"{k}-{p[0]}-{p[2][0]}" for k, p in enumerate(PINNED_OTHER)])
+def test_pinned_other_records(skg, tmp_path, capsys, monkeypatch, name, text,
+                              argv, budget, code, digest):
+    if budget is None:
+        monkeypatch.delenv("HANDLE_COSET_MAX_COSETS", raising=False)
+    else:
+        monkeypatch.setenv("HANDLE_COSET_MAX_COSETS", budget)
+    path = skg(f"{name}.skg", text)
+    rec = tmp_path / "r.json"
+    assert run(argv[:1] + [path] + argv[1:] + ["--records", str(rec)]) == code
+    capsys.readouterr()
+    assert hashlib.sha256(rec.read_bytes()).hexdigest() == digest
