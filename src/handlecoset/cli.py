@@ -119,6 +119,17 @@ def _defined(ctx: ClassifierContext) -> int:
     return total
 
 
+def _case_record(args, input, ctx: Optional[ClassifierContext], **fields) -> dict:
+    """A case query's record: the head every one shares (command, input,
+    case, core_oriented, and cosets_defined when a context was built),
+    then its own fields."""
+    record = {"command": args.command, "input": input.label, "case": args.case,
+              "core_oriented": args.core_oriented, **fields}
+    if ctx is not None:
+        record["cosets_defined"] = _defined(ctx)
+    return record
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -182,10 +193,7 @@ def _cmd_equiv(args) -> int:
     ctx = _context(input, case)
     verdict = "equivalent" if equivalent(ctx, case, args.core_oriented, g1, g2) \
         else "inequivalent"
-    _emit(args, {"command": "equiv", "input": input.label,
-                 "case": case.value, "core_oriented": args.core_oriented,
-                 "words": list(args.cord), "verdict": verdict,
-                 "cosets_defined": _defined(ctx)})
+    _emit(args, _case_record(args, input, ctx, words=list(args.cord), verdict=verdict))
     print(verdict)
     return 0
 
@@ -196,14 +204,11 @@ def _cmd_classes(args) -> int:
     ctx = _context(input, case)
     kind, classes, orbit_size, texts = class_listing(ctx, case, args.core_oriented)
     head = {"kind": kind, "case": case.value, "core_oriented": args.core_oriented}
-    _emit(args, {"command": "classes", "input": input.label,
-                 "case": case.value, "core_oriented": args.core_oriented,
-                 "count": len(classes),
-                 "classes": [{"representative": texts[c],
-                              "value": dict(head, value=_value_json(
-                                  key, orbit_size, texts))}
-                             for key, c in classes],
-                 "cosets_defined": _defined(ctx)})
+    _emit(args, _case_record(
+        args, input, ctx, count=len(classes),
+        classes=[{"representative": texts[c],
+                  "value": dict(head, value=_value_json(key, orbit_size, texts))}
+                 for key, c in classes]))
     core = "oriented core" if args.core_oriented else "unoriented core"
     print(f"case {case.value}, {core}: {len(classes)} classes")
     for k, (key, c) in enumerate(classes, start=1):
@@ -225,10 +230,7 @@ def _cmd_image_check(args) -> int:
     candidate = candidate_invariant(ctx, case, args.core_oriented, words)
     verdict = "in-image" if image_member(ctx, case, args.core_oriented, candidate) \
         else "not-in-image"
-    _emit(args, {"command": "image-check", "input": input.label,
-                 "case": case.value, "core_oriented": args.core_oriented,
-                 "words": parts, "verdict": verdict,
-                 "cosets_defined": _defined(ctx)})
+    _emit(args, _case_record(args, input, ctx, words=parts, verdict=verdict))
     print(verdict)
     return 0
 
@@ -240,10 +242,8 @@ def _cmd_separate(args) -> int:
     verdict = quotient_separate(input, case, args.core_oriented, g1, g2,
                                 max_degree=args.max_degree)
     text = "distinct" if verdict is SeparationVerdict.DISTINCT else "unknown"
-    _emit(args, {"command": "separate", "input": input.label,
-                 "case": case.value, "core_oriented": args.core_oriented,
-                 "words": list(args.cord), "max_degree": args.max_degree,
-                 "verdict": text})
+    _emit(args, _case_record(args, input, None, words=list(args.cord),
+                             max_degree=args.max_degree, verdict=text))
     print(text)
     return 0
 

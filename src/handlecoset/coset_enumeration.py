@@ -69,9 +69,6 @@ class EnumerationLimits(_Frozen):
         object.__setattr__(self, "max_live_cosets", max_live_cosets)
         object.__setattr__(self, "max_total_defined", max_total_defined)
 
-    def _key(self):
-        return (self.max_live_cosets, self.max_total_defined)
-
 
 class CosetTable:
     """Complete standardized right-coset table.

@@ -195,9 +195,6 @@ class UnorderedPair(_Frozen):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
 
-    def _key(self):
-        return (self.first, self.second)
-
     def sort_key(self):
         return (self.first.sort_key(), self.second.sort_key())
 
@@ -212,9 +209,10 @@ def _shape(element: PairElement) -> str:
 
 
 def key_pair(a, b):
-    """UnorderedPair's pairing on keys (canonical integers, or keys of
-    pairs): the sorted tuple.  A value's sort_key() is the key that
-    nest_slots builds with key_pair from the same canonical integers."""
+    """The one pairing of values: the sorted tuple of two keys (canonical
+    integers, or keys of pairs), which nest_slots nests with.
+    UnorderedPair sorts the same way, so a view's sort_key() is the key
+    it was built from."""
     return (a, b) if a <= b else (b, a)
 
 
@@ -236,21 +234,21 @@ def slot_count(twisted: bool, core_oriented: bool) -> int:
     return (2 if twisted else 1) * (1 if core_oriented else 2)
 
 
-def nest_slots(slot: Callable, twisted: bool, core_oriented: bool,
-               pair: Callable = key_pair):
-    """A value's key: its slot_count slots, nested by pair in slot order.
-    The slots are D, then twist(D) when the case has a twist, then the
-    same for D^-1 when the core is unoriented.  slot(inverted, None) is D
-    or D^-1, slot(inverted, s) the twist of slot s; each is called once."""
+def nest_slots(slot: Callable, twisted: bool, core_oriented: bool):
+    """A value's key: its slot_count slots, nested by key_pair in slot
+    order.  The slots are D, then twist(D) when the case has a twist,
+    then the same for D^-1 when the core is unoriented.
+    slot(inverted, None) is D or D^-1, slot(inverted, s) the twist of
+    slot s; each is called once."""
     d = slot(False, None)
     if twisted:
-        d = pair(d, slot(False, d))
+        d = key_pair(d, slot(False, d))
     if core_oriented:
         return d
     e = slot(True, None)
     if twisted:
-        e = pair(e, slot(True, e))
-    return pair(d, e)
+        e = key_pair(e, slot(True, e))
+    return key_pair(d, e)
 
 
 def dc_id(table: CosetTable, acting: Sequence[Word], g: Word) -> DoubleCosetId:

@@ -74,9 +74,6 @@ class PermutationAssignment(_Frozen):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "images", images)
 
-    def _key(self):
-        return (self.degree, self.images)
-
 
 class SeparationVerdict(Enum):
     DISTINCT = "distinct"

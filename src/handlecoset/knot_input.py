@@ -63,10 +63,6 @@ class SurfaceKnotInput(_Frozen):
         object.__setattr__(self, "surface_orientable", surface_orientable)
         object.__setattr__(self, "label", label)
 
-    def _key(self):
-        return (self.presentation, self.p_generators, self.p_plus_generators,
-                self.n_word, self.surface_orientable, self.label)
-
 
 class CaseLabel(Enum):
     CASE1 = 1  # oriented surface, orientable handle

@@ -24,17 +24,19 @@ _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 class _Frozen:
     """Base of the package's immutable value types.
 
-    A subclass names its constructor's parameters in _fields, sets its
-    fields with object.__setattr__ in __init__, and returns from _key
-    the tuple that == and hash compare, read straight from its fields:
-    presentations and words are hashed as cache keys, where a getattr
-    loop would cost.  Assigning or deleting any attribute raises
-    AttributeError, repr shows the _fields, and pickle and copy rebuild
-    an instance through its constructor.  These are plain classes, not
-    frozen dataclasses, because every CLI process imports the package:
-    dataclasses imports inspect and execs each class's methods, which
-    took about 80% of the package's import time.  (A NamedTuple costs a
-    sixth of a frozen dataclass at import.)
+    A subclass names its constructor's parameters in _fields and sets
+    its fields with object.__setattr__ in __init__.  One rule gives ==,
+    hash, pickle and copy: _key, the tuple of the _fields' values, is
+    what == and hash compare and what the constructor is called with to
+    rebuild an instance.  Only the classes hashed as cache keys
+    (generators, words, presentations) spell _key out, reading their
+    fields directly, where the getattr loop would cost.  Assigning or
+    deleting any attribute raises AttributeError, and repr shows the
+    _fields.  These are plain classes, not frozen dataclasses, because
+    every CLI process imports the package: dataclasses imports inspect
+    and execs each class's methods, which took about 80% of the
+    package's import time.  (A NamedTuple costs a sixth of a frozen
+    dataclass at import.)
     """
 
     __slots__ = ()
@@ -45,6 +47,9 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -54,7 +59,7 @@ class _Frozen:
         return hash(self._key())
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        return type(self), self._key()
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -519,6 +519,20 @@ def test_pairs_are_built_only_in_double_cosets():
     assert callers <= {"double_cosets"}
 
 
+def test_only_cache_keys_spell_out_their_value_key():
+    # _Frozen's _key, the tuple of the _fields, is the one equality rule;
+    # only the types hashed as cache keys restate it, for speed
+    spelled = set()
+    for path in Path(handlecoset.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "_key"
+                    for item in node.body):
+                spelled.add(node.name)
+    assert spelled == {"_Frozen", "GeneratorSymbol", "Word", "GroupPresentation"}
+
+
 def test_only_coset_enumeration_reads_the_table_fields():
     # a table's columns and witness tree are read through CosetTable's
     # own methods everywhere else, so their layout has one owner

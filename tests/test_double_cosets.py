@@ -150,19 +150,21 @@ def test_unordered_pair_is_unordered():
 
 @pytest.mark.parametrize("twisted, core_oriented, value, slots", [
     (False, True, "D", ["D"]),
-    (True, True, ["D", "tD"], ["D", "tD"]),
-    (False, False, ["D", "iD"], ["D", "iD"]),
-    (True, False, [["D", "tD"], ["iD", "tiD"]], ["D", "tD", "iD", "tiD"]),
+    (True, True, ("D", "tD"), ["D", "tD"]),
+    (False, False, ("D", "iD"), ["D", "iD"]),
+    (True, False, (("D", "tD"), ("iD", "tiD")), ["D", "tD", "iD", "tiD"]),
 ])
 def test_nest_slots_fills_slots_in_order(twisted, core_oriented, value, slots):
-    # a slot is named by the maps applied to D: i for inverse, t for twist
+    # a slot is named by the maps applied to D: i for inverse, t for
+    # twist; the names sort in slot order, so key_pair keeps each pair
+    # in slot order
     made = []
 
     def slot(inverted, of):
         made.append("i" * inverted + "D" if of is None else "t" + of)
         return made[-1]
 
-    assert nest_slots(slot, twisted, core_oriented, lambda a, b: [a, b]) == value
+    assert nest_slots(slot, twisted, core_oriented) == value
     assert made == slots  # each slot made once, in slot order
     assert len(slots) == slot_count(twisted, core_oriented)
 
