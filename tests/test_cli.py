@@ -646,6 +646,10 @@ S7_P2 = coxeter_skg(7, [2])
 S7_CASE3 = coxeter_skg(7, [2, 5], [2], 5)
 C5_TRIVIAL = "group: a\nrel: a^5\nP: 1\norientable: true\n"
 C12_A3 = "group: a\nrel: a^12\nP: a^3\norientable: true\n"
+# case 3 with a twist that moves double cosets: P+ = <r^3>, n = s
+D6_SPLIT_CASE3 = ("group: r s\nrel: r^6\nrel: s^2\nrel: r s r s\n"
+                  "P: r^3 , s\nP+: r^3\nn: s\norientable: false\n")
+S6_CASE3 = coxeter_skg(6, [1, 3], [1], 3)
 
 # sha256 of `classes --records` output; the file name is the record's "input"
 PINNED_CLASSES = [
@@ -676,6 +680,14 @@ PINNED_CLASSES = [
      "e6110013988f5a896e3eba2cd4dc8bfeb04c036f7a756871b756039fc7803c55"),
     ("c12", C12_A3, 1, False,
      "21034892f9fb9e1470df6c0176fb8fe42543ae41a02953fae4d338a64235ec17"),
+    ("d6-split-case3", D6_SPLIT_CASE3, 3, True,
+     "cb8f010f75fb6655e35a686dccde03dbc7b7e6b8ce13122e37ccbe8020c4c2c3"),
+    ("d6-split-case3", D6_SPLIT_CASE3, 3, False,
+     "f24807dcc76b98fca27f6f7ab85cb22b61fd499d0b0e690908f4c77541c4fe35"),
+    ("s6c3", S6_CASE3, 3, True,
+     "c8d591ea8d8ac89a1b0363aa8a3482df714c66bb0a2030c156be5f264f48a07a"),
+    ("s6c3", S6_CASE3, 3, False,
+     "4ff76714981b3758031f86da23e1924ec31c6ad54db98fd1084f8f7f4051533d"),
 ]
 
 
