@@ -220,8 +220,13 @@ def _cmd_classes(args) -> int:
 def _cmd_image_check(args) -> int:
     input = _load(args.file)
     case = CaseLabel(args.case)
-    parts = [p.strip() for p in args.candidate.split(";")]
-    words = [parse_word(p, input.presentation) for p in parts]
+    parts, words, cursor = args.candidate.split(";"), [], 0
+    for part in parts:
+        try:
+            words.append(parse_word(part, input.presentation))
+        except SkgSyntaxError as exc:  # at its column in the whole option
+            raise type(exc)(exc.line, cursor + exc.column, exc.reason) from None
+        cursor += len(part) + 1
     expected = slot_count(case is CaseLabel.CASE3, args.core_oriented)
     if len(words) != expected:
         raise UsageError(f"--candidate needs {expected} words for case {case.value}"
@@ -230,7 +235,8 @@ def _cmd_image_check(args) -> int:
     candidate = candidate_invariant(ctx, case, args.core_oriented, words)
     verdict = "in-image" if image_member(ctx, case, args.core_oriented, candidate) \
         else "not-in-image"
-    _emit(args, _case_record(args, input, ctx, words=parts, verdict=verdict))
+    _emit(args, _case_record(args, input, ctx, words=[p.strip() for p in parts],
+                             verdict=verdict))
     print(verdict)
     return 0
 

@@ -78,9 +78,9 @@ class CosetTable:
     traces each coset to itself and every subgroup generator fixes
     coset 1.  witness(c) is a word carrying coset 1 to c along the BFS
     discovery tree (witness(1) is the empty word), climbing from c to
-    coset 1; witness_texts spells the witnesses of many cosets in one
-    walk down the tree instead, and unwitness(c, x) traces x by the
-    inverse of witness(c).
+    coset 1.  witness_texts(cosets) spells witnesses and translates(x)
+    traces x by every witness, each in one walk down the tree instead;
+    unwitness(c) traces coset 1 by the inverse of witness(c).
 
     Storage is one list per column: _action[col][c] is the image of
     coset c, with a 0 placeholder at position 0.  Column 2i is generator
@@ -191,12 +191,23 @@ class CosetTable:
                 out[c] = text
         return out
 
-    def unwitness(self, coset: int, start: int) -> int:
-        """The coset start * witness(coset)^-1, read off the BFS tree from
-        coset up to coset 1, one inverse column per edge; no word is
-        built."""
+    def translates(self, start: int) -> list[int]:
+        """start * witness(c) for every coset c, as a 1-based list (0 at
+        position 0), in one walk down the BFS tree in coset order: each
+        entry is its parent's under one column; no word is built."""
+        if not 1 <= start <= self.index:
+            raise CosetRangeError(start, self.index)
+        action = self._action
+        out = [0, start]
+        for p, col in self._parents[2:]:
+            out.append(action[col][out[p]])
+        return out
+
+    def unwitness(self, coset: int) -> int:
+        """The coset 1 * witness(coset)^-1, one inverse column per BFS
+        tree edge from coset up to coset 1; no word is built."""
         parents, action = self._parents, self._action
-        c, x = coset, start
+        c, x = coset, 1
         while (edge := parents[c]) is not None:
             c, col = edge
             x = action[col ^ 1][x]

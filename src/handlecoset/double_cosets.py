@@ -11,11 +11,11 @@ acting words and refuse any others.
 
 Two maps descend to double cosets: inversion (core reversal), and the
 twist g -> n g n, well defined once the validation checks for n have
-passed.  Each is filled in per double coset on first use, by walking
-the witness tree from the canonical coset up to coset 1
-(CosetTable.unwitness).  The walk meets the witness's letters
-last-first, which is the order in which its inverse applies them, so it
-traces the inverse of the witness without building a word.
+passed.  A double coset's inverse is filled in on first use by a climb
+from its canonical coset up the witness tree (CosetTable.unwitness).
+The twist is one list over all cosets: the coset of n w(c) is 1 n traced
+along w(c), all in one walk down the tree (CosetTable.translates), and a
+lookup in n's permutation appends the last n.
 
 nest_slots is the one definition of an invariant value's shape: how its
 double cosets nest in unordered pairs.  A value is held as a key, its
@@ -27,24 +27,14 @@ a key, DoubleCosetIds paired by UnorderedPair, for repr and copies.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .coset_enumeration import CosetTable
 from .errors import PreconditionUnverified, TableMismatch
-from .word_algebra import Word, _Frozen, invert
+from .word_algebra import Word, _Frozen
 
 if TYPE_CHECKING:
     from .handle_classifier import ValidationReport
-
-
-class Twist(NamedTuple):
-    """The twist g -> n g n over one table: n, n^-1 and the coset 1 n^-1,
-    each found once, and the images of canonical cosets filled in so far."""
-
-    n: Word
-    n_inv: Word
-    start: int
-    images: dict[int, int]
 
 
 class Partition:
@@ -52,9 +42,9 @@ class Partition:
 
     label[c] is the minimal coset of c's orbit (label[0] = 0), size maps
     each canonical coset to its orbit size in increasing canonical order,
-    inv maps a canonical coset to that of the inverse double coset, and
-    twist(table, n) does the same for g -> n g n (twisted takes it); both
-    fill in on first use.
+    inv maps a canonical coset to that of the inverse double coset (filled
+    in on first use), and twist(table, n)[c], for every coset c, is the
+    canonical coset of n w n, w any word of coset c (built once per n).
     The table keeps its partition, so a partition holds no reference
     back to it: that cycle would keep a dropped table alive until the
     cyclic garbage collector ran.
@@ -86,7 +76,7 @@ class Partition:
         self.inv: dict[int, int] = {}
         # compared by n's equality: a word hashes its letters on every
         # call, and a table meets one n in practice
-        self._twists: list[Twist] = []
+        self._twists: list[tuple[Word, list[int]]] = []
 
     def id(self, table: CosetTable, canonical: int) -> "DoubleCosetId":
         return DoubleCosetId(table, canonical, self.size[canonical])
@@ -94,28 +84,20 @@ class Partition:
     def inverse(self, table: CosetTable, canonical: int) -> int:
         image = self.inv.get(canonical)
         if image is None:
-            image = self.inv[canonical] = self.label[table.unwitness(canonical, 1)]
+            image = self.inv[canonical] = self.label[table.unwitness(canonical)]
         return image
 
-    def twist(self, table: CosetTable, n: Word) -> Twist:
-        """n's twist over the table, found without hashing n; the table
-        must be the one this partition was built from."""
-        for twist in self._twists:
-            if twist.n == n:
-                return twist
-        n_inv = invert(n)
-        twist = Twist(n, n_inv, table.trace(1, n_inv), {})
-        self._twists.append(twist)
-        return twist
-
-    def twisted(self, table: CosetTable, twist: Twist, canonical: int) -> int:
-        images = twist.images
-        image = images.get(canonical)
-        if image is None:
-            # the class of (n g n)^-1 = n^-1 g^-1 n^-1, then inverted
-            x = table.trace(table.unwitness(canonical, twist.start), twist.n_inv)
-            image = images[canonical] = self.inverse(table, self.label[x])
-        return image
+    def twist(self, table: CosetTable, n: Word) -> list[int]:
+        """n's twist images over the table, found without hashing n; the
+        table must be the one this partition was built from."""
+        for m, images in self._twists:
+            if m == n:
+                return images
+        after = table.permutation(n)
+        label = self.label
+        images = [label[after[x]] for x in table.translates(after[1])]
+        self._twists.append((n, images))
+        return images
 
 
 def partition(table: CosetTable) -> Partition:
@@ -295,4 +277,4 @@ def dc_twist(table: CosetTable, acting: Sequence[Word], n: Word,
     require_twist_verified for what the report must show."""
     require_twist_verified(report)
     part = _partition_for(table, acting, d)
-    return part.id(table, part.twisted(table, part.twist(table, n), d.canonical))
+    return part.id(table, part.twist(table, n)[d.canonical])

@@ -36,7 +36,7 @@ from functools import cached_property
 from typing import Any, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .coset_enumeration import CosetTable, EnumerationLimits, enumerate_cosets
-from .double_cosets import (DoubleCosetId, PairElement, Partition, Twist, UnorderedPair,
+from .double_cosets import (DoubleCosetId, PairElement, Partition, UnorderedPair,
                             dc_id, key_leaves, key_view, nest_slots, partition,
                             require_twist_verified, slot_count)
 from .errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
@@ -338,7 +338,7 @@ class _Case(NamedTuple):
     table: CosetTable
     part: Partition
     n: Optional[Word]
-    twist: Optional[Twist]
+    twist: Optional[list[int]]
 
 
 def _resolve(ctx: ClassifierContext, case: CaseLabel) -> _Case:
@@ -356,7 +356,7 @@ def _value(r: _Case, core_oriented: bool, c: int):
     paired by key_pair."""
     def slot(inverted: bool, of: Optional[int]) -> int:
         if of is not None:
-            return r.part.twisted(r.table, r.twist, of)
+            return r.twist[of]
         return r.part.inverse(r.table, c) if inverted else c
 
     return nest_slots(slot, r.n is not None, core_oriented)

@@ -338,6 +338,17 @@ def test_candidate_is_checked_before_the_build(skg, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("candidate, message", [
+    ("s;1; r q;r", "line 1, column 8: unknown generator 'q'"),
+    ("s;", "line 1, column 3: expected a word"),
+], ids=["unknown-generator", "empty-word"])
+def test_candidate_errors_name_their_column_in_the_option(skg, capsys, candidate,
+                                                          message):
+    path = skg("d8.skg", D8_CASE3)
+    assert run(["image-check", path, "--case", "3", "--candidate", candidate]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("name, text, case, oriented, candidate, verdict", [
     # an oriented core in Cases 1/2 has a bijective invariant: one word
     # always names a realized value, so there is no not-in-image candidate
@@ -726,6 +737,27 @@ def test_classes_spells_no_witness_word(skg, tmp_path, capsys, monkeypatch,
     rec = tmp_path / "r.json"
     argv = ["classes", path, "--case", "1", "--records", str(rec)]
     assert run(argv + (["--core-oriented"] if oriented else [])) == 0
+    capsys.readouterr()
+    assert json.loads(rec.read_text())["count"] > 100
+    assert calls == []
+
+
+def test_case3_oriented_classes_climb_no_witness_tree(skg, tmp_path, capsys,
+                                                     monkeypatch):
+    # the twist images come from one walk down the witness tree
+    # (CosetTable.translates), so an oriented core needs no climb
+    calls = []
+    unwitness = CosetTable.unwitness
+
+    def counted(*args):
+        calls.append(args)
+        return unwitness(*args)
+
+    monkeypatch.setattr(CosetTable, "unwitness", counted)
+    path = skg("s6c3.skg", S6_CASE3)
+    rec = tmp_path / "r.json"
+    assert run(["classes", path, "--case", "3", "--core-oriented",
+                "--records", str(rec)]) == 0
     capsys.readouterr()
     assert json.loads(rec.read_text())["count"] > 100
     assert calls == []

@@ -135,6 +135,20 @@ def test_witness_texts_spell_each_witness(text, words):
     assert table.witness_texts(some, names) == {c: texts[c] for c in some}
 
 
+@pytest.mark.parametrize("text,words", [t[1:] for t in _spelled_tables()],
+                         ids=[t[0] for t in _spelled_tables()])
+def test_translates_trace_each_witness(text, words):
+    pres = load(text)
+    table = enumerate_cosets(pres, [word(w, pres) for w in words])
+    every = range(1, table.index + 1)
+    for start in sorted({1, (table.index + 1) // 2, table.index}):
+        assert table.translates(start) == \
+            [0] + [table.trace(start, table.witness(c)) for c in every]
+    for start in (0, table.index + 1):
+        with pytest.raises(CosetRangeError):
+            table.translates(start)
+
+
 def test_witness_texts_merge_runs():
     c5 = load("group: a\nrel: a^5\nP: 1\norientable: true")
     table = enumerate_cosets(c5, [])

@@ -6,12 +6,13 @@ from brute import orbit_partition
 from handlecoset.coset_enumeration import enumerate_cosets
 from handlecoset.double_cosets import (UnorderedPair, dc_all, dc_id,
                                        dc_invert, dc_twist, nest_slots,
-                                       slot_count)
+                                       partition, slot_count)
 from handlecoset.errors import PreconditionUnverified, TableMismatch
 from handlecoset.handle_classifier import (ClassifierContext, ValidationCheck,
                                            ValidationReport, validate)
 from handlecoset.knot_input import parse_input, parse_word
-from handlecoset.selftest import GROUP_CORPUS, coxeter_skg
+from handlecoset.selftest import (BROKEN_INPUTS, GROUP_CORPUS, INPUT_CORPUS,
+                                  coxeter_skg)
 from handlecoset.word_algebra import Word, concat, free_reduce, invert
 
 S3_TEXT = "group: a b\nrel: a^2\nrel: b^3\nrel: a b a b\nP: a\norientable: true"
@@ -192,6 +193,27 @@ def test_twist_matches_conjugation_word():
                          for _ in range(rng.randint(0, 6))])
         assert dc_twist(table, acting, n, dc_id(table, acting, g), ctx.report) \
             == dc_id(table, acting, concat(n, g, n))
+
+
+# every case-3 input, and d4-bad-n, whose n = r does not normalize P+ = <s>
+TWIST_INPUTS = [(c.label, c.skg) for c in INPUT_CORPUS
+                if parse_input(c.skg).n_word is not None]
+TWIST_INPUTS += [(label, text) for label, text, _ in BROKEN_INPUTS
+                 if label == "d4-bad-n"]
+
+
+@pytest.mark.parametrize("text", [t for _, t in TWIST_INPUTS],
+                         ids=[label for label, _ in TWIST_INPUTS])
+def test_twist_images_are_the_classes_of_n_w_n(text):
+    # one list over every coset, built once per n, whether or not n
+    # normalizes P+
+    parsed = parse_input(text)
+    table = enumerate_cosets(parsed.presentation, parsed.p_plus_generators)
+    part, n = partition(table), parsed.n_word
+    images = part.twist(table, n)
+    assert images == [0] + [part.label[table.trace(1, concat(n, table.witness(c), n))]
+                            for c in range(1, table.index + 1)]
+    assert part.twist(table, Word(n.letters)) is images
 
 
 def test_dc_twist_can_move_classes():
