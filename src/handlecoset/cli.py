@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from .coset_enumeration import EnumerationLimits
-from .double_cosets import key_leaves, partition, slot_count
+from .double_cosets import key_leaves, slot_count
 from .errors import (HandleCosetError, MissingSection, ResourceExhausted,
                      SkgSyntaxError, UsageError)
 from .finite_quotient import (MAX_SEPARATE_DEGREE, SeparationVerdict,
@@ -32,7 +32,7 @@ from .handle_classifier import (ClassifierContext, candidate_invariant,
                                 class_listing, equivalent, handle_invariant,
                                 image_member, subgroup_table, validate)
 from .knot_input import (CaseLabel, case_words, format_word, parse_input,
-                         parse_word)
+                         parse_word, parse_word_list)
 from .word_algebra import Word
 
 ENV_MAX_COSETS = "HANDLE_COSET_MAX_COSETS"
@@ -58,7 +58,7 @@ def _limits(max_cosets: Optional[int] = None) -> EnumerationLimits:
 
 def _load(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError:
@@ -172,12 +172,11 @@ def _cmd_invariant(args) -> int:
     names = input.presentation.generator_names
     # a climb per leaf: witness_texts would walk every coset up to the last
     texts = {c: format_word(inv.table.witness(c), names) for c in key_leaves(inv.key)}
-    orbit_size = partition(inv.table).size
     _emit(args, {"command": "invariant", "input": input.label,
                  "words": list(args.cord),
                  "result": {"kind": inv.kind, "case": case.value,
                             "core_oriented": args.core_oriented,
-                            "value": _value_json(inv.key, orbit_size, texts)},
+                            "value": _value_json(inv.key, inv.table.orbit_sizes, texts)},
                  "cosets_defined": _defined(ctx)})
     core = "oriented core" if args.core_oriented else "unoriented core"
     print(f"case {case.value}, {core}")
@@ -220,13 +219,7 @@ def _cmd_classes(args) -> int:
 def _cmd_image_check(args) -> int:
     input = _load(args.file)
     case = CaseLabel(args.case)
-    parts, words, cursor = args.candidate.split(";"), [], 0
-    for part in parts:
-        try:
-            words.append(parse_word(part, input.presentation))
-        except SkgSyntaxError as exc:  # at its column in the whole option
-            raise type(exc)(exc.line, cursor + exc.column, exc.reason) from None
-        cursor += len(part) + 1
+    words = parse_word_list(args.candidate, input.presentation, ";")
     expected = slot_count(case is CaseLabel.CASE3, args.core_oriented)
     if len(words) != expected:
         raise UsageError(f"--candidate needs {expected} words for case {case.value}"
@@ -235,7 +228,8 @@ def _cmd_image_check(args) -> int:
     candidate = candidate_invariant(ctx, case, args.core_oriented, words)
     verdict = "in-image" if image_member(ctx, case, args.core_oriented, candidate) \
         else "not-in-image"
-    _emit(args, _case_record(args, input, ctx, words=[p.strip() for p in parts],
+    _emit(args, _case_record(args, input, ctx,
+                             words=[p.strip() for p in args.candidate.split(";")],
                              verdict=verdict))
     print(verdict)
     return 0

@@ -42,12 +42,15 @@ its columns are numbered as Word.columns numbers a word's letters, so
 tracing a word is one subscript per letter.  The post-checks, which
 _verify states, prove each invariant once.
 
-Cosets are numbered 1..index and coset 1 is the subgroup itself.
+Cosets are numbered 1..index and coset 1 is the subgroup itself.  A
+table owns its double cosets and the two maps on them (CosetTable):
+they walk the columns and the witness tree, which only this module reads.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import CosetRangeError, ResourceExhausted
@@ -88,9 +91,10 @@ class CosetTable:
     relator x^2 or x^-2) the two are the same list object, so the table
     must not be edited in place.  _parents[c] is the BFS tree edge
     (parent, col) that discovered coset c, None for c = 1 (and at the
-    placeholder).  _partition holds the table's one double-coset
-    partition, under its own subgroup generators, once built (see
-    double_cosets).
+    placeholder).  The table owns its double cosets under its own
+    subgroup generators and the two maps on them, each built on first
+    use: labels, orbit_sizes, inverse and twist (Holt-Eick-O'Brien,
+    Handbook of CGT, ch. 5).
     """
 
     def __init__(self, subgroup_generators: Sequence[Word], n_generators: int,
@@ -101,7 +105,10 @@ class CosetTable:
         self._action = action
         self._parents = parents
         self.total_defined = total_defined
-        self._partition = None
+        self._inverses: dict[int, int] = {}
+        # compared by n's equality: a word hashes its letters on every
+        # call, and a table meets one n in practice
+        self._twists: list[tuple[Word, list[int]]] = []
 
     @property
     def index(self) -> int:
@@ -212,6 +219,60 @@ class CosetTable:
             c, col = edge
             x = action[col ^ 1][x]
         return x
+
+    @cached_property
+    def labels(self) -> list[int]:
+        """labels[c] is the canonical coset of c's double coset, the
+        minimum of its orbit (labels[0] = 0): a union-find over the
+        subgroup generators' permutations whose root is that minimum."""
+        parent = list(range(self.index + 1))
+
+        def find(c: int) -> int:
+            root = c
+            while parent[root] != root:
+                root = parent[root]
+            while parent[c] != root:
+                parent[c], c = root, parent[c]
+            return root
+
+        for w in self.subgroup_generators:
+            if not w:
+                continue
+            for c, d in enumerate(self.permutation(w)):
+                if c != d:
+                    a, b = find(c), find(d)
+                    if a > b:
+                        a, b = b, a
+                    parent[b] = a  # the root stays the orbit's minimum
+        return [find(c) for c in range(self.index + 1)]
+
+    @cached_property
+    def orbit_sizes(self) -> Counter:
+        """Canonical coset -> orbit size; a canonical coset is the first
+        of its orbit met in 1..index, so the keys run in increasing order."""
+        return Counter(self.labels[1:])
+
+    def inverse(self, canonical: int) -> int:
+        """The canonical coset of the inverse double coset: one
+        unwitness climb, remembered."""
+        image = self._inverses.get(canonical)
+        if image is None:
+            image = self._inverses[canonical] = self.labels[self.unwitness(canonical)]
+        return image
+
+    def twist(self, n: Word) -> list[int]:
+        """twist(n)[c], for every coset c, is the canonical coset of
+        n w(c) n, w(c) the witness of c: one list per n, found again
+        without hashing n.  Only when n normalizes the subgroup does
+        n w n lie there for every w in c's double coset."""
+        for m, images in self._twists:
+            if m == n:
+                return images
+        after = self.permutation(n)
+        labels = self.labels
+        images = [labels[after[x]] for x in self.translates(after[1])]
+        self._twists.append((n, images))
+        return images
 
     def __repr__(self):
         return f"<CosetTable index={self.index} on {self.n_generators} generators>"

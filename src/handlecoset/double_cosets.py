@@ -1,21 +1,17 @@
 """Double cosets H\\G/H over a coset table, with the two induced maps.
 
 A double coset HgH is the orbit of the H-coset of g under right
-multiplication by the generators H's table was enumerated against.  A
-union-find over their permutations, each the composition of its
-letters' columns, gives a label array holding, for every coset, the
-minimal coset of its orbit: with the standardized tables a canonical
-identifier, stable across runs.  The table keeps this one partition, so
-dc_id is one trace plus one lookup; the dc_* functions name H by those
-acting words and refuse any others.
+multiplication by the generators H's table was enumerated against.  The
+table owns the orbits and both maps (CosetTable.labels, orbit_sizes,
+inverse and twist); this module names them.  A double coset is named by
+its canonical coset, the minimal coset of its orbit: with the
+standardized tables a canonical identifier, stable across runs.  dc_id
+is one trace plus one lookup; the dc_* functions name H by those acting
+words and refuse any others.
 
 Two maps descend to double cosets: inversion (core reversal), and the
 twist g -> n g n, well defined once the validation checks for n have
-passed.  A double coset's inverse is filled in on first use by a climb
-from its canonical coset up the witness tree (CosetTable.unwitness).
-The twist is one list over all cosets: the coset of n w(c) is 1 n traced
-along w(c), all in one walk down the tree (CosetTable.translates), and a
-lookup in n's permutation appends the last n.
+passed (require_twist_verified).
 
 nest_slots is the one definition of an invariant value's shape: how its
 double cosets nest in unordered pairs.  A value is held as a key, its
@@ -26,7 +22,6 @@ a key, DoubleCosetIds paired by UnorderedPair, for repr and copies.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .coset_enumeration import CosetTable
@@ -37,85 +32,14 @@ if TYPE_CHECKING:
     from .handle_classifier import ValidationReport
 
 
-class Partition:
-    """Double-coset orbits of one table under its subgroup generators.
-
-    label[c] is the minimal coset of c's orbit (label[0] = 0), size maps
-    each canonical coset to its orbit size in increasing canonical order,
-    inv maps a canonical coset to that of the inverse double coset (filled
-    in on first use), and twist(table, n)[c], for every coset c, is the
-    canonical coset of n w n, w any word of coset c (built once per n).
-    The table keeps its partition, so a partition holds no reference
-    back to it: that cycle would keep a dropped table alive until the
-    cyclic garbage collector ran.
-    """
-
-    def __init__(self, table: CosetTable):
-        parent = list(range(table.index + 1))
-
-        def find(c: int) -> int:
-            root = c
-            while parent[root] != root:
-                root = parent[root]
-            while parent[c] != root:
-                parent[c], c = root, parent[c]
-            return root
-
-        for w in table.subgroup_generators:
-            if not w:
-                continue
-            for c, d in enumerate(table.permutation(w)):
-                if c != d:
-                    a, b = find(c), find(d)
-                    if a > b:
-                        a, b = b, a
-                    parent[b] = a  # the root stays the orbit's minimum
-        self.label = [find(c) for c in range(table.index + 1)]
-        # a canonical coset is the first of its orbit met in 1..index
-        self.size = Counter(self.label[1:])
-        self.inv: dict[int, int] = {}
-        # compared by n's equality: a word hashes its letters on every
-        # call, and a table meets one n in practice
-        self._twists: list[tuple[Word, list[int]]] = []
-
-    def id(self, table: CosetTable, canonical: int) -> "DoubleCosetId":
-        return DoubleCosetId(table, canonical, self.size[canonical])
-
-    def inverse(self, table: CosetTable, canonical: int) -> int:
-        image = self.inv.get(canonical)
-        if image is None:
-            image = self.inv[canonical] = self.label[table.unwitness(canonical)]
-        return image
-
-    def twist(self, table: CosetTable, n: Word) -> list[int]:
-        """n's twist images over the table, found without hashing n; the
-        table must be the one this partition was built from."""
-        for m, images in self._twists:
-            if m == n:
-                return images
-        after = table.permutation(n)
-        label = self.label
-        images = [label[after[x]] for x in table.translates(after[1])]
-        self._twists.append((n, images))
-        return images
-
-
-def partition(table: CosetTable) -> Partition:
-    """The table's partition, built on first use."""
-    part = table._partition
-    if part is None:
-        part = table._partition = Partition(table)
-    return part
-
-
-def _partition_for(table: CosetTable, acting: Sequence[Word],
-                   d: Optional[DoubleCosetId] = None) -> Partition:
-    """The table's partition, once the dc_* arguments pass their checks."""
+def _check(table: CosetTable, acting: Sequence[Word],
+           d: Optional[DoubleCosetId] = None) -> None:
+    """Refuse dc_* arguments that do not name the table's own double
+    cosets: a d over another table, or other acting words."""
     if d is not None and d.table is not table:
         raise TableMismatch("double coset belongs to a different table")
     if tuple(acting) != table.subgroup_generators:
         raise ValueError("acting words must be the table's subgroup generators")
-    return partition(table)
 
 
 class DoubleCosetId(_Frozen):
@@ -136,8 +60,8 @@ class DoubleCosetId(_Frozen):
     @property
     def orbit(self) -> tuple[int, ...]:
         """The orbit's cosets in increasing order (a scan of the labels)."""
-        label = partition(self.table).label
-        return tuple(c for c in range(1, len(label)) if label[c] == self.canonical)
+        labels = self.table.labels
+        return tuple(c for c in range(1, len(labels)) if labels[c] == self.canonical)
 
     def representative(self) -> Word:
         """Witness word of the canonical coset."""
@@ -205,9 +129,10 @@ def key_leaves(key) -> tuple[int, ...]:
 
 def key_view(table: CosetTable, key) -> PairElement:
     """The display view of a key over its table: each canonical integer's
-    DoubleCosetId, paired by UnorderedPair; its sort_key() is the key."""
+    DoubleCosetId, paired by UnorderedPair; its sort_key() is the key.
+    The view of a canonical integer is the one place an id is built."""
     if isinstance(key, int):
-        return partition(table).id(table, key)
+        return DoubleCosetId(table, key, table.orbit_sizes[key])
     return UnorderedPair(key_view(table, key[0]), key_view(table, key[1]))
 
 
@@ -240,25 +165,25 @@ def dc_id(table: CosetTable, acting: Sequence[Word], g: Word) -> DoubleCosetId:
     ValueError); the output is unchanged under g -> p g q with p, q in
     the subgroup.
     """
-    part = _partition_for(table, acting)
-    return part.id(table, part.label[table.trace(1, g)])
+    _check(table, acting)
+    return key_view(table, table.labels[table.trace(1, g)])
 
 
 def dc_all(table: CosetTable, acting: Sequence[Word]) -> tuple[DoubleCosetId, ...]:
-    """Partition of all cosets 1..index into double-coset orbits.
+    """All cosets 1..index, split into double-coset orbits.
 
     Returned sorted by canonical index; orbit sizes sum to the table's
     index.
     """
-    part = _partition_for(table, acting)
-    return tuple(part.id(table, c) for c in part.size)
+    _check(table, acting)
+    return tuple(key_view(table, c) for c in table.orbit_sizes)
 
 
 def dc_invert(table: CosetTable, acting: Sequence[Word],
               d: DoubleCosetId) -> DoubleCosetId:
     """Image of the double coset under g -> g^-1; an involution."""
-    part = _partition_for(table, acting, d)
-    return part.id(table, part.inverse(table, d.canonical))
+    _check(table, acting, d)
+    return key_view(table, table.inverse(d.canonical))
 
 
 def require_twist_verified(report: Optional[ValidationReport]) -> None:
@@ -276,5 +201,5 @@ def dc_twist(table: CosetTable, acting: Sequence[Word], n: Word,
     """Image of the double coset under g -> n g n; see
     require_twist_verified for what the report must show."""
     require_twist_verified(report)
-    part = _partition_for(table, acting, d)
-    return part.id(table, part.twist(table, n)[d.canonical])
+    _check(table, acting, d)
+    return key_view(table, table.twist(n)[d.canonical])

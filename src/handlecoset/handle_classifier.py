@@ -16,9 +16,12 @@ symmetry apply:
           g^-1.
 
 The input fixes the one subgroup a context works over (P, or P+ on a
-non-orientable surface): ClassifierContext._case.  nest_slots fixes
-every value's shape; queries build and compare values as keys, and a
-HandleInvariant builds its view of ids (key_view) only for display.
+non-orientable surface): ClassifierContext._case.  That table owns its
+double cosets and the inverse and twist maps on them (CosetTable.labels,
+inverse, twist), and the case refuses to build the twist until the
+report shows it verified.  nest_slots fixes every value's shape;
+queries build and compare values as keys, and a HandleInvariant builds
+its view of ids (key_view) only for display.
 
 Degenerate cord words (the empty word, words tracing into the subgroup)
 are legal; they model cords that can be isotoped into the boundary
@@ -36,8 +39,8 @@ from functools import cached_property
 from typing import Any, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .coset_enumeration import CosetTable, EnumerationLimits, enumerate_cosets
-from .double_cosets import (DoubleCosetId, PairElement, Partition, UnorderedPair,
-                            dc_id, key_leaves, key_view, nest_slots, partition,
+from .double_cosets import (DoubleCosetId, PairElement, UnorderedPair, dc_id,
+                            key_leaves, key_view, nest_slots,
                             require_twist_verified, slot_count)
 from .errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                      PreconditionUnverified, ResourceExhausted, TableMismatch)
@@ -265,8 +268,7 @@ class HandleInvariant(_Frozen):
 
     def double_cosets(self) -> tuple[DoubleCosetId, ...]:
         """All double-coset ids inside the value, left to right."""
-        part = partition(self.table)
-        return tuple(part.id(self.table, c) for c in key_leaves(self.key))
+        return tuple(key_view(self.table, c) for c in key_leaves(self.key))
 
 
 class ClassifierContext(_Frozen):
@@ -305,15 +307,18 @@ class ClassifierContext(_Frozen):
 
     @cached_property
     def _case(self) -> _Case:
-        """P's table in Cases 1 and 2; in Case 3, P+'s with the twist n."""
+        """P's table in Cases 1 and 2; in Case 3, P+'s with the twist n,
+        built only once the report shows the twist verified.  A refused
+        case is not cached, so every query on the context refuses."""
         if self.input.surface_orientable:
-            table, n = self.p_table, None
+            table, n, twist = self.p_table, None, None
         else:
             table, n = self.p_plus_table, self.input.n_word
             if table is None:
                 raise MissingPPlus("this context has no P+ table")
-        part = partition(table)
-        return _Case(table, part, n, None if n is None else part.twist(table, n))
+            require_twist_verified(self.report)
+            twist = table.twist(n)
+        return _Case(table, n, twist)
 
 
 def oriented_cord_invariant(ctx: ClassifierContext, g: Word) -> DoubleCosetId:
@@ -333,22 +338,18 @@ def local_oriented_cord_invariant(ctx: ClassifierContext, g: Word) -> DoubleCose
 
 
 class _Case(NamedTuple):
-    """A context's case table, its partition, n and n's twist."""
+    """A context's case table, n and n's twist (CosetTable.twist)."""
 
     table: CosetTable
-    part: Partition
     n: Optional[Word]
     twist: Optional[list[int]]
 
 
 def _resolve(ctx: ClassifierContext, case: CaseLabel) -> _Case:
-    """ctx's case table, for a case that fits its surface and guards."""
+    """ctx's case table, for a case that fits its surface."""
     if (case is CaseLabel.CASE3) == ctx.input.surface_orientable:
         case_words(ctx.input, case)  # raises the CaseMismatch
-    r = ctx._case
-    if r.n is not None:
-        require_twist_verified(ctx.report)
-    return r
+    return ctx._case
 
 
 def _value(r: _Case, core_oriented: bool, c: int):
@@ -357,7 +358,7 @@ def _value(r: _Case, core_oriented: bool, c: int):
     def slot(inverted: bool, of: Optional[int]) -> int:
         if of is not None:
             return r.twist[of]
-        return r.part.inverse(r.table, c) if inverted else c
+        return r.table.inverse(c) if inverted else c
 
     return nest_slots(slot, r.n is not None, core_oriented)
 
@@ -374,14 +375,14 @@ def handle_invariant(ctx: ClassifierContext, case: CaseLabel,
     """Invariant of the 1-handle carried by the cord word g."""
     r = _resolve(ctx, case)
     return HandleInvariant._of(case, core_oriented, r.table, _value(
-        r, core_oriented, r.part.label[r.table.trace(1, g)]))
+        r, core_oriented, r.table.labels[r.table.trace(1, g)]))
 
 
 def equivalent(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
                g1: Word, g2: Word) -> bool:
     """True iff the two cord words carry equivalent 1-handles."""
     r = _resolve(ctx, case)
-    label, trace = r.part.label, r.table.trace
+    label, trace = r.table.labels, r.table.trace
     return (_value(r, core_oriented, label[trace(1, g1)])
             == _value(r, core_oriented, label[trace(1, g2)]))
 
@@ -408,7 +409,7 @@ def _classes(r: _Case, core_oriented: bool) -> Iterator[tuple[Any, int]]:
     increasing order of that coset.  Every double coset of a value has
     that same value, so a value is listed once, at its least double
     coset."""
-    for c in r.part.size:  # canonical cosets in increasing order
+    for c in r.table.orbit_sizes:  # canonical cosets in increasing order
         key = _value(r, core_oriented, c)
         if _least(key) == c:
             yield key, c
@@ -439,7 +440,7 @@ def class_listing(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool
     each CLI process imports this module, and a NamedTuple class costs
     about half a millisecond to create."""
     r = _resolve(ctx, case)
-    size = r.part.size
+    size = r.table.orbit_sizes
     return (_kind_of(case, core_oriented), list(_classes(r, core_oriented)), size,
             r.table.witness_texts(size, ctx.input.presentation.generator_names))
 
@@ -453,7 +454,7 @@ def candidate_invariant(ctx: ClassifierContext, case: CaseLabel,
     size = slot_count(twisted, core_oriented)
     if len(words) != size:
         raise ValueError(f"this kind of value has {size} slots, not {len(words)}")
-    slots = iter([r.part.label[r.table.trace(1, w)] for w in words])
+    slots = iter([r.table.labels[r.table.trace(1, w)] for w in words])
     return HandleInvariant._of(case, core_oriented, r.table,
                                nest_slots(lambda *_: next(slots), twisted, core_oriented))
 

@@ -140,13 +140,22 @@ def parse_word(text: str, presentation: GroupPresentation) -> Word:
 
 
 def _parse_word_list(segment: str, line_no: int, col_offset: int,
-                     name_to_index: dict[str, int]) -> tuple[Word, ...]:
+                     name_to_index: dict[str, int], sep: str) -> tuple[Word, ...]:
+    """The words of segment split at sep, each error at its column in
+    the whole segment."""
     words = []
     cursor = col_offset
-    for part in segment.split(","):
+    for part in segment.split(sep):
         words.append(_parse_word_tokens(part, line_no, cursor, name_to_index))
         cursor += len(part) + 1
     return tuple(words)
+
+
+def parse_word_list(text: str, presentation: GroupPresentation,
+                    sep: str) -> tuple[Word, ...]:
+    """Parse words separated by sep, as one line of text."""
+    name_to_index = {n: i for i, n in enumerate(presentation.generator_names)}
+    return _parse_word_list(text, 1, 1, name_to_index, sep)
 
 
 def parse_input(text: str, label: str = "") -> SurfaceKnotInput:
@@ -200,9 +209,9 @@ def parse_input(text: str, label: str = "") -> SurfaceKnotInput:
                                      "relator reduces to the identity")
             relators.append(word)
         elif keyword == "P":
-            p_gens = _parse_word_list(rest, line_no, rest_col, name_to_index)
+            p_gens = _parse_word_list(rest, line_no, rest_col, name_to_index, ",")
         elif keyword == "P+":
-            pp_gens = _parse_word_list(rest, line_no, rest_col, name_to_index)
+            pp_gens = _parse_word_list(rest, line_no, rest_col, name_to_index, ",")
         elif keyword == "n":
             n_word = _parse_word_tokens(rest, line_no, rest_col, name_to_index)
         elif keyword == "orientable":

@@ -156,8 +156,8 @@ def double_coset(h_set, g: Perm) -> frozenset:
 
 
 def double_coset_partition(elements, h_set):
-    """Partition of the right H-cosets into double cosets, as a set of
-    frozensets of cosets, together with the map element -> its coset."""
+    """The right H-cosets split into double cosets, as a set of frozensets
+    of cosets, together with the map element -> its coset."""
     coset_of = {g: frozenset(pmul(h, g) for h in h_set) for g in elements}
     return ({frozenset(coset_of[x] for x in double_coset(h_set, g))
              for g in elements}, coset_of)

@@ -13,7 +13,7 @@ import pytest
 import handlecoset
 from handlecoset import CosetTable, handle_classifier
 from handlecoset.cli import run
-from handlecoset.selftest import coxeter_skg, two_bridge_skg
+from handlecoset.selftest import INPUT_CORPUS, coxeter_skg, two_bridge_skg
 
 UNKNOTTED = "group: t\nP: t\norientable: true\n"
 T2 = "group: t\nP: t^2\norientable: true\n"
@@ -325,6 +325,25 @@ def test_candidate_word_count_is_a_usage_error(skg, capsys):
         "error: --candidate needs 2 words for case 3 with oriented core\n"
 
 
+BOM_INPUTS = [c for c in INPUT_CORPUS if c.label in ("s3-synthetic", "d8-case3")]
+
+
+@pytest.mark.parametrize("case", BOM_INPUTS, ids=[c.label for c in BOM_INPUTS])
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys, case):
+    # the same file name in two folders, so both records name one input
+    number = "1" if "orientable: true" in case.skg else "3"
+    seen = []
+    for folder, prefix in (("plain", ""), ("bom", "\ufeff")):
+        (tmp_path / folder).mkdir()
+        path = tmp_path / folder / f"{case.label}.skg"
+        path.write_text(prefix + case.skg, encoding="utf-8")
+        rec = tmp_path / folder / "r.json"
+        code = run(["classes", str(path), "--case", number, "--records", str(rec)])
+        seen.append((code, capsys.readouterr().out, rec.read_bytes()))
+    assert seen[0][0] == 0
+    assert seen[1] == seen[0]
+
+
 def test_candidate_is_checked_before_the_build(skg, capsys, monkeypatch):
     # the build would exhaust its budget (exit 3); the malformed candidate
     # is a usage error (exit 2) and must be reported first
@@ -545,12 +564,14 @@ def test_only_cache_keys_spell_out_their_value_key():
 
 
 def test_only_coset_enumeration_reads_the_table_fields():
-    # a table's columns and witness tree are read through CosetTable's
-    # own methods everywhere else, so their layout has one owner
+    # a table's columns, witness tree and double-coset caches are read
+    # through CosetTable's own methods everywhere else, so their layout
+    # has one owner
+    fields = ("_parents", "_action", "_inverses", "_twists")
     readers = set()
     for path in Path(handlecoset.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        if any(isinstance(node, ast.Attribute) and node.attr in ("_parents", "_action")
+        if any(isinstance(node, ast.Attribute) and node.attr in fields
                for node in ast.walk(tree)):
             readers.add(path.stem)
     assert readers == {"coset_enumeration"}

@@ -6,7 +6,7 @@ from brute import orbit_partition
 from handlecoset.coset_enumeration import enumerate_cosets
 from handlecoset.double_cosets import (UnorderedPair, dc_all, dc_id,
                                        dc_invert, dc_twist, nest_slots,
-                                       partition, slot_count)
+                                       slot_count)
 from handlecoset.errors import PreconditionUnverified, TableMismatch
 from handlecoset.handle_classifier import (ClassifierContext, ValidationCheck,
                                            ValidationReport, validate)
@@ -209,11 +209,11 @@ def test_twist_images_are_the_classes_of_n_w_n(text):
     # normalizes P+
     parsed = parse_input(text)
     table = enumerate_cosets(parsed.presentation, parsed.p_plus_generators)
-    part, n = partition(table), parsed.n_word
-    images = part.twist(table, n)
-    assert images == [0] + [part.label[table.trace(1, concat(n, table.witness(c), n))]
+    n = parsed.n_word
+    images = table.twist(n)
+    assert images == [0] + [table.labels[table.trace(1, concat(n, table.witness(c), n))]
                             for c in range(1, table.index + 1)]
-    assert part.twist(table, Word(n.letters)) is images
+    assert table.twist(Word(n.letters)) is images
 
 
 def test_dc_twist_can_move_classes():

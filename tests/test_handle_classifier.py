@@ -6,8 +6,9 @@ import random
 import pytest
 
 from handlecoset import handle_classifier
-from handlecoset.coset_enumeration import EnumerationLimits, enumerate_cosets
-from handlecoset.double_cosets import (DoubleCosetId, Partition, UnorderedPair,
+from handlecoset.coset_enumeration import (CosetTable, EnumerationLimits,
+                                           enumerate_cosets)
+from handlecoset.double_cosets import (DoubleCosetId, UnorderedPair,
                                        dc_id, dc_invert, dc_twist, slot_count)
 from handlecoset.errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                                 PreconditionUnverified, ResourceExhausted,
@@ -171,16 +172,16 @@ def test_candidate_slots_follow_nest_slots():
 
 
 def test_one_partition_per_table(monkeypatch):
-    # cases 1 and 2 work over the P table's one partition, which dc_id
-    # and oriented_cord_invariant read too
+    # cases 1 and 2 work over the P table's one set of labels, which
+    # dc_id and oriented_cord_invariant read too
     built = []
-    init = Partition.__init__
+    labels = CosetTable.labels.func
 
-    def counting_init(self, table):
+    def counting_labels(table):
         built.append(table)
-        init(self, table)
+        return labels(table)
 
-    monkeypatch.setattr(Partition, "__init__", counting_init)
+    monkeypatch.setattr(CosetTable.labels, "func", counting_labels)
     parsed, ctx = ctx_of(S3)
     b = parse_word("b", parsed.presentation)
     for case in (CaseLabel.CASE1, CaseLabel.CASE2):
@@ -261,6 +262,33 @@ def test_every_case3_query_checks_the_twist(check, status):
     d = candidate.double_cosets()[0]
     with pytest.raises(PreconditionUnverified):
         dc_twist(ctx.p_plus_table, parsed.p_plus_generators, parsed.n_word, d, None)
+
+
+@pytest.mark.parametrize("check", ["twist_normalizes_p_plus", "n_squared_in_p_plus"])
+def test_a_refused_twist_builds_no_twist_list(monkeypatch, check):
+    # the report is checked before the O(index) twist list is built, and
+    # a refused case is not cached, so neither round builds one
+    parsed, ctx = ctx_of(D8_CASE3)
+    r = parse_word("r", parsed.presentation)
+    checks = tuple(ValidationCheck(c.name, "fail", c.detail) if c.name == check else c
+                   for c in ctx.report.checks)
+    bad = ClassifierContext(ctx.input, ctx.p_table, ctx.p_plus_table,
+                            ValidationReport(checks))
+    built = []
+    twist = CosetTable.twist
+
+    def counting_twist(table, n):
+        built.append(n)
+        return twist(table, n)
+
+    monkeypatch.setattr(CosetTable, "twist", counting_twist)
+    for _ in range(2):
+        for core in (True, False):
+            with pytest.raises(PreconditionUnverified):
+                handle_invariant(bad, CaseLabel.CASE3, core, r)
+            with pytest.raises(PreconditionUnverified):
+                enumerate_classes(bad, CaseLabel.CASE3, core)
+    assert built == []
 
 
 @pytest.mark.parametrize("text, case", [
