@@ -162,7 +162,12 @@ def _partners(pres: GroupPresentation) -> tuple[int, ...]:
     signs; a union-find whose root is the least index joins them.  A
     generator with an x^2 relator is its own inverse, so its letters
     match whatever their signs: on the Coxeter presentation of S_n,
-    (s_i s_j)^3 reads as s_i (s_j s_i) s_j (s_j s_i)^-1."""
+    (s_i s_j)^3 reads as s_i (s_j s_i) s_j (s_j s_i)^-1.
+
+    Each rotation is read from its middle y outwards, letter against
+    inverse letter, up to the first mismatch, and a rotation whose x
+    and y are joined already is skipped, so a relator whose rotations
+    fail early costs time linear in its length."""
     squares = {r.letters[0][0] for r in pres.relators
                if len(r) == 2 and r.letters[0] == r.letters[1]}
     root = list(range(len(pres.generators)))
@@ -177,12 +182,18 @@ def _partners(pres: GroupPresentation) -> tuple[int, ...]:
         if odd:
             continue
         # a self-inverse letter is unsigned, and so is its inverse
-        w = tuple((i, 0 if i in squares else s) for i, s in rel.letters) * 2
+        w = [(i, 0 if i in squares else s) for i, s in rel.letters] * 2
+        inv = [(i, -s) for i, s in w]
         for r in range(len(rel)):  # rotation r is w[r:r + len(rel)]
-            if w[r + half + 1:r + 2 * half] == \
-                    tuple((i, -s) for i, s in reversed(w[r + 1:r + half])):
-                a, b = sorted((find(w[r][0]), find(w[r + half][0])))
-                root[b] = a
+            m = r + half  # y; u is w[r + 1:m], and u^-1 must follow y
+            a, b = find(w[r][0]), find(w[m][0])
+            if a == b:
+                continue
+            k = 1
+            while k < half and w[m + k] == inv[m - k]:
+                k += 1
+            if k == half:
+                root[max(a, b)] = min(a, b)
     return tuple(find(i) for i in range(len(root)))
 
 

@@ -21,7 +21,11 @@ double cosets and the inverse and twist maps on them (CosetTable.labels,
 inverse, twist), and the case refuses to build the twist until the
 report shows it verified.  nest_slots fixes every value's shape;
 queries build and compare values as keys, and a HandleInvariant builds
-its view of ids (key_view) only for display.
+its view of ids (key_view) only for display.  A value depends only on
+its double coset, so the case also keeps the keys it has built, one
+list over the cosets per core orientation, each key stored under every
+double coset of its value (_key): a query traces each cord word and
+reads its value by one list index.
 
 Degenerate cord words (the empty word, words tracing into the subgroup)
 are legal; they model cords that can be isotoped into the boundary
@@ -238,6 +242,8 @@ class HandleInvariant(_Frozen):
         key = value.sort_key()
         if key_view(leaf.table, key) != value:
             raise TableMismatch("value pairs double cosets of different tables")
+        if not all(c in leaf.table.orbit_sizes for c in key_leaves(key)):
+            raise ValueError("value names a coset that is not canonical in its table")
         self.__dict__.update(case=case, core_oriented=core_oriented, kind=kind,
                              table=leaf.table, key=key, value=value)
 
@@ -275,7 +281,8 @@ class ClassifierContext(_Frozen):
     """An input together with its enumerated tables and validation report.
 
     Build once, query many times; a query changes nothing but caches:
-    _case is the one case table every query works over.
+    _case is the one case table every query works over, with the value
+    keys queries have built on it.
     """
 
     # no __slots__: the cached _case needs a __dict__
@@ -318,7 +325,7 @@ class ClassifierContext(_Frozen):
                 raise MissingPPlus("this context has no P+ table")
             require_twist_verified(self.report)
             twist = table.twist(n)
-        return _Case(table, n, twist)
+        return _Case(table, n, twist, [None, None])
 
 
 def oriented_cord_invariant(ctx: ClassifierContext, g: Word) -> DoubleCosetId:
@@ -338,11 +345,18 @@ def local_oriented_cord_invariant(ctx: ClassifierContext, g: Word) -> DoubleCose
 
 
 class _Case(NamedTuple):
-    """A context's case table, n and n's twist (CosetTable.twist)."""
+    """A context's case table, n, n's twist (CosetTable.twist) and the
+    value keys built so far (_key).  keys[0] serves oriented cores and
+    keys[1] unoriented ones; each is None until its orientation's first
+    query, then a list over the cosets 0..index whose entry at a
+    canonical coset is its value's key once built, else None.  A list
+    needs no bound beyond the index, and two threads can only write
+    equal keys."""
 
     table: CosetTable
     n: Optional[Word]
     twist: Optional[list[int]]
+    keys: list
 
 
 def _resolve(ctx: ClassifierContext, case: CaseLabel) -> _Case:
@@ -354,13 +368,29 @@ def _resolve(ctx: ClassifierContext, case: CaseLabel) -> _Case:
 
 def _value(r: _Case, core_oriented: bool, c: int):
     """The key of the double coset c's value over r: canonical integers
-    paired by key_pair."""
+    paired by key_pair.  Queries read it through _key."""
     def slot(inverted: bool, of: Optional[int]) -> int:
         if of is not None:
             return r.twist[of]
         return r.table.inverse(c) if inverted else c
 
     return nest_slots(slot, r.n is not None, core_oriented)
+
+
+def _key(r: _Case, core_oriented: bool, c: int):
+    """The key of the double coset c's value over r: _value's, built on
+    the first call for any double coset of that value and this
+    orientation, and read back after.  Every double coset of a value has
+    that same value, so one key is stored under all of them."""
+    keys = r.keys[not core_oriented]
+    if keys is None:
+        keys = r.keys[not core_oriented] = [None] * (r.table.index + 1)
+    key = keys[c]
+    if key is None:
+        key = _value(r, core_oriented, c)
+        for d in key_leaves(key):
+            keys[d] = key
+    return key
 
 
 def _least(key) -> int:
@@ -374,7 +404,7 @@ def handle_invariant(ctx: ClassifierContext, case: CaseLabel,
                      core_oriented: bool, g: Word) -> HandleInvariant:
     """Invariant of the 1-handle carried by the cord word g."""
     r = _resolve(ctx, case)
-    return HandleInvariant._of(case, core_oriented, r.table, _value(
+    return HandleInvariant._of(case, core_oriented, r.table, _key(
         r, core_oriented, r.table.labels[r.table.trace(1, g)]))
 
 
@@ -383,8 +413,8 @@ def equivalent(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
     """True iff the two cord words carry equivalent 1-handles."""
     r = _resolve(ctx, case)
     label, trace = r.table.labels, r.table.trace
-    return (_value(r, core_oriented, label[trace(1, g1)])
-            == _value(r, core_oriented, label[trace(1, g2)]))
+    return (_key(r, core_oriented, label[trace(1, g1)])
+            == _key(r, core_oriented, label[trace(1, g2)]))
 
 
 def image_member(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
@@ -393,7 +423,9 @@ def image_member(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
 
     The value of a double coset D always contains D, and every double
     coset of a value has that same value, so a candidate is realized iff
-    it is the value of its first double coset.
+    it is the value of its first double coset, read through the table's
+    labels, so that every stored key is built from the table's own
+    canonical integers.
     """
     r = _resolve(ctx, case)
     if candidate.kind != _kind_of(case, core_oriented):
@@ -401,7 +433,7 @@ def image_member(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool,
     if candidate.table is not r.table:
         raise TableMismatch("candidate was built over a different table")
     key = candidate.key
-    return _value(r, core_oriented, _least(key)) == key
+    return _key(r, core_oriented, r.table.labels[_least(key)]) == key
 
 
 def _classes(r: _Case, core_oriented: bool) -> Iterator[tuple[Any, int]]:
@@ -410,7 +442,7 @@ def _classes(r: _Case, core_oriented: bool) -> Iterator[tuple[Any, int]]:
     that same value, so a value is listed once, at its least double
     coset."""
     for c in r.table.orbit_sizes:  # canonical cosets in increasing order
-        key = _value(r, core_oriented, c)
+        key = _key(r, core_oriented, c)
         if _least(key) == c:
             yield key, c
 

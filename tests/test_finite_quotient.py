@@ -26,7 +26,8 @@ from handlecoset.selftest import (INPUT_CORPUS, _random_word, _related_word,
                                   lexicographic_filter,
                                   mulclose, peval, pinv, pmul, rebased,
                                   subgroup_of, two_bridge_skg)
-from handlecoset.word_algebra import GroupPresentation, Word, concat, invert, power
+from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation, Word,
+                                      concat, free_reduce, invert, power)
 
 C2 = parse_input("group: a\nrel: a^2\nP: 1\norientable: true").presentation
 C3 = parse_input("group: a\nrel: a^3\nP: 1\norientable: true").presentation
@@ -151,6 +152,86 @@ def test_partners_with_one_sign_on_both_generators():
     assert _partners(pres) == (0, 0, 2)
     assert _partners(GroupPresentation(pres.generators,
                                        (invert(pres.relators[0]),))) == (0, 0, 2)
+
+
+def _partners_by_slices(pres):
+    """_partners as an oracle: each rotation's second half compared with
+    its first, reversed and inverted, as whole tuples, O(L^2) in a
+    relator's length L."""
+    squares = {r.letters[0][0] for r in pres.relators
+               if len(r) == 2 and r.letters[0] == r.letters[1]}
+    root = list(range(len(pres.generators)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for rel in pres.relators:
+        half, odd = divmod(len(rel), 2)
+        if odd:
+            continue
+        w = tuple((i, 0 if i in squares else s) for i, s in rel.letters) * 2
+        for r in range(len(rel)):
+            if w[r + half + 1:r + 2 * half] == \
+                    tuple((i, -s) for i, s in reversed(w[r + 1:r + half])):
+                a, b = sorted((find(w[r][0]), find(w[r + half][0])))
+                root[b] = a
+    return tuple(find(i) for i in range(len(root)))
+
+
+PARTNER_INPUTS = ([(c.label, c.skg) for c in INPUT_CORPUS]
+                  + [(f"b({p},{q})", two_bridge_skg(p, q)) for p, q in TWO_BRIDGE_13]
+                  + [(f"S{n}-coxeter", coxeter_skg(n, [1])) for n in range(3, 9)])
+
+
+@pytest.mark.parametrize("label, text", PARTNER_INPUTS,
+                         ids=[label for label, _ in PARTNER_INPUTS])
+def test_partners_match_the_slice_oracle(label, text):
+    pres = parse_input(text).presentation
+    assert _partners.__wrapped__(pres) == _partners_by_slices(pres)
+
+
+def test_partners_match_the_slice_oracle_on_random_relators():
+    # relators of the shape x u y u^-1 around random noise, some of them
+    # over self-inverse generators, so that both joins and near misses occur
+    rng = random.Random(30)
+    for _ in range(300):
+        ngens = rng.randint(2, 5)
+        relators = [Word(((i, 1), (i, 1))) for i in range(ngens) if rng.random() < 0.3]
+        for _ in range(rng.randint(1, 3)):
+            u = [(rng.randrange(ngens), rng.choice((1, -1)))
+                 for _ in range(rng.randint(0, 4))]
+            x, y = ((rng.randrange(ngens), rng.choice((1, -1))) for _ in range(2))
+            letters = [x] + u + [y] + [(i, -s) for i, s in reversed(u)]
+            if rng.random() < 0.3:  # break the shape at one letter
+                k = rng.randrange(len(letters))
+                letters[k] = (rng.randrange(ngens), letters[k][1])
+            if rng.random() < 0.5:
+                k = rng.randrange(len(letters))
+                letters = letters[k:] + letters[:k]
+            rel = free_reduce(letters)
+            if rel.letters:
+                relators.append(rel)
+        pres = GroupPresentation(tuple(GeneratorSymbol(f"g{i}") for i in range(ngens)),
+                                 tuple(relators))
+        assert _partners.__wrapped__(pres) == _partners_by_slices(pres), pres
+
+
+@pytest.mark.parametrize("relators, partners", [
+    # every rotation of a^50000 b^50000 fails at the letters beside its
+    # middle; compared as whole halves, this one relator took O(L^2)
+    ("rel: a^50000 b^50000", (0, 1)),
+    # a and b are their own inverses, so every rotation of (a b)^25001
+    # matches to its ends; the first joins b to a, and the rest are
+    # skipped, as their two generators are joined already
+    ("rel: a^2\nrel: b^2\nrel: " + "a b " * 25001, (0, 0)),
+], ids=["a50000-b50000", "ab-25001-self-inverse"])
+def test_partners_is_linear_on_long_relators(relators, partners):
+    pres = parse_input(f"group: a b\n{relators}\nP: a\norientable: true").presentation
+    start = time.perf_counter()
+    assert _partners.__wrapped__(pres) == partners
+    assert time.perf_counter() - start < 1.0
 
 
 # a a b^-1 a has the shape x u y^-1 v, but v is not u^-1: it says b = a^3,

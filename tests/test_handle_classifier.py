@@ -9,7 +9,8 @@ from handlecoset import handle_classifier
 from handlecoset.coset_enumeration import (CosetTable, EnumerationLimits,
                                            enumerate_cosets)
 from handlecoset.double_cosets import (DoubleCosetId, UnorderedPair,
-                                       dc_id, dc_invert, dc_twist, slot_count)
+                                       dc_id, dc_invert, dc_twist, key_leaves,
+                                       slot_count)
 from handlecoset.errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                                 PreconditionUnverified, ResourceExhausted,
                                 TableMismatch)
@@ -259,6 +260,7 @@ def test_every_case3_query_checks_the_twist(check, status):
     for query in queries * 2:  # the second round finds the case resolved
         with pytest.raises(PreconditionUnverified):
             query()
+    assert "_case" not in vars(bad)  # so no list of value keys either
     d = candidate.double_cosets()[0]
     with pytest.raises(PreconditionUnverified):
         dc_twist(ctx.p_plus_table, parsed.p_plus_generators, parsed.n_word, d, None)
@@ -625,3 +627,107 @@ def test_a_value_over_two_tables_is_a_table_mismatch():
             HandleInvariant(case, False, pair)
         assert HandleInvariant(case, True, UnorderedPair(mine, mine) if case is
                                CaseLabel.CASE3 else mine).table is table
+
+
+# -- value keys, built once per double coset ----------------------------------
+
+def _fitting_cases(parsed):
+    return (CaseLabel.CASE1, CaseLabel.CASE2) if parsed.surface_orientable \
+        else (CaseLabel.CASE3,)
+
+
+KEY_INPUTS = ([(c.label, c.skg) for c in INPUT_CORPUS]
+              + [("s6-coxeter-case3", coxeter_skg(6, [1, 3], [1], 3))])
+
+
+@pytest.mark.parametrize("text", [text for _, text in KEY_INPUTS],
+                         ids=[label for label, _ in KEY_INPUTS])
+def test_stored_keys_are_the_values_of_a_fresh_context(text):
+    # a query stores the key of its double coset's value under the
+    # canonical coset, one list per orientation, and nothing under a
+    # coset that is not canonical
+    parsed, ctx = ctx_of(text)
+    for case in _fitting_cases(parsed):
+        for core in (True, False):
+            table = ctx._case.table
+            canonical = table.orbit_sizes
+            for c in canonical:
+                inv = handle_invariant(ctx, case, core, table.witness(c))
+                assert inv.key is ctx._case.keys[not core][c]
+            enumerate_classes(ctx, case, core)
+            keys = ctx._case.keys[not core]
+            assert len(keys) == table.index + 1
+            fresh = ClassifierContext.build(parsed)._case
+            for c in range(table.index + 1):
+                if c in canonical:
+                    assert keys[c] == handle_classifier._value(fresh, core, c), (case, core, c)
+                    # one key object serves every double coset of its value
+                    assert all(keys[d] is keys[c] for d in key_leaves(keys[c]))
+                else:
+                    assert keys[c] is None, (case, core, c)
+
+
+@pytest.mark.parametrize("text", [S3, D8_CASE3, coxeter_skg(5, [1, 2, 4], [1, 2], 4)],
+                         ids=["s3", "d8", "s5-case3"])
+def test_a_second_pass_builds_no_value(monkeypatch, text):
+    # a value is built once per double coset and orientation; a query
+    # that meets it again reads its key back and calls nest_slots no more
+    parsed, ctx = ctx_of(text)
+    ngens = len(parsed.presentation.generators)
+    rng = random.Random(30)
+    words = [free_reduce([(rng.randrange(ngens), rng.choice((1, -1)))
+                          for _ in range(rng.randint(0, 10))]) for _ in range(10)]
+    cases = _fitting_cases(parsed)
+    witnesses = [nonsurjectivity_witness(ctx, case, core)
+                 for case in cases for core in (True, False)]
+    calls = []
+    nest = handle_classifier.nest_slots
+
+    def counting(*args):
+        calls.append(args)
+        return nest(*args)
+
+    def queries():
+        out = []
+        for case in cases:
+            for core in (True, False):
+                for g, h in zip(words, words[1:]):
+                    inv = handle_invariant(ctx, case, core, g)
+                    out += [inv, equivalent(ctx, case, core, g, h),
+                            image_member(ctx, case, core, inv)]
+                for witness in witnesses:
+                    if witness is not None and witness.kind == inv.kind:
+                        out.append(image_member(ctx, case, core, witness))
+        return out
+
+    monkeypatch.setattr(handle_classifier, "nest_slots", counting)
+    first = queries()
+    assert calls and False in first  # values were built, a witness refused
+    calls.clear()
+    assert queries() == first
+    assert calls == []
+
+
+def test_a_value_names_canonical_cosets_only():
+    # S3 over <a> has the double cosets {1} and {2, 3}; an id of coset 3,
+    # -1 or 9 names no double coset, so it makes no value
+    parsed, ctx = ctx_of(S3)
+    table = ctx.p_table
+    assert dict(table.orbit_sizes) == {1: 1, 2: 2}
+    for core in (True, False):
+        for c in (3, -1, 9):
+            d = DoubleCosetId(table, c, 1)
+            with pytest.raises(ValueError, match="not canonical"):
+                HandleInvariant(CaseLabel.CASE1, core, d if core else UnorderedPair(d, d))
+
+
+def test_a_candidate_stores_only_keys_of_canonical_integers():
+    # True == 1 passes as coset 1, but image_member reads the coset off
+    # the labels, so the key stored for coset 1 stays the integer 1
+    parsed, ctx = ctx_of(S3)
+    odd = HandleInvariant(CaseLabel.CASE1, True, DoubleCosetId(ctx.p_table, True, 1))
+    assert image_member(ctx, CaseLabel.CASE1, True, odd)
+    assert type(ctx._case.keys[0][1]) is int
+    assert repr(handle_invariant(ctx, CaseLabel.CASE1, True, Word())) == (
+        "HandleInvariant(case=<CaseLabel.CASE1: 1>, core_oriented=True, "
+        "value=DoubleCosetId(canonical=1, orbit_size=1))")
