@@ -43,8 +43,8 @@ tracing a word is one subscript per letter.  The post-checks, which
 _verify states, prove each invariant once.
 
 Cosets are numbered 1..index and coset 1 is the subgroup itself.  A
-table owns its double cosets and the two maps on them (CosetTable):
-they walk the columns and the witness tree, which only this module reads.
+table (CosetTable) owns its double cosets, keeps their labels and twists,
+and climbs once per inverse; only this module reads the columns and tree.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ class CosetTable:
     must not be edited in place.  _parents[c] is the BFS tree edge
     (parent, col) that discovered coset c, None for c = 1 (and at the
     placeholder).  The table owns its double cosets under its own
-    subgroup generators and the two maps on them, each built on first
-    use: labels, orbit_sizes, inverse and twist (Holt-Eick-O'Brien,
-    Handbook of CGT, ch. 5).
+    subgroup generators and the two maps on them (Holt-Eick-O'Brien,
+    Handbook of CGT, ch. 5): labels, orbit_sizes and twist, kept once
+    built, and inverse, one climb per call that its callers keep.
     """
 
     def __init__(self, subgroup_generators: Sequence[Word], n_generators: int,
@@ -105,7 +105,6 @@ class CosetTable:
         self._action = action
         self._parents = parents
         self.total_defined = total_defined
-        self._inverses: dict[int, int] = {}
         # compared by n's equality: a word hashes its letters on every
         # call, and a table meets one n in practice
         self._twists: list[tuple[Word, list[int]]] = []
@@ -253,12 +252,8 @@ class CosetTable:
         return Counter(self.labels[1:])
 
     def inverse(self, canonical: int) -> int:
-        """The canonical coset of the inverse double coset: one
-        unwitness climb, remembered."""
-        image = self._inverses.get(canonical)
-        if image is None:
-            image = self._inverses[canonical] = self.labels[self.unwitness(canonical)]
-        return image
+        """The canonical coset of the inverse double coset: one climb."""
+        return self.labels[self.unwitness(canonical)]
 
     def twist(self, n: Word) -> list[int]:
         """twist(n)[c], for every coset c, is the canonical coset of

@@ -17,10 +17,11 @@ cycle type; in Schubert and Wirtinger presentations of knot groups
 every generator is such a meridian.  Inside a finite image everything
 is brute force over permutations, deliberately independent of the
 enumeration engine.  Three things are shared with the rest of the
-package: the encoding of words as action columns, which each Word
-carries (Word.columns), the case dispatch (knot_input.case_words), which
-picks the acting words and the twist word, and the value's shape
-(double_cosets.nest_slots).
+package: the encoding of words as action columns (Word.columns), in
+whose order each image keeps its generators' permutations and their
+inverses (PermutationAssignment.action); the case dispatch
+(knot_input.case_words), which picks the acting words and the twist
+word; and the value's shape (double_cosets.nest_slots).
 
 The same images can prove that a subgroup K has infinite index, which
 no enumeration budget can (index_certificate): in a transitive image
@@ -66,13 +67,18 @@ AFFINE_DEGREES = (7, 11, 13)
 
 class PermutationAssignment(_Frozen):
     """Images of the generators in S_degree, made only by _search and
-    _affine_images, so that every relator evaluates to the identity."""
+    _affine_images, so that every relator evaluates to the identity.
+    action lists generator i's image at 2i and its inverse at 2i + 1, in
+    Word.columns order; as there, repr, ==, hash and pickle leave it out."""
 
-    __slots__ = _fields = ("degree", "images")
+    _fields = ("degree", "images")
+    __slots__ = _fields + ("action",)
 
     def __init__(self, degree: int, images: tuple[Perm, ...]):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "images", images)
+        object.__setattr__(self, "action", tuple(
+            q for p in images for q in (p, perm_inverse(p))))
 
 
 class SeparationVerdict(Enum):
@@ -113,15 +119,6 @@ def _holds(action: list[Perm], relators: list[tuple[int, ...]], points: range) -
 def _check_degree(degree: int) -> None:
     if not 1 <= degree <= MAX_SEPARATE_DEGREE:
         raise ValueError(f"degree must be in 1..{MAX_SEPARATE_DEGREE}, got {degree}")
-
-
-def _action(hom: PermutationAssignment) -> list[Perm]:
-    """The image of generator i at 2i and its inverse at 2i + 1, the
-    order of a word's columns (Word.columns)."""
-    action = []
-    for p in hom.images:
-        action += (p, perm_inverse(p))
-    return action
 
 
 def _class_leaders(degree: int, least: int = 1) -> list[Perm]:
@@ -293,13 +290,13 @@ def _fixes_a_point(hom: PermutationAssignment) -> bool:
 def _image_value(hom: PermutationAssignment, acting: list[Columns],
                  n: Optional[Columns], core_oriented: bool) -> Callable[[Columns], object]:
     """The invariant of a cord inside hom's image, as a function of the
-    cord word's columns (Word.columns).  The generator action and the
+    cord word's columns (Word.columns), traced through hom.action.  The
     images of the acting words and of n are built once, so every cord
     evaluated through the result shares them.  A double coset is named
     by its least permutation, and every element of a closure computed is
     recorded with that name, so a later slot in the same double coset,
     of this cord or another, is one lookup."""
-    action = [p.__getitem__ for p in _action(hom)]
+    action = [p.__getitem__ for p in hom.action]
     identity = tuple(range(hom.degree))
 
     def image(columns: Columns) -> Perm:
@@ -457,7 +454,7 @@ def index_certificate(hom: PermutationAssignment, pres: GroupPresentation,
     U[o] the row of u_o traced from 0.
     """
     ngens = len(pres.generators)
-    action = _action(hom)
+    action = hom.action
     tree: set[tuple[int, int]] = set()  # edges (x, i) with x g_i on the tree
     order = [0]
     reached = {0}

@@ -223,7 +223,8 @@ class HandleInvariant(_Frozen):
     their kinds, and "case3-oriented-core" or "case3" in Case 3; case and
     core_oriented fix it, and repr leaves it out.  Equality compares kind,
     key and table (by identity) only; the case label rides along for
-    reporting.  value, the key's view (key_view), is built on first use.
+    reporting.  The constructor checks the view it is given and keeps
+    its table and key; value is always the key's view (key_view).
     """
 
     # no __slots__: _of and the cached value fill in the __dict__
@@ -245,7 +246,7 @@ class HandleInvariant(_Frozen):
         if not all(c in leaf.table.orbit_sizes for c in key_leaves(key)):
             raise ValueError("value names a coset that is not canonical in its table")
         self.__dict__.update(case=case, core_oriented=core_oriented, kind=kind,
-                             table=leaf.table, key=key, value=value)
+                             table=leaf.table, key=key)
 
     @classmethod
     def _of(cls, case: CaseLabel, core_oriented: bool, table: CosetTable,
@@ -468,9 +469,9 @@ def class_listing(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool
     coset's witness text).  One walk of the witness tree spells the
     texts (CosetTable.witness_texts, as format_word spells a witness);
     every canonical coset is a leaf of some class's value, since a
-    double coset's value contains it.  A plain tuple, not a NamedTuple:
-    each CLI process imports this module, and a NamedTuple class costs
-    about half a millisecond to create."""
+    double coset's value contains it.  A plain tuple: its one caller,
+    the classes command, unpacks it at once (a NamedTuple class would
+    cost only ~0.1 ms to create; _Case is one)."""
     r = _resolve(ctx, case)
     size = r.table.orbit_sizes
     return (_kind_of(case, core_oriented), list(_classes(r, core_oriented)), size,

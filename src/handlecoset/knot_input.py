@@ -42,7 +42,7 @@ MAX_WORD_LETTERS = 100_000
 
 
 class SurfaceKnotInput(_Frozen):
-    """Parsed surface-knot group data."""
+    """Surface-knot group data, exactly as parse_input can produce it."""
 
     __slots__ = _fields = ("presentation", "p_generators", "p_plus_generators",
                            "n_word", "surface_orientable", "label")
@@ -53,9 +53,15 @@ class SurfaceKnotInput(_Frozen):
         if surface_orientable:
             if p_plus_generators is not None:
                 raise ValueError("orientable input must not carry P+ generators")
-        else:
-            if p_plus_generators is None or n_word is None:
-                raise ValueError("non-orientable input needs P+ generators and n")
+            if n_word is not None:
+                raise ValueError("orientable input must not carry n")
+        elif p_plus_generators is None or n_word is None:
+            raise ValueError("non-orientable input needs P+ generators and n")
+        if not p_generators or p_plus_generators == ():
+            raise ValueError("P and P+ need a word each; the trivial subgroup is (Word(),)")
+        words = p_generators + (() if surface_orientable else p_plus_generators + (n_word,))
+        if max(w.max_generator_index() for w in words) >= len(presentation.generators):
+            raise ValueError("P, P+ or n uses a generator index outside the presentation")
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "p_generators", p_generators)
         object.__setattr__(self, "p_plus_generators", p_plus_generators)

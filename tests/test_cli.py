@@ -567,7 +567,7 @@ def test_only_coset_enumeration_reads_the_table_fields():
     # a table's columns, witness tree and double-coset caches are read
     # through CosetTable's own methods everywhere else, so their layout
     # has one owner
-    fields = ("_parents", "_action", "_inverses", "_twists")
+    fields = ("_parents", "_action", "_twists")
     readers = set()
     for path in Path(handlecoset.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -782,6 +782,32 @@ def test_case3_oriented_classes_climb_no_witness_tree(skg, tmp_path, capsys,
     capsys.readouterr()
     assert json.loads(rec.read_text())["count"] > 100
     assert calls == []
+
+
+@pytest.mark.parametrize("case, text", [("1", coxeter_skg(6, [1])), ("3", S6_CASE3)],
+                         ids=["case1", "case3"])
+def test_unoriented_classes_climb_once_per_class(skg, tmp_path, capsys, monkeypatch,
+                                                 case, text):
+    # a table keeps no inverse: a class's value is built once, at its
+    # least double coset, and stored under every double coset in it, so
+    # the one climb that builds it is the last; a key stored only under
+    # the coset it was built for would climb again from the others
+    climbed = []
+    unwitness = CosetTable.unwitness
+
+    def counted(table, coset):
+        climbed.append(coset)
+        return unwitness(table, coset)
+
+    monkeypatch.setattr(CosetTable, "unwitness", counted)
+    path = skg("s6.skg", text)
+    rec = tmp_path / "r.json"
+    assert run(["classes", path, "--case", case, "--records", str(rec)]) == 0
+    capsys.readouterr()
+    count = json.loads(rec.read_text())["count"]
+    assert count > 50
+    assert len(climbed) == count
+    assert len(set(climbed)) == len(climbed)
 
 
 # sha256 of `invariant`, `equiv` and `image-check --records` output, with a

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -21,7 +23,7 @@ from handlecoset.finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES,
                                          _partners, _search)
 from handlecoset.handle_classifier import CaseLabel, ClassifierContext
 from handlecoset.knot_input import case_words, parse_input, parse_word
-from handlecoset.selftest import (INPUT_CORPUS, _random_word, _related_word,
+from handlecoset.selftest import (GROUP_CORPUS, INPUT_CORPUS, _random_word, _related_word,
                                   classifier_values, coxeter_skg,
                                   lexicographic_filter,
                                   mulclose, peval, pinv, pmul, rebased,
@@ -667,6 +669,25 @@ def test_affine_images_match_reference_search(pres, counts):
         assert len(listed) == counts[m], m
         for cap in (0, 1, 2, 5):
             assert [h.images for h in _affine_images(pres, m, cap)] == listed[:cap]
+
+
+@pytest.mark.parametrize("case", GROUP_CORPUS, ids=[c.name for c in GROUP_CORPUS])
+def test_an_image_carries_its_action(case):
+    # every image the S_1..S_5 searches and the affine listings give keeps
+    # generator i's permutation at 2i and its inverse at 2i + 1, the
+    # Word.columns order, and a copy rebuilds the same list
+    pres = parse_input(case.skg).presentation
+    homs = [hom for d in range(1, 6) for hom in _search(pres, d, HOM_LIMIT)]
+    homs += [hom for m in AFFINE_DEGREES for hom in _affine_images(pres, m, HOM_LIMIT)]
+    assert homs
+    for hom in homs:
+        for twin in (hom, pickle.loads(pickle.dumps(hom)), copy.deepcopy(hom)):
+            action = twin.action
+            assert len(action) == 2 * len(pres.generators)
+            assert action[0::2] == hom.images
+            identity = tuple(range(hom.degree))
+            for p, p_inv in zip(action[0::2], action[1::2]):
+                assert tuple(p_inv[x] for x in p) == identity
 
 
 def _count_holds(monkeypatch, name="_holds"):

@@ -2,7 +2,7 @@ import tracemalloc
 from itertools import groupby
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, seed, settings, strategies as st
 
 from handlecoset.coset_enumeration import EnumerationLimits
 from handlecoset.errors import (DuplicateGenerator, MissingSection,
@@ -12,7 +12,8 @@ from handlecoset.knot_input import (MAX_WORD_LETTERS, SurfaceKnotInput,
                                     format_word, parse_input, parse_word,
                                     serialize)
 from handlecoset.selftest import peval, pinv, pmul, subgroup_of, two_bridge_skg
-from handlecoset.word_algebra import Word, free_reduce
+from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation, Word,
+                                      free_reduce)
 
 D8_CASE3 = ("group: r s\nrel: r^4\nrel: s^2\nrel: r s r s\n"
             "P: r^2 , s\nP+: r^2\nn: s\norientable: false")
@@ -196,6 +197,44 @@ def test_format_word_matches_groupby(runs):
 def test_format_word_parses_back(runs):
     word = _word_of_runs(runs)
     assert parse_word(format_word(word, ABC.generator_names), ABC) == word
+
+
+@st.composite
+def surface_input_fields(draw):
+    """SurfaceKnotInput arguments on either kind of surface, some of which
+    the constructor must refuse: one P, P+ or n word in twenty uses a
+    generator past the presentation, a tenth of orientable inputs carry an
+    n, and a word list may be empty."""
+    names = draw(st.lists(st.sampled_from(("a", "b", "T", "x1", "gen_2")),
+                          min_size=1, max_size=3, unique=True))
+    ngens = len(names)
+
+    def words_over(count):
+        letter = st.tuples(st.integers(0, count - 1), st.sampled_from((1, -1)))
+        return st.lists(letter, max_size=6).map(free_reduce)
+
+    word = st.integers(0, 19).flatmap(
+        lambda k: words_over(ngens + 1 if k == 0 else ngens))
+    relators = [w for w in draw(st.lists(words_over(ngens), max_size=3)) if w]
+    presentation = GroupPresentation(tuple(map(GeneratorSymbol, names)), tuple(relators))
+    orientable = draw(st.booleans())
+    p = tuple(draw(st.lists(word, max_size=3)))
+    p_plus = None if orientable else tuple(draw(st.lists(word, max_size=3)))
+    n = draw(word) if not orientable or draw(st.integers(0, 9)) == 0 else None
+    return presentation, p, p_plus, n, orientable, draw(st.text(max_size=4))
+
+
+@seed(2014)
+@settings(max_examples=100, deadline=None)
+@given(surface_input_fields())
+def test_every_accepted_input_round_trips(fields):
+    # the constructor accepts only what parse_input can produce, so
+    # serialize writes text that parses back to the same input
+    try:
+        data = SurfaceKnotInput(*fields)
+    except ValueError:
+        reject()
+    assert parse_input(serialize(data), label=data.label) == data
 
 
 def test_input_invariants():

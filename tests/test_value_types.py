@@ -12,7 +12,7 @@ from handlecoset import (CaseLabel, ClassifierContext, DoubleCosetId,
                          HandleInvariant, PermutationAssignment,
                          SurfaceKnotInput, UnorderedPair, ValidationCheck,
                          ValidationReport, Word, dc_all, enumerate_classes,
-                         parse_input)
+                         handle_invariant, parse_input, parse_word)
 
 S3 = "group: a b\nrel: a^2\nrel: b^3\nrel: a b a b\nP: a\norientable: true"
 D8_CASE3 = ("group: r s\nrel: r^4\nrel: s^2\nrel: r s r s\n"
@@ -87,7 +87,7 @@ CASES = [
      [(lambda s: UnorderedPair(s.first, s), "pair elements differ in shape: D and {D, D}")]),
     (PermutationAssignment,
      lambda: PermutationAssignment(degree=3, images=((1, 0, 2), (0, 2, 1))),
-     ("degree", "images"), (), lambda s: (s.degree, s.images),
+     ("degree", "images"), ("action",), lambda s: (s.degree, s.images),
      "PermutationAssignment(degree=3, images=((1, 0, 2), (0, 2, 1)))", []),
     (SurfaceKnotInput, _d8_input,
      ("presentation", "p_generators", "p_plus_generators", "n_word",
@@ -105,7 +105,23 @@ CASES = [
        "orientable input must not carry P+ generators"),
       (lambda s: SurfaceKnotInput(s.presentation, s.p_generators, s.p_plus_generators,
                                   None, False),
-       "non-orientable input needs P+ generators and n")]),
+       "non-orientable input needs P+ generators and n"),
+      # serialize would write "n: s", which parse_input refuses when orientable
+      (lambda s: SurfaceKnotInput(s.presentation, s.p_generators, None, s.n_word, True),
+       "orientable input must not carry n"),
+      # "P: " and "P+: " parse as "expected a word"; the trivial subgroup is "1"
+      (lambda s: SurfaceKnotInput(s.presentation, (), s.p_plus_generators,
+                                  s.n_word, False),
+       "P and P+ need a word each; the trivial subgroup is (Word(),)"),
+      (lambda s: SurfaceKnotInput(s.presentation, s.p_generators, (), s.n_word, False),
+       "P and P+ need a word each; the trivial subgroup is (Word(),)"),
+      # generator 5 of two: serialize and the certificate walk raised IndexError
+      (lambda s: SurfaceKnotInput(s.presentation, (Word(((5, 1),)),),
+                                  s.p_plus_generators, s.n_word, False),
+       "P, P+ or n uses a generator index outside the presentation"),
+      (lambda s: SurfaceKnotInput(s.presentation, s.p_generators, s.p_plus_generators,
+                                  Word(((0, 1), (2, -1))), False),
+       "P, P+ or n uses a generator index outside the presentation")]),
     (ValidationCheck, lambda: ValidationCheck(name="n_in_p", status="pass", detail="ok"),
      ("name", "status", "detail"), (), lambda s: (s.name, s.status, s.detail),
      "ValidationCheck(name='n_in_p', status='pass', detail='ok')", []),
@@ -163,3 +179,19 @@ def test_value_type_contract(cls, build, init, hidden, key, text, errors):
         with pytest.raises(ValueError) as caught:
             call(sample)
         assert str(caught.value) == message
+
+
+def test_an_invariant_shows_its_table_view_not_the_ids_it_was_given():
+    # on S3 over <a>, b's double coset {2, 3} has orbit size 2; an id that
+    # claims 99 names the same double coset, and the invariant built from
+    # it keeps only the table and the key, so its view is the table's
+    ctx = _s3_context()
+    table = ctx.p_table
+    real = handle_invariant(ctx, CaseLabel.CASE1, True,
+                            parse_word("b", ctx.input.presentation))
+    claimed = HandleInvariant(CaseLabel.CASE1, True, DoubleCosetId(table, 2, 99))
+    assert claimed == real and hash(claimed) == hash(real)
+    assert claimed.value.orbit_size == 2
+    assert repr(claimed) == repr(real)
+    assert claimed.double_cosets() == real.double_cosets()
+    assert [d.orbit_size for d in claimed.double_cosets()] == [2]
