@@ -23,9 +23,8 @@ arrives compiled to standard columns (Word.columns: 2i for generator i,
 2i + 1 for its inverse); relators and subgroup words are mapped through
 the column map, and every edge is installed together with its reverse
 through the inverse map, so the x^2 relators hold at every coset and are
-not scanned.  On the Coxeter
-presentation of S_n every generator is an involution: the stride halves
-and about half as many cosets are defined.
+not scanned.  On the Coxeter presentation of S_n every generator is an
+involution: the stride halves and about half as many cosets are defined.
 
 A coset is named by its base offset (coset number times ncols), and a
 defined slot holds the target's base offset, so one scan step is the
@@ -55,7 +54,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import CosetRangeError, ResourceExhausted
 from .knot_input import run_token
-from .word_algebra import GroupPresentation, Word, _Frozen, column_letters
+from .word_algebra import (GroupPresentation, Word, _Frozen, act, column_letters,
+                           perm_compose, perm_power, root)
 
 
 class EnumerationLimits(_Frozen):
@@ -136,10 +136,7 @@ class CosetTable:
         (0 at position 0): the composition of its letters' columns."""
         if word.max_generator_index() >= self.n_generators:
             raise ValueError("word uses a generator outside this table's alphabet")
-        image = list(range(self.index + 1))
-        for col in word.columns:
-            image = list(map(self._action[col].__getitem__, image))
-        return image
+        return act(self._action, word.columns, range(self.index + 1))
 
     def membership(self, word: Word) -> bool:
         """True iff the word lies in the subgroup (traces coset 1 to itself)."""
@@ -225,25 +222,16 @@ class CosetTable:
         minimum of its orbit (labels[0] = 0): a union-find over the
         subgroup generators' permutations whose root is that minimum."""
         parent = list(range(self.index + 1))
-
-        def find(c: int) -> int:
-            root = c
-            while parent[root] != root:
-                root = parent[root]
-            while parent[c] != root:
-                parent[c], c = root, parent[c]
-            return root
-
         for w in self.subgroup_generators:
             if not w:
                 continue
             for c, d in enumerate(self.permutation(w)):
                 if c != d:
-                    a, b = find(c), find(d)
+                    a, b = root(parent, c), root(parent, d)
                     if a > b:
                         a, b = b, a
                     parent[b] = a  # the root stays the orbit's minimum
-        return [find(c) for c in range(self.index + 1)]
+        return [root(parent, c) for c in range(self.index + 1)]
 
     @cached_property
     def orbit_sizes(self) -> Counter:
@@ -493,19 +481,17 @@ def _root(columns: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return columns, 1
 
 
-def _column_fault(a: list[int], b: list[int], identity: list[int]) -> str:
+def _column_fault(a: list[int], b: list[int], identity: tuple[int, ...]) -> str:
     """The message for a generator column a and its inverse column b that
     fail _verify's check: the first of "a is a permutation", "b inverts
     a" and "b is a permutation" that fails.  Once the first two hold, b
     agrees with a's inverse on 0..index, so only extra entries are left."""
     try:
-        if sorted(a) != identity:
-            return "column is not a permutation"
-        if list(map(b.__getitem__, a)) != identity:
+        if tuple(sorted(a)) == identity and perm_compose(a, b) != identity:
             return "action is not inverse-consistent"
     except TypeError:  # an entry that is not an int
-        return "column is not a permutation"
-    except IndexError:
+        pass
+    except IndexError:  # an entry of a past the end of b
         return "action is not inverse-consistent"
     return "column is not a permutation"
 
@@ -523,19 +509,20 @@ def _verify(table: CosetTable, pres: GroupPresentation,
     permutations that invert each other.
 
     Relators: a relator u^m (m as large as possible) composes u's
-    columns once and then raises that list to the m-th power.  The x^2
-    relator of an involution whose two letters are one list is not
-    composed: b is a there, so the column check above is x^2 = 1.
+    columns once and raises that to the m-th power by repeated squaring
+    (perm_power), in O(log m) compositions.  The x^2 relator of an
+    involution whose two letters are one list is not composed: b is a
+    there, so the column check above is x^2 = 1.
 
     Then every subgroup generator fixes coset 1, and every witness-tree
     edge is a table edge."""
     action = table._action
-    identity = list(range(table.index + 1))
+    identity = tuple(range(table.index + 1))
     for col in range(0, len(action), 2):
         a, b = action[col], action[col + 1]
         try:
             ok = (len(a) == len(b) == len(identity) and min(a) >= 0
-                  and list(map(b.__getitem__, a)) == identity)
+                  and perm_compose(a, b) == identity)
         except (IndexError, TypeError):
             ok = False
         if not ok:
@@ -544,13 +531,7 @@ def _verify(table: CosetTable, pres: GroupPresentation,
         u, m = _root(rel.columns)
         if m == 2 and len(u) == 1 and action[u[0]] is action[u[0] ^ 1]:
             continue
-        image = action[u[0]]
-        for col in u[1:]:
-            image = list(map(action[col].__getitem__, image))
-        power = image
-        for _ in range(m - 1):
-            power = list(map(image.__getitem__, power))
-        if power != identity:
+        if perm_power(act(action, u[1:], action[u[0]]), m) != identity:
             raise AssertionError("relator does not close")
     for w in subgroup:
         if not table.membership(w):

@@ -5,23 +5,18 @@ When coset enumeration is out of reach, map the group onto permutation
 groups of small degree and compare the handle invariants inside the
 finite image.  Double-coset equality is preserved by any homomorphism,
 so a difference in some image certifies inequivalence; agreement proves
-nothing.  Conjugating an image in S_d changes neither, so S_d is
-searched up to conjugacy of generator 0's image.  An image whose
-generators all fix one point is, on the other points, an isomorphic
-image of one degree less; when that degree was listed below the cap,
-one of its listed images is conjugate to it and was compared first, so
-quotient_separate skips it and the verdict stays that of comparing every
-listed image (find_homomorphisms still lists it).  A generator that a
-relator proves conjugate to an earlier one draws only from that one's
-cycle type; in Schubert and Wirtinger presentations of knot groups
-every generator is such a meridian.  Inside a finite image everything
-is brute force over permutations, deliberately independent of the
-enumeration engine.  Three things are shared with the rest of the
-package: the encoding of words as action columns (Word.columns), in
-whose order each image keeps its generators' permutations and their
-inverses (PermutationAssignment.action); the case dispatch
-(knot_input.case_words), which picks the acting words and the twist
-word; and the value's shape (double_cosets.nest_slots).
+nothing.  S_d is searched up to conjugacy, and a generator conjugate to
+an earlier one, as every meridian of a Schubert or Wirtinger
+presentation is, draws only from that one's cycle type
+(find_homomorphisms); quotient_separate skips an image that only adds a
+fixed point to one it compared.  Inside a finite image everything is
+brute force over permutations, independent of the enumeration engine,
+with four things shared: the action columns of words (Word.columns), in
+whose order an image keeps each generator's permutation and its inverse
+(PermutationAssignment.action); word_algebra's permutation steps, which
+coset tables use too; the case dispatch (knot_input.case_words), which
+picks the acting words and the twist word; and the value's shape
+(double_cosets.nest_slots).
 
 The same images can prove that a subgroup K has infinite index, which
 no enumeration budget can (index_certificate): in a transitive image
@@ -47,9 +42,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .double_cosets import nest_slots
 from .knot_input import CaseLabel, SurfaceKnotInput, case_words
-from .word_algebra import GroupPresentation, Word, _Frozen
+from .word_algebra import (GroupPresentation, Perm, Word, _Frozen, act, cycle_type,
+                           perm_compose, perm_inverse, root)
 
-Perm = tuple[int, ...]
 Columns = tuple[int, ...]  # a word's action columns, Word.columns
 
 # the largest degree of S_d searched; a generator with no earlier conjugate
@@ -86,18 +81,6 @@ class SeparationVerdict(Enum):
     UNKNOWN = "unknown"
 
 
-def perm_compose(p: Perm, q: Perm) -> Perm:
-    """Apply p, then q (matching left-to-right word evaluation)."""
-    return tuple(map(q.__getitem__, p))
-
-
-def perm_inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
 def _trace(action: list[Perm], columns: tuple[int, ...], x: int) -> int:
     """Image of point x under a word's columns (Word.columns): action[2i]
     is the image of generator i and action[2i + 1] its inverse."""
@@ -132,21 +115,6 @@ def _class_leaders(degree: int, least: int = 1) -> list[Perm]:
             for rest in _class_leaders(degree - k, k)]
 
 
-def _cycle_type(p: Perm) -> tuple[int, ...]:
-    """The cycle lengths of p, in increasing order."""
-    seen = [False] * len(p)
-    lengths = []
-    for start in range(len(p)):
-        if not seen[start]:
-            x, length = start, 0
-            while not seen[x]:
-                seen[x] = True
-                x, length = p[x], length + 1
-            lengths.append(length)
-    lengths.sort()
-    return tuple(lengths)
-
-
 # bounded like _search; one key per presentation
 @lru_cache(maxsize=32)
 def _partners(pres: GroupPresentation) -> tuple[int, ...]:
@@ -167,13 +135,7 @@ def _partners(pres: GroupPresentation) -> tuple[int, ...]:
     fail early costs time linear in its length."""
     squares = {r.letters[0][0] for r in pres.relators
                if len(r) == 2 and r.letters[0] == r.letters[1]}
-    root = list(range(len(pres.generators)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            i = root[i]
-        return i
-
+    parent = list(range(len(pres.generators)))
     for rel in pres.relators:
         half, odd = divmod(len(rel), 2)
         if odd:
@@ -183,15 +145,15 @@ def _partners(pres: GroupPresentation) -> tuple[int, ...]:
         inv = [(i, -s) for i, s in w]
         for r in range(len(rel)):  # rotation r is w[r:r + len(rel)]
             m = r + half  # y; u is w[r + 1:m], and u^-1 must follow y
-            a, b = find(w[r][0]), find(w[m][0])
+            a, b = root(parent, w[r][0]), root(parent, w[m][0])
             if a == b:
                 continue
             k = 1
             while k < half and w[m + k] == inv[m - k]:
                 k += 1
             if k == half:
-                root[max(a, b)] = min(a, b)
-    return tuple(find(i) for i in range(len(root)))
+                parent[max(a, b)] = min(a, b)
+    return tuple(root(parent, i) for i in range(len(parent)))
 
 
 # bounded, so that a process that runs many presentations keeps only the
@@ -200,13 +162,10 @@ def _partners(pres: GroupPresentation) -> tuple[int, ...]:
 @lru_cache(maxsize=32)
 def _search(pres: GroupPresentation, degree: int,
             limit: int) -> tuple[PermutationAssignment, ...]:
-    """The first `limit` homomorphisms into S_degree, depth first:
-    generator 0 over the class leaders of S_degree, generator k over all
-    permutations, or, if _partners gives it an earlier generator j, over
-    those of the cycle type of j's image only, a list picked once per
-    image of j that passes its relators.  A candidate of another type
-    fails a relator whatever comes later, so the pruning drops no
-    assignment and keeps their order."""
+    """find_homomorphisms' listing, depth first: generator 0 over the
+    class leaders of S_degree, generator k over all permutations, or, if
+    _partners gives it an earlier generator j, over the cycle type of j's
+    image only, a list picked once per image of j that passes its relators."""
     ngens = len(pres.generators)
     points = range(degree)
     # lexicographic; a conjugation takes generator 0 to its leader
@@ -221,7 +180,7 @@ def _search(pres: GroupPresentation, degree: int,
     by_type: dict[tuple[int, ...], list[tuple[Perm, Perm]]] = {}
     if partnered:
         for c in candidates:
-            by_type.setdefault(_cycle_type(c[0]), []).append(c)
+            by_type.setdefault(cycle_type(c[0]), []).append(c)
     # a relator becomes checkable once its highest generator is assigned
     ready: list[list[tuple[int, ...]]] = [[] for _ in range(ngens)]
     for rel in pres.relators:
@@ -242,7 +201,7 @@ def _search(pres: GroupPresentation, degree: int,
             action[2 * k + 1] = p_inv
             if _holds(action, checks, points):
                 if k in partnered:  # fix the levels that draw from p's type
-                    same = by_type[_cycle_type(p)]
+                    same = by_type[cycle_type(p)]
                     for later in partnered[k]:
                         levels[later] = same
                 extend(k + 1)
@@ -296,14 +255,10 @@ def _image_value(hom: PermutationAssignment, acting: list[Columns],
     by its least permutation, and every element of a closure computed is
     recorded with that name, so a later slot in the same double coset,
     of this cord or another, is one lookup."""
-    action = [p.__getitem__ for p in hom.action]
-    identity = tuple(range(hom.degree))
+    action, identity = hom.action, range(hom.degree)
 
     def image(columns: Columns) -> Perm:
-        x = identity
-        for c in columns:
-            x = tuple(map(action[c], x))
-        return x
+        return tuple(act(action, columns, identity))
 
     subgens = [image(w) for w in acting]
     right_moves = [s.__getitem__ for s in subgens]

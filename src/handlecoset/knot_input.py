@@ -62,6 +62,8 @@ class SurfaceKnotInput(_Frozen):
         words = p_generators + (() if surface_orientable else p_plus_generators + (n_word,))
         if max(w.max_generator_index() for w in words) >= len(presentation.generators):
             raise ValueError("P, P+ or n uses a generator index outside the presentation")
+        if max(map(len, words + presentation.relators)) > MAX_WORD_LETTERS:
+            raise ValueError(f"a word is longer than {MAX_WORD_LETTERS} letters")
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "p_generators", p_generators)
         object.__setattr__(self, "p_plus_generators", p_plus_generators)

@@ -8,15 +8,19 @@ words compare and hash cheaply.
 This module owns the encoding of letters as action columns: a word
 compiles its letters to columns once, when it is built (Word.columns),
 and the parser, invert and coset-table witnesses build their words from
-one shared (i, s) pair per column (column_letters).
+one shared (i, s) pair per column (column_letters).  It also owns the
+permutation steps that coset tables and finite images share: act reads
+a word's columns over many points, on a table's 1-based lists or an
+image's 0-based tuples, and root names an orbit by its least point.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Letter = tuple[int, int]  # (generator index, sign in {+1, -1})
+Perm = tuple[int, ...]  # p[x] is the image of point x
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -196,6 +200,63 @@ def power(w: Word, k: int) -> Word:
     """k-fold power of w; negative k uses the inverse, k = 0 is the identity."""
     base = w if k >= 0 else invert(w)
     return concat(*([base] * abs(k)))
+
+
+def act(action: Sequence, columns: Iterable[int], points: Iterable[int]) -> list[int]:
+    """The images of the points, in order, under a word's columns read
+    left to right (Word.columns), where action[col][x] is the image of x
+    under column col."""
+    images = list(points)
+    for col in columns:
+        images = list(map(action[col].__getitem__, images))
+    return images
+
+
+def perm_compose(p: Perm, q: Perm) -> Perm:
+    """Apply p, then q (matching left-to-right word evaluation)."""
+    return tuple(map(q.__getitem__, p))
+
+
+def perm_inverse(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def perm_power(p: Perm, k: int) -> Perm:
+    """p applied k >= 0 times, by repeated squaring: at most 2 log2(k)
+    compositions, and k - 1 of them for k <= 3."""
+    if k < 2:
+        return tuple(p) if k else tuple(range(len(p)))
+    half = perm_power(perm_compose(p, p), k >> 1)
+    return perm_compose(half, p) if k & 1 else half
+
+
+def cycle_type(p: Perm) -> tuple[int, ...]:
+    """The cycle lengths of p, in increasing order."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        if not seen[start]:
+            x, length = start, 0
+            while not seen[x]:
+                seen[x] = True
+                x, length = p[x], length + 1
+            lengths.append(length)
+    lengths.sort()
+    return tuple(lengths)
+
+
+def root(parent: list[int], c: int) -> int:
+    """c's root in a union-find forest, pointing c's path straight at it.
+    Callers link a larger root under a smaller, so a root is its set's least."""
+    r = c
+    while parent[r] != r:
+        r = parent[r]
+    while parent[c] != r:
+        parent[c], c = r, parent[c]
+    return r
 
 
 class GroupPresentation(_Frozen):

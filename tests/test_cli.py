@@ -616,6 +616,61 @@ def test_only_word_algebra_encodes_letters_as_columns():
     assert encoders == {"word_algebra"}
 
 
+def _inverts(node) -> bool:
+    """for i, x in enumerate(p): ... out[x] = i: a permutation inverted."""
+    if not (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+            and getattr(node.iter.func, "id", None) == "enumerate"
+            and isinstance(node.target, ast.Tuple) and len(node.target.elts) == 2):
+        return False
+    i, x = (getattr(e, "id", None) for e in node.target.elts)
+    return any(isinstance(a, ast.Assign) and getattr(a.value, "id", None) == i
+               and any(isinstance(t, ast.Subscript) and getattr(t.slice, "id", None) == x
+                       for t in a.targets)
+               for a in ast.walk(node))
+
+
+def _walks(node) -> bool:
+    """while ...: x = p[x], also inside a tuple assignment: a point
+    walked along one map, as a union-find root or a cycle is."""
+    if not isinstance(node, ast.While):
+        return False
+    for a in ast.walk(node):
+        if not isinstance(a, ast.Assign):
+            continue
+        for t in a.targets:
+            pairs = (zip(t.elts, a.value.elts) if isinstance(t, ast.Tuple)
+                     and isinstance(a.value, ast.Tuple) else [(t, a.value)])
+            if any(isinstance(x, ast.Name) and isinstance(v, ast.Subscript)
+                   and isinstance(v.value, ast.Name) and getattr(v.slice, "id", None) == x.id
+                   for x, v in pairs):
+                return True
+    return False
+
+
+def test_only_word_algebra_defines_the_permutation_steps():
+    # coset tables and finite images share one inverse, one cycle type
+    # and one union-find root; selftest keeps its own as the oracles
+    steps = set()
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, module, child.name)
+                continue
+            if _inverts(child) or _walks(child):
+                steps.add((module, owner))
+            visit(child, module, owner)
+
+    for path in Path(handlecoset.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert {name for module, name in steps if module == "word_algebra"} == \
+        {"perm_inverse", "cycle_type", "root"}
+    # the enumeration's coincidence forest is a dict of the dead cosets
+    # alone, which root's list, where a root is its own parent, does not fit
+    steps.discard(("coset_enumeration", "rep"))
+    assert {module for module, _ in steps} == {"word_algebra", "selftest"}
+
+
 def test_only_the_classifier_chooses_a_case_table():
     # which table a case works over is decided in handle_classifier
     # alone, and the CLI builds candidates through it, not from ids

@@ -8,9 +8,10 @@ from handlecoset.coset_enumeration import (CosetTable, EnumerationLimits,
                                            _verify, enumerate_cosets)
 from handlecoset.errors import CosetRangeError, ResourceExhausted
 from handlecoset.knot_input import format_word, parse_input, parse_word
-from handlecoset.word_algebra import (GroupPresentation, Word, column_letters,
-                                      shared_letter)
-from handlecoset.selftest import (GROUP_CORPUS, INPUT_CORPUS, coxeter_skg,
+from handlecoset import word_algebra
+from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation, Word,
+                                      column_letters, shared_letter)
+from handlecoset.selftest import (GROUP_CORPUS, INPUT_CORPUS, coxeter_skg, cycle_type,
                                   mulclose, respell_squares)
 
 
@@ -409,6 +410,56 @@ def test_verify_rejects_a_power_relator_that_does_not_close():
                               S3.relators + (word("a b a b a b", S3),))
     with pytest.raises(AssertionError, match="relator does not close"):
         _verify(table, wider, [])
+
+
+def _power_table(images, m):
+    """A hand-built table of <b | b^m> on the cosets 1..len(images), b
+    sending c to images[c - 1], and its presentation.  Each coset but 1
+    hangs off the coset b^-1 takes it to, so every check but the
+    relator's passes."""
+    b = [0, *images]
+    b_inv = [0] * len(b)
+    for c, d in enumerate(b):
+        b_inv[d] = c
+    parents = [None, None] + [(b_inv[c], 0) for c in range(2, len(b))]
+    pres = GroupPresentation((GeneratorSymbol("b"),), (Word(((0, 1),) * m),))
+    return CosetTable([], 1, [b, b_inv], parents, len(images)), pres
+
+
+def test_verify_rejects_a_relator_that_fails_on_one_cycle_only():
+    # b = (1 2)(3 4 5 6): b^6 fixes cosets 1 and 2 but moves 3..6, so a
+    # check that followed only the cycle of coset 1 would pass
+    table, pres = _power_table([2, 1, 4, 5, 6, 3], 6)
+    with pytest.raises(AssertionError, match="relator does not close"):
+        _verify(table, pres, [])
+
+
+def test_verify_closes_a_power_iff_every_cycle_length_divides_it():
+    rng = random.Random(11)
+    for _ in range(300):
+        n, m = rng.randint(1, 9), rng.randint(1, 40)
+        images = rng.sample(range(1, n + 1), n)
+        table, pres = _power_table(images, m)
+        if all(m % k == 0 for k in cycle_type(tuple(x - 1 for x in images))):
+            _verify(table, pres, [])
+        else:
+            with pytest.raises(AssertionError, match="relator does not close"):
+                _verify(table, pres, [])
+
+
+def test_verify_power_cost_without_a_timer(monkeypatch):
+    # b^4001 on a 4001-cycle: raising b's column to the 4001st power took
+    # 4000 compositions one at a time; by squaring it takes at most 24
+    compose, calls = word_algebra.perm_compose, [0]
+
+    def counted(p, q):
+        calls[0] += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(word_algebra, "perm_compose", counted)
+    table, pres = _power_table([*range(2, 4002), 1], 4001)
+    _verify(table, pres, [])
+    assert 0 < calls[0] <= 2 * (4001).bit_length()
 
 
 def _table_digest(table):

@@ -693,7 +693,7 @@ def test_an_image_carries_its_action(case):
 def _count_holds(monkeypatch, name="_holds"):
     """Count the calls of finite_quotient's function `name`: _holds
     checks one candidate, _trace traces one relator from one point,
-    _cycle_type reads one permutation's cycle type."""
+    cycle_type reads one permutation's cycle type."""
     holds, calls = getattr(finite_quotient, name), [0]
 
     def counted(*args):
@@ -743,7 +743,7 @@ def test_dihedral_walk_cycle_types_without_a_timer(monkeypatch):
     # Its second half once searched D_6..D_13 and read 176 more; the
     # affine listings that replace it solve for c and read none
     data = parse_input(coxeter_skg(8, [1]))
-    calls = _count_holds(monkeypatch, "_cycle_type")
+    calls = _count_holds(monkeypatch, "cycle_type")
     for m in AFFINE_DEGREES:
         list(_affine_images(data.presentation, m, HOM_LIMIT))
     assert calls[0] == 0

@@ -138,6 +138,27 @@ def test_word_length_cap():
     assert (info.value.line, info.value.column) == (2, 6 + len(str(half)) + 3)
 
 
+def test_a_word_past_the_cap_is_refused_where_it_is_built():
+    # parse_input refuses a word of more than MAX_WORD_LETTERS letters, so
+    # the constructor does too, and serialize writes only text that parses
+    # back: a P of 100,001 letters once serialized to a syntax error
+    s = parse_input(D8_CASE3)
+    pres, p, p_plus, n = s.presentation, s.p_generators, s.p_plus_generators, s.n_word
+    longest, long = (Word(((0, 1),) * k) for k in (MAX_WORD_LETTERS, MAX_WORD_LETTERS + 1))
+    for build in (lambda: SurfaceKnotInput(pres, (long,), None, None, True),
+                  lambda: SurfaceKnotInput(pres, p, (long,), n, False),
+                  lambda: SurfaceKnotInput(pres, p, p_plus, long, False),
+                  lambda: SurfaceKnotInput(
+                      GroupPresentation(pres.generators, pres.relators + (long,)),
+                      p, None, None, True)):
+        with pytest.raises(ValueError, match=f"longer than {MAX_WORD_LETTERS} letters"):
+            build()
+    for t in (SurfaceKnotInput(pres, (longest,), p_plus, longest, False),
+              SurfaceKnotInput(GroupPresentation(pres.generators, (longest,)),
+                               p, None, None, True)):
+        assert parse_input(serialize(t)) == t
+
+
 def test_comments_and_blank_lines():
     parsed = parse_input(
         "# a comment\n\ngroup: t   # trailing\n\nP: t\norientable: true\n")

@@ -1,3 +1,4 @@
+import random
 import sys
 import threading
 import time
@@ -8,10 +9,13 @@ from hypothesis import given, strategies as st
 
 from handlecoset import word_algebra
 from handlecoset.knot_input import parse_word
+from handlecoset import selftest
+from handlecoset.selftest import _random_word, peval, pinv, pmul
 from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation,
-                                      Word, column_letters, concat,
-                                      free_reduce, invert, power,
-                                      shared_letter)
+                                      Word, act, column_letters, concat,
+                                      cycle_type, free_reduce, invert,
+                                      perm_compose, perm_inverse, perm_power,
+                                      power, root, shared_letter)
 
 A, B, C = 0, 1, 2
 
@@ -261,3 +265,72 @@ def test_presentation_invariants():
         GroupPresentation((a,), (w((B, 1)),))  # unknown index
     with pytest.raises(ValueError):
         GroupPresentation(())
+
+
+def test_permutation_steps_match_the_oracles():
+    # selftest's pmul, pinv, peval and cycle_type are written apart from
+    # the package's steps, and serve as their oracles
+    rng = random.Random(7)
+    for _ in range(500):
+        d = rng.randint(1, 9)
+        p, q = (tuple(rng.sample(range(d), d)) for _ in range(2))
+        assert perm_compose(p, q) == pmul(p, q)
+        assert perm_inverse(p) == pinv(p)
+        assert cycle_type(p) == selftest.cycle_type(p)
+        k = rng.randint(0, 30)
+        slow = tuple(range(d))
+        for _ in range(k):
+            slow = pmul(slow, p)
+        assert perm_power(p, k) == slow
+        gens = tuple(tuple(rng.sample(range(d), d)) for _ in range(3))
+        word = _random_word(rng, 3, 12)
+        # an image's 0-based tuples, and a coset table's 1-based lists
+        action = [x for g in gens for x in (g, pinv(g))]
+        assert tuple(act(action, word.columns, range(d))) == peval(word, gens)
+        lists = [[0] + [x + 1 for x in column] for column in action]
+        assert act(lists, word.columns, range(d + 1)) == \
+            [0] + [x + 1 for x in peval(word, gens)]
+        points = rng.choices(range(d), k=rng.randint(0, 4))
+        assert act(action, word.columns, points) == \
+            [peval(word, gens)[x] for x in points]
+
+
+def test_perm_power_squares(monkeypatch):
+    # k - 1 compositions for k <= 3, as a relator u^k of a Coxeter
+    # presentation needs, and at most 2 log2(k) beyond
+    calls = [0]
+
+    def counted(p, q):
+        calls[0] += 1
+        return pmul(p, q)
+
+    monkeypatch.setattr(word_algebra, "perm_compose", counted)
+    p = (1, 2, 0, 4, 3)
+    for k in range(200):
+        calls[0] = 0
+        assert perm_power(p, k) == peval(Word(((0, 1),) * k), (p,))
+        if k <= 3:
+            assert calls[0] == max(k - 1, 0)
+        assert calls[0] <= 2 * k.bit_length()
+
+
+def test_root_names_each_orbit_by_its_least_point():
+    rng = random.Random(3)
+    for _ in range(200):
+        d = rng.randint(1, 9)
+        gens = [tuple(rng.sample(range(d), d)) for _ in range(rng.randint(0, 3))]
+        parent = list(range(d))
+        for g in gens:
+            for x, y in enumerate(g):
+                a, b = sorted((root(parent, x), root(parent, y)))
+                parent[b] = a
+        for x in range(d):
+            orbit, stack = {x}, [x]
+            while stack:
+                y = stack.pop()
+                for g in gens:
+                    for z in (g[y], pinv(g)[y]):
+                        if z not in orbit:
+                            orbit.add(z)
+                            stack.append(z)
+            assert root(parent, x) == min(orbit)
