@@ -20,16 +20,17 @@ picks the acting words and the twist word; and the value's shape
 
 The same images can prove that a subgroup K has infinite index, which
 no enumeration budget can (index_certificate): in a transitive image
-the stabilizer H of point 0 has finite index, and abelianised
-Reidemeister-Schreier gives H^ab over Q; if H_K, the intersection of K
-with H, spans a smaller rank there, |H : H_K| is infinite, and so is
-|G : K|.  The certificate walk (infinite_index_certificate) reads the
-images in S_d for small d, then those in AGL(1, m) for a few primes m
-that send each generator to x -> s x + c_i, one s for all: they are not
-searched but solved for, as the kernel mod m of the relators' Fox
-derivatives (Fox, "Free differential calculus I", 1953; "Metacyclic
-invariants of knots and links", 1970).  s = -1 gives the dihedral images
-that reach the torus knots T(2, p).
+the stabilizer H of point 0 has finite index, and H^ab over Q is the
+cycle space of the image's d-fold cover modulo the cycles its relators
+trace; if H_K, the intersection of K with H, spans a smaller rank
+there, |H : H_K| is infinite, and so is |G : K|.  The certificate walk
+(infinite_index_certificate) reads the images in S_d for small d, then
+those in AGL(1, m) for a few primes m that send each generator to
+x -> s x + c_i, one s for all: they are not searched but solved for,
+as the kernel mod m of the relators' Fox derivatives (Fox, "Free
+differential calculus I", 1953; "Metacyclic invariants of knots and
+links", 1970).  s = -1 gives the dihedral images that reach the torus
+knots T(2, p).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .double_cosets import nest_slots
+from .errors import PreconditionUnverified
 from .knot_input import CaseLabel, SurfaceKnotInput, case_words
 from .word_algebra import (GroupPresentation, Perm, Word, _Frozen, act, cycle_type,
                            perm_compose, perm_inverse, root)
@@ -251,10 +253,12 @@ def _image_value(hom: PermutationAssignment, acting: list[Columns],
     """The invariant of a cord inside hom's image, as a function of the
     cord word's columns (Word.columns), traced through hom.action.  The
     images of the acting words and of n are built once, so every cord
-    evaluated through the result shares them.  A double coset is named
-    by its least permutation, and every element of a closure computed is
-    recorded with that name, so a later slot in the same double coset,
-    of this cord or another, is one lookup."""
+    evaluated through the result shares them.  n's image must pass
+    validate's twist checks there, else PreconditionUnverified names the
+    first that fails.  A double coset is named by its least permutation,
+    and every element of a closure computed is recorded with that name,
+    so a later slot in the same double coset, of this cord or another,
+    is one lookup."""
     action, identity = hom.action, range(hom.degree)
 
     def image(columns: Columns) -> Perm:
@@ -293,9 +297,19 @@ def _image_value(hom: PermutationAssignment, acting: list[Columns],
         return name
 
     n_image = None if n is None else image(n)
+    if n is not None:  # validate's twist checks, read in the image
+        n_inv, one = perm_inverse(n_image), dc(tuple(identity))
+        checks = {"twist_normalizes_p_plus": [
+                      perm_compose(perm_compose(a, s), b)
+                      for s in subgens for a, b in ((n_image, n_inv), (n_inv, n_image))],
+                  "n_squared_in_p_plus": [perm_compose(n_image, n_image)]}
+        for name, elements in checks.items():
+            if any(dc(x) != one for x in elements):
+                raise PreconditionUnverified(
+                    f"{name} fails in a permutation image of degree {hom.degree}")
 
     def slot(x: Perm, inverted: bool, of: Optional[Perm]) -> Perm:
-        # twist the element, not its name `of`: n need not normalize
+        # n normalizes the image of P+ (checked above): x and its name twist alike
         if inverted:
             x = perm_inverse(x)
         return dc(x if of is None else perm_compose(perm_compose(n_image, x), n_image))
@@ -318,7 +332,9 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
     S_(d-1), so conjugate to a listed one, which compared the two words
     equal or the loop would have returned.  The verdict is the same as if
     every listed image were compared.  Raises CaseMismatch if the case
-    does not fit the input's surface, and ValueError for a max_degree
+    does not fit the input's surface, PreconditionUnverified if a
+    compared image shows that n fails one of validate's twist checks
+    (so it fails in the group too), and ValueError for a max_degree
     outside 1..MAX_SEPARATE_DEGREE or a cord letter outside the
     presentation.
     """
@@ -362,14 +378,14 @@ class IndexCertificate(NamedTuple):
 
 
 def _extend_basis(basis: list[tuple[int, dict]], rows: Iterable[list[int]],
-                  width: int) -> None:
-    """Add the integer rows to an echelon basis of Q^width, by
-    fraction-free elimination, until it spans the whole space.  A basis
-    row is its pivot column and its nonzero entries, 0 at every earlier
-    pivot and with content (the gcd of its entries) 1, so len(basis) is
-    the rank over Q."""
+                  dim: int) -> None:
+    """Add the integer rows to an echelon basis, by fraction-free
+    elimination, until its rank reaches dim, the dimension of a space
+    that holds every row.  A basis row is its pivot column and its
+    nonzero entries, 0 at every earlier pivot and with content (the gcd
+    of its entries) 1, so len(basis) is the rank over Q."""
     for dense in rows:
-        if len(basis) == width:
+        if len(basis) == dim:
             return
         row = {c: x for c, x in enumerate(dense) if x}
         for col, b in basis:
@@ -398,58 +414,44 @@ def index_certificate(hom: PermutationAssignment, pres: GroupPresentation,
     homomorphism, or None (the image is not transitive, or its ranks do
     not differ).
 
-    Abelianised Reidemeister-Schreier: a breadth-first Schreier tree from
-    point 0 leaves one symbol per non-tree edge x --g--> x g, and a word
-    traced from a point becomes the vector of symbols it crosses (+1
-    forwards, -1 against a generator).  H^ab over Q is the symbol space
-    modulo one row per (relator, point).  H_K = K intersect H is
-    generated by u_o w u_o'^-1, for o in the K-orbit of 0, w a subgroup
-    generator and o' = o w, where u_o is a product of subgroup generators
-    carrying 0 to o; its row is U[o] + (w traced from o) - U[o'], with
-    U[o] the row of u_o traced from 0.
+    The image's cover has d points and an edge x --g_i--> x g_i for each
+    generator i and point x, row column i d + x; a word traced from a
+    point becomes the vector of edges it crosses (+1 forwards, -1
+    against a generator), a cycle if it ends where it began.  In a
+    transitive image the cover is connected, so its cycle space has
+    dimension n d - d + 1 for n generators, and H^ab over Q is that
+    space modulo the relators traced from every point (their Fox
+    Jacobian in the permutation representation).  H_K = K intersect H
+    is generated by u_o w u_o'^-1, for o in the K-orbit of 0, w a
+    subgroup generator and o' = o w, where u_o is a product of subgroup
+    generators carrying 0 to o; its row is U[o] + (w traced from o) -
+    U[o'], with U[o] the row of u_o traced from 0.
     """
-    ngens = len(pres.generators)
-    action = hom.action
-    tree: set[tuple[int, int]] = set()  # edges (x, i) with x g_i on the tree
-    order = [0]
-    reached = {0}
-    for x in order:  # grows while it is walked
-        for col, perm in enumerate(action):
-            y = perm[x]
-            if y not in reached:
-                reached.add(y)
-                order.append(y)
-                tree.add((x, col >> 1) if col % 2 == 0 else (y, col >> 1))
-    if len(order) < hom.degree:
+    degree, action = hom.degree, hom.action
+    reached = [0]
+    for x in reached:  # grows while it is walked
+        reached += {p[x] for p in hom.images}.difference(reached)
+    if len(reached) < degree:
         return None
-    symbol = {}
-    for x in range(hom.degree):
-        for i in range(ngens):
-            if (x, i) not in tree:
-                symbol[x, i] = len(symbol)
-    width = len(symbol)
+    width = len(pres.generators) * degree
+    dim = width - degree + 1
 
     def rewrite(columns: Columns, x: int) -> tuple[list[int], int]:
         row = [0] * width
         for c in columns:
             if c & 1:
                 x = action[c][x]
-                k = symbol.get((x, c >> 1))
-                if k is not None:
-                    row[k] -= 1
+                row[(c >> 1) * degree + x] -= 1
             else:
-                k = symbol.get((x, c >> 1))
-                if k is not None:
-                    row[k] += 1
+                row[(c >> 1) * degree + x] += 1
                 x = action[c][x]
         return row, x
 
-    relators = [rel.columns for rel in pres.relators]
     basis: list[tuple[int, dict]] = []
-    _extend_basis(basis, (rewrite(rel, x)[0]
-                          for rel in relators for x in range(hom.degree)), width)
+    _extend_basis(basis, (rewrite(rel.columns, x)[0]
+                          for rel in pres.relators for x in range(degree)), dim)
     relator_rank = len(basis)
-    if relator_rank == width:
+    if relator_rank == dim:
         return None  # H^ab is finite
     words = [w.columns for w in subgroup]
     path = {0: [0] * width}  # o -> U[o]
@@ -464,10 +466,10 @@ def index_certificate(hom: PermutationAssignment, pres: GroupPresentation,
             else:
                 path[end] = row
                 orbit.append(end)
-    _extend_basis(basis, rows, width)
-    if len(basis) == width:
+    _extend_basis(basis, rows, dim)
+    if len(basis) == dim:
         return None
-    return IndexCertificate(hom, width - relator_rank, len(basis) - relator_rank)
+    return IndexCertificate(hom, dim - relator_rank, len(basis) - relator_rank)
 
 
 def _affine_row(columns: Columns, s: int, m: int, ngens: int) -> Optional[list[int]]:

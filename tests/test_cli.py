@@ -13,7 +13,8 @@ import pytest
 import handlecoset
 from handlecoset import CosetTable, handle_classifier
 from handlecoset.cli import run
-from handlecoset.selftest import INPUT_CORPUS, coxeter_skg, two_bridge_skg
+from handlecoset.selftest import (BROKEN_INPUTS, INPUT_CORPUS, coxeter_skg,
+                                  two_bridge_skg)
 
 UNKNOTTED = "group: t\nP: t\norientable: true\n"
 T2 = "group: t\nP: t^2\norientable: true\n"
@@ -127,6 +128,20 @@ def test_separate_case_mismatch(skg, capsys):
     assert capsys.readouterr().err == \
         "error: case 3 needs a non-orientable surface input\n"
 
+
+def test_separate_refuses_n_that_fails_a_twist_check_in_an_image(skg, capsys):
+    # d4-bad-n: s is in P+ = <s>, so the cords 1 and s differ by a slide
+    # and are equivalent, but n = r conjugates s out of P+; an image of
+    # degree 4 shows it, as validate does, so no verdict is printed
+    text = next(t for label, t, _ in BROKEN_INPUTS if label == "d4-bad-n")
+    path = skg("d4-bad-n.skg", text)
+    for core in (["--core-oriented"], []):
+        assert run(["separate", path, "--case", "3", *core,
+                    "--cord", "1", "--cord", "s"]) == 1
+        assert capsys.readouterr() == ("", "error: twist_normalizes_p_plus fails in "
+                                           "a permutation image of degree 4\n")
+    assert run(["validate", path]) == 1
+    assert "[fail] twist_normalizes_p_plus" in capsys.readouterr().out
 
 # P = <a> has infinite index in Z^2, and the surface is orientable
 Z2 = "group: a b\nrel: a b a^-1 b^-1\nP: a\norientable: true\n"

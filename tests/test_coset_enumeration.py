@@ -379,6 +379,32 @@ def test_verify_rejects_a_negative_entry():
         _verify(table, S3, [])
 
 
+def test_verify_rejects_an_entry_past_the_end():
+    # b's column names coset index + 1, which b^-1 has no entry for
+    table = _copy(enumerate_cosets(S3, []))
+    table._action[2][1] = table.index + 1
+    with pytest.raises(AssertionError, match="not a permutation"):
+        _verify(table, S3, [])
+
+
+def test_verify_rejects_an_entry_that_is_not_an_int():
+    # min() and sorted() both raise TypeError on None
+    table = _copy(enumerate_cosets(S3, []))
+    table._action[2][1] = None
+    with pytest.raises(AssertionError, match="not a permutation"):
+        _verify(table, S3, [])
+
+
+def test_verify_rejects_a_short_inverse_column():
+    # b is intact, so b^-1[b[c]] runs past the end of b^-1 at the coset
+    # b sends to index
+    table = _copy(enumerate_cosets(S3, []))
+    table._action[3].pop()
+    assert sorted(table._action[2]) == list(range(table.index + 1))
+    with pytest.raises(AssertionError, match="not inverse-consistent"):
+        _verify(table, S3, [])
+
+
 def test_verify_rejects_a_long_inverse_column():
     table = _copy(enumerate_cosets(S3, []))
     table._action[3].append(1)  # b^-1 still inverts b on every coset

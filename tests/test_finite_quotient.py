@@ -9,9 +9,9 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from brute import TWO_BRIDGE_13
+from brute import TWO_BRIDGE_13, twist_spun_skg
 from handlecoset import finite_quotient
-from handlecoset.errors import CaseMismatch, InfiniteIndex
+from handlecoset.errors import CaseMismatch, InfiniteIndex, PreconditionUnverified
 from handlecoset.finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES,
                                          HOM_LIMIT, MAX_SEPARATE_DEGREE,
                                          SeparationVerdict, _affine_images,
@@ -21,9 +21,10 @@ from handlecoset.finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES,
                                          quotient_separate, _extend_basis,
                                          _image_value,
                                          _partners, _search)
-from handlecoset.handle_classifier import CaseLabel, ClassifierContext
+from handlecoset.handle_classifier import CaseLabel, ClassifierContext, validate
 from handlecoset.knot_input import case_words, parse_input, parse_word
-from handlecoset.selftest import (GROUP_CORPUS, INPUT_CORPUS, _random_word, _related_word,
+from handlecoset.selftest import (BROKEN_INPUTS, GROUP_CORPUS, INPUT_CORPUS, _random_word,
+                                  _related_word, _resolved_groups,
                                   classifier_values, coxeter_skg,
                                   lexicographic_filter,
                                   mulclose, peval, pinv, pmul, rebased,
@@ -323,6 +324,26 @@ def test_separate_case3():
     r_slid = parse_word("r^2 r s s", D8_CASE3.presentation)
     assert quotient_separate(D8_CASE3, CaseLabel.CASE3, True, r, r_slid,
                              max_degree=4) is SeparationVerdict.UNKNOWN
+
+
+@pytest.mark.parametrize("text, g1, g2, check", [
+    # d4-bad-n: n = r conjugates P+ = <s> out of itself
+    (next(t for label, t, _ in BROKEN_INPUTS if label == "d4-bad-n"), "1", "s",
+     "twist_normalizes_p_plus"),
+    # n = a with a^2 outside P+ = 1; a and a^-1 agree in every image of
+    # degree <= 3, where a has order at most 2
+    ("group: a\nrel: a^4\nP: a\nP+: 1\nn: a\norientable: false", "a", "a^-1",
+     "n_squared_in_p_plus"),
+], ids=["d4-bad-n", "c4-bad-n-squared"])
+def test_separate_refuses_n_that_fails_a_twist_check(text, g1, g2, check):
+    # a check that fails in an image fails in the group: validate agrees
+    input = parse_input(text)
+    assert check in {c.name for c in validate(input).failures}
+    words = [parse_word(g, input.presentation) for g in (g1, g2)]
+    for core_oriented in (True, False):
+        with pytest.raises(PreconditionUnverified,
+                           match=f"^{check} fails in a permutation image of degree 4$"):
+            quotient_separate(input, CaseLabel.CASE3, core_oriented, *words)
 
 
 def test_separate_case_mismatch():
@@ -778,7 +799,8 @@ def fraction_rank(rows):
         m[rank], m[pivot] = m[pivot], m[rank]
         for i in range(rank + 1, len(m)):
             f = m[i][col] / m[rank][col]
-            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+            if f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
 
@@ -809,6 +831,93 @@ def test_integer_elimination_matches_fractions(data):
         assert min(b) == col and all(b.values())
         assert gcd(*b.values()) == 1
         assert not set(pivots[:i]) & set(b)
+
+
+def _tree_certificate(hom, pres, subgroup):
+    """index_certificate's (h_rank, p_rank), or None, by the textbook
+    route: abelianised Reidemeister-Schreier over a breadth-first
+    Schreier tree from point 0, one symbol per non-tree edge, with both
+    ranks taken by fraction_rank."""
+    tree, order = set(), [0]
+    for x in order:  # grows while it is walked
+        for col, perm in enumerate(hom.action):
+            y = perm[x]
+            if y not in order:
+                order.append(y)
+                tree.add((x, col >> 1) if col % 2 == 0 else (y, col >> 1))
+    if len(order) < hom.degree:
+        return None
+    symbol = {}
+    for x in range(hom.degree):
+        for i in range(len(pres.generators)):
+            if (x, i) not in tree:
+                symbol[x, i] = len(symbol)
+
+    def rewrite(word, x):
+        row = [0] * len(symbol)
+        for i, sign in word.letters:
+            if sign < 0:
+                x = hom.images[i].index(x)
+            if (x, i) in symbol:
+                row[symbol[x, i]] += sign
+            if sign > 0:
+                x = hom.images[i][x]
+        return row, x
+
+    relators = [rewrite(rel, x)[0] for rel in pres.relators for x in range(hom.degree)]
+    path, orbit, rows = {0: [0] * len(symbol)}, [0], []
+    for o in orbit:  # grows while it is walked
+        for w in subgroup:
+            traced, end = rewrite(w, o)
+            row = [a + b for a, b in zip(path[o], traced)]
+            if end in path:
+                rows.append([a - b for a, b in zip(row, path[end])])
+            else:
+                path[end] = row
+                orbit.append(end)
+    relator_rank, rank = fraction_rank(relators), fraction_rank(relators + rows)
+    if rank == len(symbol):
+        return None
+    return len(symbol) - relator_rank, rank - relator_rank
+
+
+def _certificate_subjects():
+    """(name, presentation, subgroup words) for every GROUP_CORPUS
+    subgroup, the P and P+ of every INPUT_CORPUS input, and P = <a> in
+    each knot of TWO_BRIDGE_13 and in its 3-twist-spin."""
+    subjects = [(case.name, pres, words)
+                for case, pres, subgroups in _resolved_groups() for words in subgroups]
+    for case in INPUT_CORPUS:
+        data = parse_input(case.skg)
+        subjects += [(case.label, data.presentation, words)
+                     for words in (data.p_generators, data.p_plus_generators)
+                     if words is not None]
+    for p, q in TWO_BRIDGE_13:
+        for name, skg in ((f"b({p},{q})", two_bridge_skg(p, q)),
+                          (f"tau3 b({p},{q})", twist_spun_skg(p, q, 3))):
+            data = parse_input(skg)
+            subjects.append((name, data.presentation, data.p_generators))
+    return subjects
+
+
+def test_certificates_match_tree_reidemeister_schreier():
+    # every image the certificate walk can read, S_1..S_5 and the affine
+    # images, at every base point: the cycle-space ranks must equal the
+    # Schreier tree's
+    compared = certified = 0
+    for name, pres, words in _certificate_subjects():
+        homs = [hom for d in range(1, CERTIFICATE_DEGREES[-1] + 1)
+                for hom in _search(pres, d, HOM_LIMIT)]
+        homs += [hom for m in AFFINE_DEGREES for hom in _affine_images(pres, m, HOM_LIMIT)]
+        for hom in homs:
+            for point in range(hom.degree):
+                image = rebased(hom, point)
+                cert = index_certificate(image, pres, words)
+                ranks = None if cert is None else (cert.h_rank, cert.p_rank)
+                assert ranks == _tree_certificate(image, pres, words), (name, image, point)
+                compared += 1
+                certified += cert is not None
+    assert compared > 20_000 and certified > 2_000
 
 
 REGRESSION_INPUTS = [(f"b({p},{q})", two_bridge_skg(p, q), 6) for p, q in TWO_BRIDGE_13] + \

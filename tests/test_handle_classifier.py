@@ -18,6 +18,7 @@ from handlecoset.finite_quotient import AFFINE_DEGREES, CERTIFICATE_DEGREES
 from handlecoset.handle_classifier import (CaseLabel, ClassifierContext,
                                            HandleInvariant, ValidationCheck,
                                            ValidationReport, candidate_invariant,
+                                           class_listing,
                                            enumerate_classes, equivalent,
                                            handle_invariant,
                                            image_member,
@@ -264,6 +265,29 @@ def test_every_case3_query_checks_the_twist(check, status):
     d = candidate.double_cosets()[0]
     with pytest.raises(PreconditionUnverified):
         dc_twist(ctx.p_plus_table, parsed.p_plus_generators, parsed.n_word, d, None)
+
+
+def test_every_case3_query_needs_the_p_plus_table():
+    # the public constructor takes p_plus_table=None on a non-orientable
+    # input, whose report passes; every Case-3 query then raises
+    # MissingPPlus
+    parsed, ctx = ctx_of(D8_CASE3)
+    r = parse_word("r", parsed.presentation)
+    candidate = handle_invariant(ctx, CaseLabel.CASE3, False, r)
+    bare = ClassifierContext(ctx.input, ctx.p_table, None, ctx.report)
+    queries = [lambda core: handle_invariant(bare, CaseLabel.CASE3, core, r),
+               lambda core: equivalent(bare, CaseLabel.CASE3, core, r, Word()),
+               lambda core: image_member(bare, CaseLabel.CASE3, core, candidate),
+               lambda core: enumerate_classes(bare, CaseLabel.CASE3, core),
+               lambda core: class_listing(bare, CaseLabel.CASE3, core),
+               lambda core: candidate_invariant(bare, CaseLabel.CASE3, core, [r] * 4),
+               lambda core: nonsurjectivity_witness(bare, CaseLabel.CASE3, core),
+               lambda core: local_oriented_cord_invariant(bare, r)]
+    for query in queries * 2:  # a refused case is not cached
+        for core in (True, False):
+            with pytest.raises(MissingPPlus, match="no P\\+ table"):
+                query(core)
+    assert "_case" not in vars(bare)
 
 
 @pytest.mark.parametrize("check", ["twist_normalizes_p_plus", "n_squared_in_p_plus"])
