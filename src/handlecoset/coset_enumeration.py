@@ -18,10 +18,10 @@ presentation has a relator that is that letter twice (x^2 or x^-2).
 Its two letters share one flat column, which is its own inverse; every
 other generator has a column per letter.  A column map sends each
 letter to its flat column, and an inverse map sends each flat column to
-its inverse (k ^ 1 for a pair, k itself for a shared column).  A word
-arrives compiled to standard columns (Word.columns: 2i for generator i,
-2i + 1 for its inverse); relators and subgroup words are mapped through
-the column map, and every edge is installed together with its reverse
+its inverse (k ^ 1 for a pair, k itself for a shared column).  A word is
+stored as its standard columns (Word.columns: 2i for generator i, 2i + 1
+for its inverse); relators and subgroup words are mapped through the
+column map, and every edge is installed together with its reverse
 through the inverse map, so the x^2 relators hold at every coset and are
 not scanned.  On the Coxeter presentation of S_n every generator is an
 involution: the stride halves and about half as many cosets are defined.
@@ -54,8 +54,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import CosetRangeError, ResourceExhausted
 from .knot_input import run_token
-from .word_algebra import (GroupPresentation, Word, _Frozen, act, column_letters,
-                           perm_compose, perm_power, root)
+from .word_algebra import (GroupPresentation, Word, _Frozen, act, letter_of,
+                           perm_compose, perm_power, root, squared_generator)
 
 
 class EnumerationLimits(_Frozen):
@@ -105,8 +105,8 @@ class CosetTable:
         self._action = action
         self._parents = parents
         self.total_defined = total_defined
-        # compared by n's equality: a word hashes its letters on every
-        # call, and a table meets one n in practice
+        # compared by n's equality: a word hashes its decoded letters on
+        # every call, and a table meets one n in practice
         self._twists: list[tuple[Word, list[int]]] = []
 
     @property
@@ -143,33 +143,34 @@ class CosetTable:
         return self.trace(1, word) == 1
 
     def witness(self, coset: int) -> Word:
-        """A word with trace(1, word) == coset, read off the BFS tree."""
+        """A word with trace(1, word) == coset, read off the BFS tree:
+        its columns are the tree's edges from coset 1, a path that never
+        turns back, so the word is freely reduced."""
         if not 1 <= coset <= self.index:
             raise CosetRangeError(coset, self.index)
-        letters = column_letters(2 * self.n_generators)
         path = []
         c = coset
         while self._parents[c] is not None:
             c, col = self._parents[c]
-            path.append(letters[col])
-        return Word(tuple(reversed(path)))
+            path.append(col)
+        return Word._of(tuple(reversed(path)))
 
     def witness_texts(self, cosets: Iterable[int],
                       names: Sequence[str]) -> dict[int, str]:
         """format_word(witness(c), names) for each coset c given, in one
         walk of the BFS tree in coset order; no word is built.  A coset's
         parent is numbered before it, and each parent's children are
-        numbered together, so each text is its parent's plus one letter:
-        the letter lengthens the parent's last run or starts a new one.
+        numbered together, so each text is its parent's plus one letter,
+        decoded from the tree edge's column (letter_of): the letter
+        lengthens the parent's last run or starts a new one.
         A text is kept only until its coset's last child is built, unless
         it is asked for."""
         wanted = set(cosets)
         for c in wanted:
             if not 1 <= c <= self.index:
                 raise CosetRangeError(c, self.index)
-        # the shared letter table may run past this table's columns
-        letters = column_letters(len(self._action))[:len(self._action)]
-        single = [run_token(names[i], s) for i, s in letters]
+        single = [run_token(names[i], s)
+                  for i, s in map(letter_of, range(len(self._action)))]
         parents = self._parents
         out = {1: "1"} if 1 in wanted else {}
         # (text, the text before its last run, last column, run length)
@@ -184,7 +185,7 @@ class CosetTable:
             text, head, last, k = live[0]
             if col == last:
                 k += 1
-                i, s = letters[col]
+                i, s = letter_of(col)
                 text = head + run_token(names[i], s * k)
             else:
                 head, k = (text + " " if text else ""), 1
@@ -271,9 +272,8 @@ class _Enumeration:
 
     def __init__(self, pres: GroupPresentation, subgroup: Sequence[Word],
                  limits: EnumerationLimits):
-        squares = [r for r in pres.relators
-                   if len(r) == 2 and r.letters[0] == r.letters[1]]
-        involutory = {r.letters[0][0] for r in squares}
+        squared = [squared_generator(r) for r in pres.relators]
+        involutory = set(squared)
         column: list[int] = []
         inv: list[int] = []
         std: list[int] = []
@@ -292,7 +292,7 @@ class _Enumeration:
         # an edge of a self-inverse column is installed with its reverse,
         # so the x^2 relators hold at every coset without a scan
         self.relators = [tuple(column[c] for c in r.columns)
-                         for r in pres.relators if r not in squares]
+                         for r, x in zip(pres.relators, squared) if x is None]
         self.subgroup = [tuple(column[c] for c in w.columns) for w in subgroup]
         self.limits = limits
         self.blank: list[Optional[int]] = [None] * self.ncols

@@ -45,7 +45,7 @@ from .double_cosets import nest_slots
 from .errors import PreconditionUnverified
 from .knot_input import CaseLabel, SurfaceKnotInput, case_words
 from .word_algebra import (GroupPresentation, Perm, Word, _Frozen, act, cycle_type,
-                           perm_compose, perm_inverse, root)
+                           perm_compose, perm_inverse, root, squared_generator)
 
 Columns = tuple[int, ...]  # a word's action columns, Word.columns
 
@@ -127,27 +127,27 @@ def _partners(pres: GroupPresentation) -> tuple[int, ...]:
     says y^f = u^-1 x^-e u, so y is conjugate to x or x^-1, and every
     homomorphism gives x and y images of one cycle type, whatever the
     signs; a union-find whose root is the least index joins them.  A
-    generator with an x^2 relator is its own inverse, so its letters
-    match whatever their signs: on the Coxeter presentation of S_n,
-    (s_i s_j)^3 reads as s_i (s_j s_i) s_j (s_j s_i)^-1.
+    generator with an x^2 or x^-2 relator (squared_generator) is its own
+    inverse, so its two columns read as one: on the Coxeter presentation
+    of S_n, (s_i s_j)^3 reads as s_i (s_j s_i) s_j (s_j s_i)^-1.
 
     Each rotation is read from its middle y outwards, letter against
     inverse letter, up to the first mismatch, and a rotation whose x
     and y are joined already is skipped, so a relator whose rotations
     fail early costs time linear in its length."""
-    squares = {r.letters[0][0] for r in pres.relators
-               if len(r) == 2 and r.letters[0] == r.letters[1]}
+    squares = {squared_generator(r) for r in pres.relators}
+    same = [col | 1 if col >> 1 in squares else col
+            for col in range(2 * len(pres.generators))]
     parent = list(range(len(pres.generators)))
     for rel in pres.relators:
         half, odd = divmod(len(rel), 2)
         if odd:
             continue
-        # a self-inverse letter is unsigned, and so is its inverse
-        w = [(i, 0 if i in squares else s) for i, s in rel.letters] * 2
-        inv = [(i, -s) for i, s in w]
+        w = [same[col] for col in rel.columns] * 2
+        inv = [same[col ^ 1] for col in w]
         for r in range(len(rel)):  # rotation r is w[r:r + len(rel)]
             m = r + half  # y; u is w[r + 1:m], and u^-1 must follow y
-            a, b = root(parent, w[r][0]), root(parent, w[m][0])
+            a, b = root(parent, w[r] >> 1), root(parent, w[m] >> 1)
             if a == b:
                 continue
             k = 1

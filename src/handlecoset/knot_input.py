@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 from .errors import (CaseMismatch, DuplicateGenerator, MissingSection,
                      SkgSyntaxError, UnknownGenerator)
 from .word_algebra import (GeneratorSymbol, GroupPresentation, Word, _Frozen,
-                           free_reduce, shared_letter)
+                           column_of, reduce_columns)
 
 _TOKEN = re.compile(r"\S+")
 # a word may expand (before free reduction) to at most this many letters
@@ -105,8 +105,8 @@ def _parse_word_tokens(segment: str, line_no: int, col_offset: int,
     """Parse one word; each distinct token is parsed once, at its first
     occurrence, which is where a bad token is reported.  The letter
     budget is checked at every token, before it expands."""
-    letters: list[tuple[int, int]] = []
-    parsed: dict[str, tuple[tuple[int, int], int]] = {}  # token -> (letter, count)
+    columns: list[int] = []
+    parsed: dict[str, tuple[int, int]] = {}  # token -> (action column, count)
     saw_token = False
     for match in _TOKEN.finditer(segment):
         token = match.group(0)
@@ -126,19 +126,19 @@ def _parse_word_tokens(segment: str, line_no: int, col_offset: int,
                 except ValueError:
                     raise SkgSyntaxError(line_no, col,
                                          f"bad exponent in token {token!r}") from None
-            hit = parsed[token] = (shared_letter(name_to_index[base], 1 if k >= 0 else -1),
+            hit = parsed[token] = (column_of((name_to_index[base], 1 if k >= 0 else -1)),
                                    abs(k))
         one, k = hit
-        if k == 1 and len(letters) < MAX_WORD_LETTERS:  # the common token
-            letters.append(one)
-        elif len(letters) + k > MAX_WORD_LETTERS:
+        if k == 1 and len(columns) < MAX_WORD_LETTERS:  # the common token
+            columns.append(one)
+        elif len(columns) + k > MAX_WORD_LETTERS:
             raise SkgSyntaxError(line_no, col_offset + match.start(), f"word expands "
                                  f"to more than {MAX_WORD_LETTERS} letters")
         else:
-            letters.extend([one] * k)
+            columns.extend([one] * k)
     if not saw_token:
         raise SkgSyntaxError(line_no, col_offset, "expected a word")
-    return free_reduce(letters)
+    return reduce_columns(columns)
 
 
 def parse_word(text: str, presentation: GroupPresentation) -> Word:

@@ -5,19 +5,21 @@ signed generator letters with no adjacent x x^-1 pair.  Letters store
 generator indices, not names; names live only in the presentation, so
 words compare and hash cheaply.
 
-This module owns the encoding of letters as action columns: a word
-compiles its letters to columns once, when it is built (Word.columns),
-and the parser, invert and coset-table witnesses build their words from
-one shared (i, s) pair per column (column_letters).  It also owns the
-permutation steps that coset tables and finite images share: act reads
-a word's columns over many points, on a table's 1-based lists or an
-image's 0-based tuples, and root names an orbit by its least point.
+This module owns the encoding of letters as action columns: a word is
+stored as its columns (Word.columns), column_of and letter_of turn a
+letter into its column and back, and the parser, free_reduce, invert,
+concat, power and coset-table witnesses build their words from columns.
+squared_generator is the one rule by which a relator x^2 or x^-2 makes
+x its own inverse.  It also owns the permutation steps that coset tables
+and finite images share: act reads a word's columns over many points, on
+a table's 1-based lists or an image's 0-based tuples, and root names an
+orbit by its least point.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Letter = tuple[int, int]  # (generator index, sign in {+1, -1})
 Perm = tuple[int, ...]  # p[x] is the image of point x
@@ -87,119 +89,115 @@ class GeneratorSymbol(_Frozen):
 class Word(_Frozen):
     """A freely reduced word; the empty word is the identity element.
 
-    columns holds each letter's action column, compiled once here: 2i
-    for (i, +1) and 2i + 1 for (i, -1), so col ^ 1 is the inverse
-    letter's.  Coset tables and finite images read a word through it.
-    It follows from letters, so repr, == and hash leave it out, and
-    pickle rebuilds it through the constructor."""
+    A word is stored as its action columns alone, one per letter: 2i for
+    (i, +1) and 2i + 1 for (i, -1), so col ^ 1 is the inverse letter's.
+    Coset tables and finite images read a word through them.  letters is
+    a view decoded from the columns, and repr, ==, hash and pickle read
+    the word through it.  The constructor checks the letters it is
+    given; the functions below that make words reduce their columns
+    (_of), with no check."""
 
     _fields = ("letters",)
-    __slots__ = _fields + ("columns",)
+    __slots__ = ("columns",)
 
     def __init__(self, letters: tuple[Letter, ...] = ()):
-        # one pass; a bad letter anywhere wins over a cancelling pair
-        reduced = True
-        j = t = None  # the previous letter
-        columns = []
-        for i, s in letters:
-            if i < 0 or s not in (1, -1):
-                raise ValueError(f"bad letter {(i, s)!r}")
-            if i == j and s == -t:
-                reduced = False
-            j, t = i, s
-            columns.append(2 * i + (s < 0))
-        if not reduced:
+        # every letter first: a bad letter anywhere wins over a cancelling pair
+        columns = tuple(map(column_of, letters))
+        if any(a == b ^ 1 for a, b in zip(columns, columns[1:])):
             raise ValueError("word is not freely reduced")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "columns", tuple(columns))
+        object.__setattr__(self, "columns", columns)
+
+    @classmethod
+    def _of(cls, columns: tuple[int, ...]) -> "Word":
+        """The word of freely reduced columns, unchecked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "columns", columns)
+        return w
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return tuple(map(letter_of, self.columns))
 
     def _key(self):
         return (self.letters,)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.columns)
 
     def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
+        return map(letter_of, self.columns)
 
     def __bool__(self) -> bool:
-        return bool(self.letters)
+        return bool(self.columns)
 
     @property
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.columns
 
     def max_generator_index(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
         return max(self.columns, default=-1) >> 1
 
 
-# the letter of each action column, one pair shared by every word built
-# from it; a fresh pair costs about 64 B, eight times its slot in a word.
-# It grows a generator at a time, to the largest alphabet parsed or
-# enumerated, so col < len(table) implies col ^ 1 < len(table)
-_LETTERS: list[Letter] = []
+def column_of(letter: Letter) -> int:
+    """The action column of a letter (i, s).  A letter is a pair of ints,
+    the generator index i >= 0 and the sign s = +-1; anything else is a
+    ValueError."""
+    try:
+        i, s = letter
+    except (TypeError, ValueError):
+        raise ValueError(f"bad letter {letter!r}") from None
+    if type(i) is not int or i < 0 or type(s) is not int or s not in (1, -1):
+        raise ValueError(f"bad letter {letter!r}")
+    return 2 * i + (s < 0)
 
 
-def column_letters(ncols: int) -> list[Letter]:
-    """The shared letter of every action column below ncols, indexed by
-    column; callers only read it.  The table grows into a new list, never
-    in place, so a thread that reads or grows it meanwhile still holds a
-    correct table."""
-    global _LETTERS
-    table = _LETTERS
-    if len(table) < ncols:
-        table = _LETTERS = table + [(i, s)
-                                    for i in range(len(table) >> 1, (ncols + 1) >> 1)
-                                    for s in (1, -1)]
-    return table
+def letter_of(col: int) -> Letter:
+    """The letter (i, s) of action column col, the inverse of column_of."""
+    return col >> 1, -1 if col & 1 else 1
 
 
-def shared_letter(i: int, s: int) -> Letter:
-    """The shared pair (i, s), for a generator index i >= 0 and s = +-1."""
-    col = 2 * i + (s < 0)
-    table = _LETTERS
-    if col >= len(table):
-        table = column_letters(col + 1)
-    return table[col]
+def reduce_columns(columns: Iterable[int]) -> Word:
+    """The word of the action columns once adjacent inverse pairs are
+    cancelled, in a single stack pass; free reduction is confluent, so
+    the result does not depend on cancellation order.  The columns are
+    not checked."""
+    out: list[int] = []
+    for col in columns:
+        if out and out[-1] == col ^ 1:
+            out.pop()
+        else:
+            out.append(col)
+    return Word._of(tuple(out))
 
 
 def free_reduce(letters: Iterable[Letter]) -> Word:
-    """Cancel adjacent inverse pairs until none remain.
-
-    A single stack pass; free reduction is confluent, so the result does
-    not depend on cancellation order.  The word keeps the letter objects
-    it is given.
-    """
-    out: list[Letter] = []
-    for letter in letters:
-        idx, sign = letter
-        if out and out[-1][0] == idx and out[-1][1] == -sign:
-            out.pop()
-        else:
-            out.append(letter)
-    return Word(tuple(out))
+    """Cancel adjacent inverse pairs until none remain; each letter is
+    checked as the constructor checks it."""
+    return reduce_columns(map(column_of, letters))
 
 
 def invert(w: Word) -> Word:
-    """Reverse the letters and flip every sign.  The letters are the
-    shared ones wherever the table reaches, and it is not grown here: a
-    word may name any generator index."""
-    columns, table = w.columns, _LETTERS
-    if max(columns, default=-1) < len(table):
-        return Word(tuple([table[col ^ 1] for col in reversed(columns)]))
-    return Word(tuple((i, -s) for i, s in reversed(w.letters)))
+    """Reverse the letters and flip every sign."""
+    return Word._of(tuple([col ^ 1 for col in reversed(w.columns)]))
 
 
 def concat(*words: Word) -> Word:
     """Freely reduced concatenation of any number of words."""
-    return free_reduce(letter for w in words for letter in w.letters)
+    return reduce_columns(col for w in words for col in w.columns)
 
 
 def power(w: Word, k: int) -> Word:
     """k-fold power of w; negative k uses the inverse, k = 0 is the identity."""
     base = w if k >= 0 else invert(w)
     return concat(*([base] * abs(k)))
+
+
+def squared_generator(w: Word) -> Optional[int]:
+    """i when w is x_i^2 or x_i^-2, a relator that makes x_i its own
+    inverse; None for any other word."""
+    c = w.columns
+    return c[0] >> 1 if len(c) == 2 and c[0] == c[1] else None
 
 
 def act(action: Sequence, columns: Iterable[int], points: Iterable[int]) -> list[int]:

@@ -9,8 +9,7 @@ from handlecoset.coset_enumeration import (CosetTable, EnumerationLimits,
 from handlecoset.errors import CosetRangeError, ResourceExhausted
 from handlecoset.knot_input import format_word, parse_input, parse_word
 from handlecoset import word_algebra
-from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation, Word,
-                                      column_letters, shared_letter)
+from handlecoset.word_algebra import GeneratorSymbol, GroupPresentation, Word
 from handlecoset.selftest import (GROUP_CORPUS, INPUT_CORPUS, coxeter_skg, cycle_type,
                                   mulclose, respell_squares)
 
@@ -98,9 +97,6 @@ def test_witnesses():
         assert table.trace(1, table.witness(c)) == c
     with pytest.raises(CosetRangeError):
         table.witness(table.index + 1)
-    # a witness holds the shared pair of each column, not a fresh one
-    for c in range(1, table.index + 1):
-        assert all(x is shared_letter(*x) for x in table.witness(c).letters)
 
 
 def _spelled_tables():
@@ -162,11 +158,11 @@ def test_witness_texts_merge_runs():
 
 
 def test_witness_texts_past_the_shared_letter_table():
-    # the shared letter table grows to the largest alphabet seen, so it
-    # may run past a table's columns, and past the names given for them
-    column_letters(2 * 40)
+    # a word over a larger alphabet, built first, leaves no state behind
+    # that a smaller table's texts would read past
+    big = GroupPresentation(tuple(GeneratorSymbol(f"x{i}") for i in range(40)))
+    assert word("x39^-1 x0", big).max_generator_index() == 39
     table = enumerate_cosets(S3, [word("a", S3)])
-    assert len(column_letters(0)) > 2 * table.n_generators
     names = S3.generator_names
     every = range(1, table.index + 1)
     assert table.witness_texts(every, names) == \

@@ -1,21 +1,21 @@
+import pickle
 import random
-import sys
-import threading
-import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from handlecoset import word_algebra
-from handlecoset.knot_input import parse_word
+from handlecoset.coset_enumeration import enumerate_cosets
+from handlecoset.knot_input import format_word, parse_input, parse_word
 from handlecoset import selftest
-from handlecoset.selftest import _random_word, peval, pinv, pmul
+from handlecoset.selftest import (GROUP_CORPUS, INPUT_CORPUS, _random_word, peval,
+                                  pinv, pmul)
 from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation,
-                                      Word, act, column_letters, concat,
-                                      cycle_type, free_reduce, invert,
-                                      perm_compose, perm_inverse, perm_power,
-                                      power, root, shared_letter)
+                                      Word, act, concat, cycle_type,
+                                      free_reduce, invert, perm_compose,
+                                      perm_inverse, perm_power, power, root,
+                                      squared_generator)
 
 A, B, C = 0, 1, 2
 
@@ -113,30 +113,20 @@ def test_power():
 
 @given(words_st)
 def test_columns_encode_each_letter(word):
-    # column 2i for (i, +1) and 2i + 1 for (i, -1), compiled once when
-    # the word is built, and as frozen as the letters
+    # column 2i for (i, +1) and 2i + 1 for (i, -1): the stored form of a
+    # word, frozen, and the letters are decoded from it
     assert word.columns == tuple(2 * i + (0 if s > 0 else 1) for i, s in word)
     assert word.max_generator_index() == max((i for i, _ in word), default=-1)
-    assert [column_letters(col + 1)[col] for col in word.columns] == list(word.letters)
     with pytest.raises(AttributeError):
         word.columns = ()
     assert word.columns == Word(word.letters).columns
 
 
-def test_built_words_share_their_letters():
-    # a parsed word, its inverse and a free reduction hold the one shared
-    # pair of each column, not a pair per letter
+def test_a_parsed_word_keeps_one_slot_per_letter():
+    # 10,000 letters: a word keeps its columns alone, 8 B a slot, and so
+    # does its inverse; letters as well would add another 8 B a letter,
+    # and a fresh (i, s) pair per letter about 64 B
     pres = GroupPresentation((GeneratorSymbol("a"), GeneratorSymbol("b")))
-    word = parse_word("a b^-1 a^-1 b a^2 b^-3", pres)
-    for u in (word, invert(word), concat(word, word), free_reduce(word.letters)):
-        assert all(x is shared_letter(*x) for x in u.letters)
-
-
-def test_a_parsed_word_keeps_two_slots_per_letter():
-    # 10,000 letters: a word keeps its letters and its columns, 8 B a slot;
-    # a fresh (i, s) pair per letter would add about 64 B a letter
-    pres = GroupPresentation((GeneratorSymbol("a"), GeneratorSymbol("b")))
-    parse_word("a b^-1", pres)  # the shared pairs exist before the count
     text = " ".join(["a b^-1 a^-1 b"] * 2500)
     tracemalloc.start()
     try:
@@ -147,58 +137,86 @@ def test_a_parsed_word_keeps_two_slots_per_letter():
     finally:
         tracemalloc.stop()
     assert len(word) == len(inverse) == 10_000
-    assert kept < 2 * 24 * len(word), kept
+    assert kept < 24 * len(word), kept
 
 
 def test_invert_grows_no_letter_table():
-    # a word may name any generator index; its inverse does not extend the
-    # shared table to that index
-    before = len(column_letters(0))
+    # a word may name any generator index
     far = Word(((10**9, 1), (3, -1)))
     assert invert(far) == Word(((3, 1), (10**9, -1)))
-    assert len(column_letters(0)) == before
 
 
-class _YieldingList(list):
-    """A list whose len() hands the interpreter to another thread after it
-    has read the length, so a thread that grows a table from its length
-    meets the others mid-growth."""
+def assert_built_like_the_constructor(word):
+    """A word made without the constructor's check: freely
+    reduced columns (no col beside col ^ 1), and the word Word builds from
+    its letters under ==, hash, repr and pickle."""
+    cols = word.columns
+    assert type(cols) is tuple and all(type(c) is int and c >= 0 for c in cols)
+    assert all(a != b ^ 1 for a, b in zip(cols, cols[1:])), cols
+    twin = Word(word.letters)
+    assert twin == word and hash(twin) == hash(word) and repr(twin) == repr(word)
+    assert twin.columns == cols
+    assert pickle.dumps(twin) == pickle.dumps(word)
+    back = pickle.loads(pickle.dumps(word))
+    assert back == word and back.columns == cols
 
-    def __len__(self):
-        n = super().__len__()
-        time.sleep(0)
-        return n
+
+def built_from(words, names, pres):
+    """What each word-making function makes of the words: inverse, concatenations with
+    each other and the inverses, powers, a free reduction of their letters
+    and their inverse letters, and the parse of their texts and of the
+    text of one beside another's inverse."""
+    words = list(words)
+    for u in words:
+        yield invert(u)
+        yield free_reduce(u.letters + invert(u).letters[:len(u) // 2])
+        yield parse_word(format_word(u, names), pres)
+        for k in (-3, -1, 0, 2):
+            yield power(u, k)
+        for v in words[:4]:
+            yield concat(u, v)
+            yield concat(u, invert(v), u)
+            yield parse_word(f"{format_word(u, names)} {format_word(invert(v), names)}",
+                             pres)
 
 
-def test_the_letter_table_grows_safely_under_threads(monkeypatch):
-    # threads that grow the shared table from empty at once each get a
-    # table whose column c holds the letter of c, however their steps
-    # interleave; a lost or doubled step would shift every later letter
-    wrong = []
+def _corpus():
+    """(label, skg) of every GROUP_CORPUS and INPUT_CORPUS case."""
+    return ([(case.name, case.skg) for case in GROUP_CORPUS]
+            + [(case.label, case.skg) for case in INPUT_CORPUS])
 
-    def grow(start, step):
-        start.wait(timeout=10)
-        for ncols in range(1, 64, step):
-            column_letters(ncols)
-        wrong.extend(c for c, x in enumerate(column_letters(64))
-                     if x != (c >> 1, (-1) ** c))
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            monkeypatch.setattr(word_algebra, "_LETTERS", _YieldingList())
-            start = threading.Barrier(4)
-            threads = [threading.Thread(target=grow, args=(start, step))
-                       for step in (1, 1, 2, 3)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not wrong
+@pytest.mark.parametrize("text", [t for _, t in _corpus()], ids=[n for n, _ in _corpus()])
+def test_made_words_match_the_constructor(text):
+    parsed = parse_input(text)
+    pres = parsed.presentation
+    names = pres.generator_names
+    words = [*pres.relators, *parsed.p_generators, *(parsed.p_plus_generators or ()),
+             *([parsed.n_word] if parsed.n_word is not None else [])]
+    table = enumerate_cosets(pres, parsed.p_generators)
+    witnesses = [table.witness(c) for c in range(1, min(table.index, 200) + 1)]
+    for word in words + witnesses + list(built_from(words + witnesses[-8:], names, pres)):
+        assert_built_like_the_constructor(word)
+
+
+NAMES = ("a", "b", "c")
+ABC = GroupPresentation(tuple(map(GeneratorSymbol, NAMES)))
+
+
+@given(words_st, words_st, letters_st, st.integers(min_value=-4, max_value=4))
+def test_made_words_match_the_constructor_on_random_words(u, v, raw, k):
+    assert_built_like_the_constructor(free_reduce(raw))
+    for word in (u, v, *built_from([u, v], NAMES, ABC), power(concat(u, v), k)):
+        assert_built_like_the_constructor(word)
+
+
+def test_squared_generator():
+    # a relator x^2 or x^-2 makes x its own inverse; no other word does
+    assert squared_generator(w((B, 1), (B, 1))) == B
+    assert squared_generator(w((C, -1), (C, -1))) == C
+    for word in (Word(), w((A, 1)), w((A, 1), (B, 1)), w((A, 1), (A, 1), (A, 1)),
+                 w((B, 1), (A, 1), (A, 1), (B, -1))):
+        assert squared_generator(word) is None
 
 
 def test_word_rejects_unreduced():
@@ -208,12 +226,18 @@ def test_word_rejects_unreduced():
         Word(((A, 2),))
 
 
+def is_letter(x):
+    """A pair of ints (bools are not), the index >= 0 and the sign +-1."""
+    return (isinstance(x, tuple) and len(x) == 2
+            and all(type(y) is int for y in x) and x[0] >= 0 and abs(x[1]) == 1)
+
+
 def two_loop_validate(letters):
-    """Word's validation as two passes, the reference for its one pass:
+    """Word's validation as two loops, the reference for the constructor:
     every letter first, then every adjacent pair."""
-    for idx, sign in letters:
-        if idx < 0 or sign not in (1, -1):
-            raise ValueError(f"bad letter {(idx, sign)!r}")
+    for x in letters:
+        if not is_letter(x):
+            raise ValueError(f"bad letter {x!r}")
     for (i, s), (j, t) in zip(letters, letters[1:]):
         if i == j and s == -t:
             raise ValueError("word is not freely reduced")
@@ -228,19 +252,45 @@ def outcome(check, letters):
 
 
 # mostly well-formed letters over a small alphabet, so cancelling pairs
-# are common, mixed with bad indices and signs, wrong arities and non-pairs
+# are common, mixed with bad indices and signs, wrong arities, non-pairs,
+# and pairs of floats, bools and strings
 any_letters_st = st.lists(st.one_of(
     st.tuples(st.integers(min_value=0, max_value=2), st.sampled_from((1, -1))),
     st.tuples(st.integers(min_value=-2, max_value=2),
               st.integers(min_value=-2, max_value=2)),
     st.tuples(st.integers(min_value=0, max_value=2)),
     st.tuples(st.integers(), st.integers(), st.integers()),
+    st.tuples(st.sampled_from((0.0, 0.5, 1.0, True, "a")), st.sampled_from((1, -1))),
+    st.tuples(st.integers(min_value=0, max_value=2),
+              st.sampled_from((1.0, -1.0, True, "+"))),
     st.none(), st.text(max_size=3)), max_size=12).map(tuple)
 
 
 @given(any_letters_st)
 def test_word_validates_like_the_two_pass_reference(letters):
     assert outcome(Word, letters) == outcome(two_loop_validate, letters)
+
+
+@given(any_letters_st)
+def test_free_reduce_checks_letters_as_the_constructor_does(letters):
+    # a bad letter anywhere is refused, even one that would cancel
+    if all(map(is_letter, letters)):
+        assert free_reduce(letters).letters == naive_reduce(letters)
+    else:
+        bad = next(x for x in letters if not is_letter(x))
+        assert outcome(free_reduce, letters) == (ValueError, f"bad letter {bad!r}")
+
+
+@pytest.mark.parametrize("letter", [
+    (0.5, 1), (1.0, 1), (0, 1.0), (0, -1.0), (True, 1), (0, True),
+    ("a", 1), (0, "+"), "ab", "a", None, 3, (), (0,), (0, 1, 1), (None, 1)])
+def test_a_letter_is_a_pair_of_ints(letter):
+    # a word with a float index would raise TypeError from
+    # max_generator_index and CosetTable.trace; each such letter is refused
+    for build in (Word, free_reduce):
+        with pytest.raises(ValueError) as caught:
+            build(((A, 1), letter))
+        assert str(caught.value) == f"bad letter {letter!r}"
 
 
 def test_a_bad_letter_wins_over_a_cancelling_pair():
