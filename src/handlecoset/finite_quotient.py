@@ -8,15 +8,19 @@ so a difference in some image certifies inequivalence; agreement proves
 nothing.  S_d is searched up to conjugacy, and a generator conjugate to
 an earlier one, as every meridian of a Schubert or Wirtinger
 presentation is, draws only from that one's cycle type
-(find_homomorphisms); quotient_separate skips an image that only adds a
-fixed point to one it compared.  Inside a finite image everything is
-brute force over permutations, independent of the enumeration engine,
-with four things shared: the action columns of words (Word.columns), in
-whose order an image keeps each generator's permutation and its inverse
-(PermutationAssignment.action); word_algebra's permutation steps, which
-coset tables use too; the case dispatch (knot_input.case_words), which
-picks the acting words and the twist word; and the value's shape
-(double_cosets.nest_slots).
+(find_homomorphisms).  One walk of a permutation's cycles
+(perm_inverse_and_type) gives its inverse and its cycle type, and
+serves its inverse too; the search groups S_d by cycle type only if
+some generator has an earlier partner, and lists it flat only if some
+generator after the first has none.  quotient_separate skips an image
+that only adds a fixed point to one it compared.  Inside a finite
+image everything is brute force over permutations, independent of the
+enumeration engine, with four things shared: the action columns of
+words (Word.columns), in whose order an image keeps each generator's
+permutation and its inverse (PermutationAssignment.action);
+word_algebra's permutation steps, which coset tables use too; the case
+dispatch (knot_input.case_words), which picks the acting words and the
+twist word; and the value's shape (double_cosets.nest_slots).
 
 The same images can prove that a subgroup K has infinite index, which
 no enumeration budget can (index_certificate): in a transitive image
@@ -45,7 +49,8 @@ from .double_cosets import nest_slots
 from .errors import PreconditionUnverified
 from .knot_input import CaseLabel, SurfaceKnotInput, case_words
 from .word_algebra import (GroupPresentation, Perm, Word, _Frozen, act, cycle_type,
-                           perm_compose, perm_inverse, root, squared_generator)
+                           perm_compose, perm_inverse, perm_inverse_and_type, root,
+                           squared_generator)
 
 Columns = tuple[int, ...]  # a word's action columns, Word.columns
 
@@ -77,26 +82,32 @@ class PermutationAssignment(_Frozen):
         object.__setattr__(self, "action", tuple(
             q for p in images for q in (p, perm_inverse(p))))
 
+    @classmethod
+    def _of(cls, degree: int, action: tuple[Perm, ...]) -> "PermutationAssignment":
+        """The assignment of an action whose inverses are known, unchecked;
+        its images are the action's even entries."""
+        hom = object.__new__(cls)
+        object.__setattr__(hom, "degree", degree)
+        object.__setattr__(hom, "images", action[0::2])
+        object.__setattr__(hom, "action", action)
+        return hom
+
 
 class SeparationVerdict(Enum):
     DISTINCT = "distinct"
     UNKNOWN = "unknown"
 
 
-def _trace(action: list[Perm], columns: tuple[int, ...], x: int) -> int:
-    """Image of point x under a word's columns (Word.columns): action[2i]
-    is the image of generator i and action[2i + 1] its inverse."""
-    for c in columns:
-        x = action[c][x]
-    return x
-
-
-def _holds(action: list[Perm], relators: list[tuple[int, ...]], points: range) -> bool:
-    """True iff every compiled relator fixes every point; stops at the first
-    point that moves."""
+def _holds(action: list[Perm], relators: list[Columns], points: range) -> bool:
+    """True iff every relator, read through its columns (Word.columns),
+    fixes every point, where action[2i] is the image of generator i and
+    action[2i + 1] its inverse; stops at the first point that moves."""
     for columns in relators:
         for x in points:
-            if _trace(action, columns, x) != x:
+            y = x
+            for c in columns:
+                y = action[c][y]
+            if y != x:
                 return False
     return True
 
@@ -167,48 +178,71 @@ def _search(pres: GroupPresentation, degree: int,
     """find_homomorphisms' listing, depth first: generator 0 over the
     class leaders of S_degree, generator k over all permutations, or, if
     _partners gives it an earlier generator j, over the cycle type of j's
-    image only, a list picked once per image of j that passes its relators."""
+    image only, a list picked once per image of j that passes its relators.
+
+    A permutation's inverse and cycle type come from one walk of its
+    cycles (perm_inverse_and_type), which serves its inverse too, as p
+    is p^-1's inverse and has its type; each (p, p^-1) pair is shared by
+    the lists built from it: the cycle-type groups only if some generator
+    has an earlier partner, the flat lexicographic list only if some
+    generator after the first has none.  A listed image keeps the
+    inverses the search holds (PermutationAssignment._of)."""
     ngens = len(pres.generators)
     points = range(degree)
-    # lexicographic; a conjugation takes generator 0 to its leader
-    candidates = tuple((p, perm_inverse(p)) for p in itertools.permutations(points))
-    levels = [tuple((p, perm_inverse(p)) for p in _class_leaders(degree))]
-    levels += [candidates] * (ngens - 1)
+    partners = _partners(pres)
     # generator j -> the later generators whose partner it is
     partnered: dict[int, list[int]] = {}
-    for k, j in enumerate(_partners(pres)):
+    for k, j in enumerate(partners):
         if j < k:
             partnered.setdefault(j, []).append(k)
+    listed = any(partners[k] == k for k in range(1, ngens))
+    flat: list[tuple[Perm, Perm]] = []
     by_type: dict[tuple[int, ...], list[tuple[Perm, Perm]]] = {}
-    if partnered:
-        for c in candidates:
-            by_type.setdefault(cycle_type(c[0]), []).append(c)
+    if listed or partnered:
+        # p^-1 -> (p, p's type): a walk of p serves p^-1, which comes later
+        ahead: dict[Perm, tuple[Perm, tuple[int, ...]]] = {}
+        for p in itertools.permutations(points):  # lexicographic
+            known = ahead.pop(p, None)
+            if known is None:
+                p_inv, kind = perm_inverse_and_type(p)
+                ahead[p_inv] = (p, kind)
+            else:
+                p_inv, kind = known
+            pair = (p, p_inv)
+            if listed:
+                flat.append(pair)
+            if partnered:
+                by_type.setdefault(kind, []).append(pair)
+    # a conjugation takes generator 0 to its leader; a partnered level is
+    # set once its partner is assigned
+    levels = [[(p, perm_inverse(p)) for p in _class_leaders(degree)]]
+    levels += [flat] * (ngens - 1)
     # a relator becomes checkable once its highest generator is assigned
-    ready: list[list[tuple[int, ...]]] = [[] for _ in range(ngens)]
+    ready: list[list[Columns]] = [[] for _ in range(ngens)]
     for rel in pres.relators:
         ready[rel.max_generator_index()].append(rel.columns)
 
     found: list[PermutationAssignment] = []
-    action: list[Perm] = [tuple(range(degree))] * (2 * ngens)
+    action: list[Perm] = [tuple(points)] * (2 * ngens)
 
     def extend(k: int) -> None:
         if len(found) >= limit:
             return
         if k == ngens:
-            found.append(PermutationAssignment(degree, tuple(action[0::2])))
+            found.append(PermutationAssignment._of(degree, tuple(action)))
             return
-        checks = ready[k]
+        checks, col = ready[k], 2 * k
         for p, p_inv in levels[k]:
-            action[2 * k] = p
-            action[2 * k + 1] = p_inv
+            action[col] = p
+            action[col + 1] = p_inv
             if _holds(action, checks, points):
                 if k in partnered:  # fix the levels that draw from p's type
                     same = by_type[cycle_type(p)]
                     for later in partnered[k]:
                         levels[later] = same
                 extend(k + 1)
-            if len(found) >= limit:
-                return
+                if len(found) >= limit:
+                    return
 
     extend(0)
     return tuple(found)
@@ -225,8 +259,11 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
     conjugate to an earlier one or its inverse (see _partners) tries
     only the permutations of its partner's cycle type; no other can
     satisfy that relator, so this lists the same assignments in the same
-    order.  At most `limit` assignments are returned and each one
-    satisfies every relator.  An empty list is a valid result.  The
+    order.  Each permutation's inverse and cycle type are read off one
+    walk of its cycles, and the cycle-type groups and the flat list of
+    S_degree are built only for the generators that read them (_search).
+    At most `limit` assignments are returned and each one satisfies
+    every relator.  An empty list is a valid result.  The
     degree must lie in 1..MAX_SEPARATE_DEGREE.
     """
     _check_degree(degree)

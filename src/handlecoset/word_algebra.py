@@ -12,8 +12,9 @@ concat, power and coset-table witnesses build their words from columns.
 squared_generator is the one rule by which a relator x^2 or x^-2 makes
 x its own inverse.  It also owns the permutation steps that coset tables
 and finite images share: act reads a word's columns over many points, on
-a table's 1-based lists or an image's 0-based tuples, and root names an
-orbit by its least point.
+a table's 1-based lists or an image's 0-based tuples, root names an
+orbit by its least point, and perm_inverse_and_type reads a permutation's
+inverse and cycle type off one walk of its cycles.
 """
 
 from __future__ import annotations
@@ -92,10 +93,10 @@ class Word(_Frozen):
     A word is stored as its action columns alone, one per letter: 2i for
     (i, +1) and 2i + 1 for (i, -1), so col ^ 1 is the inverse letter's.
     Coset tables and finite images read a word through them.  letters is
-    a view decoded from the columns, and repr, ==, hash and pickle read
-    the word through it.  The constructor checks the letters it is
-    given; the functions below that make words reduce their columns
-    (_of), with no check."""
+    a view decoded from the columns, and repr, hash and pickle read the
+    word through it; == compares the columns, which say the same.  The
+    constructor checks the letters it is given; the functions below that
+    make words reduce their columns (_of), with no check."""
 
     _fields = ("letters",)
     __slots__ = ("columns",)
@@ -120,6 +121,13 @@ class Word(_Frozen):
 
     def _key(self):
         return (self.letters,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.columns == other.columns
+
+    __hash__ = _Frozen.__hash__
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -246,6 +254,23 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
     return tuple(lengths)
 
 
+def perm_inverse_and_type(p: Perm) -> tuple[Perm, tuple[int, ...]]:
+    """perm_inverse(p) and cycle_type(p) from one walk of p's cycles: each
+    step x -> p[x] records x as the inverse's image of p[x]."""
+    inverse = [-1] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        if inverse[start] < 0:
+            prev, x, length = start, p[start], 1
+            while x != start:
+                inverse[x] = prev
+                prev, x, length = x, p[x], length + 1
+            inverse[start] = prev
+            lengths.append(length)
+    lengths.sort()
+    return tuple(inverse), tuple(lengths)
+
+
 def root(parent: list[int], c: int) -> int:
     """c's root in a union-find forest, pointing c's path straight at it.
     Callers link a larger root under a smaller, so a root is its set's least."""
@@ -261,9 +286,12 @@ class GroupPresentation(_Frozen):
     """A finite presentation: generator symbols plus freely reduced relators.
 
     Relators must be nonempty; generator names must be pairwise distinct.
+    The hash, the key of every search cache, is computed once, on first
+    use, and kept in a hidden slot that repr, == and pickle leave out.
     """
 
-    __slots__ = _fields = ("generators", "relators")
+    _fields = ("generators", "relators")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, generators: tuple[GeneratorSymbol, ...],
                  relators: tuple[Word, ...] = ()):
@@ -284,6 +312,13 @@ class GroupPresentation(_Frozen):
 
     def _key(self):
         return (self.generators, self.relators)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self._key()))
+            return self._hash
 
     @property
     def generator_names(self) -> tuple[str, ...]:

@@ -620,8 +620,9 @@ def _columns_to_signs(node) -> bool:
 
 
 def test_only_word_algebra_encodes_letters_as_columns():
-    # every other module reads a word's columns (Word.columns) and builds
-    # letters from column_letters, so the encoding has one owner
+    # every other module reads a word's columns (Word.columns) and turns a
+    # column into a letter and back through letter_of and column_of, so
+    # the encoding has one owner
     encoders = set()
     for path in Path(handlecoset.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -663,8 +664,9 @@ def _walks(node) -> bool:
 
 
 def test_only_word_algebra_defines_the_permutation_steps():
-    # coset tables and finite images share one inverse, one cycle type
-    # and one union-find root; selftest keeps its own as the oracles
+    # coset tables and finite images share one inverse, one cycle type,
+    # one walk that reads both, and one union-find root; selftest keeps
+    # its own as the oracles
     steps = set()
 
     def visit(node, module, owner):
@@ -679,7 +681,7 @@ def test_only_word_algebra_defines_the_permutation_steps():
     for path in Path(handlecoset.__file__).parent.glob("*.py"):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
     assert {name for module, name in steps if module == "word_algebra"} == \
-        {"perm_inverse", "cycle_type", "root"}
+        {"perm_inverse", "cycle_type", "perm_inverse_and_type", "root"}
     # the enumeration's coincidence forest is a dict of the dead cosets
     # alone, which root's list, where a root is its own parent, does not fit
     steps.discard(("coset_enumeration", "rep"))

@@ -14,7 +14,9 @@ from handlecoset import finite_quotient
 from handlecoset.errors import CaseMismatch, InfiniteIndex, PreconditionUnverified
 from handlecoset.finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES,
                                          HOM_LIMIT, MAX_SEPARATE_DEGREE,
+                                         PermutationAssignment,
                                          SeparationVerdict, _affine_images,
+                                         _class_leaders,
                                          _affine_row,
                                          find_homomorphisms, index_certificate,
                                          infinite_index_certificate,
@@ -29,8 +31,9 @@ from handlecoset.selftest import (BROKEN_INPUTS, GROUP_CORPUS, INPUT_CORPUS, _ra
                                   lexicographic_filter,
                                   mulclose, peval, pinv, pmul, rebased,
                                   subgroup_of, two_bridge_skg)
-from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation, Word,
-                                      concat, free_reduce, invert, power)
+from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation, Word, act,
+                                      concat, cycle_type, free_reduce, invert,
+                                      perm_inverse, power)
 
 C2 = parse_input("group: a\nrel: a^2\nP: 1\norientable: true").presentation
 C3 = parse_input("group: a\nrel: a^3\nP: 1\norientable: true").presentation
@@ -713,8 +716,10 @@ def test_an_image_carries_its_action(case):
 
 def _count_holds(monkeypatch, name="_holds"):
     """Count the calls of finite_quotient's function `name`: _holds
-    checks one candidate, _trace traces one relator from one point,
-    cycle_type reads one permutation's cycle type."""
+    checks one candidate against its relators, _affine_row reads one
+    relator's row, perm_inverse_and_type walks one permutation's cycles,
+    perm_inverse and cycle_type read one permutation's inverse or cycle
+    type, _image_value builds one image's invariant."""
     holds, calls = getattr(finite_quotient, name), [0]
 
     def counted(*args):
@@ -760,9 +765,12 @@ def test_affine_walk_cost_without_a_timer(monkeypatch, skg, rows, images):
 
 def test_dihedral_walk_cycle_types_without_a_timer(monkeypatch):
     # the certificate walk on S8 with P = <s1>: its S_2..S_5 searches
-    # group each generator's candidates by cycle type, 162 reads in all.
-    # Its second half once searched D_6..D_13 and read 176 more; the
-    # affine listings that replace it solve for c and read none
+    # group each generator's candidates by cycle type.  That took 162
+    # cycle_type reads while each candidate was read apart; now 97 walks
+    # (perm_inverse_and_type) group them, and cycle_type reads only the
+    # 10 images that fix a partnered level.  The walk's second half once
+    # searched D_6..D_13 and read 176 more; the affine listings that
+    # replace it solve for c and read none
     data = parse_input(coxeter_skg(8, [1]))
     calls = _count_holds(monkeypatch, "cycle_type")
     for m in AFFINE_DEGREES:
@@ -785,6 +793,95 @@ def test_knot_search_cost_without_a_timer(monkeypatch):
             find_homomorphisms(presentation, degree)
     _search.cache_clear()
     assert calls[0] < 120_000
+
+
+def test_knot_search_walks_without_a_timer(monkeypatch):
+    # the default searches of S_1..S_6 on the 40 knots once read each
+    # candidate's inverse (perm_inverse, 42,976 calls) and its cycle type
+    # (cycle_type, 36,028) apart, d! and more of each per degree.  Now one
+    # walk of a permutation's cycles reads both, and serves its inverse
+    # as well: (d! + involutions) / 2 walks per degree, 496 a knot.  The
+    # two steps alone are left for the class leaders, 29 a knot
+    calls = {name: _count_holds(monkeypatch, name)
+             for name in ("perm_inverse_and_type", "perm_inverse", "cycle_type")}
+    for p, q in TWO_BRIDGE_13:
+        presentation = parse_input(two_bridge_skg(p, q)).presentation
+        for degree in range(1, 7):
+            find_homomorphisms(presentation, degree)
+    _search.cache_clear()
+    leaders = sum(len(_class_leaders(d)) for d in range(1, 7))
+    assert leaders == 29
+    assert calls["perm_inverse_and_type"][0] == 40 * 496
+    assert calls["perm_inverse"][0] <= 40 * leaders
+    assert calls["cycle_type"][0] <= 40 * leaders
+
+
+def _listing_oracle(pres, degree, limit):
+    """_search's listing as it was built before the one walk: every
+    permutation of S_degree with its inverse from perm_inverse, all of
+    them grouped through cycle_type, and each image made by the public
+    constructor."""
+    ngens = len(pres.generators)
+    points = range(degree)
+    candidates = [(p, perm_inverse(p)) for p in itertools.permutations(points)]
+    levels = [[(p, perm_inverse(p)) for p in _class_leaders(degree)]]
+    levels += [candidates] * (ngens - 1)
+    partnered = {}
+    for k, j in enumerate(_partners(pres)):
+        if j < k:
+            partnered.setdefault(j, []).append(k)
+    by_type = {}
+    for c in candidates:
+        by_type.setdefault(cycle_type(c[0]), []).append(c)
+    ready = [[] for _ in range(ngens)]
+    for rel in pres.relators:
+        ready[rel.max_generator_index()].append(rel.columns)
+    found = []
+    action = [tuple(points)] * (2 * ngens)
+
+    def extend(k):
+        if k == ngens:
+            found.append(PermutationAssignment(degree, tuple(action[0::2])))
+            return
+        for p, p_inv in levels[k]:
+            if len(found) >= limit:
+                return
+            action[2 * k], action[2 * k + 1] = p, p_inv
+            if all(act(action, columns, points) == list(points) for columns in ready[k]):
+                for later in partnered.get(k, ()):
+                    levels[later] = by_type[cycle_type(p)]
+                extend(k + 1)
+
+    extend(0)
+    return found
+
+
+LISTING_INPUTS = ([(f"b({p},{q})", two_bridge_skg(p, q)) for p, q in TWO_BRIDGE_13]
+                  + [(f"tau3 b({p},{q})", twist_spun_skg(p, q, 3)) for p, q in TWO_BRIDGE_13]
+                  + [(f"S{n}-coxeter", coxeter_skg(n, [1])) for n in range(3, 9)]
+                  + [(c.label, c.skg) for c in INPUT_CORPUS]
+                  + [(c.name, c.skg) for c in GROUP_CORPUS])
+
+
+@pytest.mark.parametrize("label, text", LISTING_INPUTS,
+                         ids=[label for label, _ in LISTING_INPUTS])
+def test_search_lists_what_the_two_walk_construction_lists(label, text):
+    # the same images, in the same order, with the same action tuples, at
+    # S_1..S_6 under HOM_LIMIT and uncapped up to S_5; each image is the
+    # one the public constructor builds under ==, hash, repr and pickle
+    pres = parse_input(text).presentation
+    runs = [(d, HOM_LIMIT) for d in range(1, 7)] + [(d, 10**9) for d in range(1, 6)]
+    for degree, limit in runs:
+        homs = _search.__wrapped__(pres, degree, limit)
+        expected = _listing_oracle(pres, degree, limit)
+        assert [h.images for h in homs] == [h.images for h in expected], (degree, limit)
+        assert [h.action for h in homs] == [h.action for h in expected], (degree, limit)
+        for hom, public in zip(homs, expected):
+            assert hom.degree == public.degree == degree
+            assert hom == public and hash(hom) == hash(public)
+            assert repr(hom) == repr(public)
+            for twin in (pickle.loads(pickle.dumps(hom)), pickle.loads(pickle.dumps(public))):
+                assert twin == hom == public and twin.action == public.action
 
 
 def fraction_rank(rows):

@@ -66,7 +66,7 @@ CASES = [
       (lambda s: Word(((-1, 1),)), "bad letter (-1, 1)")]),
     (GroupPresentation,
      lambda: GroupPresentation(generators=(GeneratorSymbol("a"), GeneratorSymbol("b"))),
-     ("generators", "relators"), (), lambda s: (s.generators, s.relators),
+     ("generators", "relators"), ("_hash",), lambda s: (s.generators, s.relators),
      f"GroupPresentation({A_B}, relators=())",
      [(lambda s: GroupPresentation(()), "a presentation needs at least one generator"),
       (lambda s: GroupPresentation(s.generators * 2), "duplicate generator names: a, b"),
