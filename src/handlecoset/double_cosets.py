@@ -14,7 +14,8 @@ twist g -> n g n, well defined once the validation checks for n have
 passed (require_twist_verified).
 
 nest_slots is the one definition of an invariant value's shape: how its
-double cosets nest in unordered pairs.  A value is held as a key, its
+double cosets nest in unordered pairs; finite_quotient reads a cord's
+slots in a finite image off its slot calls.  A value is held as a key, its
 canonical integers nested by key_pair, and two keys over one table are
 equal exactly when the values are.  key_view builds the display view of
 a key, DoubleCosetIds paired by UnorderedPair, for repr and copies.

@@ -13,14 +13,20 @@ presentation is, draws only from that one's cycle type
 serves its inverse too; the search groups S_d by cycle type only if
 some generator has an earlier partner, and lists it flat only if some
 generator after the first has none.  quotient_separate skips an image
-that only adds a fixed point to one it compared.  Inside a finite
-image everything is brute force over permutations, independent of the
-enumeration engine, with four things shared: the action columns of
-words (Word.columns), in whose order an image keeps each generator's
-permutation and its inverse (PermutationAssignment.action);
+that only adds a fixed point to one it compared.  An image names no
+double coset: it lists H, the image of the acting subgroup, once, and
+two cords with images x1 and x2 have equal values there iff some slot
+y of x2 (x2, its inverse, the twists n y n, as the case has them) lies
+in H x1 H, that is iff x1^-1 h y lies in H for some h in H
+(_separates; Holt-Eick-O'Brien, Handbook of CGT, ch. 4).  Inside a
+finite image everything is brute force over permutations, independent
+of the enumeration engine, with four things shared: the action columns
+of words (Word.columns), in whose order an image keeps each
+generator's permutation and its inverse (PermutationAssignment.action);
 word_algebra's permutation steps, which coset tables use too; the case
 dispatch (knot_input.case_words), which picks the acting words and the
-twist word; and the value's shape (double_cosets.nest_slots).
+twist word; and the value's shape (double_cosets.nest_slots), whose
+slot calls give the slots y.
 
 The same images can prove that a subgroup K has infinite index, which
 no enumeration budget can (index_certificate): in a transitive image
@@ -41,9 +47,9 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .double_cosets import nest_slots
 from .errors import PreconditionUnverified
@@ -285,73 +291,69 @@ def _fixes_a_point(hom: PermutationAssignment) -> bool:
     return False
 
 
-def _image_value(hom: PermutationAssignment, acting: list[Columns],
-                 n: Optional[Columns], core_oriented: bool) -> Callable[[Columns], object]:
-    """The invariant of a cord inside hom's image, as a function of the
-    cord word's columns (Word.columns), traced through hom.action.  The
-    images of the acting words and of n are built once, so every cord
-    evaluated through the result shares them.  n's image must pass
-    validate's twist checks there, else PreconditionUnverified names the
-    first that fails.  A double coset is named by its least permutation,
-    and every element of a closure computed is recorded with that name,
-    so a later slot in the same double coset, of this cord or another,
-    is one lookup."""
-    action, identity = hom.action, range(hom.degree)
+def _subgroup(identity: Perm, subgens: list[Perm]) -> set[Perm]:
+    """The elements of the permutation group the subgens generate: the
+    closure of the identity under y -> y*s.  In a finite group the
+    inverse moves are products of these, so it needs none of them."""
+    found, stack = {identity}, [identity]
+    while stack:
+        y = stack.pop()
+        for s in subgens:
+            z = perm_compose(y, s)
+            if z not in found:
+                found.add(z)
+                stack.append(z)
+    return found
+
+
+def _separates(hom: PermutationAssignment, acting: list[Columns],
+               n: Optional[Columns], core_oriented: bool,
+               c1: Columns, c2: Columns) -> bool:
+    """True iff the cords whose columns (Word.columns) are c1 and c2 get
+    different invariants in hom's image, traced through hom.action: iff
+    no slot y of c2 (nest_slots) lies in H x1 H, with H the image of the
+    acting words (_subgroup) and x1 that of c1.  n's image must pass
+    validate's twist checks, read as membership in H, else
+    PreconditionUnverified names the first that fails; they make n
+    normalize H with n^2 in H, so that any one slot fixes a value."""
+    action, identity = hom.action, tuple(range(hom.degree))
 
     def image(columns: Columns) -> Perm:
         return tuple(act(action, columns, identity))
 
     subgens = [image(w) for w in acting]
-    right_moves = [s.__getitem__ for s in subgens]
-    named: dict[Perm, Perm] = {}  # element -> least element of its HxH
-
-    def dc(x: Perm) -> Perm:
-        name = named.get(x)
-        if name is not None:
-            return name
-        # Hx is the closure of {x} under y -> s*y, and HxH that of Hx under
-        # y -> y*s; in a finite group the inverse moves are products of
-        # these, so neither closure needs them
-        seen = {x}
-        stack = [x]
-        while stack:
-            y_of = stack.pop().__getitem__
-            for s in subgens:
-                z = tuple(map(y_of, s))
-                if z not in seen:
-                    seen.add(z)
-                    stack.append(z)
-        stack = list(seen)
-        while stack:
-            y = stack.pop()
-            for s_of in right_moves:
-                z = tuple(map(s_of, y))
-                if z not in seen:
-                    seen.add(z)
-                    stack.append(z)
-        name = min(seen)
-        named.update(dict.fromkeys(seen, name))
-        return name
-
+    h_set = _subgroup(identity, subgens)
     n_image = None if n is None else image(n)
     if n is not None:  # validate's twist checks, read in the image
-        n_inv, one = perm_inverse(n_image), dc(tuple(identity))
+        n_inv = perm_inverse(n_image)
         checks = {"twist_normalizes_p_plus": [
                       perm_compose(perm_compose(a, s), b)
                       for s in subgens for a, b in ((n_image, n_inv), (n_inv, n_image))],
                   "n_squared_in_p_plus": [perm_compose(n_image, n_image)]}
         for name, elements in checks.items():
-            if any(dc(x) != one for x in elements):
+            if not h_set.issuperset(elements):
                 raise PreconditionUnverified(
                     f"{name} fails in a permutation image of degree {hom.degree}")
 
-    def slot(x: Perm, inverted: bool, of: Optional[Perm]) -> Perm:
-        # n normalizes the image of P+ (checked above): x and its name twist alike
-        if inverted:
-            x = perm_inverse(x)
-        return dc(x if of is None else perm_compose(perm_compose(n_image, x), n_image))
+    x2 = image(c2)
+    slots: list[Perm] = []
 
-    return lambda g: nest_slots(partial(slot, image(g)), n is not None, core_oriented)
+    def slot(inverted: bool, of: Optional[Perm]) -> Perm:
+        if of is not None:
+            y = perm_compose(perm_compose(n_image, of), n_image)
+        else:
+            y = perm_inverse(x2) if inverted else x2
+        slots.append(y)
+        return y
+
+    nest_slots(slot, n is not None, core_oriented)
+    x1_inv = perm_inverse(image(c1))
+    for h in h_set:
+        left = perm_compose(x1_inv, h)
+        for y in slots:
+            if perm_compose(left, y) in h_set:
+                return False
+    return True
 
 
 def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
@@ -361,7 +363,9 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
 
     DISTINCT only when some homomorphism onto a permutation group of
     degree <= max_degree gives the two words different invariants there;
-    UNKNOWN otherwise.  Never claims equivalence.  The images are those
+    UNKNOWN otherwise.  Never claims equivalence.  In each image the
+    invariants are compared by one subgroup-membership test, with no
+    double coset named (_separates).  The images are those
     find_homomorphisms lists, by increasing degree, less the images of
     degree d whose generators all fix one common point when fewer than
     HOM_LIMIT were listed at degree d - 1 (at degree 1, always):
@@ -389,8 +393,7 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
         for hom in homs:
             if complete and _fixes_a_point(hom):
                 continue  # an image of degree - 1 plus a point: compared
-            value = _image_value(hom, acting_columns, n_columns, core_oriented)
-            if value(c1) != value(c2):
+            if _separates(hom, acting_columns, n_columns, core_oriented, c1, c2):
                 return SeparationVerdict.DISTINCT
         complete = len(homs) < HOM_LIMIT
     return SeparationVerdict.UNKNOWN

@@ -12,14 +12,16 @@ concat, power and coset-table witnesses build their words from columns.
 squared_generator is the one rule by which a relator x^2 or x^-2 makes
 x its own inverse.  It also owns the permutation steps that coset tables
 and finite images share: act reads a word's columns over many points, on
-a table's 1-based lists or an image's 0-based tuples, root names an
-orbit by its least point, and perm_inverse_and_type reads a permutation's
-inverse and cycle type off one walk of its cycles.
+a table's 1-based lists or an image's 0-based tuples, one perm_compose
+per column; root names an orbit by its least point; and
+perm_inverse_and_type reads a permutation's inverse and cycle type off
+one walk of its cycles.
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 Letter = tuple[int, int]  # (generator index, sign in {+1, -1})
@@ -211,16 +213,19 @@ def squared_generator(w: Word) -> Optional[int]:
 def act(action: Sequence, columns: Iterable[int], points: Iterable[int]) -> list[int]:
     """The images of the points, in order, under a word's columns read
     left to right (Word.columns), where action[col][x] is the image of x
-    under column col."""
-    images = list(points)
+    under column col: the points composed with each column in turn."""
+    images = tuple(points)
     for col in columns:
-        images = list(map(action[col].__getitem__, images))
-    return images
+        images = perm_compose(images, action[col])
+    return list(images)
 
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
-    """Apply p, then q (matching left-to-right word evaluation)."""
-    return tuple(map(q.__getitem__, p))
+    """Apply p, then q (matching left-to-right word evaluation): q read at
+    every entry of p by one itemgetter, which returns a lone item bare."""
+    if len(p) > 1:
+        return itemgetter(*p)(q)
+    return tuple(q[x] for x in p)
 
 
 def perm_inverse(p: Perm) -> Perm:

@@ -4,6 +4,7 @@ import pickle
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from brute import TWO_BRIDGE_13, twist_spun_skg
 from handlecoset import finite_quotient
+from handlecoset.double_cosets import nest_slots
 from handlecoset.errors import CaseMismatch, InfiniteIndex, PreconditionUnverified
 from handlecoset.finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES,
                                          HOM_LIMIT, MAX_SEPARATE_DEGREE,
@@ -21,8 +23,7 @@ from handlecoset.finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES,
                                          find_homomorphisms, index_certificate,
                                          infinite_index_certificate,
                                          quotient_separate, _extend_basis,
-                                         _image_value,
-                                         _partners, _search)
+                                         _partners, _search, _separates)
 from handlecoset.handle_classifier import CaseLabel, ClassifierContext, validate
 from handlecoset.knot_input import case_words, parse_input, parse_word
 from handlecoset.selftest import (BROKEN_INPUTS, GROUP_CORPUS, INPUT_CORPUS, _random_word,
@@ -719,7 +720,8 @@ def _count_holds(monkeypatch, name="_holds"):
     checks one candidate against its relators, _affine_row reads one
     relator's row, perm_inverse_and_type walks one permutation's cycles,
     perm_inverse and cycle_type read one permutation's inverse or cycle
-    type, _image_value builds one image's invariant."""
+    type, perm_compose composes two permutations, _subgroup lists one
+    image's acting subgroup."""
     holds, calls = getattr(finite_quotient, name), [0]
 
     def counted(*args):
@@ -1041,11 +1043,73 @@ def test_no_pair_separated_by_lexicographic_images_is_lost():
     assert separated >= 100
 
 
+def _named_value(hom, acting, n, core_oriented):
+    """The invariant of a cord inside hom's image, as a function of the
+    cord word's columns: quotient_separate's comparison before it became
+    a membership test.  Each slot's double coset HxH is closed in full
+    and named by its least permutation; n's image must pass validate's
+    twist checks, else PreconditionUnverified names the first that
+    fails.  Its arithmetic is selftest's, apart from the package's
+    permutation steps."""
+    action, identity = hom.action, tuple(range(hom.degree))
+
+    def image(columns):
+        x = identity
+        for c in columns:
+            x = pmul(x, action[c])
+        return x
+
+    subgens = [image(w) for w in acting]
+    named = {}  # element -> least element of its HxH
+
+    def dc(x):
+        if x not in named:
+            # Hx is the closure of {x} under y -> s*y, and HxH that of Hx
+            # under y -> y*s
+            seen, stack = {x}, [x]
+            while stack:
+                y = stack.pop()
+                for s in subgens:
+                    z = pmul(s, y)
+                    if z not in seen:
+                        seen.add(z)
+                        stack.append(z)
+            stack = list(seen)
+            while stack:
+                y = stack.pop()
+                for s in subgens:
+                    z = pmul(y, s)
+                    if z not in seen:
+                        seen.add(z)
+                        stack.append(z)
+            named.update(dict.fromkeys(seen, min(seen)))
+        return named[x]
+
+    n_image = None if n is None else image(n)
+    if n is not None:
+        n_inv, one = pinv(n_image), dc(identity)
+        checks = {"twist_normalizes_p_plus": [
+                      pmul(pmul(a, s), b)
+                      for s in subgens for a, b in ((n_image, n_inv), (n_inv, n_image))],
+                  "n_squared_in_p_plus": [pmul(n_image, n_image)]}
+        for name, elements in checks.items():
+            if any(dc(x) != one for x in elements):
+                raise PreconditionUnverified(
+                    f"{name} fails in a permutation image of degree {hom.degree}")
+
+    def slot(x, inverted, of):
+        if inverted:
+            x = pinv(x)
+        return dc(x if of is None else pmul(pmul(n_image, x), n_image))
+
+    return lambda g: nest_slots(partial(slot, image(g)), n is not None, core_oriented)
+
+
 def _first_separating_degrees(input, case, core_oriented, pairs, max_degree):
     """For each pair of cord words, the least degree at which an image that
     _search lists gives the two words different values, None if there is
     none up to max_degree: quotient_separate without the skip, every
-    listed image compared."""
+    listed image compared, each value named by the oracle _named_value."""
     acting, n = case_words(input, case)
     acting = [w.columns for w in acting]
     n = None if n is None else n.columns
@@ -1053,7 +1117,7 @@ def _first_separating_degrees(input, case, core_oriented, pairs, max_degree):
     first = [None] * len(pairs)
     for degree in range(1, max_degree + 1):
         for hom in _search(input.presentation, degree, finite_quotient.HOM_LIMIT):
-            value = _image_value(hom, acting, n, core_oriented)
+            value = _named_value(hom, acting, n, core_oriented)
             for i, (c1, c2) in enumerate(pairs):
                 if first[i] is None and value(c1) != value(c2):
                     first[i] = degree
@@ -1090,9 +1154,9 @@ def test_skipped_images_change_no_verdict(monkeypatch, limit):
 
     def recorded(hom, *args):
         compared.append(hom)
-        return _image_value(hom, *args)
+        return _separates(hom, *args)
 
-    monkeypatch.setattr(finite_quotient, "_image_value", recorded)
+    monkeypatch.setattr(finite_quotient, "_separates", recorded)
     rng = random.Random(f"skip-{limit}")
     verdicts = set()
     for label, skg in SKIP_INPUTS:
@@ -1128,7 +1192,7 @@ def test_separation_cost_without_a_timer(monkeypatch):
     # powers of a) of the 40 knots at max_degree 6: 3,442 when every
     # listed image was compared, 1,694 since those whose generators fix
     # one common point are skipped
-    calls = _count_holds(monkeypatch, "_image_value")
+    calls = _count_holds(monkeypatch, "_separates")
     rng = random.Random("separation-cost")
     for p, q in TWO_BRIDGE_13:
         input = parse_input(two_bridge_skg(p, q))
@@ -1139,6 +1203,104 @@ def test_separation_cost_without_a_timer(monkeypatch):
             is SeparationVerdict.UNKNOWN
     _search.cache_clear()
     assert calls[0] < 2_000
+
+
+def _outcome(compare):
+    """compare()'s result, or the message of the PreconditionUnverified it
+    raises."""
+    try:
+        return compare()
+    except PreconditionUnverified as e:
+        return str(e)
+
+
+AGREEMENT_INPUTS = ([(c.name, c.skg) for c in GROUP_CORPUS]
+                    + [(c.label, c.skg) for c in INPUT_CORPUS]
+                    + [(f"b({p},{q})", two_bridge_skg(p, q)) for p, q in TWO_BRIDGE_13]
+                    + [(label, text) for label, text, _ in BROKEN_INPUTS
+                       if label == "d4-bad-n"])
+
+
+# the inputs whose listed images separate none of these pairs: the
+# unknotted one, where P = G; F21, whose one image of degree <= 6 is Z/3,
+# onto which P maps; and the torus knots T(2, p) for the primes p = 7,
+# 11 and 13, whose dihedral images D_p need p points
+NO_SMALL_SEPARATION = {"unknotted", "f21", "b(7,-1)", "b(7,1)", "b(11,-1)", "b(11,1)",
+                       "b(13,-1)", "b(13,1)"}
+
+
+@pytest.mark.parametrize("label,skg", AGREEMENT_INPUTS,
+                         ids=[label for label, _ in AGREEMENT_INPUTS])
+def test_membership_test_agrees_with_named_double_cosets(label, skg):
+    # in every listed image of degree <= 5 (<= 6 on two generators), for
+    # every case and orientation, _separates says "distinct" exactly when
+    # the oracle names the two cords' values differently, and raises the
+    # oracle's PreconditionUnverified text in the same images.  The pairs:
+    # two random ones, a slide by the acting subgroup, a slide of the moved
+    # cord (inverted or twisted), and on Case 3 the twist n g n
+    input = parse_input(skg, label=label)
+    pres = input.presentation
+    ngens = len(pres.generators)
+    top = 6 if ngens == 2 else 5
+    homs = [hom for d in range(1, top + 1) for hom in _search(pres, d, HOM_LIMIT)]
+    rng = random.Random(f"agreement-{label}")
+    cases = [c for c in CaseLabel if c.requires_orientable == input.surface_orientable]
+    outcomes = set()
+    for case, core_oriented in itertools.product(cases, (True, False)):
+        acting, n = case_words(input, case)
+        acting = [w.columns for w in acting]
+        words = [_random_word(rng, ngens, 8) for _ in range(5)]
+        pairs = [(words[0], words[1]), (words[2], words[3]),
+                 (words[4], _related_word(rng, input, case, core_oriented, words[4], False)),
+                 (words[0], _related_word(rng, input, case, core_oriented, words[0], True))]
+        if n is not None:
+            pairs.append((words[1], concat(n, words[1], n)))
+        n = None if n is None else n.columns
+        pairs = [(g1.columns, g2.columns) for g1, g2 in pairs]
+        for hom in homs:
+            value = _outcome(lambda: _named_value(hom, acting, n, core_oriented))
+            for c1, c2 in pairs:
+                expected = value if isinstance(value, str) else value(c1) != value(c2)
+                got = _outcome(lambda: _separates(hom, acting, n, core_oriented, c1, c2))
+                assert got == expected, (label, case, core_oriented, hom, c1, c2)
+                outcomes.add(got)
+    assert False in outcomes
+    assert (True in outcomes) == (label not in NO_SMALL_SEPARATION)
+    if label == "d4-bad-n":
+        assert "twist_normalizes_p_plus fails in a permutation image of degree 4" \
+            in outcomes
+
+
+def test_one_subgroup_listing_per_compared_image(monkeypatch):
+    # the equivalent pairs of test_separation_cost_without_a_timer: each
+    # compared image lists H, the image of P = <a>, once, and composes
+    # at most 3 |H| times, |H| to list H and 2 |H| to test the one slot;
+    # closing the double coset of a slot would take |HxH| steps and more
+    listings = _count_holds(monkeypatch, "_subgroup")
+    compositions = _count_holds(monkeypatch, "perm_compose")
+    sizes = []
+
+    def compared(hom, acting, *args):
+        before = compositions[0]
+        distinct = _separates(hom, acting, *args)
+        images = [tuple(act(hom.action, w, range(hom.degree))) for w in acting]
+        size = len(mulclose(images))
+        assert compositions[0] - before <= 3 * size
+        sizes.append(size)
+        return distinct
+
+    monkeypatch.setattr(finite_quotient, "_separates", compared)
+    rng = random.Random("separation-cost")
+    for p, q in TWO_BRIDGE_13:
+        input = parse_input(two_bridge_skg(p, q))
+        g = _random_word(rng, 2, 10)
+        h = concat(power(Word(((0, 1),)), rng.randint(-3, 3)), g,
+                   power(Word(((0, 1),)), rng.randint(-3, 3)))
+        assert quotient_separate(input, CaseLabel.CASE1, True, g, h, 6) \
+            is SeparationVerdict.UNKNOWN
+    _search.cache_clear()
+    assert len(sizes) == listings[0] < 2_000
+    assert compositions[0] <= 3 * sum(sizes)
 
 
 def test_search_caches_are_bounded():
