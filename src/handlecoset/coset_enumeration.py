@@ -136,7 +136,7 @@ class CosetTable:
         (0 at position 0): the composition of its letters' columns."""
         if word.max_generator_index() >= self.n_generators:
             raise ValueError("word uses a generator outside this table's alphabet")
-        return act(self._action, word.columns, range(self.index + 1))
+        return list(act(self._action, word.columns, range(self.index + 1)))
 
     def membership(self, word: Word) -> bool:
         """True iff the word lies in the subgroup (traces coset 1 to itself)."""

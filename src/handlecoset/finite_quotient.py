@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -134,8 +133,6 @@ def _class_leaders(degree: int, least: int = 1) -> list[Perm]:
             for rest in _class_leaders(degree - k, k)]
 
 
-# bounded like _search; one key per presentation
-@lru_cache(maxsize=32)
 def _partners(pres: GroupPresentation) -> tuple[int, ...]:
     """For each generator, the least generator a relator chain proves it
     conjugate to, itself if none.
@@ -175,10 +172,6 @@ def _partners(pres: GroupPresentation) -> tuple[int, ...]:
     return tuple(root(parent, i) for i in range(len(parent)))
 
 
-# bounded, so that a process that runs many presentations keeps only the
-# latest; one presentation's walk and separation read S_1..S_8 at the
-# default cap, 8 keys
-@lru_cache(maxsize=32)
 def _search(pres: GroupPresentation, degree: int,
             limit: int) -> tuple[PermutationAssignment, ...]:
     """find_homomorphisms' listing, depth first: generator 0 over the
@@ -269,13 +262,26 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
     walk of its cycles, and the cycle-type groups and the flat list of
     S_degree are built only for the generators that read them (_search).
     At most `limit` assignments are returned and each one satisfies
-    every relator.  An empty list is a valid result.  The
-    degree must lie in 1..MAX_SEPARATE_DEGREE.
+    every relator.  An empty list is a valid result.  Each call
+    searches afresh.  The degree must lie in 1..MAX_SEPARATE_DEGREE.
     """
     _check_degree(degree)
     if limit < 0:
         raise ValueError("limit must be >= 0")
     return list(_search(pres, degree, limit))
+
+
+def _listing(input: SurfaceKnotInput, degree: int,
+             limit: int) -> tuple[PermutationAssignment, ...]:
+    """_search's listing on the input's presentation, searched once per
+    input and kept on it (SurfaceKnotInput._listings): the certificate
+    walks and the separations on one input share it, and it is freed with
+    the input."""
+    listings = input._listings
+    homs = listings.get((degree, limit))
+    if homs is None:
+        homs = listings[degree, limit] = _search(input.presentation, degree, limit)
+    return homs
 
 
 def _fixes_a_point(hom: PermutationAssignment) -> bool:
@@ -319,7 +325,7 @@ def _separates(hom: PermutationAssignment, acting: list[Columns],
     action, identity = hom.action, tuple(range(hom.degree))
 
     def image(columns: Columns) -> Perm:
-        return tuple(act(action, columns, identity))
+        return act(action, columns, identity)
 
     subgens = [image(w) for w in acting]
     h_set = _subgroup(identity, subgens)
@@ -389,7 +395,7 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
     c1, c2 = g1.columns, g2.columns
     complete = True  # the listing of degree 0, the trivial group
     for degree in range(1, max_degree + 1):
-        homs = _search(input.presentation, degree, HOM_LIMIT)
+        homs = _listing(input, degree, HOM_LIMIT)
         for hom in homs:
             if complete and _fixes_a_point(hom):
                 continue  # an image of degree - 1 plus a point: compared
@@ -568,7 +574,7 @@ def _affine_images(pres: GroupPresentation, m: int,
                         tuple((s * x + ci) % m for x in range(m)) for ci in c))
 
 
-def infinite_index_certificate(pres: GroupPresentation, subgroup: Sequence[Word]
+def infinite_index_certificate(input: SurfaceKnotInput, subgroup: Sequence[Word]
                                ) -> Optional[IndexCertificate]:
     """The first certificate of infinite index for the subgroup, or None.
 
@@ -577,10 +583,12 @@ def infinite_index_certificate(pres: GroupPresentation, subgroup: Sequence[Word]
     lists under HOM_LIMIT for each m in AFFINE_DEGREES, each at point 0
     only, and stops at the first certificate.
     handle_classifier.subgroup_table runs it before it enumerates.  The
-    S_d searches are the capped ones quotient_separate runs, so a later
-    separation on the same presentation finds them cached; it never uses
-    the affine images."""
-    walk = itertools.chain((_search(pres, d, HOM_LIMIT) for d in CERTIFICATE_DEGREES),
+    S_d searches are the capped ones quotient_separate runs, kept on the
+    input (_listing), so the walks for P and P+ and a later separation
+    on the same input search each degree once; it never uses the affine
+    images."""
+    pres = input.presentation
+    walk = itertools.chain((_listing(input, d, HOM_LIMIT) for d in CERTIFICATE_DEGREES),
                            (_affine_images(pres, m, HOM_LIMIT) for m in AFFINE_DEGREES))
     for hom in itertools.chain.from_iterable(walk):
         cert = index_certificate(hom, pres, subgroup)

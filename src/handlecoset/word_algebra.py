@@ -37,15 +37,14 @@ class _Frozen:
     its fields with object.__setattr__ in __init__.  One rule gives ==,
     hash, pickle and copy: _key, the tuple of the _fields' values, is
     what == and hash compare and what the constructor is called with to
-    rebuild an instance.  Only the classes hashed as cache keys
-    (generators, words, presentations) spell _key out, reading their
-    fields directly, where the getattr loop would cost.  Assigning or
-    deleting any attribute raises AttributeError, and repr shows the
-    _fields.  These are plain classes, not frozen dataclasses, because
-    every CLI process imports the package: dataclasses imports inspect
-    and execs each class's methods, which took about 80% of the
-    package's import time.  (A NamedTuple costs a sixth of a frozen
-    dataclass at import.)
+    rebuild an instance.  Generators, words and presentations spell _key
+    out, reading their fields directly, where the getattr loop would
+    cost.  Assigning or deleting any attribute raises AttributeError, and
+    repr shows the _fields.  These are plain classes, not frozen
+    dataclasses, because every CLI process imports the package:
+    dataclasses imports inspect and execs each class's methods, which
+    took about 80% of the package's import time.  (A NamedTuple costs a
+    sixth of a frozen dataclass at import.)
     """
 
     __slots__ = ()
@@ -210,14 +209,14 @@ def squared_generator(w: Word) -> Optional[int]:
     return c[0] >> 1 if len(c) == 2 and c[0] == c[1] else None
 
 
-def act(action: Sequence, columns: Iterable[int], points: Iterable[int]) -> list[int]:
+def act(action: Sequence, columns: Iterable[int], points: Iterable[int]) -> tuple[int, ...]:
     """The images of the points, in order, under a word's columns read
     left to right (Word.columns), where action[col][x] is the image of x
     under column col: the points composed with each column in turn."""
     images = tuple(points)
     for col in columns:
         images = perm_compose(images, action[col])
-    return list(images)
+    return images
 
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
@@ -290,13 +289,9 @@ def root(parent: list[int], c: int) -> int:
 class GroupPresentation(_Frozen):
     """A finite presentation: generator symbols plus freely reduced relators.
 
-    Relators must be nonempty; generator names must be pairwise distinct.
-    The hash, the key of every search cache, is computed once, on first
-    use, and kept in a hidden slot that repr, == and pickle leave out.
-    """
+    Relators must be nonempty; generator names must be pairwise distinct."""
 
-    _fields = ("generators", "relators")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields = ("generators", "relators")
 
     def __init__(self, generators: tuple[GeneratorSymbol, ...],
                  relators: tuple[Word, ...] = ()):
@@ -317,13 +312,6 @@ class GroupPresentation(_Frozen):
 
     def _key(self):
         return (self.generators, self.relators)
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(self._key()))
-            return self._hash
 
     @property
     def generator_names(self) -> tuple[str, ...]:

@@ -566,7 +566,7 @@ def test_pairs_are_built_only_in_double_cosets():
 
 def test_only_cache_keys_spell_out_their_value_key():
     # _Frozen's _key, the tuple of the _fields, is the one equality rule;
-    # only the types hashed as cache keys restate it, for speed
+    # only generators, words and presentations restate it, for speed
     spelled = set()
     for path in Path(handlecoset.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -576,6 +576,23 @@ def test_only_cache_keys_spell_out_their_value_key():
                     for item in node.body):
                 spelled.add(node.name)
     assert spelled == {"_Frozen", "GeneratorSymbol", "Word", "GroupPresentation"}
+
+
+def test_no_module_memoizes_through_functools():
+    # what is derived from an input lives on that input, and dies with it,
+    # not in a process-wide cache; selftest memoizes its corpus fixtures
+    memoizing = {"lru_cache", "cache"}
+    importers = set()
+    for path in Path(handlecoset.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                    and memoizing.intersection(a.name for a in node.names)):
+                importers.add(path.stem)
+            if (isinstance(node, ast.Attribute) and node.attr in memoizing
+                    and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                importers.add(path.stem)
+    assert importers <= {"selftest"}
 
 
 def test_only_coset_enumeration_reads_the_table_fields():

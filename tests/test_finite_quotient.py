@@ -23,9 +23,9 @@ from handlecoset.finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES,
                                          find_homomorphisms, index_certificate,
                                          infinite_index_certificate,
                                          quotient_separate, _extend_basis,
-                                         _partners, _search, _separates)
+                                         _listing, _partners, _search, _separates)
 from handlecoset.handle_classifier import CaseLabel, ClassifierContext, validate
-from handlecoset.knot_input import case_words, parse_input, parse_word
+from handlecoset.knot_input import case_words, parse_input, parse_word, serialize
 from handlecoset.selftest import (BROKEN_INPUTS, GROUP_CORPUS, INPUT_CORPUS, _random_word,
                                   _related_word, _resolved_groups,
                                   classifier_values, coxeter_skg,
@@ -94,7 +94,6 @@ def test_homs_s3_degree3_include_faithful():
 
 def test_homs_deterministic_and_limited():
     first = find_homomorphisms(S3_INPUT.presentation, 3)
-    _search.cache_clear()  # else the second call returns the cached tuple
     second = find_homomorphisms(S3_INPUT.presentation, 3)
     assert first == second
     capped = find_homomorphisms(S3_INPUT.presentation, 3, limit=4)
@@ -196,7 +195,7 @@ PARTNER_INPUTS = ([(c.label, c.skg) for c in INPUT_CORPUS]
                          ids=[label for label, _ in PARTNER_INPUTS])
 def test_partners_match_the_slice_oracle(label, text):
     pres = parse_input(text).presentation
-    assert _partners.__wrapped__(pres) == _partners_by_slices(pres)
+    assert _partners(pres) == _partners_by_slices(pres)
 
 
 def test_partners_match_the_slice_oracle_on_random_relators():
@@ -222,7 +221,7 @@ def test_partners_match_the_slice_oracle_on_random_relators():
                 relators.append(rel)
         pres = GroupPresentation(tuple(GeneratorSymbol(f"g{i}") for i in range(ngens)),
                                  tuple(relators))
-        assert _partners.__wrapped__(pres) == _partners_by_slices(pres), pres
+        assert _partners(pres) == _partners_by_slices(pres), pres
 
 
 @pytest.mark.parametrize("relators, partners", [
@@ -237,7 +236,7 @@ def test_partners_match_the_slice_oracle_on_random_relators():
 def test_partners_is_linear_on_long_relators(relators, partners):
     pres = parse_input(f"group: a b\n{relators}\nP: a\norientable: true").presentation
     start = time.perf_counter()
-    assert _partners.__wrapped__(pres) == partners
+    assert _partners(pres) == partners
     assert time.perf_counter() - start < 1.0
 
 
@@ -466,10 +465,11 @@ def test_no_certificate_on_coxeter_groups(n):
     # reads the S_d and affine images before it enumerates, so the walk may
     # not certify infinite index for the subgroup of any bench query
     # shape, read at point 0 as subgroup_table reads them
-    presentation = parse_input(coxeter_skg(n, [1])).presentation
+    data = parse_input(coxeter_skg(n, [1]))
+    presentation = data.presentation
     for p in _bench_shapes(n):
         words = parse_input(coxeter_skg(n, p)).p_generators
-        assert infinite_index_certificate(presentation, words) is None, p
+        assert infinite_index_certificate(data, words) is None, p
     # and there is no affine image to read: s_i^2 leaves only s = -1, and
     # (s_i s_(i+1))^3 then says 3 (c_(i+1) - c_i) = 0, so at m != 3 every
     # c is constant, and a constant c is conjugate to 0, which is not listed
@@ -510,7 +510,7 @@ def test_certificates_on_two_bridge_knots():
     assert len(TWO_BRIDGE_13) == len(CERTIFICATE) == 40
     for (p, q), expected in zip(TWO_BRIDGE_13, CERTIFICATE):
         data = parse_input(two_bridge_skg(p, q))
-        cert = infinite_index_certificate(data.presentation, data.p_generators)
+        cert = infinite_index_certificate(data, data.p_generators)
         assert cert is not None, (p, q)
         assert (cert.degree, cert.h_rank, cert.p_rank) == expected, (p, q)
         degree, h_rank, p_rank = expected
@@ -540,9 +540,8 @@ def test_search_without_a_certificate_stays_cheap(skg):
     # certificate and an affine image for every c, (m^(n-1) - 1)/(m - 1)
     # per s up to conjugacy, so the listing must stop at the cap
     data = parse_input(skg)
-    _search.cache_clear()
     start = time.perf_counter()
-    assert infinite_index_certificate(data.presentation, data.p_generators) is None
+    assert infinite_index_certificate(data, data.p_generators) is None
     assert time.perf_counter() - start < 2.0
 
 
@@ -562,7 +561,7 @@ def test_walk_reads_s_d_then_d_m_and_stops_at_a_certificate(monkeypatch, p, step
 
         monkeypatch.setattr(finite_quotient, name, recorded)
     data = parse_input(two_bridge_skg(p, 1))
-    cert = infinite_index_certificate(data.presentation, data.p_generators)
+    cert = infinite_index_certificate(data, data.p_generators)
     walk = [("S_d", d, HOM_LIMIT) for d in CERTIFICATE_DEGREES]
     walk += [("affine", m, HOM_LIMIT) for m in AFFINE_DEGREES]
     assert searched == walk[:steps]
@@ -729,7 +728,6 @@ def _count_holds(monkeypatch, name="_holds"):
         return holds(*args)
 
     monkeypatch.setattr(finite_quotient, name, counted)
-    _search.cache_clear()
     return calls
 
 
@@ -742,7 +740,6 @@ def test_search_cost_without_a_timer(monkeypatch):
     calls = _count_holds(monkeypatch)
     for degree in range(1, 7):
         find_homomorphisms(presentation, degree)
-    _search.cache_clear()
     assert calls[0] < 15_000
 
 
@@ -778,8 +775,7 @@ def test_dihedral_walk_cycle_types_without_a_timer(monkeypatch):
     for m in AFFINE_DEGREES:
         list(_affine_images(data.presentation, m, HOM_LIMIT))
     assert calls[0] == 0
-    assert infinite_index_certificate(data.presentation, data.p_generators) is None
-    _search.cache_clear()
+    assert infinite_index_certificate(data, data.p_generators) is None
     assert calls[0] < 200
 
 
@@ -793,7 +789,6 @@ def test_knot_search_cost_without_a_timer(monkeypatch):
         presentation = parse_input(two_bridge_skg(p, q)).presentation
         for degree in range(1, 7):
             find_homomorphisms(presentation, degree)
-    _search.cache_clear()
     assert calls[0] < 120_000
 
 
@@ -810,7 +805,6 @@ def test_knot_search_walks_without_a_timer(monkeypatch):
         presentation = parse_input(two_bridge_skg(p, q)).presentation
         for degree in range(1, 7):
             find_homomorphisms(presentation, degree)
-    _search.cache_clear()
     leaders = sum(len(_class_leaders(d)) for d in range(1, 7))
     assert leaders == 29
     assert calls["perm_inverse_and_type"][0] == 40 * 496
@@ -849,7 +843,7 @@ def _listing_oracle(pres, degree, limit):
             if len(found) >= limit:
                 return
             action[2 * k], action[2 * k + 1] = p, p_inv
-            if all(act(action, columns, points) == list(points) for columns in ready[k]):
+            if all(act(action, columns, points) == tuple(points) for columns in ready[k]):
                 for later in partnered.get(k, ()):
                     levels[later] = by_type[cycle_type(p)]
                 extend(k + 1)
@@ -874,7 +868,7 @@ def test_search_lists_what_the_two_walk_construction_lists(label, text):
     pres = parse_input(text).presentation
     runs = [(d, HOM_LIMIT) for d in range(1, 7)] + [(d, 10**9) for d in range(1, 6)]
     for degree, limit in runs:
-        homs = _search.__wrapped__(pres, degree, limit)
+        homs = _search(pres, degree, limit)
         expected = _listing_oracle(pres, degree, limit)
         assert [h.images for h in homs] == [h.images for h in expected], (degree, limit)
         assert [h.action for h in homs] == [h.action for h in expected], (degree, limit)
@@ -1109,14 +1103,16 @@ def _first_separating_degrees(input, case, core_oriented, pairs, max_degree):
     """For each pair of cord words, the least degree at which an image that
     _search lists gives the two words different values, None if there is
     none up to max_degree: quotient_separate without the skip, every
-    listed image compared, each value named by the oracle _named_value."""
+    listed image compared, each value named by the oracle _named_value.
+    The listings are the input's own (_listing), which the separations
+    read too."""
     acting, n = case_words(input, case)
     acting = [w.columns for w in acting]
     n = None if n is None else n.columns
     pairs = [(g1.columns, g2.columns) for g1, g2 in pairs]
     first = [None] * len(pairs)
     for degree in range(1, max_degree + 1):
-        for hom in _search(input.presentation, degree, finite_quotient.HOM_LIMIT):
+        for hom in _listing(input, degree, finite_quotient.HOM_LIMIT):
             value = _named_value(hom, acting, n, core_oriented)
             for i, (c1, c2) in enumerate(pairs):
                 if first[i] is None and value(c1) != value(c2):
@@ -1124,14 +1120,15 @@ def _first_separating_degrees(input, case, core_oriented, pairs, max_degree):
     return first
 
 
-def _unskipped_images(pres, max_degree):
+def _unskipped_images(input, max_degree):
     """The listed images that a pair no image separates is compared in:
     those of degree d, less, when the listing of degree d - 1 is below the
-    cap, those whose generators all fix some one point."""
+    cap, those whose generators all fix some one point.  The listings are
+    the input's own (_listing), which the separations read too."""
     unskipped = []
     complete = True
     for degree in range(1, max_degree + 1):
-        homs = _search(pres, degree, finite_quotient.HOM_LIMIT)
+        homs = _listing(input, degree, finite_quotient.HOM_LIMIT)
         unskipped += [hom for hom in homs if not complete or not any(
             all(p[x] == x for p in hom.images) for x in range(degree))]
         complete = len(homs) < finite_quotient.HOM_LIMIT
@@ -1163,7 +1160,7 @@ def test_skipped_images_change_no_verdict(monkeypatch, limit):
         input = parse_input(skg, label=label)
         ngens = len(input.presentation.generators)
         top = 7 if ngens == 2 else 6
-        unskipped = _unskipped_images(input.presentation, top)
+        unskipped = _unskipped_images(input, top)
         cases = [c for c in CaseLabel if c.requires_orientable == input.surface_orientable]
         for case, core_oriented in itertools.product(cases, (True, False)):
             words = [_random_word(rng, ngens) for _ in range(4)]
@@ -1201,7 +1198,6 @@ def test_separation_cost_without_a_timer(monkeypatch):
                    power(Word(((0, 1),)), rng.randint(-3, 3)))
         assert quotient_separate(input, CaseLabel.CASE1, True, g, h, 6) \
             is SeparationVerdict.UNKNOWN
-    _search.cache_clear()
     assert calls[0] < 2_000
 
 
@@ -1283,7 +1279,7 @@ def test_one_subgroup_listing_per_compared_image(monkeypatch):
     def compared(hom, acting, *args):
         before = compositions[0]
         distinct = _separates(hom, acting, *args)
-        images = [tuple(act(hom.action, w, range(hom.degree))) for w in acting]
+        images = [act(hom.action, w, range(hom.degree)) for w in acting]
         size = len(mulclose(images))
         assert compositions[0] - before <= 3 * size
         sizes.append(size)
@@ -1298,31 +1294,39 @@ def test_one_subgroup_listing_per_compared_image(monkeypatch):
                    power(Word(((0, 1),)), rng.randint(-3, 3)))
         assert quotient_separate(input, CaseLabel.CASE1, True, g, h, 6) \
             is SeparationVerdict.UNKNOWN
-    _search.cache_clear()
     assert len(sizes) == listings[0] < 2_000
     assert compositions[0] <= 3 * sum(sizes)
 
 
-def test_search_caches_are_bounded():
-    # b(13, 1) has no certificate in S_2..S_5, so the build's walk lists
+def test_an_input_keeps_its_listings(monkeypatch):
+    # b(13, 1) has no certificate in S_2..S_5, so the build's walk searches
     # all four before it reads the affine images; a separation after it
-    # finds them
-    _search.cache_clear()
+    # reuses those four and searches only S_1 and S_6
+    searched = []
+    search = finite_quotient._search
+
+    def recorded(pres, degree, limit):
+        searched.append(degree)
+        return search(pres, degree, limit)
+
+    monkeypatch.setattr(finite_quotient, "_search", recorded)
     input = parse_input(two_bridge_skg(13, 1))
     with pytest.raises(InfiniteIndex):
         ClassifierContext.build(input)
-    before = _search.cache_info()
+    assert searched == [2, 3, 4, 5]
     g = parse_word("a b", input.presentation)
     assert quotient_separate(input, CaseLabel.CASE1, True, g, g) is SeparationVerdict.UNKNOWN
-    after = _search.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (4, 2)
-    # neither cache grows with the presentations a process has seen
-    knots = [(p, q) for p in range(3, 24, 2) for q in range(-p + 1, p)
-             if q % 2 and gcd(p, abs(q)) == 1][:100]
-    assert len(knots) == 100
-    for p, q in knots:
-        input = parse_input(two_bridge_skg(p, q))
-        quotient_separate(input, CaseLabel.CASE1, True, Word(), Word(), max_degree=3)
-        for cache in (_search, _partners):
-            assert cache.cache_info().currsize <= cache.cache_info().maxsize
-    _search.cache_clear()
+    assert searched == [2, 3, 4, 5, 1, 6]
+    assert sorted(input._listings) == [(d, HOM_LIMIT) for d in range(1, 7)]
+    # a fresh parse, a pickle and a copy are equal inputs that start cold
+    for twin in (parse_input(two_bridge_skg(13, 1)), pickle.loads(pickle.dumps(input)),
+                 copy.copy(input), copy.deepcopy(input)):
+        assert twin == input and twin._listings == {}
+        searched.clear()
+        assert quotient_separate(twin, CaseLabel.CASE1, True, g, g, max_degree=2) \
+            is SeparationVerdict.UNKNOWN
+        assert searched == [1, 2]
+    # the walks for P and for P+ of one non-orientable input share them
+    searched.clear()
+    ClassifierContext.build(parse_input(serialize(D8_CASE3)))
+    assert searched == list(CERTIFICATE_DEGREES)

@@ -66,7 +66,7 @@ CASES = [
       (lambda s: Word(((-1, 1),)), "bad letter (-1, 1)")]),
     (GroupPresentation,
      lambda: GroupPresentation(generators=(GeneratorSymbol("a"), GeneratorSymbol("b"))),
-     ("generators", "relators"), ("_hash",), lambda s: (s.generators, s.relators),
+     ("generators", "relators"), (), lambda s: (s.generators, s.relators),
      f"GroupPresentation({A_B}, relators=())",
      [(lambda s: GroupPresentation(()), "a presentation needs at least one generator"),
       (lambda s: GroupPresentation(s.generators * 2), "duplicate generator names: a, b"),
@@ -91,7 +91,7 @@ CASES = [
      "PermutationAssignment(degree=3, images=((1, 0, 2), (0, 2, 1)))", []),
     (SurfaceKnotInput, _d8_input,
      ("presentation", "p_generators", "p_plus_generators", "n_word",
-      "surface_orientable", "label"), (),
+      "surface_orientable", "label"), ("_listings",),
      lambda s: (s.presentation, s.p_generators, s.p_plus_generators, s.n_word,
                 s.surface_orientable, s.label),
      "SurfaceKnotInput(presentation=GroupPresentation(generators=(GeneratorSymbol("
