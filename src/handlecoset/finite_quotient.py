@@ -8,11 +8,12 @@ so a difference in some image certifies inequivalence; agreement proves
 nothing.  S_d is searched up to conjugacy, and a generator conjugate to
 an earlier one, as every meridian of a Schubert or Wirtinger
 presentation is, draws only from that one's cycle type
-(find_homomorphisms).  One walk of a permutation's cycles
-(perm_inverse_and_type) gives its inverse and its cycle type, and
-serves its inverse too; the search groups S_d by cycle type only if
-some generator has an earlier partner, and lists it flat only if some
-generator after the first has none.  quotient_separate skips an image
+(find_homomorphisms).  Every level draws from one lexicographic walk
+of S_d, which groups it by cycle type: one walk of a permutation's
+cycles (perm_inverse_and_type) gives its inverse and its cycle type,
+and serves its inverse too; generator 0 takes the first of each group,
+and S_d is kept flat as well only if some generator after the first
+has no earlier partner.  quotient_separate skips an image
 that only adds a fixed point to one it compared.  An image names no
 double coset: it lists H, the image of the acting subgroup, once, and
 two cords with images x1 and x2 have equal values there iff some slot
@@ -53,7 +54,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .double_cosets import nest_slots
 from .errors import PreconditionUnverified
 from .knot_input import CaseLabel, SurfaceKnotInput, case_words
-from .word_algebra import (GroupPresentation, Perm, Word, _Frozen, act, cycle_type,
+from .word_algebra import (GroupPresentation, Perm, Word, _Frozen, act,
                            perm_compose, perm_inverse, perm_inverse_and_type, root,
                            squared_generator)
 
@@ -122,17 +123,6 @@ def _check_degree(degree: int) -> None:
         raise ValueError(f"degree must be in 1..{MAX_SEPARATE_DEGREE}, got {degree}")
 
 
-def _class_leaders(degree: int, least: int = 1) -> list[Perm]:
-    """The least permutation of each cycle type of S_degree with no cycle
-    shorter than `least`, in lexicographic order: cycles x -> x + 1 on
-    consecutive points, by increasing length."""
-    if degree == 0:
-        return [()]
-    return [tuple(range(1, k)) + (0,) + tuple(x + k for x in rest)
-            for k in range(least, degree + 1)
-            for rest in _class_leaders(degree - k, k)]
-
-
 def _partners(pres: GroupPresentation) -> tuple[int, ...]:
     """For each generator, the least generator a relator chain proves it
     conjugate to, itself if none.
@@ -174,48 +164,43 @@ def _partners(pres: GroupPresentation) -> tuple[int, ...]:
 
 def _search(pres: GroupPresentation, degree: int,
             limit: int) -> tuple[PermutationAssignment, ...]:
-    """find_homomorphisms' listing, depth first: generator 0 over the
-    class leaders of S_degree, generator k over all permutations, or, if
-    _partners gives it an earlier generator j, over the cycle type of j's
-    image only, a list picked once per image of j that passes its relators.
+    """find_homomorphisms' listing, depth first, from one lexicographic
+    walk of S_degree: generator 0 runs over the least permutation of each
+    cycle type, generator k over all of S_degree, or, if _partners gives
+    it an earlier generator j, over the cycle type of j's image only.
 
-    A permutation's inverse and cycle type come from one walk of its
-    cycles (perm_inverse_and_type), which serves its inverse too, as p
-    is p^-1's inverse and has its type; each (p, p^-1) pair is shared by
-    the lists built from it: the cycle-type groups only if some generator
-    has an earlier partner, the flat lexicographic list only if some
-    generator after the first has none.  A listed image keeps the
-    inverses the search holds (PermutationAssignment._of)."""
+    The walk makes each permutation p an entry (p, p^-1, t), t the index
+    of p's cycle type in groups, which lists each type's entries in
+    order.  p's inverse and type come from one walk of its cycles
+    (perm_inverse_and_type), which serves p^-1 too, as p is p^-1's
+    inverse and has its type; the flat list of entries is kept only if
+    some generator after the first has no earlier partner.  A listed
+    image keeps the inverses the search holds (PermutationAssignment._of)."""
     ngens = len(pres.generators)
     points = range(degree)
     partners = _partners(pres)
-    # generator j -> the later generators whose partner it is
-    partnered: dict[int, list[int]] = {}
-    for k, j in enumerate(partners):
-        if j < k:
-            partnered.setdefault(j, []).append(k)
     listed = any(partners[k] == k for k in range(1, ngens))
-    flat: list[tuple[Perm, Perm]] = []
-    by_type: dict[tuple[int, ...], list[tuple[Perm, Perm]]] = {}
-    if listed or partnered:
-        # p^-1 -> (p, p's type): a walk of p serves p^-1, which comes later
-        ahead: dict[Perm, tuple[Perm, tuple[int, ...]]] = {}
-        for p in itertools.permutations(points):  # lexicographic
-            known = ahead.pop(p, None)
-            if known is None:
-                p_inv, kind = perm_inverse_and_type(p)
-                ahead[p_inv] = (p, kind)
-            else:
-                p_inv, kind = known
-            pair = (p, p_inv)
-            if listed:
-                flat.append(pair)
-            if partnered:
-                by_type.setdefault(kind, []).append(pair)
-    # a conjugation takes generator 0 to its leader; a partnered level is
-    # set once its partner is assigned
-    levels = [[(p, perm_inverse(p)) for p in _class_leaders(degree)]]
-    levels += [flat] * (ngens - 1)
+    flat: list[tuple[Perm, Perm, int]] = []
+    groups: list[list[tuple[Perm, Perm, int]]] = []
+    index: dict[tuple[int, ...], int] = {}  # cycle type -> its t
+    # p^-1 -> (p, p's t): a walk of p serves p^-1, which comes later
+    ahead: dict[Perm, tuple[Perm, int]] = {}
+    for p in itertools.permutations(points):  # lexicographic
+        known = ahead.pop(p, None)
+        if known is None:
+            p_inv, kind = perm_inverse_and_type(p)
+            t = index.setdefault(kind, len(groups))
+            if t == len(groups):
+                groups.append([])
+            ahead[p_inv] = (p, t)
+        else:
+            p_inv, t = known
+        entry = (p, p_inv, t)
+        groups[t].append(entry)
+        if listed:
+            flat.append(entry)
+    # a conjugation takes generator 0's image to the least of its type
+    leaders = sorted(group[0] for group in groups)
     # a relator becomes checkable once its highest generator is assigned
     ready: list[list[Columns]] = [[] for _ in range(ngens)]
     for rel in pres.relators:
@@ -223,6 +208,7 @@ def _search(pres: GroupPresentation, degree: int,
 
     found: list[PermutationAssignment] = []
     action: list[Perm] = [tuple(points)] * (2 * ngens)
+    types = [0] * ngens  # generator k -> the t of its image
 
     def extend(k: int) -> None:
         if len(found) >= limit:
@@ -230,15 +216,12 @@ def _search(pres: GroupPresentation, degree: int,
         if k == ngens:
             found.append(PermutationAssignment._of(degree, tuple(action)))
             return
-        checks, col = ready[k], 2 * k
-        for p, p_inv in levels[k]:
+        checks, col, j = ready[k], 2 * k, partners[k]
+        for p, p_inv, t in (leaders if k == 0 else flat if j == k else groups[types[j]]):
             action[col] = p
             action[col + 1] = p_inv
             if _holds(action, checks, points):
-                if k in partnered:  # fix the levels that draw from p's type
-                    same = by_type[cycle_type(p)]
-                    for later in partnered[k]:
-                        levels[later] = same
+                types[k] = t
                 extend(k + 1)
                 if len(found) >= limit:
                     return
@@ -258,9 +241,9 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
     conjugate to an earlier one or its inverse (see _partners) tries
     only the permutations of its partner's cycle type; no other can
     satisfy that relator, so this lists the same assignments in the same
-    order.  Each permutation's inverse and cycle type are read off one
-    walk of its cycles, and the cycle-type groups and the flat list of
-    S_degree are built only for the generators that read them (_search).
+    order.  Every level draws from one walk of S_degree, grouped by cycle
+    type, and each permutation's inverse and cycle type are read off one
+    walk of its cycles (_search).
     At most `limit` assignments are returned and each one satisfies
     every relator.  An empty list is a valid result.  Each call
     searches afresh.  The degree must lie in 1..MAX_SEPARATE_DEGREE.
@@ -271,23 +254,23 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
     return list(_search(pres, degree, limit))
 
 
-def _listing(input: SurfaceKnotInput, degree: int,
-             limit: int) -> tuple[PermutationAssignment, ...]:
-    """_search's listing on the input's presentation, searched once per
-    input and kept on it (SurfaceKnotInput._listings): the certificate
-    walks and the separations on one input share it, and it is freed with
-    the input."""
+def _listing(input: SurfaceKnotInput, degree: int) -> tuple[PermutationAssignment, ...]:
+    """_search's listing under HOM_LIMIT on the input's presentation,
+    searched once per input and kept on it (SurfaceKnotInput._listings):
+    the certificate walks and the separations on one input share it, and
+    it is freed with the input."""
     listings = input._listings
-    homs = listings.get((degree, limit))
+    homs = listings.get(degree)
     if homs is None:
-        homs = listings[degree, limit] = _search(input.presentation, degree, limit)
+        homs = listings[degree] = _search(input.presentation, degree, HOM_LIMIT)
     return homs
 
 
 def _fixes_a_point(hom: PermutationAssignment) -> bool:
     """True iff every generator image of hom, an image in S_d, fixes one
-    common point.  Generator 0's image is a class leader, whose fixed
-    points are 0..f-1, so the search stops at the first point it moves."""
+    common point.  Generator 0's image is the least permutation of its
+    cycle type, whose fixed points are 0..f-1, so the search stops at
+    the first point it moves."""
     images = hom.images
     for x in range(hom.degree):
         if all(p[x] == x for p in images):
@@ -395,7 +378,7 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
     c1, c2 = g1.columns, g2.columns
     complete = True  # the listing of degree 0, the trivial group
     for degree in range(1, max_degree + 1):
-        homs = _listing(input, degree, HOM_LIMIT)
+        homs = _listing(input, degree)
         for hom in homs:
             if complete and _fixes_a_point(hom):
                 continue  # an image of degree - 1 plus a point: compared
@@ -588,7 +571,7 @@ def infinite_index_certificate(input: SurfaceKnotInput, subgroup: Sequence[Word]
     on the same input search each degree once; it never uses the affine
     images."""
     pres = input.presentation
-    walk = itertools.chain((_listing(input, d, HOM_LIMIT) for d in CERTIFICATE_DEGREES),
+    walk = itertools.chain((_listing(input, d) for d in CERTIFICATE_DEGREES),
                            (_affine_images(pres, m, HOM_LIMIT) for m in AFFINE_DEGREES))
     for hom in itertools.chain.from_iterable(walk):
         cert = index_certificate(hom, pres, subgroup)

@@ -44,9 +44,9 @@ MAX_WORD_LETTERS = 100_000
 class SurfaceKnotInput(_Frozen):
     """Surface-knot group data, exactly as parse_input can produce it.
 
-    _listings keeps the presentation's homomorphism listings as they are
-    first read (finite_quotient._listing); like Word.columns, repr, ==,
-    hash, pickle and copy leave it out, so a copy starts empty."""
+    _listings keeps the presentation's homomorphism listings, by degree,
+    as they are first read (finite_quotient._listing); like Word.columns,
+    repr, ==, hash, pickle and copy leave it out, so a copy starts empty."""
 
     _fields = ("presentation", "p_generators", "p_plus_generators",
                "n_word", "surface_orientable", "label")

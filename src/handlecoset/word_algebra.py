@@ -14,8 +14,8 @@ x its own inverse.  It also owns the permutation steps that coset tables
 and finite images share: act reads a word's columns over many points, on
 a table's 1-based lists or an image's 0-based tuples, one perm_compose
 per column; root names an orbit by its least point; and
-perm_inverse_and_type reads a permutation's inverse and cycle type off
-one walk of its cycles.
+perm_inverse_and_type, the one reader of cycle types, reads a
+permutation's inverse and cycle type off one walk of its cycles.
 """
 
 from __future__ import annotations
@@ -243,24 +243,10 @@ def perm_power(p: Perm, k: int) -> Perm:
     return perm_compose(half, p) if k & 1 else half
 
 
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """The cycle lengths of p, in increasing order."""
-    seen = [False] * len(p)
-    lengths = []
-    for start in range(len(p)):
-        if not seen[start]:
-            x, length = start, 0
-            while not seen[x]:
-                seen[x] = True
-                x, length = p[x], length + 1
-            lengths.append(length)
-    lengths.sort()
-    return tuple(lengths)
-
-
 def perm_inverse_and_type(p: Perm) -> tuple[Perm, tuple[int, ...]]:
-    """perm_inverse(p) and cycle_type(p) from one walk of p's cycles: each
-    step x -> p[x] records x as the inverse's image of p[x]."""
+    """perm_inverse(p) and p's cycle type, its cycle lengths in increasing
+    order, from one walk of p's cycles: each step x -> p[x] records x as
+    the inverse's image of p[x]."""
     inverse = [-1] * len(p)
     lengths = []
     for start in range(len(p)):

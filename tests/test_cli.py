@@ -698,7 +698,7 @@ def test_only_word_algebra_defines_the_permutation_steps():
     for path in Path(handlecoset.__file__).parent.glob("*.py"):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
     assert {name for module, name in steps if module == "word_algebra"} == \
-        {"perm_inverse", "cycle_type", "perm_inverse_and_type", "root"}
+        {"perm_inverse", "perm_inverse_and_type", "root"}
     # the enumeration's coincidence forest is a dict of the dead cosets
     # alone, which root's list, where a root is its own parent, does not fit
     steps.discard(("coset_enumeration", "rep"))

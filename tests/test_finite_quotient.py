@@ -18,7 +18,6 @@ from handlecoset.finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES,
                                          HOM_LIMIT, MAX_SEPARATE_DEGREE,
                                          PermutationAssignment,
                                          SeparationVerdict, _affine_images,
-                                         _class_leaders,
                                          _affine_row,
                                          find_homomorphisms, index_certificate,
                                          infinite_index_certificate,
@@ -28,12 +27,12 @@ from handlecoset.handle_classifier import CaseLabel, ClassifierContext, validate
 from handlecoset.knot_input import case_words, parse_input, parse_word, serialize
 from handlecoset.selftest import (BROKEN_INPUTS, GROUP_CORPUS, INPUT_CORPUS, _random_word,
                                   _related_word, _resolved_groups,
-                                  classifier_values, coxeter_skg,
+                                  classifier_values, coxeter_skg, cycle_type,
                                   lexicographic_filter,
                                   mulclose, peval, pinv, pmul, rebased,
                                   subgroup_of, two_bridge_skg)
 from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation, Word, act,
-                                      concat, cycle_type, free_reduce, invert,
+                                      concat, free_reduce, invert,
                                       perm_inverse, power)
 
 C2 = parse_input("group: a\nrel: a^2\nP: 1\norientable: true").presentation
@@ -718,9 +717,8 @@ def _count_holds(monkeypatch, name="_holds"):
     """Count the calls of finite_quotient's function `name`: _holds
     checks one candidate against its relators, _affine_row reads one
     relator's row, perm_inverse_and_type walks one permutation's cycles,
-    perm_inverse and cycle_type read one permutation's inverse or cycle
-    type, perm_compose composes two permutations, _subgroup lists one
-    image's acting subgroup."""
+    perm_inverse reads one permutation's inverse, perm_compose composes
+    two permutations, _subgroup lists one image's acting subgroup."""
     holds, calls = getattr(finite_quotient, name), [0]
 
     def counted(*args):
@@ -765,18 +763,22 @@ def test_affine_walk_cost_without_a_timer(monkeypatch, skg, rows, images):
 def test_dihedral_walk_cycle_types_without_a_timer(monkeypatch):
     # the certificate walk on S8 with P = <s1>: its S_2..S_5 searches
     # group each generator's candidates by cycle type.  That took 162
-    # cycle_type reads while each candidate was read apart; now 97 walks
-    # (perm_inverse_and_type) group them, and cycle_type reads only the
-    # 10 images that fix a partnered level.  The walk's second half once
-    # searched D_6..D_13 and read 176 more; the affine listings that
-    # replace it solve for c and read none
+    # cycle-type reads while each candidate was read apart, and 97 walks
+    # (perm_inverse_and_type) plus a read for each of the 10 images that
+    # fixed a partnered level once the walks grouped them; now the 97
+    # walks record each type's index, and the search reads no inverse
+    # and no type apart.  The walk's second half once searched D_6..D_13
+    # and read 176 more; the affine listings that replace it solve for c
+    # and read none
     data = parse_input(coxeter_skg(8, [1]))
-    calls = _count_holds(monkeypatch, "cycle_type")
+    calls = {name: _count_holds(monkeypatch, name)
+             for name in ("perm_inverse_and_type", "perm_inverse")}
     for m in AFFINE_DEGREES:
         list(_affine_images(data.presentation, m, HOM_LIMIT))
-    assert calls[0] == 0
+    assert calls["perm_inverse_and_type"][0] == 0
     assert infinite_index_certificate(data, data.p_generators) is None
-    assert calls[0] < 200
+    assert calls["perm_inverse_and_type"][0] == 97
+    assert calls["perm_inverse"][0] == 0
 
 
 def test_knot_search_cost_without_a_timer(monkeypatch):
@@ -798,29 +800,39 @@ def test_knot_search_walks_without_a_timer(monkeypatch):
     # (cycle_type, 36,028) apart, d! and more of each per degree.  Now one
     # walk of a permutation's cycles reads both, and serves its inverse
     # as well: (d! + involutions) / 2 walks per degree, 496 a knot.  The
-    # two steps alone are left for the class leaders, 29 a knot
+    # least permutation of each cycle type, generator 0's candidates,
+    # comes from that walk too, so no inverse is read apart
     calls = {name: _count_holds(monkeypatch, name)
-             for name in ("perm_inverse_and_type", "perm_inverse", "cycle_type")}
+             for name in ("perm_inverse_and_type", "perm_inverse")}
     for p, q in TWO_BRIDGE_13:
         presentation = parse_input(two_bridge_skg(p, q)).presentation
         for degree in range(1, 7):
             find_homomorphisms(presentation, degree)
-    leaders = sum(len(_class_leaders(d)) for d in range(1, 7))
-    assert leaders == 29
     assert calls["perm_inverse_and_type"][0] == 40 * 496
-    assert calls["perm_inverse"][0] <= 40 * leaders
-    assert calls["cycle_type"][0] <= 40 * leaders
+    assert calls["perm_inverse"][0] == 0
+
+
+def _least_of_each_type(degree, least=1):
+    """The least permutation of each cycle type of S_degree with no cycle
+    shorter than `least`, in lexicographic order: cycles x -> x + 1 on
+    consecutive points, by increasing length."""
+    if degree == 0:
+        return [()]
+    return [tuple(range(1, k)) + (0,) + tuple(x + k for x in rest)
+            for k in range(least, degree + 1)
+            for rest in _least_of_each_type(degree - k, k)]
 
 
 def _listing_oracle(pres, degree, limit):
     """_search's listing as it was built before the one walk: every
     permutation of S_degree with its inverse from perm_inverse, all of
-    them grouped through cycle_type, and each image made by the public
+    them grouped through selftest's cycle_type, generator 0's candidates
+    from their own formula, and each image made by the public
     constructor."""
     ngens = len(pres.generators)
     points = range(degree)
     candidates = [(p, perm_inverse(p)) for p in itertools.permutations(points)]
-    levels = [[(p, perm_inverse(p)) for p in _class_leaders(degree)]]
+    levels = [[(p, perm_inverse(p)) for p in _least_of_each_type(degree)]]
     levels += [candidates] * (ngens - 1)
     partnered = {}
     for k, j in enumerate(_partners(pres)):
@@ -878,6 +890,29 @@ def test_search_lists_what_the_two_walk_construction_lists(label, text):
             assert repr(hom) == repr(public)
             for twin in (pickle.loads(pickle.dumps(hom)), pickle.loads(pickle.dumps(public))):
                 assert twin == hom == public and twin.action == public.action
+
+
+# partner roots after generator 0 (_partners): c draws from b's cycle
+# type, and in the second d from c's, where b and c run over all of S_d
+PARTNER_INPUTS = [
+    ("group: a b c\nrel: a^3\nrel: a^-1 b a c^-1\nP: a\norientable: true", (0, 1, 1)),
+    ("group: a b c d\nrel: a^2\nrel: b^-1 c b d^-1\nrel: a b a b\nP: a\norientable: true",
+     (0, 1, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("text, partners", PARTNER_INPUTS, ids=["partners-011", "partners-0122"])
+def test_search_draws_from_a_later_partners_type(text, partners):
+    # the brute-force filter, which prunes by no cycle type, lists the
+    # same images in the same order at S_1..S_5 under caps 5 and 64, and
+    # uncapped up to S_4
+    pres = parse_input(text).presentation
+    assert _partners(pres) == partners
+    runs = [(d, cap) for d in range(1, 6) for cap in (5, 64)] + [(d, 10**9) for d in range(1, 5)]
+    for degree, limit in runs:
+        homs = _search(pres, degree, limit)
+        assert [h.images for h in homs] == lexicographic_filter(pres, degree, limit), \
+            (degree, limit)
 
 
 def fraction_rank(rows):
@@ -1112,7 +1147,7 @@ def _first_separating_degrees(input, case, core_oriented, pairs, max_degree):
     pairs = [(g1.columns, g2.columns) for g1, g2 in pairs]
     first = [None] * len(pairs)
     for degree in range(1, max_degree + 1):
-        for hom in _listing(input, degree, finite_quotient.HOM_LIMIT):
+        for hom in _listing(input, degree):
             value = _named_value(hom, acting, n, core_oriented)
             for i, (c1, c2) in enumerate(pairs):
                 if first[i] is None and value(c1) != value(c2):
@@ -1128,7 +1163,7 @@ def _unskipped_images(input, max_degree):
     unskipped = []
     complete = True
     for degree in range(1, max_degree + 1):
-        homs = _listing(input, degree, finite_quotient.HOM_LIMIT)
+        homs = _listing(input, degree)
         unskipped += [hom for hom in homs if not complete or not any(
             all(p[x] == x for p in hom.images) for x in range(degree))]
         complete = len(homs) < finite_quotient.HOM_LIMIT
@@ -1317,7 +1352,7 @@ def test_an_input_keeps_its_listings(monkeypatch):
     g = parse_word("a b", input.presentation)
     assert quotient_separate(input, CaseLabel.CASE1, True, g, g) is SeparationVerdict.UNKNOWN
     assert searched == [2, 3, 4, 5, 1, 6]
-    assert sorted(input._listings) == [(d, HOM_LIMIT) for d in range(1, 7)]
+    assert sorted(input._listings) == list(range(1, 7))
     # a fresh parse, a pickle and a copy are equal inputs that start cold
     for twin in (parse_input(two_bridge_skg(13, 1)), pickle.loads(pickle.dumps(input)),
                  copy.copy(input), copy.deepcopy(input)):
