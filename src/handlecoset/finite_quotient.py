@@ -13,8 +13,10 @@ of S_d, which groups it by cycle type: one walk of a permutation's
 cycles (perm_inverse_and_type) gives its inverse and its cycle type,
 and serves its inverse too; generator 0 takes the first of each group,
 and S_d is kept flat as well only if some generator after the first
-has no earlier partner.  quotient_separate skips an image
-that only adds a fixed point to one it compared.  An image names no
+has no earlier partner.  Each input keeps the listing of each degree
+it reads (_listing), less the images that only add a fixed point to
+one of a lower degree; the certificate walk and quotient_separate
+read those kept images.  An image names no
 double coset: it lists H, the image of the acting subgroup, once, and
 two cords with images x1 and x2 have equal values there iff some slot
 y of x2 (x2, its inverse, the twists n y n, as the case has them) lies
@@ -254,30 +256,31 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
     return list(_search(pres, degree, limit))
 
 
-def _listing(input: SurfaceKnotInput, degree: int) -> tuple[PermutationAssignment, ...]:
-    """_search's listing under HOM_LIMIT on the input's presentation,
-    searched once per input and kept on it (SurfaceKnotInput._listings):
-    the certificate walks and the separations on one input share it, and
-    it is freed with the input."""
-    listings = input._listings
-    homs = listings.get(degree)
-    if homs is None:
-        homs = listings[degree] = _search(input.presentation, degree, HOM_LIMIT)
-    return homs
+def _listing(input: SurfaceKnotInput, degree: int
+             ) -> tuple[tuple[PermutationAssignment, ...], bool]:
+    """The images of degree d = degree that the certificate walk and the
+    separations read, and whether S_d was listed in full: _search's
+    listing under HOM_LIMIT on the input's presentation, less, when
+    degree d - 1 was listed in full (at d <= 2, always, since S_1 lists
+    only the trivial image), the images whose generators all fix one
+    point.  On the other points such an image is isomorphic to one of
+    degree d - 1, so conjugate to a kept image of a lower degree; it is
+    intransitive, so it certifies nothing either.  Each degree is
+    searched once per input and kept on it (SurfaceKnotInput._listings),
+    so the certificate walks and the separations on one input share it,
+    and it is freed with the input."""
+    listing = input._listings.get(degree)
+    if listing is None:
+        homs = _search(input.presentation, degree, HOM_LIMIT)
+        skip = degree <= 2 or _listing(input, degree - 1)[1]
+        kept = tuple(hom for hom in homs if not (skip and _fixes_a_point(hom)))
+        listing = input._listings[degree] = (kept, len(homs) < HOM_LIMIT)
+    return listing
 
 
 def _fixes_a_point(hom: PermutationAssignment) -> bool:
-    """True iff every generator image of hom, an image in S_d, fixes one
-    common point.  Generator 0's image is the least permutation of its
-    cycle type, whose fixed points are 0..f-1, so the search stops at
-    the first point it moves."""
-    images = hom.images
-    for x in range(hom.degree):
-        if all(p[x] == x for p in images):
-            return True
-        if images[0][x] != x:
-            return False
-    return False
+    """True iff some point is fixed by every generator image of hom."""
+    return any(all(p[x] == x for p in hom.images) for x in range(hom.degree))
 
 
 def _subgroup(identity: Perm, subgens: list[Perm]) -> set[Perm]:
@@ -354,13 +357,14 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
     degree <= max_degree gives the two words different invariants there;
     UNKNOWN otherwise.  Never claims equivalence.  In each image the
     invariants are compared by one subgroup-membership test, with no
-    double coset named (_separates).  The images are those
-    find_homomorphisms lists, by increasing degree, less the images of
-    degree d whose generators all fix one common point when fewer than
-    HOM_LIMIT were listed at degree d - 1 (at degree 1, always):
-    restricted to the other points, such an image is isomorphic to one in
-    S_(d-1), so conjugate to a listed one, which compared the two words
-    equal or the loop would have returned.  The verdict is the same as if
+    double coset named (_separates).  The images are those the input
+    keeps for degrees 2..max_degree (_listing), by increasing degree:
+    those find_homomorphisms lists, less the images of degree d whose
+    generators all fix one common point when degree d - 1 was listed in
+    full.  Restricted to the other points, such an image is isomorphic
+    to one in S_(d-1), so conjugate to a kept one of a lower degree,
+    which compared the two words equal or the loop would have returned;
+    the images of degree 1 are trivial.  The verdict is the same as if
     every listed image were compared.  Raises CaseMismatch if the case
     does not fit the input's surface, PreconditionUnverified if a
     compared image shows that n fails one of validate's twist checks
@@ -376,15 +380,10 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
     acting_columns = [w.columns for w in acting]
     n_columns = None if n is None else n.columns
     c1, c2 = g1.columns, g2.columns
-    complete = True  # the listing of degree 0, the trivial group
-    for degree in range(1, max_degree + 1):
-        homs = _listing(input, degree)
-        for hom in homs:
-            if complete and _fixes_a_point(hom):
-                continue  # an image of degree - 1 plus a point: compared
+    for degree in range(2, max_degree + 1):
+        for hom in _listing(input, degree)[0]:
             if _separates(hom, acting_columns, n_columns, core_oriented, c1, c2):
                 return SeparationVerdict.DISTINCT
-        complete = len(homs) < HOM_LIMIT
     return SeparationVerdict.UNKNOWN
 
 
@@ -561,17 +560,19 @@ def infinite_index_certificate(input: SurfaceKnotInput, subgroup: Sequence[Word]
                                ) -> Optional[IndexCertificate]:
     """The first certificate of infinite index for the subgroup, or None.
 
-    The walk reads the images that _search lists under HOM_LIMIT into
-    S_d for each d in CERTIFICATE_DEGREES, then those _affine_images
-    lists under HOM_LIMIT for each m in AFFINE_DEGREES, each at point 0
-    only, and stops at the first certificate.
+    The walk reads the images of S_d that the input keeps (_listing)
+    for each d in CERTIFICATE_DEGREES, then those _affine_images lists
+    under HOM_LIMIT for each m in AFFINE_DEGREES, each at point 0 only,
+    and stops at the first certificate.
     handle_classifier.subgroup_table runs it before it enumerates.  The
-    S_d searches are the capped ones quotient_separate runs, kept on the
-    input (_listing), so the walks for P and P+ and a later separation
-    on the same input search each degree once; it never uses the affine
-    images."""
+    kept images are the ones quotient_separate compares, so the walks
+    for P and P+ and a later separation on the same input search each
+    degree once; it never uses the affine images.  An image that
+    _listing leaves out fixes a point, so it is intransitive and
+    certifies nothing: the walk finds the certificate it would find in
+    the full listing."""
     pres = input.presentation
-    walk = itertools.chain((_listing(input, d) for d in CERTIFICATE_DEGREES),
+    walk = itertools.chain((_listing(input, d)[0] for d in CERTIFICATE_DEGREES),
                            (_affine_images(pres, m, HOM_LIMIT) for m in AFFINE_DEGREES))
     for hom in itertools.chain.from_iterable(walk):
         cert = index_certificate(hom, pres, subgroup)

@@ -19,8 +19,10 @@ The .skg format is line oriented (UTF-8):
     orientable: true|false        exactly once
     # comment; blank lines are ignored
 
-A word is whitespace-separated tokens, each a generator name optionally
-suffixed ^<integer> (negative allowed); the empty word is written 1.
+A word is whitespace-separated tokens, each a generator name or
+name^k, k an optional minus sign and one or more ASCII digits 0-9
+(-?[0-9]+, nothing else: no plus sign, underscore or other digits);
+the empty word is written 1.
 Exponents expand letter by letter, so a word whose expansion exceeds
 MAX_WORD_LETTERS is a syntax error at the token that crosses it.
 """
@@ -37,6 +39,7 @@ from .word_algebra import (GeneratorSymbol, GroupPresentation, Word, _Frozen,
                            column_of, reduce_columns)
 
 _TOKEN = re.compile(r"\S+")
+_EXPONENT = re.compile(r"-?[0-9]+")
 # a word may expand (before free reduction) to at most this many letters
 MAX_WORD_LETTERS = 100_000
 
@@ -44,8 +47,10 @@ MAX_WORD_LETTERS = 100_000
 class SurfaceKnotInput(_Frozen):
     """Surface-knot group data, exactly as parse_input can produce it.
 
-    _listings keeps the presentation's homomorphism listings, by degree,
-    as they are first read (finite_quotient._listing); like Word.columns,
+    _listings keeps, by degree, the homomorphism images into S_d that the
+    certificate walk and the separations read, each with a flag for
+    whether S_d was listed in full, as they are first read
+    (finite_quotient._listing); like Word.columns,
     repr, ==, hash, pickle and copy leave it out, so a copy starts empty."""
 
     _fields = ("presentation", "p_generators", "p_plus_generators",
@@ -128,7 +133,9 @@ def _parse_word_tokens(segment: str, line_no: int, col_offset: int,
             k = 1
             if caret:
                 try:
-                    k = int(exponent)
+                    if not _EXPONENT.fullmatch(exponent):
+                        raise ValueError
+                    k = int(exponent)  # past int's digit limit, ValueError too
                 except ValueError:
                     raise SkgSyntaxError(line_no, col,
                                          f"bad exponent in token {token!r}") from None

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -411,6 +413,39 @@ def test_huge_exponent_is_a_syntax_error(skg, capsys):
     assert run(["invariant", path, "--case", "1", "--cord", "b a^10000000"]) == 2
     assert capsys.readouterr().err == \
         "error: line 1, column 3: word expands to more than 100000 letters\n"
+
+
+def test_exponent_outside_the_grammar_is_a_syntax_error(skg, capsys):
+    # int() would read a^1_0 as a^10; the grammar allows -?[0-9]+ only
+    path = skg("s3.skg", S3)
+    assert run(["invariant", path, "--case", "1", "--cord", "a^1_0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: line 1, column 1: bad exponent in token 'a^1_0'\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # the README's .skg block saved as d8.skg, then every line of its CLI
+    # block but selftest, optional [...] flags left out, run as written
+    blocks = re.findall(r"^```\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.S | re.M)
+    (skg_block,) = [b for b in blocks if "\ngroup: r s" in b]
+    (cli_block,) = [b for b in blocks if b.startswith("handlecoset ")]
+    (tmp_path / "d8.skg").write_text(skg_block, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    last = {}
+    for line in cli_block.splitlines():
+        argv = shlex.split(re.sub(r"\[[^]]*\]", "", line))[1:]
+        if argv == ["selftest"]:
+            continue
+        assert run(argv) == 0, line
+        last[argv[0]] = capsys.readouterr().out.splitlines()[-1]
+    assert sorted(last) == ["classes", "enumerate", "equiv", "image-check",
+                            "invariant", "separate", "validate"]
+    assert (last["validate"], last["equiv"], last["image-check"], last["separate"]) \
+        == ("6 checks, 0 failed", "equivalent", "not-in-image", "distinct")
 
 
 def _classes_into_closed_pipe(argv):

@@ -22,7 +22,7 @@ from handlecoset.finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES,
                                          find_homomorphisms, index_certificate,
                                          infinite_index_certificate,
                                          quotient_separate, _extend_basis,
-                                         _listing, _partners, _search, _separates)
+                                         _partners, _search, _separates)
 from handlecoset.handle_classifier import CaseLabel, ClassifierContext, validate
 from handlecoset.knot_input import case_words, parse_input, parse_word, serialize
 from handlecoset.selftest import (BROKEN_INPUTS, GROUP_CORPUS, INPUT_CORPUS, _random_word,
@@ -718,7 +718,8 @@ def _count_holds(monkeypatch, name="_holds"):
     checks one candidate against its relators, _affine_row reads one
     relator's row, perm_inverse_and_type walks one permutation's cycles,
     perm_inverse reads one permutation's inverse, perm_compose composes
-    two permutations, _subgroup lists one image's acting subgroup."""
+    two permutations, _subgroup lists one image's acting subgroup,
+    _fixes_a_point tests one listed image for a common fixed point."""
     holds, calls = getattr(finite_quotient, name), [0]
 
     def counted(*args):
@@ -1134,38 +1135,42 @@ def _named_value(hom, acting, n, core_oriented):
     return lambda g: nest_slots(partial(slot, image(g)), n is not None, core_oriented)
 
 
-def _first_separating_degrees(input, case, core_oriented, pairs, max_degree):
-    """For each pair of cord words, the least degree at which an image that
-    _search lists gives the two words different values, None if there is
-    none up to max_degree: quotient_separate without the skip, every
-    listed image compared, each value named by the oracle _named_value.
-    The listings are the input's own (_listing), which the separations
-    read too."""
+def _searched(input, max_degree):
+    """_search's listings under HOM_LIMIT at degrees 1..max_degree, made
+    independently of the lists that the separations read (_listing)."""
+    return [_search(input.presentation, degree, finite_quotient.HOM_LIMIT)
+            for degree in range(1, max_degree + 1)]
+
+
+def _first_separating_degrees(input, case, core_oriented, pairs, listings):
+    """For each pair of cord words, the least degree at which an image in
+    listings (_searched) gives the two words different values, None if
+    there is none: quotient_separate without the skip, every listed image
+    compared, each value named by the oracle _named_value."""
     acting, n = case_words(input, case)
     acting = [w.columns for w in acting]
     n = None if n is None else n.columns
     pairs = [(g1.columns, g2.columns) for g1, g2 in pairs]
     first = [None] * len(pairs)
-    for degree in range(1, max_degree + 1):
-        for hom in _listing(input, degree):
+    for homs in listings:
+        for hom in homs:
             value = _named_value(hom, acting, n, core_oriented)
             for i, (c1, c2) in enumerate(pairs):
                 if first[i] is None and value(c1) != value(c2):
-                    first[i] = degree
+                    first[i] = hom.degree
     return first
 
 
-def _unskipped_images(input, max_degree):
-    """The listed images that a pair no image separates is compared in:
-    those of degree d, less, when the listing of degree d - 1 is below the
-    cap, those whose generators all fix some one point.  The listings are
-    the input's own (_listing), which the separations read too."""
+def _unskipped_images(listings):
+    """The images in listings (_searched) that a pair no image separates
+    is compared in: those of degree d, less, when the listing of degree
+    d - 1 is below the cap, those whose generators all fix some one
+    point."""
     unskipped = []
     complete = True
-    for degree in range(1, max_degree + 1):
-        homs = _listing(input, degree)
+    for homs in listings:
         unskipped += [hom for hom in homs if not complete or not any(
-            all(p[x] == x for p in hom.images) for x in range(degree))]
+            all(p[x] == x for p in hom.images) for x in range(hom.degree))]
         complete = len(homs) < finite_quotient.HOM_LIMIT
     return unskipped
 
@@ -1195,13 +1200,14 @@ def test_skipped_images_change_no_verdict(monkeypatch, limit):
         input = parse_input(skg, label=label)
         ngens = len(input.presentation.generators)
         top = 7 if ngens == 2 else 6
-        unskipped = _unskipped_images(input, top)
+        listings = _searched(input, top)
+        unskipped = _unskipped_images(listings)
         cases = [c for c in CaseLabel if c.requires_orientable == input.surface_orientable]
         for case, core_oriented in itertools.product(cases, (True, False)):
             words = [_random_word(rng, ngens) for _ in range(4)]
             pairs = [(g1, _related_word(rng, input, case, core_oriented, g1, moved))
                      for g1, moved in zip(words, (False, True))] + [tuple(words[2:])]
-            firsts = _first_separating_degrees(input, case, core_oriented, pairs, top)
+            firsts = _first_separating_degrees(input, case, core_oriented, pairs, listings)
             for (g1, g2), first in zip(pairs, firsts):
                 max_degree = rng.choice((6, top))
                 compared.clear()
@@ -1234,6 +1240,30 @@ def test_separation_cost_without_a_timer(monkeypatch):
         assert quotient_separate(input, CaseLabel.CASE1, True, g, h, 6) \
             is SeparationVerdict.UNKNOWN
     assert calls[0] < 2_000
+
+
+def test_the_skip_runs_once_per_listed_image(monkeypatch):
+    # each of the 40 knots is built (the build proves P = <a> of infinite
+    # index) and then separates the equivalent pair g, a^i g a^j of
+    # test_separation_cost_without_a_timer twice: the fixed-point test
+    # runs once per image _search lists at degrees 2..6, 3,402 in all,
+    # since the input keeps the lists it filtered (it ran 6,884 times
+    # when every separation tested every listed image)
+    calls = _count_holds(monkeypatch, "_fixes_a_point")
+    rng = random.Random("separation-cost")
+    listed = 0
+    for p, q in TWO_BRIDGE_13:
+        input = parse_input(two_bridge_skg(p, q))
+        with pytest.raises(InfiniteIndex):
+            ClassifierContext.build(input)
+        g = _random_word(rng, 2, 10)
+        h = concat(power(Word(((0, 1),)), rng.randint(-3, 3)), g,
+                   power(Word(((0, 1),)), rng.randint(-3, 3)))
+        for _ in range(2):
+            assert quotient_separate(input, CaseLabel.CASE1, True, g, h, 6) \
+                is SeparationVerdict.UNKNOWN
+        listed += sum(len(_search(input.presentation, d, HOM_LIMIT)) for d in range(2, 7))
+    assert calls[0] == listed == 3_402
 
 
 def _outcome(compare):
@@ -1336,7 +1366,7 @@ def test_one_subgroup_listing_per_compared_image(monkeypatch):
 def test_an_input_keeps_its_listings(monkeypatch):
     # b(13, 1) has no certificate in S_2..S_5, so the build's walk searches
     # all four before it reads the affine images; a separation after it
-    # reuses those four and searches only S_1 and S_6
+    # reuses those four and searches only S_6, and no reader lists S_1
     searched = []
     search = finite_quotient._search
 
@@ -1351,8 +1381,8 @@ def test_an_input_keeps_its_listings(monkeypatch):
     assert searched == [2, 3, 4, 5]
     g = parse_word("a b", input.presentation)
     assert quotient_separate(input, CaseLabel.CASE1, True, g, g) is SeparationVerdict.UNKNOWN
-    assert searched == [2, 3, 4, 5, 1, 6]
-    assert sorted(input._listings) == list(range(1, 7))
+    assert searched == [2, 3, 4, 5, 6]
+    assert sorted(input._listings) == list(range(2, 7))
     # a fresh parse, a pickle and a copy are equal inputs that start cold
     for twin in (parse_input(two_bridge_skg(13, 1)), pickle.loads(pickle.dumps(input)),
                  copy.copy(input), copy.deepcopy(input)):
@@ -1360,7 +1390,7 @@ def test_an_input_keeps_its_listings(monkeypatch):
         searched.clear()
         assert quotient_separate(twin, CaseLabel.CASE1, True, g, g, max_degree=2) \
             is SeparationVerdict.UNKNOWN
-        assert searched == [1, 2]
+        assert searched == [2]
     # the walks for P and for P+ of one non-orientable input share them
     searched.clear()
     ClassifierContext.build(parse_input(serialize(D8_CASE3)))

@@ -104,6 +104,19 @@ CASE3_TAIL = "P+: t\nn: t\norientable: false"
     pytest.param("group: t\nP: t\nn: t\norientable: false", MissingSection,
                  "missing required section 'P+:' "
                  "(required for non-orientable input)", id="no-P+"),
+    # an exponent is -?[0-9]+ in ASCII, though int() reads all three
+    pytest.param("group: a\nP: a a^1_0\norientable: true", SkgSyntaxError,
+                 "line 2, column 6: bad exponent in token 'a^1_0'",
+                 id="exponent-underscore"),
+    pytest.param("group: a\nP: a^\u0663\norientable: true", SkgSyntaxError,
+                 "line 2, column 4: bad exponent in token 'a^\u0663'",
+                 id="exponent-arabic-indic-digit"),
+    pytest.param("group: a\nrel: a^+2\nP: a\norientable: true", SkgSyntaxError,
+                 "line 2, column 6: bad exponent in token 'a^+2'",
+                 id="exponent-plus-sign"),
+    pytest.param("group: a\nP: b^+2\norientable: true", UnknownGenerator,
+                 "line 2, column 4: unknown generator 'b'",
+                 id="unknown-generator-before-exponent"),
 ])
 def test_parse_error_messages(text, error, message):
     with pytest.raises(error) as info:
