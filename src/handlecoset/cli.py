@@ -248,20 +248,6 @@ def _cmd_separate(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    from . import selftest
-
-    results = selftest.run_all()
-    failures = 0
-    for result in results:
-        tag = "PASS" if result.passed else "FAIL"
-        print(f"{tag} {result.name}: {result.detail}")
-        if not result.passed:
-            failures += 1
-    print(f"{len(results)} properties, {failures} failed")
-    return 0 if failures == 0 else 1
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -321,10 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=6, metavar="D",
                    choices=range(1, MAX_SEPARATE_DEGREE + 1),
                    help=f"largest permutation degree searched, 1..{MAX_SEPARATE_DEGREE}")
-
-    # selftest writes no record, so it takes no --records
-    p = sub.add_parser("selftest", help="run the built-in oracle suite")
-    p.set_defaults(func=_cmd_selftest)
     return parser
 
 

@@ -42,6 +42,7 @@ _TOKEN = re.compile(r"\S+")
 _EXPONENT = re.compile(r"-?[0-9]+")
 # a word may expand (before free reduction) to at most this many letters
 MAX_WORD_LETTERS = 100_000
+_OVER_BUDGET = f"word expands to more than {MAX_WORD_LETTERS} letters"
 
 
 class SurfaceKnotInput(_Frozen):
@@ -132,21 +133,22 @@ def _parse_word_tokens(segment: str, line_no: int, col_offset: int,
                 raise UnknownGenerator(line_no, col, f"unknown generator {base!r}")
             k = 1
             if caret:
-                try:
-                    if not _EXPONENT.fullmatch(exponent):
-                        raise ValueError
-                    k = int(exponent)  # past int's digit limit, ValueError too
-                except ValueError:
-                    raise SkgSyntaxError(line_no, col,
-                                         f"bad exponent in token {token!r}") from None
+                if not _EXPONENT.fullmatch(exponent):
+                    raise SkgSyntaxError(line_no, col, f"bad exponent in token {token!r}")
+                # the digits past the sign and leading zeros, so that int()
+                # never meets a string past its 4,300-digit limit; more
+                # digits than the budget has means more letters than it
+                digits = exponent.lstrip("-").lstrip("0")
+                if len(digits) > len(str(MAX_WORD_LETTERS)):
+                    raise SkgSyntaxError(line_no, col, _OVER_BUDGET)
+                k = int(digits or "0") * (-1 if exponent[0] == "-" else 1)
             hit = parsed[token] = (column_of((name_to_index[base], 1 if k >= 0 else -1)),
                                    abs(k))
         one, k = hit
         if k == 1 and len(columns) < MAX_WORD_LETTERS:  # the common token
             columns.append(one)
         elif len(columns) + k > MAX_WORD_LETTERS:
-            raise SkgSyntaxError(line_no, col_offset + match.start(), f"word expands "
-                                 f"to more than {MAX_WORD_LETTERS} letters")
+            raise SkgSyntaxError(line_no, col_offset + match.start(), _OVER_BUDGET)
         else:
             columns.extend([one] * k)
     if not saw_token:

@@ -13,10 +13,9 @@ from pathlib import Path
 import pytest
 
 import handlecoset
+from brute import BROKEN_INPUTS, INPUT_CORPUS, coxeter_skg, two_bridge_skg
 from handlecoset import CosetTable, handle_classifier
 from handlecoset.cli import run
-from handlecoset.selftest import (BROKEN_INPUTS, INPUT_CORPUS, coxeter_skg,
-                                  two_bridge_skg)
 
 UNKNOTTED = "group: t\nP: t\norientable: true\n"
 T2 = "group: t\nP: t^2\norientable: true\n"
@@ -428,7 +427,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     # the README's .skg block saved as d8.skg, then every line of its CLI
-    # block but selftest, optional [...] flags left out, run as written
+    # block, optional [...] flags left out, run as written
     blocks = re.findall(r"^```\n(.*?)^```", README.read_text(encoding="utf-8"),
                         re.S | re.M)
     (skg_block,) = [b for b in blocks if "\ngroup: r s" in b]
@@ -438,8 +437,6 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     last = {}
     for line in cli_block.splitlines():
         argv = shlex.split(re.sub(r"\[[^]]*\]", "", line))[1:]
-        if argv == ["selftest"]:
-            continue
         assert run(argv) == 0, line
         last[argv[0]] = capsys.readouterr().out.splitlines()[-1]
     assert sorted(last) == ["classes", "enumerate", "equiv", "image-check",
@@ -513,42 +510,19 @@ def test_invariant_record_shape(skg, tmp_path, capsys):
     assert record["cosets_defined"] >= 3
 
 
-def _stub_fail() -> str:
-    raise AssertionError("stub broke")
-
-
-def test_selftest_smoke(capsys, monkeypatch):
-    # each real check runs as its own test_selftest_property item; here
-    # stubs drive only the command's PASS/FAIL lines and exit code
-    from handlecoset import selftest
-    monkeypatch.setattr(selftest, "CHECKS", (("stub-pass", lambda: "all good"),
-                                             ("stub-fail", _stub_fail)))
-    assert run(["selftest"]) == 1
-    assert capsys.readouterr().out == ("PASS stub-pass: all good\n"
-                                       "FAIL stub-fail: AssertionError: stub broke\n"
-                                       "2 properties, 1 failed\n")
-    monkeypatch.setattr(selftest, "CHECKS", (("stub-pass", lambda: "all good"),))
-    assert run(["selftest"]) == 0
-    assert capsys.readouterr().out == "PASS stub-pass: all good\n1 properties, 0 failed\n"
-
-
-def test_selftest_takes_no_records(tmp_path, capsys):
-    rec = tmp_path / "r.json"
-    assert run(["selftest", "--records", str(rec)]) == 2
-    assert "--records" in capsys.readouterr().err
-    assert not rec.exists()
-
-
 def test_cli_import_leaves_the_oracle_unloaded():
-    # every CLI process imports handlecoset.cli; only `selftest` needs the
-    # oracle suite, so the import must not pull it in, nor dataclasses,
-    # which imports inspect and cost most of the package's import time
+    # the oracles live in the tests alone, and every CLI process imports
+    # the package: none of its modules may pull in dataclasses, which
+    # imports inspect and cost most of the package's import time
     env = dict(os.environ, PYTHONPATH=str(Path(handlecoset.__file__).parents[1]))
-    code = ("import sys, handlecoset.cli; print(*(m in sys.modules for m in "
-            "('handlecoset.selftest', 'dataclasses', 'inspect')))")
+    modules = [f"handlecoset.{m.name}"
+               for m in pkgutil.iter_modules(handlecoset.__path__)]
+    code = (f"import importlib, sys\n"
+            f"for m in {modules!r}: importlib.import_module(m)\n"
+            f"print(*(m in sys.modules for m in ('dataclasses', 'inspect')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out == "False False False\n"
+    assert out == "False False\n"
 
 
 @pytest.mark.parametrize("module", sorted(
@@ -566,9 +540,7 @@ def test_each_module_imports_first(module):
 
 
 def test_no_lazy_package_imports():
-    # a function-level import hides a module cycle from the test above;
-    # only the CLI loading the oracle suite on demand, and the oracle
-    # driving the CLI, import inside a function
+    # a function-level import hides a module cycle from the test above
     found = set()
     for path in Path(handlecoset.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -579,8 +551,7 @@ def test_no_lazy_package_imports():
                 if isinstance(node, ast.ImportFrom) and node.level:
                     target = node.module or ",".join(a.name for a in node.names)
                     found.add((path.stem, func.name, target))
-    assert found == {("cli", "_cmd_selftest", "selftest"),
-                     ("selftest", "check_record_determinism", "cli")}
+    assert found == set()
 
 
 def test_pairs_are_built_only_in_double_cosets():
@@ -615,7 +586,7 @@ def test_only_cache_keys_spell_out_their_value_key():
 
 def test_no_module_memoizes_through_functools():
     # what is derived from an input lives on that input, and dies with it,
-    # not in a process-wide cache; selftest memoizes its corpus fixtures
+    # not in a process-wide cache
     memoizing = {"lru_cache", "cache"}
     importers = set()
     for path in Path(handlecoset.__file__).parent.glob("*.py"):
@@ -627,7 +598,7 @@ def test_no_module_memoizes_through_functools():
             if (isinstance(node, ast.Attribute) and node.attr in memoizing
                     and isinstance(node.value, ast.Name) and node.value.id == "functools"):
                 importers.add(path.stem)
-    assert importers <= {"selftest"}
+    assert importers == set()
 
 
 def test_only_coset_enumeration_reads_the_table_fields():
@@ -717,8 +688,8 @@ def _walks(node) -> bool:
 
 def test_only_word_algebra_defines_the_permutation_steps():
     # coset tables and finite images share one inverse, one cycle type,
-    # one walk that reads both, and one union-find root; selftest keeps
-    # its own as the oracles
+    # one walk that reads both, and one union-find root; the tests keep
+    # their own in brute.py as the oracles
     steps = set()
 
     def visit(node, module, owner):
@@ -737,7 +708,7 @@ def test_only_word_algebra_defines_the_permutation_steps():
     # the enumeration's coincidence forest is a dict of the dead cosets
     # alone, which root's list, where a root is its own parent, does not fit
     steps.discard(("coset_enumeration", "rep"))
-    assert {module for module, _ in steps} == {"word_algebra", "selftest"}
+    assert {module for module, _ in steps} == {"word_algebra"}
 
 
 def test_only_the_classifier_chooses_a_case_table():

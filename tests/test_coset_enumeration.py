@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from brute import (GROUP_CORPUS, INPUT_CORPUS, coxeter_skg, cycle_type, mulclose,
+                   respell_squares)
 from handlecoset.cli import run
 from handlecoset.coset_enumeration import (CosetTable, EnumerationLimits,
                                            _verify, enumerate_cosets)
@@ -10,8 +12,6 @@ from handlecoset.errors import CosetRangeError, ResourceExhausted
 from handlecoset.knot_input import format_word, parse_input, parse_word
 from handlecoset import word_algebra
 from handlecoset.word_algebra import GeneratorSymbol, GroupPresentation, Word
-from handlecoset.selftest import (GROUP_CORPUS, INPUT_CORPUS, coxeter_skg, cycle_type,
-                                  mulclose, respell_squares)
 
 
 def load(text):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from brute import orbit_partition
+from brute import (BROKEN_INPUTS, GROUP_CORPUS, INPUT_CORPUS, coxeter_skg,
+                   orbit_partition)
 from handlecoset.coset_enumeration import enumerate_cosets
 from handlecoset.double_cosets import (UnorderedPair, dc_all, dc_id,
                                        dc_invert, dc_twist, nest_slots,
@@ -11,8 +12,6 @@ from handlecoset.errors import PreconditionUnverified, TableMismatch
 from handlecoset.handle_classifier import (ClassifierContext, ValidationCheck,
                                            ValidationReport, validate)
 from handlecoset.knot_input import parse_input, parse_word
-from handlecoset.selftest import (BROKEN_INPUTS, GROUP_CORPUS, INPUT_CORPUS,
-                                  coxeter_skg)
 from handlecoset.word_algebra import Word, concat, free_reduce, invert
 
 S3_TEXT = "group: a b\nrel: a^2\nrel: b^3\nrel: a b a b\nP: a\norientable: true"

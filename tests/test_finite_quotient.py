@@ -10,7 +10,10 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from brute import TWO_BRIDGE_13, twist_spun_skg
+from brute import (BROKEN_INPUTS, GROUP_CORPUS, INPUT_CORPUS, TWO_BRIDGE_13,
+                   _random_word, _related_word, _resolved_groups, classifier_values,
+                   coxeter_skg, cycle_type, lexicographic_filter, mulclose, peval,
+                   pinv, pmul, rebased, subgroup_of, twist_spun_skg, two_bridge_skg)
 from handlecoset import finite_quotient
 from handlecoset.double_cosets import nest_slots
 from handlecoset.errors import CaseMismatch, InfiniteIndex, PreconditionUnverified
@@ -25,12 +28,6 @@ from handlecoset.finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES,
                                          _partners, _search, _separates)
 from handlecoset.handle_classifier import CaseLabel, ClassifierContext, validate
 from handlecoset.knot_input import case_words, parse_input, parse_word, serialize
-from handlecoset.selftest import (BROKEN_INPUTS, GROUP_CORPUS, INPUT_CORPUS, _random_word,
-                                  _related_word, _resolved_groups,
-                                  classifier_values, coxeter_skg, cycle_type,
-                                  lexicographic_filter,
-                                  mulclose, peval, pinv, pmul, rebased,
-                                  subgroup_of, two_bridge_skg)
 from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation, Word, act,
                                       concat, free_reduce, invert,
                                       perm_inverse, power)
@@ -827,7 +824,7 @@ def _least_of_each_type(degree, least=1):
 def _listing_oracle(pres, degree, limit):
     """_search's listing as it was built before the one walk: every
     permutation of S_degree with its inverse from perm_inverse, all of
-    them grouped through selftest's cycle_type, generator 0's candidates
+    them grouped through brute's cycle_type, generator 0's candidates
     from their own formula, and each image made by the public
     constructor."""
     ngens = len(pres.generators)
@@ -1079,7 +1076,7 @@ def _named_value(hom, acting, n, core_oriented):
     a membership test.  Each slot's double coset HxH is closed in full
     and named by its least permutation; n's image must pass validate's
     twist checks, else PreconditionUnverified names the first that
-    fails.  Its arithmetic is selftest's, apart from the package's
+    fails.  Its arithmetic is brute's, apart from the package's
     permutation steps."""
     action, identity = hom.action, tuple(range(hom.degree))
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from brute import INPUT_CORPUS, coxeter_skg, two_bridge_skg
 from handlecoset import handle_classifier
 from handlecoset.coset_enumeration import (CosetTable, EnumerationLimits,
                                            enumerate_cosets)
@@ -26,7 +27,6 @@ from handlecoset.handle_classifier import (CaseLabel, ClassifierContext,
                                            nonsurjectivity_witness,
                                            oriented_cord_invariant)
 from handlecoset.knot_input import case_words, parse_input, parse_word
-from handlecoset.selftest import INPUT_CORPUS, coxeter_skg, two_bridge_skg
 from handlecoset.word_algebra import Word, free_reduce, invert
 
 UNKNOTTED = "group: t\nP: t\norientable: true"

@@ -4,6 +4,7 @@ from itertools import groupby
 import pytest
 from hypothesis import given, reject, seed, settings, strategies as st
 
+from brute import peval, pinv, pmul, subgroup_of, two_bridge_skg
 from handlecoset.coset_enumeration import EnumerationLimits
 from handlecoset.errors import (DuplicateGenerator, MissingSection,
                                 SkgSyntaxError, UnknownGenerator)
@@ -11,7 +12,6 @@ from handlecoset.handle_classifier import validate
 from handlecoset.knot_input import (MAX_WORD_LETTERS, SurfaceKnotInput,
                                     format_word, parse_input, parse_word,
                                     serialize)
-from handlecoset.selftest import peval, pinv, pmul, subgroup_of, two_bridge_skg
 from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation, Word,
                                       free_reduce)
 
@@ -117,6 +117,11 @@ CASE3_TAIL = "P+: t\nn: t\norientable: false"
     pytest.param("group: a\nP: b^+2\norientable: true", UnknownGenerator,
                  "line 2, column 4: unknown generator 'b'",
                  id="unknown-generator-before-exponent"),
+    # int() refuses a string of more than 4,300 digits; an exponent with
+    # more significant digits than the letter budget is past the budget
+    *(pytest.param(f"group: a\nP: a a^{'1' * n}\norientable: true", SkgSyntaxError,
+                   "line 2, column 6: word expands to more than 100000 letters",
+                   id=f"exponent-of-{n}-digits") for n in (4300, 4301)),
 ])
 def test_parse_error_messages(text, error, message):
     with pytest.raises(error) as info:
@@ -135,6 +140,11 @@ def test_syntax_error_carries_position():
 def test_word_length_cap():
     pres = parse_input("group: a b\nP: a\norientable: true").presentation
     assert len(parse_word(f"a^{MAX_WORD_LETTERS}", pres)) == MAX_WORD_LETTERS
+    # leading zeros are not significant, however many there are
+    zeros = "0" * 4300
+    assert len(parse_word(f"a^{zeros}{MAX_WORD_LETTERS}", pres)) == MAX_WORD_LETTERS
+    assert parse_word(f"a^{zeros}1", pres) == Word(((0, 1),))
+    assert parse_word(f"a^-{zeros}1", pres) == Word(((0, -1),))
     tracemalloc.start()
     try:
         with pytest.raises(SkgSyntaxError) as info:

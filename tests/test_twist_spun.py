@@ -11,12 +11,11 @@ import random
 
 import pytest
 
-from brute import TWO_BRIDGE_13, twist_spun_skg
+from brute import (TWO_BRIDGE_13, _random_word, _related_word, classifier_key,
+                   classifier_values, mulclose, peval, subgroup_of, twist_spun_skg)
 from handlecoset import (CaseLabel, ClassifierContext, enumerate_classes,
                          equivalent, parse_input)
 from handlecoset.errors import InfiniteIndex
-from handlecoset.selftest import (_random_word, _related_word, classifier_key,
-                                  classifier_values, mulclose, peval, subgroup_of)
 
 CASES = [(label, core) for label in (CaseLabel.CASE1, CaseLabel.CASE2)
          for core in (True, False)]

@@ -5,12 +5,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from brute import (GROUP_CORPUS, INPUT_CORPUS, _random_word, coxeter_skg,
+                   cycle_type, peval, pinv, pmul, two_bridge_skg)
 from handlecoset import word_algebra
 from handlecoset.coset_enumeration import enumerate_cosets
 from handlecoset.knot_input import format_word, parse_input, parse_word
-from handlecoset import selftest
-from handlecoset.selftest import (GROUP_CORPUS, INPUT_CORPUS, _random_word,
-                                  coxeter_skg, peval, pinv, pmul, two_bridge_skg)
 from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation,
                                       Word, act, concat,
                                       free_reduce, invert, perm_compose,
@@ -340,7 +339,7 @@ def test_presentation_invariants():
 
 
 def test_permutation_steps_match_the_oracles():
-    # selftest's pmul, pinv, peval and cycle_type are written apart from
+    # brute's pmul, pinv, peval and cycle_type are written apart from
     # the package's steps, and serve as their oracles, also for the one
     # walk that reads an inverse and a cycle type together
     rng = random.Random(7)
@@ -349,7 +348,7 @@ def test_permutation_steps_match_the_oracles():
         p, q = (tuple(rng.sample(range(d), d)) for _ in range(2))
         assert perm_compose(p, q) == pmul(p, q)
         assert perm_inverse(p) == pinv(p)
-        assert perm_inverse_and_type(p) == (pinv(p), selftest.cycle_type(p))
+        assert perm_inverse_and_type(p) == (pinv(p), cycle_type(p))
         k = rng.randint(0, 30)
         slow = tuple(range(d))
         for _ in range(k):
