@@ -13,13 +13,15 @@ of S_d, which groups it by cycle type: one walk of a permutation's
 cycles (perm_inverse_and_type) gives its inverse and its cycle type,
 and serves its inverse too; generator 0 takes the first of each group,
 and S_d is kept flat as well only if some generator after the first
-has no earlier partner.  Each input keeps the listing of each degree
-it reads (_listing), less the images that only add a fixed point to
-one of a lower degree; the certificate walk and quotient_separate
-read those kept images.  An image names no
-double coset: it lists H, the image of the acting subgroup, once, and
-two cords with images x1 and x2 have equal values there iff some slot
-y of x2 (x2, its inverse, the twists n y n, as the case has them) lies
+has no earlier partner.  Each input keeps one listing of its finite
+images (_listing), made of slices that are listed as they are first
+read, each under one cap: the images in S_d, less those that only add
+a fixed point to one of degree d - 1, and those in AGL(1, m) (below).
+The certificate walk and quotient_separate read slices of it, and
+nothing else lists an image for them.  An image names no double
+coset: it lists H, the image of the acting subgroup, once, and two
+cords with images x1 and x2 have equal values there iff some slot y
+of x2 (x2, its inverse, the twists n y n, as the case has them) lies
 in H x1 H, that is iff x1^-1 h y lies in H for some h in H
 (_separates; Holt-Eick-O'Brien, Handbook of CGT, ch. 4).  Inside a
 finite image everything is brute force over permutations, independent
@@ -37,12 +39,12 @@ the stabilizer H of point 0 has finite index, and H^ab over Q is the
 cycle space of the image's d-fold cover modulo the cycles its relators
 trace; if H_K, the intersection of K with H, spans a smaller rank
 there, |H : H_K| is infinite, and so is |G : K|.  The certificate walk
-(infinite_index_certificate) reads the images in S_d for small d, then
-those in AGL(1, m) for a few primes m that send each generator to
-x -> s x + c_i, one s for all: they are not searched but solved for,
-as the kernel mod m of the relators' Fox derivatives (Fox, "Free
-differential calculus I", 1953; "Metacyclic invariants of knots and
-links", 1970).  s = -1 gives the dihedral images that reach the torus
+(infinite_index_certificate) reads the slices of S_d for small d, then
+those of AGL(1, m) for a few primes m, whose images send each
+generator to x -> s x + c_i, one s for all: they are not searched but
+solved for, as the kernel mod m of the relators' Fox derivatives (Fox,
+"Free differential calculus I", 1953; "Metacyclic invariants of knots
+and links", 1970).  s = -1 gives the dihedral images that reach the torus
 knots T(2, p).
 """
 
@@ -65,14 +67,15 @@ Columns = tuple[int, ...]  # a word's action columns, Word.columns
 # the largest degree of S_d searched; a generator with no earlier conjugate
 # partner still runs over all d! permutations
 MAX_SEPARATE_DEGREE = 8
-# assignments kept per degree; binds only at d = 6 on knots with p <= 13
+# images kept per slice of an input's listing (_listing), in S_d and in
+# AGL(1, m) alike; binds at d = 6 on knots with p <= 13, and in AGL(1, m)
+# only where the Fox rows leave several columns free, as in a free group
 HOM_LIMIT = 64
-# degrees of the images in S_d that the certificate walk reads first; it
-# runs on every build before it enumerates, finite index included, so each
-# degree adds to every build
-CERTIFICATE_DEGREES = range(2, 6)
-# the primes m of the AGL(1, m) images that the walk reads after S_d
-AFFINE_DEGREES = (7, 11, 13)
+# the slices (kind, degree) that the certificate walk reads, in order: S_d
+# for small d, then AGL(1, m) for a few primes m.  It runs on every build
+# before it enumerates, finite index included, so each slice adds to every build
+CERTIFICATE_WALK = (("S", 2), ("S", 3), ("S", 4), ("S", 5),
+                    ("AGL", 7), ("AGL", 11), ("AGL", 13))
 
 
 class PermutationAssignment(_Frozen):
@@ -256,25 +259,37 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
     return list(_search(pres, degree, limit))
 
 
-def _listing(input: SurfaceKnotInput, degree: int
+def _listing(input: SurfaceKnotInput, kind: str, degree: int
              ) -> tuple[tuple[PermutationAssignment, ...], bool]:
-    """The images of degree d = degree that the certificate walk and the
-    separations read, and whether S_d was listed in full: _search's
-    listing under HOM_LIMIT on the input's presentation, less, when
-    degree d - 1 was listed in full (at d <= 2, always, since S_1 lists
-    only the trivial image), the images whose generators all fix one
-    point.  On the other points such an image is isomorphic to one of
-    degree d - 1, so conjugate to a kept image of a lower degree; it is
-    intransitive, so it certifies nothing either.  Each degree is
-    searched once per input and kept on it (SurfaceKnotInput._listings),
-    so the certificate walks and the separations on one input share it,
-    and it is freed with the input."""
-    listing = input._listings.get(degree)
+    """One slice of the input's listing of finite images, and whether the
+    slice holds every image of its kind: kind "S" for the images in S_d,
+    d = degree, and "AGL" for those in AGL(1, m), m = degree prime.  This
+    is the one place that lists images for the certificate walk and the
+    separations, each slice under HOM_LIMIT.  Each slice is listed once
+    per input, when it is first read, and kept on it
+    (SurfaceKnotInput._listings), so the certificate walks for P and P+
+    and the separations on one input share it, and it is freed with the
+    input.
+
+    The S_d slice is _search's listing, less, when the slice of degree
+    d - 1 is complete (at d <= 2, always, since S_1 lists only the
+    trivial image), the images whose generators all fix one point.  On
+    the other points such an image is isomorphic to one of degree d - 1,
+    so conjugate to a kept image of a lower degree; it is intransitive,
+    so it certifies nothing either.  The AGL(1, m) slice is the first
+    HOM_LIMIT images that _affine_images yields; it must stop there,
+    since the free group on 8 generators has about 13^6 of them per s at
+    m = 13."""
+    listing = input._listings.get((kind, degree))
     if listing is None:
-        homs = _search(input.presentation, degree, HOM_LIMIT)
-        skip = degree <= 2 or _listing(input, degree - 1)[1]
-        kept = tuple(hom for hom in homs if not (skip and _fixes_a_point(hom)))
-        listing = input._listings[degree] = (kept, len(homs) < HOM_LIMIT)
+        pres = input.presentation
+        if kind == "AGL":
+            homs = kept = tuple(itertools.islice(_affine_images(pres, degree), HOM_LIMIT))
+        else:
+            homs = _search(pres, degree, HOM_LIMIT)
+            skip = degree <= 2 or _listing(input, "S", degree - 1)[1]
+            kept = tuple(hom for hom in homs if not (skip and _fixes_a_point(hom)))
+        listing = input._listings[kind, degree] = (kept, len(homs) < HOM_LIMIT)
     return listing
 
 
@@ -357,20 +372,20 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
     degree <= max_degree gives the two words different invariants there;
     UNKNOWN otherwise.  Never claims equivalence.  In each image the
     invariants are compared by one subgroup-membership test, with no
-    double coset named (_separates).  The images are those the input
-    keeps for degrees 2..max_degree (_listing), by increasing degree:
-    those find_homomorphisms lists, less the images of degree d whose
-    generators all fix one common point when degree d - 1 was listed in
-    full.  Restricted to the other points, such an image is isomorphic
-    to one in S_(d-1), so conjugate to a kept one of a lower degree,
-    which compared the two words equal or the loop would have returned;
-    the images of degree 1 are trivial.  The verdict is the same as if
-    every listed image were compared.  Raises CaseMismatch if the case
-    does not fit the input's surface, PreconditionUnverified if a
-    compared image shows that n fails one of validate's twist checks
-    (so it fails in the group too), and ValueError for a max_degree
-    outside 1..MAX_SEPARATE_DEGREE or a cord letter outside the
-    presentation.
+    double coset named (_separates).  The images are the S_d slices of
+    the input's listing for d = 2..max_degree (_listing), by increasing
+    degree, and no AGL(1, m) slice: those _search lists, less the images
+    of degree d whose generators all fix one common point when the slice
+    of degree d - 1 is complete.  Restricted to the other points, such
+    an image is isomorphic to one in S_(d-1), so conjugate to a kept one
+    of a lower degree, which compared the two words equal or the loop
+    would have returned; the images of degree 1 are trivial.  The
+    verdict is the same as if every listed image were compared.  Raises
+    CaseMismatch if the case does not fit the input's surface,
+    PreconditionUnverified if a compared image shows that n fails one of
+    validate's twist checks (so it fails in the group too), and
+    ValueError for a max_degree outside 1..MAX_SEPARATE_DEGREE or a cord
+    letter outside the presentation.
     """
     acting, n = case_words(input, case)
     _check_degree(max_degree)
@@ -381,7 +396,7 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
     n_columns = None if n is None else n.columns
     c1, c2 = g1.columns, g2.columns
     for degree in range(2, max_degree + 1):
-        for hom in _listing(input, degree)[0]:
+        for hom in _listing(input, "S", degree)[0]:
             if _separates(hom, acting_columns, n_columns, core_oriented, c1, c2):
                 return SeparationVerdict.DISTINCT
     return SeparationVerdict.UNKNOWN
@@ -516,15 +531,16 @@ def _affine_row(columns: Columns, s: int, m: int, ngens: int) -> Optional[list[i
     return [x % m for x in row] if power == 1 else None
 
 
-def _affine_images(pres: GroupPresentation, m: int,
-                   limit: int) -> Iterator[PermutationAssignment]:
-    """The first `limit` homomorphisms into AGL(1, m), m prime, that send
-    generator i to x -> s x + c_i, one s != 1 for all, lazily: for each s
-    that every relator's multiplier allows, c runs over the kernel of the
-    relators' rows up to x -> u x + t, which takes c to u c + (1 - s) t,
-    so c_0 = 0 and the first nonzero entry is 1 (c = 0 fixes 0).  Rows
-    are eliminated from the last column, so free columns after the first
-    nonzero one run over Z/m and each pivot follows from those before."""
+def _affine_images(pres: GroupPresentation, m: int) -> Iterator[PermutationAssignment]:
+    """The homomorphisms into AGL(1, m), m prime, that send generator i
+    to x -> s x + c_i, one s != 1 for all, lazily, since a free group on
+    n generators has about m^(n - 2) of them per s (_listing keeps the
+    first HOM_LIMIT): for each s that every relator's multiplier allows,
+    c runs over the kernel of the relators' rows up to x -> u x + t,
+    which takes c to u c + (1 - s) t, so c_0 = 0 and the first nonzero
+    entry is 1 (c = 0 fixes 0).  Rows are eliminated from the last
+    column, so free columns after the first nonzero one run over Z/m and
+    each pivot follows from those before."""
     ngens = len(pres.generators)
     relators = [rel.columns for rel in pres.relators]
     for s in range(2, m):
@@ -544,14 +560,11 @@ def _affine_images(pres: GroupPresentation, m: int,
             free = [col for col in range(1, ngens) if col not in pivots]
             for j in range(len(free)):
                 for rest in itertools.product(range(m), repeat=len(free) - j - 1):
-                    if limit == 0:
-                        return
                     c = [0] * ngens
                     for col, x in zip(free[j:], (1,) + rest):
                         c[col] = x
                     for col in sorted(pivots):
                         c[col] = -sum(x * y for x, y in zip(pivots[col], c)) % m
-                    limit -= 1
                     yield PermutationAssignment(m, tuple(
                         tuple((s * x + ci) % m for x in range(m)) for ci in c))
 
@@ -560,22 +573,19 @@ def infinite_index_certificate(input: SurfaceKnotInput, subgroup: Sequence[Word]
                                ) -> Optional[IndexCertificate]:
     """The first certificate of infinite index for the subgroup, or None.
 
-    The walk reads the images of S_d that the input keeps (_listing)
-    for each d in CERTIFICATE_DEGREES, then those _affine_images lists
-    under HOM_LIMIT for each m in AFFINE_DEGREES, each at point 0 only,
+    The walk reads the slices of the input's listing (_listing) that
+    CERTIFICATE_WALK names, in its order, each image at point 0 only,
     and stops at the first certificate.
     handle_classifier.subgroup_table runs it before it enumerates.  The
-    kept images are the ones quotient_separate compares, so the walks
-    for P and P+ and a later separation on the same input search each
-    degree once; it never uses the affine images.  An image that
-    _listing leaves out fixes a point, so it is intransitive and
+    slices are kept on the input, so the walks for P and P+ and a later
+    separation on the same input list each slice once.  An image that
+    the S_d slice leaves out fixes a point, so it is intransitive and
     certifies nothing: the walk finds the certificate it would find in
     the full listing."""
     pres = input.presentation
-    walk = itertools.chain((_listing(input, d)[0] for d in CERTIFICATE_DEGREES),
-                           (_affine_images(pres, m, HOM_LIMIT) for m in AFFINE_DEGREES))
-    for hom in itertools.chain.from_iterable(walk):
-        cert = index_certificate(hom, pres, subgroup)
-        if cert is not None:
-            return cert
+    for kind, degree in CERTIFICATE_WALK:
+        for hom in _listing(input, kind, degree)[0]:
+            cert = index_certificate(hom, pres, subgroup)
+            if cert is not None:
+                return cert
     return None

@@ -63,7 +63,8 @@ def subgroup_table(input: SurfaceKnotInput, name: str,
     Raises MissingPPlus for "P+" on an input without a P+ section.  The
     steps run cheapest first, and the first that decides ends the build:
 
-    1. the certificate walk over the images in S_d, then in AGL(1, m)
+    1. the certificate walk over the input's listing of finite images,
+       its slices of S_d, then of AGL(1, m), each listed once per input
        (finite_quotient.infinite_index_certificate), before any
        enumeration; a certificate raises InfiniteIndex, naming the
        subgroup, that quotes no enumeration;

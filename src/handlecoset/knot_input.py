@@ -48,11 +48,12 @@ _OVER_BUDGET = f"word expands to more than {MAX_WORD_LETTERS} letters"
 class SurfaceKnotInput(_Frozen):
     """Surface-knot group data, exactly as parse_input can produce it.
 
-    _listings keeps, by degree, the homomorphism images into S_d that the
-    certificate walk and the separations read, each with a flag for
-    whether S_d was listed in full, as they are first read
-    (finite_quotient._listing); like Word.columns,
-    repr, ==, hash, pickle and copy leave it out, so a copy starts empty."""
+    _listings keeps the input's one listing of finite images, keyed by
+    slice, as the certificate walk and the separations first read it
+    (finite_quotient._listing): ("S", d) holds images into S_d and
+    ("AGL", m) images into AGL(1, m), each slice with a flag for whether
+    it holds every image of its kind; like Word.columns, repr, ==, hash,
+    pickle and copy leave it out, so a copy starts empty."""
 
     _fields = ("presentation", "p_generators", "p_plus_generators",
                "n_word", "surface_orientable", "label")

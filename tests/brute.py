@@ -41,8 +41,8 @@ from typing import Callable, Optional
 from handlecoset import cli
 from handlecoset.coset_enumeration import enumerate_cosets
 from handlecoset.double_cosets import dc_all, dc_id, dc_invert, dc_twist
-from handlecoset.finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES,
-                                         HOM_LIMIT, PermutationAssignment,
+from handlecoset.finite_quotient import (CERTIFICATE_WALK, HOM_LIMIT,
+                                         PermutationAssignment,
                                          SeparationVerdict, _affine_images, _search,
                                          find_homomorphisms, index_certificate,
                                          quotient_separate)
@@ -57,6 +57,12 @@ from handlecoset.knot_input import (CaseLabel, SurfaceKnotInput, parse_input,
 from handlecoset.word_algebra import GroupPresentation, Word, concat, free_reduce, invert
 
 Perm = tuple[int, ...]
+
+# the degrees of the slices that the certificate walk reads
+# (CERTIFICATE_WALK), in its order: those of S_d, then the primes m of
+# AGL(1, m)
+CERTIFICATE_DEGREES = tuple(d for kind, d in CERTIFICATE_WALK if kind == "S")
+AFFINE_DEGREES = tuple(m for kind, m in CERTIFICATE_WALK if kind == "AGL")
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +922,7 @@ def check_infinite_index_certificate() -> str:
         homs = [hom for d in range(1, CERTIFICATE_DEGREES[-1] + 1)
                 for hom in _search(pres, d, 10**9)]
         sd = len(homs)
-        homs += [hom for m in AFFINE_DEGREES for hom in _affine_images(pres, m, 10**9)]
+        homs += [hom for m in AFFINE_DEGREES for hom in _affine_images(pres, m)]
         for hom in homs:
             for point in range(hom.degree):
                 assert index_certificate(rebased(hom, point), pres, words) is None, \

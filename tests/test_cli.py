@@ -711,6 +711,29 @@ def test_only_word_algebra_defines_the_permutation_steps():
     assert {module for module, _ in steps} == {"word_algebra"}
 
 
+def test_only_the_listing_lists_images():
+    # the certificate walk and the separations read an input's finite
+    # images as slices of one listing, which finite_quotient._listing
+    # alone makes and keeps; find_homomorphisms searches afresh for
+    # callers outside the package.  Each reference counts, called or not
+    readers = {"_search": set(), "_affine_images": set()}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if isinstance(child, (ast.Name, ast.Attribute)) and name in readers:
+                readers[name].add(owner)
+            visit(child, owner)
+
+    for path in Path(handlecoset.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert readers == {"_search": {"_listing", "find_homomorphisms"},
+                       "_affine_images": {"_listing"}}
+
+
 def test_only_the_classifier_chooses_a_case_table():
     # which table a case works over is decided in handle_classifier
     # alone, and the CLI builds candidates through it, not from ids

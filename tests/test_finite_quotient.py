@@ -10,15 +10,14 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from brute import (BROKEN_INPUTS, GROUP_CORPUS, INPUT_CORPUS, TWO_BRIDGE_13,
-                   _random_word, _related_word, _resolved_groups, classifier_values,
-                   coxeter_skg, cycle_type, lexicographic_filter, mulclose, peval,
+from brute import (AFFINE_DEGREES, BROKEN_INPUTS, CERTIFICATE_DEGREES, GROUP_CORPUS,
+                   INPUT_CORPUS, TWO_BRIDGE_13, _random_word, _related_word,
+                   _resolved_groups, classifier_values, coxeter_skg, cycle_type, lexicographic_filter, mulclose, peval,
                    pinv, pmul, rebased, subgroup_of, twist_spun_skg, two_bridge_skg)
 from handlecoset import finite_quotient
 from handlecoset.double_cosets import nest_slots
 from handlecoset.errors import CaseMismatch, InfiniteIndex, PreconditionUnverified
-from handlecoset.finite_quotient import (AFFINE_DEGREES, CERTIFICATE_DEGREES,
-                                         HOM_LIMIT, MAX_SEPARATE_DEGREE,
+from handlecoset.finite_quotient import (HOM_LIMIT, MAX_SEPARATE_DEGREE,
                                          PermutationAssignment,
                                          SeparationVerdict, _affine_images,
                                          _affine_row,
@@ -470,7 +469,7 @@ def test_no_certificate_on_coxeter_groups(n):
     # (s_i s_(i+1))^3 then says 3 (c_(i+1) - c_i) = 0, so at m != 3 every
     # c is constant, and a constant c is conjugate to 0, which is not listed
     assert [hom for m in AFFINE_DEGREES
-            for hom in _affine_images(presentation, m, 10**9)] == []
+            for hom in _affine_images(presentation, m)] == []
     if n > 5:
         return
     # no transitive image of degree <= 5 may certify infinite index for
@@ -541,25 +540,40 @@ def test_search_without_a_certificate_stays_cheap(skg):
     assert time.perf_counter() - start < 2.0
 
 
+def test_an_affine_slice_stops_at_the_cap():
+    # the free group on 8 generators has about 13^6 affine images per s at
+    # m = 13: its slice keeps the first HOM_LIMIT of them, in the order
+    # _affine_images yields them, and says it is incomplete.  The
+    # trefoil's two images at m = 7 make a complete slice
+    free8 = parse_input(_free_group(8))
+    homs, complete = finite_quotient._listing(free8, "AGL", 13)
+    assert len(homs) == HOM_LIMIT and not complete
+    assert homs == tuple(itertools.islice(_affine_images(free8.presentation, 13), HOM_LIMIT))
+    trefoil = parse_input(two_bridge_skg(3, 1))
+    homs, complete = finite_quotient._listing(trefoil, "AGL", 7)
+    assert len(homs) == 2 and complete
+    assert homs == tuple(_affine_images(trefoil.presentation, 7))
+
+
 @pytest.mark.parametrize("p, steps", [
     (3, 2), (7, len(CERTIFICATE_DEGREES) + 1),
     (17, len(CERTIFICATE_DEGREES) + len(AFFINE_DEGREES))])
 def test_walk_reads_s_d_then_d_m_and_stops_at_a_certificate(monkeypatch, p, steps):
     # b(3, 1) is certified in S_3, b(7, 1) by an affine image at m = 7,
-    # and b(17, 1) nowhere: the walk searches S_2..S_5, then lists the
-    # affine images at m = 7, 11, 13, each under the cap, and no search
-    # follows the one that certifies
+    # and b(17, 1) nowhere: the walk searches S_2..S_5 under the cap, then
+    # lists the affine images at m = 7, 11, 13, which _listing caps as it
+    # reads them, and no search follows the one that certifies
     searched = []
     for name, kind in (("_search", "S_d"), ("_affine_images", "affine")):
-        def recorded(pres, degree, limit, kind=kind, search=getattr(finite_quotient, name)):
-            searched.append((kind, degree, limit))
-            return search(pres, degree, limit)
+        def recorded(pres, *args, kind=kind, search=getattr(finite_quotient, name)):
+            searched.append((kind, *args))
+            return search(pres, *args)
 
         monkeypatch.setattr(finite_quotient, name, recorded)
     data = parse_input(two_bridge_skg(p, 1))
     cert = infinite_index_certificate(data, data.p_generators)
     walk = [("S_d", d, HOM_LIMIT) for d in CERTIFICATE_DEGREES]
-    walk += [("affine", m, HOM_LIMIT) for m in AFFINE_DEGREES]
+    walk += [("affine", m) for m in AFFINE_DEGREES]
     assert searched == walk[:steps]
     assert (cert is None) == (p == 17)
     if cert is not None:
@@ -620,7 +634,7 @@ def test_dihedral_homs_match_reference_search(pres, colourings):
         expected = {images for images in
                     itertools.product(reflections, repeat=len(pres.generators))
                     if all(peval(rel, images) == elements[0] for rel in pres.relators)}
-        listed = [h.images for h in _affine_images(pres, m, 10**9)
+        listed = [h.images for h in _affine_images(pres, m)
                   if h.images[0][1] == (h.images[0][0] - 1) % m]
         assert set(listed) <= expected, m
         affine = [tuple((u * x + t) % m for x in range(m))
@@ -670,7 +684,7 @@ def test_affine_images_match_reference_search(pres, counts):
     for m in (3, 5, 7):
         identity = tuple(range(m))
         expected = _affine_reference(pres, m)
-        homs = list(_affine_images(pres, m, 10**9))
+        homs = list(_affine_images(pres, m))
         assert all(h.degree == m for h in homs)
         listed = [h.images for h in homs]
         assert set(listed) <= set(expected), m
@@ -688,7 +702,8 @@ def test_affine_images_match_reference_search(pres, counts):
             assert len(hits) == (len(set(c)) > 1), (m, c)
         assert len(listed) == counts[m], m
         for cap in (0, 1, 2, 5):
-            assert [h.images for h in _affine_images(pres, m, cap)] == listed[:cap]
+            assert [h.images for h in itertools.islice(_affine_images(pres, m), cap)] \
+                == listed[:cap]
 
 
 @pytest.mark.parametrize("case", GROUP_CORPUS, ids=[c.name for c in GROUP_CORPUS])
@@ -698,7 +713,8 @@ def test_an_image_carries_its_action(case):
     # Word.columns order, and a copy rebuilds the same list
     pres = parse_input(case.skg).presentation
     homs = [hom for d in range(1, 6) for hom in _search(pres, d, HOM_LIMIT)]
-    homs += [hom for m in AFFINE_DEGREES for hom in _affine_images(pres, m, HOM_LIMIT)]
+    homs += [hom for m in AFFINE_DEGREES
+             for hom in itertools.islice(_affine_images(pres, m), HOM_LIMIT)]
     assert homs
     for hom in homs:
         for twin in (hom, pickle.loads(pickle.dumps(hom)), copy.deepcopy(hom)):
@@ -753,7 +769,7 @@ def test_affine_walk_cost_without_a_timer(monkeypatch, skg, rows, images):
     presentation = parse_input(skg).presentation
     calls = _count_holds(monkeypatch, "_affine_row")
     listed = [hom for m in AFFINE_DEGREES
-              for hom in _affine_images(presentation, m, HOM_LIMIT)]
+              for hom in itertools.islice(_affine_images(presentation, m), HOM_LIMIT)]
     assert calls[0] <= rows
     assert len(listed) == images
 
@@ -772,7 +788,7 @@ def test_dihedral_walk_cycle_types_without_a_timer(monkeypatch):
     calls = {name: _count_holds(monkeypatch, name)
              for name in ("perm_inverse_and_type", "perm_inverse")}
     for m in AFFINE_DEGREES:
-        list(_affine_images(data.presentation, m, HOM_LIMIT))
+        list(itertools.islice(_affine_images(data.presentation, m), HOM_LIMIT))
     assert calls["perm_inverse_and_type"][0] == 0
     assert infinite_index_certificate(data, data.p_generators) is None
     assert calls["perm_inverse_and_type"][0] == 97
@@ -1034,7 +1050,8 @@ def test_certificates_match_tree_reidemeister_schreier():
     for name, pres, words in _certificate_subjects():
         homs = [hom for d in range(1, CERTIFICATE_DEGREES[-1] + 1)
                 for hom in _search(pres, d, HOM_LIMIT)]
-        homs += [hom for m in AFFINE_DEGREES for hom in _affine_images(pres, m, HOM_LIMIT)]
+        homs += [hom for m in AFFINE_DEGREES
+                 for hom in itertools.islice(_affine_images(pres, m), HOM_LIMIT)]
         for hom in homs:
             for point in range(hom.degree):
                 image = rebased(hom, point)
@@ -1362,16 +1379,22 @@ def test_one_subgroup_listing_per_compared_image(monkeypatch):
 
 def test_an_input_keeps_its_listings(monkeypatch):
     # b(13, 1) has no certificate in S_2..S_5, so the build's walk searches
-    # all four before it reads the affine images; a separation after it
-    # reuses those four and searches only S_6, and no reader lists S_1
-    searched = []
-    search = finite_quotient._search
+    # all four before it reads the affine slices, up to its certificate at
+    # m = 13; a separation after it reuses those four and searches only
+    # S_6, and no reader lists S_1
+    searched, solved = [], []
+    search, solve = finite_quotient._search, finite_quotient._affine_images
 
     def recorded(pres, degree, limit):
         searched.append(degree)
         return search(pres, degree, limit)
 
+    def recorded_affine(pres, m):
+        solved.append(m)
+        return solve(pres, m)
+
     monkeypatch.setattr(finite_quotient, "_search", recorded)
+    monkeypatch.setattr(finite_quotient, "_affine_images", recorded_affine)
     input = parse_input(two_bridge_skg(13, 1))
     with pytest.raises(InfiniteIndex):
         ClassifierContext.build(input)
@@ -1379,7 +1402,8 @@ def test_an_input_keeps_its_listings(monkeypatch):
     g = parse_word("a b", input.presentation)
     assert quotient_separate(input, CaseLabel.CASE1, True, g, g) is SeparationVerdict.UNKNOWN
     assert searched == [2, 3, 4, 5, 6]
-    assert sorted(input._listings) == list(range(2, 7))
+    assert set(input._listings) == {("S", d) for d in range(2, 7)} | \
+        {("AGL", m) for m in AFFINE_DEGREES}
     # a fresh parse, a pickle and a copy are equal inputs that start cold
     for twin in (parse_input(two_bridge_skg(13, 1)), pickle.loads(pickle.dumps(input)),
                  copy.copy(input), copy.deepcopy(input)):
@@ -1388,7 +1412,11 @@ def test_an_input_keeps_its_listings(monkeypatch):
         assert quotient_separate(twin, CaseLabel.CASE1, True, g, g, max_degree=2) \
             is SeparationVerdict.UNKNOWN
         assert searched == [2]
-    # the walks for P and for P+ of one non-orientable input share them
+    # the walks for P and for P+ of one non-orientable input share them:
+    # D8 is finite, so both walks read every slice, S_d and AGL(1, m)
+    # alike, and each slice is listed once
     searched.clear()
+    solved.clear()
     ClassifierContext.build(parse_input(serialize(D8_CASE3)))
     assert searched == list(CERTIFICATE_DEGREES)
+    assert solved == list(AFFINE_DEGREES)

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from brute import INPUT_CORPUS, coxeter_skg, two_bridge_skg
+from brute import (AFFINE_DEGREES, CERTIFICATE_DEGREES, INPUT_CORPUS, coxeter_skg,
+                   two_bridge_skg)
 from handlecoset import handle_classifier
 from handlecoset.coset_enumeration import (CosetTable, EnumerationLimits,
                                            enumerate_cosets)
@@ -15,7 +16,6 @@ from handlecoset.double_cosets import (DoubleCosetId, UnorderedPair,
 from handlecoset.errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                                 PreconditionUnverified, ResourceExhausted,
                                 TableMismatch)
-from handlecoset.finite_quotient import AFFINE_DEGREES, CERTIFICATE_DEGREES
 from handlecoset.handle_classifier import (CaseLabel, ClassifierContext,
                                            HandleInvariant, ValidationCheck,
                                            ValidationReport, candidate_invariant,
