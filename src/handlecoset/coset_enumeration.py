@@ -113,9 +113,6 @@ class CosetTable:
     def index(self) -> int:
         return len(self._action[0]) - 1
 
-    def letter_action(self, coset: int, letter: tuple[int, int]) -> int:
-        return self.trace(coset, Word((letter,)))
-
     def trace(self, start: int, word: Word) -> int:
         """Apply the word left to right starting from the given coset:
         one subscript per letter, through the columns the word compiled

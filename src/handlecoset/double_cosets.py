@@ -5,8 +5,11 @@ multiplication by the generators H's table was enumerated against.  The
 table owns the orbits and both maps (CosetTable.labels, orbit_sizes,
 inverse and twist); this module names them.  A double coset is named by
 its canonical coset, the minimal coset of its orbit: with the
-standardized tables a canonical identifier, stable across runs.  dc_id
-is one trace plus one lookup; the dc_* functions name H by those acting
+standardized tables a canonical identifier, stable across runs.
+DoubleCosetId(table, canonical) is that name, and its constructor the
+one check that an integer is one; every other fact of the double coset
+(its orbit size, orbit and images) is read from the table.  dc_id is
+one trace plus one lookup; the dc_* functions name H by those acting
 words and refuse any others.
 
 Two maps descend to double cosets: inversion (core reversal), and the
@@ -46,17 +49,26 @@ def _check(table: CosetTable, acting: Sequence[Word],
 class DoubleCosetId(_Frozen):
     """Canonical identifier of one double coset over a fixed table.
 
-    Two ids over the same table are equal iff their canonical (minimal)
-    coset indices are equal; ids over different tables never compare
-    equal.
+    The constructor is the one check that an integer names a double
+    coset: canonical must be an int and a canonical coset of the table
+    (a key of its orbit_sizes), else ValueError.  The table owns the orbit, so
+    orbit_size is read from it.  Two ids over the same table are equal
+    iff their canonical (minimal) coset indices are equal; ids over
+    different tables never compare equal.
     """
 
-    __slots__ = _fields = ("table", "canonical", "orbit_size")
+    __slots__ = _fields = ("table", "canonical")
 
-    def __init__(self, table: CosetTable, canonical: int, orbit_size: int):
+    def __init__(self, table: CosetTable, canonical: int):
+        # not 1.0: a key's leaves are ints (key_view, key_leaves)
+        if not (isinstance(canonical, int) and canonical in table.orbit_sizes):
+            raise ValueError(f"coset {canonical!r} is not canonical in its table")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "orbit_size", orbit_size)
+
+    @property
+    def orbit_size(self) -> int:
+        return self.table.orbit_sizes[self.canonical]
 
     @property
     def orbit(self) -> tuple[int, ...]:
@@ -130,10 +142,9 @@ def key_leaves(key) -> tuple[int, ...]:
 
 def key_view(table: CosetTable, key) -> PairElement:
     """The display view of a key over its table: each canonical integer's
-    DoubleCosetId, paired by UnorderedPair; its sort_key() is the key.
-    The view of a canonical integer is the one place an id is built."""
+    DoubleCosetId, paired by UnorderedPair; its sort_key() is the key."""
     if isinstance(key, int):
-        return DoubleCosetId(table, key, table.orbit_sizes[key])
+        return DoubleCosetId(table, key)
     return UnorderedPair(key_view(table, key[0]), key_view(table, key[1]))
 
 

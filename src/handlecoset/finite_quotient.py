@@ -124,7 +124,9 @@ def _holds(action: list[Perm], relators: list[Columns], points: range) -> bool:
 
 
 def _check_degree(degree: int) -> None:
-    if not 1 <= degree <= MAX_SEPARATE_DEGREE:
+    # a float or a bool passes the bounds but is no degree for range()
+    # or a PermutationAssignment
+    if type(degree) is not int or not 1 <= degree <= MAX_SEPARATE_DEGREE:
         raise ValueError(f"degree must be in 1..{MAX_SEPARATE_DEGREE}, got {degree}")
 
 

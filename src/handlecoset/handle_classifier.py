@@ -106,7 +106,7 @@ class ValidationReport(_Frozen):
     when the table it needs was refused, and its detail is then the
     refusal's message."""
 
-    _fields = ("checks",)  # no __slots__: twist_verified's cache needs a __dict__
+    __slots__ = _fields = ("checks",)
 
     def __init__(self, checks: tuple[ValidationCheck, ...]):
         object.__setattr__(self, "checks", checks)
@@ -119,7 +119,7 @@ class ValidationReport(_Frozen):
     def ok(self) -> bool:
         return not self.failures
 
-    @cached_property
+    @property
     def twist_verified(self) -> bool:
         """True when the checks guarding the n-twist map all passed."""
         named = {c.name: c.status for c in self.checks}
@@ -223,30 +223,30 @@ class HandleInvariant(_Frozen):
     their kinds, and "case3-oriented-core" or "case3" in Case 3; case and
     core_oriented fix it, and repr leaves it out.  Equality compares kind,
     key and table (by identity) only; the case label rides along for
-    reporting.  The constructor checks the view it is given and keeps
-    its table and key; value is always the key's view (key_view).
+    reporting.  The constructor checks the view's shape and that its ids
+    share one table, and keeps that table and the key; each id checked
+    its own coset when it was built (DoubleCosetId).  value is always
+    the key's view (key_view).
     """
 
     # no __slots__: _of and the cached value fill in the __dict__
     _fields = ("case", "core_oriented", "value")
 
     def __init__(self, case: CaseLabel, core_oriented: bool, value: PairElement):
-        # the leftmost id holds the table, which a key does not; its depth
-        # is the shape, since UnorderedPair pairs only equal shapes
-        leaf, size = value, 1
-        while isinstance(leaf, UnorderedPair):
-            leaf, size = leaf.first, 2 * size
+        # the value level by level: UnorderedPair pairs only equal shapes,
+        # so a level is all pairs or all ids, and the last is the ids
+        ids = [value]
+        while isinstance(ids[0], UnorderedPair):
+            ids = [e for pair in ids for e in (pair.first, pair.second)]
         kind = _kind_of(case, core_oriented)
-        if not (isinstance(leaf, DoubleCosetId)
-                and size == slot_count(case is CaseLabel.CASE3, core_oriented)):
+        if not (isinstance(ids[0], DoubleCosetId)
+                and len(ids) == slot_count(case is CaseLabel.CASE3, core_oriented)):
             raise ValueError(f"value shape does not match kind {kind!r}")
-        key = value.sort_key()
-        if key_view(leaf.table, key) != value:
+        table = ids[0].table
+        if any(d.table is not table for d in ids):
             raise TableMismatch("value pairs double cosets of different tables")
-        if not all(c in leaf.table.orbit_sizes for c in key_leaves(key)):
-            raise ValueError("value names a coset that is not canonical in its table")
         self.__dict__.update(case=case, core_oriented=core_oriented, kind=kind,
-                             table=leaf.table, key=key)
+                             table=table, key=value.sort_key())
 
     @classmethod
     def _of(cls, case: CaseLabel, core_oriented: bool, table: CosetTable,

@@ -552,7 +552,7 @@ def check_enumeration_table_invariants() -> str:
             n = table.index
             for col_letter in [(i, s) for i in range(len(pres.generators))
                                for s in (1, -1)]:
-                image = [table.letter_action(c, col_letter) for c in range(1, n + 1)]
+                image = [table.trace(c, Word((col_letter,))) for c in range(1, n + 1)]
                 assert sorted(image) == list(range(1, n + 1))
             for rel in pres.relators:
                 assert all(table.trace(c, rel) == c for c in range(1, n + 1))
@@ -590,7 +590,7 @@ def check_enumeration_determinism(seed: int) -> str:
                 for c in range(1, base.index + 1):
                     assert base.witness(c) == other.witness(c)
                     for letter in letters:
-                        assert base.letter_action(c, letter) == other.letter_action(c, letter)
+                        assert base.trace(c, Word((letter,))) == other.trace(c, Word((letter,)))
             compared += 1
     return (f"{compared} shuffled and {respelled} respelled re-runs produced "
             "identical standardized tables")

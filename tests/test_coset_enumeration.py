@@ -56,7 +56,7 @@ def test_trace_examples():
         s3_table.trace(5, Word())
     for coset in (0, 4):  # 0 is the columns' placeholder slot
         with pytest.raises(CosetRangeError):
-            s3_table.letter_action(coset, (0, 1))
+            s3_table.trace(coset, Word(((0, 1),)))
     foreign = Word(((0, 1), (2, -1)))  # S3 has generators 0 and 1 only
     with pytest.raises(ValueError, match="outside this table's alphabet"):
         s3_table.trace(1, foreign)
@@ -207,7 +207,7 @@ def test_fuzz_subgroup_index_against_regular_representation():
         except ResourceExhausted:
             continue
         order = regular.index
-        columns = [tuple(regular.letter_action(c, (i, 1)) - 1
+        columns = [tuple(regular.trace(c, Word(((i, 1),))) - 1
                          for c in range(1, order + 1)) for i in range(2)]
         assert len(mulclose(columns)) == order  # simply transitive action
         sub = [w for w in (rand_word(4) for _ in range(rng.randint(1, 2))) if w]
@@ -246,7 +246,7 @@ def test_fuzz_subgroup_index_with_an_involution():
             continue
         assert regular._action[2 * i] is regular._action[2 * i + 1]
         order = regular.index
-        columns = [tuple(regular.letter_action(c, (j, 1)) - 1
+        columns = [tuple(regular.trace(c, Word(((j, 1),))) - 1
                          for c in range(1, order + 1)) for j in range(2)]
         assert len(mulclose(columns)) == order  # simply transitive action
         sub = [w for w in (rand_word(4) for _ in range(rng.randint(1, 2))) if w]
@@ -487,7 +487,7 @@ def test_verify_power_cost_without_a_timer(monkeypatch):
 def _table_digest(table):
     h = hashlib.sha256()
     for c in range(1, table.index + 1):
-        row = [table.letter_action(c, (i, s))
+        row = [table.trace(c, Word(((i, s),)))
                for i in range(table.n_generators) for s in (1, -1)]
         h.update(f"{row} {table.witness(c).letters}\n".encode())
     return h.hexdigest()[:16]

@@ -5,8 +5,8 @@ import pytest
 from brute import (BROKEN_INPUTS, GROUP_CORPUS, INPUT_CORPUS, coxeter_skg,
                    orbit_partition)
 from handlecoset.coset_enumeration import enumerate_cosets
-from handlecoset.double_cosets import (UnorderedPair, dc_all, dc_id,
-                                       dc_invert, dc_twist, nest_slots,
+from handlecoset.double_cosets import (DoubleCosetId, UnorderedPair, dc_all,
+                                       dc_id, dc_invert, dc_twist, nest_slots,
                                        slot_count)
 from handlecoset.errors import PreconditionUnverified, TableMismatch
 from handlecoset.handle_classifier import (ClassifierContext, ValidationCheck,
@@ -118,6 +118,31 @@ def test_table_mismatch():
     d = dc_id(table, parsed.p_generators, Word())
     with pytest.raises(TableMismatch):
         dc_invert(other, parsed.p_generators, d)
+
+
+def test_an_id_names_a_canonical_coset_of_its_table():
+    # the constructor is the one check: coset 0, -1 or index + 1 is no
+    # coset, 1.0 is no key's leaf, and coset 3 of S3 over <a> is not the
+    # least of {2, 3}; an id that is built reads its orbit size from the
+    # table, and dc_invert and dc_twist map it as they map the id of its
+    # witness
+    parsed, s3 = setup_s3()
+    d8, ctx = case3_context()
+    for table, acting, bad in ((s3, parsed.p_generators, (3,)),
+                               (ctx.p_plus_table, d8.p_plus_generators, ())):
+        for c in (0, -1, table.index + 1, 1.0) + bad:
+            with pytest.raises(ValueError, match="not canonical"):
+                DoubleCosetId(table, c)
+        for c, size in table.orbit_sizes.items():
+            d = DoubleCosetId(table, c)
+            assert d.orbit_size == size
+            assert d == dc_id(table, acting, table.witness(c))
+            assert dc_invert(table, acting, d) == \
+                dc_id(table, acting, invert(table.witness(c)))
+            if table is ctx.p_plus_table:
+                n = d8.n_word
+                assert dc_twist(table, acting, n, d, ctx.report) == \
+                    dc_id(table, acting, concat(n, table.witness(c), n))
 
 
 def test_dc_functions_reject_foreign_acting_words():

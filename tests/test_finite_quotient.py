@@ -363,8 +363,9 @@ def test_separate_rejects_a_foreign_generator():
 
 def test_degree_validation():
     # the library bounds the degree itself: 0 used to give UNKNOWN without
-    # a search, and 9 to list all 9! permutations
-    for degree in (0, MAX_SEPARATE_DEGREE + 1):
+    # a search, and 9 to list all 9! permutations; a float used to fail in
+    # range() with a TypeError, and True to stand in an image as its degree
+    for degree in (0, MAX_SEPARATE_DEGREE + 1, 2.5, 2.0, True):
         with pytest.raises(ValueError, match="degree must be in 1..8"):
             find_homomorphisms(C2, degree)
         with pytest.raises(ValueError, match="degree must be in 1..8"):

@@ -733,23 +733,21 @@ def test_a_second_pass_builds_no_value(monkeypatch, text):
 
 
 def test_a_value_names_canonical_cosets_only():
-    # S3 over <a> has the double cosets {1} and {2, 3}; an id of coset 3,
-    # -1 or 9 names no double coset, so it makes no value
+    # S3 over <a> has the double cosets {1} and {2, 3}; coset 3, -1 or 9
+    # names no double coset, so it makes no id, and no value
     parsed, ctx = ctx_of(S3)
     table = ctx.p_table
     assert dict(table.orbit_sizes) == {1: 1, 2: 2}
-    for core in (True, False):
-        for c in (3, -1, 9):
-            d = DoubleCosetId(table, c, 1)
-            with pytest.raises(ValueError, match="not canonical"):
-                HandleInvariant(CaseLabel.CASE1, core, d if core else UnorderedPair(d, d))
+    for c in (3, -1, 9):
+        with pytest.raises(ValueError, match="not canonical"):
+            DoubleCosetId(table, c)
 
 
 def test_a_candidate_stores_only_keys_of_canonical_integers():
     # True == 1 passes as coset 1, but image_member reads the coset off
     # the labels, so the key stored for coset 1 stays the integer 1
     parsed, ctx = ctx_of(S3)
-    odd = HandleInvariant(CaseLabel.CASE1, True, DoubleCosetId(ctx.p_table, True, 1))
+    odd = HandleInvariant(CaseLabel.CASE1, True, DoubleCosetId(ctx.p_table, True))
     assert image_member(ctx, CaseLabel.CASE1, True, odd)
     assert type(ctx._case.keys[0][1]) is int
     assert repr(handle_invariant(ctx, CaseLabel.CASE1, True, Word())) == (
