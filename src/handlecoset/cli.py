@@ -67,8 +67,9 @@ def _load(path: str):
 
 
 def _context(input, case: CaseLabel) -> ClassifierContext:
-    """The input's context, built only once the case is known to fit its
-    surface: a mismatch is reported before any table is built."""
+    """The input's context, built only once case_words has found that
+    the case fits the input: a mismatch is reported before any table is
+    built."""
     case_words(input, case)  # raises the CaseMismatch
     return ClassifierContext.build(input, _limits())
 

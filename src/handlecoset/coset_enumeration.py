@@ -65,7 +65,9 @@ class EnumerationLimits(_Frozen):
 
     def __init__(self, max_live_cosets: int = 1_000_000,
                  max_total_defined: int = 10_000_000):
-        if max_live_cosets <= 0 or max_total_defined <= 0:
+        # a float or a bool passes the bounds but is no count of cosets
+        if (type(max_live_cosets) is not int or type(max_total_defined) is not int
+                or max_live_cosets <= 0 or max_total_defined <= 0):
             raise ValueError("limits must be positive")
         if max_total_defined < max_live_cosets:
             raise ValueError("max_total_defined must be >= max_live_cosets")
@@ -207,6 +209,8 @@ class CosetTable:
     def unwitness(self, coset: int) -> int:
         """The coset 1 * witness(coset)^-1, one inverse column per BFS
         tree edge from coset up to coset 1; no word is built."""
+        if not 1 <= coset <= self.index:
+            raise CosetRangeError(coset, self.index)
         parents, action = self._parents, self._action
         c, x = coset, 1
         while (edge := parents[c]) is not None:
@@ -238,7 +242,8 @@ class CosetTable:
         return Counter(self.labels[1:])
 
     def inverse(self, canonical: int) -> int:
-        """The canonical coset of the inverse double coset: one climb."""
+        """The canonical coset of the inverse double coset: one climb,
+        which refuses a coset outside 1..index as unwitness does."""
         return self.labels[self.unwitness(canonical)]
 
     def twist(self, n: Word) -> list[int]:

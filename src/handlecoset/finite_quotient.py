@@ -256,7 +256,7 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
     searches afresh.  The degree must lie in 1..MAX_SEPARATE_DEGREE.
     """
     _check_degree(degree)
-    if limit < 0:
+    if type(limit) is not int or limit < 0:  # as _check_degree, no float or bool
         raise ValueError("limit must be >= 0")
     return list(_search(pres, degree, limit))
 
@@ -383,7 +383,7 @@ def quotient_separate(input: SurfaceKnotInput, case: CaseLabel,
     of a lower degree, which compared the two words equal or the loop
     would have returned; the images of degree 1 are trivial.  The
     verdict is the same as if every listed image were compared.  Raises
-    CaseMismatch if the case does not fit the input's surface,
+    CaseMismatch for a case outside input.cases (case_words),
     PreconditionUnverified if a compared image shows that n fails one of
     validate's twist checks (so it fails in the group too), and
     ValueError for a max_degree outside 1..MAX_SEPARATE_DEGREE or a cord

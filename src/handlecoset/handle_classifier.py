@@ -15,11 +15,14 @@ symmetry apply:
           the unordered pair of the two oriented-core values for g and
           g^-1.
 
-The input fixes the one subgroup a context works over (P, or P+ on a
-non-orientable surface): ClassifierContext._case.  That table owns its
-double cosets and the inverse and twist maps on them (CosetTable.labels,
-inverse, twist), and the case refuses to build the twist until the
-report shows it verified.  nest_slots fixes every value's shape;
+The input fixes the cases that fit it (SurfaceKnotInput.cases), and
+every query refuses any other case through knot_input.case_words, the
+one check (_resolve), before it reads a table.  The input also fixes
+the one subgroup a context works over (P, or P+ on a non-orientable
+surface): ClassifierContext._case.  That table owns its double cosets
+and the inverse and twist maps on them (CosetTable.labels, inverse,
+twist), and the case refuses to build the twist until the report shows
+it verified.  nest_slots fixes every value's shape;
 queries build and compare values as keys, and a HandleInvariant builds
 its view of ids (key_view) only for display.  A value depends only on
 its double coset, so the case also keeps the keys it has built, one
@@ -223,10 +226,11 @@ class HandleInvariant(_Frozen):
     their kinds, and "case3-oriented-core" or "case3" in Case 3; case and
     core_oriented fix it, and repr leaves it out.  Equality compares kind,
     key and table (by identity) only; the case label rides along for
-    reporting.  The constructor checks the view's shape and that its ids
-    share one table, and keeps that table and the key; each id checked
-    its own coset when it was built (DoubleCosetId).  value is always
-    the key's view (key_view).
+    reporting.  With no input to check the case against, the constructor
+    checks only that case is a CaseLabel (else ValueError); it checks the
+    view's shape and that its ids share one table, and keeps that table
+    and the key; each id checked its own coset when it was built
+    (DoubleCosetId).  value is always the key's view (key_view).
     """
 
     # no __slots__: _of and the cached value fill in the __dict__
@@ -238,6 +242,8 @@ class HandleInvariant(_Frozen):
         ids = [value]
         while isinstance(ids[0], UnorderedPair):
             ids = [e for pair in ids for e in (pair.first, pair.second)]
+        if not isinstance(case, CaseLabel):
+            raise ValueError(f"{case!r} is not a CaseLabel")
         kind = _kind_of(case, core_oriented)
         if not (isinstance(ids[0], DoubleCosetId)
                 and len(ids) == slot_count(case is CaseLabel.CASE3, core_oriented)):
@@ -361,8 +367,10 @@ class _Case(NamedTuple):
 
 
 def _resolve(ctx: ClassifierContext, case: CaseLabel) -> _Case:
-    """ctx's case table, for a case that fits its surface."""
-    if (case is CaseLabel.CASE3) == ctx.input.surface_orientable:
+    """ctx's case table, for a case in ctx.input.cases; any other case
+    raises case_words' CaseMismatch, before the table is resolved, so
+    before MissingPPlus and PreconditionUnverified."""
+    if case not in ctx.input.cases:
         case_words(ctx.input, case)  # raises the CaseMismatch
     return ctx._case
 

@@ -8,6 +8,10 @@ derived from geometry here; the words are trusted input, and cord words
 are assumed to have been computed with path choices compatible with the
 local orientations they encode.  The side conditions on P+ and n are
 checked against the coset tables, by handle_classifier.validate.
+The input alone decides which of the three cases fit it
+(SurfaceKnotInput.cases), and case_words is the one check that refuses
+a case that does not; every entry point that takes a case goes through
+them.
 
 The .skg format is line oriented (UTF-8):
 
@@ -45,19 +49,29 @@ MAX_WORD_LETTERS = 100_000
 _OVER_BUDGET = f"word expands to more than {MAX_WORD_LETTERS} letters"
 
 
+class CaseLabel(Enum):
+    CASE1 = 1  # oriented surface, orientable handle
+    CASE2 = 2  # oriented surface, non-orientable handle
+    CASE3 = 3  # non-orientable surface
+
+
 class SurfaceKnotInput(_Frozen):
     """Surface-knot group data, exactly as parse_input can produce it.
 
+    cases holds the case labels that fit the input, Cases 1 and 2 on
+    an orientable surface and Case 3 on a non-orientable one: the one
+    place the package decides which cases fit (case_words reads it).
     _listings keeps the input's one listing of finite images, keyed by
     slice, as the certificate walk and the separations first read it
     (finite_quotient._listing): ("S", d) holds images into S_d and
     ("AGL", m) images into AGL(1, m), each slice with a flag for whether
-    it holds every image of its kind; like Word.columns, repr, ==, hash,
-    pickle and copy leave it out, so a copy starts empty."""
+    it holds every image of its kind.  Like Word.columns, both are
+    derived: repr, ==, hash, pickle and copy leave them out, so a copy
+    derives cases again and starts with no listing."""
 
     _fields = ("presentation", "p_generators", "p_plus_generators",
                "n_word", "surface_orientable", "label")
-    __slots__ = _fields + ("_listings",)
+    __slots__ = _fields + ("cases", "_listings")
 
     def __init__(self, presentation: GroupPresentation, p_generators: tuple[Word, ...],
                  p_plus_generators: Optional[tuple[Word, ...]], n_word: Optional[Word],
@@ -82,31 +96,25 @@ class SurfaceKnotInput(_Frozen):
         object.__setattr__(self, "n_word", n_word)
         object.__setattr__(self, "surface_orientable", surface_orientable)
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "cases", (CaseLabel.CASE1, CaseLabel.CASE2)
+                           if surface_orientable else (CaseLabel.CASE3,))
         object.__setattr__(self, "_listings", {})
-
-
-class CaseLabel(Enum):
-    CASE1 = 1  # oriented surface, orientable handle
-    CASE2 = 2  # oriented surface, non-orientable handle
-    CASE3 = 3  # non-orientable surface
-
-    @property
-    def requires_orientable(self) -> bool:
-        return self is not CaseLabel.CASE3
 
 
 def case_words(input: SurfaceKnotInput,
                case: CaseLabel) -> tuple[Sequence[Word], Optional[Word]]:
     """The acting words and twist word a case works with: the P+
     generators and n for Case 3, the P generators and None for Cases 1
-    and 2.  Raises CaseMismatch if the case does not fit the input's
-    surface."""
-    if case.requires_orientable != input.surface_orientable:
-        want = "an orientable" if case.requires_orientable else "a non-orientable"
-        raise CaseMismatch(f"case {case.value} needs {want} surface input")
-    if case is CaseLabel.CASE3:
-        return input.p_plus_generators, input.n_word
-    return input.p_generators, None
+    and 2.  This is the package's one check that a case fits an input:
+    it raises CaseMismatch for any case outside input.cases, a label of
+    the other surface and a value that is no CaseLabel alike, and every
+    entry point that takes a case refuses through it."""
+    if case not in input.cases:
+        want = "a non-orientable" if case is CaseLabel.CASE3 else "an orientable"
+        raise CaseMismatch(f"case {case.value} needs {want} surface input"
+                           if isinstance(case, CaseLabel) else f"{case!r} is not a CaseLabel")
+    # a fitting case works over P+ and n exactly when the input has them
+    return input.p_plus_generators or input.p_generators, input.n_word
 
 
 # ---------------------------------------------------------------------------

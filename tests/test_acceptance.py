@@ -1,12 +1,11 @@
-"""Acceptance suite: every oracle property, plus the criteria that add a
-tolerance to one.
+"""Acceptance suite: every oracle property, each run once.
 
 test_selftest_property runs each check of brute.CHECKS as a test of its
 own, so each property passes or fails under its own name (the name is
 that of the `selftest` command that once ran them, kept so that the item
-IDs stay stable).  The criterion tests keep what a default run of a check
-does not show: the corpus shape and time bounds of criteria 1, 2 and 7,
-and the larger trial counts of criteria 3 and 7.
+IDs stay stable).  The criterion tests run the other four checks, with
+what a plain run would not show: the corpus shape and time bounds of
+criteria 1, 2 and 7, and the larger trial counts of criteria 3 and 7.
 Each criterion test prints a single PASS line when it succeeds (visible
 with pytest -s or in the captured output).
 """

@@ -615,6 +615,48 @@ def test_only_coset_enumeration_reads_the_table_fields():
     assert readers == {"coset_enumeration"}
 
 
+def test_only_knot_input_decides_which_cases_fit():
+    # SurfaceKnotInput.cases and case_words are the one check that a case
+    # fits an input; a function taking a case that read the surface's
+    # orientability would be a second one
+    readers = set()
+    for path in Path(handlecoset.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "requires_orientable":
+                readers.add((path.stem, "requires_orientable"))
+            if path.stem == "knot_input" or not isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            if "case" in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+                readers.update((path.stem, getattr(node, "name", "<lambda>"))
+                               for inner in ast.walk(node)
+                               if isinstance(inner, ast.Attribute)
+                               and inner.attr == "surface_orientable")
+    assert readers == set()
+
+
+def test_no_test_is_skipped_or_xfailed():
+    # a known defect stays a failing test, never a skipped or expected one
+    marks = {"skip", "skipif", "xfail"}
+    found = set()
+    for path in Path(__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "pytest" \
+                    and marks.intersection(a.name for a in node.names):
+                found.add((path.stem, node.lineno))
+            if not (isinstance(node, ast.Attribute) and node.attr in marks):
+                continue
+            owner = node.value
+            if isinstance(owner, ast.Attribute) and owner.attr == "mark":
+                owner = owner.value  # pytest.mark.skip and its kin
+            if isinstance(owner, ast.Name) and owner.id == "pytest":
+                found.add((path.stem, node.lineno))
+    assert found == set()
+
+
 def _signs_to_columns(node) -> bool:
     """2 * i + (s < 0), or any 2 * i + a test or conditional: a letter's
     sign turned into a column offset."""

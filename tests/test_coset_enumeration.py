@@ -11,7 +11,7 @@ from handlecoset.coset_enumeration import (CosetTable, EnumerationLimits,
 from handlecoset.errors import CosetRangeError, ResourceExhausted
 from handlecoset.knot_input import format_word, parse_input, parse_word
 from handlecoset import word_algebra
-from handlecoset.word_algebra import GeneratorSymbol, GroupPresentation, Word
+from handlecoset.word_algebra import GeneratorSymbol, GroupPresentation, Word, invert
 
 
 def load(text):
@@ -95,8 +95,14 @@ def test_witnesses():
     assert table.witness(1).is_identity
     for c in range(1, table.index + 1):
         assert table.trace(1, table.witness(c)) == c
-    with pytest.raises(CosetRangeError):
-        table.witness(table.index + 1)
+        assert table.unwitness(c) == table.trace(1, invert(table.witness(c)))
+    assert [table.inverse(c) for c in table.orbit_sizes] == [1, 2]
+    # unwitness, and so inverse, once read -1 and -3 as cosets from the
+    # end and 0 as the placeholder slot, and raised IndexError at 4
+    for method in (table.witness, table.unwitness, table.inverse):
+        for c in (0, -1, -3, table.index + 1):
+            with pytest.raises(CosetRangeError, match=f"^coset {c} out of range 1..3$"):
+                method(c)
 
 
 def _spelled_tables():
@@ -294,6 +300,10 @@ def test_limits_validation():
         EnumerationLimits(0, 10)
     with pytest.raises(ValueError):
         EnumerationLimits(10, 5)
+    # a float or a bool is no count of cosets, though it passes the bounds
+    for live, total in ((2.5, 5), (True, 5), (10, 20.0), (10, True), (10.0, 20)):
+        with pytest.raises(ValueError, match="^limits must be positive$"):
+            EnumerationLimits(live, total)
     defaults = EnumerationLimits()
     assert defaults.max_live_cosets == 1_000_000
     assert defaults.max_total_defined == 10_000_000

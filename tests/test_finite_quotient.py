@@ -94,8 +94,10 @@ def test_homs_deterministic_and_limited():
     capped = find_homomorphisms(S3_INPUT.presentation, 3, limit=4)
     assert capped == first[:4]
     assert find_homomorphisms(S3_INPUT.presentation, 3, limit=0) == []
-    with pytest.raises(ValueError):
-        find_homomorphisms(S3_INPUT.presentation, 3, limit=-1)
+    # a float or a bool is no count: 2.5 listed 3 images and True 1
+    for limit in (-1, 2.5, 1.0, True):
+        with pytest.raises(ValueError, match="^limit must be >= 0$"):
+            find_homomorphisms(S3_INPUT.presentation, 3, limit=limit)
 
 
 def _fixes(action, rel, x):
@@ -402,14 +404,12 @@ SEPARATE_INPUTS = [(c.label, c.skg, c.sample_cord) for c in INPUT_CORPUS]
                          ids=[label for label, *_ in SEPARATE_INPUTS])
 def test_separate_matches_brute_force_images(label, skg, sample):
     input = parse_input(skg, label=label)
-    cases = [CaseLabel.CASE3] if not input.surface_orientable \
-        else [CaseLabel.CASE1, CaseLabel.CASE2]
     rng = random.Random(f"separate-{label}")
     ngens = len(input.presentation.generators)
     # every image of degree <= 4, uncapped
     families = {d: lexicographic_family(input.presentation, d, 10**9) for d in (3, 4)}
     verdicts = set()
-    for case in cases:
+    for case in input.cases:
         for core_oriented in (True, False):
             for k in range(8):
                 # the sample cord moves under the inverse and the twist in
@@ -1076,7 +1076,7 @@ def test_no_pair_separated_by_lexicographic_images_is_lost():
     separated = 0
     for label, skg, max_degree in REGRESSION_INPUTS:
         input = parse_input(skg, label=label)
-        case = CaseLabel.CASE1 if input.surface_orientable else CaseLabel.CASE3
+        case = input.cases[0]
         family = lexicographic_family(input.presentation, max_degree, HOM_LIMIT)
         ngens = len(input.presentation.generators)
         for k in range(4):
@@ -1217,8 +1217,7 @@ def test_skipped_images_change_no_verdict(monkeypatch, limit):
         top = 7 if ngens == 2 else 6
         listings = _searched(input, top)
         unskipped = _unskipped_images(listings)
-        cases = [c for c in CaseLabel if c.requires_orientable == input.surface_orientable]
-        for case, core_oriented in itertools.product(cases, (True, False)):
+        for case, core_oriented in itertools.product(input.cases, (True, False)):
             words = [_random_word(rng, ngens) for _ in range(4)]
             pairs = [(g1, _related_word(rng, input, case, core_oriented, g1, moved))
                      for g1, moved in zip(words, (False, True))] + [tuple(words[2:])]
@@ -1320,9 +1319,8 @@ def test_membership_test_agrees_with_named_double_cosets(label, skg):
     top = 6 if ngens == 2 else 5
     homs = [hom for d in range(1, top + 1) for hom in _search(pres, d, HOM_LIMIT)]
     rng = random.Random(f"agreement-{label}")
-    cases = [c for c in CaseLabel if c.requires_orientable == input.surface_orientable]
     outcomes = set()
-    for case, core_oriented in itertools.product(cases, (True, False)):
+    for case, core_oriented in itertools.product(input.cases, (True, False)):
         acting, n = case_words(input, case)
         acting = [w.columns for w in acting]
         words = [_random_word(rng, ngens, 8) for _ in range(5)]

@@ -1,7 +1,9 @@
 import copy
 import hashlib
+import itertools
 import pickle
 import random
+import re
 
 import pytest
 
@@ -16,6 +18,7 @@ from handlecoset.double_cosets import (DoubleCosetId, UnorderedPair,
 from handlecoset.errors import (CaseMismatch, InfiniteIndex, MissingPPlus,
                                 PreconditionUnverified, ResourceExhausted,
                                 TableMismatch)
+from handlecoset.finite_quotient import quotient_separate
 from handlecoset.handle_classifier import (CaseLabel, ClassifierContext,
                                            HandleInvariant, ValidationCheck,
                                            ValidationReport, candidate_invariant,
@@ -370,10 +373,7 @@ def test_enumerate_classes_counts():
 def test_enumerate_classes_representatives_reproduce_values():
     for text in (S3, D8_CASE3, C4_CASE3, T2):
         parsed, ctx = ctx_of(text)
-        cases = [(CaseLabel.CASE1, True), (CaseLabel.CASE1, False)] \
-            if parsed.surface_orientable else \
-            [(CaseLabel.CASE3, True), (CaseLabel.CASE3, False)]
-        for label, core in cases:
+        for label, core in itertools.product(parsed.cases, (True, False)):
             for inv, rep in enumerate_classes(ctx, label, core):
                 assert handle_invariant(ctx, label, core, rep) == inv
                 # the CLI prints this witness as the class representative
@@ -538,9 +538,7 @@ def _corpus_invariants():
         parsed, ctx = ctx_of(item.skg)
         rng = random.Random(k)
         ngens = len(parsed.presentation.generators)
-        cases = (CaseLabel.CASE1, CaseLabel.CASE2) if parsed.surface_orientable \
-            else (CaseLabel.CASE3,)
-        for case in cases:
+        for case in parsed.cases:
             for core in (True, False):
                 words = [rep for _inv, rep in enumerate_classes(ctx, case, core)]
                 words += [free_reduce([(rng.randrange(ngens), rng.choice((1, -1)))
@@ -617,9 +615,7 @@ def test_queries_build_no_ids(monkeypatch, text):
     rng = random.Random(3)
     words = [free_reduce([(rng.randrange(2), rng.choice((1, -1)))
                           for _ in range(rng.randint(0, 8))]) for _ in range(8)]
-    cases = [CaseLabel.CASE1, CaseLabel.CASE2] if parsed.surface_orientable \
-        else [CaseLabel.CASE3]
-    for case in cases:
+    for case in parsed.cases:
         for core in (True, False):
             slots = slot_count(case is CaseLabel.CASE3, core)
             for g, h in zip(words, words[1:]):
@@ -655,11 +651,6 @@ def test_a_value_over_two_tables_is_a_table_mismatch():
 
 # -- value keys, built once per double coset ----------------------------------
 
-def _fitting_cases(parsed):
-    return (CaseLabel.CASE1, CaseLabel.CASE2) if parsed.surface_orientable \
-        else (CaseLabel.CASE3,)
-
-
 KEY_INPUTS = ([(c.label, c.skg) for c in INPUT_CORPUS]
               + [("s6-coxeter-case3", coxeter_skg(6, [1, 3], [1], 3))])
 
@@ -671,7 +662,7 @@ def test_stored_keys_are_the_values_of_a_fresh_context(text):
     # canonical coset, one list per orientation, and nothing under a
     # coset that is not canonical
     parsed, ctx = ctx_of(text)
-    for case in _fitting_cases(parsed):
+    for case in parsed.cases:
         for core in (True, False):
             table = ctx._case.table
             canonical = table.orbit_sizes
@@ -701,7 +692,7 @@ def test_a_second_pass_builds_no_value(monkeypatch, text):
     rng = random.Random(30)
     words = [free_reduce([(rng.randrange(ngens), rng.choice((1, -1)))
                           for _ in range(rng.randint(0, 10))]) for _ in range(10)]
-    cases = _fitting_cases(parsed)
+    cases = parsed.cases
     witnesses = [nonsurjectivity_witness(ctx, case, core)
                  for case in cases for core in (True, False)]
     calls = []
@@ -753,3 +744,59 @@ def test_a_candidate_stores_only_keys_of_canonical_integers():
     assert repr(handle_invariant(ctx, CaseLabel.CASE1, True, Word())) == (
         "HandleInvariant(case=<CaseLabel.CASE1: 1>, core_oriented=True, "
         "value=DoubleCosetId(canonical=1, orbit_size=1))")
+
+
+# -- one check decides which cases fit an input --------------------------------
+
+def _entry_points(ctx, g, candidate):
+    """Every entry point that takes a case, each asked about the cord g
+    and the oriented-core candidate on ctx (quotient_separate on its
+    input), with the case as its one argument."""
+    words = [g] * len(candidate.double_cosets())
+    return {
+        "handle_invariant": lambda case: handle_invariant(ctx, case, False, g),
+        "equivalent": lambda case: equivalent(ctx, case, False, g, invert(g)),
+        "image_member": lambda case: image_member(ctx, case, True, candidate),
+        "enumerate_classes": lambda case: enumerate_classes(ctx, case, True),
+        "class_listing": lambda case: class_listing(ctx, case, False),
+        "candidate_invariant": lambda case: candidate_invariant(ctx, case, True, words),
+        "nonsurjectivity_witness": lambda case: nonsurjectivity_witness(ctx, case, False),
+        "quotient_separate": lambda case: quotient_separate(ctx.input, case, True, g,
+                                                            Word(), 3),
+    }
+
+
+# sha256 of "<case> <entry point> <repr of its answer>", one a line, over
+# both inputs and every fitting case, as the answers were before the
+# input decided which cases fit it
+FITTING_ANSWERS_SHA256 = "0a4b77bcdb8eea9df6ec249fb92469778c91ac17ac783c0a0eaa118424aee71c"
+
+
+def test_every_entry_point_refuses_a_case_that_does_not_fit_alike():
+    lines = []
+    for text, cord, other in ((S3, "b", CaseLabel.CASE3), (D8_CASE3, "r", CaseLabel.CASE1)):
+        parsed, ctx = ctx_of(text)
+        g = parse_word(cord, parsed.presentation)
+        candidate = handle_invariant(ctx, parsed.cases[0], True, g)
+        want = "an orientable" if other is CaseLabel.CASE1 else "a non-orientable"
+        refused = [(other, f"case {other.value} needs {want} surface input")]
+        refused += [(v, f"{v!r} is not a CaseLabel") for v in (1, 3, None, "3")]
+        contexts = [ctx]
+        if not parsed.surface_orientable:
+            # the mismatch comes before MissingPPlus and PreconditionUnverified
+            checks = tuple(ValidationCheck(c.name, "fail", c.detail)
+                           if c.name == "n_squared_in_p_plus" else c
+                           for c in ctx.report.checks)
+            contexts += [ClassifierContext(parsed, ctx.p_table, None, ctx.report),
+                         ClassifierContext(parsed, ctx.p_table, ctx.p_plus_table,
+                                           ValidationReport(checks))]
+        for bad in contexts:
+            for name, point in _entry_points(bad, g, candidate).items():
+                for value, message in refused:
+                    with pytest.raises(CaseMismatch, match=f"^{re.escape(message)}$"):
+                        point(value)
+        # a fitting case answers as before
+        points = _entry_points(ctx, g, candidate)
+        lines += [f"{case.value} {name} {point(case)!r}"
+                  for case in parsed.cases for name, point in points.items()]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FITTING_ANSWERS_SHA256

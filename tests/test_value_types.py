@@ -79,6 +79,8 @@ CASES = [
      "EnumerationLimits(max_live_cosets=400, max_total_defined=10000000)",
      [(lambda s: EnumerationLimits(0), "limits must be positive"),
       (lambda s: EnumerationLimits(10, -1), "limits must be positive"),
+      (lambda s: EnumerationLimits(2.5, 5), "limits must be positive"),
+      (lambda s: EnumerationLimits(True, 5), "limits must be positive"),
       (lambda s: EnumerationLimits(10, 5), "max_total_defined must be >= max_live_cosets")]),
     (DoubleCosetId, lambda: _s3_ids()[1], ("table", "canonical"), ("orbit_size",),
      lambda s: s.canonical, D2,
@@ -92,7 +94,7 @@ CASES = [
      "PermutationAssignment(degree=3, images=((1, 0, 2), (0, 2, 1)))", []),
     (SurfaceKnotInput, _d8_input,
      ("presentation", "p_generators", "p_plus_generators", "n_word",
-      "surface_orientable", "label"), ("_listings",),
+      "surface_orientable", "label"), ("cases", "_listings"),
      lambda s: (s.presentation, s.p_generators, s.p_plus_generators, s.n_word,
                 s.surface_orientable, s.label),
      "SurfaceKnotInput(presentation=GroupPresentation(generators=(GeneratorSymbol("
@@ -137,7 +139,12 @@ CASES = [
      f"HandleInvariant(case=<CaseLabel.CASE1: 1>, core_oriented=False, "
      f"value={{{D1}, {D2}}})",
      [(lambda s: HandleInvariant(CaseLabel.CASE1, True, s.value),
-       "value shape does not match kind 'oriented-core'")]),
+       "value shape does not match kind 'oriented-core'"),
+      # with no input to check the case against, only a CaseLabel passes;
+      # 3 once passed as a Case-1 kind
+      (lambda s: HandleInvariant(3, True, s.value), "3 is not a CaseLabel"),
+      (lambda s: HandleInvariant("3", False, s.value), "'3' is not a CaseLabel"),
+      (lambda s: HandleInvariant(None, False, s.value), "None is not a CaseLabel")]),
     (ClassifierContext, _s3_context, ("input", "p_table", "p_plus_table", "report"), (),
      lambda s: (s.input, s.p_table, s.p_plus_table, s.report),
      f"ClassifierContext(input={S3_INPUT}, p_table=<CosetTable index=3 on 2 generators>, "
