@@ -65,9 +65,11 @@ class EnumerationLimits(_Frozen):
 
     def __init__(self, max_live_cosets: int = 1_000_000,
                  max_total_defined: int = 10_000_000):
-        # a float or a bool passes the bounds but is no count of cosets
-        if (type(max_live_cosets) is not int or type(max_total_defined) is not int
-                or max_live_cosets <= 0 or max_total_defined <= 0):
+        for value in (max_live_cosets, max_total_defined):
+            # a float or a bool passes the bounds but is no count of cosets
+            if type(value) is not int:
+                raise ValueError(f"limits must be integers, got {value}")
+        if max_live_cosets <= 0 or max_total_defined <= 0:
             raise ValueError("limits must be positive")
         if max_total_defined < max_live_cosets:
             raise ValueError("max_total_defined must be >= max_live_cosets")

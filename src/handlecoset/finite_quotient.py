@@ -256,7 +256,9 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
     searches afresh.  The degree must lie in 1..MAX_SEPARATE_DEGREE.
     """
     _check_degree(degree)
-    if type(limit) is not int or limit < 0:  # as _check_degree, no float or bool
+    if type(limit) is not int:  # as _check_degree, no float or bool
+        raise ValueError(f"limit must be an integer, got {limit}")
+    if limit < 0:
         raise ValueError("limit must be >= 0")
     return list(_search(pres, degree, limit))
 

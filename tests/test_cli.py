@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -495,6 +497,45 @@ def test_records_written_and_deterministic(skg, tmp_path, capsys):
     for cls in record["classes"]:
         pair = cls["value"]["value"]["pair"]
         assert pair == sorted(pair, key=lambda v: v["canonical"])
+
+
+def test_classes_records_are_streamed(skg, tmp_path):
+    # the entries are written one at a time, so --records holds neither
+    # the list of entries nor the whole text: it costs less traced memory
+    # than a tenth of the file it writes
+    path = skg("s7.skg", coxeter_skg(7, [1]))
+    rec = tmp_path / "r.json"
+    argv = ["classes", path, "--case", "1"]
+
+    def traced_peak(extra):
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+                assert run(argv + extra) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(["--records", str(rec)])  # warm every lazy module-level cache
+    bare = traced_peak([])
+    streamed = traced_peak(["--records", str(rec)])
+    assert streamed - bare < rec.stat().st_size / 10
+
+
+def test_classes_records_are_canonical_json(skg, tmp_path, capsys):
+    # a label that holds the key's own text, a quote, a backslash and a
+    # non-ASCII letter is escaped like any string: the streamed record is
+    # the canonical encoding of itself
+    stem = '"classes":[] \\ \u00e9'
+    path = skg(stem + ".skg", S3)
+    rec = tmp_path / "r.json"
+    assert run(["classes", path, "--case", "1", "--records", str(rec)]) == 0
+    capsys.readouterr()
+    text = rec.read_text(encoding="utf-8")
+    record = json.loads(text)
+    assert record["input"] == stem
+    assert record["count"] == len(record["classes"]) == 2
+    assert text == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_invariant_record_shape(skg, tmp_path, capsys):

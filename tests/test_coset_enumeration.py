@@ -301,8 +301,9 @@ def test_limits_validation():
     with pytest.raises(ValueError):
         EnumerationLimits(10, 5)
     # a float or a bool is no count of cosets, though it passes the bounds
-    for live, total in ((2.5, 5), (True, 5), (10, 20.0), (10, True), (10.0, 20)):
-        with pytest.raises(ValueError, match="^limits must be positive$"):
+    for live, total, bad in ((2.5, 5, 2.5), (True, 5, True), (10, 20.0, 20.0),
+                             (10, True, True), (10.0, 20, 10.0)):
+        with pytest.raises(ValueError, match=f"^limits must be integers, got {bad}$"):
             EnumerationLimits(live, total)
     defaults = EnumerationLimits()
     assert defaults.max_live_cosets == 1_000_000

@@ -104,15 +104,6 @@ def test_handle_invariant_case3_oriented_dihedral():
     assert inv.kind == "case3-oriented-core"
 
 
-def test_case_mismatch():
-    parsed, ctx = ctx_of(S3)
-    with pytest.raises(CaseMismatch, match="needs a non-orientable surface"):
-        handle_invariant(ctx, CaseLabel.CASE3, True, Word())
-    parsed3, ctx3 = ctx_of(D8_CASE3)
-    with pytest.raises(CaseMismatch, match="needs an orientable surface"):
-        handle_invariant(ctx3, CaseLabel.CASE1, True, Word())
-
-
 def test_case2_same_computation_as_case1():
     parsed, ctx = ctx_of(S3)
     rng = random.Random(5)
@@ -172,8 +163,6 @@ def test_candidate_slots_follow_nest_slots():
     assert image_member(ctx, CaseLabel.CASE3, False, built)
     with pytest.raises(ValueError, match="has 4 slots, not 3"):
         candidate_invariant(ctx, CaseLabel.CASE3, False, words[:3])
-    with pytest.raises(CaseMismatch, match="needs an orientable surface"):
-        candidate_invariant(ctx, CaseLabel.CASE1, True, words[:1])
 
 
 def test_one_partition_per_table(monkeypatch):

@@ -79,8 +79,8 @@ CASES = [
      "EnumerationLimits(max_live_cosets=400, max_total_defined=10000000)",
      [(lambda s: EnumerationLimits(0), "limits must be positive"),
       (lambda s: EnumerationLimits(10, -1), "limits must be positive"),
-      (lambda s: EnumerationLimits(2.5, 5), "limits must be positive"),
-      (lambda s: EnumerationLimits(True, 5), "limits must be positive"),
+      (lambda s: EnumerationLimits(2.5, 5), "limits must be integers, got 2.5"),
+      (lambda s: EnumerationLimits(True, 5), "limits must be integers, got True"),
       (lambda s: EnumerationLimits(10, 5), "max_total_defined must be >= max_live_cosets")]),
     (DoubleCosetId, lambda: _s3_ids()[1], ("table", "canonical"), ("orbit_size",),
      lambda s: s.canonical, D2,
