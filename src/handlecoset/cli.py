@@ -31,11 +31,23 @@ from .finite_quotient import (MAX_SEPARATE_DEGREE, SeparationVerdict,
 from .handle_classifier import (ClassifierContext, candidate_invariant,
                                 class_listing, equivalent, handle_invariant,
                                 image_member, subgroup_table, validate)
-from .knot_input import (CaseLabel, case_words, format_word, parse_input,
-                         parse_word, parse_word_list)
+from .knot_input import (_INTEGER, CaseLabel, case_words, format_word,
+                         parse_input, parse_word, parse_word_list)
 from .word_algebra import Word
 
 ENV_MAX_COSETS = "HANDLE_COSET_MAX_COSETS"
+
+
+def _integer(text: str) -> int:
+    """A count as the user typed it, read in the grammar of a .skg
+    exponent, -?[0-9]+; int() alone also takes 4_0, +5, " 7 " and
+    digits of other scripts."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError("must be an integer")
+    try:
+        return int(text)
+    except ValueError:  # past int()'s limit on digits
+        raise argparse.ArgumentTypeError("has too many digits") from None
 
 
 def _limits(max_cosets: Optional[int] = None) -> EnumerationLimits:
@@ -45,9 +57,9 @@ def _limits(max_cosets: Optional[int] = None) -> EnumerationLimits:
         if env is not None:
             source = ENV_MAX_COSETS
             try:
-                max_cosets = int(env)
-            except ValueError:
-                raise UsageError(f"{ENV_MAX_COSETS} must be an integer")
+                max_cosets = _integer(env)
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(f"{ENV_MAX_COSETS} {exc}")
     if max_cosets is None:
         return EnumerationLimits()
     if max_cosets < 1:
@@ -112,7 +124,7 @@ def _emit(args, record: dict, classes: Optional[Iterable[dict]] = None) -> None:
     entries, the head is encoded with an empty `classes` list, and the
     entries are written into it one at a time, so neither the list of
     entries nor the whole text is ever held (on Coxeter S8 with P = <s1>,
-    case 1, `classes --records` peaks at 23.1 MB of RSS, 34.5 MB when
+    case 1, `classes --records` peaks at 21.9 MB of RSS, 34.5 MB when
     the record was built whole).  The bytes are those of json.dumps of
     the whole record with sort_keys and compact separators: a string
     value escapes its quotes, so the text '"classes":[' can only be the
@@ -294,10 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("enumerate", _cmd_enumerate, help="enumerate cosets of P or P+")
     p.add_argument("file")
     p.add_argument("--subgroup", choices=["P", "P+"], default="P")
-    p.add_argument("--max-cosets", type=int, default=None, metavar="N")
+    p.add_argument("--max-cosets", type=_integer, default=None, metavar="N")
 
     def case_options(p, cords: int):
-        p.add_argument("--case", type=int, choices=[1, 2, 3], required=True)
+        p.add_argument("--case", type=_integer, choices=[1, 2, 3], required=True)
         p.add_argument("--core-oriented", action="store_true")
         if cords:
             p.add_argument("--cord", action="append", default=[],
@@ -326,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="try to separate two cords in finite quotients")
     p.add_argument("file")
     case_options(p, 2)
-    p.add_argument("--max-degree", type=int, default=6, metavar="D",
+    p.add_argument("--max-degree", type=_integer, default=6, metavar="D",
                    choices=range(1, MAX_SEPARATE_DEGREE + 1),
                    help=f"largest permutation degree searched, 1..{MAX_SEPARATE_DEGREE}")
     return parser

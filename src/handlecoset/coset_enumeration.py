@@ -7,9 +7,11 @@ handled through a union-find queue with path compression.  A completed
 table is renumbered into breadth-first standard form (columns ordered
 g1, g1^-1, g2, g2^-1, ...), which makes the result independent of the
 internal deduction order.  The BFS tree carries a witness word to every
-coset, and since a parent is numbered before its children and a
-parent's children are numbered together, one walk in coset order spells
-every witness, each from its parent's text and one letter
+coset.  It is stored as one column per coset, that of the edge
+parent --col--> c that found c, so the parent is c under the inverse
+column, one subscript.  Since a parent is numbered before its children
+and a parent's children are numbered together, one walk in coset order
+spells every witness, each from its parent's text and one letter
 (CosetTable.witness_texts).
 
 During the run the table is one flat list whose stride ncols is the
@@ -48,6 +50,7 @@ and climbs once per inverse; only this module reads the columns and tree.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, deque
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -85,29 +88,31 @@ class CosetTable:
     traces each coset to itself and every subgroup generator fixes
     coset 1.  witness(c) is a word carrying coset 1 to c along the BFS
     discovery tree (witness(1) is the empty word), climbing from c to
-    coset 1.  witness_texts(cosets) spells witnesses and translates(x)
-    traces x by every witness, each in one walk down the tree instead;
-    unwitness(c) traces coset 1 by the inverse of witness(c).
+    coset 1 through each tree edge's inverse column.  witness_texts(cosets)
+    spells witnesses and translates(x) traces x by every witness, each in
+    one walk down the tree instead; unwitness(c) traces coset 1 by the
+    inverse of witness(c).
 
     Storage is one list per column: _action[col][c] is the image of
     coset c, with a 0 placeholder at position 0.  Column 2i is generator
     i and column 2i+1 its inverse; for an involutory generator (a
     relator x^2 or x^-2) the two are the same list object, so the table
-    must not be edited in place.  _parents[c] is the BFS tree edge
-    (parent, col) that discovered coset c, None for c = 1 (and at the
-    placeholder).  The table owns its double cosets under its own
-    subgroup generators and the two maps on them (Holt-Eick-O'Brien,
-    Handbook of CGT, ch. 5): labels, orbit_sizes and twist, kept once
-    built, and inverse, one climb per call that its callers keep.
+    must not be edited in place.  _tree[c] is the standard column col of
+    the BFS tree edge parent --col--> c that discovered coset c, in an
+    array('i') at 4 bytes per coset (0 for c = 1 and at the placeholder);
+    the parent is _action[col ^ 1][c], and it is less than c.  The table
+    owns its double cosets under its own subgroup generators and the two
+    maps on them (Holt-Eick-O'Brien, Handbook of CGT, ch. 5): labels,
+    orbit_sizes and twist, kept once built, and inverse, one climb per
+    call that its callers keep.
     """
 
     def __init__(self, subgroup_generators: Sequence[Word], n_generators: int,
-                 action: list[list[int]], parents: list[Optional[tuple[int, int]]],
-                 total_defined: int):
+                 action: list[list[int]], tree: array, total_defined: int):
         self.subgroup_generators = tuple(subgroup_generators)
         self.n_generators = n_generators
         self._action = action
-        self._parents = parents
+        self._tree = tree
         self.total_defined = total_defined
         # compared by n's equality: a word hashes its decoded letters on
         # every call, and a table meets one n in practice
@@ -149,21 +154,24 @@ class CosetTable:
         turns back, so the word is freely reduced."""
         if not 1 <= coset <= self.index:
             raise CosetRangeError(coset, self.index)
+        tree, action = self._tree, self._action
         path = []
         c = coset
-        while self._parents[c] is not None:
-            c, col = self._parents[c]
+        while c != 1:
+            col = tree[c]
             path.append(col)
+            c = action[col ^ 1][c]
         return Word._of(tuple(reversed(path)))
 
     def witness_texts(self, cosets: Iterable[int],
                       names: Sequence[str]) -> dict[int, str]:
         """format_word(witness(c), names) for each coset c given, in one
         walk of the BFS tree in coset order; no word is built.  A coset's
-        parent is numbered before it, and each parent's children are
-        numbered together, so each text is its parent's plus one letter,
-        decoded from the tree edge's column (letter_of): the letter
-        lengthens the parent's last run or starts a new one.
+        parent, read through the inverse of its tree column, is numbered
+        before it, and each parent's children are numbered together, so
+        each text is its parent's plus one letter, decoded from the tree
+        edge's column (letter_of): the letter lengthens the parent's last
+        run or starts a new one.
         A text is kept only until its coset's last child is built, unless
         it is asked for."""
         wanted = set(cosets)
@@ -172,14 +180,15 @@ class CosetTable:
                 raise CosetRangeError(c, self.index)
         single = [run_token(names[i], s)
                   for i, s in map(letter_of, range(len(self._action)))]
-        parents = self._parents
+        tree, action = self._tree, self._action
         out = {1: "1"} if 1 in wanted else {}
         # (text, the text before its last run, last column, run length)
         # of cosets lo, lo + 1, ...; coset 1's text is the empty string
         live = deque([("", "", -1, 0)])
         lo = 1
         for c in range(2, max(wanted, default=1) + 1):
-            p, col = parents[c]
+            col = tree[c]
+            p = action[col ^ 1][c]
             while lo < p:  # every child of coset lo is built
                 live.popleft()
                 lo += 1
@@ -202,22 +211,24 @@ class CosetTable:
         entry is its parent's under one column; no word is built."""
         if not 1 <= start <= self.index:
             raise CosetRangeError(start, self.index)
-        action = self._action
+        tree, action = self._tree, self._action
         out = [0, start]
-        for p, col in self._parents[2:]:
-            out.append(action[col][out[p]])
+        for c in range(2, len(tree)):
+            col = tree[c]
+            out.append(action[col][out[action[col ^ 1][c]]])
         return out
 
     def unwitness(self, coset: int) -> int:
-        """The coset 1 * witness(coset)^-1, one inverse column per BFS
-        tree edge from coset up to coset 1; no word is built."""
+        """The coset 1 * witness(coset)^-1 in one climb: each BFS tree
+        edge's inverse column takes c to its parent and x along the
+        inverse word; no word is built."""
         if not 1 <= coset <= self.index:
             raise CosetRangeError(coset, self.index)
-        parents, action = self._parents, self._action
+        tree, action = self._tree, self._action
         c, x = coset, 1
-        while (edge := parents[c]) is not None:
-            c, col = edge
-            x = action[col ^ 1][x]
+        while c != 1:
+            back = tree[c] ^ 1
+            c, x = action[back][c], action[back][x]
         return x
 
     @cached_property
@@ -429,7 +440,7 @@ class _Enumeration:
                 f = beta
                 i += 1
 
-    def run(self) -> tuple[list[list[int]], list[Optional[tuple[int, int]]], int]:
+    def run(self) -> tuple[list[list[int]], array, int]:
         self.scan_and_fill(0, self.subgroup)
         table, ncols, merged = self.table, self.ncols, self.merged
         alpha = 0
@@ -445,20 +456,20 @@ class _Enumeration:
 
     def _standardize(self):
         """Renumber live cosets 1.. in BFS order by (coset, column) from
-        coset 0, writing each flat column straight into a 1-based list.
-        The flat columns run in the standard order g1, g1^-1, g2, ...
-        without the inverse of an involutory generator, which is the same
-        column and so never reaches a coset first.  No live row points at
-        a dead coset: for each coset coincidence kills, it clears every
-        entry that points back at it."""
+        coset 0, writing each flat column straight into a 1-based list
+        and the standard column of the edge that reaches each coset first
+        into the tree.  The flat columns run in the standard order g1,
+        g1^-1, g2, ... without the inverse of an involutory generator,
+        which is the same column and so never reaches a coset first.  No
+        live row points at a dead coset: for each coset coincidence kills,
+        it clears every entry that points back at it."""
         table, ncols, merged, std = self.table, self.ncols, self.merged, self.std
         number = [0] * (len(table) // ncols)  # 0 = not reached yet
         number[0] = 1  # coset 0 survives every merge (min offset wins)
         order = [0]
-        parents: list[Optional[tuple[int, int]]] = [None, None]
+        tree = array("i", [0, 0])
         flat: list[list[int]] = [[0] for _ in range(ncols)]
         for c in order:  # grows while it is walked
-            here = number[c // ncols]
             for col in range(ncols):
                 d = table[c + col]
                 if d is None:
@@ -467,13 +478,13 @@ class _Enumeration:
                 if not number[k]:
                     order.append(d)
                     number[k] = len(order)
-                    parents.append((here, std[col]))
+                    tree.append(std[col])
                 flat[col].append(number[k])
         defined = len(table) // ncols
         if len(order) != defined - len(merged):
             raise AssertionError("coset table is not connected")
         # a self-inverse column stands for both letters: one list, twice
-        return [flat[k] for k in self.column], parents, defined
+        return [flat[k] for k in self.column], tree, defined
 
 
 def _root(columns: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -518,8 +529,10 @@ def _verify(table: CosetTable, pres: GroupPresentation,
     involution whose two letters are one list is not composed: b is a
     there, so the column check above is x^2 = 1.
 
-    Then every subgroup generator fixes coset 1, and every witness-tree
-    edge is a table edge."""
+    Then every subgroup generator fixes coset 1, and every coset c >= 2
+    has a parent in 1..c-1 through its tree column's inverse, so every
+    climb ends at coset 1.  A tree edge is a table edge by construction:
+    the parent is c under the inverse of the edge's column."""
     action = table._action
     identity = tuple(range(table.index + 1))
     for col in range(0, len(action), 2):
@@ -540,13 +553,14 @@ def _verify(table: CosetTable, pres: GroupPresentation,
     for w in subgroup:
         if not table.membership(w):
             raise AssertionError("subgroup generator moved coset 1")
-    parents = table._parents
-    if parents[1] is not None:
+    tree = table._tree
+    try:
+        ok = (len(tree) == len(identity) and min(tree) >= 0
+              and all(0 < action[tree[c] ^ 1][c] < c for c in range(2, len(tree))))
+    except IndexError:  # a column past the last generator's
+        ok = False
+    if not ok:
         raise AssertionError("witness tree is inconsistent")
-    for c in range(2, table.index + 1):
-        parent, col = parents[c]
-        if action[col][parent] != c:
-            raise AssertionError("witness tree is inconsistent")
 
 
 def enumerate_cosets(pres: GroupPresentation, subgroup: Sequence[Word],
@@ -562,7 +576,7 @@ def enumerate_cosets(pres: GroupPresentation, subgroup: Sequence[Word],
     for w in subgroup:
         if w.max_generator_index() >= ngens:
             raise ValueError("subgroup word uses a generator outside the presentation")
-    action, parents, defined = _Enumeration(pres, subgroup, limits).run()
-    table = CosetTable(subgroup, ngens, action, parents, defined)
+    action, tree, defined = _Enumeration(pres, subgroup, limits).run()
+    table = CosetTable(subgroup, ngens, action, tree, defined)
     _verify(table, pres, subgroup)
     return table

@@ -43,7 +43,9 @@ from .word_algebra import (GeneratorSymbol, GroupPresentation, Word, _Frozen,
                            column_of, reduce_columns)
 
 _TOKEN = re.compile(r"\S+")
-_EXPONENT = re.compile(r"-?[0-9]+")
+# the one integer grammar: a word's exponents, and every count typed on
+# the command line (cli._integer)
+_INTEGER = re.compile(r"-?[0-9]+")
 # a word may expand (before free reduction) to at most this many letters
 MAX_WORD_LETTERS = 100_000
 _OVER_BUDGET = f"word expands to more than {MAX_WORD_LETTERS} letters"
@@ -142,7 +144,7 @@ def _parse_word_tokens(segment: str, line_no: int, col_offset: int,
                 raise UnknownGenerator(line_no, col, f"unknown generator {base!r}")
             k = 1
             if caret:
-                if not _EXPONENT.fullmatch(exponent):
+                if not _INTEGER.fullmatch(exponent):
                     raise SkgSyntaxError(line_no, col, f"bad exponent in token {token!r}")
                 # the digits past the sign and leading zeros, so that int()
                 # never meets a string past its 4,300-digit limit; more

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -316,6 +317,44 @@ def test_env_var_limits_must_be_positive(skg, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: HANDLE_COSET_MAX_COSETS must be an integer\n"
 
 
+# int() reads each of these as 3, but none is -?[0-9]+, the grammar of a
+# .skg exponent, which every count a user types is read in
+NOT_INTEGERS = ["0_3", "\u0663", "\uff13", "+3", " 3 "]
+COUNTS = [("--max-cosets", ["enumerate", "{path}", "--max-cosets", "{n}"]),
+          ("--max-degree", ["separate", "{path}", "--case", "1", "--cord", "a",
+                            "--cord", "1", "--max-degree", "{n}"]),
+          ("--case", ["equiv", "{path}", "--case", "{n}", "--cord", "a", "--cord", "1"]),
+          (None, ["enumerate", "{path}"])]  # HANDLE_COSET_MAX_COSETS
+
+
+@pytest.mark.parametrize("source, argv", COUNTS, ids=[s or "env" for s, _ in COUNTS])
+@pytest.mark.parametrize("text", NOT_INTEGERS,
+                         ids=["underscore", "arabic-indic", "fullwidth", "plus", "spaces"])
+def test_counts_are_read_in_one_integer_grammar(skg, capsys, monkeypatch, source,
+                                                argv, text):
+    path = skg("free2.skg", FREE2)
+    if source is None:
+        monkeypatch.setenv("HANDLE_COSET_MAX_COSETS", text)
+    argv = [a.format(path=path, n=text) for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    if source is None:
+        assert err == "error: HANDLE_COSET_MAX_COSETS must be an integer\n"
+    else:
+        assert err.endswith(f"error: argument {source}: must be an integer\n")
+
+
+def test_a_count_past_the_digit_limit_is_refused(skg, capsys, monkeypatch):
+    path = skg("free2.skg", FREE2)
+    huge = "1" * (sys.get_int_max_str_digits() + 1)
+    assert run(["enumerate", path, "--max-cosets", huge]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --max-cosets: has too many digits\n")
+    monkeypatch.setenv("HANDLE_COSET_MAX_COSETS", huge)
+    assert run(["enumerate", path]) == 2
+    assert capsys.readouterr().err == "error: HANDLE_COSET_MAX_COSETS has too many digits\n"
+
+
 def test_records_in_missing_directory(skg, tmp_path, capsys):
     path = skg("t2.skg", T2)
     rec = tmp_path / "missing" / "x.json"
@@ -508,6 +547,7 @@ def test_classes_records_are_streamed(skg, tmp_path):
     argv = ["classes", path, "--case", "1"]
 
     def traced_peak(extra):
+        gc.collect()  # garbage of earlier tests is not collected mid-trace
         tracemalloc.start()
         try:
             with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
@@ -646,7 +686,7 @@ def test_only_coset_enumeration_reads_the_table_fields():
     # a table's columns, witness tree and double-coset caches are read
     # through CosetTable's own methods everywhere else, so their layout
     # has one owner
-    fields = ("_parents", "_action", "_twists")
+    fields = ("_tree", "_action", "_twists")
     readers = set()
     for path in Path(handlecoset.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))

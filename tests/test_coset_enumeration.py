@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -7,7 +10,7 @@ from brute import (GROUP_CORPUS, INPUT_CORPUS, coxeter_skg, cycle_type, mulclose
                    respell_squares)
 from handlecoset.cli import run
 from handlecoset.coset_enumeration import (CosetTable, EnumerationLimits,
-                                           _verify, enumerate_cosets)
+                                           _Enumeration, _verify, enumerate_cosets)
 from handlecoset.errors import CosetRangeError, ResourceExhausted
 from handlecoset.knot_input import format_word, parse_input, parse_word
 from handlecoset import word_algebra
@@ -262,7 +265,7 @@ def test_fuzz_subgroup_index_with_an_involution():
         table = enumerate_cosets(pres, sub)
         assert table.index == expected
         other = enumerate_cosets(respell_squares(pres), sub)
-        assert (other._action, other._parents) == (table._action, table._parents)
+        assert (other._action, other._tree) == (table._action, table._tree)
         checked += 1
     assert checked == 40
 
@@ -327,7 +330,7 @@ def test_rejects_foreign_words():
 def _copy(table):
     return CosetTable(table.subgroup_generators, table.n_generators,
                       [list(column) for column in table._action],
-                      list(table._parents), table.total_defined)
+                      array("i", table._tree), table.total_defined)
 
 
 def test_verify_accepts_an_intact_copy():
@@ -365,15 +368,57 @@ def test_verify_rejects_a_subgroup_generator_moving_coset_1():
 
 
 def test_verify_rejects_a_bad_witness_parent():
+    # a tree column whose inverse takes coset c past c: the climb from c
+    # would not come down to coset 1
     table = _copy(enumerate_cosets(S3, []))
-    n = table.index
-    table._parents[n] = (n, 0)  # a fixes no coset of the regular action
+    action = table._action
+    c, col = next((c, col) for c in range(2, table.index + 1)
+                  for col in range(len(action)) if action[col ^ 1][c] > c)
+    table._tree[c] = col
     with pytest.raises(AssertionError, match="witness tree"):
         _verify(table, S3, [])
-    table = _copy(enumerate_cosets(S3, []))
-    table._parents[1] = (1, 0)
-    with pytest.raises(AssertionError, match="witness tree"):
-        _verify(table, S3, [])
+
+
+@pytest.mark.parametrize("col, a", [(2, None), (4, None), (-4, None), (0, [2, 1, 0])],
+                         ids=["parent-is-child", "past-the-end", "negative", "parent-0"])
+def test_verify_rejects_a_tree_column(col, a):
+    # in S3 mod <b>, b fixes coset 2, so b's column makes coset 2 its own
+    # parent; column 4 names no generator, and -4 would read as a's
+    # column from the end, with parent 1.  An involution a that swaps 0
+    # and 2 passes the column and relator checks, but a climb through it
+    # passes coset 1 and stays at 0
+    b = [word("b", S3)]
+    table = _copy(enumerate_cosets(S3, b))
+    assert table.index == 2 and table.trace(2, b[0]) == 2
+    if a is not None:
+        table._action[0] = table._action[1] = a
+    table._tree[2] = col
+    with pytest.raises(AssertionError, match="^witness tree is inconsistent$"):
+        _verify(table, S3, b)
+
+
+def test_finished_table_bytes_per_coset():
+    # what the finished S8 <s1> table keeps, as traced by tracemalloc: its
+    # columns' lists and their int objects, and the witness tree at one
+    # array entry per coset.  HLT runs untraced, since tracing makes it
+    # several times slower; standardization builds all the table keeps
+    parsed = parse_input(coxeter_skg(8, [1]))
+    run = _Enumeration(parsed.presentation, parsed.p_generators, EnumerationLimits())
+    standardize = run._standardize
+    run._standardize = lambda: None  # stop run() after HLT
+    run.run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = CosetTable(parsed.p_generators, len(parsed.presentation.generators),
+                           *standardize())
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    _verify(table, parsed.presentation, parsed.p_generators)
+    assert table.index == 20160
+    assert kept / table.index <= 100
 
 
 def test_verify_rejects_a_negative_entry():
@@ -446,17 +491,20 @@ def test_verify_rejects_a_power_relator_that_does_not_close():
 
 
 def _power_table(images, m):
-    """A hand-built table of <b | b^m> on the cosets 1..len(images), b
-    sending c to images[c - 1], and its presentation.  Each coset but 1
-    hangs off the coset b^-1 takes it to, so every check but the
-    relator's passes."""
+    """A hand-built table of <b, c | b^m> on the cosets 1..n, n =
+    len(images), b sending k to images[k - 1] and c the cycle
+    (1 2 ... n), and its presentation.  Each coset k > 1 hangs off
+    coset k - 1 by c, so every check but the relator's passes."""
+    n = len(images)
     b = [0, *images]
     b_inv = [0] * len(b)
-    for c, d in enumerate(b):
-        b_inv[d] = c
-    parents = [None, None] + [(b_inv[c], 0) for c in range(2, len(b))]
-    pres = GroupPresentation((GeneratorSymbol("b"),), (Word(((0, 1),) * m),))
-    return CosetTable([], 1, [b, b_inv], parents, len(images)), pres
+    for k, d in enumerate(b):
+        b_inv[d] = k
+    c, c_inv = [0, *range(2, n + 1), 1], [0, n, *range(1, n)]
+    tree = array("i", [0, 0] + [2] * (n - 1))  # column 2 is c
+    pres = GroupPresentation((GeneratorSymbol("b"), GeneratorSymbol("c")),
+                             (Word(((0, 1),) * m),))
+    return CosetTable([], 2, [b, b_inv, c, c_inv], tree, n), pres
 
 
 def test_verify_rejects_a_relator_that_fails_on_one_cycle_only():
@@ -536,7 +584,7 @@ def test_involutory_generators_keep_the_table(text):
     plain = enumerate_cosets(respell_squares(pres), words)
     assert aliased.index == plain.index
     assert aliased._action == plain._action
-    assert aliased._parents == plain._parents
+    assert aliased._tree == plain._tree
     involution = 2 * (len(pres.generators) - 1)  # s_(n-1), or s in D_5
     assert aliased._action[involution] is aliased._action[involution + 1]
     assert plain._action[involution] is not plain._action[involution + 1]
