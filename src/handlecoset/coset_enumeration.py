@@ -31,8 +31,9 @@ involution: the stride halves and about half as many cosets are defined.
 A coset is named by its base offset (coset number times ncols), and a
 defined slot holds the target's base offset, so one scan step is the
 single subscript table[f + col]; None marks an undefined slot.  Gaps are
-filled inside the scan loop, and the live/defined budget is read only
-when a scan first needs a definition.  Dead cosets are the keys of a
+filled inside the scan loop.  Every coset, in a scan or in the fill
+after it, is made by one method (_Enumeration.define), the one place
+that checks the live/defined budget.  Dead cosets are the keys of a
 union-find dict, so live cosets = defined cosets - merged cosets.
 
 Standardization walks the distinct columns and writes the finished
@@ -283,7 +284,9 @@ class _Enumeration:
     column[2i + (s < 0)] is the flat column of the letter (i, s) and
     inv[k] the inverse of flat column k; an involutory generator's two
     letters share one self-inverse column (inv[k] == k).  std[k] is the
-    standard column (2i or 2i + 1) of flat column k."""
+    standard column (2i or 2i + 1) of flat column k.  define makes every
+    coset and is the one place that checks the budget; bound is the
+    offset the budget allows up to, as define last read it."""
 
     def __init__(self, pres: GroupPresentation, subgroup: Sequence[Word],
                  limits: EnumerationLimits):
@@ -313,6 +316,7 @@ class _Enumeration:
         self.blank: list[Optional[int]] = [None] * self.ncols
         self.table = list(self.blank)
         self.merged: dict[int, int] = {}  # dead coset -> coset it merged into
+        self.bound = 0  # read on the first definition (define)
 
     def rep(self, k: int) -> int:
         merged = self.merged
@@ -355,30 +359,29 @@ class _Enumeration:
                     table[mu + col] = nu
                     table[nu + back] = mu
 
-    def cap(self) -> int:
-        """Offset at which the next definition would break the budget:
-        live cosets are the defined ones less the merged ones."""
-        limits = self.limits
-        return self.ncols * min(limits.max_live_cosets + len(self.merged),
-                                limits.max_total_defined)
-
-    def exhausted(self) -> ResourceExhausted:
-        defined = len(self.table) // self.ncols
-        return ResourceExhausted(self.limits, defined - len(self.merged), defined)
-
-    def define(self, alpha: int, col: int) -> None:
+    def define(self, alpha: int, col: int) -> int:
+        """Make the coset alpha^col and return it.  Live cosets are the
+        defined ones less the merged ones, and merges only add, so the
+        offset at which a definition breaks the budget never falls: it
+        is read again only when a definition reaches the last one read."""
         table = self.table
         beta = len(table)
-        if beta >= self.cap():
-            raise self.exhausted()
+        if beta >= self.bound:
+            limits, merged = self.limits, len(self.merged)
+            self.bound = self.ncols * min(limits.max_live_cosets + merged,
+                                          limits.max_total_defined)
+            if beta >= self.bound:
+                defined = beta // self.ncols
+                raise ResourceExhausted(limits, defined - merged, defined)
         table += self.blank
         table[alpha + col] = beta
         table[beta + self.inv[col]] = alpha
+        return beta
 
     def scan_and_fill(self, alpha: int, words: list[tuple[int, ...]]) -> None:
         """Scan coset alpha under each word in turn, filling every gap by
-        definitions and closing it by a deduction or a coincidence; stop
-        early if alpha itself dies in a coincidence.
+        definitions (define) and closing it by a deduction or a
+        coincidence; stop early if alpha itself dies in a coincidence.
 
         Each word is first traced forward alone: most scans meet no gap,
         and such a scan ends at once, with a coincidence unless it ends
@@ -386,7 +389,6 @@ class _Enumeration:
         two-ended scan, whose forward half stops at the same gap, so
         every definition is made as before."""
         table, inv = self.table, self.inv
-        cap = -1  # read on the first definition only
         for word in words:
             f = alpha
             for col in word:
@@ -399,7 +401,6 @@ class _Enumeration:
                     self.coincidence(f, alpha)
                     if alpha in self.merged:
                         return
-                    cap = -1  # merges widen the live budget
                 continue
             f, i = alpha, 0
             b, j = alpha, len(word) - 1
@@ -421,7 +422,6 @@ class _Enumeration:
                         self.coincidence(f, b)
                         if alpha in self.merged:
                             return
-                        cap = -1  # merges widen the live budget
                     break
                 col = word[i]
                 if j == i:
@@ -429,15 +429,7 @@ class _Enumeration:
                     table[b + inv[col]] = f
                     break
                 # a gap of two or more letters: define f^col and step onto it
-                beta = len(table)
-                if cap < 0:
-                    cap = self.cap()
-                if beta >= cap:
-                    raise self.exhausted()
-                table += self.blank
-                table[f + col] = beta
-                table[beta + inv[col]] = f
-                f = beta
+                f = self.define(f, col)
                 i += 1
 
     def run(self) -> tuple[list[list[int]], array, int]:

@@ -15,8 +15,9 @@ and serves its inverse too; generator 0 takes the first of each group,
 and S_d is kept flat as well only if some generator after the first
 has no earlier partner.  Each input keeps one listing of its finite
 images (_listing), made of slices that are listed as they are first
-read, each under one cap: the images in S_d, less those that only add
-a fixed point to one of degree d - 1, and those in AGL(1, m) (below).
+read, each cut from an unbounded stream at one cap in that one place:
+the images in S_d, less those that only add a fixed point to one of
+degree d - 1, and those in AGL(1, m) (below).
 The certificate walk and quotient_separate read slices of it, and
 nothing else lists an image for them.  An image names no double
 coset: it lists H, the image of the acting subgroup, once, and two
@@ -169,12 +170,13 @@ def _partners(pres: GroupPresentation) -> tuple[int, ...]:
     return tuple(root(parent, i) for i in range(len(parent)))
 
 
-def _search(pres: GroupPresentation, degree: int,
-            limit: int) -> tuple[PermutationAssignment, ...]:
-    """find_homomorphisms' listing, depth first, from one lexicographic
-    walk of S_degree: generator 0 runs over the least permutation of each
-    cycle type, generator k over all of S_degree, or, if _partners gives
-    it an earlier generator j, over the cycle type of j's image only.
+def _search(pres: GroupPresentation, degree: int) -> Iterator[PermutationAssignment]:
+    """find_homomorphisms' listing as one unbounded stream, depth first,
+    from one lexicographic walk of S_degree: generator 0 runs over the
+    least permutation of each cycle type, generator k over all of
+    S_degree, or, if _partners gives it an earlier generator j, over the
+    cycle type of j's image only.  Its readers cut it, each in one place:
+    _listing at HOM_LIMIT and find_homomorphisms at its limit.
 
     The walk makes each permutation p an entry (p, p^-1, t), t the index
     of p's cycle type in groups, which lists each type's entries in
@@ -213,15 +215,12 @@ def _search(pres: GroupPresentation, degree: int,
     for rel in pres.relators:
         ready[rel.max_generator_index()].append(rel.columns)
 
-    found: list[PermutationAssignment] = []
     action: list[Perm] = [tuple(points)] * (2 * ngens)
     types = [0] * ngens  # generator k -> the t of its image
 
-    def extend(k: int) -> None:
-        if len(found) >= limit:
-            return
+    def extend(k: int) -> Iterator[PermutationAssignment]:
         if k == ngens:
-            found.append(PermutationAssignment._of(degree, tuple(action)))
+            yield PermutationAssignment._of(degree, tuple(action))
             return
         checks, col, j = ready[k], 2 * k, partners[k]
         for p, p_inv, t in (leaders if k == 0 else flat if j == k else groups[types[j]]):
@@ -229,12 +228,9 @@ def _search(pres: GroupPresentation, degree: int,
             action[col + 1] = p_inv
             if _holds(action, checks, points):
                 types[k] = t
-                extend(k + 1)
-                if len(found) >= limit:
-                    return
+                yield from extend(k + 1)
 
-    extend(0)
-    return tuple(found)
+    yield from extend(0)
 
 
 def find_homomorphisms(pres: GroupPresentation, degree: int,
@@ -251,16 +247,17 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
     order.  Every level draws from one walk of S_degree, grouped by cycle
     type, and each permutation's inverse and cycle type are read off one
     walk of its cycles (_search).
-    At most `limit` assignments are returned and each one satisfies
-    every relator.  An empty list is a valid result.  Each call
-    searches afresh.  The degree must lie in 1..MAX_SEPARATE_DEGREE.
+    At most `limit` assignments are returned, the first `limit` of
+    _search's stream, and each one satisfies every relator.  An empty
+    list is a valid result.  Each call searches afresh.  The degree must
+    lie in 1..MAX_SEPARATE_DEGREE.
     """
     _check_degree(degree)
     if type(limit) is not int:  # as _check_degree, no float or bool
         raise ValueError(f"limit must be an integer, got {limit}")
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    return list(_search(pres, degree, limit))
+    return list(itertools.islice(_search(pres, degree), limit))
 
 
 def _listing(input: SurfaceKnotInput, kind: str, degree: int
@@ -269,30 +266,28 @@ def _listing(input: SurfaceKnotInput, kind: str, degree: int
     slice holds every image of its kind: kind "S" for the images in S_d,
     d = degree, and "AGL" for those in AGL(1, m), m = degree prime.  This
     is the one place that lists images for the certificate walk and the
-    separations, each slice under HOM_LIMIT.  Each slice is listed once
-    per input, when it is first read, and kept on it
+    separations, and the one place that cuts a slice: its lister
+    (_search or _affine_images) is an unbounded stream, of which the
+    slice keeps the first HOM_LIMIT images; the free group on 8
+    generators has about 13^6 of them per s at m = 13.  Each slice is
+    listed once per input, when it is first read, and kept on it
     (SurfaceKnotInput._listings), so the certificate walks for P and P+
     and the separations on one input share it, and it is freed with the
     input.
 
-    The S_d slice is _search's listing, less, when the slice of degree
-    d - 1 is complete (at d <= 2, always, since S_1 lists only the
-    trivial image), the images whose generators all fix one point.  On
-    the other points such an image is isomorphic to one of degree d - 1,
-    so conjugate to a kept image of a lower degree; it is intransitive,
-    so it certifies nothing either.  The AGL(1, m) slice is the first
-    HOM_LIMIT images that _affine_images yields; it must stop there,
-    since the free group on 8 generators has about 13^6 of them per s at
-    m = 13."""
+    An S_d slice is cut first and filtered after: when the slice
+    of degree d - 1 is complete (at d <= 2, always, since S_1 lists only
+    the trivial image), it drops the images whose generators all fix one
+    point.  On the other points such an image is isomorphic to one of
+    degree d - 1, so conjugate to a kept image of a lower degree; it is
+    intransitive, so it certifies nothing either."""
     listing = input._listings.get((kind, degree))
     if listing is None:
         pres = input.presentation
-        if kind == "AGL":
-            homs = kept = tuple(itertools.islice(_affine_images(pres, degree), HOM_LIMIT))
-        else:
-            homs = _search(pres, degree, HOM_LIMIT)
-            skip = degree <= 2 or _listing(input, "S", degree - 1)[1]
-            kept = tuple(hom for hom in homs if not (skip and _fixes_a_point(hom)))
+        lister = _affine_images if kind == "AGL" else _search
+        homs = kept = tuple(itertools.islice(lister(pres, degree), HOM_LIMIT))
+        if kind == "S" and (degree <= 2 or _listing(input, "S", degree - 1)[1]):
+            kept = tuple(hom for hom in homs if not _fixes_a_point(hom))
         listing = input._listings[kind, degree] = (kept, len(homs) < HOM_LIMIT)
     return listing
 
@@ -537,14 +532,14 @@ def _affine_row(columns: Columns, s: int, m: int, ngens: int) -> Optional[list[i
 
 def _affine_images(pres: GroupPresentation, m: int) -> Iterator[PermutationAssignment]:
     """The homomorphisms into AGL(1, m), m prime, that send generator i
-    to x -> s x + c_i, one s != 1 for all, lazily, since a free group on
-    n generators has about m^(n - 2) of them per s (_listing keeps the
-    first HOM_LIMIT): for each s that every relator's multiplier allows,
-    c runs over the kernel of the relators' rows up to x -> u x + t,
-    which takes c to u c + (1 - s) t, so c_0 = 0 and the first nonzero
-    entry is 1 (c = 0 fixes 0).  Rows are eliminated from the last
-    column, so free columns after the first nonzero one run over Z/m and
-    each pivot follows from those before."""
+    to x -> s x + c_i, one s != 1 for all, as an unbounded stream, which
+    its one reader, _listing, cuts, since a free group on n generators
+    has about m^(n - 2) of them per s: for each s that every relator's
+    multiplier allows, c runs over the kernel of the relators' rows up to
+    x -> u x + t, which takes c to u c + (1 - s) t, so c_0 = 0 and the
+    first nonzero entry is 1 (c = 0 fixes 0).  Rows are eliminated from
+    the last column, so free columns after the first nonzero one run over
+    Z/m and each pivot follows from those before."""
     ngens = len(pres.generators)
     relators = [rel.columns for rel in pres.relators]
     for s in range(2, m):

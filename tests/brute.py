@@ -906,7 +906,7 @@ def check_infinite_index_certificate() -> str:
     images = affine = 0
     for name, pres, words in subjects:
         homs = [hom for d in range(1, CERTIFICATE_DEGREES[-1] + 1)
-                for hom in _search(pres, d, 10**9)]
+                for hom in _search(pres, d)]
         sd = len(homs)
         homs += [hom for m in AFFINE_DEGREES for hom in _affine_images(pres, m)]
         for hom in homs:

@@ -857,6 +857,34 @@ def test_only_the_listing_lists_images():
                        "_affine_images": {"_listing"}}
 
 
+def test_each_budget_is_spent_in_one_place():
+    # HLT makes every coset in _Enumeration.define, the one place that
+    # checks the coset budget, so only it and __init__ read the blank row
+    # a new coset copies; every image lister is an unbounded stream, and
+    # only _listing cuts one at HOM_LIMIT, besides the default limit of
+    # find_homomorphisms.  A function's defaults count as "<name> default"
+    readers = {"blank": set(), "HOM_LIMIT": set()}
+
+    def visit(nodes, module, owner):
+        for node in nodes:
+            if isinstance(node, ast.FunctionDef):
+                defaults = node.args.defaults + [d for d in node.args.kw_defaults if d]
+                visit(defaults, module, f"{node.name} default")
+                visit(node.body, module, node.name)
+                continue
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(getattr(node, "ctx", None), ast.Load) and name in readers:
+                readers[name].add((module, owner))
+            visit(ast.iter_child_nodes(node), module, owner)
+
+    for path in Path(handlecoset.__file__).parent.glob("*.py"):
+        visit([ast.parse(path.read_text(encoding="utf-8"))], path.stem, None)
+    assert readers == {
+        "blank": {("coset_enumeration", "__init__"), ("coset_enumeration", "define")},
+        "HOM_LIMIT": {("finite_quotient", "_listing"),
+                      ("finite_quotient", "find_homomorphisms default")}}
+
+
 def test_only_the_classifier_chooses_a_case_table():
     # which table a case works over is decided in handle_classifier
     # alone, and the CLI builds candidates through it, not from ids

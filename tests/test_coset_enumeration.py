@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import random
 import tracemalloc
 from array import array
@@ -7,14 +8,15 @@ from array import array
 import pytest
 
 from brute import (GROUP_CORPUS, INPUT_CORPUS, coxeter_skg, cycle_type, mulclose,
-                   respell_squares)
+                   respell_squares, twist_spun_skg, two_bridge_skg)
 from handlecoset.cli import run
 from handlecoset.coset_enumeration import (CosetTable, EnumerationLimits,
                                            _Enumeration, _verify, enumerate_cosets)
 from handlecoset.errors import CosetRangeError, ResourceExhausted
 from handlecoset.knot_input import format_word, parse_input, parse_word
 from handlecoset import word_algebra
-from handlecoset.word_algebra import GeneratorSymbol, GroupPresentation, Word, invert
+from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation, Word, invert,
+                                      perm_inverse)
 
 
 def load(text):
@@ -397,6 +399,36 @@ def test_verify_rejects_a_tree_column(col, a):
         _verify(table, S3, b)
 
 
+def test_verify_rejects_every_column_that_moves_coset_0():
+    # the column check alone does not see a column that moves the
+    # placeholder coset 0, but some relator or subgroup word traced
+    # through 0, or through the coset that now goes to 0, always fails:
+    # each generator of every GROUP_CORPUS P table of index <= 5 gets
+    # each such permutation, with its inverse column (the same list for
+    # an involution), and _verify refuses all 938 tables
+    tried = 0
+    for case in GROUP_CORPUS:
+        parsed = parse_input(case.skg)
+        pres, words = parsed.presentation, parsed.p_generators
+        table = enumerate_cosets(pres, words)
+        if table.index > 5:
+            continue
+        for i in range(table.n_generators):
+            for a in itertools.permutations(range(table.index + 1)):
+                if a[0] == 0:
+                    continue
+                action = list(table._action)
+                shared = action[2 * i] is action[2 * i + 1]
+                action[2 * i] = list(a)
+                action[2 * i + 1] = action[2 * i] if shared else list(perm_inverse(a))
+                bad = CosetTable(words, table.n_generators, action, table._tree,
+                                 table.total_defined)
+                with pytest.raises(AssertionError):
+                    _verify(bad, pres, words)
+                tried += 1
+    assert tried == 938
+
+
 def test_finished_table_bytes_per_coset():
     # what the finished S8 <s1> table keeps, as traced by tracemalloc: its
     # columns' lists and their int objects, and the witness tree at one
@@ -607,6 +639,34 @@ def test_pinned_exhaustion(text, limits, live, defined):
     with pytest.raises(ResourceExhausted) as info:
         enumerate_cosets(parsed.presentation, parsed.p_generators, limits)
     assert (info.value.live_cosets, info.value.total_defined) == (live, defined)
+
+
+SWEEP_DIGEST = "b4be9e55ce77e8222a7536fca6055f32afe990d0d878c696e11298277f24fb1b"
+SWEEP_INPUTS = [("cox500", COX500), ("s5", coxeter_skg(5, [1])),
+                ("tau3-b(3,1)", twist_spun_skg(3, 1, 3)), ("b(5,3)", two_bridge_skg(5, 3))]
+
+
+def test_exhaustion_is_pinned_at_every_budget():
+    # P of four inputs under every live budget in 1..120, the total budget
+    # equal to it and then ten times it: 960 runs, each a row of the index
+    # and cosets defined, or of ResourceExhausted's two counts.  614 runs
+    # exhaust, 582 of them in a definition inside a scan and 32 in the
+    # fill after it, so both callers of _Enumeration.define are pinned
+    rows = []
+    for name, text in SWEEP_INPUTS:
+        parsed = parse_input(text)
+        for live in range(1, 121):
+            for total in (live, 10 * live):
+                limits = EnumerationLimits(live, total)
+                try:
+                    table = enumerate_cosets(parsed.presentation, parsed.p_generators, limits)
+                except ResourceExhausted as e:
+                    rows.append((name, live, total, e.live_cosets, e.total_defined))
+                else:
+                    rows.append((name, live, total, "index", table.index,
+                                 table.total_defined))
+    assert len(rows) == 960 and sum(len(row) == 5 for row in rows) == 614
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == SWEEP_DIGEST
 
 
 D4_CASE3 = ("group: r s\nrel: r^4\nrel: s^2\nrel: r s r s\n"
