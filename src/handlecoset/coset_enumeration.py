@@ -54,7 +54,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter, deque
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CosetRangeError, ResourceExhausted
 from .knot_input import run_token
@@ -89,10 +89,10 @@ class CosetTable:
     traces each coset to itself and every subgroup generator fixes
     coset 1.  witness(c) is a word carrying coset 1 to c along the BFS
     discovery tree (witness(1) is the empty word), climbing from c to
-    coset 1 through each tree edge's inverse column.  witness_texts(cosets)
-    spells witnesses and translates(x) traces x by every witness, each in
-    one walk down the tree instead; unwitness(c) traces coset 1 by the
-    inverse of witness(c).
+    coset 1 through each tree edge's inverse column.  witness_texts
+    spells the canonical cosets' witnesses and twist traces 1 n by every
+    witness, each in one walk down the tree instead; inverse(c) climbs
+    from c, tracing coset 1 by the inverse of witness(c).
 
     Storage is one list per column: _action[col][c] is the image of
     coset c, with a 0 placeholder at position 0.  Column 2i is generator
@@ -127,7 +127,8 @@ class CosetTable:
         """Apply the word left to right starting from the given coset:
         one subscript per letter, through the columns the word compiled
         when it was built."""
-        if not 1 <= start <= self.index:
+        # a float or a bool is no coset, as it is no count (EnumerationLimits)
+        if not (type(start) is int and 1 <= start <= self.index):
             raise CosetRangeError(start, self.index)
         c = start
         action = self._action
@@ -153,7 +154,7 @@ class CosetTable:
         """A word with trace(1, word) == coset, read off the BFS tree:
         its columns are the tree's edges from coset 1, a path that never
         turns back, so the word is freely reduced."""
-        if not 1 <= coset <= self.index:
+        if not (type(coset) is int and 1 <= coset <= self.index):
             raise CosetRangeError(coset, self.index)
         tree, action = self._tree, self._action
         path = []
@@ -164,30 +165,26 @@ class CosetTable:
             c = action[col ^ 1][c]
         return Word._of(tuple(reversed(path)))
 
-    def witness_texts(self, cosets: Iterable[int],
-                      names: Sequence[str]) -> dict[int, str]:
-        """format_word(witness(c), names) for each coset c given, in one
-        walk of the BFS tree in coset order; no word is built.  A coset's
-        parent, read through the inverse of its tree column, is numbered
-        before it, and each parent's children are numbered together, so
-        each text is its parent's plus one letter, decoded from the tree
-        edge's column (letter_of): the letter lengthens the parent's last
-        run or starts a new one.
+    def witness_texts(self, names: Sequence[str]) -> dict[int, str]:
+        """format_word(witness(c), names) for each canonical coset c
+        (labels[c] == c), in increasing order, in one walk of the BFS
+        tree in coset order; no word is built.  A coset's parent, read
+        through the inverse of its tree column, is numbered before it,
+        and each parent's children are numbered together, so each text
+        is its parent's plus one letter, decoded from the tree edge's
+        column (letter_of): the letter lengthens the parent's last run
+        or starts a new one.
         A text is kept only until its coset's last child is built, unless
-        it is asked for."""
-        wanted = set(cosets)
-        for c in wanted:
-            if not 1 <= c <= self.index:
-                raise CosetRangeError(c, self.index)
+        its coset is canonical."""
         single = [run_token(names[i], s)
                   for i, s in map(letter_of, range(len(self._action)))]
-        tree, action = self._tree, self._action
-        out = {1: "1"} if 1 in wanted else {}
+        tree, action, labels = self._tree, self._action, self.labels
+        out = {1: "1"}
         # (text, the text before its last run, last column, run length)
         # of cosets lo, lo + 1, ...; coset 1's text is the empty string
         live = deque([("", "", -1, 0)])
         lo = 1
-        for c in range(2, max(wanted, default=1) + 1):
+        for c in range(2, len(tree)):
             col = tree[c]
             p = action[col ^ 1][c]
             while lo < p:  # every child of coset lo is built
@@ -202,35 +199,9 @@ class CosetTable:
                 head, k = (text + " " if text else ""), 1
                 text = head + single[col]
             live.append((text, head, col, k))
-            if c in wanted:
+            if labels[c] == c:
                 out[c] = text
         return out
-
-    def translates(self, start: int) -> list[int]:
-        """start * witness(c) for every coset c, as a 1-based list (0 at
-        position 0), in one walk down the BFS tree in coset order: each
-        entry is its parent's under one column; no word is built."""
-        if not 1 <= start <= self.index:
-            raise CosetRangeError(start, self.index)
-        tree, action = self._tree, self._action
-        out = [0, start]
-        for c in range(2, len(tree)):
-            col = tree[c]
-            out.append(action[col][out[action[col ^ 1][c]]])
-        return out
-
-    def unwitness(self, coset: int) -> int:
-        """The coset 1 * witness(coset)^-1 in one climb: each BFS tree
-        edge's inverse column takes c to its parent and x along the
-        inverse word; no word is built."""
-        if not 1 <= coset <= self.index:
-            raise CosetRangeError(coset, self.index)
-        tree, action = self._tree, self._action
-        c, x = coset, 1
-        while c != 1:
-            back = tree[c] ^ 1
-            c, x = action[back][c], action[back][x]
-        return x
 
     @cached_property
     def labels(self) -> list[int]:
@@ -255,22 +226,38 @@ class CosetTable:
         of its orbit met in 1..index, so the keys run in increasing order."""
         return Counter(self.labels[1:])
 
-    def inverse(self, canonical: int) -> int:
-        """The canonical coset of the inverse double coset: one climb,
-        which refuses a coset outside 1..index as unwitness does."""
-        return self.labels[self.unwitness(canonical)]
+    def inverse(self, coset: int) -> int:
+        """The canonical coset of the inverse double coset, from the
+        coset 1 * witness(coset)^-1 in one climb: each BFS tree edge's
+        inverse column takes c to its parent and x along the inverse
+        word; no word is built."""
+        if not (type(coset) is int and 1 <= coset <= self.index):
+            raise CosetRangeError(coset, self.index)
+        tree, action = self._tree, self._action
+        c, x = coset, 1
+        while c != 1:
+            back = tree[c] ^ 1
+            c, x = action[back][c], action[back][x]
+        return self.labels[x]
 
     def twist(self, n: Word) -> list[int]:
         """twist(n)[c], for every coset c, is the canonical coset of
         n w(c) n, w(c) the witness of c: one list per n, found again
         without hashing n.  Only when n normalizes the subgroup does
-        n w n lie there for every w in c's double coset."""
+        n w n lie there for every w in c's double coset.  The coset of
+        n w(c) is 1 n traced along w(c), found in one walk down the BFS
+        tree in coset order: each entry is its parent's under the tree
+        column; no word is built."""
         for m, images in self._twists:
             if m == n:
                 return images
         after = self.permutation(n)
-        labels = self.labels
-        images = [labels[after[x]] for x in self.translates(after[1])]
+        tree, action, labels = self._tree, self._action, self.labels
+        translates = [0, after[1]]
+        for c in range(2, len(tree)):
+            col = tree[c]
+            translates.append(action[col][translates[action[col ^ 1][c]]])
+        images = [labels[after[x]] for x in translates]
         self._twists.append((n, images))
         return images
 

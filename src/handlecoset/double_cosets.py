@@ -60,8 +60,8 @@ class DoubleCosetId(_Frozen):
     __slots__ = _fields = ("table", "canonical")
 
     def __init__(self, table: CosetTable, canonical: int):
-        # not 1.0: a key's leaves are ints (key_view, key_leaves)
-        if not (isinstance(canonical, int) and canonical in table.orbit_sizes):
+        # not 1.0 or True: a key's leaves are ints (key_view, key_leaves)
+        if not (type(canonical) is int and canonical in table.orbit_sizes):
             raise ValueError(f"coset {canonical!r} is not canonical in its table")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "canonical", canonical)

@@ -85,7 +85,7 @@ class InfiniteIndex(ResourceExhausted):
 
 
 class CosetRangeError(HandleCosetError):
-    """A coset index outside 1..index was passed to a table query."""
+    """A coset that is no int in 1..index was passed to a table query."""
 
     def __init__(self, coset: int, index: int):
         super().__init__(f"coset {coset} out of range 1..{index}")

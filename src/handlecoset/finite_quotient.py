@@ -175,8 +175,8 @@ def _search(pres: GroupPresentation, degree: int) -> Iterator[PermutationAssignm
     from one lexicographic walk of S_degree: generator 0 runs over the
     least permutation of each cycle type, generator k over all of
     S_degree, or, if _partners gives it an earlier generator j, over the
-    cycle type of j's image only.  Its readers cut it, each in one place:
-    _listing at HOM_LIMIT and find_homomorphisms at its limit.
+    cycle type of j's image only.  Its readers cut it at HOM_LIMIT, each
+    in one place: _listing and find_homomorphisms.
 
     The walk makes each permutation p an entry (p, p^-1, t), t the index
     of p's cycle type in groups, which lists each type's entries in
@@ -233,13 +233,12 @@ def _search(pres: GroupPresentation, degree: int) -> Iterator[PermutationAssignm
     yield from extend(0)
 
 
-def find_homomorphisms(pres: GroupPresentation, degree: int,
-                       limit: int = HOM_LIMIT) -> list[PermutationAssignment]:
+def find_homomorphisms(pres: GroupPresentation, degree: int) -> list[PermutationAssignment]:
     """Backtracking search for homomorphisms into S_degree.
 
     Images are tried in lexicographic order, so the output order is
     deterministic; generator 0 tries only the least permutation of each
-    cycle type, so below the limit every homomorphism is conjugate to a
+    cycle type, so below HOM_LIMIT every homomorphism is conjugate to a
     listed one.  A generator that a relator x^e u y^f u^-1 proves
     conjugate to an earlier one or its inverse (see _partners) tries
     only the permutations of its partner's cycle type; no other can
@@ -247,17 +246,13 @@ def find_homomorphisms(pres: GroupPresentation, degree: int,
     order.  Every level draws from one walk of S_degree, grouped by cycle
     type, and each permutation's inverse and cycle type are read off one
     walk of its cycles (_search).
-    At most `limit` assignments are returned, the first `limit` of
+    At most HOM_LIMIT assignments are returned, the first HOM_LIMIT of
     _search's stream, and each one satisfies every relator.  An empty
     list is a valid result.  Each call searches afresh.  The degree must
     lie in 1..MAX_SEPARATE_DEGREE.
     """
     _check_degree(degree)
-    if type(limit) is not int:  # as _check_degree, no float or bool
-        raise ValueError(f"limit must be an integer, got {limit}")
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    return list(itertools.islice(_search(pres, degree), limit))
+    return list(itertools.islice(_search(pres, degree), HOM_LIMIT))
 
 
 def _listing(input: SurfaceKnotInput, kind: str, degree: int

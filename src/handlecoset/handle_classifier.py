@@ -483,7 +483,7 @@ def class_listing(ctx: ClassifierContext, case: CaseLabel, core_oriented: bool
     r = _resolve(ctx, case)
     size = r.table.orbit_sizes
     return (_kind_of(case, core_oriented), list(_classes(r, core_oriented)), size,
-            r.table.witness_texts(size, ctx.input.presentation.generator_names))
+            r.table.witness_texts(ctx.input.presentation.generator_names))
 
 
 def candidate_invariant(ctx: ClassifierContext, case: CaseLabel,

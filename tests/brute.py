@@ -39,7 +39,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from handlecoset import cli
 from handlecoset.coset_enumeration import enumerate_cosets
@@ -412,6 +412,36 @@ def twist_spun_skg(p: int, q: int, k: int) -> str:
     which makes a^k central; P = <a>, a meridian."""
     head, tail = two_bridge_skg(p, q).split("P: ")
     return f"{head}rel: a^{k} b a^-{k} b^-1\nP: {tail}"
+
+
+def braid_closure_skg(n: int, word: Sequence[int], spin: Optional[int] = None) -> str:
+    """.skg text of the Wirtinger presentation of the closure of a braid
+    on n strands, P = <x1> (the first strand's meridian).  word lists the
+    crossings, i for sigma_i and -i for its inverse.  The generators are
+    x1..xn and one y per crossing: sigma_i defines y = a b a^-1 for the
+    labels a, b at positions i, i + 1, and then puts y at i and a at
+    i + 1; sigma_i^-1 defines y = b^-1 a b, and puts b at i and y at
+    i + 1 (Artin, "Theorie der Zoepfe", 1925).  Closing the braid makes
+    each position's last label its first.  Given spin k, the relators
+    [x1^k, g] for every other generator g make x1^k central, as in
+    twist_spun_skg."""
+    labels = [f"x{i}" for i in range(1, n + 1)]
+    gens, rels = list(labels), []
+    for j, i in enumerate(word, 1):
+        y = f"y{j}"
+        a, b = labels[abs(i) - 1], labels[abs(i)]
+        if i > 0:
+            rels.append(f"{a} {b} {a}^-1 {y}^-1")
+            labels[abs(i) - 1:abs(i) + 1] = [y, a]
+        else:
+            rels.append(f"{b}^-1 {a} {b} {y}^-1")
+            labels[abs(i) - 1:abs(i) + 1] = [b, y]
+        gens.append(y)
+    rels += [f"{last} x{k}^-1" for k, last in enumerate(labels, 1) if last != f"x{k}"]
+    if spin is not None:
+        rels += [f"x1^{spin} {g} x1^-{spin} {g}^-1" for g in gens[1:]]
+    lines = ["group: " + " ".join(gens)] + [f"rel: {r}" for r in rels]
+    return "\n".join(lines + ["P: x1", "orientable: true"]) + "\n"
 
 
 def coxeter_skg(n: int, p: list[int], p_plus: Optional[list[int]] = None,

@@ -484,6 +484,13 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
                             "invariant", "separate", "validate"]
     assert (last["validate"], last["equiv"], last["image-check"], last["separate"]) \
         == ("6 checks, 0 failed", "equivalent", "not-in-image", "distinct")
+    # and its Library block, on the same d8.skg: the four classes of Case 3
+    # with oriented cores, one line each
+    (library,) = re.findall(r"^```python\n(.*?)^```",
+                            README.read_text(encoding="utf-8"), re.S | re.M)
+    exec(compile(library, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed] == ["case3-oriented-core"] * 4
 
 
 def _classes_into_closed_pipe(argv):
@@ -633,6 +640,27 @@ def test_no_lazy_package_imports():
                     target = node.module or ",".join(a.name for a in node.names)
                     found.add((path.stem, func.name, target))
     assert found == set()
+
+
+def test_every_import_is_read():
+    # no linter runs here, so this is the unused-import rule: every name a
+    # module imports is read in that module, and a name the package lists
+    # in __all__ counts as read by it
+    unread = set()
+    for path in Path(handlecoset.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and \
+                    any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        unread.update((path.stem, name) for name in imported - read)
+    assert unread == set()
 
 
 def test_pairs_are_built_only_in_double_cosets():
@@ -861,8 +889,8 @@ def test_each_budget_is_spent_in_one_place():
     # HLT makes every coset in _Enumeration.define, the one place that
     # checks the coset budget, so only it and __init__ read the blank row
     # a new coset copies; every image lister is an unbounded stream, and
-    # only _listing cuts one at HOM_LIMIT, besides the default limit of
-    # find_homomorphisms.  A function's defaults count as "<name> default"
+    # only _listing and find_homomorphisms cut one at HOM_LIMIT.  A
+    # function's defaults count as "<name> default"
     readers = {"blank": set(), "HOM_LIMIT": set()}
 
     def visit(nodes, module, owner):
@@ -882,7 +910,7 @@ def test_each_budget_is_spent_in_one_place():
     assert readers == {
         "blank": {("coset_enumeration", "__init__"), ("coset_enumeration", "define")},
         "HOM_LIMIT": {("finite_quotient", "_listing"),
-                      ("finite_quotient", "find_homomorphisms default")}}
+                      ("finite_quotient", "find_homomorphisms")}}
 
 
 def test_only_the_classifier_chooses_a_case_table():
@@ -1035,15 +1063,15 @@ def test_classes_spells_no_witness_word(skg, tmp_path, capsys, monkeypatch,
 def test_case3_oriented_classes_climb_no_witness_tree(skg, tmp_path, capsys,
                                                      monkeypatch):
     # the twist images come from one walk down the witness tree
-    # (CosetTable.translates), so an oriented core needs no climb
+    # (CosetTable.twist), so an oriented core needs no climb
     calls = []
-    unwitness = CosetTable.unwitness
+    inverse = CosetTable.inverse
 
     def counted(*args):
         calls.append(args)
-        return unwitness(*args)
+        return inverse(*args)
 
-    monkeypatch.setattr(CosetTable, "unwitness", counted)
+    monkeypatch.setattr(CosetTable, "inverse", counted)
     path = skg("s6c3.skg", S6_CASE3)
     rec = tmp_path / "r.json"
     assert run(["classes", path, "--case", "3", "--core-oriented",
@@ -1062,13 +1090,13 @@ def test_unoriented_classes_climb_once_per_class(skg, tmp_path, capsys, monkeypa
     # the one climb that builds it is the last; a key stored only under
     # the coset it was built for would climb again from the others
     climbed = []
-    unwitness = CosetTable.unwitness
+    inverse = CosetTable.inverse
 
     def counted(table, coset):
         climbed.append(coset)
-        return unwitness(table, coset)
+        return inverse(table, coset)
 
-    monkeypatch.setattr(CosetTable, "unwitness", counted)
+    monkeypatch.setattr(CosetTable, "inverse", counted)
     path = skg("s6.skg", text)
     rec = tmp_path / "r.json"
     assert run(["classes", path, "--case", case, "--records", str(rec)]) == 0

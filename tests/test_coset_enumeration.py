@@ -12,11 +12,12 @@ from brute import (GROUP_CORPUS, INPUT_CORPUS, coxeter_skg, cycle_type, mulclose
 from handlecoset.cli import run
 from handlecoset.coset_enumeration import (CosetTable, EnumerationLimits,
                                            _Enumeration, _verify, enumerate_cosets)
+from handlecoset.double_cosets import DoubleCosetId
 from handlecoset.errors import CosetRangeError, ResourceExhausted
 from handlecoset.knot_input import format_word, parse_input, parse_word
 from handlecoset import word_algebra
-from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation, Word, invert,
-                                      perm_inverse)
+from handlecoset.word_algebra import (GeneratorSymbol, GroupPresentation, Word, concat,
+                                      invert, perm_inverse)
 
 
 def load(text):
@@ -98,16 +99,32 @@ def test_trace_composes():
 def test_witnesses():
     table = enumerate_cosets(S3, [word("a", S3)])
     assert table.witness(1).is_identity
+    labels = table.labels
     for c in range(1, table.index + 1):
         assert table.trace(1, table.witness(c)) == c
-        assert table.unwitness(c) == table.trace(1, invert(table.witness(c)))
+        assert table.inverse(c) == labels[table.trace(1, invert(table.witness(c)))]
     assert [table.inverse(c) for c in table.orbit_sizes] == [1, 2]
-    # unwitness, and so inverse, once read -1 and -3 as cosets from the
-    # end and 0 as the placeholder slot, and raised IndexError at 4
-    for method in (table.witness, table.unwitness, table.inverse):
+    # inverse once read -1 and -3 as cosets from the end and 0 as the
+    # placeholder slot, and raised IndexError at 4
+    for method in (table.witness, table.inverse):
         for c in (0, -1, -3, table.index + 1):
             with pytest.raises(CosetRangeError, match=f"^coset {c} out of range 1..3$"):
                 method(c)
+
+
+def test_a_coset_is_an_int():
+    # 1.0 and 2.0 lie in 1..index, and True equals 1, but none is a
+    # coset: trace(1.0, w) and witness(2.0) raised a bare TypeError, and
+    # trace(True, Word()) returned True
+    table = enumerate_cosets(S3, [word("a", S3)])
+    for c in (1.0, 2.0, True):
+        for query in (lambda c: table.trace(c, word("b", S3)),
+                      lambda c: table.trace(c, Word()), table.witness, table.inverse):
+            with pytest.raises(CosetRangeError, match=f"^coset {c} out of range 1..3$"):
+                query(c)
+        with pytest.raises(ValueError, match=f"^coset {c} is not canonical"):
+            DoubleCosetId(table, c)
+    assert DoubleCosetId(table, 2).canonical == 2
 
 
 def _spelled_tables():
@@ -132,40 +149,40 @@ def _spelled_tables():
 @pytest.mark.parametrize("text,words", [t[1:] for t in _spelled_tables()],
                          ids=[t[0] for t in _spelled_tables()])
 def test_witness_texts_spell_each_witness(text, words):
+    # the canonical cosets' texts; over the trivial subgroup every coset
+    # is canonical, so every coset's text is checked where G is finite
     pres = load(text)
     names = pres.generator_names
-    table = enumerate_cosets(pres, [word(w, pres) for w in words])
-    every = range(1, table.index + 1)
-    texts = table.witness_texts(every, names)
-    assert texts == {c: format_word(table.witness(c), names) for c in every}
-    # some of the cosets, in any order, get the same texts
-    some = list(every)[::-3]
-    assert table.witness_texts(some, names) == {c: texts[c] for c in some}
+    tables = [enumerate_cosets(pres, [word(w, pres) for w in words])]
+    try:
+        tables.append(enumerate_cosets(pres, [], EnumerationLimits(200, 2_000)))
+    except ResourceExhausted:  # an infinite group, or one past the budget
+        pass
+    for table in tables:
+        assert table.witness_texts(names) == \
+            {c: format_word(table.witness(c), names) for c in table.orbit_sizes}
 
 
 @pytest.mark.parametrize("text,words", [t[1:] for t in _spelled_tables()],
                          ids=[t[0] for t in _spelled_tables()])
 def test_translates_trace_each_witness(text, words):
+    # twist(x) is one walk down the tree, each coset's translate of 1 x
+    # its parent's under one column: it agrees with x w(c) x traced whole
     pres = load(text)
     table = enumerate_cosets(pres, [word(w, pres) for w in words])
+    labels = table.labels
     every = range(1, table.index + 1)
-    for start in sorted({1, (table.index + 1) // 2, table.index}):
-        assert table.translates(start) == \
-            [0] + [table.trace(start, table.witness(c)) for c in every]
-    for start in (0, table.index + 1):
-        with pytest.raises(CosetRangeError):
-            table.translates(start)
+    for name in pres.generator_names:
+        x = word(name, pres)
+        assert table.twist(x) == \
+            [0] + [labels[table.trace(1, concat(x, table.witness(c), x))] for c in every]
 
 
 def test_witness_texts_merge_runs():
     c5 = load("group: a\nrel: a^5\nP: 1\norientable: true")
     table = enumerate_cosets(c5, [])
-    assert table.witness_texts(range(1, 6), ["a"]) == \
+    assert table.witness_texts(["a"]) == \
         {1: "1", 2: "a", 3: "a^-1", 4: "a^2", 5: "a^-2"}
-    assert table.witness_texts([], ["a"]) == {}
-    for c in (0, 6):
-        with pytest.raises(CosetRangeError):
-            table.witness_texts([1, c], ["a"])
 
 
 def test_witness_texts_past_the_shared_letter_table():
@@ -173,11 +190,10 @@ def test_witness_texts_past_the_shared_letter_table():
     # that a smaller table's texts would read past
     big = GroupPresentation(tuple(GeneratorSymbol(f"x{i}") for i in range(40)))
     assert word("x39^-1 x0", big).max_generator_index() == 39
-    table = enumerate_cosets(S3, [word("a", S3)])
     names = S3.generator_names
-    every = range(1, table.index + 1)
-    assert table.witness_texts(every, names) == \
-        {c: format_word(table.witness(c), names) for c in every}
+    for table in (enumerate_cosets(S3, [word("a", S3)]), enumerate_cosets(S3, [])):
+        assert table.witness_texts(names) == \
+            {c: format_word(table.witness(c), names) for c in table.orbit_sizes}
 
 
 def test_standardized_numbering_is_bfs():

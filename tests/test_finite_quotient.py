@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from brute import (AFFINE_DEGREES, BROKEN_INPUTS, CERTIFICATE_DEGREES, GROUP_CORPUS,
-                   INPUT_CORPUS, TWO_BRIDGE_13, _random_word, _related_word,
+                   INPUT_CORPUS, braid_closure_skg, TWO_BRIDGE_13, _random_word, _related_word,
                    _resolved_groups, classifier_values, coxeter_skg, cycle_type, lexicographic_filter, mulclose, peval,
                    pinv, pmul, rebased, subgroup_of, twist_spun_skg, two_bridge_skg)
 from handlecoset import finite_quotient
@@ -91,15 +91,13 @@ def test_homs_deterministic_and_limited():
     first = find_homomorphisms(S3_INPUT.presentation, 3)
     second = find_homomorphisms(S3_INPUT.presentation, 3)
     assert first == second
-    capped = find_homomorphisms(S3_INPUT.presentation, 3, limit=4)
-    assert capped == first[:4]
-    assert find_homomorphisms(S3_INPUT.presentation, 3, limit=0) == []
-    with pytest.raises(ValueError, match="^limit must be >= 0$"):
-        find_homomorphisms(S3_INPUT.presentation, 3, limit=-1)
-    # a float or a bool is no count: 2.5 listed 3 images and True 1
-    for limit in (2.5, 1.0, True):
-        with pytest.raises(ValueError, match=f"^limit must be an integer, got {limit}$"):
-            find_homomorphisms(S3_INPUT.presentation, 3, limit=limit)
+    # the first HOM_LIMIT images of _search's stream, where it is longer:
+    # the free group on 2 generators has 5 * 24 images in S_4
+    free2 = parse_input(_free_group(2)).presentation
+    for pres, degree in ((S3_INPUT.presentation, 3), (free2, 3), (free2, 4)):
+        assert find_homomorphisms(pres, degree) == \
+            list(itertools.islice(_search(pres, degree), HOM_LIMIT))
+    assert len(find_homomorphisms(free2, 4)) == HOM_LIMIT
 
 
 def _fixes(action, rel, x):
@@ -265,7 +263,7 @@ def test_homs_match_reference_search(pres, top):
     capped = 0
     for degree, limit in [(d, limit) for d in range(1, top + 1) for limit in (5, HOM_LIMIT)] + \
             [(d, 10**6) for d in range(1, 5)]:
-        homs = find_homomorphisms(pres, degree, limit)
+        homs = list(itertools.islice(_search(pres, degree), limit))
         assert [h.images for h in homs] == lexicographic_filter(pres, degree, limit)
         assert all(h.degree == degree for h in homs)
         for h in homs:
@@ -286,7 +284,7 @@ COVERAGE_INPUTS = [("trefoil", TREFOIL), ("schubert-5-2", SCHUBERT_5_2),
 def test_every_image_is_listed_up_to_conjugacy(pres):
     # below the cap, each homomorphism into S_d is conjugate to a listed one
     for degree in range(1, 5):
-        homs = find_homomorphisms(pres, degree, 10**9)
+        homs = list(_search(pres, degree))
         assert len(homs) < HOM_LIMIT  # so the default search lists them all
         listed = {h.images for h in homs}
         assert len(listed) == len(homs)
@@ -303,6 +301,34 @@ def test_separate_t2_parity():
     verdict = quotient_separate(T2_INPUT, CaseLabel.CASE1, True, g1, Word(),
                                 max_degree=2)
     assert verdict is SeparationVerdict.DISTINCT
+
+
+# (braid word on n strands, the Schubert form of its closure or None,
+# uncapped _search counts at S_1..S_4).  Each stabilisation (a Markov
+# move) of the trefoil adds a strand and a crossing, so two generators.
+# S_5 is left out: uncapped on 9 generators it costs over a second
+BRAIDS = [(2, [1] * 3, (3, 1), [1, 2, 5, 16]),
+          (3, [1] * 3 + [2], (3, 1), [1, 2, 5, 16]),
+          (4, [1] * 3 + [2, 3], (3, 1), [1, 2, 5, 16]),
+          (3, [1, -2] * 2, (5, 3), [1, 2, 3, 8]),
+          (2, [1] * 5, (5, 1), [1, 2, 3, 5]),
+          (3, [1, 2] * 4, None, [1, 2, 5, 24])]
+
+
+@pytest.mark.parametrize("n, word, schubert, counts", BRAIDS,
+                         ids=["trefoil", "trefoil-7", "trefoil-9", "figure-eight",
+                              "T(2,5)", "T(3,4)"])
+def test_braid_closures_list_what_their_schubert_forms_list(n, word, schubert, counts):
+    # a knot's images into S_d, up to conjugacy of its meridian x1, do not
+    # depend on the presentation: the Wirtinger form of a braid closure
+    # with 5 to 11 generators lists as many as the 2-generator Schubert
+    # form; T(3, 4) is not 2-bridge
+    pres = parse_input(braid_closure_skg(n, word)).presentation
+    assert len(pres.generators) == n + len(word)
+    assert [len(list(_search(pres, d))) for d in range(1, 5)] == counts
+    if schubert is not None:
+        pres = parse_input(two_bridge_skg(*schubert)).presentation
+        assert [len(list(_search(pres, d))) for d in range(1, 5)] == counts
 
 
 def test_separate_equal_words_unknown():
@@ -470,7 +496,7 @@ def test_no_certificate_on_coxeter_groups(n):
     # any P.  The S_d images come up to conjugacy, so each is read at
     # every base point, which covers every image
     homs = [hom for degree in range(1, 6)
-            for hom in find_homomorphisms(presentation, degree, limit=10**9)]
+            for hom in _search(presentation, degree)]
     transitive = sum(map(_transitive, homs))
     assert transitive == {4: 8, 5: 14}[n]
     for p in ([1], [2], [1, 3]):

@@ -724,11 +724,14 @@ def test_a_value_names_canonical_cosets_only():
 
 
 def test_a_candidate_stores_only_keys_of_canonical_integers():
-    # True == 1 passes as coset 1, but image_member reads the coset off
-    # the labels, so the key stored for coset 1 stays the integer 1
+    # True == 1 is no coset, and DoubleCosetId refuses it; image_member
+    # reads the coset off the labels, so the key stored for coset 1 is
+    # the integer 1
     parsed, ctx = ctx_of(S3)
-    odd = HandleInvariant(CaseLabel.CASE1, True, DoubleCosetId(ctx.p_table, True))
-    assert image_member(ctx, CaseLabel.CASE1, True, odd)
+    with pytest.raises(ValueError, match="^coset True is not canonical in its table$"):
+        DoubleCosetId(ctx.p_table, True)
+    one = HandleInvariant(CaseLabel.CASE1, True, DoubleCosetId(ctx.p_table, 1))
+    assert image_member(ctx, CaseLabel.CASE1, True, one)
     assert type(ctx._case.keys[0][1]) is int
     assert repr(handle_invariant(ctx, CaseLabel.CASE1, True, Word())) == (
         "HandleInvariant(case=<CaseLabel.CASE1: 1>, core_oriented=True, "

@@ -11,8 +11,9 @@ import random
 
 import pytest
 
-from brute import (TWO_BRIDGE_13, _random_word, _related_word, classifier_key,
-                   classifier_values, mulclose, peval, subgroup_of, twist_spun_skg)
+from brute import (TWO_BRIDGE_13, _random_word, _related_word, braid_closure_skg,
+                   classifier_key, classifier_values, mulclose, peval, subgroup_of,
+                   twist_spun_skg)
 from handlecoset import (CaseLabel, ClassifierContext, enumerate_classes,
                          equivalent, parse_input)
 from handlecoset.errors import InfiniteIndex
@@ -76,6 +77,33 @@ def test_twist_spun_class_counts(p, q, k, index, oriented, unoriented):
         one = enumerate_classes(ctx, CaseLabel.CASE1, core)
         two = enumerate_classes(ctx, CaseLabel.CASE2, core)
         assert [(inv.key, w) for inv, w in one] == [(inv.key, w) for inv, w in two]
+
+
+# (strands, braid word, k, the Schubert twist-spin (p, q, k) of the same
+# knot): a twist-spin's index and classes do not depend on the knot's
+# presentation.  tau^2 T(3,4) has the binary tetrahedral group of order
+# 24, and tau^2 T(3,5) the binary icosahedral one, as tau^5 trefoil
+# (Milnor, "On the 3-dimensional Brieskorn manifolds M(p,q,r)", 1975)
+BRAID_SPINS = [(2, [1] * 3, 3, (3, 1, 3), 8),
+               (4, [1] * 3 + [2, 3], 3, (3, 1, 3), 8),
+               (3, [1, 2] * 4, 2, None, 24),
+               (3, [1, 2] * 5, 2, (3, 1, 5), 120)]
+
+
+@pytest.mark.parametrize("n, word, k, schubert, index", BRAID_SPINS,
+                         ids=["tau3-trefoil-5", "tau3-trefoil-9", "tau2-T(3,4)",
+                              "tau2-T(3,5)"])
+def test_twist_spun_braid_closures(n, word, k, schubert, index):
+    ctx = ClassifierContext.build(parse_input(braid_closure_skg(n, word, spin=k)))
+    assert ctx.p_table.index == index
+    if schubert is None:
+        return
+    other = ClassifierContext.build(parse_input(twist_spun_skg(*schubert)))
+    assert other.p_table.index == index
+    if schubert[2] == k:  # the same knot and twist: the same class counts
+        for core in (True, False):
+            assert len(enumerate_classes(ctx, CaseLabel.CASE1, core)) == \
+                len(enumerate_classes(other, CaseLabel.CASE1, core))
 
 
 def test_twist_spun_figure_eight_has_infinite_index():
