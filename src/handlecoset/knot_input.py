@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from itertools import chain, groupby
 from typing import Optional, Sequence
 
 from .errors import (CaseMismatch, DuplicateGenerator, MissingSection,
                      SkgSyntaxError, UnknownGenerator)
 from .word_algebra import (GeneratorSymbol, GroupPresentation, Word, _Frozen,
-                           column_of, reduce_columns)
+                           reduce_columns)
 
 _TOKEN = re.compile(r"\S+")
 # the one integer grammar: a word's exponents, and every count typed on
@@ -123,12 +124,34 @@ def case_words(input: SurfaceKnotInput,
 # parsing
 # ---------------------------------------------------------------------------
 
+def _token_columns(names: Sequence[str]) -> dict[str, tuple[int, ...]]:
+    """Every token that spells at most one letter, mapped to its action
+    columns: each name to (2i,), each name^-1 to (2i + 1,) and 1 to ()."""
+    columns: dict[str, tuple[int, ...]] = {"1": ()}
+    for i, name in enumerate(names):
+        columns[name] = (2 * i,)
+        columns[name + "^-1"] = (2 * i + 1,)
+    return columns
+
+
 def _parse_word_tokens(segment: str, line_no: int, col_offset: int,
-                       name_to_index: dict[str, int]) -> Word:
-    """Parse one word; each distinct token is parsed once, at its first
-    occurrence, which is where a bad token is reported.  The letter
-    budget is checked at every token, before it expands."""
-    columns: list[int] = []
+                       token_columns: dict[str, tuple[int, ...]]) -> Word:
+    """Parse one word.  A word of at most MAX_WORD_LETTERS tokens, each
+    in token_columns, is read with one lookup per token.  Any other word
+    goes through the token loop, which parses each distinct token once,
+    at its first occurrence, where a bad token is reported, and checks
+    the letter budget at every token, before it expands."""
+    # str.split() and _TOKEN cut the same tokens; maxsplit keeps a line
+    # of a million tokens from being cut whole before the loop refuses it
+    tokens = segment.split(maxsplit=MAX_WORD_LETTERS)
+    if 0 < len(tokens) <= MAX_WORD_LETTERS:
+        try:
+            columns = list(chain.from_iterable(map(token_columns.__getitem__, tokens)))
+        except KeyError:  # a token with an exponent, or a bad one
+            pass
+        else:
+            return reduce_columns(columns)
+    columns = []
     parsed: dict[str, tuple[int, int]] = {}  # token -> (action column, count)
     saw_token = False
     for match in _TOKEN.finditer(segment):
@@ -140,7 +163,7 @@ def _parse_word_tokens(segment: str, line_no: int, col_offset: int,
         if hit is None:
             col = col_offset + match.start()
             base, caret, exponent = token.partition("^")
-            if base not in name_to_index:
+            if not token_columns.get(base):  # "1" spells no generator
                 raise UnknownGenerator(line_no, col, f"unknown generator {base!r}")
             k = 1
             if caret:
@@ -153,8 +176,7 @@ def _parse_word_tokens(segment: str, line_no: int, col_offset: int,
                 if len(digits) > len(str(MAX_WORD_LETTERS)):
                     raise SkgSyntaxError(line_no, col, _OVER_BUDGET)
                 k = int(digits or "0") * (-1 if exponent[0] == "-" else 1)
-            hit = parsed[token] = (column_of((name_to_index[base], 1 if k >= 0 else -1)),
-                                   abs(k))
+            hit = parsed[token] = (token_columns[base][0] | (k < 0), abs(k))
         one, k = hit
         if k == 1 and len(columns) < MAX_WORD_LETTERS:  # the common token
             columns.append(one)
@@ -169,18 +191,18 @@ def _parse_word_tokens(segment: str, line_no: int, col_offset: int,
 
 def parse_word(text: str, presentation: GroupPresentation) -> Word:
     """Parse a single word in .skg word syntax over the presentation."""
-    name_to_index = {n: i for i, n in enumerate(presentation.generator_names)}
-    return _parse_word_tokens(text, 1, 1, name_to_index)
+    return _parse_word_tokens(text, 1, 1, _token_columns(presentation.generator_names))
 
 
 def _parse_word_list(segment: str, line_no: int, col_offset: int,
-                     name_to_index: dict[str, int], sep: str) -> tuple[Word, ...]:
+                     token_columns: dict[str, tuple[int, ...]],
+                     sep: str) -> tuple[Word, ...]:
     """The words of segment split at sep, each error at its column in
     the whole segment."""
     words = []
     cursor = col_offset
     for part in segment.split(sep):
-        words.append(_parse_word_tokens(part, line_no, cursor, name_to_index))
+        words.append(_parse_word_tokens(part, line_no, cursor, token_columns))
         cursor += len(part) + 1
     return tuple(words)
 
@@ -188,14 +210,14 @@ def _parse_word_list(segment: str, line_no: int, col_offset: int,
 def parse_word_list(text: str, presentation: GroupPresentation,
                     sep: str) -> tuple[Word, ...]:
     """Parse words separated by sep, as one line of text."""
-    name_to_index = {n: i for i, n in enumerate(presentation.generator_names)}
-    return _parse_word_list(text, 1, 1, name_to_index, sep)
+    return _parse_word_list(text, 1, 1, _token_columns(presentation.generator_names), sep)
 
 
 def parse_input(text: str, label: str = "") -> SurfaceKnotInput:
     """Parse .skg file content into a SurfaceKnotInput."""
     generators: list[GeneratorSymbol] = []
-    name_to_index: dict[str, int] = {}
+    names: set[str] = set()
+    token_columns: dict[str, tuple[int, ...]] = {}  # built once group: is read
     relators: list[Word] = []
     p_gens: Optional[tuple[Word, ...]] = None
     pp_gens: Optional[tuple[Word, ...]] = None
@@ -224,30 +246,31 @@ def parse_input(text: str, label: str = "") -> SurfaceKnotInput:
             for match in _TOKEN.finditer(rest):
                 name = match.group(0)
                 col = rest_col + match.start()
-                if name in name_to_index:
+                if name in names:
                     raise DuplicateGenerator(line_no, col,
                                              f"duplicate generator {name!r}")
                 try:
                     symbol = GeneratorSymbol(name)
                 except ValueError as exc:
                     raise SkgSyntaxError(line_no, col, str(exc)) from None
-                name_to_index[name] = len(generators)
+                names.add(name)
                 generators.append(symbol)
             if not generators:
                 raise SkgSyntaxError(line_no, rest_col,
                                      "at least one generator is required")
+            token_columns = _token_columns([g.name for g in generators])
         elif keyword == "rel":
-            word = _parse_word_tokens(rest, line_no, rest_col, name_to_index)
+            word = _parse_word_tokens(rest, line_no, rest_col, token_columns)
             if word.is_identity:
                 raise SkgSyntaxError(line_no, rest_col,
                                      "relator reduces to the identity")
             relators.append(word)
         elif keyword == "P":
-            p_gens = _parse_word_list(rest, line_no, rest_col, name_to_index, ",")
+            p_gens = _parse_word_list(rest, line_no, rest_col, token_columns, ",")
         elif keyword == "P+":
-            pp_gens = _parse_word_list(rest, line_no, rest_col, name_to_index, ",")
+            pp_gens = _parse_word_list(rest, line_no, rest_col, token_columns, ",")
         elif keyword == "n":
-            n_word = _parse_word_tokens(rest, line_no, rest_col, name_to_index)
+            n_word = _parse_word_tokens(rest, line_no, rest_col, token_columns)
         elif keyword == "orientable":
             value = rest.strip()
             if value == "true":
@@ -287,17 +310,8 @@ def format_word(word: Word, names: Sequence[str]) -> str:
     letters; the empty word renders as '1'."""
     if word.is_identity:
         return "1"
-    parts = []
-    letters = word.letters
-    run, k = letters[0], 0
-    for letter in letters + (None,):  # None closes the last run
-        if letter == run:
-            k += 1
-            continue
-        i, s = run
-        parts.append(run_token(names[i], s * k))
-        run, k = letter, 1
-    return " ".join(parts)
+    return " ".join(run_token(names[i], s * len(list(run)))
+                    for (i, s), run in groupby(word.letters))
 
 
 def serialize(input: SurfaceKnotInput) -> str:

@@ -331,6 +331,48 @@ def test_braid_closures_list_what_their_schubert_forms_list(n, word, schubert, c
         assert [len(list(_search(pres, d))) for d in range(1, 5)] == counts
 
 
+def _knot_braids(rng, count):
+    """count seeded braid words on 3 or 4 strands with 5 to 10 crossings
+    whose closure is a knot: the braid's permutation, each crossing
+    swapping its two positions, is one n-cycle."""
+    braids = []
+    while len(braids) < count:
+        n = rng.choice((3, 4))
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(5, 10))]
+        perm = list(range(n))
+        for i in word:
+            perm[abs(i) - 1], perm[abs(i)] = perm[abs(i)], perm[abs(i) - 1]
+        x, cycle = perm[0], 1
+        while x != 0:
+            x, cycle = perm[x], cycle + 1
+        if cycle == n:
+            braids.append((n, word))
+    return braids
+
+
+def test_markov_moves_keep_the_image_counts():
+    # conjugation and stabilisation (Markov's theorem) leave the closure's
+    # knot, so the uncapped _search counts at S_1..S_4 stay: for w, for
+    # sigma_j w sigma_j^-1, for a cyclic rotation of w, and for
+    # w sigma_n^(+-1) on n + 1 strands.  The sample has to tell knots apart
+    def counts(n, word):
+        pres = parse_input(braid_closure_skg(n, word)).presentation
+        return [len(list(_search(pres, d))) for d in range(1, 5)]
+
+    rng = random.Random(14)
+    seen = set()
+    for n, word in _knot_braids(rng, 40):
+        j, e = rng.randint(1, n - 1), rng.choice((1, -1))
+        k = rng.randint(1, len(word) - 1)
+        want = counts(n, word)
+        assert counts(n, [e * j] + word + [-e * j]) == want, (n, word, j)
+        assert counts(n, word[k:] + word[:k]) == want, (n, word, k)
+        assert counts(n + 1, word + [rng.choice((1, -1)) * n]) == want, (n, word)
+        seen.add(tuple(want))
+    assert len(seen) >= 4, seen
+
+
 def test_separate_equal_words_unknown():
     g = parse_word("t", T2_INPUT.presentation)
     assert quotient_separate(T2_INPUT, CaseLabel.CASE1, True, g, g,

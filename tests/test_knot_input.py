@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import groupby
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, reject, seed, settings, strategies as st
 
 from brute import peval, pinv, pmul, subgroup_of, two_bridge_skg
+from handlecoset import knot_input
 from handlecoset.coset_enumeration import EnumerationLimits
 from handlecoset.errors import (DuplicateGenerator, MissingSection,
                                 SkgSyntaxError, UnknownGenerator)
@@ -180,6 +182,71 @@ def test_a_word_past_the_cap_is_refused_where_it_is_built():
               SurfaceKnotInput(GroupPresentation(pres.generators, (longest,)),
                                p, None, None, True)):
         assert parse_input(serialize(t)) == t
+
+
+def reference_parse(text, names):
+    """A word read token by token: each token's letters, then free_reduce."""
+    index = {name: i for i, name in enumerate(names)}
+    letters = []
+    for token in text.split():
+        if token != "1":
+            base, _, exponent = token.partition("^")
+            k = int(exponent or "1")
+            letters += [(index[base], 1 if k > 0 else -1)] * abs(k)
+    return free_reduce(letters)
+
+
+SEPARATORS = (" ", "  ", "\t", "\u00a0", "\u2028", "\u3000")
+
+
+def test_parse_word_matches_a_token_by_token_reference(monkeypatch):
+    # a word of one-letter tokens (a name, name^-1 or 1) is read by one
+    # lookup per token, any other by the token loop; both read what the
+    # reference reads, whatever whitespace separates the tokens
+    pres = parse_input("group: a b x10\nP: a\norientable: true").presentation
+    names = pres.generator_names
+    one_letter = [*names, *(f"{n}^-1" for n in names), "1"]
+    loops = [0]
+    token = knot_input._TOKEN
+
+    class Counted:
+        def finditer(self, text):
+            loops[0] += 1
+            return token.finditer(text)
+
+    monkeypatch.setattr(knot_input, "_TOKEN", Counted())
+    rng = random.Random(50)
+    for trial in range(400):
+        tokens = [rng.choice(one_letter) for _ in range(rng.randint(1, 30))]
+        if trial % 2:  # a token with an exponent sends the word through the loop
+            k = rng.choice((-3, -2, 0, 1, 2, 3))  # name^-1 is a one-letter token
+            tokens[rng.randrange(len(tokens))] = f"{rng.choice(names)}^{k}"
+        text = rng.choice(("", *SEPARATORS)) + tokens[0] + \
+            "".join(rng.choice(SEPARATORS) + t for t in tokens[1:])
+        assert parse_word(text, pres) == reference_parse(text, names), text
+    assert loops[0] == 200
+
+
+def test_str_split_cuts_the_tokens_the_token_pattern_cuts():
+    # every code point between two letters: whitespace to one is
+    # whitespace to the other, so both parse paths see the same tokens
+    text = "x".join(map(chr, range(0x110000)))
+    assert text.split() == knot_input._TOKEN.findall(text)
+
+
+def test_one_letter_tokens_meet_the_budget_and_errors_of_the_loop():
+    pres = parse_input("group: a b\nP: a\norientable: true").presentation
+    assert len(parse_word(" ".join(["a"] * MAX_WORD_LETTERS), pres)) == MAX_WORD_LETTERS
+    # the budget counts letters, not tokens
+    assert len(parse_word(" ".join(["1"] + ["a"] * MAX_WORD_LETTERS), pres)) \
+        == MAX_WORD_LETTERS
+    with pytest.raises(SkgSyntaxError) as info:
+        parse_word(" ".join(["a"] * (MAX_WORD_LETTERS + 1)), pres)
+    assert str(info.value) == (f"line 1, column {2 * MAX_WORD_LETTERS + 1}: "
+                               f"word expands to more than {MAX_WORD_LETTERS} letters")
+    with pytest.raises(UnknownGenerator) as info:
+        parse_word("a " * 10_000 + "zz", pres)
+    assert str(info.value) == "line 1, column 20001: unknown generator 'zz'"
 
 
 def test_comments_and_blank_lines():

@@ -66,6 +66,36 @@ def test_free_reduce_matches_naive_reducer(raw):
     assert free_reduce(raw).letters == naive_reduce(raw)
 
 
+def stack_reduce(columns):
+    """One stack pass over the columns, cancelling col beside col ^ 1;
+    oracle for reduce_columns."""
+    out = []
+    for col in columns:
+        if out and out[-1] == col ^ 1:
+            out.pop()
+        else:
+            out.append(col)
+    return tuple(out)
+
+
+def test_reduce_columns_matches_the_stack_pass():
+    # reduced column lists skip the pass; a cancelling pair at the start,
+    # in the middle or at the end, or a list that cancels whole, does not
+    rng = random.Random(50)
+    lists = [[], [3], [4, 5], [5, 4, 4, 5], [0, 2, 3, 1]]
+    for _ in range(300):
+        cols = list(stack_reduce(rng.randrange(8) for _ in range(rng.randint(1, 20))))
+        c = rng.randrange(8)
+        at = rng.choice((0, len(cols) // 2, len(cols)))
+        lists += [cols, cols[:at] + [c, c ^ 1] + cols[at:],
+                  cols + [col ^ 1 for col in reversed(cols)]]
+    for cols in lists:
+        word = word_algebra.reduce_columns(cols)
+        assert word.columns == stack_reduce(cols), cols
+        assert type(word.columns) is tuple
+        assert word_algebra.reduce_columns(iter(cols)) == word
+
+
 @given(letters_st)
 def test_free_reduce_idempotent(raw):
     once = free_reduce(raw)
