@@ -103,9 +103,9 @@ class CosetTable:
     array('i') at 4 bytes per coset (0 for c = 1 and at the placeholder);
     the parent is _action[col ^ 1][c], and it is less than c.  The table
     owns its double cosets under its own subgroup generators and the two
-    maps on them (Holt-Eick-O'Brien, Handbook of CGT, ch. 5): labels,
-    orbit_sizes and twist, kept once built, and inverse, one climb per
-    call that its callers keep.
+    maps on them (Holt-Eick-O'Brien, Handbook of CGT, ch. 5): labels and
+    orbit_sizes, kept once built, and inverse and twist, one climb or
+    one walk per call, whose results its callers keep.
     """
 
     def __init__(self, subgroup_generators: Sequence[Word], n_generators: int,
@@ -115,9 +115,6 @@ class CosetTable:
         self._action = action
         self._tree = tree
         self.total_defined = total_defined
-        # compared by n's equality: a word hashes its decoded letters on
-        # every call, and a table meets one n in practice
-        self._twists: list[tuple[Word, list[int]]] = []
 
     @property
     def index(self) -> int:
@@ -242,24 +239,19 @@ class CosetTable:
 
     def twist(self, n: Word) -> list[int]:
         """twist(n)[c], for every coset c, is the canonical coset of
-        n w(c) n, w(c) the witness of c: one list per n, found again
-        without hashing n.  Only when n normalizes the subgroup does
-        n w n lie there for every w in c's double coset.  The coset of
-        n w(c) is 1 n traced along w(c), found in one walk down the BFS
-        tree in coset order: each entry is its parent's under the tree
-        column; no word is built."""
-        for m, images in self._twists:
-            if m == n:
-                return images
+        n w(c) n, w(c) the witness of c, built anew on every call (a
+        classifier context keeps its one list).  Only when n normalizes
+        the subgroup does n w n lie there for every w in c's double
+        coset.  The coset of n w(c) is 1 n traced along w(c), found in
+        one walk down the BFS tree in coset order: each entry is its
+        parent's under the tree column; no word is built."""
         after = self.permutation(n)
         tree, action, labels = self._tree, self._action, self.labels
         translates = [0, after[1]]
         for c in range(2, len(tree)):
             col = tree[c]
             translates.append(action[col][translates[action[col ^ 1][c]]])
-        images = [labels[after[x]] for x in translates]
-        self._twists.append((n, images))
-        return images
+        return [labels[after[x]] for x in translates]
 
     def __repr__(self):
         return f"<CosetTable index={self.index} on {self.n_generators} generators>"

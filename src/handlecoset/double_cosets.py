@@ -210,8 +210,10 @@ def require_twist_verified(report: Optional[ValidationReport]) -> None:
 
 def dc_twist(table: CosetTable, acting: Sequence[Word], n: Word,
              d: DoubleCosetId, report: ValidationReport) -> DoubleCosetId:
-    """Image of the double coset under g -> n g n; see
-    require_twist_verified for what the report must show."""
+    """Image of the double coset under g -> n g n: the class of
+    n w n, w the canonical coset's witness, traced for that one coset;
+    see require_twist_verified for what the report must show."""
     require_twist_verified(report)
     _check(table, acting, d)
-    return key_view(table, table.twist(n)[d.canonical])
+    trace = table.trace
+    return key_view(table, table.labels[trace(trace(trace(1, n), d.representative()), n)])

@@ -138,13 +138,15 @@ def _parse_word_tokens(segment: str, line_no: int, col_offset: int,
                        token_columns: dict[str, tuple[int, ...]]) -> Word:
     """Parse one word.  A word of at most MAX_WORD_LETTERS tokens, each
     in token_columns, is read with one lookup per token.  Any other word
-    goes through the token loop, which parses each distinct token once,
-    at its first occurrence, where a bad token is reported, and checks
-    the letter budget at every token, before it expands."""
+    goes through the token loop, which parses each token where it meets
+    it, where a bad token is reported, and checks the letter budget at
+    every token, before it expands."""
     # str.split() and _TOKEN cut the same tokens; maxsplit keeps a line
     # of a million tokens from being cut whole before the loop refuses it
     tokens = segment.split(maxsplit=MAX_WORD_LETTERS)
-    if 0 < len(tokens) <= MAX_WORD_LETTERS:
+    if not tokens:
+        raise SkgSyntaxError(line_no, col_offset, "expected a word")
+    if len(tokens) <= MAX_WORD_LETTERS:
         try:
             columns = list(chain.from_iterable(map(token_columns.__getitem__, tokens)))
         except KeyError:  # a token with an exponent, or a bad one
@@ -152,40 +154,27 @@ def _parse_word_tokens(segment: str, line_no: int, col_offset: int,
         else:
             return reduce_columns(columns)
     columns = []
-    parsed: dict[str, tuple[int, int]] = {}  # token -> (action column, count)
-    saw_token = False
     for match in _TOKEN.finditer(segment):
         token = match.group(0)
-        saw_token = True
-        if token == "1":
-            continue
-        hit = parsed.get(token)
-        if hit is None:
+        k, letters = 1, token_columns.get(token)
+        if letters is None:
             col = col_offset + match.start()
-            base, caret, exponent = token.partition("^")
+            base, _, exponent = token.partition("^")
             if not token_columns.get(base):  # "1" spells no generator
                 raise UnknownGenerator(line_no, col, f"unknown generator {base!r}")
-            k = 1
-            if caret:
-                if not _INTEGER.fullmatch(exponent):
-                    raise SkgSyntaxError(line_no, col, f"bad exponent in token {token!r}")
-                # the digits past the sign and leading zeros, so that int()
-                # never meets a string past its 4,300-digit limit; more
-                # digits than the budget has means more letters than it
-                digits = exponent.lstrip("-").lstrip("0")
-                if len(digits) > len(str(MAX_WORD_LETTERS)):
-                    raise SkgSyntaxError(line_no, col, _OVER_BUDGET)
-                k = int(digits or "0") * (-1 if exponent[0] == "-" else 1)
-            hit = parsed[token] = (token_columns[base][0] | (k < 0), abs(k))
-        one, k = hit
-        if k == 1 and len(columns) < MAX_WORD_LETTERS:  # the common token
-            columns.append(one)
-        elif len(columns) + k > MAX_WORD_LETTERS:
+            if not _INTEGER.fullmatch(exponent):
+                raise SkgSyntaxError(line_no, col, f"bad exponent in token {token!r}")
+            # the digits past the sign and leading zeros, so that int()
+            # never meets a string past its 4,300-digit limit; more
+            # digits than the budget has means more letters than it
+            digits = exponent.lstrip("-").lstrip("0")
+            if len(digits) > len(str(MAX_WORD_LETTERS)):
+                raise SkgSyntaxError(line_no, col, _OVER_BUDGET)
+            k = int(digits or "0")
+            letters = (token_columns[base][0] | (exponent[0] == "-"),)
+        if len(columns) + k * len(letters) > MAX_WORD_LETTERS:
             raise SkgSyntaxError(line_no, col_offset + match.start(), _OVER_BUDGET)
-        else:
-            columns.extend([one] * k)
-    if not saw_token:
-        raise SkgSyntaxError(line_no, col_offset, "expected a word")
+        columns.extend(letters * k)
     return reduce_columns(columns)
 
 

@@ -663,6 +663,25 @@ def test_every_import_is_read():
     assert unread == set()
 
 
+def test_a_failing_property_shows_its_falsifying_example(tmp_path):
+    # the repository's pytest settings make every warning an error but
+    # one, which Hypothesis raises while it reports a failure; run in
+    # tmp_path, so that the child's .hypothesis stays out of the tree
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n", encoding="utf-8")
+    config = Path(__file__).parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(config), "test_fails.py"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "Falsifying example" in out
+    assert "INTERNALERROR" not in out
+
+
 def test_pairs_are_built_only_in_double_cosets():
     # a value's shape has one definition, double_cosets.nest_slots; a
     # module building pairs itself would be a second one
@@ -711,10 +730,9 @@ def test_no_module_memoizes_through_functools():
 
 
 def test_only_coset_enumeration_reads_the_table_fields():
-    # a table's columns, witness tree and double-coset caches are read
-    # through CosetTable's own methods everywhere else, so their layout
-    # has one owner
-    fields = ("_tree", "_action", "_twists")
+    # a table's columns and witness tree are read through CosetTable's
+    # own methods everywhere else, so their layout has one owner
+    fields = ("_tree", "_action")
     readers = set()
     for path in Path(handlecoset.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))

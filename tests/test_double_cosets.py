@@ -226,18 +226,26 @@ TWIST_INPUTS += [(label, text) for label, text, _ in BROKEN_INPUTS
                  if label == "d4-bad-n"]
 
 
-@pytest.mark.parametrize("text", [t for _, t in TWIST_INPUTS],
+@pytest.mark.parametrize("label, text", TWIST_INPUTS,
                          ids=[label for label, _ in TWIST_INPUTS])
-def test_twist_images_are_the_classes_of_n_w_n(text):
-    # one list over every coset, built once per n, whether or not n
-    # normalizes P+
+def test_twist_images_are_the_classes_of_n_w_n(label, text):
+    # one list over every coset, whether or not n normalizes P+; where
+    # the report verifies the twist, dc_twist's trace for one double
+    # coset reads the same image as the list
     parsed = parse_input(text)
     table = enumerate_cosets(parsed.presentation, parsed.p_plus_generators)
-    n = parsed.n_word
+    acting, n = parsed.p_plus_generators, parsed.n_word
     images = table.twist(n)
     assert images == [0] + [table.labels[table.trace(1, concat(n, table.witness(c), n))]
                             for c in range(1, table.index + 1)]
-    assert table.twist(Word(n.letters)) is images
+    report = validate(parsed)
+    assert report.twist_verified == (label != "d4-bad-n")
+    for d in dc_all(table, acting):
+        if report.twist_verified:
+            assert dc_twist(table, acting, n, d, report).canonical == images[d.canonical]
+        else:
+            with pytest.raises(PreconditionUnverified):
+                dc_twist(table, acting, n, d, report)
 
 
 def test_dc_twist_can_move_classes():

@@ -309,6 +309,32 @@ def test_a_refused_twist_builds_no_twist_list(monkeypatch, check):
     assert built == []
 
 
+def test_a_verified_twist_builds_one_twist_list(monkeypatch):
+    # the table keeps no twist list, so the context's case is what keeps
+    # every query on it to one O(index) build
+    parsed, ctx = ctx_of(D8_CASE3)
+    r = parse_word("r", parsed.presentation)
+    built = []
+    twist = CosetTable.twist
+
+    def counting_twist(table, n):
+        built.append(n)
+        return twist(table, n)
+
+    monkeypatch.setattr(CosetTable, "twist", counting_twist)
+    for _ in range(2):
+        for core in (True, False):
+            value = handle_invariant(ctx, CaseLabel.CASE3, core, r)
+            assert equivalent(ctx, CaseLabel.CASE3, core, r, r)
+            assert image_member(ctx, CaseLabel.CASE3, core, value)
+            enumerate_classes(ctx, CaseLabel.CASE3, core)
+            class_listing(ctx, CaseLabel.CASE3, core)
+            candidate_invariant(ctx, CaseLabel.CASE3, core,
+                                [r] * slot_count(True, core))
+            nonsurjectivity_witness(ctx, CaseLabel.CASE3, core)
+    assert built == [parsed.n_word]
+
+
 @pytest.mark.parametrize("text, case", [
     (coxeter_skg(5, [1, 2]), CaseLabel.CASE1),
     (coxeter_skg(5, [1, 2, 4], [1, 2], 4), CaseLabel.CASE3),

@@ -219,8 +219,12 @@ def test_parse_word_matches_a_token_by_token_reference(monkeypatch):
     for trial in range(400):
         tokens = [rng.choice(one_letter) for _ in range(rng.randint(1, 30))]
         if trial % 2:  # a token with an exponent sends the word through the loop
-            k = rng.choice((-3, -2, 0, 1, 2, 3))  # name^-1 is a one-letter token
-            tokens[rng.randrange(len(tokens))] = f"{rng.choice(names)}^{k}"
+            # 1 to 4 of them from a pool of three, so that tokens repeat
+            # in a word; name^-1 is a one-letter token
+            pool = [f"{rng.choice(names)}^{rng.choice((-3, -2, 0, 1, 2, 3))}"
+                    for _ in range(3)]
+            for _ in range(rng.randint(1, 4)):
+                tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(pool))
         text = rng.choice(("", *SEPARATORS)) + tokens[0] + \
             "".join(rng.choice(SEPARATORS) + t for t in tokens[1:])
         assert parse_word(text, pres) == reference_parse(text, names), text
