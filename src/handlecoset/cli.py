@@ -10,6 +10,13 @@ Exit codes: 0 success, 1 domain error (message names the failing check),
 2 syntax or usage error, 3 no table: enumeration resource exhaustion, or
 a proof that P or P+ has infinite index (errors.InfiniteIndex; the
 message says which).
+
+Library callers use run(argv), which returns the exit code.  main(), the
+console script's entry, flushes stdout and stderr and ends the process
+with os._exit: every file a command opens is closed before run()
+returns and nothing is registered with atexit, so tearing down the
+heap and the modules would only cost time.  A reader that closes stdout
+early (`| head`) ends the command quietly with exit 1.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .coset_enumeration import EnumerationLimits
 from .double_cosets import key_leaves, slot_count
@@ -97,14 +104,25 @@ def _cords(args, presentation, expected: int) -> list[Word]:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _value_json(key, orbit_size, texts) -> dict:
-    """A value's record, read off its key: a canonical coset, or a pair
-    of keys, as key_pair sorts them, which is the order of the value's
-    own pairs."""
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _value_json(key, orbit_size, texts) -> str:
+    """A value's JSON text, read off its key: a canonical coset, or a
+    pair of keys, as key_pair sorts them, which is the order of the
+    value's own pairs.  Spelled as json.dumps spells the object with
+    sort_keys and compact separators; every string goes through _JSON."""
     if isinstance(key, int):
-        return {"canonical": key, "orbit_size": orbit_size[key],
-                "representative": texts[key]}
-    return {"pair": [_value_json(k, orbit_size, texts) for k in key]}
+        return (f'{{"canonical":{key},"orbit_size":{orbit_size[key]},'
+                f'"representative":{_JSON.encode(texts[key])}}}')
+    return '{"pair":[' + ",".join(_value_json(k, orbit_size, texts) for k in key) + "]}"
+
+
+def _result_head(kind: str, case: CaseLabel, core_oriented: bool) -> str:
+    """The text of a value's record, {case, core_oriented, kind, value},
+    up to the value; the value and a closing brace complete it."""
+    return _JSON.encode({"kind": kind, "case": case.value,
+                         "core_oriented": core_oriented})[:-1] + ',"value":'
 
 
 def _value_text(key, texts) -> str:
@@ -113,35 +131,42 @@ def _value_text(key, texts) -> str:
     return "{" + ", ".join(_value_text(k, texts) for k in key) + "}"
 
 
-_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _emit(args, record: dict, classes: Optional[Iterable[dict]] = None) -> None:
+def _emit(args, record: dict, field: Optional[str] = None,
+          pieces: Iterable[str] = ()) -> None:
     """Write the record; commands call this before any human output, so
     the record survives a reader that closes stdout early.
 
-    The record is written as a stream: given `classes`, an iterable of
-    entries, the head is encoded with an empty `classes` list, and the
-    entries are written into it one at a time, so neither the list of
-    entries nor the whole text is ever held (on Coxeter S8 with P = <s1>,
-    case 1, `classes --records` peaks at 21.9 MB of RSS, 34.5 MB when
-    the record was built whole).  The bytes are those of json.dumps of
-    the whole record with sort_keys and compact separators: a string
-    value escapes its quotes, so the text '"classes":[' can only be the
-    key.  Without --records the entries are never built."""
+    Given `field`, that field's value is the JSON text `pieces` spell,
+    written one piece at a time: the head is encoded with 0 in its place
+    and the pieces are written where the 0 was, so a stream of pieces is
+    never held whole (`classes` writes one piece per entry: on Coxeter S8
+    with P = <s1>, case 1, `classes --records` peaks at 21.9 MB of RSS,
+    34.5 MB when the record was built whole).  The bytes are those of
+    json.dumps of the whole record with sort_keys and compact separators:
+    a string value escapes its quotes, so the text '"field":0' can only
+    be the key.  Without --records the pieces are never read."""
     if not getattr(args, "records", None):
         return
-    text = _JSON.encode(record if classes is None else dict(record, classes=[]))
+    text = _JSON.encode(record if field is None else dict(record, **{field: 0}))
     try:
         with open(args.records, "w", encoding="utf-8") as fh:
-            if classes is not None:
-                head, key, text = text.partition('"classes":[')  # text opens "]"
-                fh.write(head + key)
-                for k, entry in enumerate(classes):
-                    fh.write(("," if k else "") + _JSON.encode(entry))
+            if field is not None:
+                head, key, text = text.partition(f'"{field}":0')
+                fh.write(head + key[:-1])
+                fh.writelines(pieces)
             fh.write(text + "\n")
     except OSError as exc:
         raise UsageError(f"cannot write {args.records}: {exc.strerror}")
+
+
+def _entries(classes, head: str, orbit_size, texts) -> Iterator[str]:
+    """The `classes` record's list of entries, one piece per entry,
+    {representative, value: the value's record}, spelled from text."""
+    yield "["
+    for k, (key, c) in enumerate(classes):
+        yield (f'{"," if k else ""}{{"representative":{_JSON.encode(texts[c])},'
+               f'"value":{head}{_value_json(key, orbit_size, texts)}}}}}')
+    yield "]"
 
 
 def _defined(ctx: ClassifierContext) -> int:
@@ -205,11 +230,9 @@ def _cmd_invariant(args) -> int:
     # a climb per leaf: witness_texts would walk every coset up to the last
     texts = {c: format_word(inv.table.witness(c), names) for c in key_leaves(inv.key)}
     _emit(args, {"command": "invariant", "input": input.label,
-                 "words": list(args.cord),
-                 "result": {"kind": inv.kind, "case": case.value,
-                            "core_oriented": args.core_oriented,
-                            "value": _value_json(inv.key, inv.table.orbit_sizes, texts)},
-                 "cosets_defined": _defined(ctx)})
+                 "words": list(args.cord), "cosets_defined": _defined(ctx)},
+          "result", (_result_head(inv.kind, case, args.core_oriented),
+                     _value_json(inv.key, inv.table.orbit_sizes, texts), "}"))
     core = "oriented core" if args.core_oriented else "unoriented core"
     print(f"case {case.value}, {core}")
     print(f"invariant: {_value_text(inv.key, texts)}")
@@ -237,11 +260,9 @@ def _cmd_classes(args) -> int:
     case = CaseLabel(args.case)
     ctx = _context(input, case)
     kind, classes, orbit_size, texts = class_listing(ctx, case, args.core_oriented)
-    head = {"kind": kind, "case": case.value, "core_oriented": args.core_oriented}
-    _emit(args, _case_record(args, input, ctx, count=len(classes)),
-          ({"representative": texts[c],
-            "value": dict(head, value=_value_json(key, orbit_size, texts))}
-           for key, c in classes))
+    _emit(args, _case_record(args, input, ctx, count=len(classes)), "classes",
+          _entries(classes, _result_head(kind, case, args.core_oriented),
+                   orbit_size, texts))
     core = "oriented core" if args.core_oriented else "unoriented core"
     print(f"case {case.value}, {core}: {len(classes)} classes")
     for k, (key, c) in enumerate(classes, start=1):
@@ -353,28 +374,22 @@ def run(argv=None) -> int:
         return code
     try:
         return args.func(args)
-    except ResourceExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (SkgSyntaxError, MissingSection, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HandleCosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return (3 if isinstance(exc, ResourceExhausted) else
+                2 if isinstance(exc, (SkgSyntaxError, MissingSection, UsageError)) else 1)
 
 
 def main() -> None:
+    """The console script: run(), then flush both streams and end the
+    process without tearing down the heap."""
     try:
         code = run()
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader went away (say `| head`): point stdout at devnull so
-        # the flush at interpreter exit cannot raise again, and stop
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        code = 1
-    sys.exit(code)
+        code = 1  # the reader went away (say `| head`): stop quietly
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -524,6 +524,50 @@ def test_closed_pipe_exits_quietly(skg, tmp_path, capsys):
     assert rec.read_bytes() == full.read_bytes()
 
 
+# main() as a child runs it: `python -m handlecoset.cli`, and the same with
+# stderr block-buffered, as stdout into a pipe already is, so that a
+# stderr flush that main() skipped would lose the message
+_CONSOLE_ENTRIES = {
+    "module": ["-m", "handlecoset.cli"],
+    "buffered-stderr": ["-c", "import runpy, sys\n"
+                              "sys.stderr.reconfigure(line_buffering=False)\n"
+                              "runpy.run_module('handlecoset.cli', run_name='__main__',"
+                              " alter_sys=True)\n"],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_CONSOLE_ENTRIES))
+@pytest.mark.parametrize("name,text,argv,code", [
+    ("s7", coxeter_skg(7, [1]), ["classes", "--case", "1"], 0),
+    ("s3", S3, ["classes", "--case", "3"], 1),
+    ("s3", S3, ["equiv", "--case", "1", "--cord", "a c", "--cord", "a"], 2),
+    ("s7", coxeter_skg(7, [1]), ["enumerate", "--max-cosets", "1"], 3),
+], ids=["listing", "mismatch", "bad-token", "exhausted"])
+def test_the_console_entry_delivers_both_streams_whole(skg, capsys, entry, name, text,
+                                                       argv, code):
+    # main() ends the process with os._exit, which flushes nothing: the
+    # child's stdout and stderr must be what run() prints in-process,
+    # byte for byte, and its exit code run()'s.  PYTHONUNBUFFERED would
+    # write every line at once and hide a skipped flush, so it is unset
+    argv = [argv[0], skg(name + ".skg", text), *argv[1:]]
+    assert run(argv) == code
+    want = capsys.readouterr()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(handlecoset.__file__).parents[1])
+    done = subprocess.run([sys.executable, *_CONSOLE_ENTRIES[entry], *argv],
+                          capture_output=True, env=env, timeout=60)
+    out, err = done.stdout.decode(), done.stderr.decode()
+    assert (done.returncode, out, err) == (code, want.out, want.err)
+    if code == 0:
+        count = int(re.fullmatch(r"case 1, unoriented core: (\d+) classes",
+                                 out.splitlines()[0])[1])
+        assert len(out.splitlines()) == count + 1 > 500
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if code == 2:
+        assert "line 1, column 3: unknown generator 'c'" in err
+
+
 def test_records_written_and_deterministic(skg, tmp_path, capsys):
     path = skg("d8.skg", D8_CASE3)
     rec1 = tmp_path / "r1.jsonl"
@@ -569,20 +613,39 @@ def test_classes_records_are_streamed(skg, tmp_path):
     assert streamed - bare < rec.stat().st_size / 10
 
 
+def _depth(value) -> int:
+    """0 for a leaf of a value's record, 1 for a pair of leaves, ..."""
+    return 0 if "canonical" in value else 1 + max(map(_depth, value["pair"]))
+
+
 def test_classes_records_are_canonical_json(skg, tmp_path, capsys):
-    # a label that holds the key's own text, a quote, a backslash and a
-    # non-ASCII letter is escaped like any string: the streamed record is
-    # the canonical encoding of itself
-    stem = '"classes":[] \\ \u00e9'
-    path = skg(stem + ".skg", S3)
+    # a label that holds the fields' own texts, a quote, a backslash and
+    # a non-ASCII letter is escaped like any string; every value shape
+    # (a leaf, a pair, a pair of pairs) and the invariant's result are
+    # spelled from text: each record is the canonical encoding of itself
+    stem = '"classes":[] "result":0 \\ \u00e9'
     rec = tmp_path / "r.json"
-    assert run(["classes", path, "--case", "1", "--records", str(rec)]) == 0
-    capsys.readouterr()
-    text = rec.read_text(encoding="utf-8")
-    record = json.loads(text)
-    assert record["input"] == stem
-    assert record["count"] == len(record["classes"]) == 2
-    assert text == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    for skg_text, argv, depth in [
+            (S3, ["classes", "--case", "1"], 1),
+            (S3, ["classes", "--case", "1", "--core-oriented"], 0),
+            (S3, ["classes", "--case", "2"], 1),
+            (S3, ["classes", "--case", "2", "--core-oriented"], 0),
+            (D8_CASE3, ["classes", "--case", "3", "--core-oriented"], 1),
+            (D8_CASE3, ["classes", "--case", "3"], 2),
+            (D8_CASE3, ["invariant", "--case", "3", "--cord", "r"], 2)]:
+        path = skg(stem + ".skg", skg_text)
+        assert run([argv[0], path, *argv[1:], "--records", str(rec)]) == 0
+        capsys.readouterr()
+        text = rec.read_text(encoding="utf-8")
+        record = json.loads(text)
+        assert record["input"] == stem
+        if argv[0] == "classes":
+            assert record["count"] == len(record["classes"])
+            values = [entry["value"]["value"] for entry in record["classes"]]
+        else:
+            values = [record["result"]["value"]]
+        assert {_depth(value) for value in values} == {depth}
+        assert text == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_invariant_record_shape(skg, tmp_path, capsys):
@@ -762,6 +825,24 @@ def test_only_knot_input_decides_which_cases_fit():
                                if isinstance(inner, ast.Attribute)
                                and inner.attr == "surface_orientable")
     assert readers == set()
+
+
+def test_no_test_calls_the_console_entry_in_process():
+    # cli.main ends the process with os._exit: called inside pytest it
+    # would end the run, silently when the code is 0.  Tests call run(),
+    # which returns the code, or start main() in a child
+    found = set()
+    for path in Path(__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "handlecoset.cli" \
+                    and any(a.name in ("main", "*") for a in node.names):
+                found.add((path.stem, node.lineno))
+            if isinstance(node, ast.Attribute) and node.attr == "main":
+                owner = node.value
+                if getattr(owner, "id", None) == "cli" or getattr(owner, "attr", None) == "cli":
+                    found.add((path.stem, node.lineno))
+    assert found == set()
 
 
 def test_no_test_is_skipped_or_xfailed():

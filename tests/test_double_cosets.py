@@ -268,9 +268,9 @@ def test_dc_twist_can_move_classes():
 
 def test_warm_dc_functions_hash_no_word(monkeypatch):
     # S6 with P = <s1, s2, s4>, P+ = <s1, s2> and n = s4: once the
-    # partition and the images are filled in, a round of dc_id, dc_invert
-    # and dc_twist over every double coset finds the partition and n's
-    # twist images without hashing a Word (dc_twist used to hash n)
+    # partition is filled in, a round of dc_id, dc_invert and dc_twist
+    # over every double coset finds the partition, and traces n w n for
+    # each twist, without hashing a Word (dc_twist used to hash n)
     parsed = parse_input(coxeter_skg(6, [1, 2, 4], [1, 2], 4))
     ctx = ClassifierContext.build(parsed)
     table, acting, n = ctx.p_plus_table, parsed.p_plus_generators, parsed.n_word
