@@ -11,6 +11,12 @@ Exit codes: 0 success, 1 domain error (message names the failing check),
 a proof that P or P+ has infinite index (errors.InfiniteIndex; the
 message says which).
 
+run() does the front matter of every command: it reads the input file,
+hands it to the command as `_cmd_<name>(args, input)`, writes the
+record the command returns before the first human line, prints the
+lines and returns the command's exit code.  A command only computes
+its _Report, so a new command or per-run output adds only its own logic.
+
 Library callers use run(argv), which returns the exit code.  main(), the
 console script's entry, flushes stdout and stderr and ends the process
 with os._exit: every file a command opens is closed before run()
@@ -26,8 +32,9 @@ import json
 import os
 import sys
 import time
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .coset_enumeration import EnumerationLimits
 from .double_cosets import key_leaves, slot_count
@@ -131,29 +138,41 @@ def _value_text(key, texts) -> str:
     return "{" + ", ".join(_value_text(k, texts) for k in key) + "}"
 
 
-def _emit(args, record: dict, field: Optional[str] = None,
-          pieces: Iterable[str] = ()) -> None:
-    """Write the record; commands call this before any human output, so
-    the record survives a reader that closes stdout early.
+class _Report(NamedTuple):
+    """What a command reports to run(): its record, its human lines and
+    its exit code.  Given `field`, that field of the record is streamed
+    from `pieces` (see _emit)."""
+    record: dict
+    lines: Iterable[str]
+    code: int = 0
+    field: Optional[str] = None
+    pieces: Iterable[str] = ()
 
-    Given `field`, that field's value is the JSON text `pieces` spell,
-    written one piece at a time: the head is encoded with 0 in its place
-    and the pieces are written where the 0 was, so a stream of pieces is
-    never held whole (`classes` writes one piece per entry: on Coxeter S8
-    with P = <s1>, case 1, `classes --records` peaks at 21.9 MB of RSS,
-    34.5 MB when the record was built whole).  The bytes are those of
-    json.dumps of the whole record with sort_keys and compact separators:
-    a string value escapes its quotes, so the text '"field":0' can only
-    be the key.  Without --records the pieces are never read."""
-    if not getattr(args, "records", None):
+
+def _emit(args, report: _Report) -> None:
+    """Write the report's record; run() calls this before any human
+    output, so the record survives a reader that closes stdout early.
+
+    Given a `field`, that field's value is the JSON text the `pieces`
+    spell, written one piece at a time: the head is encoded with 0 in its
+    place and the pieces are written where the 0 was, so a stream of
+    pieces is never held whole (`classes` writes one piece per entry: on
+    Coxeter S8 with P = <s1>, case 1, `classes --records` peaks at 21.9 MB
+    of RSS, 34.5 MB when the record was built whole).  The bytes are
+    those of json.dumps of the whole record with sort_keys and compact
+    separators: a string value escapes its quotes, so the text
+    '"field":0' can only be the key.  Without --records the pieces are
+    never read."""
+    if not args.records:
         return
+    record, field = report.record, report.field
     text = _JSON.encode(record if field is None else dict(record, **{field: 0}))
     try:
         with open(args.records, "w", encoding="utf-8") as fh:
             if field is not None:
                 head, key, text = text.partition(f'"{field}":0')
                 fh.write(head + key[:-1])
-                fh.writelines(pieces)
+                fh.writelines(report.pieces)
             fh.write(text + "\n")
     except OSError as exc:
         raise UsageError(f"cannot write {args.records}: {exc.strerror}")
@@ -187,39 +206,38 @@ def _case_record(args, input, ctx: Optional[ClassifierContext], **fields) -> dic
     return record
 
 
+def _heading(args) -> str:
+    return f"case {args.case}, {'' if args.core_oriented else 'un'}oriented core"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(args) -> int:
-    input = _load(args.file)
+def _cmd_validate(args, input) -> _Report:
     report = validate(input, _limits())
-    _emit(args, {"command": "validate", "input": input.label,
-                 "checks": [{"name": c.name, "status": c.status,
-                             "detail": c.detail} for c in report.checks]})
-    for check in report.checks:
-        print(f"[{check.status}] {check.name}: {check.detail}")
     failures = len(report.failures)
-    print(f"{len(report.checks)} checks, {failures} failed")
-    return 0 if failures == 0 else 1
+    return _Report({"command": "validate", "input": input.label,
+                    "checks": [{"name": c.name, "status": c.status,
+                                "detail": c.detail} for c in report.checks]},
+                   [*(f"[{c.status}] {c.name}: {c.detail}" for c in report.checks),
+                    f"{len(report.checks)} checks, {failures} failed"],
+                   0 if failures == 0 else 1)
 
 
-def _cmd_enumerate(args) -> int:
-    input = _load(args.file)
+def _cmd_enumerate(args, input) -> _Report:
     start = time.perf_counter()
     table = subgroup_table(input, args.subgroup, _limits(args.max_cosets))
     elapsed = time.perf_counter() - start
-    _emit(args, {"command": "enumerate", "input": input.label,
-                 "subgroup": args.subgroup, "index": table.index,
-                 "cosets_defined": table.total_defined})
-    print(f"subgroup {args.subgroup}: index {table.index}")
-    print(f"cosets defined: {table.total_defined}")
-    print(f"time: {elapsed:.3f}s")
-    return 0
+    return _Report({"command": "enumerate", "input": input.label,
+                    "subgroup": args.subgroup, "index": table.index,
+                    "cosets_defined": table.total_defined},
+                   [f"subgroup {args.subgroup}: index {table.index}",
+                    f"cosets defined: {table.total_defined}",
+                    f"time: {elapsed:.3f}s"])
 
 
-def _cmd_invariant(args) -> int:
-    input = _load(args.file)
+def _cmd_invariant(args, input) -> _Report:
     case = CaseLabel(args.case)
     g = _cords(args, input.presentation, 1)[0]
     start = time.perf_counter()
@@ -229,50 +247,42 @@ def _cmd_invariant(args) -> int:
     names = input.presentation.generator_names
     # a climb per leaf: witness_texts would walk every coset up to the last
     texts = {c: format_word(inv.table.witness(c), names) for c in key_leaves(inv.key)}
-    _emit(args, {"command": "invariant", "input": input.label,
-                 "words": list(args.cord), "cosets_defined": _defined(ctx)},
-          "result", (_result_head(inv.kind, case, args.core_oriented),
-                     _value_json(inv.key, inv.table.orbit_sizes, texts), "}"))
-    core = "oriented core" if args.core_oriented else "unoriented core"
-    print(f"case {case.value}, {core}")
-    print(f"invariant: {_value_text(inv.key, texts)}")
-    print(f"time: {elapsed:.3f}s ({_defined(ctx)} cosets defined)")
-    return 0
+    return _Report({"command": "invariant", "input": input.label,
+                    "words": list(args.cord), "cosets_defined": _defined(ctx)},
+                   [_heading(args), f"invariant: {_value_text(inv.key, texts)}",
+                    f"time: {elapsed:.3f}s ({_defined(ctx)} cosets defined)"],
+                   field="result",
+                   pieces=(_result_head(inv.kind, case, args.core_oriented),
+                           _value_json(inv.key, inv.table.orbit_sizes, texts), "}"))
 
 
-def _cmd_equiv(args) -> int:
-    input = _load(args.file)
+def _cmd_equiv(args, input) -> _Report:
     case = CaseLabel(args.case)
     g1, g2 = _cords(args, input.presentation, 2)
     ctx = _context(input, case)
     verdict = "equivalent" if equivalent(ctx, case, args.core_oriented, g1, g2) \
         else "inequivalent"
-    _emit(args, _case_record(args, input, ctx, words=list(args.cord), verdict=verdict))
-    print(verdict)
-    return 0
+    return _Report(_case_record(args, input, ctx, words=list(args.cord),
+                                verdict=verdict), [verdict])
 
 
-def _cmd_classes(args) -> int:
-    """List the classes; the record's entries are a generator that _emit
-    consumes one at a time, so no entry is built without --records and
-    the record is never held whole."""
-    input = _load(args.file)
+def _cmd_classes(args, input) -> _Report:
+    """List the classes; the record's entries and the lines are
+    generators, so no entry is built without --records and neither the
+    record nor the listing is ever held whole."""
     case = CaseLabel(args.case)
     ctx = _context(input, case)
     kind, classes, orbit_size, texts = class_listing(ctx, case, args.core_oriented)
-    _emit(args, _case_record(args, input, ctx, count=len(classes)), "classes",
-          _entries(classes, _result_head(kind, case, args.core_oriented),
-                   orbit_size, texts))
-    core = "oriented core" if args.core_oriented else "unoriented core"
-    print(f"case {case.value}, {core}: {len(classes)} classes")
-    for k, (key, c) in enumerate(classes, start=1):
-        print(f"  class {k}: representative {texts[c]}  "
-              f"value {_value_text(key, texts)}")
-    return 0
+    lines = (f"  class {k}: representative {texts[c]}  value {_value_text(key, texts)}"
+             for k, (key, c) in enumerate(classes, start=1))
+    return _Report(_case_record(args, input, ctx, count=len(classes)),
+                   chain([f"{_heading(args)}: {len(classes)} classes"], lines),
+                   field="classes",
+                   pieces=_entries(classes, _result_head(kind, case, args.core_oriented),
+                                   orbit_size, texts))
 
 
-def _cmd_image_check(args) -> int:
-    input = _load(args.file)
+def _cmd_image_check(args, input) -> _Report:
     case = CaseLabel(args.case)
     words = parse_word_list(args.candidate, input.presentation, ";")
     expected = slot_count(case is CaseLabel.CASE3, args.core_oriented)
@@ -283,24 +293,19 @@ def _cmd_image_check(args) -> int:
     candidate = candidate_invariant(ctx, case, args.core_oriented, words)
     verdict = "in-image" if image_member(ctx, case, args.core_oriented, candidate) \
         else "not-in-image"
-    _emit(args, _case_record(args, input, ctx,
-                             words=[p.strip() for p in args.candidate.split(";")],
-                             verdict=verdict))
-    print(verdict)
-    return 0
+    return _Report(_case_record(args, input, ctx,
+                                words=[p.strip() for p in args.candidate.split(";")],
+                                verdict=verdict), [verdict])
 
 
-def _cmd_separate(args) -> int:
-    input = _load(args.file)
+def _cmd_separate(args, input) -> _Report:
     case = CaseLabel(args.case)
     g1, g2 = _cords(args, input.presentation, 2)
     verdict = quotient_separate(input, case, args.core_oriented, g1, g2,
                                 max_degree=args.max_degree)
     text = "distinct" if verdict is SeparationVerdict.DISTINCT else "unknown"
-    _emit(args, _case_record(args, input, None, words=list(args.cord),
-                             max_degree=args.max_degree, verdict=text))
-    print(text)
-    return 0
+    return _Report(_case_record(args, input, None, words=list(args.cord),
+                                max_degree=args.max_degree, verdict=text), [text])
 
 
 # ---------------------------------------------------------------------------
@@ -314,51 +319,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "by double-coset invariants of the knot group.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, func, help, cords=None):
+        """A subcommand reading `file`; given `cords`, it takes --case,
+        --core-oriented and, if `cords` is not 0, repeatable --cord."""
+        p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         p.add_argument("--records", metavar="PATH",
                        help="write a machine-readable JSON record to PATH")
+        p.add_argument("file")
+        if cords is not None:
+            p.add_argument("--case", type=_integer, choices=[1, 2, 3], required=True)
+            p.add_argument("--core-oriented", action="store_true")
+            if cords:
+                p.add_argument("--cord", action="append", default=[],
+                               metavar="WORD", help="cord word (repeatable)")
         return p
 
-    p = add("validate", _cmd_validate, help="run the input side-condition checks")
-    p.add_argument("file")
-
-    p = add("enumerate", _cmd_enumerate, help="enumerate cosets of P or P+")
-    p.add_argument("file")
+    add("validate", _cmd_validate, "run the input side-condition checks")
+    p = add("enumerate", _cmd_enumerate, "enumerate cosets of P or P+")
     p.add_argument("--subgroup", choices=["P", "P+"], default="P")
     p.add_argument("--max-cosets", type=_integer, default=None, metavar="N")
-
-    def case_options(p, cords: int):
-        p.add_argument("--case", type=_integer, choices=[1, 2, 3], required=True)
-        p.add_argument("--core-oriented", action="store_true")
-        if cords:
-            p.add_argument("--cord", action="append", default=[],
-                           metavar="WORD", help="cord word (repeatable)")
-
-    p = add("invariant", _cmd_invariant, help="invariant of one cord word")
-    p.add_argument("file")
-    case_options(p, 1)
-
-    p = add("equiv", _cmd_equiv, help="decide equivalence of two cord words")
-    p.add_argument("file")
-    case_options(p, 2)
-
-    p = add("classes", _cmd_classes, help="list all equivalence classes")
-    p.add_argument("file")
-    case_options(p, 0)
-
+    add("invariant", _cmd_invariant, "invariant of one cord word", 1)
+    add("equiv", _cmd_equiv, "decide equivalence of two cord words", 2)
+    add("classes", _cmd_classes, "list all equivalence classes", 0)
     p = add("image-check", _cmd_image_check,
-            help="check whether a candidate value is realized by a 1-handle")
-    p.add_argument("file")
-    case_options(p, 0)
+            "check whether a candidate value is realized by a 1-handle", 0)
     p.add_argument("--candidate", required=True, metavar="W1;W2[;...]",
                    help="semicolon-separated cord words building the candidate")
 
     p = add("separate", _cmd_separate,
-            help="try to separate two cords in finite quotients")
-    p.add_argument("file")
-    case_options(p, 2)
+            "try to separate two cords in finite quotients", 2)
     p.add_argument("--max-degree", type=_integer, default=6, metavar="D",
                    choices=range(1, MAX_SEPARATE_DEGREE + 1),
                    help=f"largest permutation degree searched, 1..{MAX_SEPARATE_DEGREE}")
@@ -370,10 +360,13 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return code
+        return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        report = args.func(args, _load(args.file))
+        _emit(args, report)
+        for line in report.lines:
+            print(line)
+        return report.code
     except HandleCosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (3 if isinstance(exc, ResourceExhausted) else

@@ -45,8 +45,10 @@ tracing a word is one subscript per letter.  The post-checks, which
 _verify states, prove each invariant once.
 
 Cosets are numbered 1..index and coset 1 is the subgroup itself.  A
-table (CosetTable) owns its double cosets, keeps their labels and twists,
-and climbs once per inverse; only this module reads the columns and tree.
+table (CosetTable) owns its double cosets and keeps their labels and
+orbit sizes; it climbs once per inverse and builds a twist's list anew
+on every call (a classifier context keeps the one list its queries
+read).  Only this module reads the columns and tree.
 """
 
 from __future__ import annotations

@@ -524,6 +524,52 @@ def test_closed_pipe_exits_quietly(skg, tmp_path, capsys):
     assert rec.read_bytes() == full.read_bytes()
 
 
+# each command's options on a Case-1 input (S3) and on a Case-3 input (D8)
+FRONT_MATTER = {
+    "validate": ([], []),
+    "enumerate": ([], ["--subgroup", "P+"]),
+    "invariant": (["--case", "1", "--cord", "b"], ["--case", "3", "--cord", "r"]),
+    "equiv": (["--case", "1", "--cord", "b", "--cord", "1"],
+              ["--case", "3", "--cord", "r", "--cord", "1"]),
+    "classes": (["--case", "1"], ["--case", "3", "--core-oriented"]),
+    "image-check": (["--case", "1", "--core-oriented", "--candidate", "b"],
+                    ["--case", "3", "--candidate", "r;r^3;r^3;r"]),
+    "separate": (["--case", "1", "--cord", "b", "--cord", "1"],
+                 ["--case", "3", "--cord", "s", "--cord", "1", "--max-degree", "4"]),
+}
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write raises EPIPE."""
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("case", [1, 3])
+@pytest.mark.parametrize("command", sorted(FRONT_MATTER))
+def test_every_command_writes_its_record_before_any_output(command, case, skg, tmp_path,
+                                                           capsys, monkeypatch):
+    # the record is whole before the first byte of human output, so a
+    # reader that leaves at once still gets the record of an ordinary run
+    name, text = ("s3", S3) if case == 1 else ("d8", D8_CASE3)
+    argv = [command, skg(f"{name}.skg", text), *FRONT_MATTER[command][case == 3]]
+    full, cut = tmp_path / "full.json", tmp_path / "cut.json"
+    assert run(argv + ["--records", str(full)]) == 0
+    capsys.readouterr()
+    stdout = _ClosedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    with pytest.raises(BrokenPipeError):
+        run(argv + ["--records", str(cut)])
+    assert stdout.writes == 1
+    assert cut.read_bytes() == full.read_bytes() != b""
+
+
 # main() as a child runs it: `python -m handlecoset.cli`, and the same with
 # stderr block-buffered, as stdout into a pipe already is, so that a
 # stderr flush that main() skipped would lose the message
@@ -1010,6 +1056,24 @@ def test_each_budget_is_spent_in_one_place():
         "blank": {("coset_enumeration", "__init__"), ("coset_enumeration", "define")},
         "HOM_LIMIT": {("finite_quotient", "_listing"),
                       ("finite_quotient", "find_homomorphisms")}}
+
+
+def test_only_run_does_the_front_matter():
+    # cli.run reads the input, writes the record and prints for every
+    # command; a command takes (args, input) and returns what it reports
+    tree = ast.parse((Path(handlecoset.__file__).parent / "cli.py")
+                     .read_text(encoding="utf-8"))
+    callers = {"_emit": set(), "_load": set(), "print": set()}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in callers):
+                callers[node.func.id].add(getattr(top, "name", None))
+    assert callers == {"_emit": {"run"}, "_load": {"run"}, "print": {"run"}}
+    commands = {top.name: [a.arg for a in top.args.args] for top in tree.body
+                if isinstance(top, ast.FunctionDef) and top.name.startswith("_cmd_")}
+    assert len(commands) == 7
+    assert all(params == ["args", "input"] for params in commands.values())
 
 
 def test_only_the_classifier_chooses_a_case_table():
