@@ -92,6 +92,8 @@ class ValidationCheck(_Frozen):
         object.__setattr__(self, "detail", detail)
 
 
+# the report's checks in order; _validate_with_tables pairs each name with
+# the (status, detail) its check returns
 _CHECK_NAMES = (
     "p_plus_in_p",
     "n_in_p",
@@ -129,30 +131,29 @@ class ValidationReport(_Frozen):
         return all(named.get(name) == "pass" for name in _TWIST_CHECKS)
 
 
-def _membership_check(table: _TableOrRefusal, name: str,
-                      words: Sequence[tuple[Word, str]]) -> ValidationCheck:
+def _membership_check(table: _TableOrRefusal,
+                      words: Sequence[tuple[Word, str]]) -> tuple[str, str]:
     if isinstance(table, ResourceExhausted):
-        return ValidationCheck(name, "unknown", str(table))
+        return "unknown", str(table)
     for word, shown in words:
         if not table.membership(word):
-            return ValidationCheck(name, "fail", f"{shown} is not in the subgroup")
-    return ValidationCheck(name, "pass", "all traces close at coset 1")
+            return "fail", f"{shown} is not in the subgroup"
+    return "pass", "all traces close at coset 1"
 
 
 def _index_check(p_table: _TableOrRefusal, p_plus_table: _TableOrRefusal,
-                 p_plus_in_p: ValidationCheck) -> ValidationCheck:
+                 p_plus_in_p: str) -> tuple[str, str]:
     """|P : P+| <= 2, read off the indices |G : P+| = |G : P| |P : P+|."""
-    name = "p_plus_index_in_p"
     if isinstance(p_table, ResourceExhausted):
-        return ValidationCheck(name, "unknown", str(p_table))
+        return "unknown", str(p_table)
     if isinstance(p_plus_table, InfiniteIndex):
-        return ValidationCheck(name, "fail", f"|P : P+| is infinite; {p_plus_table}")
+        return "fail", f"|P : P+| is infinite; {p_plus_table}"
     if isinstance(p_plus_table, ResourceExhausted):
-        return ValidationCheck(name, "unknown", str(p_plus_table))
-    if p_plus_in_p.status != "pass":
-        return ValidationCheck(name, "fail", "P+ is not in P")
+        return "unknown", str(p_plus_table)
+    if p_plus_in_p != "pass":
+        return "fail", "P+ is not in P"
     k = p_plus_table.index // p_table.index
-    return ValidationCheck(name, "pass" if k <= 2 else "fail", f"|P : P+| = {k}")
+    return "pass" if k <= 2 else "fail", f"|P : P+| = {k}"
 
 
 def _validate_with_tables(input: SurfaceKnotInput,
@@ -162,37 +163,29 @@ def _validate_with_tables(input: SurfaceKnotInput,
     """Run the side-condition checks against the P and P+ tables, which
     an orientable input does not need."""
     if input.surface_orientable:
-        checks = tuple(ValidationCheck(name, "pass", "vacuous: surface is orientable")
-                       for name in _CHECK_NAMES)
-        return ValidationReport(checks)
-
-    names = input.presentation.generator_names
-    n = input.n_word
-    n_text = format_word(n, names)
-    pp_words = [(w, format_word(w, names)) for w in input.p_plus_generators]
-
-    checks = [_membership_check(p_table, "p_plus_in_p", pp_words),
-              _membership_check(p_table, "n_in_p", [(n, n_text)])]
-
-    if isinstance(p_plus_table, ResourceExhausted):
-        checks.append(ValidationCheck("n_vs_p_plus", "unknown", str(p_plus_table)))
+        results = [("pass", "vacuous: surface is orientable")] * len(_CHECK_NAMES)
     else:
-        in_pp = p_plus_table.membership(n)
-        checks.append(ValidationCheck(
-            "n_vs_p_plus", "pass",
-            f"observed: {n_text} is {'in' if in_pp else 'not in'} P+"))
-
-    n_inv = invert(n)
-    conjugates = []
-    for w, shown in pp_words:
-        conjugates.append((concat(n, w, n_inv), f"{n_text} ({shown}) {n_text}^-1"))
-        conjugates.append((concat(n_inv, w, n), f"{n_text}^-1 ({shown}) {n_text}"))
-    checks.append(_membership_check(
-        p_plus_table, "twist_normalizes_p_plus", conjugates))
-    checks.append(_membership_check(
-        p_plus_table, "n_squared_in_p_plus", [(power(n, 2), f"({n_text})^2")]))
-    checks.append(_index_check(p_table, p_plus_table, checks[0]))
-    return ValidationReport(tuple(checks))
+        names = input.presentation.generator_names
+        n = input.n_word
+        n_text = format_word(n, names)
+        pp_words = [(w, format_word(w, names)) for w in input.p_plus_generators]
+        results = [_membership_check(p_table, pp_words),
+                   _membership_check(p_table, [(n, n_text)])]
+        if isinstance(p_plus_table, ResourceExhausted):
+            results.append(("unknown", str(p_plus_table)))
+        else:
+            in_pp = "in" if p_plus_table.membership(n) else "not in"
+            results.append(("pass", f"observed: {n_text} is {in_pp} P+"))
+        n_inv = invert(n)
+        conjugates = []
+        for w, shown in pp_words:
+            conjugates.append((concat(n, w, n_inv), f"{n_text} ({shown}) {n_text}^-1"))
+            conjugates.append((concat(n_inv, w, n), f"{n_text}^-1 ({shown}) {n_text}"))
+        results.append(_membership_check(p_plus_table, conjugates))
+        results.append(_membership_check(p_plus_table, [(power(n, 2), f"({n_text})^2")]))
+        results.append(_index_check(p_table, p_plus_table, results[0][0]))
+    return ValidationReport(tuple(ValidationCheck(name, *result)
+                                  for name, result in zip(_CHECK_NAMES, results)))
 
 
 def validate(input: SurfaceKnotInput,

@@ -29,6 +29,11 @@ name^k, k an optional minus sign and one or more ASCII digits 0-9
 the empty word is written 1.
 Exponents expand letter by letter, so a word whose expansion exceeds
 MAX_WORD_LETTERS is a syntax error at the token that crosses it.
+
+parse_input reports the first error it meets, in this order: an error
+met while reading a line, in file order; then a missing group:, P: or
+orientable:; then P+: and n: checked against orientable: (present when
+it is true, or absent when it is false), P+: first.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from itertools import chain, groupby
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .errors import (CaseMismatch, DuplicateGenerator, MissingSection,
                      SkgSyntaxError, UnknownGenerator)
@@ -204,15 +209,11 @@ def parse_word_list(text: str, presentation: GroupPresentation,
 
 def parse_input(text: str, label: str = "") -> SurfaceKnotInput:
     """Parse .skg file content into a SurfaceKnotInput."""
-    generators: list[GeneratorSymbol] = []
-    names: set[str] = set()
+    generators: dict[str, GeneratorSymbol] = {}
     token_columns: dict[str, tuple[int, ...]] = {}  # built once group: is read
     relators: list[Word] = []
-    p_gens: Optional[tuple[Word, ...]] = None
-    pp_gens: Optional[tuple[Word, ...]] = None
-    n_word: Optional[Word] = None
-    orientable: Optional[bool] = None
     seen: dict[str, int] = {}  # each section but rel -> the line it is on
+    sections: dict[str, Any] = {}  # P, P+, n and orientable -> what they hold
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -235,46 +236,39 @@ def parse_input(text: str, label: str = "") -> SurfaceKnotInput:
             for match in _TOKEN.finditer(rest):
                 name = match.group(0)
                 col = rest_col + match.start()
-                if name in names:
+                if name in generators:
                     raise DuplicateGenerator(line_no, col,
                                              f"duplicate generator {name!r}")
                 try:
-                    symbol = GeneratorSymbol(name)
+                    generators[name] = GeneratorSymbol(name)
                 except ValueError as exc:
                     raise SkgSyntaxError(line_no, col, str(exc)) from None
-                names.add(name)
-                generators.append(symbol)
             if not generators:
                 raise SkgSyntaxError(line_no, rest_col,
                                      "at least one generator is required")
-            token_columns = _token_columns([g.name for g in generators])
+            token_columns = _token_columns(list(generators))
         elif keyword == "rel":
             word = _parse_word_tokens(rest, line_no, rest_col, token_columns)
             if word.is_identity:
                 raise SkgSyntaxError(line_no, rest_col,
                                      "relator reduces to the identity")
             relators.append(word)
-        elif keyword == "P":
-            p_gens = _parse_word_list(rest, line_no, rest_col, token_columns, ",")
-        elif keyword == "P+":
-            pp_gens = _parse_word_list(rest, line_no, rest_col, token_columns, ",")
+        elif keyword in ("P", "P+"):
+            sections[keyword] = _parse_word_list(rest, line_no, rest_col, token_columns, ",")
         elif keyword == "n":
-            n_word = _parse_word_tokens(rest, line_no, rest_col, token_columns)
+            sections[keyword] = _parse_word_tokens(rest, line_no, rest_col, token_columns)
         elif keyword == "orientable":
-            value = rest.strip()
-            if value == "true":
-                orientable = True
-            elif value == "false":
-                orientable = False
-            else:
+            if rest.strip() not in ("true", "false"):
                 raise SkgSyntaxError(line_no, rest_col,
                                      "expected 'true' or 'false'")
+            sections[keyword] = rest.strip() == "true"
         else:
             raise SkgSyntaxError(line_no, 1, f"unknown section {keyword!r}")
 
     for section in ("group", "P", "orientable"):
         if section not in seen:
             raise MissingSection(f"{section}:")
+    orientable = sections["orientable"]
     for section in ("P+", "n"):
         if orientable and section in seen:
             raise SkgSyntaxError(seen[section], 1, f"'{section}:' is not "
@@ -282,9 +276,9 @@ def parse_input(text: str, label: str = "") -> SurfaceKnotInput:
         if not orientable and section not in seen:
             raise MissingSection(f"{section}:", "required for non-orientable input")
 
-    presentation = GroupPresentation(tuple(generators), tuple(relators))
-    return SurfaceKnotInput(presentation, p_gens, pp_gens, n_word,
-                            orientable, label)
+    presentation = GroupPresentation(tuple(generators.values()), tuple(relators))
+    return SurfaceKnotInput(presentation, sections["P"], sections.get("P+"),
+                            sections.get("n"), orientable, label)
 
 
 def run_token(name: str, exponent: int) -> str:

@@ -124,6 +124,32 @@ CASE3_TAIL = "P+: t\nn: t\norientable: false"
     *(pytest.param(f"group: a\nP: a a^{'1' * n}\norientable: true", SkgSyntaxError,
                    "line 2, column 6: word expands to more than 100000 letters",
                    id=f"exponent-of-{n}-digits") for n in (4300, 4301)),
+    pytest.param("group t", SkgSyntaxError,
+                 "line 1, column 1: expected '<key>: <value>'", id="no-colon"),
+    pytest.param("P: t\norientable: true", SkgSyntaxError,
+                 "line 1, column 1: 'group:' must be the first non-comment line",
+                 id="group-not-first"),
+    pytest.param("group: t\nrel: t t^-1\nP: t\norientable: true", SkgSyntaxError,
+                 "line 2, column 5: relator reduces to the identity",
+                 id="identity-relator"),
+    pytest.param("group: t\nP: t\norientable: maybe", SkgSyntaxError,
+                 "line 3, column 12: expected 'true' or 'false'", id="orientable-maybe"),
+    pytest.param("group: t\nP: t\nQ: t\norientable: true", SkgSyntaxError,
+                 "line 3, column 1: unknown section 'Q'", id="unknown-section"),
+    *(pytest.param(f"group: t\nP: t\n{section}: t\norientable: true", SkgSyntaxError,
+                   f"line 3, column 1: '{section}:' is not allowed when orientable: true",
+                   id=f"{section}-when-orientable") for section in ("P+", "n")),
+    pytest.param("group: t t\nP: t\norientable: true", DuplicateGenerator,
+                 "line 1, column 10: duplicate generator 't'", id="duplicate-generator"),
+    # errors are reported in this order: those met while reading, in file
+    # order; then a missing group:, P: or orientable:; then P+: and n:
+    # against orientable:
+    pytest.param("group: t\nP+: t\nP: t\nQ: t\norientable: true", SkgSyntaxError,
+                 "line 4, column 1: unknown section 'Q'",
+                 id="reading-error-before-orientation-rule"),
+    pytest.param("group: t\nP+: t\nrel: t^3\norientable: true", MissingSection,
+                 "missing required section 'P:'",
+                 id="missing-section-before-orientation-rule"),
 ])
 def test_parse_error_messages(text, error, message):
     with pytest.raises(error) as info:
